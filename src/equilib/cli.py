@@ -314,6 +314,8 @@ def cmd_index(args) -> int:
         report.results = {"index": idx, "method": "perturbation-sum"}
     else:
         ir = game_index_report(game)
+        if ir.total() != 1:
+            raise IndexError_(f"indices over all components sum to {ir.total()}, not +1")
         report.results = ir.to_json()
         report.certifications.append("indices over all components sum to +1")
     report.timings["total"] = f"{time.monotonic() - t0:.3f}"

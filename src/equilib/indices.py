@@ -682,18 +682,7 @@ def check_sum_plus_one(game: FiniteGame) -> bool:
     """Whether the component indices of a 2-player game sum to +1."""
     if game.num_players != 2:
         raise IndexError_("check_sum_plus_one requires exhaustive enumeration (2 players)")
-    es = support_enumeration(game)
-    cg = components(es)
-    total = 0
-    for comp in cg.components:
-        subs = [cg.subsets[i] for i in comp]
-        if len(subs) == 1 and subs[0].is_singleton():
-            eq = subs[0].sample()
-            if is_regular(game, eq):
-                total += index_regular(game, eq)
-                continue
-        total += component_index(game, subs)
-    return total == 1
+    return game_index_report(game).total() == 1
 
 
 # --------------------------------------------------------------------------

@@ -146,11 +146,20 @@ def solve_linear(
 def solve_unique(
     A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> Optional[Vector]:
-    """Solve A x = b; returns the solution only if it is unique."""
-    cols = len(A[0]) if A else 0
-    if matrix_rank(A) < cols:
+    """Solve A x = b; returns the solution only if it is unique.
+
+    One elimination of [A | b]: the solution exists and is unique exactly
+    when the pivots are all the columns of A.
+    """
+    if not A:
+        return []
+    cols = len(A[0])
+    M = [list(map(Fraction, row)) + [Fraction(beta)] for row, beta in zip(A, b, strict=True)]
+    if rref(M) != list(range(cols)):
         return None
-    return solve_linear(A, b)
+    x = [M[r][cols] for r in range(cols)]
+    # Verify (cheap, and guards against pivot bookkeeping bugs).
+    return x if all(dot(row, x) == beta for row, beta in zip(A, b)) else None
 
 
 def nullspace(A: Sequence[Sequence[Fraction]]) -> list[Vector]:

@@ -1,10 +1,12 @@
 """Exact Nash equilibrium enumeration for small games.
 
-Two-player games get complete support enumeration with exact handling of
-degeneracy: for each support pair the equilibria form a product of two
-polytopes, emitted with vertex descriptions; the maximal such products are
-the maximal Nash subsets.  Components are read off the intersection graph of
-the maximal subsets.
+Two-player games get complete enumeration with exact handling of
+degeneracy: the extreme equilibria are the pairs of vertices of the
+best-response polytopes whose labels cover every pure strategy, and the
+maximal Nash subsets are the maximal bicliques of the graph of such pairs
+(Avis, Rosenberg, Savani & von Stengel, Econ. Theory 42, 2010).  Maximal
+subsets are products of faces of the polytopes, so two of them meet
+exactly when they share a vertex profile; that relation gives components.
 
 Three-player games get an honest partial treatment (supports of size <= 2
 per player via exact linear/quadratic solving, everything else via the grid
@@ -28,7 +30,7 @@ from .games import (
     Profile,
     is_equilibrium,
 )
-from .linalg import ONE, ZERO, dot, linprog, vertex_enumeration
+from .linalg import ONE, ZERO, dot, vertex_enumeration
 
 
 def _factor_constraints(
@@ -62,19 +64,6 @@ def _factor_constraints(
             A_ub.append(row)
             b_ub.append(ZERO)
     return A_ub, b_ub, A_eq, b_eq
-
-
-def _factor_vertices(
-    game: FiniteGame, player: int, own_support: Sequence[Label], opp_support: Sequence[Label]
-) -> list[MixedStrategy]:
-    A_ub, b_ub, A_eq, b_eq = _factor_constraints(game, player, own_support, opp_support)
-    verts = vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
-    out = []
-    for v in verts:
-        ms = MixedStrategy.of({s: w for s, w in zip(own_support, v) if w > 0})
-        if ms not in out:
-            out.append(ms)
-    return sorted(out, key=lambda m: m.weights)
 
 
 def _satisfies_factor(
@@ -144,55 +133,89 @@ class EquilibriumSet:
         return out
 
 
+def _labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrategy, int]]:
+    """Nonzero vertices of `player`'s best-response polytope, with label bitmasks.
+
+    For player 0 this is P = {x >= 0 : B^T x <= 1}, for player 1 it is
+    Q = {y >= 0 : A y <= 1}, where A and B are the payoffs shifted to be
+    positive.  Bit i < m stands for row i, bit m + j for column j; a vertex
+    has a pure strategy's label when its own strategy is unplayed or the
+    opponent's strategy is a best reply.  Vertices come back normalised to
+    mixed strategies.
+    """
+    opp = 1 - player
+    own, other = game.strategies[player], game.strategies[opp]
+
+    def u_opp(s: Label, t: Label) -> Fraction:
+        return game.payoffs[(s, t) if player == 0 else (t, s)][opp]
+
+    low = min(u_opp(s, t) for s in own for t in other)
+    A_ub = [[-ONE if k == i else ZERO for k in range(len(own))] for i in range(len(own))]
+    A_ub += [[u_opp(s, t) - low + 1 for s in own] for t in other]
+    b_ub = [ZERO] * len(own) + [ONE] * len(other)
+    # Constraint k is label k for player 0 and label (k + m) mod (m + n) for player 1.
+    shift, size = player * len(game.strategies[0]), len(A_ub)
+    out = []
+    for v in vertex_enumeration(A_ub, b_ub):
+        total = sum(v)
+        if total == 0:
+            continue
+        tight = [dot(row, v) == beta for row, beta in zip(A_ub, b_ub)]
+        labels = sum(1 << (k + shift) % size for k, t in enumerate(tight) if t)
+        out.append((MixedStrategy.of({s: w / total for s, w in zip(own, v) if w}), labels))
+    return out
+
+
 def support_enumeration(game: FiniteGame) -> EquilibriumSet:
     """Complete equilibrium enumeration for a 2-player game.
 
-    Emits isolated equilibria and the maximal Nash subsets (products of
-    polytopes of equilibria, by vertex list) for degenerate games.
+    Extreme equilibria are the pairs of labelled vertices of the two
+    best-response polytopes whose labels together cover every pure
+    strategy.  The maximal Nash subsets (products of polytopes of
+    equilibria, by vertex list) are the maximal bicliques of the graph of
+    such pairs; a singleton biclique is an isolated equilibrium.  Subsets
+    come in order of their supports (size, then strategy order, row player
+    first).  Every vertex profile is checked to be an equilibrium.
     """
     if game.num_players != 2:
         raise GameError("support_enumeration handles exactly 2 players")
-    rows, cols = game.strategies
-    candidates: list[NashSubset] = []
-    for k1 in range(1, len(rows) + 1):
-        for I in itertools.combinations(rows, k1):
-            for k2 in range(1, len(cols) + 1):
-                for J in itertools.combinations(cols, k2):
-                    X = _factor_vertices(game, 0, I, J)
-                    if not X:
-                        continue
-                    Y = _factor_vertices(game, 1, J, I)
-                    if not Y:
-                        continue
-                    candidates.append(NashSubset((I, J), (tuple(X), tuple(Y))))
-
-    # Keep only maximal candidates (vertex sets contained in another's polytope).
-    def contained_in(a: NashSubset, b: NashSubset) -> bool:
-        return all(
-            _satisfies_factor(game, n, v, b.supports[n], b.supports[1 - n])
-            for n in range(2)
-            for v in a.factors[n]
+    full = (1 << sum(len(s) for s in game.strategies)) - 1
+    xs = _labelled_vertices(game, 0)
+    ys = _labelled_vertices(game, 1)
+    # neighbourhoods[i]: bitmask of the y-vertices complementary to x-vertex i
+    neighbourhoods = [
+        sum(1 << k for k, (_, ly) in enumerate(ys) if lx | ly == full) for _, lx in xs
+    ]
+    # Maximal bicliques are the nonempty intersections of neighbourhoods.
+    closed: set[int] = set()
+    for nb in neighbourhoods:
+        if nb:
+            closed |= {nb & c for c in closed if nb & c} | {nb}
+    maximal = []
+    for c in closed:
+        X = [x for (x, _), nb in zip(xs, neighbourhoods) if nb & c == c]
+        Y = [y for k, (y, _) in enumerate(ys) if c >> k & 1]
+        maximal.append(
+            NashSubset(
+                tuple(
+                    tuple(s for s in labels if any(s in v.support() for v in f))
+                    for labels, f in zip(game.strategies, (X, Y))
+                ),
+                tuple(tuple(sorted(f, key=lambda m: m.weights)) for f in (X, Y)),
+            )
         )
-
-    maximal: list[NashSubset] = []
-    for a in candidates:
-        if any(
-            contained_in(a, b) and not contained_in(b, a)
-            for b in candidates
-            if b is not a
-        ):
-            continue
-        if any(
-            contained_in(a, b) and contained_in(b, a) for b in maximal
-        ):
-            continue  # duplicate description of the same subset
-        maximal.append(a)
-
+    maximal.sort(
+        key=lambda ns: [
+            (len(sup), [labels.index(s) for s in sup])
+            for labels, sup in zip(game.strategies, ns.supports)
+        ]
+    )
     isolated = [ns.sample() for ns in maximal if ns.is_singleton()]
     subsets = [ns for ns in maximal if not ns.is_singleton()]
     es = EquilibriumSet(game, isolated, subsets)
     for p in es.all_vertex_profiles():
-        assert is_equilibrium(game, p), f"solver produced a non-equilibrium {p}"
+        if not is_equilibrium(game, p):
+            raise GameError(f"solver produced a non-equilibrium {p}")
     return es
 
 
@@ -398,43 +421,18 @@ class ComponentGraph:
         return adj
 
 
-def _factors_intersect(
-    game: FiniteGame, player: int, a: NashSubset, b: NashSubset
-) -> bool:
-    """Nonempty intersection of the player's factor polytopes (exact LP)."""
-    common = [s for s in a.supports[player] if s in b.supports[player]]
-    if not common:
-        return False
-    # variables: weights over the union support, constrained to both H-reps.
-    labels = list(game.strategies[player])
-    Aub, bub, Aeq, beq = [], [], [], []
-    for ns in (a, b):
-        A_ub, b_ub, A_eq, b_eq = _factor_constraints(
-            game, player, ns.supports[player], ns.supports[1 - player]
-        )
-        sup = list(ns.supports[player])
-        for s in labels:
-            if s not in sup:
-                Aeq.append([ONE if t == s else ZERO for t in labels])
-                beq.append(ZERO)
-        for row, beta in zip(A_ub, b_ub):
-            Aub.append([row[sup.index(s)] if s in sup else ZERO for s in labels])
-            bub.append(beta)
-        for row, beta in zip(A_eq, b_eq):
-            Aeq.append([row[sup.index(s)] if s in sup else ZERO for s in labels])
-            beq.append(beta)
-    res = linprog([ZERO] * len(labels), Aub, bub, Aeq, beq)
-    return res.status == "optimal"
-
-
 def components(es: EquilibriumSet) -> ComponentGraph:
-    """Connectivity of the equilibrium set via shared points of maximal subsets."""
+    """Connectivity of the equilibrium set via shared points of maximal subsets.
+
+    Maximal subsets are products of faces of the best-response polytopes,
+    so two of them meet exactly when they share a vertex profile.
+    """
     subs = es.all_subsets()
-    game = es.game
-    edges: set[tuple[int, int]] = set()
-    for i, j in itertools.combinations(range(len(subs)), 2):
-        if all(_factors_intersect(game, n, subs[i], subs[j]) for n in range(2)):
-            edges.add((i, j))
+    owners: dict[Profile, list[int]] = {}
+    for i, ns in enumerate(subs):
+        for p in ns.vertex_profiles():
+            owners.setdefault(p, []).append(i)
+    edges = {e for idx in owners.values() for e in itertools.combinations(idx, 2)}
     parent = list(range(len(subs)))
 
     def find(x):

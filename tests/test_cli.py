@@ -7,6 +7,7 @@ import pytest
 from equilib.cli import Report, main
 from equilib.examples import km_game, km_perturbation_1
 from equilib.games import FiniteGame, load_game, save_game
+from equilib.indices import IndexEntry, IndexReport
 
 F = Fraction
 
@@ -108,6 +109,24 @@ def test_index_at_point(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out.read_text())
     assert data["results"] == {"index": 1, "method": "determinant"}
+
+
+def test_index_full_report_sums_to_one(km_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["index", km_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert data["results"]["total"] == 1
+    assert "indices over all components sum to +1" in data["certifications"]
+
+
+def test_index_full_report_bad_total_exits_1(km_file, tmp_path, monkeypatch, capsys):
+    report = IndexReport([IndexEntry("a", 1, "determinant"), IndexEntry("b", 1, "determinant")])
+    monkeypatch.setattr("equilib.cli.game_index_report", lambda game: report)
+    out = tmp_path / "r.json"
+    assert main(["index", km_file, "--out", str(out)]) == 1
+    assert "sum to 2, not +1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_index_component(km_file, tmp_path, capsys):

@@ -59,6 +59,30 @@ def test_solve_unique():
     assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [5, 10]
 
 
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def linear_systems(draw):
+    """Square, singular, inconsistent and overdetermined systems (A, b)."""
+    cols = draw(st.integers(1, 3))
+    rows = draw(st.integers(cols, cols + 1))
+    A = draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    b = draw(st.lists(small, min_size=rows, max_size=rows))
+    if draw(st.booleans()):  # repeat a row, with the same or another right-hand side
+        A.append(list(A[0]))
+        b.append(draw(st.sampled_from([b[0], b[0] + 1])))
+    return A, b
+
+
+@given(linear_systems())
+@settings(max_examples=100)
+def test_solve_unique_matches_rank_then_solve(system):
+    A, b = system
+    expected = solve_linear(A, b) if matrix_rank(A) == len(A[0]) else None
+    assert solve_unique(A, b) == expected
+
+
 def test_solve_linear_inconsistent():
     A = frac_mat([[1, 1], [1, 1]])
     assert solve_linear(A, [F(1), F(2)]) is None

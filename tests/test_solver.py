@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from equilib.games import FiniteGame, MixedStrategy, is_equilibrium
+from equilib.cli import main
+from equilib.games import FiniteGame, GameError, MixedStrategy, is_equilibrium, save_game
 from equilib.solver import (
     brute_force_equilibria,
     components,
@@ -74,6 +75,17 @@ def test_all_enumerated_profiles_are_equilibria(km_p2):
     for ns in es.subsets:
         for p in ns.vertex_profiles():
             assert is_equilibrium(km_p2, p)
+
+
+def test_self_check_raises_without_asserts(km, tmp_path, monkeypatch, capsys):
+    """The final equilibrium check is an exception, so it also runs under -O."""
+    path = tmp_path / "km.json"
+    save_game(km, str(path))
+    monkeypatch.setattr("equilib.solver.is_equilibrium", lambda game, profile: False)
+    with pytest.raises(GameError, match="non-equilibrium"):
+        support_enumeration(km)
+    assert main(["solve", str(path)]) == 1
+    assert "non-equilibrium" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", range(8))
