@@ -321,58 +321,13 @@ class PolytopeGame:
     """Game whose strategy sets are polytopes given by labeled rational vertices.
 
     `payoffs` maps tuples of vertex labels (one per player) to per-player
-    rationals; evaluation extends multiaffinely via explicit
-    convex-combination certificates.  Well-definedness (independence of the
-    certificate) is the caller's responsibility and holds for all games
-    constructed in this package, whose vertex payoffs are restrictions of
-    multiaffine functions.
+    rationals; payoffs elsewhere extend multiaffinely.
     """
 
     players: tuple[Label, ...]
     vertex_labels: tuple[tuple[Label, ...], ...]
     vertex_points: tuple[tuple[tuple[Fraction, ...], ...], ...]
     payoffs: Mapping[tuple[Label, ...], tuple[Fraction, ...]] = field(hash=False)
-
-    def vertex_point(self, player: int, label: Label) -> tuple[Fraction, ...]:
-        idx = self.vertex_labels[player].index(label)
-        return self.vertex_points[player][idx]
-
-
-Certificate = MixedStrategy  # weights over a player's vertex labels
-
-
-def polytope_payoff(
-    game: PolytopeGame,
-    certificates: Sequence[Certificate],
-    points: Optional[Sequence[Sequence[Fraction]]] = None,
-) -> tuple[Fraction, ...]:
-    """Multiaffine payoff at the points certified as convex combinations.
-
-    If `points` is given, each certificate is checked to reproduce its point
-    exactly; a mismatch is an error.
-    """
-    if len(certificates) != len(game.players):
-        raise GameError("one certificate per player required")
-    if points is not None:
-        for n, (cert, pt) in enumerate(zip(certificates, points)):
-            combo = None
-            for label, w in cert.weights:
-                v = game.vertex_point(n, label)
-                term = [w * x for x in v]
-                combo = term if combo is None else [a + b for a, b in zip(combo, term)]
-            if combo is None or list(combo) != [Fraction(x) for x in pt]:
-                raise GameError(
-                    f"certificate for player {game.players[n]!r} does not reproduce its point"
-                )
-    totals = [ZERO] * len(game.players)
-    for pure in itertools.product(*(c.support() for c in certificates)):
-        prob = ONE
-        for cert, label in zip(certificates, pure):
-            prob *= cert.weight(label)
-        entry = game.payoffs[pure]
-        for n in range(len(totals)):
-            totals[n] += prob * entry[n]
-    return tuple(totals)
 
 
 # --------------------------------------------------------------------------

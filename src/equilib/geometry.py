@@ -163,12 +163,6 @@ class Subcomplex:
     def vertices(self) -> frozenset[int]:
         return frozenset(v for f in self.faces for v in f)
 
-    def maximal_faces(self) -> list[Face]:
-        return sorted(
-            f for f in self.faces
-            if not any(set(f) < set(g) for g in self.faces if g != f)
-        )
-
     def __contains__(self, face: Face) -> bool:
         return tuple(sorted(face)) in self.faces
 
@@ -303,7 +297,8 @@ class Triangulation:
         if c is None:
             raise GeometryError(f"point {p} lies outside the covered polytope")
         w = barycentric_in([self.vertices[i] for i in c], p)
-        assert w is not None
+        if w is None:
+            raise GeometryError(f"cell {c} containing {p} has no barycentric coordinates")
         return tuple(i for i, x in zip(c, w) if x > 0)
 
     def barycentric_coords(self, point: Sequence) -> dict[int, Fraction]:
@@ -311,25 +306,14 @@ class Triangulation:
         p = as_point(point)
         car = self.carrier(p)
         w = barycentric_in([self.vertices[i] for i in car], p)
-        assert w is not None
+        if w is None:
+            raise GeometryError(f"carrier {car} of {p} has no barycentric coordinates")
         return {i: x for i, x in zip(car, w)}
 
     def closed_star(self, vertex: int) -> Subcomplex:
         if not 0 <= vertex < len(self.vertices):
             raise GeometryError(f"no vertex {vertex}")
         return Subcomplex(c for c in self.maximal if vertex in c)
-
-    def simplicial_neighborhood(self, sub: Subcomplex) -> Subcomplex:
-        """All simplices meeting the space of `sub` (closed under faces).
-
-        In a simplicial complex two cells meet iff they share a vertex, so
-        the neighborhood consists of the maximal cells touching `sub`'s
-        vertex set.
-        """
-        if not sub.faces <= self.faces().faces:
-            raise GeometryError("not a subcomplex of this triangulation")
-        vs = sub.vertices
-        return Subcomplex(c for c in self.maximal if vs & set(c))
 
     def star_bump(self, vertex: int, point: Sequence) -> Fraction:
         """PL bump: 1 on the closed star of `vertex`, 0 outside its neighborhood.
@@ -414,7 +398,8 @@ def _lower_hull_cells(
         A = [list(local_pts[i]) + [ONE] for i in combo]
         b = [heights[i] for i in combo]
         coeffs = solve_linear(A, b)
-        assert coeffs is not None
+        if coeffs is None:
+            raise GeometryError(f"no affine lift through the affinely independent points {combo}")
         grad, off = coeffs[:d], coeffs[d]
         flat = []
         ok = True
@@ -439,29 +424,6 @@ def _lower_hull_cells(
 
 
 _GENERIC_SCHEDULE = [Fraction(1, 10**k) for k in range(1, 9)]
-
-
-def lower_hull_triangulation(points: Sequence[Point]) -> tuple[list[Point], list[Face]]:
-    """A triangulation of conv(points) using (a subset of) the given points.
-
-    Heights follow a paraboloid plus a deterministic perturbation schedule
-    shrunk until generic; used as the independent volume oracle.
-    """
-    pts = [as_point(p) for p in points]
-    chart = Chart(pts)
-    local = [chart.to_local(p) for p in pts]
-    d = chart.dim
-    if d == 0:
-        return [pts[0]], [(0,)]
-    base = [sum((x * x for x in lp), ZERO) for lp in local]
-    for eps in _GENERIC_SCHEDULE:
-        heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
-        try:
-            cells = _lower_hull_cells(local, heights, d)
-        except GeometryError:
-            continue
-        return pts, cells
-    raise GeometryError("could not find a generic height for the point set")
 
 
 def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
@@ -494,11 +456,6 @@ def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
             total += abs(determinant(mat))
         return total / fact
     raise GeometryError("could not find a generic height for the point set")
-
-
-def convex_polytope_volume(points: Sequence[Point]) -> Fraction:
-    """Exact volume of conv(points), measured in the chart of its affine hull."""
-    return volume_in_chart(points, Chart([as_point(p) for p in points]))
 
 
 # --------------------------------------------------------------------------
@@ -641,18 +598,6 @@ class PolyhedralComplex:
             if c.contains(p):
                 return c
         return None
-
-    def carrier(self, point: Sequence) -> tuple[Point, ...]:
-        """Vertices of the unique face containing the point in its relative interior."""
-        p = as_point(point)
-        cell = self.find_cell(p)
-        if cell is None:
-            raise GeometryError(f"point {p} lies outside the complex")
-        tight = [hs for hs in cell.halfspaces if hs.value(p) == 0]
-        verts = [
-            v for v in cell.vertices if all(hs.value(v) == 0 for hs in tight)
-        ]
-        return tuple(verts)
 
     def is_simplicial(self) -> bool:
         return all(len(c.vertices) == c.dim() + 1 for c in self.cells)
@@ -1112,15 +1057,6 @@ class PLFunction:
 
     # -- structural checks ---------------------------------------------------
 
-    def check_agreement(self) -> None:
-        """Pieces of cells sharing a vertex must agree there (well-definedness)."""
-        for i in range(self._ncells()):
-            for v in self._cell_vertices(i):
-                owners = self._containing_cells(v)
-                vals = {self.piece_value(j, v) for j in owners}
-                if len(vals) != 1:
-                    raise GeometryError(f"pieces disagree at shared point {v}")
-
     def vertex_values(self) -> dict[Point, Fraction]:
         out: dict[Point, Fraction] = {}
         for i in range(self._ncells()):
@@ -1136,10 +1072,6 @@ class PLFunction:
                 if self.piece_value(i, v) > val:
                     return False
         return True
-
-    def value_range(self) -> tuple[Fraction, Fraction]:
-        vals = list(self.vertex_values().values())
-        return min(vals), max(vals)
 
     def adjacent_cell_pairs(self) -> list[tuple[int, int, tuple[Point, ...]]]:
         """Pairs of maximal cells sharing a codimension-1 face."""
@@ -1161,24 +1093,6 @@ class PLFunction:
             if all(self.piece_value(i, w) == self.piece_value(j, w) for w in witnesses):
                 return False
         return True
-
-    def subtract_affine(self, grad: Sequence[Fraction], off: Fraction) -> "PLFunction":
-        grad = frac_vec(grad)
-        off = Fraction(off)
-        return PLFunction(
-            self.domain,
-            [(vec_sub(g, grad), o - off) for g, o in self.pieces],
-        )
-
-    def serialize(self) -> str:
-        from .rational import format_rational
-
-        lines = []
-        for g, off in self.pieces:
-            lines.append(
-                "p " + " ".join(format_rational(x) for x in g) + " | " + format_rational(off)
-            )
-        return "\n".join(lines) + "\n"
 
 
 def interpolate_heights(

@@ -115,7 +115,8 @@ def _calibration(k: int) -> int:
     if k not in _CALIBRATION:
         g, prof = _reference_game(k)
         d = determinant(_indifference_jacobian(g, prof))
-        assert d != 0, "reference game must be regular"
+        if d == 0:
+            raise IndexError_(f"calibration game of size {k} is not regular")
         _CALIBRATION[k] = 1 if d > 0 else -1
     return _CALIBRATION[k]
 
@@ -280,7 +281,8 @@ def _oracle_calibration(d: int) -> int:
             raw = _raw_degree(vals, d, ray)
             if raw is not None:
                 break
-        assert raw in (1, -1), f"oracle calibration failed in dimension {d}"
+        if raw not in (1, -1):
+            raise IndexError_(f"oracle calibration failed in dimension {d}")
         _ORACLE_CALIBRATION[d] = raw
     return _ORACLE_CALIBRATION[d]
 
@@ -447,16 +449,6 @@ class AffineFixer:
         u = self.chart.to_local([Fraction(c) for c in point])
         v = [sum(self.linear[r][c] * u[c] for c in range(len(u))) for r in range(len(u))]
         return self.chart.to_ambient(v)
-
-    def local_map(self) -> Callable[[Vector], Vector]:
-        A = self.linear
-
-        def f(u: Vector) -> Vector:
-            return [
-                sum(A[r][c] * u[c] for c in range(len(u))) for r in range(len(u))
-            ]
-
-        return f
 
 
 def _linear_part_for_matching(

@@ -44,10 +44,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
 
 
-def mat_vec(A: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
-    return [dot(row, x) for row in A]
-
-
 def linf_norm(v: Sequence[Fraction]) -> Fraction:
     return max((abs(a) for a in v), default=ZERO)
 
@@ -251,7 +247,8 @@ def _simplex_min(c: Vector, A: Matrix, b: Vector) -> LPResult:
 
     phase1 = [ZERO] * n + [ONE] * m
     status = run(phase1, total)
-    assert status is None, "phase 1 is always bounded"
+    if status is not None:
+        raise ValueError("simplex phase 1 reported an unbounded problem")
     val1 = sum((T[r][total] for r in range(m) if basis[r] >= n), ZERO)
     if val1 != 0:
         return LPResult("infeasible", None, None)
@@ -317,7 +314,8 @@ def linprog(
     res = _simplex_min(cost, rows, rhs)
     if res.status != "optimal":
         return res
-    assert res.x is not None
+    if res.x is None:
+        raise ValueError("simplex reported an optimum without a point")
     if free:
         x = [res.x[i] - res.x[n + i] for i in range(n)]
     else:
@@ -420,7 +418,8 @@ class Chart:
             for i in range(self.dim):
                 e = [ONE if j == i else ZERO for j in range(self.dim)]
                 sol = solve_linear(B, e)
-                assert sol is not None, "basis has full row rank"
+                if sol is None:
+                    raise ValueError("chart basis does not have full row rank")
                 rows.append(sol)
             self._left_inv = rows
         return self._left_inv

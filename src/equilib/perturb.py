@@ -75,10 +75,6 @@ class PipelineParams:
         if a is not None and s is not None and Fraction(s) > Fraction(a):
             raise PerturbError("params", "alpha_star must not exceed alpha")
 
-    @staticmethod
-    def default(eps: Fraction) -> "PipelineParams":
-        return PipelineParams(eps=Fraction(eps))
-
     def schedule(self, name: str):
         """Halving schedule from eps/4 down to the eps/2^20 floor."""
         v = getattr(self, name)

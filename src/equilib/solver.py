@@ -16,11 +16,10 @@ oracle) and are flagged non-exhaustive where appropriate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import sympy
 
 from .games import (
     FiniteGame,
@@ -257,147 +256,147 @@ def _compositions(total: int, parts: int):
 # --------------------------------------------------------------------------
 
 
-def _diff_coeffs(game: FiniteGame, player: int, pair, others):
-    """Multilinear coefficients of U(pair[0]) - U(pair[1]) for `player`.
+def _indifference(game: FiniteGame, player: int, supports) -> tuple[Fraction, ...]:
+    """(a, b, c, d) with U(first) - U(second) = a + b p_u + c p_v + d p_u p_v.
 
-    `others` maps each other player to either a fixed label or a
-    (label_a, label_b) pair with weight variable on label_a.  Returns the
-    coefficients of 1, p_m, p_k, p_m*p_k where m < k are the variable players.
+    U is `player`'s payoff from its two supported strategies, u < v are the
+    other players and p_u the weight of u's first supported strategy.  By
+    inclusion-exclusion from the payoff differences at the 0/1 corners.
     """
-    var_players = sorted(n for n, v in others.items() if isinstance(v, tuple))
-    coeffs = {frozenset(sub): ZERO for r in range(len(var_players) + 1)
-              for sub in itertools.combinations(var_players, r)}
-    other_ids = sorted(others)
-    choices = []
-    for n in other_ids:
-        v = others[n]
-        choices.append([(v, None)] if not isinstance(v, tuple) else [(v[0], n), (v[1], None)])
-    for combo in itertools.product(*choices):
-        # weight monomial: p_n for each variable player picking its first label,
-        # (1 - p_n) for the second; expand (1 - p_n) into two monomial terms.
-        pure = {n: lab for (lab, _), n in zip(combo, other_ids)}
+    u, v = (m for m in range(3) if m != player)
 
-        def add(term_players: frozenset, sign: int, base: Fraction):
-            coeffs[term_players] += sign * base
+    def pay(k: int, wu: int, wv: int) -> Fraction:
+        labels = {player: supports[player][k], u: supports[u][wu - 1], v: supports[v][wv - 1]}
+        return game.payoffs[tuple(labels[m] for m in range(3))][player]
 
-        # expand the product of p / (1-p) factors
-        terms = [(frozenset(), 1)]
-        for (lab, tag), n in zip(combo, other_ids):
-            v = others[n]
-            if not isinstance(v, tuple):
-                continue
-            if tag is not None:  # picked first label: factor p_n
-                terms = [(s | {n}, sg) for s, sg in terms]
-            else:  # second label: factor (1 - p_n)
-                terms = [(s, sg) for s, sg in terms] + [(s | {n}, -sg) for s, sg in terms]
-        profile_a = [None] * game.num_players
-        profile_b = [None] * game.num_players
-        profile_a[player] = pair[0]
-        profile_b[player] = pair[1]
-        for n in other_ids:
-            profile_a[n] = pure[n]
-            profile_b[n] = pure[n]
-        base = game.payoffs[tuple(profile_a)][player] - game.payoffs[tuple(profile_b)][player]
-        for s, sg in terms:
-            add(frozenset(s), sg, base)
-    return coeffs, var_players
+    f00, f10, f01, f11 = (pay(0, *w) - pay(1, *w) for w in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    return f00, f10 - f00, f01 - f00, f11 - f10 - f01 + f00
+
+
+def _lin(p: Fraction, q: Fraction) -> list:
+    """Solutions of p t + q = 0: [root], [None] when every t solves it, or []."""
+    return [-q / p] if p else [] if q else [None]
+
+
+def _fibre(ly, lz, e) -> list:
+    """Solutions (y, z) of ly[0] y + ly[1] = 0, lz[0] z + lz[1] = 0 and e(y, z) = 0.
+
+    e = (a, b, c, d) stands for a + b y + c z + d y z; None marks a free coordinate.
+    """
+    a, b, c, d = e
+    out = []
+    for y, z in itertools.product(_lin(*ly), _lin(*lz)):
+        if y is not None and z is not None:
+            out += [(y, z)] if a + b * y + c * z + d * y * z == 0 else []
+        elif y is not None:
+            out += [(y, t) for t in _lin(c + d * y, a + b * y)]
+        elif z is not None:
+            out += [(t, z) for t in _lin(b + d * z, a + c * z)]
+        elif b or c or d or not a:
+            out.append((None, None))
+    return out
+
+
+def _bilinear_system(e0, e1, e2) -> tuple[list, int]:
+    """Complex solutions (x, y, z) of e0(y, z) = e1(x, z) = e2(x, y) = 0.
+
+    e = (a, b, c, d) stands for a + b u + c v + d u v over its two variables.
+    For fixed x, e1 is P1 z + Q1 = 0 and e2 is P2 y + Q2 = 0 with P, Q linear
+    in x; where P1 P2 != 0, solutions lie over the roots of the quadratic
+    R = P1 P2 e0(-Q2/P2, -Q1/P1).  All fibres over x off the roots of R and
+    of the linear polynomials below look alike, so one such sample tells a
+    curve (returned with x free, None) from finitely many solutions.  Returns
+    the rational solutions and the number of irrational or complex ones.
+    """
+    a0, b0, c0, d0 = e0
+    a1, b1, c1, d1 = e1
+    a2, b2, c2, d2 = e2
+    P1, Q1, P2, Q2 = (c1, d1), (a1, b1), (c2, d2), (a2, b2)  # (constant, slope)
+    A = (a0 * c2 - b0 * a2, a0 * d2 - b0 * b2)  # P2 (a0 + b0 y)
+    C = (c0 * c2 - d0 * a2, c0 * d2 - d0 * b2)  # P2 (c0 + d0 y)
+    A1 = (a0 * c1 - c0 * a1, a0 * d1 - c0 * b1)  # P1 (a0 + c0 z)
+    B1 = (b0 * c1 - d0 * a1, b0 * d1 - d0 * b1)  # P1 (b0 + d0 z)
+    r0 = c1 * A[0] - a1 * C[0]  # R = P1 A - Q1 C
+    r1 = c1 * A[1] + d1 * A[0] - a1 * C[1] - b1 * C[0]
+    r2 = d1 * A[1] - b1 * C[1]
+    xs = {t for q, s in (P1, Q1, P2, Q2, A, C, A1, B1) for t in _lin(s, q)}
+    disc = r1 * r1 - 4 * r0 * r2
+    root = Fraction(math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator))
+    irrational = 0
+    if not r2:
+        xs.update(_lin(r1, r0))
+    elif disc >= 0 and root * root == disc:  # exact: disc is in lowest terms
+        xs |= {(s * root - r1) / (2 * r2) for s in (1, -1)}
+    else:
+        irrational = 2
+    xs.discard(None)
+
+    def fibre(x: Fraction) -> list:
+        return _fibre((c2 + d2 * x, a2 + b2 * x), (c1 + d1 * x, a1 + b1 * x), e0)
+
+    if fibre(max(xs, default=ZERO) + 1):
+        return [(None, y, z) for y, z in fibre(Fraction(1, 2))] or [(None, None, None)], 0
+    return [(x, y, z) for x in sorted(xs) for y, z in fibre(x)], irrational
 
 
 def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     """Partial enumeration for 3-player games: supports of size <= 2.
 
-    Solves the indifference systems exactly (linear, or a quadratic after
-    elimination, keeping rational roots only).  Degenerate continua,
-    irrational roots, and supports of size >= 3 are reported in ``notes``
-    and flagged via ``exhaustive=False``.
+    Solves each indifference system exactly (a constant, two decoupled linear
+    equations, or `_bilinear_system`), keeping rational roots in (0, 1).
+    Continua, discarded roots and supports of size >= 3 are reported in
+    ``notes`` and flagged via ``exhaustive=False``.
     """
     if game.num_players != 3:
         raise GameError("three_player_support_enumeration handles exactly 3 players")
     notes: list[str] = []
-    exhaustive = all(len(s) <= 2 for s in game.strategies)
-    if not exhaustive:
+    if not all(len(s) <= 2 for s in game.strategies):
         notes.append("supports of size >= 3 were not searched")
     found: list[Profile] = []
 
     def emit(weights: dict[int, Fraction], supports) -> None:
-        profile = []
-        for n in range(3):
-            sup = supports[n]
-            if len(sup) == 1:
-                profile.append(MixedStrategy.pure(sup[0]))
-            else:
-                p = weights[n]
-                profile.append(MixedStrategy.of({sup[0]: p, sup[1]: 1 - p}))
-        profile = tuple(profile)
+        profile = tuple(
+            MixedStrategy.of({sup[0]: weights[n], sup[1]: 1 - weights[n]})
+            if len(sup) == 2 else MixedStrategy.pure(sup[0])
+            for n, sup in enumerate(supports)
+        )
         if is_equilibrium(game, profile) and profile not in found:
             found.append(profile)
 
-    syms = sympy.symbols("p0 p1 p2")
     supports_per_player = [
         [c for k in (1, 2) for c in itertools.combinations(s, k) if k <= len(s)]
         for s in game.strategies
     ]
     for supports in itertools.product(*supports_per_player):
         var_players = [n for n in range(3) if len(supports[n]) == 2]
-        if not var_players:
-            emit({}, supports)
+        polys = [_indifference(game, n, supports) for n in var_players]
+        if not any(c for e in polys for c in e):
+            if var_players:
+                notes.append(f"degenerate continuum at supports {supports}")
+            emit(dict.fromkeys(var_players, Fraction(1, 2)), supports)
             continue
-        eqs = []
-        for n in var_players:
-            others = {
-                m: (supports[m] if len(supports[m]) == 2 else supports[m][0])
-                for m in range(3) if m != n
-            }
-            coeffs, _ = _diff_coeffs(game, n, supports[n], others)
-            expr = sympy.Integer(0)
-            for term, c in coeffs.items():
-                mono = sympy.Rational(c.numerator, c.denominator)
-                for m in term:
-                    mono *= syms[m]
-                expr += mono
-            eqs.append(sympy.expand(expr))
-        if all(e == 0 for e in eqs):
-            notes.append(f"degenerate continuum at supports {supports}")
-            exhaustive = False
-            emit({n: Fraction(1, 2) for n in var_players}, supports)
-            continue
-        try:
-            sols = sympy.solve(eqs, [syms[n] for n in var_players], dict=True)
-        except NotImplementedError:
-            notes.append(f"unsolved system at supports {supports}")
-            exhaustive = False
-            continue
+        sols, irrational = [], 0
+        if len(polys) == 2:  # e_n is linear in p_m alone and e_m in p_n alone
+            lm, ln = ((e[1] + e[2], e[0]) for e in polys)
+            sols = _fibre(ln, lm, (ZERO,) * 4)
+        elif len(polys) == 3:
+            sols, irrational = _bilinear_system(*polys)
+        discarded = f"irrational solutions at supports {supports} were discarded"
+        notes += [discarded] * irrational
         for sol in sols:
-            values: dict[int, Fraction] = {}
-            free = False
-            ok = True
-            for n in var_players:
-                v = sol.get(syms[n], syms[n])
-                if v.free_symbols:
-                    free = True
-                    v = v.subs({s: sympy.Rational(1, 2) for s in v.free_symbols})
-                v = sympy.simplify(v)
-                if not v.is_rational:
-                    ok = False
+            values, free = {}, False
+            for n, w in zip(var_players, sol):  # stops at the first weight outside (0, 1)
+                free |= w is None
+                values[n] = Fraction(1, 2) if w is None else w
+                if not 0 < values[n] < 1:
                     break
-                r = sympy.Rational(v)
-                q = Fraction(int(r.p), int(r.q))
-                if not 0 < q < 1:
-                    ok = False
-                    break
-                values[n] = q
+            else:
+                emit(values, supports)
             if free:
                 notes.append(f"positive-dimensional solutions at supports {supports}")
-                exhaustive = False
-            if not ok:
-                if not free:
-                    notes.append(
-                        f"irrational solutions at supports {supports} were discarded"
-                    )
-                    exhaustive = False
-                continue
-            emit(values, supports)
-    return EquilibriumSet(game, found, [], exhaustive=exhaustive, notes=notes)
+            elif not 0 < values[n] < 1:
+                notes.append(discarded)
+    return EquilibriumSet(game, found, [], exhaustive=not notes, notes=notes)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from equilib.cli import Report, main
 from equilib.examples import km_game, km_perturbation_1
 from equilib.games import FiniteGame, load_game, save_game
+from equilib.geometry import Triangulation
 from equilib.indices import IndexEntry, IndexReport
 
 F = Fraction
@@ -25,6 +29,17 @@ def write_json(path, data):
 
 
 # -- exit codes ------------------------------------------------------------
+
+
+def test_cli_does_not_import_sympy():
+    import equilib
+
+    src = os.path.dirname(os.path.dirname(equilib.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, equilib.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -284,3 +299,80 @@ def test_game_file_round_trip(tmp_path, seed):
     path = tmp_path / f"g{seed}.json"
     save_game(game, str(path))
     assert load_game(str(path)) == game
+
+
+# -- tilde / triangulate / el-refine / degree-oracle -----------------------
+
+
+def geometry_argv(command, tmp_path):
+    """argv for one of the subcommands that take triangulations or specs."""
+    if command == "tilde":
+        segment = Triangulation(
+            [(F(1), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))],
+            [(0, 1), (1, 2)],
+            [(F(1), F(0)), (F(0), F(1))],
+        )
+        (tmp_path / "seg.tri").write_text(segment.serialize())
+        game = tmp_path / "pennies.json"
+        save_game(
+            FiniteGame.of(
+                ["p1", "p2"],
+                [["A", "B"], ["C", "D"]],
+                {
+                    ("A", "C"): (1, -1),
+                    ("A", "D"): (-1, 1),
+                    ("B", "C"): (-1, 1),
+                    ("B", "D"): (1, -1),
+                },
+            ),
+            str(game),
+        )
+        return ["tilde", str(game), str(tmp_path / "seg.tri"), str(tmp_path / "seg.tri")]
+    if command == "triangulate-grid":
+        return ["triangulate", "grid", "--n", "2", "--tri-out", str(tmp_path / "grid.tri")]
+    if command == "triangulate-regular":
+        points = [[str(i), str(j)] for i in range(3) for j in range(3)]
+        heights = ["0", "1/3", "4", "1", "2/7", "5", "4", "5", "9"]
+        return ["triangulate", "regular", "--points",
+                write_json(tmp_path / "points.json", {"points": points, "heights": heights})]
+    if command == "el-refine":
+        base = Triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [(0, 1, 2)])
+        (tmp_path / "split.tri").write_text(base.split_edge((0, 1)).split_edge((0, 2)).serialize())
+        return ["el-refine", str(tmp_path / "split.tri")]
+    # x -> x/2 on [-1, 1]^2: the displacement x/2 has degree +1
+    spec = {
+        "matrix": [["1/2", "0"], ["0", "1/2"]],
+        "offset": ["0", "0"],
+        "box": [["-1", "1"], ["-1", "1"]],
+        "grid": 2,
+    }
+    return ["degree-oracle", write_json(tmp_path / "spec.json", spec)]
+
+
+GEOMETRY_COMMANDS = [
+    "tilde", "triangulate-grid", "triangulate-regular", "el-refine", "degree-oracle"
+]
+
+
+@pytest.mark.parametrize("command", GEOMETRY_COMMANDS)
+def test_geometry_subcommand_report_round_trip(command, tmp_path, capsys):
+    argv = geometry_argv(command, tmp_path)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert Report.from_json(data).to_json() == data
+    assert data["command"] == argv[0]
+    if command == "triangulate-grid":
+        tri = Triangulation.deserialize((tmp_path / "grid.tri").read_text())
+        assert len(tri.maximal) == data["results"]["num_cells"] == 8
+    if command == "degree-oracle":
+        assert data["results"]["degree"] == 1
+
+
+@pytest.mark.parametrize("command", [c for c in GEOMETRY_COMMANDS if c != "triangulate-grid"])
+def test_geometry_subcommand_missing_input_exits_2(command, tmp_path, capsys):
+    argv = geometry_argv(command, tmp_path)
+    argv[-1] = str(tmp_path / "missing.json")
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err

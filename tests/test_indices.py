@@ -211,3 +211,19 @@ def test_game_index_report(km_p2):
     assert report.total() == 1
     data = report.to_json()
     assert data["total"] == 1 and len(data["entries"]) == 3
+
+
+# -- calibration checks raise real errors (they must survive python -O) ----
+
+
+def test_calibration_failures_raise(monkeypatch):
+    import equilib.indices as indices
+
+    monkeypatch.setattr(indices, "_CALIBRATION", {})
+    monkeypatch.setattr(indices, "determinant", lambda _: F(0))
+    with pytest.raises(IndexError_, match="not regular"):
+        indices._calibration(2)
+    monkeypatch.setattr(indices, "_ORACLE_CALIBRATION", {})
+    monkeypatch.setattr(indices, "_raw_degree", lambda *_: None)
+    with pytest.raises(IndexError_, match="calibration failed"):
+        indices._oracle_calibration(2)

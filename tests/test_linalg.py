@@ -143,3 +143,15 @@ def test_chart_round_trip():
 def test_identity_determinant(n):
     I = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     assert determinant(I) == 1
+
+
+def test_internal_checks_raise(monkeypatch):
+    # correctness checks are real exceptions, so they still run under python -O
+    import equilib.linalg as linalg
+
+    monkeypatch.setattr(linalg, "_simplex_min", lambda *_: linalg.LPResult("optimal", None, F(0)))
+    with pytest.raises(ValueError, match="without a point"):
+        linprog([F(1)], A_ub=[[F(1)]], b_ub=[F(1)])
+    monkeypatch.setattr(linalg, "solve_linear", lambda *_: None)
+    with pytest.raises(ValueError, match="full row rank"):
+        Chart([[F(0), F(0)], [F(1), F(0)]]).left_inverse()

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from equilib.cli import main
-from equilib.games import FiniteGame, GameError, MixedStrategy, is_equilibrium, save_game
+from equilib.games import (
+    FiniteGame,
+    GameError,
+    MixedStrategy,
+    is_equilibrium,
+    profile_of,
+    save_game,
+)
 from equilib.solver import (
     brute_force_equilibria,
     components,
@@ -185,3 +192,32 @@ def test_three_player_flags_degenerate_continuum():
     es = three_player_support_enumeration(game)
     assert not es.exhaustive
     assert es.notes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a rational root outside (0, 1) is reported as a discarded irrational "
+    "solution and clears exhaustive, although nothing was lost",
+)
+def test_three_player_rational_root_out_of_range_keeps_exhaustive():
+    # c1 strictly dominates c2, then a1 dominates a2, then b1 is the best reply.
+    # At supports ({a1, a2}, {b1, b2}, {c1}) the indifference equations are
+    # 2 - q = 0 and 2 p - 1 = 0 (p, q the weights of a1, b1): the only root
+    # has q = 2, a rational weight outside (0, 1).  Every other system is a
+    # nonzero constant, so the unique equilibrium (a1, b1, c1) is all there is.
+    labels = [["a1", "a2"], ["b1", "b2"], ["c1", "c2"]]
+    d1 = {("b1", "c1"): 1, ("b2", "c1"): 2, ("b1", "c2"): 1, ("b2", "c2"): 1}
+    d2 = {("a1", "c1"): 1, ("a2", "c1"): -1, ("a1", "c2"): 1, ("a2", "c2"): 1}
+    payoffs = {
+        (a, b, c): (
+            F(d1[b, c] if a == "a1" else 0),
+            F(d2[a, c] if b == "b1" else 0),
+            F(5 if c == "c1" else 0),
+        )
+        for a in labels[0]
+        for b in labels[1]
+        for c in labels[2]
+    }
+    es = three_player_support_enumeration(FiniteGame.of(["p1", "p2", "p3"], labels, payoffs))
+    assert es.isolated == [profile_of("a1", "b1", "c1")]
+    assert es.exhaustive, es.notes
