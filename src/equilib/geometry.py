@@ -17,6 +17,7 @@ dimension <= 4; they are exponential in the hyperplane count by design.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -143,6 +144,71 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     return out
 
 
+def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Volume of the full-dimensional simplex with the given chart coordinates."""
+    if len(pts) == 1:
+        return ONE
+    mat = [vec_sub(p, pts[0]) for p in pts[1:]]
+    return abs(determinant(mat)) / math.factorial(len(mat))
+
+
+# --------------------------------------------------------------------------
+# Separation certificates for pairs of cells
+# --------------------------------------------------------------------------
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+class _Separation:
+    """Exact certificates that two cells of a subdivision meet in a face.
+
+    `cells` are vertex-index tuples into `points`; `cell_rows[k]` lists
+    halfspaces (a, b), meaning a·x <= b, that hold on cell k.  Each
+    halfspace is evaluated at every point once; a hyperplane that two cells
+    bound from opposite sides is evaluated once for both.
+    """
+
+    def __init__(self, points, cells, cell_rows):
+        self.points = points
+        self.cells = cells
+        known: dict = {}
+
+        def signs(a, b):
+            row = known.get((a, b))
+            if row is None:
+                neg = known.get((tuple(-x for x in a), -b))
+                if neg is None:
+                    row = [_sign(dot(a, p) - b) for p in points]
+                else:
+                    row = [-s for s in neg]
+                known[(a, b)] = row
+            return row
+
+        self.signs = [[signs(a, b) for a, b in rows] for rows in cell_rows]
+
+    def meet(self, i: int, j: int) -> Optional[frozenset[int]]:
+        """Vertices spanning conv(cell i) ∩ conv(cell j), or None if uncertified.
+
+        A halfspace h·x <= β of one cell certifies the pair when every
+        vertex of the other cell has h·v >= β and those with h·v = β are
+        among the first cell's own vertices on h·x = β.  The cells then
+        meet inside the hyperplane, in the convex hull of those vertices:
+        a face of the second cell lying in a face of the first.  An empty
+        set means the cells are disjoint.
+        """
+        for p, q in ((i, j), (j, i)):
+            vp, vq = self.cells[p], self.cells[q]
+            for s in self.signs[p]:
+                if any(s[v] > 0 for v in vp) or any(s[v] < 0 for v in vq):
+                    continue
+                tight = frozenset(v for v in vq if s[v] == 0)
+                if tight <= {v for v in vp if s[v] == 0}:
+                    return tight
+        return None
+
+
 # --------------------------------------------------------------------------
 # Triangulations
 # --------------------------------------------------------------------------
@@ -166,12 +232,6 @@ class Subcomplex:
     def __contains__(self, face: Face) -> bool:
         return tuple(sorted(face)) in self.faces
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subcomplex) and self.faces == other.faces
-
-    def __hash__(self) -> int:
-        return hash(self.faces)
-
 
 class Triangulation:
     """A simplicial subdivision of a convex polytope.
@@ -180,6 +240,13 @@ class Triangulation:
     vertex-index tuples; `polytope`: the covered polytope's vertex list.
     Validity (exact volume cover + pairwise face intersections) is checked
     by `validate`, which the public constructors call.
+
+    A pair of cells meets in a common face when a facet halfspace
+    h·x <= β of one cell has every vertex of the other at h·v >= β and
+    the other's vertices on h·x = β are exactly the shared ones: the two
+    cells then meet inside that hyperplane, in the shared face.  Every
+    facet is evaluated at every vertex once, in exact arithmetic; a pair
+    no facet separates this way goes through an exact LP instead.
     """
 
     def __init__(
@@ -223,15 +290,9 @@ class Triangulation:
         return self.chart.to_local(p)
 
     def cell_volume(self, face: Face) -> Fraction:
-        pts = [self._local(self.vertices[i]) for i in face]
-        if len(pts) - 1 != self.dim:
+        if len(face) - 1 != self.dim:
             raise GeometryError("volume of a non-maximal cell requested")
-        mat = [vec_sub(p, pts[0]) for p in pts[1:]]
-        d = self.dim
-        fact = 1
-        for k in range(2, d + 1):
-            fact *= k
-        return abs(determinant(mat)) / fact if d > 0 else ONE
+        return _simplex_volume([self._local(self.vertices[i]) for i in face])
 
     # -- validation --------------------------------------------------------
 
@@ -247,15 +308,29 @@ class Triangulation:
         for i, v in enumerate(self.vertices):
             if not in_convex_hull(self.polytope, v):
                 raise GeometryError(f"vertex {i} lies outside the covered polytope")
-        total = sum((self.cell_volume(c) for c in self.maximal), ZERO)
+        local = [self._local(v) for v in self.vertices]
+        total = sum(
+            (_simplex_volume([local[i] for i in c]) for c in self.maximal), ZERO
+        )
         target = volume_in_chart(self.polytope, self.chart)
         if total != target:
             raise GeometryError(
                 f"simplex volumes sum to {total}, polytope volume is {target}"
             )
-        for a, b in itertools.combinations(self.maximal, 2):
-            if not self._intersect_in_common_face(a, b):
+        if len(self.maximal) < 2:
+            return  # no pairs; a lone point cell would have no facets either
+        sep = self._separation(local)
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.maximal), 2):
+            if sep.meet(i, j) is None and not self._intersect_in_common_face(a, b):
                 raise GeometryError(f"cells {a} and {b} do not meet in a common face")
+
+    def _separation(self, local: Sequence[Sequence[Fraction]]) -> "_Separation":
+        """Facet-separation certificates of the cells, from chart coordinates."""
+        facets = [
+            simplex_facet_halfspaces([local[i] for i in c], self.dim)
+            for c in self.maximal
+        ]
+        return _Separation(local, self.maximal, facets)
 
     def _intersect_in_common_face(self, a: Face, b: Face) -> bool:
         """True iff conv(a) ∩ conv(b) = conv(shared vertices) (a face of each)."""
@@ -440,21 +515,13 @@ def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
     if matrix_rank([vec_sub(p, local[0]) for p in local[1:]]) < d:
         return ZERO
     base = [sum((x * x for x in lp), ZERO) for lp in local]
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
     for eps in _GENERIC_SCHEDULE:
         heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
         try:
             cells = _lower_hull_cells(local, heights, d)
         except GeometryError:
             continue
-        total = ZERO
-        for c in cells:
-            lp = [local[i] for i in c]
-            mat = [vec_sub(p, lp[0]) for p in lp[1:]]
-            total += abs(determinant(mat))
-        return total / fact
+        return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
     raise GeometryError("could not find a generic height for the point set")
 
 
@@ -603,6 +670,14 @@ class PolyhedralComplex:
         return all(len(c.vertices) == c.dim() + 1 for c in self.cells)
 
     def validate(self) -> None:
+        """Check exact volume cover and that cells meet only in common faces.
+
+        Each pair is first tried with the halfspace certificate of
+        `Triangulation` (over the cells' own halfspaces, where the other
+        cell's vertices on the hyperplane must be among this cell's); a pair
+        it does not settle is intersected by exact vertex enumeration.
+        Either way the intersection must be a face of both cells.
+        """
         total = ZERO
         for c in self.cells:
             if Chart(c.vertices).dim != self.dim:
@@ -613,13 +688,31 @@ class PolyhedralComplex:
             raise GeometryError(
                 f"cell volumes sum to {total}, polytope volume is {target}"
             )
-        for a, b in itertools.combinations(self.cells, 2):
-            inter_dim, inter_verts = _poly_intersection(a, b)
-            if inter_dim is None:
+        sep = self._separation()
+        faces = [self.cell_faces(c) for c in self.cells]
+        for i, j in itertools.combinations(range(len(self.cells)), 2):
+            meet = sep.meet(i, j)
+            if meet is None:
+                inter_dim, inter_verts = _poly_intersection(self.cells[i], self.cells[j])
+                if inter_dim is None:
+                    continue
+                key = frozenset(inter_verts)
+            elif not meet:
                 continue
-            key = frozenset(inter_verts)
-            if key not in self.cell_faces(a) or key not in self.cell_faces(b):
+            else:
+                key = frozenset(sep.points[v] for v in meet)
+            if key not in faces[i] or key not in faces[j]:
                 raise GeometryError("two cells intersect outside a common face")
+
+    def _separation(self) -> "_Separation":
+        """Certificates of the cells, over the complex's distinct vertices."""
+        points = self.all_vertices()
+        index = {p: k for k, p in enumerate(points)}
+        return _Separation(
+            points,
+            [tuple(index[v] for v in c.vertices) for c in self.cells],
+            [[(hs.a, hs.b) for hs in c.halfspaces] for c in self.cells],
+        )
 
 
 def affine_hull_equations(points: Sequence[Point]) -> tuple[list[list[Fraction]], list[Fraction]]:

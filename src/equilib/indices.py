@@ -34,12 +34,9 @@ from .linalg import (
     frac_vec,
     linprog,
     solve_unique,
-    vec_scale,
     vec_sub,
 )
 from .solver import (
-    ComponentGraph,
-    EquilibriumSet,
     NashSubset,
     components,
     support_enumeration,
@@ -546,8 +543,11 @@ def product_index(fixers: Sequence[AffineFixer]) -> int:
 
 def _profile_distance_to_subset(
     game: FiniteGame, profile: Profile, subset: NashSubset
-) -> Fraction:
-    """Minimal over the subset of the max per-player ell-infinity distance."""
+) -> Optional[Fraction]:
+    """Minimal over the subset of the max per-player ell-infinity distance.
+
+    None when a factor polytope of the subset is empty.
+    """
     from .solver import _factor_constraints
 
     dist = ZERO
@@ -580,8 +580,8 @@ def _profile_distance_to_subset(
         )
         c = [ZERO] * m + [ONE]
         res = linprog(c, Aub, bub, Aeq, beq)
-        if res.status != "optimal":
-            return Fraction(10**9)  # factor polytope empty: effectively infinite
+        if res.status != "optimal":  # t >= 0 bounds it: the factor is empty
+            return None
         dist = max(dist, max(res.value, off))
     return dist
 
@@ -589,7 +589,12 @@ def _profile_distance_to_subset(
 def component_distance(
     game: FiniteGame, profile: Profile, component: Sequence[NashSubset]
 ) -> Fraction:
-    return min(_profile_distance_to_subset(game, profile, s) for s in component)
+    """Least distance from `profile` to a subset of `component` with nonempty factors."""
+    dists = [_profile_distance_to_subset(game, profile, s) for s in component]
+    dists = [d for d in dists if d is not None]
+    if not dists:
+        raise IndexError_("every Nash subset of the component has an empty factor polytope")
+    return min(dists)
 
 
 def _perturbation_bonuses(game: FiniteGame, trial: int, magnitude: Fraction):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equilib.games import FiniteGame, profile_of
+from equilib.games import FiniteGame, MixedStrategy, profile_of
 from equilib.geometry import Simplex
 from equilib.indices import (
     IndexError_,
@@ -188,6 +188,24 @@ def test_zero_dimensional_fixer_only_plus_one():
 
 
 # -- component indices -----------------------------------------------------
+
+
+def test_component_distance_skips_empty_factors_and_raises_without_any(matching_pennies):
+    from equilib.indices import component_distance
+    from equilib.solver import NashSubset
+
+    # (A, C) is no equilibrium support: D is the column player's best reply to A
+    empty = NashSubset(
+        (("A",), ("C",)), ((MixedStrategy.pure("A"),), (MixedStrategy.pure("C"),))
+    )
+    mixed = support_enumeration(matching_pennies).isolated[0]
+    real = NashSubset(
+        (("A", "B"), ("C", "D")), ((mixed[0],), (mixed[1],))
+    )
+    here = profile_of("A", "C")
+    assert component_distance(matching_pennies, here, [empty, real]) == HALF
+    with pytest.raises(IndexError_, match="empty factor polytope"):
+        component_distance(matching_pennies, here, [empty])
 
 
 def test_km_component_index_plus_one(km):
