@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -95,25 +96,12 @@ class Report:
 
     def render_text(self) -> str:
         lines = [f"== {self.command} =="]
-
-        def emit(prefix, value):
-            if isinstance(value, dict):
-                lines.append(f"{prefix}:")
-                for k, v in value.items():
-                    emit(f"  {k}", v)
-            elif isinstance(value, list):
-                lines.append(f"{prefix}:")
-                for v in value:
-                    lines.append(f"  - {v}")
-            else:
-                lines.append(f"{prefix}: {value}")
-
         for section in ("inputs", "params", "results"):
             data = getattr(self, section)
             if data:
                 lines.append(f"[{section}]")
                 for k, v in data.items():
-                    emit(k, v)
+                    _render_value(lines, k, v)
         if self.certifications:
             lines.append("[certifications]")
             for c in self.certifications:
@@ -123,6 +111,20 @@ class Report:
             for k, v in self.timings.items():
                 lines.append(f"  {k}: {v}s")
         return "\n".join(lines) + "\n"
+
+
+def _render_value(lines: list[str], prefix: str, value) -> None:
+    """Append ``prefix: value`` to ``lines``, nesting dicts and listing lists."""
+    if isinstance(value, dict):
+        lines.append(f"{prefix}:")
+        for k, v in value.items():
+            _render_value(lines, f"  {k}", v)
+    elif isinstance(value, list):
+        lines.append(f"{prefix}:")
+        for v in value:
+            lines.append(f"  - {v}")
+    else:
+        lines.append(f"{prefix}: {value}")
 
 
 def _profile_json(profile: Profile) -> list:
@@ -309,7 +311,7 @@ def cmd_index(args) -> int:
                 f"(game has {len(cg.components)})"
             )
         subs = [cg.subsets[i] for i in cg.components[args.component]]
-        idx = component_index(game, subs)
+        idx = component_index(es, subs)
         report.inputs["component"] = args.component
         report.results = {"index": idx, "method": "perturbation-sum"}
     else:
@@ -644,7 +646,9 @@ def cmd_verify_example(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``parse_args`` keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="equilib",
         description="Exact equilibrium enumeration, index calculus, and "

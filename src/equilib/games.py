@@ -335,17 +335,37 @@ class PolytopeGame:
 # --------------------------------------------------------------------------
 
 
-def game_to_json(game: FiniteGame) -> dict:
-    def build(prefix: tuple[Label, ...], depth: int):
-        if depth == game.num_players:
-            return [format_rational(v) for v in game.payoffs[prefix]]
-        return [build(prefix + (s,), depth + 1) for s in game.strategies[depth]]
+def _payoff_tree(game: FiniteGame, prefix: tuple[Label, ...]) -> list:
+    if len(prefix) == game.num_players:
+        return [format_rational(v) for v in game.payoffs[prefix]]
+    return [_payoff_tree(game, prefix + (s,)) for s in game.strategies[len(prefix)]]
 
+
+def game_to_json(game: FiniteGame) -> dict:
     return {
         "players": list(game.players),
         "strategies": [list(s) for s in game.strategies],
-        "payoffs": build((), 0),
+        "payoffs": _payoff_tree(game, ()),
     }
+
+
+def _read_payoff_tree(node, strategies, num_players, payoffs, prefix, path) -> None:
+    """Fill ``payoffs`` from the nested payoff arrays under ``node``."""
+    depth = len(prefix)
+    if depth == len(strategies):
+        if not isinstance(node, list) or len(node) != num_players:
+            raise GameError(f"payoff entry at {path} must list one rational per player")
+        try:
+            payoffs[prefix] = tuple(parse_rational(v) for v in node)
+        except RationalParseError as exc:
+            raise GameError(f"payoff entry at {path}: {exc}") from exc
+        return
+    if not isinstance(node, list) or len(node) != len(strategies[depth]):
+        raise GameError(
+            f"payoff array at {path} must have {len(strategies[depth])} entries"
+        )
+    for s, child in zip(strategies[depth], node):
+        _read_payoff_tree(child, strategies, num_players, payoffs, prefix + (s,), f"{path}[{s}]")
 
 
 def game_from_json(data: dict) -> FiniteGame:
@@ -356,24 +376,7 @@ def game_from_json(data: dict) -> FiniteGame:
     except (KeyError, TypeError) as exc:
         raise GameError(f"malformed game file: missing/invalid section ({exc})") from exc
     payoffs: dict[tuple[Label, ...], tuple[Fraction, ...]] = {}
-
-    def walk(node, prefix: tuple[Label, ...], depth: int, path: str):
-        if depth == len(strategies):
-            if not isinstance(node, list) or len(node) != len(players):
-                raise GameError(f"payoff entry at {path} must list one rational per player")
-            try:
-                payoffs[prefix] = tuple(parse_rational(v) for v in node)
-            except RationalParseError as exc:
-                raise GameError(f"payoff entry at {path}: {exc}") from exc
-            return
-        if not isinstance(node, list) or len(node) != len(strategies[depth]):
-            raise GameError(
-                f"payoff array at {path} must have {len(strategies[depth])} entries"
-            )
-        for s, child in zip(strategies[depth], node):
-            walk(child, prefix + (s,), depth + 1, f"{path}[{s}]")
-
-    walk(raw, (), 0, "payoffs")
+    _read_payoff_tree(raw, strategies, len(players), payoffs, (), "payoffs")
     return FiniteGame.of(players, strategies, payoffs)
 
 

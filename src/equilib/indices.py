@@ -37,6 +37,7 @@ from .linalg import (
     vec_sub,
 )
 from .solver import (
+    EquilibriumSet,
     NashSubset,
     components,
     support_enumeration,
@@ -621,22 +622,24 @@ def perturb_payoffs(game: FiniteGame, trial: int, magnitude: Fraction) -> Finite
 
 
 def component_index(
-    game: FiniteGame,
+    es: EquilibriumSet,
     component: Sequence[NashSubset],
     trials: int = 3,
     magnitude: Fraction = Fraction(1, 1000),
 ) -> int:
-    """Sum of perturbed-equilibrium indices near the component.
+    """Sum of perturbed-equilibrium indices near a component of ``es.game``.
 
-    Runs `trials` deterministic payoff perturbations of the given magnitude;
-    each must yield only regular equilibria near the component, none in the
+    ``es`` is the game's full equilibrium set, as ``support_enumeration``
+    returns it; the component is isolated from the rest of it.  Runs
+    `trials` deterministic payoff perturbations of the given magnitude; each
+    must yield only regular equilibria near the component, none in the
     boundary shell, and all trials must agree.
     """
+    game = es.game
     if game.num_players != 2:
         raise IndexError_("component_index handles exactly 2 players")
     magnitude = Fraction(magnitude)
     # isolating radius: half the distance to the rest of the equilibrium set
-    es = support_enumeration(game)
     others = [
         s
         for s in es.all_subsets()
@@ -736,7 +739,7 @@ def game_index_report(game: FiniteGame) -> IndexReport:
                     )
                 )
                 continue
-        idx = component_index(game, subs)
+        idx = component_index(es, subs)
         desc = " | ".join(
             " x ".join(",".join(str(v) for v in f) for f in s.factors) for s in subs
         )

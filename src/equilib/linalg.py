@@ -1,14 +1,19 @@
 """Exact rational linear algebra: elimination, determinants, LP, vertex enumeration.
 
-Everything operates on lists of :class:`fractions.Fraction`; nothing here ever
-touches floating point.  The LP solver is a small two-phase simplex with
-Bland's rule, which is all the package needs (feasibility tests, dominance
+Vectors and matrices are lists of :class:`fractions.Fraction` at the API;
+nothing here ever touches floating point.  ``determinant`` and the LP solver
+scale rows to integers and pivot fraction-free (:func:`_pivot`, Bareiss
+division by the previous pivot), converting back to ``Fraction`` only for
+the result; ``rref`` and the solves built on it still eliminate over
+``Fraction`` rows.  The LP solver is a small two-phase simplex with Bland's
+rule, which is all the package needs (feasibility tests, dominance
 witnesses, polytope distances) at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -52,29 +57,55 @@ def linf_dist(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return linf_norm(vec_sub(u, v))
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``row`` scaled to integers by the lcm of its denominators, and that lcm."""
+    # a list, not a generator: star-unpacking a generator resizes the argument
+    # tuple, which leaves it in another size's free list and grows those lists
+    scale = math.lcm(*[f.denominator for f in row])
+    return [f.numerator * (scale // f.denominator) for f in row], scale
+
+
+def _pivot(T: list[list[int]], row: int, col: int, det: int) -> int:
+    """One fraction-free (Bareiss) pivot on ``T[row][col]``; returns the new det.
+
+    Every other row becomes ``(r * p - r[col] * T[row]) / det`` with p the
+    pivot and ``det`` the previous pivot.  The division is exact: each entry
+    is a minor of the starting integer matrix (Bareiss, Math. Comp. 22, 1968).
+    """
+    prow = T[row]
+    p = prow[col]
+    for i, r in enumerate(T):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            T[i] = [(a * p - f * b) // det for a, b in zip(r, prow)]
+        elif p != det:
+            T[i] = [a * p // det for a in r]
+    return p
+
+
 def determinant(A: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Exact determinant by Bareiss elimination on integer-scaled rows."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("determinant requires a square matrix")
-    m = [list(map(Fraction, row)) for row in A]
-    det = ONE
+    T = []
+    scale = 1
+    for row in A:
+        ints, s = _integer_row([Fraction(a) for a in row])
+        T.append(ints)
+        scale *= s
+    det = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if T[r][col] != 0), None)
         if piv is None:
             return ZERO
         if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = ONE / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+            T[col], T[piv] = T[piv], T[col]
+            scale = -scale
+        det = _pivot(T, col, col, det)
+    return Fraction(det, scale)
 
 
 def rref(M: Matrix) -> list[int]:
@@ -190,82 +221,88 @@ class LPResult:
 
 
 def _simplex_min(c: Vector, A: Matrix, b: Vector) -> LPResult:
-    """Minimize c.x subject to A x = b, x >= 0 (two-phase, Bland's rule)."""
+    """Minimize c.x subject to A x = b, x >= 0 (two-phase, Bland's rule).
+
+    Runs on an integer tableau: each row of [A | b] is scaled to integers
+    and pivoted fraction-free by :func:`_pivot`, so every basic column is
+    ``det`` times a unit vector and the rational tableau is the integer one
+    divided by ``det`` (kept positive).  The phase-1 and phase-2 reduced
+    costs ride along as the last two rows, each a positive multiple of the
+    rational reduced costs.  Artificial ``n + i`` has coefficient 1 in the
+    scaled row i, so it stands for s_i times the unscaled artificial; its
+    phase-1 cost is lcm(s)/s_i, which keeps the phase-1 objective, and with
+    it every pivot, the same as on the unscaled rows.
+    """
     m = len(A)
     n = len(c)
-    A = [row[:] for row in A]
-    b = b[:]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-a for a in A[i]]
-            b[i] = -b[i]
-
-    # Tableau with artificial variables n..n+m-1.
-    T = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
     total = n + m
+    T: list[list[int]] = []
+    scales = []
+    for i in range(m):
+        row = A[i] + [b[i]]
+        if b[i] < 0:
+            row = [-a for a in row]
+        ints, s = _integer_row(row)
+        T.append(ints[:n] + [int(j == i) for j in range(m)] + ints[n:])
+        scales.append(s)
+    lcm = math.lcm(*scales)
+    weights = [lcm // s for s in scales]
+    # phase-1 costs `weights` on the artificials, reduced against their rows
+    cost1 = [-sum(w * r[j] for w, r in zip(weights, T)) for j in range(total + 1)]
+    cost1[n:total] = [0] * m
+    cost2, _ = _integer_row(c)
+    T += [cost2 + [0] * (m + 1), cost1]
+    basis = [n + i for i in range(m)]
+    det = 1
 
-    def pivot(row: int, col: int) -> None:
-        inv = ONE / T[row][col]
-        T[row] = [x * inv for x in T[row]]
-        for r in range(m):
-            if r != row and T[r][col] != 0:
-                f = T[r][col]
-                T[r] = [x - f * y for x, y in zip(T[r], T[row])]
-        basis[row] = col
-
-    def run(obj: Vector, limit: int) -> Optional[str]:
-        # obj has length `total`; reduced costs computed from the basis.
+    def run(limit: int) -> Optional[str]:
+        # The last row of T holds the reduced costs of the current phase.
         # Columns >= `limit` (the artificials, in phase 2) may not enter.
+        nonlocal det
         while True:
-            y = [obj[basis[r]] for r in range(m)]
-            entering = None
-            for j in range(limit):
-                if j in basis:
-                    continue
-                red = obj[j] - sum((y[r] * T[r][j] for r in range(m)), ZERO)
-                if red < 0:
-                    entering = j  # Bland: first improving index
-                    break
+            cost = T[-1]
+            # Bland: the first improving column enters
+            entering = next((j for j in range(limit) if cost[j] < 0), None)
             if entering is None:
                 return None
             leaving = None
-            best = None
             for r in range(m):
-                if T[r][entering] > 0:
-                    ratio = T[r][total] / T[r][entering]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[r] < basis[leaving])
-                    ):
-                        best = ratio
+                a = T[r][entering]
+                if a > 0:
+                    if leaving is None:
+                        leaving = r
+                        continue
+                    # ratio T[r][total]/a against the best so far, cross-multiplied
+                    lhs = T[r][total] * T[leaving][entering]
+                    rhs = T[leaving][total] * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
                         leaving = r
             if leaving is None:
                 return "unbounded"
-            pivot(leaving, entering)
+            det = _pivot(T, leaving, entering, det)
+            basis[leaving] = entering
 
-    phase1 = [ZERO] * n + [ONE] * m
-    status = run(phase1, total)
-    if status is not None:
+    if run(total) is not None:
         raise ValueError("simplex phase 1 reported an unbounded problem")
-    val1 = sum((T[r][total] for r in range(m) if basis[r] >= n), ZERO)
-    if val1 != 0:
+    if any(T[r][total] != 0 for r in range(m) if basis[r] >= n):
         return LPResult("infeasible", None, None)
+    T.pop()  # phase-1 costs
     # Drive remaining artificial variables out of the basis where possible.
     for r in range(m):
         if basis[r] >= n:
             col = next((j for j in range(n) if T[r][j] != 0), None)
             if col is not None:
-                pivot(r, col)
-    obj2 = c + [ZERO] * m
-    status = run(obj2, n)
-    if status == "unbounded":
+                det = _pivot(T, r, col, det)
+                basis[r] = col
+                if det < 0:
+                    T[:] = [[-a for a in row] for row in T]
+                    det = -det
+    if run(n) == "unbounded":
         return LPResult("unbounded", None, None)
     x = [ZERO] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = T[r][total]
+            x[basis[r]] = Fraction(T[r][total], det)
     return LPResult("optimal", x, dot(c, x))
 
 
@@ -296,7 +333,6 @@ def linprog(
     def expand(row: Vector) -> Vector:
         return row + [-a for a in row] if free else row
 
-    nvars = 2 * n if free else n
     rows: Matrix = []
     rhs: Vector = []
     for row, beta in zip(A_eq, b_eq, strict=True):

@@ -751,7 +751,7 @@ def run_pipeline(
     comp_indices = {}
     for cid, comp in enumerate(cg.components):
         subs = [cg.subsets[i] for i in comp]
-        comp_indices[cid] = component_index(game, subs)
+        comp_indices[cid] = component_index(es, subs)
     report.log(f"components: {len(cg.components)} with indices {comp_indices}")
     target.validate(game, comp_indices)
     cids = {tp.component for tp in target.points}

@@ -142,7 +142,7 @@ def test_criterion_3_cycle_component():
     from equilib.indices import component_index
 
     subs = [cg.subsets[i] for i in cg.components[0]]
-    assert component_index(km, subs) == 1
+    assert component_index(es, subs) == 1
     finish("criterion 3 (single cycle component of index +1)", t0, 5)
 
 

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -280,6 +282,45 @@ def test_report_round_trip(km_file, tmp_path, capsys):
     report = Report.from_json(data)
     assert report.to_json() == data
     assert report.render_text().startswith("== solve ==")
+
+
+def equilib_garbage(argv) -> list:
+    """Objects of equilib types or functions that ``main(argv)`` leaves in reference cycles."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return [
+        o
+        for o in garbage
+        if type(o).__module__.startswith("equilib")
+        or (isinstance(o, types.FunctionType) and o.__module__.startswith("equilib"))
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "index"])
+def test_main_leaves_no_cyclic_garbage(command, km_file, tmp_path, capsys):
+    assert equilib_garbage([command, km_file, "--out", str(tmp_path / "r.json")]) == []
+    assert equilib_garbage([command, km_file]) == []
+    capsys.readouterr()
+
+
+def test_cached_parser_keeps_no_options_between_calls(km_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["solve", km_file, "--out", str(out)]) == 0
+    out.unlink()
+    assert main(["solve", km_file]) == 0
+    assert not out.exists()
+    assert main(["index", km_file, "--component", "0"]) == 0
+    capsys.readouterr()
+    assert main(["index", km_file, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["entries"]  # the full report, not component 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -213,14 +213,14 @@ def test_km_component_index_plus_one(km):
     cg = components(es)
     assert len(cg.components) == 1
     subs = [cg.subsets[i] for i in cg.components[0]]
-    assert component_index(km, subs) == 1
+    assert component_index(es, subs) == 1
 
 
 def test_component_index_on_singleton_matches_determinant(matching_pennies):
     es = support_enumeration(matching_pennies)
     cg = components(es)
     subs = [cg.subsets[i] for i in cg.components[0]]
-    assert component_index(matching_pennies, subs) == 1
+    assert component_index(es, subs) == 1
 
 
 def test_game_index_report(km_p2):
