@@ -13,13 +13,14 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .equivalence import (
     AffineSurjection,
     build_tilde_game,
     duplicate_strategy,
+    identity_surjection,
     save_mapping,
 )
 from .games import (
@@ -169,40 +170,30 @@ def _parse_profile(text: str) -> Profile:
     )
 
 
-def load_params(path: str) -> PipelineParams:
+def _load_json(path: str):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(
                 f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}"
             ) from exc
-    if "eps" not in data:
+
+
+def load_params(path: str) -> PipelineParams:
+    data = _load_json(path)
+    if not isinstance(data, dict) or "eps" not in data:
         raise UsageError(f"{path}: params file must set 'eps'")
-    kwargs = {}
-    for key in (
-        "eps",
-        "eps0",
-        "alpha",
-        "alpha_star",
-        "zeta",
-        "xi",
-        "tilde_diameter",
-        "hat_diameter",
-    ):
-        if key in data:
-            kwargs[key] = parse_rational(data[key])
+    kwargs = {
+        f.name: parse_rational(data[f.name])
+        for f in fields(PipelineParams)
+        if f.name in data
+    }
     return PipelineParams(**kwargs)
 
 
 def load_target_spec(path: str) -> TargetSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}"
-            ) from exc
+    data = _load_json(path)
     if not isinstance(data, list):
         raise UsageError(f"{path}: target spec must be a JSON list")
     points = []
@@ -224,19 +215,10 @@ def load_target_spec(path: str) -> TargetSpec:
 
 def _params_json(params: PipelineParams) -> dict:
     out = {}
-    for key in (
-        "eps",
-        "eps0",
-        "alpha",
-        "alpha_star",
-        "zeta",
-        "xi",
-        "tilde_diameter",
-        "hat_diameter",
-    ):
-        v = getattr(params, key)
+    for f in fields(PipelineParams):
+        v = getattr(params, f.name)
         if v is not None:
-            out[key] = format_rational(Fraction(v))
+            out[f.name] = format_rational(Fraction(v))
     return out
 
 
@@ -362,7 +344,7 @@ def cmd_duplicate(args) -> int:
         phis = [
             phi
             if n == args.player
-            else _identity_phi(new_game.strategies[n])
+            else identity_surjection(new_game.strategies[n])
             for n in range(new_game.num_players)
         ]
         save_mapping(args.mapping_out, phis)
@@ -384,12 +366,6 @@ def cmd_duplicate(args) -> int:
     report.timings["total"] = f"{time.monotonic() - t0:.3f}"
     _emit(report, args.out)
     return 0
-
-
-def _identity_phi(labels) -> AffineSurjection:
-    from .equivalence import identity_surjection
-
-    return identity_surjection(labels)
 
 
 def cmd_tilde(args) -> int:
@@ -432,10 +408,18 @@ def cmd_triangulate(args) -> int:
         tri = grid_triangulation(args.n)
         inputs = {"kind": "grid", "n": args.n}
     else:
-        with open(args.points) as fh:
-            data = json.load(fh)
-        points = [[parse_rational(x) for x in p] for p in data["points"]]
-        heights = [parse_rational(h) for h in data["heights"]]
+        if args.points is None:
+            raise UsageError("triangulate regular needs --points")
+        data = _load_json(args.points)
+        try:
+            points = [[parse_rational(x) for x in p] for p in data["points"]]
+            heights = [parse_rational(h) for h in data["heights"]]
+        except (KeyError, TypeError) as exc:
+            raise UsageError(
+                f"{args.points}: points file needs 'points' and 'heights' lists ({exc!r})"
+            ) from exc
+        if len({len(p) for p in points}) != 1:
+            raise UsageError(f"{args.points}: points must be nonempty and of one dimension")
         tri = regular_triangulation(points, heights)
         inputs = {"kind": "regular", "points": args.points}
     report = Report("triangulate", inputs=inputs)
@@ -476,14 +460,25 @@ def cmd_el_refine(args) -> int:
 
 def cmd_degree_oracle(args) -> int:
     t0 = time.monotonic()
-    with open(args.spec) as fh:
-        data = json.load(fh)
-    A = [[parse_rational(x) for x in row] for row in data["matrix"]]
-    b = [parse_rational(x) for x in data["offset"]]
-    box = [
-        (parse_rational(lo), parse_rational(hi)) for lo, hi in data["box"]
-    ]
-    grid = int(data.get("grid", 2))
+    data = _load_json(args.spec)
+    try:
+        A = [[parse_rational(x) for x in row] for row in data["matrix"]]
+        b = [parse_rational(x) for x in data["offset"]]
+        box = [
+            (parse_rational(lo), parse_rational(hi)) for lo, hi in data["box"]
+        ]
+        grid = int(data.get("grid", 2))
+    except RationalParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: a box entry not a pair
+        raise UsageError(
+            f"{args.spec}: spec needs 'matrix', 'offset' and 'box' lists ({exc!r})"
+        ) from exc
+    n = len(box)
+    if len(b) != n or len(A) != n or any(len(row) != n for row in A):
+        raise UsageError(
+            f"{args.spec}: a box of {n} intervals needs an {n}x{n} matrix and {n} offsets"
+        )
 
     def fmap(x):
         return [
@@ -537,8 +532,6 @@ def cmd_perturb(args) -> int:
 
 def _km_duplication_phi() -> list[AffineSurjection]:
     """Column map L' -> L for the perturbed example games, identity on rows."""
-    from .equivalence import identity_surjection
-
     rows = identity_surjection(("t", "m", "b"))
     cols = AffineSurjection(
         ("L", "L'", "M", "R"),
@@ -554,79 +547,36 @@ def _km_duplication_phi() -> list[AffineSurjection]:
     return [rows, cols]
 
 
+def _by_weights(signed_profiles) -> list:
+    """(profile, index) pairs in a canonical order, for multiset comparison."""
+    return sorted((tuple(s.weights for s in prof), idx) for prof, idx in signed_profiles)
+
+
 def cmd_verify_example(args) -> int:
-    from .examples import km_perturbation_1, km_perturbation_2
+    from .examples import KM_EPS, KM_EXPECTED
 
     if args.name != "km":
         raise UsageError(f"unknown example {args.name!r} (try 'km')")
     t0 = time.monotonic()
     phis = _km_duplication_phi()
-    half = Fraction(1, 2)
     rows = []
-    ok_all = True
-    for eps_text in ("1/10", "1/100"):
-        eps = parse_rational(eps_text)
-        # first perturbation: elimination, unique residual equilibrium
-        g1 = km_perturbation_1(eps)
-        reduced, trace = eliminate_strictly_dominated(g1)
-        removed = sorted((e.player, e.strategy) for e in trace)
-        ok = removed == [(0, "m"), (1, "M"), (1, "R")]
-        es = support_enumeration(g1)
-        ok = ok and not es.subsets and len(es.isolated) == 1
-        if ok:
-            eq = es.isolated[0]
-            ok = index_regular(g1, eq) == 1
-            proj = tuple(phi.apply(s) for phi, s in zip(phis, eq))
-            want = (
-                MixedStrategy.of({"t": half, "b": half}),
-                MixedStrategy.pure("L"),
-            )
-            ok = ok and tuple(sorted(s.weights) for s in proj) == tuple(
-                sorted(s.weights) for s in want
-            )
-        rows.append((f"perturbation 1, eps={eps_text}", ok))
-        ok_all = ok_all and ok
-
-        # second perturbation: three equilibria with signed indices
-        g2 = km_perturbation_2(eps)
-        es2 = support_enumeration(g2)
-        ok2 = not es2.subsets and len(es2.isolated) == 3
-        if ok2:
-            found = []
-            for eq in es2.isolated:
-                proj = tuple(phi.apply(s) for phi, s in zip(phis, eq))
-                found.append(
-                    (
-                        tuple(tuple(sorted(s.weights)) for s in proj),
-                        index_regular(g2, eq),
-                    )
-                )
-            want2 = [
-                (
-                    (
-                        (("t", Fraction(1)),),
-                        (("L", Fraction(1)),),
-                    ),
-                    1,
-                ),
-                (
-                    (
-                        (("b", Fraction(1)),),
-                        (("L", Fraction(1)),),
-                    ),
-                    1,
-                ),
-                (
-                    (
-                        (("b", half), ("t", half)),
-                        (("L", Fraction(1)),),
-                    ),
-                    -1,
-                ),
-            ]
-            ok2 = sorted(found) == sorted(want2)
-        rows.append((f"perturbation 2, eps={eps_text}", ok2))
-        ok_all = ok_all and ok2
+    for eps in KM_EPS:
+        for expect in KM_EXPECTED:
+            game = expect.game(eps)
+            ok = True
+            if expect.eliminated is not None:
+                _, trace = eliminate_strictly_dominated(game)
+                ok = sorted((e.player, e.strategy) for e in trace) == expect.eliminated
+            es = support_enumeration(game)
+            ok = ok and not es.subsets and len(es.isolated) == len(expect.equilibria)
+            if ok:
+                found = [
+                    (tuple(phi.apply(s) for phi, s in zip(phis, eq)), index_regular(game, eq))
+                    for eq in es.isolated
+                ]
+                ok = _by_weights(found) == _by_weights(expect.equilibria)
+            rows.append((f"{expect.name}, eps={format_rational(eps)}", ok))
+    ok_all = all(ok for _, ok in rows)
 
     report = Report("verify-example", inputs={"name": args.name})
     report.results = {
@@ -748,13 +698,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except RationalParseError as exc:
+    except (UsageError, FileNotFoundError, RationalParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (GameError, GeometryError, IndexError_, PerturbError) as exc:

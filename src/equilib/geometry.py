@@ -34,6 +34,7 @@ from .linalg import (
     matrix_rank,
     nullspace,
     solve_linear,
+    solve_unique,
     vec_sub,
     vertex_enumeration,
 )
@@ -465,16 +466,13 @@ def _lower_hull_cells(
     n = len(local_pts)
     cells: list[Face] = []
     for combo in itertools.combinations(range(n), d + 1):
-        pts = [local_pts[i] for i in combo]
-        mat = [vec_sub(p, pts[0]) for p in pts[1:]]
-        if d > 0 and determinant(mat) == 0:
-            continue
-        # Affine lift function l with l(p_i) = h_i on the combo.
+        # Affine lift function l with l(p_i) = h_i on the combo; it is unique
+        # exactly when the combo's points are affinely independent.
         A = [list(local_pts[i]) + [ONE] for i in combo]
         b = [heights[i] for i in combo]
-        coeffs = solve_linear(A, b)
+        coeffs = solve_unique(A, b)
         if coeffs is None:
-            raise GeometryError(f"no affine lift through the affinely independent points {combo}")
+            continue
         grad, off = coeffs[:d], coeffs[d]
         flat = []
         ok = True
@@ -777,12 +775,12 @@ def hyperplane_through(chart_points: Sequence[Sequence[Fraction]], dim: int):
     """
     p0 = frac_vec(chart_points[0])
     diffs = [vec_sub(frac_vec(p), p0) for p in chart_points[1:]]
-    if matrix_rank(diffs) != dim - 1:
-        raise GeometryError("points do not span a hyperplane")
     normals = nullspace(diffs) if diffs else [
         [ONE if j == i else ZERO for j in range(dim)] for i in range(dim)
     ]
-    # kernel of the difference matrix has dimension 1 within the chart
+    # rank = width - nullity; the kernel is then a line within the chart
+    if len(p0) - len(normals) != dim - 1:
+        raise GeometryError("points do not span a hyperplane")
     a = normals[0]
     return _primitive(a, dot(a, p0))
 
@@ -1025,7 +1023,7 @@ def generalized_barycentric_subdivision(
         if d == 0:
             points[f] = pts[0]
             continue
-        choice = choices.get(canon(f) if not isinstance(f, frozenset) else f)
+        choice = choices.get(canon(f))
         if choice is None:
             n = len(pts)
             choice = tuple(sum((p[i] for p in pts), ZERO) / n for i in range(len(pts[0])))
@@ -1063,11 +1061,7 @@ def generalized_barycentric_subdivision(
     for f in by_dim.get(0, []):
         extend([f], f, 0)
 
-    if isinstance(domain, Triangulation):
-        polytope = domain.polytope
-    else:
-        polytope = domain.polytope
-    return Triangulation(vertex_list, sorted(set(cells)), polytope)
+    return Triangulation(vertex_list, sorted(set(cells)), domain.polytope)
 
 
 def _in_relative_interior(pts: Sequence[Point], x: Point) -> bool:

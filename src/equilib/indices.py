@@ -127,7 +127,11 @@ def is_regular(game: FiniteGame, eq: Profile) -> bool:
         return False
 
 
-def _check_regular(game: FiniteGame, eq: Profile) -> Matrix:
+def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
+    """The nonzero determinant of eq's indifference Jacobian.
+
+    Raises IndexError_ unless eq is a regular equilibrium of a 2-player game.
+    """
     if game.num_players != 2:
         raise IndexError_("index_regular handles exactly 2 players")
     I, J = eq[0].support(), eq[1].support()
@@ -147,16 +151,15 @@ def _check_regular(game: FiniteGame, eq: Profile) -> Matrix:
                     f"off-support strategy {s} is not strictly inferior; "
                     "use component_index"
                 )
-    M = _indifference_jacobian(game, eq)
-    if determinant(M) == 0:
+    d = determinant(_indifference_jacobian(game, eq))
+    if d == 0:
         raise IndexError_("singular indifference Jacobian; use component_index")
-    return M
+    return d
 
 
 def index_regular(game: FiniteGame, eq: Profile) -> int:
     """Index of a regular equilibrium of a 2-player game: +1 or -1."""
-    M = _check_regular(game, eq)
-    d = determinant(M)
+    d = _check_regular(game, eq)
     k = len(eq[0].support())
     return (1 if d > 0 else -1) * _calibration(k)
 
@@ -457,31 +460,26 @@ def _linear_part_for_matching(
     U = [chart.to_local(x) for x in xs]
     V = [chart.to_local(y) for y in ys]
     cols = list(range(len(U)))
-    # pick d independent columns of U
-    from .linalg import matrix_rank
-
+    # A = Vm Um^{-1} for the first d independent columns Um of U, Vm the same
+    # columns of V: row r of A solves Um^T A_r^T = (row r of Vm)^T, and the
+    # rows of Um^T are the picked U[i]
     for pick in itertools.combinations(cols, d):
-        Um = [[U[i][r] for i in pick] for r in range(d)]
-        if determinant(Um) == 0:
-            continue
-        Vm = [[V[i][r] for i in pick] for r in range(d)]
-        # A = Vm * Um^{-1}: solve A Um = Vm column-wise via transposed systems
-        A: Matrix = [[ZERO] * d for _ in range(d)]
+        UmT = [U[i] for i in pick]
+        A: Matrix = []
         for r in range(d):
-            # row r of A satisfies Um^T (A_r)^T = (Vm row r)^T
-            UmT = [[Um[c][i] for c in range(d)] for i in range(d)]
-            row = solve_unique(UmT, [Vm[r][i] for i in range(d)])
-            if row is None:
-                return None
-            A[r] = row
-        # verify all vertices map correctly
-        for i in cols:
-            img = [
-                sum(A[r][c] * U[i][c] for c in range(d)) for r in range(d)
-            ]
-            if img != V[i]:
-                return None
-        return A
+            row = solve_unique(UmT, [V[i][r] for i in pick])
+            if row is None:  # Um is singular
+                break
+            A.append(row)
+        else:
+            # verify all vertices map correctly
+            for i in cols:
+                img = [
+                    sum(A[r][c] * U[i][c] for c in range(d)) for r in range(d)
+                ]
+                if img != V[i]:
+                    return None
+            return A
     return None
 
 

@@ -1,11 +1,12 @@
 """Exact rational linear algebra: elimination, determinants, LP, vertex enumeration.
 
 Vectors and matrices are lists of :class:`fractions.Fraction` at the API;
-nothing here ever touches floating point.  ``determinant`` and the LP solver
-scale rows to integers and pivot fraction-free (:func:`_pivot`, Bareiss
-division by the previous pivot), converting back to ``Fraction`` only for
-the result; ``rref`` and the solves built on it still eliminate over
-``Fraction`` rows.  The LP solver is a small two-phase simplex with Bland's
+nothing here ever touches floating point.  Rows are scaled to integers and
+pivoted fraction-free (:func:`_pivot`, Bareiss division by the previous
+pivot), converting back to ``Fraction`` only for the result: one Gauss–Jordan
+elimination (:func:`_eliminate`) serves the determinant, the rank, both
+solves and the nullspace, and the LP solver pivots its own tableau with the
+same step.  The LP solver is a small two-phase simplex with Bland's
 rule, which is all the package needs (feasibility tests, dominance
 witnesses, polytope distances) at desk scale.
 """
@@ -85,58 +86,55 @@ def _pivot(T: list[list[int]], row: int, col: int, det: int) -> int:
     return p
 
 
-def determinant(A: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Bareiss elimination on integer-scaled rows."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant requires a square matrix")
+def _eliminate(A: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss–Jordan elimination of A's rows scaled to integers.
+
+    Returns ``(T, pivots, det, scale)``.  Row r < len(pivots) of T holds the
+    pivot ``det`` (the last pivot taken, 1 if none) in column ``pivots[r]``,
+    every other row holds 0 there, and row r divided by ``det`` is row r of
+    the reduced row echelon form.  Pivot columns are taken left to right,
+    each from the first row at or below the next pivot position whose entry
+    is nonzero.  ``scale`` is the product of the row scales, negated once per
+    row swap, so a square A has determinant ``det / scale`` when every
+    column is a pivot column.
+    """
     T = []
     scale = 1
     for row in A:
         ints, s = _integer_row([Fraction(a) for a in row])
         T.append(ints)
         scale *= s
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if T[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            T[col], T[piv] = T[piv], T[col]
-            scale = -scale
-        det = _pivot(T, col, col, det)
-    return Fraction(det, scale)
-
-
-def rref(M: Matrix) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column indices."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
+    rows = len(T)
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = ONE / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
+    det = 1
+    for c in range(len(T[0]) if T else 0):
+        r = len(pivots)
         if r == rows:
             break
-    return pivots
+        piv = next((i for i in range(r, rows) if T[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            T[r], T[piv] = T[piv], T[r]
+            scale = -scale
+        det = _pivot(T, r, c, det)
+        pivots.append(c)
+    return T, pivots, det, scale
+
+
+def determinant(A: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant by Bareiss elimination on integer-scaled rows."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("determinant requires a square matrix")
+    _, pivots, det, scale = _eliminate(A)
+    return Fraction(det, scale) if len(pivots) == n else ZERO
 
 
 def matrix_rank(A: Sequence[Sequence[Fraction]]) -> int:
     if not A:
         return 0
-    M = [list(map(Fraction, row)) for row in A]
-    return len(rref(M))
+    return len(_eliminate(A)[1])
 
 
 def solve_linear(
@@ -151,18 +149,12 @@ def solve_linear(
     if rows == 0:
         return []
     cols = len(A[0])
-    M = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(rows)]
-    pivots = rref(M)
-    for i in range(rows):
-        if all(M[i][c] == 0 for c in range(cols)) and M[i][cols] != 0:
-            return None
+    T, pivots, det, _ = _eliminate([list(A[i]) + [b[i]] for i in range(rows)])
+    if pivots and pivots[-1] == cols:  # pivot in the RHS column: inconsistent
+        return None
     x = [ZERO] * cols
     for r, c in enumerate(pivots):
-        if c == cols:  # pivot in the RHS column: inconsistent (caught above)
-            return None
-        x[c] = M[r][cols] - sum(
-            (M[r][j] * x[j] for j in range(c + 1, cols) if j not in pivots), ZERO
-        )
+        x[c] = Fraction(T[r][cols], det)
     # Verify (cheap, and guards against pivot bookkeeping bugs).
     for i in range(rows):
         if dot(A[i], x) != b[i]:
@@ -181,10 +173,10 @@ def solve_unique(
     if not A:
         return []
     cols = len(A[0])
-    M = [list(map(Fraction, row)) + [Fraction(beta)] for row, beta in zip(A, b, strict=True)]
-    if rref(M) != list(range(cols)):
+    T, pivots, det, _ = _eliminate([list(row) + [beta] for row, beta in zip(A, b, strict=True)])
+    if pivots != list(range(cols)):
         return None
-    x = [M[r][cols] for r in range(cols)]
+    x = [Fraction(T[r][cols], det) for r in range(cols)]
     # Verify (cheap, and guards against pivot bookkeeping bugs).
     return x if all(dot(row, x) == beta for row, beta in zip(A, b)) else None
 
@@ -195,15 +187,14 @@ def nullspace(A: Sequence[Sequence[Fraction]]) -> list[Vector]:
     if rows == 0:
         return []
     cols = len(A[0])
-    M = [list(map(Fraction, row)) for row in A]
-    pivots = rref(M)
+    T, pivots, det, _ = _eliminate(A)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [ZERO] * cols
         v[fc] = ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
+            v[pc] = Fraction(-T[r][fc], det)
         basis.append(v)
     return basis
 
@@ -419,13 +410,10 @@ class Chart:
             raise ValueError("chart needs at least one point")
         pts = [frac_vec(p) for p in points]
         self.origin = pts[0]
-        self.basis: list[Vector] = []
-        rows: Matrix = []
-        for p in pts[1:]:
-            d = vec_sub(p, self.origin)
-            if matrix_rank(rows + [d]) > len(self.basis):
-                self.basis.append(d)
-                rows.append(d)
+        diffs = [vec_sub(p, self.origin) for p in pts[1:]]
+        # the pivot columns of [d_1 ... d_k] are the d_i outside the span of
+        # the earlier ones: the greedy basis
+        self.basis: list[Vector] = [diffs[j] for j in _eliminate(zip(*diffs))[1]]
         self.dim = len(self.basis)
         self.ambient_dim = len(self.origin)
 

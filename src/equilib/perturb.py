@@ -34,7 +34,7 @@ from .games import (
     is_equilibrium,
     payoff_against,
 )
-from .geometry import PLFunction, Simplex
+from .geometry import PLFunction, Simplex, _simplices_intersect
 from .indices import IndexError_, component_index, index_regular
 from .linalg import ONE, ZERO, frac_vec, vec_add, vec_scale
 from .solver import components, support_enumeration
@@ -222,7 +222,7 @@ def envelope_r(
         raise PerturbError("envelope", "one margin per region required")
     for k, l in itertools.combinations(range(len(regions)), 2):
         if all(
-            _simplices_overlap(regions[k][n], regions[l][n])
+            _simplices_intersect(regions[k][n], regions[l][n])
             for n in range(game.num_players)
         ):
             raise PerturbError("envelope", f"regions {k} and {l} overlap")
@@ -287,12 +287,6 @@ def _point_simplex_distance(simplex: Simplex, point: Sequence[Fraction]) -> Frac
     if res.status != "optimal":
         raise PerturbError("envelope", "distance LP failed")
     return res.value
-
-
-def _simplices_overlap(a: Simplex, b: Simplex) -> bool:
-    from .geometry import _simplices_intersect
-
-    return _simplices_intersect(a, b)
 
 
 # --------------------------------------------------------------------------

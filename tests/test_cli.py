@@ -417,3 +417,48 @@ def test_geometry_subcommand_missing_input_exits_2(command, tmp_path, capsys):
     argv[-1] = str(tmp_path / "missing.json")
     assert main(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+MALFORMED_GEOMETRY_INPUTS = {
+    "triangulate-regular-without-points": (["triangulate", "regular"], None),
+    "points-without-heights": (["triangulate", "regular", "--points"], {"points": [["0", "0"]]}),
+    "points-not-an-object": (["triangulate", "regular", "--points"], [["0", "0"]]),
+    "points-not-json": (["triangulate", "regular", "--points"], "{'points': "),
+    "spec-not-json": (["degree-oracle"], "matrix = [[1]]"),
+    "spec-without-matrix": (["degree-oracle"], {"offset": ["0"], "box": [["-1", "1"]]}),
+    "spec-box-entry-not-a-pair": (
+        ["degree-oracle"], {"matrix": [["1"]], "offset": ["0"], "box": [["-1", "0", "1"]]}
+    ),
+    "points-of-two-dimensions": (
+        ["triangulate", "regular", "--points"],
+        {"points": [["0", "0"], ["1"]], "heights": ["0", "1"]},
+    ),
+    "points-empty": (["triangulate", "regular", "--points"], {"points": [], "heights": []}),
+    "spec-offset-too-short": (
+        ["degree-oracle"],
+        {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0"], "box": [["-1", "1"], ["-1", "1"]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GEOMETRY_INPUTS))
+def test_malformed_geometry_input_exits_2(case, tmp_path, capsys):
+    argv, content = MALFORMED_GEOMETRY_INPUTS[case]
+    argv = list(argv)
+    if content is not None:
+        path = tmp_path / "input.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            write_json(path, content)
+        argv.append(str(path))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("usage error: ") for line in err.splitlines()), err
+
+
+def test_params_file_not_an_object_exits_2(km_file, tmp_path, capsys):
+    targets = write_json(tmp_path / "targets.json", [])
+    params = write_json(tmp_path / "params.json", ["eps", "1/10"])
+    assert main(["perturb", km_file, targets, "--params", params]) == 2
+    assert "usage error: " in capsys.readouterr().err

@@ -1,19 +1,42 @@
-"""The integer-tableau simplex and determinant against the Fraction versions.
+"""The integer-tableau simplex and elimination against the Fraction versions.
 
 ``reference_simplex_min`` is the two-phase simplex that ran on ``Fraction``
 rows before the tableau became integer (Bareiss) pivoting; it is kept here
 verbatim as the oracle.  Both follow the same pivot rules, so every LP must
 come out with the same status, point and value.
+
+``reference_rref`` is the Gauss–Jordan elimination over ``Fraction`` rows
+that ``matrix_rank``, ``solve_linear``, ``solve_unique`` and ``nullspace``
+ran on before they shared the integer elimination; it and the four
+functions are kept here verbatim as the oracle.  The reduced row echelon
+form is unique, so both must give the same rank, the same solutions (free
+variables 0) and the same nullspace vectors in the same order.
 """
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 
 import equilib.linalg as linalg
-from equilib.linalg import ONE, ZERO, LPResult, Matrix, Vector, determinant, dot, linprog
+from equilib.linalg import (
+    ONE,
+    ZERO,
+    Chart,
+    LPResult,
+    Matrix,
+    Vector,
+    determinant,
+    dot,
+    frac_vec,
+    linprog,
+    matrix_rank,
+    nullspace,
+    solve_linear,
+    solve_unique,
+    vec_sub,
+)
 
 
 def reference_simplex_min(c: Vector, A: Matrix, b: Vector) -> LPResult:
@@ -210,3 +233,196 @@ def test_determinant_matches_fraction_elimination():
                 for row in A:
                     row[0] = Fraction(0)
         assert determinant(A) == reference_determinant(A), A
+
+
+# -- elimination: rank, solves, nullspace and charts -----------------------
+
+
+def reference_rref(M: Matrix) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column indices."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = ONE / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def reference_matrix_rank(A: Sequence[Sequence[Fraction]]) -> int:
+    if not A:
+        return 0
+    M = [list(map(Fraction, row)) for row in A]
+    return len(reference_rref(M))
+
+
+def reference_solve_linear(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> Optional[Vector]:
+    """Solve A x = b exactly.
+
+    Returns one solution (the one with free variables set to 0), or None if
+    the system is inconsistent.
+    """
+    rows = len(A)
+    if rows == 0:
+        return []
+    cols = len(A[0])
+    M = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(rows)]
+    pivots = reference_rref(M)
+    for i in range(rows):
+        if all(M[i][c] == 0 for c in range(cols)) and M[i][cols] != 0:
+            return None
+    x = [ZERO] * cols
+    for r, c in enumerate(pivots):
+        if c == cols:  # pivot in the RHS column: inconsistent (caught above)
+            return None
+        x[c] = M[r][cols] - sum(
+            (M[r][j] * x[j] for j in range(c + 1, cols) if j not in pivots), ZERO
+        )
+    # Verify (cheap, and guards against pivot bookkeeping bugs).
+    for i in range(rows):
+        if dot(A[i], x) != b[i]:
+            return None
+    return x
+
+
+def reference_solve_unique(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> Optional[Vector]:
+    """Solve A x = b; returns the solution only if it is unique.
+
+    One elimination of [A | b]: the solution exists and is unique exactly
+    when the pivots are all the columns of A.
+    """
+    if not A:
+        return []
+    cols = len(A[0])
+    M = [list(map(Fraction, row)) + [Fraction(beta)] for row, beta in zip(A, b, strict=True)]
+    if reference_rref(M) != list(range(cols)):
+        return None
+    x = [M[r][cols] for r in range(cols)]
+    # Verify (cheap, and guards against pivot bookkeeping bugs).
+    return x if all(dot(row, x) == beta for row, beta in zip(A, b)) else None
+
+
+def reference_nullspace(A: Sequence[Sequence[Fraction]]) -> list[Vector]:
+    """Basis of the kernel of A (columns without pivots parametrize it)."""
+    rows = len(A)
+    if rows == 0:
+        return []
+    cols = len(A[0])
+    M = [list(map(Fraction, row)) for row in A]
+    pivots = reference_rref(M)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -M[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_chart_basis(points: list[Vector]) -> list[Vector]:
+    """The chart basis as one growing rank test per point picked it."""
+    origin = frac_vec(points[0])
+    basis: list[Vector] = []
+    for p in points[1:]:
+        d = vec_sub(frac_vec(p), origin)
+        if reference_matrix_rank(basis + [d]) > len(basis):
+            basis.append(d)
+    return basis
+
+
+def random_matrix(rng: random.Random) -> Matrix:
+    """A seeded matrix: square, wide or tall, often rank-deficient."""
+    rows, cols = rng.randint(1, 6), rng.randint(0, 6)
+    A = [[rational(rng) if rng.random() < 0.7 else ZERO for _ in range(cols)] for _ in range(rows)]
+    kind = rng.choice(["plain", "combination", "zero_row", "zero_col", "duplicate"])
+    if kind == "combination" and rows > 2:  # a row in the span of two others
+        s, t = rational(rng), rational(rng)
+        A[-1] = [s * a + t * b for a, b in zip(A[0], A[1])]
+    elif kind == "zero_row":
+        A[rng.randrange(rows)] = [ZERO] * cols
+    elif kind == "zero_col" and cols:
+        j = rng.randrange(cols)
+        for row in A:
+            row[j] = ZERO
+    elif kind == "duplicate" and rows > 1:
+        A[rng.randrange(1, rows)] = list(A[0])
+    return A
+
+
+def test_rank_and_nullspace_match_fraction_rref():
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(1500):
+        A = random_matrix(rng)
+        rank = matrix_rank(A)
+        assert rank == reference_matrix_rank(A), A
+        assert nullspace(A) == reference_nullspace(A), A
+        deficient += rank < min(len(A), len(A[0]))
+    assert deficient > 300
+
+
+def test_solves_match_fraction_rref():
+    rng = random.Random(12)
+    outcomes = {"inconsistent": 0, "underdetermined": 0, "unique": 0}
+    for _ in range(1500):
+        A = random_matrix(rng)
+        cols = len(A[0])
+        if rng.random() < 0.5:  # consistent by construction
+            x0 = [rational(rng) for _ in range(cols)]
+            b = [dot(row, x0) for row in A]
+        else:
+            b = [rational(rng) for _ in A]
+        x = solve_linear(A, b)
+        assert x == reference_solve_linear(A, b), (A, b)
+        assert solve_unique(A, b) == reference_solve_unique(A, b), (A, b)
+        if x is None:
+            outcomes["inconsistent"] += 1
+        elif solve_unique(A, b) is None:
+            outcomes["underdetermined"] += 1
+        else:
+            outcomes["unique"] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_chart_matches_incremental_rank_basis():
+    rng = random.Random(13)
+    for _ in range(300):
+        ambient = rng.randint(1, 5)
+        # points on a random flat: origin plus combinations of a few directions
+        origin = [rational(rng) for _ in range(ambient)]
+        dirs = [[rational(rng) for _ in range(ambient)] for _ in range(rng.randint(0, 4))]
+        points = [origin]
+        for _ in range(rng.randint(0, 6)):
+            coefs = [Fraction(rng.randint(-2, 2)) for _ in dirs]
+            points.append([o + sum((c * d[i] for c, d in zip(coefs, dirs)), ZERO)
+                           for i, o in enumerate(origin)])
+        chart = Chart(points)
+        basis = reference_chart_basis(points)
+        assert chart.basis == basis and chart.dim == len(basis), points
+        columns = [[v[i] for v in basis] for i in range(ambient)]
+        for p in points:
+            d = vec_sub(frac_vec(p), frac_vec(origin))
+            want = reference_solve_linear(columns, d) if basis else []
+            assert chart.to_local(p) == want, points
+        k = len(basis)
+        identity = [[ONE if j == i else ZERO for j in range(k)] for i in range(k)]
+        assert chart.left_inverse() == [reference_solve_linear(basis, e) for e in identity]
