@@ -405,6 +405,8 @@ def cmd_tilde(args) -> int:
 def cmd_triangulate(args) -> int:
     t0 = time.monotonic()
     if args.kind == "grid":
+        if args.n < 1:
+            raise UsageError(f"triangulate grid needs --n of at least 1, got {args.n}")
         tri = grid_triangulation(args.n)
         inputs = {"kind": "grid", "n": args.n}
     else:
@@ -420,6 +422,8 @@ def cmd_triangulate(args) -> int:
             ) from exc
         if len({len(p) for p in points}) != 1:
             raise UsageError(f"{args.points}: points must be nonempty and of one dimension")
+        if len(heights) != len(points):
+            raise UsageError(f"{args.points}: {len(heights)} heights for {len(points)} points")
         tri = regular_triangulation(points, heights)
         inputs = {"kind": "regular", "points": args.points}
     report = Report("triangulate", inputs=inputs)

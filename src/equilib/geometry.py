@@ -10,8 +10,11 @@ complex into a triangulation without new vertices.
 
 All ambient coordinates are rational; simplices may live in a proper affine
 subspace (e.g. probability simplices), in which case computations run in an
-exact affine chart.  Arrangement-based operations are intended for ambient
-dimension <= 4; they are exponential in the hyperplane count by design.
+exact affine chart.  Lower hulls (regular triangulations, volumes, hull
+facets and vertices) are walked cell to cell by gift wrapping, and
+arrangements are built by splitting cells one hyperplane at a time, so
+both cost in proportion to the cells they produce; neither tries subsets
+of points or of hyperplanes.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .linalg import (
     ONE,
     ZERO,
     Chart,
+    _eliminate,
+    _integer_row,
     determinant,
     dot,
     frac_vec,
@@ -34,7 +39,6 @@ from .linalg import (
     matrix_rank,
     nullspace,
     solve_linear,
-    solve_unique,
     vec_sub,
     vertex_enumeration,
 )
@@ -135,14 +139,18 @@ def in_convex_hull(points: Sequence[Point], x: Sequence) -> bool:
 
 
 def extreme_points(points: Sequence[Point]) -> list[Point]:
-    """The vertices of conv(points), in input order."""
-    out = []
-    for i, p in enumerate(points):
-        others = [q for j, q in enumerate(points) if j != i and q != p]
-        if not in_convex_hull(others, p):
-            if p not in out:
-                out.append(p)
-    return out
+    """The vertices of conv(points), in input order (a repeated point once).
+
+    Read from one exact sign table of the points against the facets of
+    conv(points), which one lower-hull walk in the points' affine chart
+    finds (:func:`_triangulated_hull`): a point is a vertex exactly when
+    no other point lies on every facet through it.
+    """
+    if not points:
+        return []
+    chart = Chart(points)
+    local = [chart.to_local(p) for p in points]
+    return _hull_vertices(points, local, _triangulated_hull(local, chart.dim)[1])
 
 
 def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -238,9 +246,14 @@ class Triangulation:
     """A simplicial subdivision of a convex polytope.
 
     `vertices`: rational points; `maximal`: maximal simplices as sorted
-    vertex-index tuples; `polytope`: the covered polytope's vertex list.
-    Validity (exact volume cover + pairwise face intersections) is checked
-    by `validate`, which the public constructors call.
+    vertex-index tuples; `polytope`: the covered polytope's vertex list
+    (by default :func:`extreme_points` of the vertices).  Validity is
+    checked by `validate`, which the public constructors call: every
+    vertex on the inner side of every facet of conv(polytope), the cell
+    volumes adding up exactly to the polytope's, and pairwise face
+    intersections.  `validate` takes the facets and the volume from one
+    lower-hull walk over the polytope's own points, never from a stored
+    hull.
 
     A pair of cells meets in a common face when a facet halfspace
     h·x <= β of one cell has every vertex of the other at h·v >= β and
@@ -306,14 +319,21 @@ class Triangulation:
             if len(c) != self.dim + 1:
                 raise GeometryError(f"cell {c} is not full-dimensional")
             self.simplex(c)  # affine independence
+        hull = [self._local(p) for p in self.polytope]
+        hull_cells, facets = _triangulated_hull(hull, self.dim)
+        local = []
         for i, v in enumerate(self.vertices):
-            if not in_convex_hull(self.polytope, v):
+            try:
+                x = self._local(v)
+            except ValueError:
+                x = None  # off the polytope's affine hull
+            if x is None or any(dot(a, x) > b for a, b in facets):
                 raise GeometryError(f"vertex {i} lies outside the covered polytope")
-        local = [self._local(v) for v in self.vertices]
+            local.append(x)
         total = sum(
             (_simplex_volume([local[i] for i in c]) for c in self.maximal), ZERO
         )
-        target = volume_in_chart(self.polytope, self.chart)
+        target = sum((_simplex_volume([hull[i] for i in c]) for c in hull_cells), ZERO)
         if total != target:
             raise GeometryError(
                 f"simplex volumes sum to {total}, polytope volume is {target}"
@@ -455,48 +475,152 @@ class Triangulation:
 # --------------------------------------------------------------------------
 
 
-def _lower_hull_cells(
-    local_pts: Sequence[list[Fraction]], heights: Sequence[Fraction], d: int
-) -> list[Face]:
-    """Maximal cells (index tuples) of the lower envelope of lifted points.
+def _non_generic(tight: Iterable[int]) -> GeometryError:
+    return GeometryError(
+        f"non-generic height: lifted points {sorted(tight)} lie on a common lower hyperplane"
+    )
 
-    Raises GeometryError("non-generic ...") when some lifted point lies on
-    the supporting hyperplane of a lower cell it does not belong to.
+
+def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Face:
+    """One lower cell: a horizontal plane through the lowest lifted point, tilted.
+
+    Each tilt turns the plane about the lifted points it touches until it
+    meets another, so the touched set gains an affine dimension per tilt;
+    after at most d tilts it spans R^d and is a lower cell.
+    """
+    low = min(hs)
+    slack = [h - low for h in hs]  # above the plane at height `low`
+    while True:
+        tight = [j for j, s in enumerate(slack) if s == 0]
+        base = pts[tight[0]]
+        if len(tight) == 1:
+            normals = [[ONE] + [ZERO] * (d - 1)]
+        else:
+            normals = nullspace([vec_sub(pts[j], base) for j in tight[1:]])
+        if not normals:
+            break
+        # tilt about the touched points: slack_j changes by t·mu_j, mu affine
+        # and zero on them, and t stops where the first falling slack hits 0
+        mu = [dot(normals[0], vec_sub(p, base)) for p in pts]
+        if all(m >= 0 for m in mu):
+            mu = [-m for m in mu]
+        t = min(s / -m for s, m in zip(slack, mu) if m < 0)
+        slack = [s + t * m for s, m in zip(slack, mu)]
+    if len(tight) > d + 1:
+        raise _non_generic(tight)
+    return tuple(tight)
+
+
+def _lower_hull_cells(
+    local_pts: Sequence[Sequence[Fraction]], heights: Sequence[Fraction], d: int
+) -> tuple[list[Face], list[tuple[tuple[int, ...], int]]]:
+    """Maximal cells of the lower envelope of lifted points, and conv(points)' facets.
+
+    Gift wrapping (Chand & Kapur 1970) on integer-scaled coordinates.
+    From one lower cell (:func:`_first_lower_cell`), each cell is
+    certified by one elimination (:func:`linalg._eliminate`) that gives
+    every point's barycentric coordinates over the cell and its slack
+    above the cell's plane, all of which must be positive off the cell;
+    each ridge is then crossed by one ratio test, the least slack per unit
+    of barycentric coordinate lost beyond it.  A ridge with no point
+    beyond it spans a facet of conv(points).
+
+    Returns the cells as sorted index tuples in lexicographic order, and
+    the facets as integer-primitive halfspaces (a, b), a·x <= b on every
+    point, one per facet hyperplane.  Raises GeometryError("non-generic
+    ...") with every lifted point on the plane when more than d + 1
+    lifted points lie on a common lower hyperplane.
     """
     n = len(local_pts)
-    cells: list[Face] = []
-    for combo in itertools.combinations(range(n), d + 1):
-        # Affine lift function l with l(p_i) = h_i on the combo; it is unique
-        # exactly when the combo's points are affinely independent.
-        A = [list(local_pts[i]) + [ONE] for i in combo]
-        b = [heights[i] for i in combo]
-        coeffs = solve_unique(A, b)
-        if coeffs is None:
-            continue
-        grad, off = coeffs[:d], coeffs[d]
-        flat = []
-        ok = True
-        for j in range(n):
-            if j in combo:
+    scale = math.lcm(*[x.denominator for p in local_pts for x in p])
+    pts = [[x.numerator * (scale // x.denominator) for x in p] for p in local_pts]
+    hs, _ = _integer_row([Fraction(h) for h in heights])
+    units = [[int(r == k) for r in range(d + 1)] for k in range(d + 1)]
+    first = _first_lower_cell(pts, hs, d)
+    todo, seen = [first], {first}
+    facets: dict[tuple[tuple[int, ...], int], None] = {}
+    while todo:
+        cell = todo.pop()
+        # [M | I | Q], M's columns the cell's points and Q's all points, each
+        # with a trailing 1: reduced, row r holds det times λ_r as an affine
+        # function (over I) and at every point (over Q)
+        rows = [[pts[i][k] for i in cell] + units[k] + [p[k] for p in pts] for k in range(d)]
+        rows.append([1] * (d + 1) + units[d] + [1] * n)
+        T, _, det, _ = _eliminate(rows)
+        sign = 1 if det > 0 else -1
+        forms = [[sign * x for x in T[r][d + 1 : 2 * d + 2]] for r in range(d + 1)]
+        lam = [[sign * x for x in T[r][2 * d + 2 :]] for r in range(d + 1)]
+        slack = [
+            h * abs(det) - sum(hs[i] * lam[r][j] for r, i in enumerate(cell))
+            for j, h in enumerate(hs)
+        ]
+        tight = [j for j, s in enumerate(slack) if s == 0]
+        if len(tight) > d + 1:
+            raise _non_generic(tight)
+        if min(slack) < 0:
+            raise GeometryError(f"lower hull walk reached cell {cell} below a lifted point")
+        for r in range(d + 1):
+            beyond = [j for j in range(n) if lam[r][j] < 0]
+            if not beyond:
+                a = [-scale * x for x in forms[r][:d]]
+                g = math.gcd(*a, forms[r][d])
+                facets[(tuple(x // g for x in a), forms[r][d] // g)] = None
                 continue
-            val = heights[j] - (dot(grad, local_pts[j]) + off)
-            if val < 0:
-                ok = False
-                break
-            if val == 0:
-                flat.append(j)
-        if not ok:
-            continue
-        if flat:
-            raise GeometryError(
-                "non-generic height: lifted points "
-                f"{sorted(set(combo) | set(flat))} lie on a common lower hyperplane"
-            )
-        cells.append(tuple(combo))
-    return cells
+            j = beyond[0]
+            for k in beyond[1:]:
+                # slack_k / -lam_k below slack_j / -lam_j, cross-multiplied
+                if slack[k] * lam[r][j] > slack[j] * lam[r][k]:
+                    j = k
+            nxt = tuple(sorted([i for q, i in enumerate(cell) if q != r] + [j]))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return sorted(seen), list(facets)
 
 
 _GENERIC_SCHEDULE = [Fraction(1, 10**k) for k in range(1, 9)]
+
+
+def _triangulated_hull(
+    local: Sequence[Sequence[Fraction]], d: int
+) -> tuple[list[Face], list[tuple[tuple[int, ...], int]]]:
+    """A triangulation of conv(local) on its own points, and its facet halfspaces.
+
+    `local` are coordinates in a d-dimensional chart.  The cells are the
+    lower hull of the paraboloid lift, perturbed until generic; both lists
+    are empty when the points do not span the chart.
+    """
+    if d == 0:
+        return [(0,)], []
+    if matrix_rank([vec_sub(p, local[0]) for p in local[1:]]) < d:
+        return [], []
+    base = [sum((x * x for x in lp), ZERO) for lp in local]
+    for eps in _GENERIC_SCHEDULE:
+        heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
+        try:
+            return _lower_hull_cells(local, heights, d)
+        except GeometryError:
+            continue
+    raise GeometryError("could not find a generic height for the point set")
+
+
+def _hull_vertices(
+    points: Sequence[Point],
+    local: Sequence[Sequence[Fraction]],
+    facets: Sequence[tuple[tuple[int, ...], int]],
+) -> list[Point]:
+    """The vertices of conv(points), in input order, from its facet halfspaces.
+
+    `local` are the points' chart coordinates, in which `facets` are given.
+    A point is a vertex exactly when no other point lies on every facet
+    through it.
+    """
+    on = [sum(1 << k for k, (a, b) in enumerate(facets) if dot(a, x) == b) for x in local]
+    out: list[Point] = []
+    for p, m in zip(points, on):
+        if p not in out and not any(q != p and f & m == m for q, f in zip(points, on)):
+            out.append(p)
+    return out
 
 
 def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
@@ -507,20 +631,8 @@ def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
     same scale.
     """
     local = [chart.to_local(as_point(p)) for p in points]
-    d = chart.dim
-    if d == 0:
-        return ONE
-    if matrix_rank([vec_sub(p, local[0]) for p in local[1:]]) < d:
-        return ZERO
-    base = [sum((x * x for x in lp), ZERO) for lp in local]
-    for eps in _GENERIC_SCHEDULE:
-        heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
-        try:
-            cells = _lower_hull_cells(local, heights, d)
-        except GeometryError:
-            continue
-        return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
-    raise GeometryError("could not find a generic height for the point set")
+    cells, _ = _triangulated_hull(local, chart.dim)
+    return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +650,8 @@ def regular_triangulation(
     Every cell's lifted vertices span a hyperplane with all other lifted
     points strictly above (certified during construction); a lifted point on
     a foreign lower hyperplane means the height is non-generic and is
-    reported with the flat witness.
+    reported with the flat witness.  The polytope's vertices are read from
+    the hull facets the same walk finds.
     """
     pts = [as_point(p) for p in points]
     if isinstance(h, Mapping):
@@ -552,15 +665,14 @@ def regular_triangulation(
     d = chart.dim
     if d == 0:
         return Triangulation([pts[0]], [(0,)], [pts[0]])
-    cells = _lower_hull_cells(local, heights, d)
+    cells, facets = _lower_hull_cells(local, heights, d)
     used = sorted({i for c in cells for i in c})
     remap = {i: j for j, i in enumerate(used)}
-    tri = Triangulation(
+    return Triangulation(
         [pts[i] for i in used],
         [tuple(remap[i] for i in c) for c in cells],
-        extreme_points(pts),
+        _hull_vertices(pts, local, facets),
     )
-    return tri
 
 
 # --------------------------------------------------------------------------
@@ -750,16 +862,14 @@ def _poly_intersection(a: PolyCell, b: PolyCell):
 
 def _primitive(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
     """Canonical integer-primitive form of the hyperplane a·x = b (sign-fixed)."""
-    from math import gcd
-
     coefs = [Fraction(x) for x in a] + [Fraction(b)]
     denom = 1
     for c in coefs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
     ints = [int(c * denom) for c in coefs]
     g = 0
     for v in ints:
-        g = gcd(g, abs(v))
+        g = math.gcd(g, abs(v))
     if g:
         ints = [v // g for v in ints]
     lead = next((v for v in ints[:-1] if v != 0), 0)
@@ -801,45 +911,75 @@ def simplex_facet_halfspaces(
 
 def _arrangement_cells(
     base_hrep: list[tuple[tuple[Fraction, ...], Fraction]],
+    base_vertices: Sequence[Sequence[Fraction]],
     hyperplanes: list[tuple[tuple[Fraction, ...], Fraction]],
     dim: int,
 ) -> list[tuple[list[tuple[tuple[Fraction, ...], Fraction]], list[list[Fraction]]]]:
     """Full-dimensional cells of the arrangement inside the base polytope.
 
-    Returns (H-rep rows, vertex list) pairs in chart coordinates.
+    Double-description splits (Motzkin et al. 1953; Fukuda & Prodon 1996):
+    the hyperplanes cut every current cell one at a time.  A cell with
+    vertices strictly on both sides of a·x = b splits in two; each side
+    keeps its own vertices and those on the hyperplane, plus one new vertex
+    on every edge that crosses it.  Two vertices span an edge when no third
+    vertex is tight on every row tight at both (and at least dim - 1 are).
+
+    Returns (H-rep rows, vertex list) pairs in chart coordinates.  A cell's
+    rows are the base's followed by one side of every hyperplane, (a, b)
+    or its negation, the cells ordered by those sides with (a, b) first;
+    its vertices are in `vertex_enumeration`'s order, that of the greedy
+    (lexicographically first) independent set of their tight rows.
     """
-    cells = []
-    seen: set[frozenset] = set()
+    # a cell is (rows, [(vertex, bit mask of the rows tight there)])
+    cells = [(
+        list(base_hrep),
+        [
+            (list(v), sum(1 << k for k, (a, b) in enumerate(base_hrep) if dot(a, v) == b))
+            for v in base_vertices
+        ],
+    )]
+    for k, (a, b) in enumerate(hyperplanes, start=len(base_hrep)):
+        bit = 1 << k
+        neg = (tuple(-x for x in a), -b)
+        split = []
+        for rows, verts in cells:
+            values = [dot(a, v) - b for v, _ in verts]
+            below = [i for i, x in enumerate(values) if x < 0]
+            above = [i for i, x in enumerate(values) if x > 0]
+            # the vertices both sides keep: those on the hyperplane, and one
+            # on every edge that crosses it
+            shared = [(v, m | bit) for (v, m), x in zip(verts, values) if x == 0]
+            for i in below:
+                for j in above:
+                    common = verts[i][1] & verts[j][1]
+                    if common.bit_count() < dim - 1 or any(
+                        m & common == common
+                        for z, (_, m) in enumerate(verts)
+                        if z != i and z != j
+                    ):
+                        continue  # not an edge
+                    t = values[i] / (values[i] - values[j])
+                    u, w = verts[i][0], verts[j][0]
+                    shared.append(([p + t * (q - p) for p, q in zip(u, w)], common | bit))
+            if below:
+                split.append((rows + [(a, b)], [verts[i] for i in below] + shared))
+            if above:
+                split.append((rows + [neg], [verts[i] for i in above] + shared))
+        cells = split
 
-    def feasible_full_dim(rows):
-        A = [list(a) for a, _ in rows]
-        b = [beta for _, beta in rows]
-        verts = vertex_enumeration(A, b)
-        if not verts:
-            return None
-        if Chart(verts).dim != dim:
-            return None
-        return verts
+    normals = [a for a, _ in base_hrep] + [a for a, _ in hyperplanes]
+    keys: dict[tuple, tuple[int, ...]] = {}
 
-    def recurse(rows, k):
-        if k == len(hyperplanes):
-            verts = feasible_full_dim(rows)
-            if verts is not None:
-                key = frozenset(tuple(v) for v in verts)
-                if key not in seen:
-                    seen.add(key)
-                    cells.append((rows, verts))
-            return
-        a, b = hyperplanes[k]
-        neg = tuple(-x for x in a)
-        for extra in ((a, b), (neg, -b)):
-            rows2 = rows + [extra]
-            # prune infeasible/flat branches early
-            if feasible_full_dim(rows2) is not None:
-                recurse(rows2, k + 1)
+    def greedy_basis(vertex: tuple[list[Fraction], int]) -> tuple[int, ...]:
+        v, mask = vertex
+        key = keys.get(tuple(v))
+        if key is None:
+            tight = [r for r in range(mask.bit_length()) if mask >> r & 1]
+            pivots = _eliminate(zip(*[normals[r] for r in tight]))[1]
+            key = keys[tuple(v)] = tuple(tight[j] for j in pivots)
+        return key
 
-    recurse(list(base_hrep), 0)
-    return cells
+    return [(rows, [v for v, _ in sorted(verts, key=greedy_basis)]) for rows, verts in cells]
 
 
 def _cells_to_complex(
@@ -901,7 +1041,7 @@ def hyperplane_extension_subdivision(
                         f"extended hyperplane {a}·x = {b}"
                     )
     base_hrep = simplex_facet_halfspaces(local_base, d)
-    raw = _arrangement_cells(base_hrep, hyperplanes, d)
+    raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
     pc = _cells_to_complex(chart, raw, base.vertices)
     pc.validate()
     return pc
@@ -1224,7 +1364,7 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
             hyperplanes.append(hp)
     local_base = [chart.to_local(p) for p in tri.polytope]
     base_hrep = simplex_facet_halfspaces(local_base, d)
-    raw = _arrangement_cells(base_hrep, hyperplanes, d)
+    raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
     pc = _cells_to_complex(chart, raw, tri.polytope)
     pc.validate()
 
@@ -1365,6 +1505,8 @@ def affine_below_except_marked(
 
 def grid_triangulation(n: int) -> Triangulation:
     """The n x n unit-square grid with all squares split along one diagonal."""
+    if n < 1:
+        raise GeometryError(f"grid size n must be at least 1, got {n}")
     verts = [(Fraction(i), Fraction(j)) for j in range(n + 1) for i in range(n + 1)]
 
     def idx(i, j):

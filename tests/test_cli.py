@@ -434,6 +434,16 @@ MALFORMED_GEOMETRY_INPUTS = {
         {"points": [["0", "0"], ["1"]], "heights": ["0", "1"]},
     ),
     "points-empty": (["triangulate", "regular", "--points"], {"points": [], "heights": []}),
+    "points-with-too-few-heights": (
+        ["triangulate", "regular", "--points"],
+        {"points": [["0", "0"], ["1", "0"], ["0", "1"]], "heights": ["0", "1"]},
+    ),
+    "points-with-too-many-heights": (
+        ["triangulate", "regular", "--points"],
+        {"points": [["0", "0"], ["1", "0"], ["0", "1"]], "heights": ["0", "1", "2", "3"]},
+    ),
+    "grid-of-size-0": (["triangulate", "grid", "--n", "0"], None),
+    "grid-of-negative-size": (["triangulate", "grid", "--n", "-2"], None),
     "spec-offset-too-short": (
         ["degree-oracle"],
         {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0"], "box": [["-1", "1"], ["-1", "1"]]},
@@ -455,6 +465,16 @@ def test_malformed_geometry_input_exits_2(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("usage error: ") for line in err.splitlines()), err
+
+
+def test_flat_regular_lift_exits_1_naming_every_point(tmp_path, capsys):
+    square = [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
+    path = write_json(tmp_path / "points.json", {"points": square, "heights": ["0", "1", "1", "2"]})
+    assert main(["triangulate", "regular", "--points", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failure: non-generic height: lifted points [0, 1, 2, 3] "
+        "lie on a common lower hyperplane"
+    ]
 
 
 def test_params_file_not_an_object_exits_2(km_file, tmp_path, capsys):

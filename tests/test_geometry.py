@@ -14,6 +14,7 @@ from equilib.geometry import (
     _poly_intersection,
     affine_below_except_marked,
     el_refinement,
+    extreme_points,
     generalized_barycentric_subdivision,
     grid_triangulation,
     hyperplane_extension_subdivision,
@@ -22,7 +23,9 @@ from equilib.geometry import (
     regular_triangulation,
     simplex_facet_halfspaces,
     triangulate_without_new_vertices,
+    volume_in_chart,
 )
+from equilib.linalg import Chart
 
 F = Fraction
 
@@ -154,6 +157,47 @@ def test_regular_triangulation_flat_height_reported():
     pts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
     with pytest.raises(GeometryError):
         regular_triangulation(pts, [F(0)] * 4)
+
+
+UNIT_SQUARE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(2), F(2))],
+        [(F(x), F(y)) for x in range(3) for y in range(3)],
+    ],
+    ids=["square", "lattice3"],
+)
+def test_cospherical_hulls(points):
+    # every point set here lies on one circle or is a lattice of such squares,
+    # so the paraboloid lift is flat on whole squares until it is perturbed
+    assert extreme_points(points) == [p for p in points if set(p) <= {F(0), F(2)}]
+    assert volume_in_chart(points, Chart(UNIT_SQUARE[:3])) == 4
+
+
+@pytest.mark.parametrize(
+    "vertices,maximal,polytope",
+    [
+        (UNIT_SQUARE[:3] + [(F(2), F(2))], [(0, 1, 2), (1, 2, 3)], UNIT_SQUARE),
+        (
+            [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))],
+            [(0, 1, 2)],
+            [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0))],
+        ),
+    ],
+    ids=["outside-the-square", "off-the-affine-hull"],
+)
+def test_vertex_outside_the_polytope_rejected(vertices, maximal, polytope):
+    with pytest.raises(GeometryError, match="^vertex 3 lies outside the covered polytope$"):
+        Triangulation(vertices, maximal, polytope)
+
+
+def test_grid_size_below_one_rejected():
+    for n in (0, -1):
+        with pytest.raises(GeometryError, match=f"grid size n must be at least 1, got {n}"):
+            grid_triangulation(n)
 
 
 # -- subdivisions and refinements -----------------------------------------

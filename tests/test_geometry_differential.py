@@ -1,0 +1,390 @@
+"""The lower-hull walk, the arrangement splits and the facet-based hull
+against the subset loops they replaced.
+
+`reference_lower_hull_cells`, `reference_arrangement_cells` and
+`reference_extreme_points` are the previous implementations, kept verbatim
+as oracles: every (d+1)-subset of the lifted points tried as a lower cell;
+the arrangement recursed one hyperplane at a time with a brute-force vertex
+enumeration at every node; and one LP per point for the hull's vertices.
+"""
+
+import functools
+import itertools
+import random
+import re
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+
+from equilib.geometry import (
+    Face,
+    GeometryError,
+    Point,
+    Triangulation,
+    _arrangement_cells,
+    _lower_hull_cells,
+    extreme_points,
+    hyperplane_through,
+    in_convex_hull,
+    simplex_facet_halfspaces,
+)
+from equilib.linalg import ONE, Chart, dot, solve_unique, vertex_enumeration
+
+F = Fraction
+
+
+# -- the oracles, as they were ----------------------------------------------
+
+
+def reference_extreme_points(points: Sequence[Point]) -> list[Point]:
+    """The vertices of conv(points), in input order."""
+    out = []
+    for i, p in enumerate(points):
+        others = [q for j, q in enumerate(points) if j != i and q != p]
+        if not in_convex_hull(others, p):
+            if p not in out:
+                out.append(p)
+    return out
+
+
+def reference_lower_hull_cells(
+    local_pts: Sequence[list[Fraction]], heights: Sequence[Fraction], d: int
+) -> list[Face]:
+    """Maximal cells (index tuples) of the lower envelope of lifted points.
+
+    Raises GeometryError("non-generic ...") when some lifted point lies on
+    the supporting hyperplane of a lower cell it does not belong to.
+    """
+    n = len(local_pts)
+    cells: list[Face] = []
+    for combo in itertools.combinations(range(n), d + 1):
+        # Affine lift function l with l(p_i) = h_i on the combo; it is unique
+        # exactly when the combo's points are affinely independent.
+        A = [list(local_pts[i]) + [ONE] for i in combo]
+        b = [heights[i] for i in combo]
+        coeffs = solve_unique(A, b)
+        if coeffs is None:
+            continue
+        grad, off = coeffs[:d], coeffs[d]
+        flat = []
+        ok = True
+        for j in range(n):
+            if j in combo:
+                continue
+            val = heights[j] - (dot(grad, local_pts[j]) + off)
+            if val < 0:
+                ok = False
+                break
+            if val == 0:
+                flat.append(j)
+        if not ok:
+            continue
+        if flat:
+            raise GeometryError(
+                "non-generic height: lifted points "
+                f"{sorted(set(combo) | set(flat))} lie on a common lower hyperplane"
+            )
+        cells.append(tuple(combo))
+    return cells
+
+
+def reference_arrangement_cells(
+    base_hrep: list[tuple[tuple[Fraction, ...], Fraction]],
+    hyperplanes: list[tuple[tuple[Fraction, ...], Fraction]],
+    dim: int,
+) -> list[tuple[list[tuple[tuple[Fraction, ...], Fraction]], list[list[Fraction]]]]:
+    """Full-dimensional cells of the arrangement inside the base polytope.
+
+    Returns (H-rep rows, vertex list) pairs in chart coordinates.
+    """
+    cells = []
+    seen: set[frozenset] = set()
+
+    def feasible_full_dim(rows):
+        A = [list(a) for a, _ in rows]
+        b = [beta for _, beta in rows]
+        verts = vertex_enumeration(A, b)
+        if not verts:
+            return None
+        if Chart(verts).dim != dim:
+            return None
+        return verts
+
+    def recurse(rows, k):
+        if k == len(hyperplanes):
+            verts = feasible_full_dim(rows)
+            if verts is not None:
+                key = frozenset(tuple(v) for v in verts)
+                if key not in seen:
+                    seen.add(key)
+                    cells.append((rows, verts))
+            return
+        a, b = hyperplanes[k]
+        neg = tuple(-x for x in a)
+        for extra in ((a, b), (neg, -b)):
+            rows2 = rows + [extra]
+            # prune infeasible/flat branches early
+            if feasible_full_dim(rows2) is not None:
+                recurse(rows2, k + 1)
+
+    recurse(list(base_hrep), 0)
+    return cells
+
+
+# -- lower hulls ------------------------------------------------------------
+
+
+def lower_planes(local, heights, d):
+    """Tight sets of every lower supporting plane through d+1 independent lifts."""
+    planes = set()
+    for combo in itertools.combinations(range(len(local)), d + 1):
+        A = [list(local[i]) + [ONE] for i in combo]
+        coeffs = solve_unique(A, [heights[i] for i in combo])
+        if coeffs is None:
+            continue
+        slack = [h - dot(coeffs[:d], p) - coeffs[d] for p, h in zip(local, heights)]
+        if min(slack) >= 0:
+            planes.add(frozenset(j for j, s in enumerate(slack) if s == 0))
+    return planes
+
+
+def lattice(*sizes):
+    return [[F(x) for x in p] for p in itertools.product(*(range(s) for s in sizes))]
+
+
+def rational_points(rng, n, d, den=4):
+    return [[F(rng.randint(-8, 8), rng.randint(1, den)) for _ in range(d)] for _ in range(n)]
+
+
+def lifts():
+    """Seeded (label, points, heights, d): generic and non-generic lifts in 1-3 D."""
+    rng = random.Random(20)
+    out = []
+    for k in range(12):
+        pts = rational_points(rng, rng.randint(2, 8), 1)
+        out.append((f"line{k}", pts, [F(rng.randint(0, 60), 7) for _ in pts], 1))
+    for k in range(6):
+        pts = lattice(4, 4)
+        out.append((f"lattice4-{k}", pts, [F(rng.randint(1, 1000), 997) for _ in pts], 2))
+    for k in range(2):
+        pts = lattice(5, 5)
+        out.append((f"lattice5-{k}", pts, [F(rng.randint(1, 1000), 997) for _ in pts], 2))
+    for k in range(12):
+        pts = rational_points(rng, rng.randint(3, 10), 2)
+        out.append((f"plane{k}", pts, [F(rng.randint(0, 300), 11) for _ in pts], 2))
+    for k in range(8):
+        pts = rational_points(rng, rng.randint(4, 9), 3, den=2)
+        out.append((f"space{k}", pts, [F(rng.randint(0, 300), 13) for _ in pts], 3))
+    for k in range(2):
+        pts = lattice(3, 2, 2)
+        out.append((f"lattice322-{k}", pts, [F(rng.randint(1, 1000), 997) for _ in pts], 3))
+    # non-generic: few height values on lattices, cospherical lifts, one flat
+    # lower facet planted in a generic lift, and the square's corners
+    for k in range(10):
+        pts = lattice(3, 3)
+        out.append((f"ties{k}", pts, [F(rng.randint(0, 2)) for _ in pts], 2))
+    for sizes in ((3, 3), (4, 4), (2, 3), (2, 2, 2)):
+        pts = lattice(*sizes)
+        out.append((f"paraboloid{sizes}", pts, [dot(p, p) for p in pts], len(sizes)))
+    for k in range(8):
+        pts = lattice(4, 4)
+        heights = [F(rng.randint(100, 1000), 97) for _ in pts]
+        for i in rng.sample(range(len(pts)), 4):  # four on one low plane
+            heights[i] = pts[i][0] - 2 * pts[i][1]
+        out.append((f"planted{k}", pts, heights, 2))
+    out.append(("square", lattice(2, 2), [F(0), F(1), F(1), F(2)], 2))
+    out.append(("repeated", [[F(0)], [F(1)], [F(1)], [F(2)]], [F(1), F(0), F(0), F(1)], 1))
+    return out
+
+
+LIFTS = {label: (local, heights, d) for label, local, heights, d in lifts()}
+
+
+@functools.cache
+def degenerate_planes(label):
+    """Tight sets of the lower planes through more than d+1 lifted points."""
+    local, heights, d = LIFTS[label]
+    return [t for t in lower_planes(local, heights, d) if len(t) > d + 1]
+
+
+@pytest.mark.parametrize("label", LIFTS)
+def test_lower_hull_walk_matches_subset_loop(label):
+    local, heights, d = LIFTS[label]
+    try:
+        expected = reference_lower_hull_cells(local, heights, d)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as raised:
+            _lower_hull_cells(local, heights, d)
+        witness = re.search(r"\[([\d, ]*)\]", str(raised.value)).group(1)
+        assert frozenset(int(i) for i in witness.split(", ")) in degenerate_planes(label)
+        if len(degenerate_planes(label)) == 1:
+            assert str(raised.value) == str(exc)
+        return
+    cells, facets = _lower_hull_cells(local, heights, d)
+    assert cells == expected
+    # every facet halfspace holds on all points and is tight on d of them
+    for a, b in facets:
+        values = [dot(a, p) - b for p in local]
+        assert max(values) == 0
+        assert Chart([p for p, v in zip(local, values) if v == 0]).dim == d - 1
+
+
+def test_lifts_reach_the_non_generic_path():
+    families = ("ties", "paraboloid", "planted", "square", "repeated")
+    raised = [label for label in LIFTS if label.startswith(families)]
+    raised = [label for label in raised if degenerate_planes(label)]
+    assert len(raised) >= 15
+    # several with one flat lower facet, where the witnesses must agree
+    assert sum(len(degenerate_planes(label)) == 1 for label in raised) >= 5
+
+
+# -- arrangements -----------------------------------------------------------
+
+
+def triangle_refinement(rng, corners, splits):
+    tri = Triangulation(corners, [tuple(range(len(corners)))])
+    for _ in range(splits):
+        tri = tri.split_edge(tuple(rng.choice(tri.faces_of_dim(1))))
+    return tri
+
+
+def el_inputs(tri):
+    """The arrangement `el_refinement` builds for a triangulated simplex."""
+    chart, d = tri.chart, tri.dim
+    hyperplanes = []
+    for f in tri.faces_of_dim(d - 1):
+        hp = hyperplane_through([chart.to_local(tri.vertices[i]) for i in f], d)
+        if hp not in hyperplanes:
+            hyperplanes.append(hp)
+    base = [chart.to_local(p) for p in tri.polytope]
+    return base, hyperplanes, d
+
+
+def extension_inputs(rng, d, simplices):
+    """Facet hyperplanes of small simplices inside the unit simplex.
+
+    These are the arrangements `hyperplane_extension_subdivision` builds.
+    """
+    corners = [[F(0)] * d] + [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    hyperplanes = []
+    for _ in range(simplices):
+        while True:
+            pts = [[F(rng.randint(1, 8), 16 * d) for _ in range(d)] for _ in range(d + 1)]
+            if Chart(pts).dim == d:
+                break
+        for i in range(d + 1):
+            hp = hyperplane_through([p for j, p in enumerate(pts) if j != i], d)
+            if hp not in hyperplanes:
+                hyperplanes.append(hp)
+    return corners, hyperplanes, d
+
+
+def through_points_inputs(rng, d, count):
+    """Hyperplanes through lattice points of the simplex, base corners included."""
+    corners = [[F(0)] * d] + [[F(4 * int(i == j)) for j in range(d)] for i in range(d)]
+    points = [p for p in lattice(*[5] * d) if sum(p) <= 4]
+    hyperplanes = []
+    while len(hyperplanes) < count:
+        pts = rng.sample(points, d)
+        if Chart(pts).dim != d - 1:
+            continue
+        hp = hyperplane_through(pts, d)
+        if hp not in hyperplanes:
+            hyperplanes.append(hp)
+    return corners, hyperplanes, d
+
+
+def arrangements():
+    rng = random.Random(7)
+    out = []
+    for k in range(30):
+        corners = [
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)) for _ in range(3)
+        ]
+        if Chart(corners).dim < 2:
+            continue
+        out.append((f"el2-{k}", *el_inputs(triangle_refinement(rng, corners, rng.randint(1, 3)))))
+    for k in range(8):
+        corners = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+        out.append((f"el3-{k}", *el_inputs(triangle_refinement(rng, corners, 1))))
+    for k in range(4):  # a triangle in R^3, worked in its 2-D chart
+        corners = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+        out.append((f"el-simplex-{k}", *el_inputs(triangle_refinement(rng, corners, 2))))
+    for k in range(20):
+        out.append((f"extension2-{k}", *extension_inputs(rng, 2, rng.randint(1, 2))))
+    for k in range(8):
+        out.append((f"extension3-{k}", *extension_inputs(rng, 3, 1)))
+    for k in range(25):
+        out.append((f"through2-{k}", *through_points_inputs(rng, 2, rng.randint(2, 6))))
+    for k in range(10):
+        out.append((f"through3-{k}", *through_points_inputs(rng, 3, rng.randint(2, 4))))
+    return out
+
+
+ARRANGEMENTS = arrangements()
+
+
+def test_arrangement_inputs_cover_the_cases():
+    assert len(ARRANGEMENTS) >= 100
+    in_space = ("el3", "extension3", "through3")
+    assert sum(label.startswith(in_space) for label, *_ in ARRANGEMENTS) >= 20
+
+
+@pytest.mark.parametrize(
+    "label,base,hyperplanes,d", ARRANGEMENTS, ids=[c[0] for c in ARRANGEMENTS]
+)
+def test_arrangement_splits_match_recursion(label, base, hyperplanes, d):
+    base_hrep = simplex_facet_halfspaces(base, d)
+    expected = reference_arrangement_cells(base_hrep, hyperplanes, d)
+    assert _arrangement_cells(base_hrep, base, hyperplanes, d) == expected
+
+
+# -- hull vertices ----------------------------------------------------------
+
+
+def point_sets():
+    rng = random.Random(3)
+    out = [("single", [(F(1), F(2))]), ("single-repeated", [(F(1), F(2), F(0))] * 3)]
+    for k in range(15):
+        pts = [
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2))
+            for _ in range(rng.randint(2, 9))
+        ]
+        pts += rng.sample(pts, rng.randint(0, 2))  # duplicates
+        out.append((f"plane{k}", pts))
+    for k in range(6):
+        # collinear points, in R^2 and R^3
+        direction = [rng.randint(-3, 3) for _ in range(3)]
+        start = [rng.randint(-3, 3) for _ in range(3)]
+        if not any(direction):
+            direction[0] = 1
+        dims = 2 + k % 2
+        pts = [
+            tuple(F(s + t * v, 2) for s, v in zip(start[:dims], direction[:dims]))
+            for t in rng.sample(range(-5, 6), 5)
+        ]
+        out.append((f"collinear{k}", pts))
+    for k in range(6):
+        # planar sets in R^3, through a probability simplex and a tilted plane
+        pts = []
+        for _ in range(rng.randint(3, 8)):
+            x, y = F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4)
+            pts.append((x, y, 1 - x - y) if k % 2 else (x, y, 2 * x - y + 1))
+        pts += rng.sample(pts, 1)
+        out.append((f"planar{k}", pts))
+    for k in range(5):
+        pts = [tuple(F(rng.randint(-2, 2)) for _ in range(3)) for _ in range(rng.randint(4, 10))]
+        out.append((f"space{k}", pts))
+    out.append(("square", [(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(2), F(2))]))
+    out.append(("lattice3", [(F(x), F(y)) for x in range(3) for y in range(3)]))
+    return out
+
+
+POINT_SETS = point_sets()
+
+
+@pytest.mark.parametrize("label,points", POINT_SETS, ids=[c[0] for c in POINT_SETS])
+def test_extreme_points_match_the_lp(label, points):
+    assert extreme_points(points) == reference_extreme_points(points)
+
