@@ -180,6 +180,23 @@ def _load_json(path: str):
             ) from exc
 
 
+def _load_triangulation(path: str) -> Triangulation:
+    """Read and validate a `.tri` file.
+
+    Malformed records (a cell index naming no vertex, vertices of mixed
+    dimension) are usage errors; a well-formed file whose cells do not
+    subdivide the polytope fails validation, a verification failure.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        tri = Triangulation.deserialize(text, validate=False)
+    except GeometryError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    tri.validate()
+    return tri
+
+
 def load_params(path: str) -> PipelineParams:
     data = _load_json(path)
     if not isinstance(data, dict) or "eps" not in data:
@@ -373,8 +390,7 @@ def cmd_tilde(args) -> int:
     game = load_game(args.game)
     tris = []
     for path in args.triangulation:
-        with open(path) as fh:
-            tris.append(Triangulation.deserialize(fh.read()))
+        tris.append(_load_triangulation(path))
     tg = build_tilde_game(game, tris)
     report = Report(
         "tilde",
@@ -443,16 +459,13 @@ def cmd_triangulate(args) -> int:
 
 def cmd_el_refine(args) -> int:
     t0 = time.monotonic()
-    with open(args.triangulation) as fh:
-        tri = Triangulation.deserialize(fh.read())
+    tri = _load_triangulation(args.triangulation)
     complex_, gamma = el_refinement(tri)
+    values = [gamma.value(v) for v in complex_.all_vertices()]
     report = Report("el-refine", inputs={"triangulation": args.triangulation})
     report.results = {
         "num_cells": len(complex_.cells),
-        "gamma_range": [
-            format_rational(min(gamma.value(v) for v in complex_.all_vertices())),
-            format_rational(max(gamma.value(v) for v in complex_.all_vertices())),
-        ],
+        "gamma_range": [format_rational(min(values)), format_rational(max(values))],
     }
     report.certifications.append(
         "gamma is linear on every cell and non-linear across interior facets"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -31,6 +32,7 @@ from .linalg import (
     Chart,
     _eliminate,
     _integer_row,
+    _reduce,
     determinant,
     dot,
     frac_vec,
@@ -166,55 +168,108 @@ def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _bits(mask: int) -> frozenset[int]:
+    """The positions of the set bits of `mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _integer_grid(points: Sequence[Optional[Sequence[Fraction]]]) -> tuple[list, int]:
+    """The points scaled to integers by one common factor, and that factor.
+
+    A None entry (a point the caller could not place) stays None.
+    """
+    scale = math.lcm(*[x.denominator for p in points if p is not None for x in p])
+    return [
+        None if p is None else [x.numerator * (scale // x.denominator) for x in p]
+        for p in points
+    ], scale
+
+
+def _barycentric_table(pts: Sequence[Sequence[int]], cell: Face) -> tuple[int, list[list[int]]]:
+    """|det| of a simplex and every point's barycentric coordinates over it, scaled.
+
+    `pts` are integer coordinates in a chart of the simplex's dimension d
+    and `cell` indexes d + 1 of them.  One elimination of
+    [cell points, 1 | all points, 1] reduces the left block to det times
+    the identity, leaving det·λ_r(p) in row r at every point p.  Returns
+    (|det|, lam) with lam[r][j] = |det|·λ_r(p_j), the determinant being
+    that of the cell's points with a row of ones (0, and no table, when
+    they are affinely dependent).
+    """
+    d = len(cell) - 1
+    rows = [[pts[i][k] for i in cell] + [p[k] for p in pts] for k in range(d)]
+    rows.append([1] * (d + 1 + len(pts)))
+    pivots, det, _ = _reduce(rows)
+    if pivots != list(range(d + 1)):
+        return 0, []
+    if det < 0:
+        return -det, [[-x for x in row[d + 1 :]] for row in rows]
+    return det, [row[d + 1 :] for row in rows]
+
+
+def _sign_masks(values: Iterable[int]) -> tuple[int, int]:
+    """(beyond, inside) bit masks of a halfspace a·x <= b from a·p − b at each point."""
+    beyond = inside = 0
+    for j, x in enumerate(values):
+        if x > 0:
+            beyond |= 1 << j
+        elif x < 0:
+            inside |= 1 << j
+    return beyond, inside
+
+
+def _facet_rows(lam: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Sign rows of a simplex's facet halfspaces λ_r >= 0, from its barycentric table."""
+    return [_sign_masks([-x for x in row]) for row in lam]
 
 
 class _Separation:
     """Exact certificates that two cells of a subdivision meet in a face.
 
-    `cells` are vertex-index tuples into `points`; `cell_rows[k]` lists
-    halfspaces (a, b), meaning a·x <= b, that hold on cell k.  Each
-    halfspace is evaluated at every point once; a hyperplane that two cells
-    bound from opposite sides is evaluated once for both.
+    `cells` are vertex-index tuples into `points`; `cell_rows[k]` lists the
+    sign rows of halfspaces that hold on cell k, each a pair of bit masks
+    over the points: (beyond, inside), bit j set when point j lies strictly
+    beyond the halfspace's hyperplane, or strictly inside.  The rows are
+    integer evaluations made by the caller: barycentric coordinates from one
+    elimination per simplex (:class:`Triangulation`), or the cells' own
+    halfspaces on an integer grid (:class:`PolyhedralComplex`).
     """
 
     def __init__(self, points, cells, cell_rows):
         self.points = points
-        self.cells = cells
-        known: dict = {}
-
-        def signs(a, b):
-            row = known.get((a, b))
-            if row is None:
-                neg = known.get((tuple(-x for x in a), -b))
-                if neg is None:
-                    row = [_sign(dot(a, p) - b) for p in points]
-                else:
-                    row = [-s for s in neg]
-                known[(a, b)] = row
-            return row
-
-        self.signs = [[signs(a, b) for a, b in rows] for rows in cell_rows]
+        self.masks = [sum(1 << v for v in set(c)) for c in cells]
+        self.rows = cell_rows
+        # every hyperplane of the complex once; a row and its flip are one
+        self.hyperplanes = list(
+            dict.fromkeys(min(row, row[::-1]) for rows in cell_rows for row in rows)
+        )
 
     def meet(self, i: int, j: int) -> Optional[frozenset[int]]:
         """Vertices spanning conv(cell i) ∩ conv(cell j), or None if uncertified.
 
-        A halfspace h·x <= β of one cell certifies the pair when every
-        vertex of the other cell has h·v >= β and those with h·v = β are
-        among the first cell's own vertices on h·x = β.  The cells then
-        meet inside the hyperplane, in the convex hull of those vertices:
-        a face of the second cell lying in a face of the first.  An empty
-        set means the cells are disjoint.
+        A hyperplane H of the complex certifies the pair when the two
+        cells' vertices lie on opposite closed sides of it and one cell's
+        vertices on H are among the other's.  Each cell meets H in the hull
+        of its own vertices on H (a face, as H supports it), so the cells
+        meet in the hull of the smaller set: a face of one cell lying in a
+        face of the other.  An empty set means the cells are disjoint.  The
+        two cells' own halfspaces are tried first, then every hyperplane of
+        the complex.
         """
-        for p, q in ((i, j), (j, i)):
-            vp, vq = self.cells[p], self.cells[q]
-            for s in self.signs[p]:
-                if any(s[v] > 0 for v in vp) or any(s[v] < 0 for v in vq):
-                    continue
-                tight = frozenset(v for v in vq if s[v] == 0)
-                if tight <= {v for v in vp if s[v] == 0}:
-                    return tight
+        ci, cj = self.masks[i], self.masks[j]
+        for beyond, inside in itertools.chain(self.rows[i], self.rows[j], self.hyperplanes):
+            if (beyond & ci or inside & cj) and (inside & ci or beyond & cj):
+                continue  # not on opposite sides
+            on = ~(beyond | inside)
+            if not cj & on & ~ci:
+                return _bits(cj & on)
+            if not ci & on & ~cj:
+                return _bits(ci & on)
         return None
 
 
@@ -247,20 +302,24 @@ class Triangulation:
 
     `vertices`: rational points; `maximal`: maximal simplices as sorted
     vertex-index tuples; `polytope`: the covered polytope's vertex list
-    (by default :func:`extreme_points` of the vertices).  Validity is
-    checked by `validate`, which the public constructors call: every
-    vertex on the inner side of every facet of conv(polytope), the cell
-    volumes adding up exactly to the polytope's, and pairwise face
-    intersections.  `validate` takes the facets and the volume from one
-    lower-hull walk over the polytope's own points, never from a stored
-    hull.
+    (by default :func:`extreme_points` of the vertices).  The constructor
+    rejects a cell index that names no vertex and vertices of mixed
+    dimension.  Validity is checked by `validate`, which the public
+    constructors call: every vertex on the inner side of every facet of
+    conv(polytope), the cell volumes adding up exactly to the polytope's,
+    and pairwise face intersections.  `validate` takes the facets and the
+    volume from one lower-hull walk over the polytope's own points, never
+    from a stored hull.
 
-    A pair of cells meets in a common face when a facet halfspace
-    h·x <= β of one cell has every vertex of the other at h·v >= β and
-    the other's vertices on h·x = β are exactly the shared ones: the two
-    cells then meet inside that hyperplane, in the shared face.  Every
-    facet is evaluated at every vertex once, in exact arithmetic; a pair
-    no facet separates this way goes through an exact LP instead.
+    The vertices' chart coordinates are scaled to one integer grid, and
+    one elimination per cell (:func:`_barycentric_table`) gives its
+    determinant, hence its volume, and every vertex's barycentric
+    coordinates over it, whose signs are the cell's facet sign table.  A
+    pair of cells meets in a common face when some hyperplane of the
+    complex, one of their own facets or any other cell's, has the two on
+    opposite sides with one cell's vertices on it among the other's
+    (:class:`_Separation`); a pair no hyperplane settles goes through an
+    exact LP instead.
     """
 
     def __init__(
@@ -272,6 +331,20 @@ class Triangulation:
         validate: bool = True,
     ):
         self.vertices: tuple[Point, ...] = tuple(as_point(p) for p in vertices)
+        if not self.vertices:
+            raise GeometryError("a triangulation needs at least one vertex")
+        n, ambient = len(self.vertices), len(self.vertices[0])
+        for k, p in enumerate(self.vertices):
+            if len(p) != ambient:
+                raise GeometryError(
+                    f"vertex {k} has {len(p)} coordinates, vertex 0 has {ambient}"
+                )
+        for c in maximal:
+            for i in c:
+                if not isinstance(i, int) or not 0 <= i < n:
+                    raise GeometryError(
+                        f"cell {tuple(c)} names vertex {i!r}, but the vertices are 0..{n - 1}"
+                    )
         self.maximal: tuple[Face, ...] = tuple(
             sorted(tuple(sorted(c)) for c in maximal)
         )
@@ -311,47 +384,47 @@ class Triangulation:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        d = self.dim
+        local = []
+        for v in self.vertices:
+            try:
+                local.append(self.chart.to_local(v))
+            except ValueError:
+                local.append(None)  # off the polytope's affine hull
+        pts, scale = _integer_grid(local)
+        off_hull = None in pts
         seen = set()
+        tables = []
         for c in self.maximal:
             if c in seen:
                 raise GeometryError(f"duplicate maximal cell {c}")
             seen.add(c)
-            if len(c) != self.dim + 1:
+            if len(c) != d + 1:
                 raise GeometryError(f"cell {c} is not full-dimensional")
-            self.simplex(c)  # affine independence
-        hull = [self._local(p) for p in self.polytope]
-        hull_cells, facets = _triangulated_hull(hull, self.dim)
-        local = []
-        for i, v in enumerate(self.vertices):
-            try:
-                x = self._local(v)
-            except ValueError:
-                x = None  # off the polytope's affine hull
-            if x is None or any(dot(a, x) > b for a, b in facets):
+            if off_hull:
+                self.simplex(c)  # affine independence; the vertex is reported below
+                continue
+            det, lam = _barycentric_table(pts, c)
+            if not det:
+                raise GeometryError("simplex vertices are affinely dependent")
+            tables.append((det, lam))
+        hull = [self.chart.to_local(p) for p in self.polytope]
+        hull_cells, facets = _triangulated_hull(hull, d)
+        for i, x in enumerate(pts):
+            if x is None or any(sum(map(operator.mul, a, x)) > b * scale for a, b in facets):
                 raise GeometryError(f"vertex {i} lies outside the covered polytope")
-            local.append(x)
-        total = sum(
-            (_simplex_volume([local[i] for i in c]) for c in self.maximal), ZERO
-        )
+        total = Fraction(sum(det for det, _ in tables), math.factorial(d) * scale**d)
         target = sum((_simplex_volume([hull[i] for i in c]) for c in hull_cells), ZERO)
         if total != target:
             raise GeometryError(
                 f"simplex volumes sum to {total}, polytope volume is {target}"
             )
         if len(self.maximal) < 2:
-            return  # no pairs; a lone point cell would have no facets either
-        sep = self._separation(local)
+            return  # no pairs
+        sep = _Separation(self.vertices, self.maximal, [_facet_rows(lam) for _, lam in tables])
         for (i, a), (j, b) in itertools.combinations(enumerate(self.maximal), 2):
             if sep.meet(i, j) is None and not self._intersect_in_common_face(a, b):
                 raise GeometryError(f"cells {a} and {b} do not meet in a common face")
-
-    def _separation(self, local: Sequence[Sequence[Fraction]]) -> "_Separation":
-        """Facet-separation certificates of the cells, from chart coordinates."""
-        facets = [
-            simplex_facet_halfspaces([local[i] for i in c], self.dim)
-            for c in self.maximal
-        ]
-        return _Separation(local, self.maximal, facets)
 
     def _intersect_in_common_face(self, a: Face, b: Face) -> bool:
         """True iff conv(a) ∩ conv(b) = conv(shared vertices) (a face of each)."""
@@ -451,7 +524,7 @@ class Triangulation:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def deserialize(text: str) -> "Triangulation":
+    def deserialize(text: str, *, validate: bool = True) -> "Triangulation":
         from .rational import parse_rational
 
         verts: list[Point] = []
@@ -464,10 +537,16 @@ class Triangulation:
             if tag == "v":
                 verts.append(tuple(parse_rational(x) for x in rest))
             elif tag == "c":
-                cells.append(tuple(int(x) for x in rest))
+                cell = []
+                for x in rest:
+                    try:
+                        cell.append(int(x))
+                    except ValueError:
+                        raise GeometryError(f"cell index {x!r} is not an integer") from None
+                cells.append(tuple(cell))
             else:
                 raise GeometryError(f"unknown record {tag!r} in triangulation text")
-        return Triangulation(verts, cells)
+        return Triangulation(verts, cells, validate=validate)
 
 
 # --------------------------------------------------------------------------
@@ -532,8 +611,7 @@ def _lower_hull_cells(
     lifted points lie on a common lower hyperplane.
     """
     n = len(local_pts)
-    scale = math.lcm(*[x.denominator for p in local_pts for x in p])
-    pts = [[x.numerator * (scale // x.denominator) for x in p] for p in local_pts]
+    pts, scale = _integer_grid(local_pts)
     hs, _ = _integer_row([Fraction(h) for h in heights])
     units = [[int(r == k) for r in range(d + 1)] for k in range(d + 1)]
     first = _first_lower_cell(pts, hs, d)
@@ -546,10 +624,10 @@ def _lower_hull_cells(
         # function (over I) and at every point (over Q)
         rows = [[pts[i][k] for i in cell] + units[k] + [p[k] for p in pts] for k in range(d)]
         rows.append([1] * (d + 1) + units[d] + [1] * n)
-        T, _, det, _ = _eliminate(rows)
+        _, det, _ = _reduce(rows)
         sign = 1 if det > 0 else -1
-        forms = [[sign * x for x in T[r][d + 1 : 2 * d + 2]] for r in range(d + 1)]
-        lam = [[sign * x for x in T[r][2 * d + 2 :]] for r in range(d + 1)]
+        forms = [[sign * x for x in row[d + 1 : 2 * d + 2]] for row in rows]
+        lam = [[sign * x for x in row[2 * d + 2 :]] for row in rows]
         slack = [
             h * abs(det) - sum(hs[i] * lam[r][j] for r, i in enumerate(cell))
             for j, h in enumerate(hs)
@@ -719,6 +797,22 @@ class PolyCell:
 FaceKey = frozenset  # frozenset of Point
 
 
+def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
+    """A cell's faces as vertex bit masks, read from its halfspaces' sign rows.
+
+    `mask` holds the cell's vertices, and a row's tight set is those of
+    them on its hyperplane; the faces are the cell and every nonempty
+    intersection of proper tight sets.
+    """
+    tights = {mask & ~(beyond | inside) for beyond, inside in rows} - {0, mask}
+    faces = {mask}
+    frontier = set(tights)
+    while frontier:
+        faces |= frontier
+        frontier = {f & t for f in frontier for t in tights if f & t and f & t not in faces}
+    return faces
+
+
 class PolyhedralComplex:
     """Maximal polyhedral cells (V- and H-representations) with a face lattice."""
 
@@ -738,31 +832,14 @@ class PolyhedralComplex:
                     seen.append(v)
         return seen
 
-    def cell_faces(self, cell: PolyCell) -> set[FaceKey]:
-        """All faces of `cell` as frozensets of vertex points."""
-        tights: list[frozenset] = []
-        for hs in cell.halfspaces:
-            t = frozenset(v for v in cell.vertices if hs.value(v) == 0)
-            if t and t != frozenset(cell.vertices):
-                tights.append(t)
-        faces: set[FaceKey] = {frozenset(cell.vertices)}
-        frontier = set(tights)
-        while frontier:
-            faces |= frontier
-            nxt = set()
-            for f in frontier:
-                for t in tights:
-                    g = f & t
-                    if g and g not in faces:
-                        nxt.add(g)
-            frontier = nxt
-        return faces
-
     def face_lattice(self) -> dict[FaceKey, int]:
         """All faces of all cells, mapped to their affine dimension."""
-        faces: set[FaceKey] = set()
-        for c in self.cells:
-            faces |= self.cell_faces(c)
+        sep = self._separation()
+        faces = {
+            frozenset(sep.points[k] for k in _bits(f))
+            for mask, rows in zip(sep.masks, sep.rows)
+            for f in _cell_faces(mask, rows)
+        }
         return {f: Chart(sorted(f)).dim for f in faces}
 
     def find_cell(self, point: Sequence) -> Optional[PolyCell]:
@@ -782,11 +859,12 @@ class PolyhedralComplex:
     def validate(self) -> None:
         """Check exact volume cover and that cells meet only in common faces.
 
-        Each pair is first tried with the halfspace certificate of
-        `Triangulation` (over the cells' own halfspaces, where the other
-        cell's vertices on the hyperplane must be among this cell's); a pair
-        it does not settle is intersected by exact vertex enumeration.
-        Either way the intersection must be a face of both cells.
+        Each pair is first tried with the hyperplane certificate of
+        :class:`_Separation`, over every halfspace of the complex evaluated
+        once at every vertex on an integer grid; a pair it does not settle
+        is intersected by exact vertex enumeration.  Either way the
+        intersection must be a face of both cells, whose faces are read
+        from the same sign table.
         """
         total = ZERO
         for c in self.cells:
@@ -799,18 +877,24 @@ class PolyhedralComplex:
                 f"cell volumes sum to {total}, polytope volume is {target}"
             )
         sep = self._separation()
-        faces = [self.cell_faces(c) for c in self.cells]
+        index = {p: k for k, p in enumerate(sep.points)}
+        faces = [_cell_faces(mask, rows) for mask, rows in zip(sep.masks, sep.rows)]
         for i, j in itertools.combinations(range(len(self.cells)), 2):
             meet = sep.meet(i, j)
             if meet is None:
                 inter_dim, inter_verts = _poly_intersection(self.cells[i], self.cells[j])
                 if inter_dim is None:
                     continue
-                key = frozenset(inter_verts)
+                # a point that is no vertex of the complex lies on no face
+                key = (
+                    sum(1 << index[v] for v in inter_verts)
+                    if all(v in index for v in inter_verts)
+                    else None
+                )
             elif not meet:
                 continue
             else:
-                key = frozenset(sep.points[v] for v in meet)
+                key = sum(1 << v for v in meet)
             if key not in faces[i] or key not in faces[j]:
                 raise GeometryError("two cells intersect outside a common face")
 
@@ -818,10 +902,23 @@ class PolyhedralComplex:
         """Certificates of the cells, over the complex's distinct vertices."""
         points = self.all_vertices()
         index = {p: k for k, p in enumerate(points)}
+        grid, scale = _integer_grid(points)
+        known: dict = {}
+
+        def signs(hs: Halfspace) -> tuple[int, int]:
+            row = known.get((hs.a, hs.b))
+            if row is None:
+                *a, b = _integer_row([*hs.a, hs.b])[0]
+                b *= scale
+                row = _sign_masks([sum(map(operator.mul, a, x)) - b for x in grid])
+                known[(hs.a, hs.b)] = row
+                known[(tuple(-x for x in hs.a), -hs.b)] = row[::-1]
+            return row
+
         return _Separation(
             points,
             [tuple(index[v] for v in c.vertices) for c in self.cells],
-            [[(hs.a, hs.b) for hs in c.halfspaces] for c in self.cells],
+            [[signs(hs) for hs in c.halfspaces] for c in self.cells],
         )
 
 

@@ -89,13 +89,9 @@ def _pivot(T: list[list[int]], row: int, col: int, det: int) -> int:
 def _eliminate(A: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss–Jordan elimination of A's rows scaled to integers.
 
-    Returns ``(T, pivots, det, scale)``.  Row r < len(pivots) of T holds the
-    pivot ``det`` (the last pivot taken, 1 if none) in column ``pivots[r]``,
-    every other row holds 0 there, and row r divided by ``det`` is row r of
-    the reduced row echelon form.  Pivot columns are taken left to right,
-    each from the first row at or below the next pivot position whose entry
-    is nonzero.  ``scale`` is the product of the row scales, negated once per
-    row swap, so a square A has determinant ``det / scale`` when every
+    Returns ``(T, pivots, det, scale)``, T and the rest as :func:`_reduce`
+    leaves them.  ``scale`` is the product of the row scales, negated once
+    per row swap, so a square A has determinant ``det / scale`` when every
     column is a pivot column.
     """
     T = []
@@ -104,9 +100,25 @@ def _eliminate(A: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[i
         ints, s = _integer_row([Fraction(a) for a in row])
         T.append(ints)
         scale *= s
+    pivots, det, sign = _reduce(T)
+    return T, pivots, det, scale * sign
+
+
+def _reduce(T: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss–Jordan elimination of the integer rows T, in place.
+
+    Returns ``(pivots, det, sign)``.  Row r < len(pivots) of T then holds
+    the pivot ``det`` (the last pivot taken, 1 if none) in column
+    ``pivots[r]``, every other row holds 0 there, and row r divided by
+    ``det`` is row r of the reduced row echelon form.  Pivot columns are
+    taken left to right, each from the first row at or below the next pivot
+    position whose entry is nonzero; ``sign`` is -1 after an odd number of
+    row swaps, so a square T has determinant ``sign * det`` when every
+    column is a pivot column.
+    """
     rows = len(T)
     pivots: list[int] = []
-    det = 1
+    det = sign = 1
     for c in range(len(T[0]) if T else 0):
         r = len(pivots)
         if r == rows:
@@ -116,10 +128,10 @@ def _eliminate(A: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[i
             continue
         if piv != r:
             T[r], T[piv] = T[piv], T[r]
-            scale = -scale
+            sign = -sign
         det = _pivot(T, r, c, det)
         pivots.append(c)
-    return T, pivots, det, scale
+    return pivots, det, sign
 
 
 def determinant(A: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -418,15 +430,15 @@ class Chart:
         self.ambient_dim = len(self.origin)
 
     def to_local(self, point: Sequence[Fraction]) -> Vector:
-        """Coordinates of `point` (must lie in the affine hull)."""
-        d = vec_sub(frac_vec(point), self.origin)
-        if self.dim == 0:
-            if any(x != 0 for x in d):
-                raise ValueError("point not in affine hull")
-            return []
-        A = [[self.basis[j][i] for j in range(self.dim)] for i in range(self.ambient_dim)]
-        x = solve_linear(A, d)
-        if x is None:
+        """Coordinates of `point`, which must lie in the affine hull (ValueError if not).
+
+        Read off the cached :meth:`left_inverse`; when the hull is a proper
+        flat, the point is then checked to map back to itself exactly.
+        """
+        p = frac_vec(point)
+        d = vec_sub(p, self.origin)
+        x = [dot(row, d) for row in self.left_inverse()]
+        if self.dim < self.ambient_dim and self.to_ambient(x) != p:
             raise ValueError("point not in affine hull")
         return x
 

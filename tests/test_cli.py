@@ -467,6 +467,34 @@ def test_malformed_geometry_input_exits_2(case, tmp_path, capsys):
     assert any(line.startswith("usage error: ") for line in err.splitlines()), err
 
 
+MALFORMED_TRIANGULATIONS = {
+    "index-past-the-last-vertex": ("c 0 1 3", "names vertex 3"),
+    "negative-index": ("c 0 1 -1", "names vertex -1"),
+    "non-integer-index": ("c 0 1 x", "cell index 'x' is not an integer"),
+    "vertices-of-two-dimensions": ("v 1 1 1\nc 0 1 2", "vertex 3 has 3 coordinates"),
+}
+
+
+@pytest.mark.parametrize("command", ["el-refine", "tilde"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRIANGULATIONS))
+def test_malformed_triangulation_file_exits_2(command, case, tmp_path, capsys):
+    argv = geometry_argv(command, tmp_path)
+    records, message = MALFORMED_TRIANGULATIONS[case]
+    with open(argv[-1], "w") as fh:
+        fh.write(f"v 0 0\nv 1 0\nv 0 1\n{records}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err, err
+
+
+def test_invalid_triangulation_file_exits_1(tmp_path, capsys):
+    # well formed, but (1/2, 0) hangs on the other cell's edge
+    path = tmp_path / "hanging.tri"
+    path.write_text("v 0 0\nv 1 0\nv 0 1\nv 1 1\nv 1/2 0\nc 0 4 2\nc 4 1 2\nc 0 1 3\n")
+    assert main(["el-refine", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("verification failure: ")
+
+
 def test_flat_regular_lift_exits_1_naming_every_point(tmp_path, capsys):
     square = [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
     path = write_json(tmp_path / "points.json", {"points": square, "heights": ["0", "1", "1", "2"]})

@@ -11,7 +11,11 @@ from equilib.geometry import (
     PolyhedralComplex,
     Simplex,
     Triangulation,
+    _barycentric_table,
+    _facet_rows,
+    _integer_grid,
     _poly_intersection,
+    _Separation,
     affine_below_except_marked,
     el_refinement,
     extreme_points,
@@ -340,6 +344,12 @@ HANGING_SQUARE = [(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(2), F(2)), (F(1),
 HANGING_CELLS = [(0, 3, 2), (0, 1, 4), (4, 1, 3)]
 
 
+@pytest.mark.parametrize("cell,bad", [((0, 1, 3), "3"), ((0, 1, -1), "-1"), ((0, 1, "2"), "'2'")])
+def test_cell_naming_no_vertex_rejected(cell, bad):
+    with pytest.raises(GeometryError, match=f"names vertex {bad}, but the vertices are 0..2"):
+        Triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [cell], validate=False)
+
+
 def test_hanging_node_triangulation_rejected():
     with pytest.raises(GeometryError, match="do not meet in a common face"):
         Triangulation(HANGING_SQUARE, HANGING_CELLS, HANGING_SQUARE[:4])
@@ -403,6 +413,13 @@ def moved_vertex(tri, rng):
             return moved
 
 
+def simplex_separation(tri):
+    """The pair certificates `Triangulation.validate` builds, from one elimination per cell."""
+    pts, _ = _integer_grid([tri.chart.to_local(v) for v in tri.vertices])
+    rows = [_facet_rows(_barycentric_table(pts, c)[1]) for c in tri.maximal]
+    return _Separation(tri.vertices, tri.maximal, rows)
+
+
 @pytest.fixture(scope="module")
 def pair_check_inputs():
     """Seeded valid triangulations (2-D and 3-D) and invalid variants of them."""
@@ -427,7 +444,7 @@ def test_certified_triangulation_pairs_pass_the_lp(pair_check_inputs):
     valid, invalid = pair_check_inputs
     accepted = 0
     for tri in valid + invalid:
-        sep = tri._separation([tri.chart.to_local(v) for v in tri.vertices])
+        sep = simplex_separation(tri)
         rejected = 0
         for (i, a), (j, b) in itertools.combinations(enumerate(tri.maximal), 2):
             meet = sep.meet(i, j)

@@ -1,5 +1,6 @@
 """The lower-hull walk, the arrangement splits and the facet-based hull
-against the subset loops they replaced.
+against the subset loops they replaced, and the integer pair certificates
+against the `Fraction` facet tables they replaced.
 
 `reference_lower_hull_cells`, `reference_arrangement_cells` and
 `reference_extreme_points` are the previous implementations, kept verbatim
@@ -8,12 +9,13 @@ the arrangement recursed one hyperplane at a time with a brute-force vertex
 enumeration at every node; and one LP per point for the hull's vertices.
 """
 
+import collections
 import functools
 import itertools
 import random
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 
@@ -21,15 +23,27 @@ from equilib.geometry import (
     Face,
     GeometryError,
     Point,
+    PolyCell,
+    Simplex,
     Triangulation,
     _arrangement_cells,
+    _barycentric_table,
+    _facet_rows,
+    _integer_grid,
     _lower_hull_cells,
+    _Separation,
+    _simplex_volume,
+    _triangulated_hull,
+    el_refinement,
     extreme_points,
+    grid_triangulation,
+    hyperplane_extension_subdivision,
     hyperplane_through,
     in_convex_hull,
+    regular_triangulation,
     simplex_facet_halfspaces,
 )
-from equilib.linalg import ONE, Chart, dot, solve_unique, vertex_enumeration
+from equilib.linalg import ONE, ZERO, Chart, dot, solve_unique, vertex_enumeration
 
 F = Fraction
 
@@ -388,3 +402,336 @@ POINT_SETS = point_sets()
 def test_extreme_points_match_the_lp(label, points):
     assert extreme_points(points) == reference_extreme_points(points)
 
+
+
+# -- pair certificates ------------------------------------------------------
+#
+# `reference_validate` is `Triangulation.validate` as it was, with its pair
+# certificate: every cell's facet halfspaces built in `Fraction`s
+# (`reference_separation`, one `hyperplane_through` per facet) and
+# evaluated at every vertex into a sign table (`ReferenceSeparation`), each
+# pair tried against the two cells' own facets only.
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+class ReferenceSeparation:
+    """Exact certificates that two cells of a subdivision meet in a face.
+
+    `cells` are vertex-index tuples into `points`; `cell_rows[k]` lists
+    halfspaces (a, b), meaning a·x <= b, that hold on cell k.  Each
+    halfspace is evaluated at every point once; a hyperplane that two cells
+    bound from opposite sides is evaluated once for both.
+    """
+
+    def __init__(self, points, cells, cell_rows):
+        self.points = points
+        self.cells = cells
+        known: dict = {}
+
+        def signs(a, b):
+            row = known.get((a, b))
+            if row is None:
+                neg = known.get((tuple(-x for x in a), -b))
+                if neg is None:
+                    row = [_sign(dot(a, p) - b) for p in points]
+                else:
+                    row = [-s for s in neg]
+                known[(a, b)] = row
+            return row
+
+        self.signs = [[signs(a, b) for a, b in rows] for rows in cell_rows]
+
+    def meet(self, i: int, j: int) -> Optional[frozenset[int]]:
+        """Vertices spanning conv(cell i) ∩ conv(cell j), or None if uncertified.
+
+        A halfspace h·x <= β of one cell certifies the pair when every
+        vertex of the other cell has h·v >= β and those with h·v = β are
+        among the first cell's own vertices on h·x = β.  The cells then
+        meet inside the hyperplane, in the convex hull of those vertices:
+        a face of the second cell lying in a face of the first.  An empty
+        set means the cells are disjoint.
+        """
+        for p, q in ((i, j), (j, i)):
+            vp, vq = self.cells[p], self.cells[q]
+            for s in self.signs[p]:
+                if any(s[v] > 0 for v in vp) or any(s[v] < 0 for v in vq):
+                    continue
+                tight = frozenset(v for v in vq if s[v] == 0)
+                if tight <= {v for v in vp if s[v] == 0}:
+                    return tight
+        return None
+
+
+def reference_separation(tri, local: Sequence[Sequence[Fraction]]) -> ReferenceSeparation:
+    """Facet-separation certificates of the cells, from chart coordinates."""
+    facets = [
+        simplex_facet_halfspaces([local[i] for i in c], tri.dim)
+        for c in tri.maximal
+    ]
+    return ReferenceSeparation(local, tri.maximal, facets)
+
+
+def reference_validate(self) -> None:
+    seen = set()
+    for c in self.maximal:
+        if c in seen:
+            raise GeometryError(f"duplicate maximal cell {c}")
+        seen.add(c)
+        if len(c) != self.dim + 1:
+            raise GeometryError(f"cell {c} is not full-dimensional")
+        self.simplex(c)  # affine independence
+    hull = [self._local(p) for p in self.polytope]
+    hull_cells, facets = _triangulated_hull(hull, self.dim)
+    local = []
+    for i, v in enumerate(self.vertices):
+        try:
+            x = self._local(v)
+        except ValueError:
+            x = None  # off the polytope's affine hull
+        if x is None or any(dot(a, x) > b for a, b in facets):
+            raise GeometryError(f"vertex {i} lies outside the covered polytope")
+        local.append(x)
+    total = sum(
+        (_simplex_volume([local[i] for i in c]) for c in self.maximal), ZERO
+    )
+    target = sum((_simplex_volume([hull[i] for i in c]) for c in hull_cells), ZERO)
+    if total != target:
+        raise GeometryError(
+            f"simplex volumes sum to {total}, polytope volume is {target}"
+        )
+    if len(self.maximal) < 2:
+        return  # no pairs; a lone point cell would have no facets either
+    sep = reference_separation(self, local)
+    for (i, a), (j, b) in itertools.combinations(enumerate(self.maximal), 2):
+        if sep.meet(i, j) is None and not self._intersect_in_common_face(a, b):
+            raise GeometryError(f"cells {a} and {b} do not meet in a common face")
+
+
+def validation_error(check, tri) -> Optional[str]:
+    try:
+        check(tri)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def variant(tri, vertices, cells) -> Triangulation:
+    return Triangulation(vertices, cells, tri.polytope, validate=False)
+
+
+def hanging_node(tri, rng):
+    """The midpoint of an edge of two or more cells, put in one of them only."""
+    shared = [e for e in tri.faces_of_dim(1) if sum(set(e) <= set(c) for c in tri.maximal) >= 2]
+    u, v = rng.choice(shared)
+    cell = rng.choice([c for c in tri.maximal if u in c and v in c])
+    w = len(tri.vertices)
+    mid = tuple((a + b) / 2 for a, b in zip(tri.vertices[u], tri.vertices[v]))
+    cells = [c for c in tri.maximal if c != cell]
+    cells += [tuple(w if i == u else i for i in cell), tuple(w if i == v else i for i in cell)]
+    return variant(tri, list(tri.vertices) + [mid], cells)
+
+
+def moved_vertex(tri, rng):
+    """One vertex moved by a small random offset (it may leave the polytope or its plane)."""
+    verts = list(tri.vertices)
+    k = rng.randrange(len(verts))
+    verts[k] = tuple(x + F(rng.randint(-3, 3), 4) for x in verts[k])
+    return variant(tri, verts, tri.maximal)
+
+
+def sheared_cell(tri, rng):
+    """One cell with a vertex slid parallel to the opposite facet: the same volume.
+
+    The slid vertex reuses an existing vertex where it lands on one, so the
+    cell overlaps its neighbours at shared vertices and edges.
+    """
+    cell = rng.choice(tri.maximal)
+    v, a, b = rng.sample(cell, 3)
+    t = rng.choice([F(-1), F(-1, 2), F(1, 2), F(1)])
+    p = tuple(x + t * (y - z) for x, y, z in zip(tri.vertices[v], tri.vertices[b], tri.vertices[a]))
+    verts = list(tri.vertices)
+    if p not in verts:
+        verts.append(p)
+    w = verts.index(p)
+    cells = [c for c in tri.maximal if c != cell] + [tuple(w if i == v else i for i in cell)]
+    return variant(tri, verts, cells)
+
+
+def flipped_edge(tri, rng):
+    """Two triangles across an interior edge replaced by the other diagonal's two."""
+    edges = [e for e in tri.faces_of_dim(1) if sum(set(e) <= set(c) for c in tri.maximal) == 2]
+    u, v = rng.choice(edges)
+    pair = [c for c in tri.maximal if u in c and v in c]
+    p, q = (next(i for i in c if i not in (u, v)) for c in pair)
+    cells = [c for c in tri.maximal if c not in pair] + [(u, p, q), (v, p, q)]
+    return variant(tri, tri.vertices, cells)
+
+
+def relabelled(tri, points):
+    """`tri` over the full point list, so that spliced cells share indices."""
+    index = {p: k for k, p in enumerate(points)}
+    return [tuple(index[tri.vertices[i]] for i in c) for c in tri.maximal]
+
+
+def spliced(rng, points, d):
+    """The cells of two regular triangulations of `points` on either side of a random cut."""
+    points = [tuple(p) for p in points]
+    halves = []
+    for _ in range(2):
+        heights = [F(rng.randint(1, 1000), 997) for _ in points]
+        halves.append(relabelled(regular_triangulation(points, heights), points))
+    normal = [rng.randint(-2, 2) for _ in range(d)]
+    cut = F(rng.randint(-2, 4), 2)
+
+    def side(c):
+        return sum(dot(normal, points[i]) for i in c) / len(c) < cut
+
+    cells = [c for c in halves[0] if side(c)] + [c for c in halves[1] if not side(c)]
+    return Triangulation(points, sorted(set(cells)), extreme_points(points), validate=False)
+
+
+def certificate_cases():
+    """Seeded valid and invalid 2-D and 3-D triangulations (some in R^3 on a plane)."""
+    rng = random.Random(41)
+    unit = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    valid = [grid_triangulation(3)]
+    for k in range(3):
+        heights = [F(rng.randint(1, 1000), 997) for _ in range(9)]
+        valid.append(regular_triangulation(lattice(3, 3), heights))
+        corners = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)] for _ in range(3)]
+        if Chart(corners).dim == 2:
+            valid.append(triangle_refinement(rng, corners, 5))
+        valid.append(triangle_refinement(rng, unit, 4))  # a triangle on a plane in R^3
+        valid.append(triangle_refinement(rng, unit + [[F(0)] * 3], 4))
+        heights = [F(rng.randint(1, 1000), 997) for _ in range(12)]
+        valid.append(regular_triangulation(lattice(3, 2, 2), heights))
+        heights = [F(rng.randint(1, 1000), 997) for _ in range(18)]
+        valid.append(regular_triangulation(lattice(3, 3, 2), heights))
+    cases = [(f"valid{k}", tri) for k, tri in enumerate(valid)]
+    for k, tri in enumerate(valid):
+        for make in (hanging_node, moved_vertex, sheared_cell, sheared_cell):
+            cases.append((f"{make.__name__}{k}-{len(cases)}", make(tri, rng)))
+        if tri.dim == 2:
+            cases.append((f"flipped_edge{k}", flipped_edge(tri, rng)))
+    for k in range(6):
+        cases.append((f"spliced2d-{k}", spliced(rng, lattice(3, 3), 2)))
+        cases.append((f"spliced3d-{k}", spliced(rng, lattice(3, 2, 2), 3)))
+    return cases
+
+
+CERTIFICATE_CASES = dict(certificate_cases())
+
+
+@functools.cache
+def reference_error(label):
+    return validation_error(reference_validate, CERTIFICATE_CASES[label])
+
+
+@pytest.mark.parametrize("label", CERTIFICATE_CASES)
+def test_validation_decides_as_the_facet_oracle(label):
+    tri = CERTIFICATE_CASES[label]
+    assert validation_error(Triangulation.validate, tri) == reference_error(label)
+
+
+def integer_separation(tri):
+    """The certificate `Triangulation.validate` builds, from one elimination per cell."""
+    pts, _ = _integer_grid([tri.chart.to_local(v) for v in tri.vertices])
+    rows = [_facet_rows(_barycentric_table(pts, c)[1]) for c in tri.maximal]
+    return _Separation(tri.vertices, tri.maximal, rows)
+
+
+def at_pair_stage(label):
+    error = reference_error(label)
+    return error is None or "do not meet in a common face" in error
+
+
+def test_certificate_cases_cover_the_outcomes():
+    outcomes = collections.Counter()
+    overlaps = set()
+    for label, tri in CERTIFICATE_CASES.items():
+        error = reference_error(label)
+        outcomes[(tri.dim, "valid" if error is None else re.sub(r"[\d(].*", "", error))] += 1
+        if error is not None and at_pair_stage(label):
+            for a, b in itertools.combinations(tri.maximal, 2):
+                if not tri._intersect_in_common_face(a, b):
+                    overlaps.add((tri.dim, len(set(a) & set(b))))
+    for d in (2, 3):
+        assert outcomes[(d, "valid")] >= 8, outcomes
+        assert outcomes[(d, "cells ")] >= 5, outcomes  # pairs not meeting in a face
+    assert outcomes[(2, "simplex volumes sum to ")] > 0, outcomes
+    assert outcomes[(2, "vertex ")] > 0, outcomes
+    # cells overlapping with no shared vertex (2-D), or at a shared vertex or edge
+    assert {(2, 0), (2, 1), (2, 2), (3, 1), (3, 2)} <= overlaps, overlaps
+
+
+@pytest.mark.parametrize("label", [k for k in CERTIFICATE_CASES if at_pair_stage(k)])
+def test_certified_pairs_agree_with_the_facet_oracle(label):
+    """Every pair the oracle certifies is certified with the same set; a pair
+    certified by a hyperplane of neither cell meets the LP's common face."""
+    tri = CERTIFICATE_CASES[label]
+    new = integer_separation(tri)
+    own = integer_separation(tri)
+    own.hyperplanes = []
+    old = reference_separation(tri, [tri.chart.to_local(v) for v in tri.vertices])
+    for (i, a), (j, b) in itertools.combinations(enumerate(tri.maximal), 2):
+        meet = new.meet(i, j)
+        if old.meet(i, j) is not None:
+            assert meet == old.meet(i, j) == set(a) & set(b), (a, b)
+        if meet is not None and own.meet(i, j) is None:
+            assert tri._intersect_in_common_face(a, b), (a, b)
+            assert meet == set(a) & set(b), (a, b)
+
+
+def test_foreign_hyperplanes_certify_pairs_in_2d_and_3d():
+    found = collections.Counter()
+    for label, tri in CERTIFICATE_CASES.items():
+        if not at_pair_stage(label):
+            continue
+        new = integer_separation(tri)
+        own = integer_separation(tri)
+        own.hyperplanes = []
+        for i, j in itertools.combinations(range(len(tri.maximal)), 2):
+            found[tri.dim] += new.meet(i, j) is not None and own.meet(i, j) is None
+    assert found[2] >= 20 and found[3] >= 3, found
+
+
+def reference_cell_faces(self, cell: PolyCell) -> set[frozenset]:
+    """All faces of `cell` as frozensets of vertex points."""
+    tights: list[frozenset] = []
+    for hs in cell.halfspaces:
+        t = frozenset(v for v in cell.vertices if hs.value(v) == 0)
+        if t and t != frozenset(cell.vertices):
+            tights.append(t)
+    faces: set[frozenset] = {frozenset(cell.vertices)}
+    frontier = set(tights)
+    while frontier:
+        faces |= frontier
+        nxt = set()
+        for f in frontier:
+            for t in tights:
+                g = f & t
+                if g and g not in faces:
+                    nxt.add(g)
+        frontier = nxt
+    return faces
+
+
+def test_face_lattice_reads_the_halfspace_faces():
+    rng = random.Random(43)
+    unit = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    triangle = [[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]]
+    complexes = [
+        el_refinement(triangle_refinement(rng, triangle, 4))[0],
+        el_refinement(triangle_refinement(rng, unit, 3))[0],
+        el_refinement(triangle_refinement(rng, unit + [[F(0)] * 3], 2))[0],
+        hyperplane_extension_subdivision(
+            Simplex.of(triangle),
+            [Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])],
+        ),
+    ]
+    for pc in complexes:
+        expected = set().union(*(reference_cell_faces(pc, c) for c in pc.cells))
+        assert pc.face_lattice() == {f: Chart(sorted(f)).dim for f in expected}

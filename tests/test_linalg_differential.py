@@ -426,3 +426,48 @@ def test_chart_matches_incremental_rank_basis():
         k = len(basis)
         identity = [[ONE if j == i else ZERO for j in range(k)] for i in range(k)]
         assert chart.left_inverse() == [reference_solve_linear(basis, e) for e in identity]
+
+
+def reference_to_local(chart: Chart, point: Sequence[Fraction]) -> Vector:
+    """`Chart.to_local` as it was: one `solve_linear` against the basis per point."""
+    d = vec_sub(frac_vec(point), chart.origin)
+    if chart.dim == 0:
+        if any(x != 0 for x in d):
+            raise ValueError("point not in affine hull")
+        return []
+    A = [[chart.basis[j][i] for j in range(chart.dim)] for i in range(chart.ambient_dim)]
+    x = solve_linear(A, d)
+    if x is None:
+        raise ValueError("point not in affine hull")
+    return x
+
+
+def test_to_local_matches_one_solve_per_point():
+    rng = random.Random(29)
+    counts = {"on": 0, "off": 0, "flat in R^3": 0}
+    for _ in range(300):
+        ambient = rng.choice([1, 2, 3, 3, 3, 4])
+        origin = [rational(rng) for _ in range(ambient)]
+        dirs = [[rational(rng) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+
+        def on_flat():
+            coefs = [rational(rng) for _ in dirs]
+            return [o + sum((c * v[i] for c, v in zip(coefs, dirs)), ZERO)
+                    for i, o in enumerate(origin)]
+
+        points = [origin] + [on_flat() for _ in range(rng.randint(0, 4))]
+        chart = Chart(points)
+        counts["flat in R^3"] += ambient == 3 and chart.dim < 3
+        queries = points + [on_flat() for _ in range(3)]
+        queries += [[rational(rng) for _ in range(ambient)] for _ in range(3)]
+        for q in queries:
+            try:
+                want = reference_to_local(chart, q)
+            except ValueError:
+                with pytest.raises(ValueError, match="not in affine hull"):
+                    chart.to_local(q)
+                counts["off"] += 1
+                continue
+            assert chart.to_local(q) == want, (points, q)
+            counts["on"] += 1
+    assert min(counts.values()) > 100, counts
