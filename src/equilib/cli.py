@@ -30,6 +30,7 @@ from .games import (
     eliminate_strictly_dominated,
     load_game,
     save_game,
+    write_json,
 )
 from .geometry import (
     GeometryError,
@@ -137,9 +138,7 @@ def _profile_json(profile: Profile) -> list:
 def _emit(report: Report, out_path) -> None:
     sys.stdout.write(report.render_text())
     if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_json(out_path, report.to_json())
 
 
 # --------------------------------------------------------------------------
@@ -442,16 +441,17 @@ def cmd_triangulate(args) -> int:
             raise UsageError(f"{args.points}: {len(heights)} heights for {len(points)} points")
         tri = regular_triangulation(points, heights)
         inputs = {"kind": "regular", "points": args.points}
+    text = tri.serialize()
     report = Report("triangulate", inputs=inputs)
     report.results = {
         "num_vertices": len(tri.vertices),
         "num_cells": len(tri.maximal),
         "max_diameter": format_rational(tri.max_diameter()),
-        "triangulation": tri.serialize(),
+        "triangulation": text,
     }
     if args.tri_out:
         with open(args.tri_out, "w") as fh:
-            fh.write(tri.serialize())
+            fh.write(text)
     report.timings["total"] = f"{time.monotonic() - t0:.3f}"
     _emit(report, args.out)
     return 0
@@ -461,7 +461,7 @@ def cmd_el_refine(args) -> int:
     t0 = time.monotonic()
     tri = _load_triangulation(args.triangulation)
     complex_, gamma = el_refinement(tri)
-    values = [gamma.value(v) for v in complex_.all_vertices()]
+    values = gamma.vertex_values().values()
     report = Report("el-refine", inputs={"triangulation": args.triangulation})
     report.results = {
         "num_cells": len(complex_.cells),

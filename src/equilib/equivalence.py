@@ -23,6 +23,7 @@ from .games import (
     PolytopeGame,
     Profile,
     payoff_all,
+    write_json,
 )
 from .geometry import Triangulation
 from .linalg import ONE, ZERO
@@ -440,9 +441,7 @@ def mapping_from_json(data: dict) -> list[AffineSurjection]:
 
 
 def save_mapping(path, phis: Sequence[AffineSurjection]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping_to_json(phis), fh, indent=2)
-        fh.write("\n")
+    write_json(path, mapping_to_json(phis))
 
 
 def load_mapping(path) -> list[AffineSurjection]:

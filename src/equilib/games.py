@@ -389,7 +389,46 @@ def load_game(path: str) -> FiniteGame:
     return game_from_json(data)
 
 
+def _json_parts(value, parts: list[str], indent: str = "") -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``parts``.
+
+    Containers are laid out here and every key and scalar is encoded by
+    ``json.dumps`` (the C encoder).  ``json.dump(..., indent=2)`` would run
+    the pure-Python encoder instead, whose nested closures are left in a
+    reference cycle on every call.
+    """
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{\n"
+        for k, v in value.items():
+            if not isinstance(k, str):
+                if not (k is None or isinstance(k, (int, float))):
+                    raise TypeError(f"key {k!r} is not a str, int, float, bool or None")
+                k = json.dumps(k)
+            parts += (sep, inner, json.dumps(k), ": ")
+            _json_parts(v, parts, inner)
+            sep = ",\n"
+        parts += ("\n", indent, "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        sep = "[\n"
+        for v in value:
+            parts += (sep, inner)
+            _json_parts(v, parts, inner)
+            sep = ",\n"
+        parts += ("\n", indent, "]")
+    else:
+        parts.append(json.dumps(value))
+
+
+def write_json(path: str, value) -> None:
+    """Write ``value`` to ``path`` as ``json.dump(value, fh, indent=2)`` would, plus a newline."""
+    parts: list[str] = []
+    _json_parts(value, parts)
+    parts.append("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(parts))
+
+
 def save_game(game: FiniteGame, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(game_to_json(game), fh, indent=2)
-        fh.write("\n")
+    write_json(path, game_to_json(game))

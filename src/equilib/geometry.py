@@ -19,6 +19,7 @@ of points or of hyperplanes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -31,12 +32,12 @@ from .linalg import (
     ZERO,
     Chart,
     _eliminate,
+    _integer_matrix,
     _integer_row,
     _reduce,
     determinant,
     dot,
     frac_vec,
-    linf_dist,
     linprog,
     matrix_rank,
     nullspace,
@@ -70,6 +71,17 @@ def barycentric_in(vertices: Sequence[Point], point: Point) -> Optional[list[Fra
     A.append([ONE] * len(vertices))
     b = list(point) + [ONE]
     return solve_linear(A, b)
+
+
+def _spread(rows: Sequence[Sequence[int]]) -> int:
+    """Max pairwise sup-norm distance of integer rows: the widest coordinate range."""
+    return max((max(col) - min(col) for col in zip(*rows)), default=0)
+
+
+def _diameter(points: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Max pairwise sup-norm distance of rational points (0 for fewer than two)."""
+    rows, scale = _integer_matrix(points)
+    return Fraction(_spread(rows), scale)
 
 
 @dataclass(frozen=True)
@@ -115,10 +127,7 @@ class Simplex:
 
     def diameter(self) -> Fraction:
         """Max pairwise vertex distance in the sup norm."""
-        return max(
-            (linf_dist(u, v) for u, v in itertools.combinations(self.vertices, 2)),
-            default=ZERO,
-        )
+        return _diameter(self.vertices)
 
     def facets(self) -> list["Simplex"]:
         return [
@@ -151,8 +160,8 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     if not points:
         return []
     chart = Chart(points)
-    local = [chart.to_local(p) for p in points]
-    return _hull_vertices(points, local, _triangulated_hull(local, chart.dim)[1])
+    rows, scale = chart.grid(points)
+    return _hull_vertices(points, rows, _triangulated_hull(rows, scale, chart.dim)[1])
 
 
 def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -176,18 +185,6 @@ def _bits(mask: int) -> frozenset[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return frozenset(out)
-
-
-def _integer_grid(points: Sequence[Optional[Sequence[Fraction]]]) -> tuple[list, int]:
-    """The points scaled to integers by one common factor, and that factor.
-
-    A None entry (a point the caller could not place) stays None.
-    """
-    scale = math.lcm(*[x.denominator for p in points if p is not None for x in p])
-    return [
-        None if p is None else [x.numerator * (scale // x.denominator) for x in p]
-        for p in points
-    ], scale
 
 
 def _barycentric_table(pts: Sequence[Sequence[int]], cell: Face) -> tuple[int, list[list[int]]]:
@@ -311,8 +308,9 @@ class Triangulation:
     volume from one lower-hull walk over the polytope's own points, never
     from a stored hull.
 
-    The vertices' chart coordinates are scaled to one integer grid, and
-    one elimination per cell (:func:`_barycentric_table`) gives its
+    The chart coordinates of the vertices and of the polytope's points
+    are read once onto one integer grid (:attr:`grid`), and one
+    elimination per cell (:func:`_barycentric_table`) gives its
     determinant, hence its volume, and every vertex's barycentric
     coordinates over it, whose signs are the cell's facet sign table.  A
     pair of cells meets in a common face when some hyperplane of the
@@ -367,11 +365,21 @@ class Triangulation:
     def faces_of_dim(self, k: int) -> list[Face]:
         return sorted(f for f in self.faces().faces if len(f) == k + 1)
 
+    @functools.cached_property
+    def grid(self) -> tuple[list[Optional[list[int]]], int]:
+        """Chart coordinates of the vertices, then the polytope's points, on one grid.
+
+        :meth:`Chart.grid`'s (rows, scale); a vertex off the polytope's
+        affine hull has the row None.
+        """
+        return self.chart.grid(self.vertices + self.polytope)
+
     def cell_diameter(self, face: Face) -> Fraction:
-        return self.simplex(face).diameter()
+        return _diameter([self.vertices[i] for i in face])
 
     def max_diameter(self) -> Fraction:
-        return max(self.cell_diameter(c) for c in self.maximal)
+        rows, scale = _integer_matrix(self.vertices)
+        return Fraction(max(_spread([rows[i] for i in c]) for c in self.maximal), scale)
 
     def _local(self, p: Point) -> list[Fraction]:
         return self.chart.to_local(p)
@@ -385,13 +393,8 @@ class Triangulation:
 
     def validate(self) -> None:
         d = self.dim
-        local = []
-        for v in self.vertices:
-            try:
-                local.append(self.chart.to_local(v))
-            except ValueError:
-                local.append(None)  # off the polytope's affine hull
-        pts, scale = _integer_grid(local)
+        grid, scale = self.grid
+        pts, hull = grid[: len(self.vertices)], grid[len(self.vertices) :]
         off_hull = None in pts
         seen = set()
         tables = []
@@ -408,13 +411,11 @@ class Triangulation:
             if not det:
                 raise GeometryError("simplex vertices are affinely dependent")
             tables.append((det, lam))
-        hull = [self.chart.to_local(p) for p in self.polytope]
-        hull_cells, facets = _triangulated_hull(hull, d)
+        _, facets, target = _triangulated_hull(hull, scale, d)
         for i, x in enumerate(pts):
-            if x is None or any(sum(map(operator.mul, a, x)) > b * scale for a, b in facets):
+            if x is None or any(sum(map(operator.mul, a, x)) > b for a, b in facets):
                 raise GeometryError(f"vertex {i} lies outside the covered polytope")
         total = Fraction(sum(det for det, _ in tables), math.factorial(d) * scale**d)
-        target = sum((_simplex_volume([hull[i] for i in c]) for c in hull_cells), ZERO)
         if total != target:
             raise GeometryError(
                 f"simplex volumes sum to {total}, polytope volume is {target}"
@@ -568,7 +569,7 @@ def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Fa
     after at most d tilts it spans R^d and is a lower cell.
     """
     low = min(hs)
-    slack = [h - low for h in hs]  # above the plane at height `low`
+    slack = [h - low for h in hs]  # above the plane at height `low`, up to a positive factor
     while True:
         tight = [j for j, s in enumerate(slack) if s == 0]
         base = pts[tight[0]]
@@ -580,43 +581,52 @@ def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Fa
             break
         # tilt about the touched points: slack_j changes by t·mu_j, mu affine
         # and zero on them, and t stops where the first falling slack hits 0
-        mu = [dot(normals[0], vec_sub(p, base)) for p in pts]
+        normal, _ = _integer_row(normals[0])
+        c = sum(map(operator.mul, normal, base))
+        mu = [sum(map(operator.mul, normal, p)) - c for p in pts]
         if all(m >= 0 for m in mu):
             mu = [-m for m in mu]
-        t = min(s / -m for s, m in zip(slack, mu) if m < 0)
-        slack = [s + t * m for s, m in zip(slack, mu)]
+        k = -1  # t = slack_k / -mu_k, least over the falling slacks
+        for j, (s, m) in enumerate(zip(slack, mu)):
+            if m < 0 and (k < 0 or s * -mu[k] < slack[k] * -m):
+                k = j
+        # slack + t·mu, scaled by -mu_k > 0 to stay integral
+        slack = [s * -mu[k] + slack[k] * m for s, m in zip(slack, mu)]
     if len(tight) > d + 1:
         raise _non_generic(tight)
     return tuple(tight)
 
 
 def _lower_hull_cells(
-    local_pts: Sequence[Sequence[Fraction]], heights: Sequence[Fraction], d: int
-) -> tuple[list[Face], list[tuple[tuple[int, ...], int]]]:
-    """Maximal cells of the lower envelope of lifted points, and conv(points)' facets.
+    pts: Sequence[Sequence[int]], heights: Sequence[Fraction], d: int
+) -> tuple[list[Face], list[tuple[tuple[int, ...], int]], int]:
+    """Lower cells of the lifted points, and the facets and volume of conv(points).
 
-    Gift wrapping (Chand & Kapur 1970) on integer-scaled coordinates.
-    From one lower cell (:func:`_first_lower_cell`), each cell is
-    certified by one elimination (:func:`linalg._eliminate`) that gives
+    Gift wrapping (Chand & Kapur 1970) on the points' integer chart
+    coordinates (a :meth:`Chart.grid`).  From one lower cell
+    (:func:`_first_lower_cell`), each cell is certified by one
+    elimination (:func:`linalg._eliminate`) that gives
     every point's barycentric coordinates over the cell and its slack
     above the cell's plane, all of which must be positive off the cell;
     each ridge is then crossed by one ratio test, the least slack per unit
     of barycentric coordinate lost beyond it.  A ridge with no point
     beyond it spans a facet of conv(points).
 
-    Returns the cells as sorted index tuples in lexicographic order, and
-    the facets as integer-primitive halfspaces (a, b), a·x <= b on every
-    point, one per facet hyperplane.  Raises GeometryError("non-generic
-    ...") with every lifted point on the plane when more than d + 1
-    lifted points lie on a common lower hyperplane.
+    Returns the cells as sorted index tuples in lexicographic order; the
+    facets as integer-primitive halfspaces (a, b), a·x <= b on every
+    point, one per facet hyperplane, in the points' own integer
+    coordinates; and the sum of the cells' |det| (d! times their volume
+    in those coordinates).  Raises GeometryError("non-generic ...") with
+    every lifted point on the plane when more than d + 1 lifted points lie
+    on a common lower hyperplane.
     """
-    n = len(local_pts)
-    pts, scale = _integer_grid(local_pts)
+    n = len(pts)
     hs, _ = _integer_row([Fraction(h) for h in heights])
     units = [[int(r == k) for r in range(d + 1)] for k in range(d + 1)]
     first = _first_lower_cell(pts, hs, d)
     todo, seen = [first], {first}
     facets: dict[tuple[tuple[int, ...], int], None] = {}
+    volume = 0
     while todo:
         cell = todo.pop()
         # [M | I | Q], M's columns the cell's points and Q's all points, each
@@ -625,6 +635,7 @@ def _lower_hull_cells(
         rows = [[pts[i][k] for i in cell] + units[k] + [p[k] for p in pts] for k in range(d)]
         rows.append([1] * (d + 1) + units[d] + [1] * n)
         _, det, _ = _reduce(rows)
+        volume += abs(det)
         sign = 1 if det > 0 else -1
         forms = [[sign * x for x in row[d + 1 : 2 * d + 2]] for row in rows]
         lam = [[sign * x for x in row[2 * d + 2 :]] for row in rows]
@@ -640,7 +651,7 @@ def _lower_hull_cells(
         for r in range(d + 1):
             beyond = [j for j in range(n) if lam[r][j] < 0]
             if not beyond:
-                a = [-scale * x for x in forms[r][:d]]
+                a = [-x for x in forms[r][:d]]
                 g = math.gcd(*a, forms[r][d])
                 facets[(tuple(x // g for x in a), forms[r][d] // g)] = None
                 continue
@@ -653,47 +664,53 @@ def _lower_hull_cells(
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    return sorted(seen), list(facets)
+    return sorted(seen), list(facets), volume
 
 
 _GENERIC_SCHEDULE = [Fraction(1, 10**k) for k in range(1, 9)]
 
 
 def _triangulated_hull(
-    local: Sequence[Sequence[Fraction]], d: int
-) -> tuple[list[Face], list[tuple[tuple[int, ...], int]]]:
-    """A triangulation of conv(local) on its own points, and its facet halfspaces.
+    pts: Sequence[Sequence[int]], scale: int, d: int
+) -> tuple[list[Face], list[tuple[tuple[int, ...], int]], Fraction]:
+    """A triangulation of conv(pts) on its own points, its facet halfspaces, its volume.
 
-    `local` are coordinates in a d-dimensional chart.  The cells are the
-    lower hull of the paraboloid lift, perturbed until generic; both lists
-    are empty when the points do not span the chart.
+    `pts` and `scale` are a :meth:`Chart.grid` of a d-dimensional chart:
+    the facets hold in those integer coordinates, the volume is in chart
+    units.  The cells are the lower hull of the paraboloid lift, perturbed
+    until generic; both lists are empty, and the volume 0, when the points
+    do not span the chart.
     """
     if d == 0:
-        return [(0,)], []
-    if matrix_rank([vec_sub(p, local[0]) for p in local[1:]]) < d:
-        return [], []
-    base = [sum((x * x for x in lp), ZERO) for lp in local]
+        return [(0,)], [], ONE
+    if len(_reduce([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])[0]) < d:
+        return [], [], ZERO
+    base = [Fraction(sum(x * x for x in p), scale * scale) for p in pts]
     for eps in _GENERIC_SCHEDULE:
         heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
         try:
-            return _lower_hull_cells(local, heights, d)
+            cells, facets, volume = _lower_hull_cells(pts, heights, d)
         except GeometryError:
             continue
+        return cells, facets, Fraction(volume, math.factorial(d) * scale**d)
     raise GeometryError("could not find a generic height for the point set")
 
 
 def _hull_vertices(
     points: Sequence[Point],
-    local: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int]],
     facets: Sequence[tuple[tuple[int, ...], int]],
 ) -> list[Point]:
     """The vertices of conv(points), in input order, from its facet halfspaces.
 
-    `local` are the points' chart coordinates, in which `facets` are given.
-    A point is a vertex exactly when no other point lies on every facet
-    through it.
+    `rows` are the points' integer chart coordinates, in which `facets`
+    are given.  A point is a vertex exactly when no other point lies on
+    every facet through it.
     """
-    on = [sum(1 << k for k, (a, b) in enumerate(facets) if dot(a, x) == b) for x in local]
+    on = [
+        sum(1 << k for k, (a, b) in enumerate(facets) if sum(map(operator.mul, a, x)) == b)
+        for x in rows
+    ]
     out: list[Point] = []
     for p, m in zip(points, on):
         if p not in out and not any(q != p and f & m == m for q, f in zip(points, on)):
@@ -708,9 +725,10 @@ def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
     a shared chart keeps volumes of different cells of one complex on the
     same scale.
     """
-    local = [chart.to_local(as_point(p)) for p in points]
-    cells, _ = _triangulated_hull(local, chart.dim)
-    return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
+    rows, scale = chart.grid([as_point(p) for p in points])
+    if None in rows:
+        raise ValueError("point not in affine hull")
+    return _triangulated_hull(rows, scale, chart.dim)[2]
 
 
 # --------------------------------------------------------------------------
@@ -739,17 +757,17 @@ def regular_triangulation(
     if len(heights) != len(pts):
         raise GeometryError("height function must cover every point")
     chart = Chart(pts)
-    local = [chart.to_local(p) for p in pts]
     d = chart.dim
     if d == 0:
         return Triangulation([pts[0]], [(0,)], [pts[0]])
-    cells, facets = _lower_hull_cells(local, heights, d)
+    rows, _ = chart.grid(pts)
+    cells, facets, _ = _lower_hull_cells(rows, heights, d)
     used = sorted({i for c in cells for i in c})
     remap = {i: j for j, i in enumerate(used)}
     return Triangulation(
         [pts[i] for i in used],
         [tuple(remap[i] for i in c) for c in cells],
-        _hull_vertices(pts, local, facets),
+        _hull_vertices(pts, rows, facets),
     )
 
 
@@ -788,10 +806,7 @@ class PolyCell:
         )
 
     def diameter(self) -> Fraction:
-        return max(
-            (linf_dist(u, v) for u, v in itertools.combinations(self.vertices, 2)),
-            default=ZERO,
-        )
+        return _diameter(self.vertices)
 
 
 FaceKey = frozenset  # frozenset of Point
@@ -814,7 +829,11 @@ def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
 
 
 class PolyhedralComplex:
-    """Maximal polyhedral cells (V- and H-representations) with a face lattice."""
+    """Maximal polyhedral cells (V- and H-representations) with a face lattice.
+
+    The cells are fixed once built: :attr:`grid` reads their vertices'
+    chart coordinates once.
+    """
 
     def __init__(self, cells: Sequence[PolyCell], polytope: Sequence[Point]):
         if not cells:
@@ -825,12 +844,17 @@ class PolyhedralComplex:
         self.dim = self.chart.dim
 
     def all_vertices(self) -> list[Point]:
-        seen: list[Point] = []
-        for c in self.cells:
-            for v in c.vertices:
-                if v not in seen:
-                    seen.append(v)
-        return seen
+        """The cells' distinct vertices, in order of first appearance."""
+        return list(dict.fromkeys(v for c in self.cells for v in c.vertices))
+
+    @functools.cached_property
+    def grid(self) -> tuple[list[Optional[list[int]]], int]:
+        """Chart coordinates of `all_vertices()`, then the polytope's points, on one grid.
+
+        :meth:`Chart.grid`'s (rows, scale); a vertex off the polytope's
+        affine hull has the row None.
+        """
+        return self.chart.grid(self.all_vertices() + list(self.polytope))
 
     def face_lattice(self) -> dict[FaceKey, int]:
         """All faces of all cells, mapped to their affine dimension."""
@@ -859,6 +883,8 @@ class PolyhedralComplex:
     def validate(self) -> None:
         """Check exact volume cover and that cells meet only in common faces.
 
+        Each cell's dimension and volume come from one lower-hull walk over
+        its rows of :attr:`grid`, the polytope's from one over its own.
         Each pair is first tried with the hyperplane certificate of
         :class:`_Separation`, over every halfspace of the complex evaluated
         once at every vertex on an integer grid; a pair it does not settle
@@ -866,18 +892,24 @@ class PolyhedralComplex:
         intersection must be a face of both cells, whose faces are read
         from the same sign table.
         """
+        points = self.all_vertices()
+        index = {p: k for k, p in enumerate(points)}
+        grid, scale = self.grid
         total = ZERO
         for c in self.cells:
-            if Chart(c.vertices).dim != self.dim:
+            rows = [grid[index[v]] for v in c.vertices]
+            if None in rows:
+                raise GeometryError("cell vertex lies off the polytope's affine hull")
+            cells, _, volume = _triangulated_hull(rows, scale, self.dim)
+            if not cells:
                 raise GeometryError("non-maximal cell listed as maximal")
-            total += volume_in_chart(c.vertices, self.chart)
-        target = volume_in_chart(self.polytope, self.chart)
+            total += volume
+        target = _triangulated_hull(grid[len(points) :], scale, self.dim)[2]
         if total != target:
             raise GeometryError(
                 f"cell volumes sum to {total}, polytope volume is {target}"
             )
         sep = self._separation()
-        index = {p: k for k, p in enumerate(sep.points)}
         faces = [_cell_faces(mask, rows) for mask, rows in zip(sep.masks, sep.rows)]
         for i, j in itertools.combinations(range(len(self.cells)), 2):
             meet = sep.meet(i, j)
@@ -902,7 +934,7 @@ class PolyhedralComplex:
         """Certificates of the cells, over the complex's distinct vertices."""
         points = self.all_vertices()
         index = {p: k for k, p in enumerate(points)}
-        grid, scale = _integer_grid(points)
+        grid, scale = _integer_matrix(points)
         known: dict = {}
 
         def signs(hs: Halfspace) -> tuple[int, int]:
@@ -1084,12 +1116,22 @@ def _cells_to_complex(
     raw_cells,
     polytope: Sequence[Point],
 ) -> PolyhedralComplex:
+    """The chart-coordinate cells in ambient coordinates; rows and vertices
+    that several cells share are lifted once."""
+    halfspaces: dict[tuple, Halfspace] = {}
+    points: dict[tuple, Point] = {}
     cells = []
     for rows, verts in raw_cells:
-        ambient_rows = [chart.lift_functional(a, b) for a, b in rows]
-        hs = tuple(Halfspace(tuple(a), b) for a, b in ambient_rows)
-        vs = tuple(tuple(chart.to_ambient(v)) for v in verts)
-        cells.append(PolyCell(vs, hs))
+        for row in rows:
+            if row not in halfspaces:
+                a, b = chart.lift_functional(*row)
+                halfspaces[row] = Halfspace(tuple(a), b)
+        for v in map(tuple, verts):
+            if v not in points:
+                points[v] = tuple(chart.to_ambient(v))
+        cells.append(
+            PolyCell(tuple(points[tuple(v)] for v in verts), tuple(halfspaces[r] for r in rows))
+        )
     return PolyhedralComplex(cells, polytope)
 
 
@@ -1200,7 +1242,7 @@ def refine_modulo(
         cell = violating[0]
         edges = sorted(
             itertools.combinations(cell, 2),
-            key=lambda e: (-linf_dist(cur.vertices[e[0]], cur.vertices[e[1]]), e),
+            key=lambda e: (-_diameter([cur.vertices[e[0]], cur.vertices[e[1]]]), e),
         )
         cur = cur.split_edge(edges[0])
     achieved = max(
@@ -1324,6 +1366,11 @@ def _in_relative_interior(pts: Sequence[Point], x: Point) -> bool:
 # --------------------------------------------------------------------------
 
 
+def _affine_at(g: Sequence[Fraction], off: Fraction, row: Sequence[int], scale: int) -> Fraction:
+    """The affine function g·x + off at the chart point x = row / scale."""
+    return sum(map(operator.mul, g, row), ZERO) / scale + off
+
+
 class PLFunction:
     """One affine function per maximal cell of a triangulation or complex.
 
@@ -1381,21 +1428,39 @@ class PLFunction:
 
     # -- structural checks ---------------------------------------------------
 
+    def _vertex_rows(self) -> tuple[list[Point], list[Face], list, int]:
+        """The domain's vertices, its cells as index tuples into them, and its grid."""
+        domain = self.domain
+        rows, scale = domain.grid
+        if isinstance(domain, Triangulation):
+            return list(domain.vertices), list(domain.maximal), rows, scale
+        points = domain.all_vertices()
+        index = {p: k for k, p in enumerate(points)}
+        return points, [tuple(index[v] for v in c.vertices) for c in domain.cells], rows, scale
+
     def vertex_values(self) -> dict[Point, Fraction]:
+        """The value at every vertex, through the first cell that lists it.
+
+        Read off the domain's integer chart grid, one piece per vertex.
+        """
+        points, cells, rows, scale = self._vertex_rows()
         out: dict[Point, Fraction] = {}
-        for i in range(self._ncells()):
-            for v in self._cell_vertices(i):
-                out[v] = self.piece_value(i, v)
+        for (g, off), cell in zip(self.pieces, cells):
+            for k in cell:
+                if points[k] not in out:
+                    out[points[k]] = _affine_at(g, off, rows[k], scale)
         return out
 
     def is_convex(self) -> bool:
         """Exact global convexity: every piece underestimates every vertex value."""
+        points, cells, rows, scale = self._vertex_rows()
         vv = self.vertex_values()
-        for i in range(self._ncells()):
-            for v, val in vv.items():
-                if self.piece_value(i, v) > val:
-                    return False
-        return True
+        used = set().union(*cells)
+        return all(
+            _affine_at(g, off, rows[k], scale) <= vv[points[k]]
+            for g, off in self.pieces
+            for k in used
+        )
 
     def adjacent_cell_pairs(self) -> list[tuple[int, int, tuple[Point, ...]]]:
         """Pairs of maximal cells sharing a codimension-1 face."""
@@ -1447,22 +1512,26 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
     base simplex; the cells of the arrangement form the refined complex.
     The returned function gamma(x) = alpha * sum_H |a_H·x − b_H| is convex
     piecewise-linear with range in [0,1], linear exactly on the complex's
-    cells and non-linear across every interior facet.
+    cells and non-linear across every interior facet.  Chart coordinates
+    come from the triangulation's :attr:`Triangulation.grid`, and each
+    cell's side of every H from the row the arrangement gave it.
     """
     if len(tri.polytope) != tri.dim + 1:
         raise GeometryError("el_refinement requires a triangulated simplex")
-    chart = tri.chart
     d = tri.dim
+    grid, scale = tri.grid
+    if None in grid:
+        raise GeometryError("a vertex lies off the triangulated simplex's affine hull")
     hyperplanes: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for f in tri.faces_of_dim(d - 1):
-        local = [chart.to_local(tri.vertices[i]) for i in f]
-        hp = hyperplane_through(local, d)
+        a, b = hyperplane_through([grid[i] for i in f], d)  # a·(scale x) = b
+        hp = _primitive(a, b / scale)
         if hp not in hyperplanes:
             hyperplanes.append(hp)
-    local_base = [chart.to_local(p) for p in tri.polytope]
+    local_base = [[Fraction(x, scale) for x in row] for row in grid[len(tri.vertices) :]]
     base_hrep = simplex_facet_halfspaces(local_base, d)
     raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
-    pc = _cells_to_complex(chart, raw, tri.polytope)
+    pc = _cells_to_complex(tri.chart, raw, tri.polytope)
     pc.validate()
 
     def raw_gamma(lp: Sequence[Fraction]) -> Fraction:
@@ -1471,12 +1540,11 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
     peak = max(raw_gamma(p) for p in local_base)
     alpha = ONE / peak if peak > 0 else ONE
     pieces = []
-    for cell in pc.cells:
-        center = chart.to_local(cell.barycenter())
+    for rows, _ in raw:
         grad = [ZERO] * d
         off = ZERO
-        for a, b in hyperplanes:
-            s = ONE if dot(a, center) - b > 0 else -ONE
+        for (a, b), side in zip(hyperplanes, rows[len(base_hrep) :]):
+            s = -ONE if side == (a, b) else ONE  # the cell lies in a·x <= b, or beyond
             for k in range(d):
                 grad[k] += s * a[k]
             off -= s * b

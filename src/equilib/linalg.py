@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -50,20 +51,18 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
 
 
-def linf_norm(v: Sequence[Fraction]) -> Fraction:
-    return max((abs(a) for a in v), default=ZERO)
-
-
-def linf_dist(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return linf_norm(vec_sub(u, v))
-
-
 def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """``row`` scaled to integers by the lcm of its denominators, and that lcm."""
     # a list, not a generator: star-unpacking a generator resizes the argument
     # tuple, which leaves it in another size's free list and grows those lists
     scale = math.lcm(*[f.denominator for f in row])
     return [f.numerator * (scale // f.denominator) for f in row], scale
+
+
+def _integer_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """``rows`` scaled to integers by the lcm of all their denominators, and that lcm."""
+    scale = math.lcm(*[f.denominator for row in rows for f in row])
+    return [[f.numerator * (scale // f.denominator) for f in row] for row in rows], scale
 
 
 def _pivot(T: list[list[int]], row: int, col: int, det: int) -> int:
@@ -430,17 +429,44 @@ class Chart:
         self.ambient_dim = len(self.origin)
 
     def to_local(self, point: Sequence[Fraction]) -> Vector:
-        """Coordinates of `point`, which must lie in the affine hull (ValueError if not).
-
-        Read off the cached :meth:`left_inverse`; when the hull is a proper
-        flat, the point is then checked to map back to itself exactly.
-        """
-        p = frac_vec(point)
-        d = vec_sub(p, self.origin)
-        x = [dot(row, d) for row in self.left_inverse()]
-        if self.dim < self.ambient_dim and self.to_ambient(x) != p:
+        """Coordinates of `point`, which must lie in the affine hull (ValueError if not)."""
+        (row,), scale = self.grid([frac_vec(point)])
+        if row is None:
             raise ValueError("point not in affine hull")
-        return x
+        return [Fraction(x, scale) for x in row]
+
+    def grid(
+        self, points: Sequence[Sequence[Fraction]]
+    ) -> tuple[list[Optional[list[int]]], int]:
+        """Chart coordinates of all `points` on one integer grid: (rows, scale).
+
+        Row k is scale times the coordinates of points[k], scale being the
+        least positive integer that makes every row integral, and None when
+        points[k] is off the hull.  The points (int or Fraction entries)
+        are scaled to integers by one common denominator and mapped by the
+        cached :meth:`left_inverse` scaled to integers; when the hull is a
+        proper flat, each row is checked to map back to its point exactly.
+        """
+        if not hasattr(self, "_int_forms"):
+            L, s_l = _integer_matrix(self.left_inverse())
+            B, s_b = _integer_matrix(self.basis)
+            columns = [[b[j] for b in B] for j in range(self.ambient_dim)]
+            self._int_forms = L, s_l, columns, s_l * s_b
+        L, s_l, columns, s_lb = self._int_forms
+        check = self.dim < self.ambient_dim
+        den = math.lcm(*[x.denominator for p in (self.origin, *points) for x in p])
+        origin = [x.numerator * (den // x.denominator) for x in self.origin]
+        rows: list[Optional[list[int]]] = []
+        for p in points:
+            v = [x.numerator * (den // x.denominator) - o for x, o in zip(p, origin, strict=True)]
+            y = [sum(map(operator.mul, row, v)) for row in L]
+            if check and any(
+                sum(map(operator.mul, col, y)) != s_lb * x for col, x in zip(columns, v)
+            ):
+                y = None
+            rows.append(y)
+        g = math.gcd(s_l * den, *[x for y in rows if y is not None for x in y])
+        return [None if y is None else [x // g for x in y] for y in rows], s_l * den // g
 
     def left_inverse(self) -> list[Vector]:
         """Rows l_1..l_dim with l_i · basis_j = δ_ij.

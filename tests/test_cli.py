@@ -9,9 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+import equilib.cli
 from equilib.cli import Report, main
+from equilib.equivalence import load_mapping
 from equilib.examples import km_game, km_perturbation_1
-from equilib.games import FiniteGame, load_game, save_game
+from equilib.games import FiniteGame, MixedStrategy, load_game, save_game
+from equilib.games import write_json as write_report
 from equilib.geometry import Triangulation
 from equilib.indices import IndexEntry, IndexReport
 
@@ -284,8 +287,8 @@ def test_report_round_trip(km_file, tmp_path, capsys):
     assert report.render_text().startswith("== solve ==")
 
 
-def equilib_garbage(argv) -> list:
-    """Objects of equilib types or functions that ``main(argv)`` leaves in reference cycles."""
+def cyclic_garbage(argv) -> list:
+    """Every object that ``main(argv)`` leaves in reference cycles, from any module."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -295,9 +298,14 @@ def equilib_garbage(argv) -> list:
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+    return garbage
+
+
+def equilib_garbage(argv) -> list:
+    """Objects of equilib types or functions that ``main(argv)`` leaves in reference cycles."""
     return [
         o
-        for o in garbage
+        for o in cyclic_garbage(argv)
         if type(o).__module__.startswith("equilib")
         or (isinstance(o, types.FunctionType) and o.__module__.startswith("equilib"))
     ]
@@ -305,7 +313,7 @@ def equilib_garbage(argv) -> list:
 
 @pytest.mark.parametrize("command", ["solve", "index"])
 def test_main_leaves_no_cyclic_garbage(command, km_file, tmp_path, capsys):
-    assert equilib_garbage([command, km_file, "--out", str(tmp_path / "r.json")]) == []
+    assert cyclic_garbage([command, km_file, "--out", str(tmp_path / "r.json")]) == []
     assert equilib_garbage([command, km_file]) == []
     capsys.readouterr()
 
@@ -409,6 +417,89 @@ def test_geometry_subcommand_report_round_trip(command, tmp_path, capsys):
         assert len(tri.maximal) == data["results"]["num_cells"] == 8
     if command == "degree-oracle":
         assert data["results"]["degree"] == 1
+
+
+def subcommand_argv(command, km_file, tmp_path):
+    """argv for each subcommand, on km or on the geometry inputs."""
+    if command in GEOMETRY_COMMANDS:
+        return geometry_argv(command, tmp_path)
+    if command == "dominance":
+        path = tmp_path / "g1.json"
+        save_game(km_perturbation_1(F(1, 10)), str(path))
+        return ["dominance", str(path)]
+    if command == "duplicate":
+        return ["duplicate", km_file, "1", '{"L": "1"}', "--label", "L'",
+                "--game-out", str(tmp_path / "dup.json"),
+                "--mapping-out", str(tmp_path / "map.json")]
+    if command == "perturb":
+        targets = write_json(tmp_path / "targets.json", PURE_TARGETS)
+        params = write_json(tmp_path / "params.json", {"eps": "1/10"})
+        return ["perturb", km_file, targets, "--params", params,
+                "--game-out", str(tmp_path / "perturbed.json"),
+                "--witness-out", str(tmp_path / "witness.json")]
+    if command == "verify-example":
+        return ["verify-example", "km"]
+    return [command, km_file]
+
+
+# perfbench's "pure" target file for km
+PURE_TARGETS = [{"component": 0, "point": [{"t": "1"}, {"L": "1"}], "sign": 1}]
+
+SUBCOMMANDS = ["solve", "components", "index", "dominance", "duplicate", "perturb",
+               "verify-example"] + GEOMETRY_COMMANDS
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_out_is_the_indented_json_of_the_report(command, km_file, tmp_path, monkeypatch, capsys):
+    """--out holds exactly json.dumps(report.to_json(), indent=2) and a newline,
+    and the run leaves no cyclic garbage from any module."""
+    argv = subcommand_argv(command, km_file, tmp_path)
+    reports = []
+    emit = equilib.cli._emit
+
+    def keep(report, out_path):
+        reports.append(report)
+        emit(report, out_path)
+
+    monkeypatch.setattr(equilib.cli, "_emit", keep)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    (report,) = reports
+    assert out.read_bytes() == (json.dumps(report.to_json(), indent=2) + "\n").encode()
+    assert cyclic_garbage(argv + ["--out", str(out)]) == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], "é\n\"", 3, -2.5, None, True, [[], {}, [[]]], (1, "a"),
+     {"a": {"b": [1, {"c": None}], "d": {}}, 3: "int key", None: 0, 1.5: [], False: ()}],
+)
+def test_report_writer_matches_json_dump(value, tmp_path):
+    write_report(str(tmp_path / "v.json"), value)
+    assert (tmp_path / "v.json").read_text() == json.dumps(value, indent=2) + "\n"
+
+
+def test_report_writer_refuses_keys_json_refuses(tmp_path):
+    with pytest.raises(TypeError):
+        json.dumps({(1, 2): 0}, indent=2)
+    with pytest.raises(TypeError):
+        write_report(str(tmp_path / "v.json"), {(1, 2): 0})
+
+
+def test_perturb_witness_out_maps_the_perturbed_game_onto_km(km_file, tmp_path, capsys):
+    argv = subcommand_argv("perturb", km_file, tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    perturbed, km = load_game(str(tmp_path / "perturbed.json")), km_game()
+    phis = load_mapping(str(tmp_path / "witness.json"))
+    assert len(phis) == len(km.strategies) == len(perturbed.strategies)
+    for phi, source, target in zip(phis, perturbed.strategies, km.strategies):
+        assert phi.source_labels == tuple(source)
+        assert phi.target_labels == tuple(target)
+        for s in source:  # every pure strategy lands on a mixture over km's
+            image = phi.apply(MixedStrategy.pure(s))
+            assert set(image.support()) <= set(target) and sum(w for _, w in image.weights) == 1
 
 
 @pytest.mark.parametrize("command", [c for c in GEOMETRY_COMMANDS if c != "triangulate-grid"])

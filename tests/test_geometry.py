@@ -13,7 +13,6 @@ from equilib.geometry import (
     Triangulation,
     _barycentric_table,
     _facet_rows,
-    _integer_grid,
     _poly_intersection,
     _Separation,
     affine_below_except_marked,
@@ -415,7 +414,7 @@ def moved_vertex(tri, rng):
 
 def simplex_separation(tri):
     """The pair certificates `Triangulation.validate` builds, from one elimination per cell."""
-    pts, _ = _integer_grid([tri.chart.to_local(v) for v in tri.vertices])
+    pts, _ = tri.chart.grid(tri.vertices)
     rows = [_facet_rows(_barycentric_table(pts, c)[1]) for c in tri.maximal]
     return _Separation(tri.vertices, tri.maximal, rows)
 

@@ -1,12 +1,16 @@
 """The lower-hull walk, the arrangement splits and the facet-based hull
-against the subset loops they replaced, and the integer pair certificates
-against the `Fraction` facet tables they replaced.
+against the subset loops they replaced, the integer pair certificates
+against the `Fraction` facet tables they replaced, and the readings of the
+integer chart grid against the per-point `Fraction` code they replaced.
 
 `reference_lower_hull_cells`, `reference_arrangement_cells` and
 `reference_extreme_points` are the previous implementations, kept verbatim
 as oracles: every (d+1)-subset of the lifted points tried as a lower cell;
 the arrangement recursed one hyperplane at a time with a brute-force vertex
 enumeration at every node; and one LP per point for the hull's vertices.
+The last section keeps `Simplex`-based cell diameters, `PLFunction.value`
+at every complex vertex, barycenter-signed gamma pieces and the
+`Chart`-plus-`volume_in_chart` complex check as oracles.
 """
 
 import collections
@@ -22,15 +26,18 @@ import pytest
 from equilib.geometry import (
     Face,
     GeometryError,
+    Halfspace,
     Point,
     PolyCell,
+    PolyhedralComplex,
     Simplex,
     Triangulation,
     _arrangement_cells,
     _barycentric_table,
+    _cell_faces,
     _facet_rows,
-    _integer_grid,
     _lower_hull_cells,
+    _poly_intersection,
     _Separation,
     _simplex_volume,
     _triangulated_hull,
@@ -43,7 +50,16 @@ from equilib.geometry import (
     regular_triangulation,
     simplex_facet_halfspaces,
 )
-from equilib.linalg import ONE, ZERO, Chart, dot, solve_unique, vertex_enumeration
+from equilib.linalg import (
+    ONE,
+    ZERO,
+    Chart,
+    _integer_matrix,
+    dot,
+    matrix_rank,
+    solve_unique,
+    vertex_enumeration,
+)
 
 F = Fraction
 
@@ -225,21 +241,22 @@ def degenerate_planes(label):
 @pytest.mark.parametrize("label", LIFTS)
 def test_lower_hull_walk_matches_subset_loop(label):
     local, heights, d = LIFTS[label]
+    rows, _ = _integer_matrix(local)
     try:
         expected = reference_lower_hull_cells(local, heights, d)
     except GeometryError as exc:
         with pytest.raises(GeometryError) as raised:
-            _lower_hull_cells(local, heights, d)
+            _lower_hull_cells(rows, heights, d)
         witness = re.search(r"\[([\d, ]*)\]", str(raised.value)).group(1)
         assert frozenset(int(i) for i in witness.split(", ")) in degenerate_planes(label)
         if len(degenerate_planes(label)) == 1:
             assert str(raised.value) == str(exc)
         return
-    cells, facets = _lower_hull_cells(local, heights, d)
+    cells, facets, _ = _lower_hull_cells(rows, heights, d)
     assert cells == expected
     # every facet halfspace holds on all points and is tight on d of them
     for a, b in facets:
-        values = [dot(a, p) - b for p in local]
+        values = [dot(a, p) - b for p in rows]
         assert max(values) == 0
         assert Chart([p for p, v in zip(local, values) if v == 0]).dim == d - 1
 
@@ -484,14 +501,15 @@ def reference_validate(self) -> None:
             raise GeometryError(f"cell {c} is not full-dimensional")
         self.simplex(c)  # affine independence
     hull = [self._local(p) for p in self.polytope]
-    hull_cells, facets = _triangulated_hull(hull, self.dim)
+    rows, scale = self.chart.grid(self.polytope)
+    hull_cells, facets, _ = _triangulated_hull(rows, scale, self.dim)
     local = []
     for i, v in enumerate(self.vertices):
         try:
             x = self._local(v)
         except ValueError:
             x = None  # off the polytope's affine hull
-        if x is None or any(dot(a, x) > b for a, b in facets):
+        if x is None or any(dot(a, x) * scale > b for a, b in facets):
             raise GeometryError(f"vertex {i} lies outside the covered polytope")
         local.append(x)
     total = sum(
@@ -638,7 +656,7 @@ def test_validation_decides_as_the_facet_oracle(label):
 
 def integer_separation(tri):
     """The certificate `Triangulation.validate` builds, from one elimination per cell."""
-    pts, _ = _integer_grid([tri.chart.to_local(v) for v in tri.vertices])
+    pts, _ = tri.chart.grid(tri.vertices)
     rows = [_facet_rows(_barycentric_table(pts, c)[1]) for c in tri.maximal]
     return _Separation(tri.vertices, tri.maximal, rows)
 
@@ -735,3 +753,247 @@ def test_face_lattice_reads_the_halfspace_faces():
     for pc in complexes:
         expected = set().union(*(reference_cell_faces(pc, c) for c in pc.cells))
         assert pc.face_lattice() == {f: Chart(sorted(f)).dim for f in expected}
+
+
+# -- readings of the integer chart grid ---------------------------------------
+#
+# `reference_cell_diameter` is `Triangulation.cell_diameter` as it was: a
+# validated `Simplex`, then every pair of vertices.  `reference_gamma_pieces`
+# is el-refine's gamma as it was, signed at each cell's barycenter, and
+# `reference_complex_validate` is `PolyhedralComplex.validate` as it was,
+# with a `Chart` per cell for its dimension and `volume_in_chart` (one
+# `to_local` per vertex) for the volumes, here over the subset-loop hull.
+
+
+def reference_cell_diameter(tri, cell) -> Fraction:
+    pairs = itertools.combinations(tri.simplex(cell).vertices, 2)
+    return max((max(abs(a - b) for a, b in zip(u, v)) for u, v in pairs), default=ZERO)
+
+
+def diameter_cases():
+    """The certificate cases, and regular triangulations of the generic lifts."""
+    cases = dict(CERTIFICATE_CASES)
+    for label, (local, heights, d) in LIFTS.items():
+        try:
+            cases[f"lift-{label}"] = regular_triangulation(local, heights)
+        except GeometryError:
+            continue  # a non-generic lift
+    return cases
+
+
+DIAMETER_CASES = diameter_cases()
+
+
+def test_max_diameter_matches_the_simplex_pairs():
+    compared = collections.Counter()
+    for label, tri in DIAMETER_CASES.items():
+        try:
+            expected = [reference_cell_diameter(tri, c) for c in tri.maximal]
+        except GeometryError:
+            continue  # an affinely dependent cell: the oracle refuses it
+        assert tri.max_diameter() == max(expected), label
+        assert [tri.cell_diameter(c) for c in tri.maximal] == expected, label
+        assert [tri.simplex(c).diameter() for c in tri.maximal] == expected, label
+        compared[len(tri.vertices[0])] += 1
+    assert compared[1] >= 5 and compared[2] >= 60 and compared[3] >= 30, compared
+
+
+def el_cases():
+    """Seeded edge-split triangulations of simplices: 2-D, 3-D, and a triangle in R^3."""
+    rng = random.Random(61)
+    out = []
+    while len(out) < 30:
+        corners = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)] for _ in range(3)]
+        if Chart(corners).dim == 2:
+            out.append((f"el2-{len(out)}", triangle_refinement(rng, corners, rng.randint(1, 4))))
+    for k in range(12):
+        corners = [[F(0)] * 3]
+        corners += [[F(rng.randint(1, 3), 2) * (i == j) for j in range(3)] for i in range(3)]
+        out.append((f"el3-{k}", triangle_refinement(rng, corners, 1 + k % 2)))
+    for k in range(12):
+        corners = [[F(rng.randint(1, 3)) * (i == j) for j in range(3)] for i in range(3)]
+        out.append((f"el-plane-{k}", triangle_refinement(rng, corners, rng.randint(1, 3))))
+    return out
+
+
+EL_CASES = el_cases()
+EL_REFINEMENTS = {label: el_refinement(tri) for label, tri in EL_CASES}
+
+
+def reference_gamma_pieces(tri, pc):
+    """gamma's (gradient, offset) per cell, each H signed at the cell's barycenter."""
+    chart, d = tri.chart, tri.dim
+    hyperplanes = []
+    for f in tri.faces_of_dim(d - 1):
+        hp = hyperplane_through([chart.to_local(tri.vertices[i]) for i in f], d)
+        if hp not in hyperplanes:
+            hyperplanes.append(hp)
+    local_base = [chart.to_local(p) for p in tri.polytope]
+    peak = max(sum((abs(dot(a, p) - b) for a, b in hyperplanes), ZERO) for p in local_base)
+    alpha = ONE / peak if peak > 0 else ONE
+    pieces = []
+    for cell in pc.cells:
+        center = chart.to_local(cell.barycenter())
+        grad, off = [ZERO] * d, ZERO
+        for a, b in hyperplanes:
+            s = ONE if dot(a, center) - b > 0 else -ONE
+            grad = [g + s * x for g, x in zip(grad, a)]
+            off -= s * b
+        pieces.append(([alpha * g for g in grad], alpha * off))
+    return pieces
+
+
+def test_el_cases_cover_the_charts():
+    dims = collections.Counter((tri.dim, len(tri.vertices[0])) for _, tri in EL_CASES)
+    assert len(EL_CASES) >= 50 and min(dims[(2, 2)], dims[(3, 3)], dims[(2, 3)]) >= 10, dims
+    # grids with a scale above 1, so a reading that drops the scale shows
+    assert sum(tri.grid[1] > 1 for _, tri in EL_CASES) >= 30
+
+
+@pytest.mark.parametrize("label,tri", EL_CASES, ids=[c[0] for c in EL_CASES])
+def test_el_gamma_reads_as_the_value_oracle(label, tri):
+    pc, gamma = EL_REFINEMENTS[label]
+    assert gamma.pieces == reference_gamma_pieces(tri, pc)
+    expected = {v: gamma.value(v) for v in pc.all_vertices()}
+    values = gamma.vertex_values()
+    assert values == expected
+    # el-refine's gamma_range
+    assert (min(values.values()), max(values.values())) == (
+        min(expected.values()),
+        max(expected.values()),
+    )
+
+
+def reference_volume(points, chart) -> Fraction:
+    """`volume_in_chart` over the subset-loop lower hull of the paraboloid lift."""
+    local = [chart.to_local(p) for p in points]
+    d = chart.dim
+    if d == 0:
+        return ONE
+    if matrix_rank([[x - y for x, y in zip(p, local[0])] for p in local[1:]]) < d:
+        return ZERO
+    for k in range(1, 9):
+        heights = [dot(p, p) + F(1, 10**k) ** (i + 1) for i, p in enumerate(local)]
+        try:
+            cells = reference_lower_hull_cells(local, heights, d)
+        except GeometryError:
+            continue
+        return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
+    raise GeometryError("could not find a generic height for the point set")
+
+
+def reference_complex_validate(pc) -> None:
+    total = ZERO
+    for c in pc.cells:
+        if Chart(c.vertices).dim != pc.dim:
+            raise GeometryError("non-maximal cell listed as maximal")
+        total += reference_volume(c.vertices, pc.chart)
+    target = reference_volume(pc.polytope, pc.chart)
+    if total != target:
+        raise GeometryError(f"cell volumes sum to {total}, polytope volume is {target}")
+    sep = pc._separation()
+    index = {p: k for k, p in enumerate(sep.points)}
+    faces = [_cell_faces(mask, rows) for mask, rows in zip(sep.masks, sep.rows)]
+    for i, j in itertools.combinations(range(len(pc.cells)), 2):
+        meet = sep.meet(i, j)
+        if meet is None:
+            inter_dim, inter_verts = _poly_intersection(pc.cells[i], pc.cells[j])
+            if inter_dim is None:
+                continue
+            key = (
+                sum(1 << index[v] for v in inter_verts)
+                if all(v in index for v in inter_verts)
+                else None
+            )
+        elif not meet:
+            continue
+        else:
+            key = sum(1 << v for v in meet)
+        if key not in faces[i] or key not in faces[j]:
+            raise GeometryError("two cells intersect outside a common face")
+
+
+def simplex_cell(tri, cell) -> PolyCell:
+    """A simplex of `tri` as a polyhedral cell, its facets lifted from the chart."""
+    pts = tuple(tri.vertices[i] for i in cell)
+    local = [tri.chart.to_local(p) for p in pts]
+    rows = [tri.chart.lift_functional(a, b) for a, b in simplex_facet_halfspaces(local, tri.dim)]
+    return PolyCell(pts, tuple(Halfspace(tuple(a), b) for a, b in rows))
+
+
+def complex_cases():
+    """Seeded valid complexes and planted invalid ones.
+
+    Valid: EL refinements, hyperplane extensions and simplicial complexes.
+    Invalid: a cell dropped (a volume gap), a cell swapped for one of its
+    facets or for a lower flat of its vertices (non-maximal), and the
+    overlapping triangulations of the certificate cases as complexes.
+    """
+    rng = random.Random(67)
+    valid = [(label, pc) for label, (pc, _) in list(EL_REFINEMENTS.items())[::3]]
+    triangle = Simplex.of([[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]])
+    for k in range(4):
+        inner = [[F(rng.randint(1, 3), 8), F(rng.randint(1, 3), 8)] for _ in range(3)]
+        if Chart(inner).dim == 2:
+            pc = hyperplane_extension_subdivision(triangle, [Simplex.of(inner)])
+            valid.append((f"extension{k}", pc))
+    cases = list(valid)
+    for label, pc in valid:
+        if len(pc.cells) > 1:
+            k = rng.randrange(len(pc.cells))
+            gap = PolyhedralComplex(pc.cells[:k] + pc.cells[k + 1 :], pc.polytope)
+            cases.append((f"gap-{label}", gap))
+        cells = list(pc.cells)
+        k = rng.randrange(len(cells))
+        facet = max(
+            (tuple(v for v in cells[k].vertices if hs.value(v) == 0) for hs in cells[k].halfspaces),
+            key=len,
+        )
+        cells[k] = PolyCell(facet, cells[k].halfspaces)
+        cases.append((f"facet-{label}", PolyhedralComplex(cells, pc.polytope)))
+    for label, tri in CERTIFICATE_CASES.items():
+        if not at_pair_stage(label) or len(tri.maximal) > 12:
+            continue
+        try:
+            cells = [simplex_cell(tri, c) for c in tri.maximal]
+        except (GeometryError, ValueError):
+            continue  # a flat cell, or a vertex off the plane
+        cases.append((f"simplicial-{label}", PolyhedralComplex(cells, tri.polytope)))
+    return cases
+
+
+COMPLEX_CASES = dict(complex_cases())
+
+
+@functools.cache
+def reference_complex_error(label):
+    return validation_error(reference_complex_validate, COMPLEX_CASES[label])
+
+
+def test_complex_cases_cover_the_outcomes():
+    errors = [reference_complex_error(label) for label in COMPLEX_CASES]
+    outcomes = collections.Counter(
+        "valid" if error is None else re.sub(r" \d.*", "", error) for error in errors
+    )
+    assert outcomes["valid"] >= 15, outcomes
+    assert outcomes["cell volumes sum to"] >= 5, outcomes
+    assert outcomes["non-maximal cell listed as maximal"] >= 5, outcomes
+    assert outcomes["two cells intersect outside a common face"] >= 5, outcomes
+
+
+@pytest.mark.parametrize("label", COMPLEX_CASES)
+def test_complex_validation_decides_as_the_chart_oracle(label):
+    pc = COMPLEX_CASES[label]
+    assert validation_error(PolyhedralComplex.validate, pc) == reference_complex_error(label)
+
+
+def test_complex_vertex_off_the_plane_is_rejected_as_by_the_oracle():
+    pc, _ = EL_REFINEMENTS["el-plane-0"]
+    cells = list(pc.cells)
+    moved = tuple(x + F(1, 3) for x in cells[0].vertices[0])
+    cells[0] = PolyCell((moved,) + cells[0].vertices[1:], cells[0].halfspaces)
+    broken = PolyhedralComplex(cells, pc.polytope)
+    with pytest.raises(ValueError):
+        reference_complex_validate(broken)
+    with pytest.raises(GeometryError, match="off the polytope's affine hull"):
+        broken.validate()

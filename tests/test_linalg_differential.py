@@ -13,6 +13,7 @@ form is unique, so both must give the same rank, the same solutions (free
 variables 0) and the same nullspace vectors in the same order.
 """
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -471,3 +472,38 @@ def test_to_local_matches_one_solve_per_point():
             assert chart.to_local(q) == want, (points, q)
             counts["on"] += 1
     assert min(counts.values()) > 100, counts
+
+
+def test_grid_reads_every_point_as_to_local():
+    """`Chart.grid` of a point list: the least common scale of the coordinates
+    from one solve per point, and None for the points off the flat."""
+    rng = random.Random(31)
+    counts = {"on": 0, "off": 0, "scale above 1": 0}
+    for _ in range(200):
+        ambient = rng.choice([1, 2, 3, 3, 4])
+        origin = [rational(rng) for _ in range(ambient)]
+        dirs = [[rational(rng) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+
+        def on_flat():
+            coefs = [rational(rng) for _ in dirs]
+            return [o + sum((c * v[i] for c, v in zip(coefs, dirs)), ZERO)
+                    for i, o in enumerate(origin)]
+
+        chart = Chart([origin] + [on_flat() for _ in range(rng.randint(0, 4))])
+        queries = [on_flat() for _ in range(rng.randint(0, 4))]
+        queries += [[rational(rng) for _ in range(ambient)] for _ in range(rng.randint(0, 2))]
+        rng.shuffle(queries)
+        local = []
+        for q in queries:
+            try:
+                local.append(reference_to_local(chart, q))
+            except ValueError:
+                local.append(None)
+        scale = math.lcm(*[x.denominator for row in local if row is not None for x in row])
+        rows, got = chart.grid(queries)
+        assert got == scale, (queries, local)
+        assert rows == [None if x is None else [y * scale for y in x] for x in local]
+        counts["on"] += sum(x is not None for x in local)
+        counts["off"] += local.count(None)
+        counts["scale above 1"] += scale > 1
+    assert min(counts.values()) > 50, counts
