@@ -14,7 +14,10 @@ exact affine chart.  Lower hulls (regular triangulations, volumes, hull
 facets and vertices) are walked cell to cell by gift wrapping, and
 arrangements are built by splitting cells one hyperplane at a time, so
 both cost in proportion to the cells they produce; neither tries subsets
-of points or of hyperplanes.
+of points or of hyperplanes.  Subdivisions are validated by facet matching
+(De Loera, Rambau & Santos, *Triangulations*, Springer 2010, ch. 4): each
+cell facet lies on the covered polytope's boundary with one owner, or has
+two owners on opposite sides, and the cell volumes sum to the polytope's.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .linalg import (
     _integer_matrix,
     _integer_row,
     _reduce,
-    determinant,
     dot,
     frac_vec,
     linprog,
@@ -43,7 +45,6 @@ from .linalg import (
     nullspace,
     solve_linear,
     vec_sub,
-    vertex_enumeration,
 )
 
 Point = tuple[Fraction, ...]
@@ -164,16 +165,8 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     return _hull_vertices(points, rows, _triangulated_hull(rows, scale, chart.dim)[1])
 
 
-def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Volume of the full-dimensional simplex with the given chart coordinates."""
-    if len(pts) == 1:
-        return ONE
-    mat = [vec_sub(p, pts[0]) for p in pts[1:]]
-    return abs(determinant(mat)) / math.factorial(len(mat))
-
-
 # --------------------------------------------------------------------------
-# Separation certificates for pairs of cells
+# Facet sign tables and facet matching
 # --------------------------------------------------------------------------
 
 
@@ -225,49 +218,43 @@ def _facet_rows(lam: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return [_sign_masks([-x for x in row]) for row in lam]
 
 
-class _Separation:
-    """Exact certificates that two cells of a subdivision meet in a face.
+def _match_facets(
+    masks: Sequence[int],
+    rows: Sequence[Iterable[tuple[int, int]]],
+    pts: Sequence[Sequence[int]],
+    hull_facets: Sequence[tuple[tuple[int, ...], int]],
+    clash: str,
+) -> None:
+    """Raise unless the cells' facets match: the pseudo-manifold property.
 
-    `cells` are vertex-index tuples into `points`; `cell_rows[k]` lists the
-    sign rows of halfspaces that hold on cell k, each a pair of bit masks
-    over the points: (beyond, inside), bit j set when point j lies strictly
-    beyond the halfspace's hyperplane, or strictly inside.  The rows are
-    integer evaluations made by the caller: barycentric coordinates from one
-    elimination per simplex (:class:`Triangulation`), or the cells' own
-    halfspaces on an integer grid (:class:`PolyhedralComplex`).
+    `masks[k]` holds cell k's vertices and `rows[k]` the sign rows of its
+    facet halfspaces over the integer points `pts`, in whose coordinates
+    the polytope's facets are `hull_facets`, a·x <= b.  A facet, keyed by
+    its cell's vertices on it, needs one owner if it lies in a hull facet,
+    else two, each with a vertex strictly beyond the other's halfspace.
+    With the cell volumes summing to the polytope's, that makes the cells
+    a subdivision (De Loera, Rambau & Santos, *Triangulations*, ch. 4).
     """
-
-    def __init__(self, points, cells, cell_rows):
-        self.points = points
-        self.masks = [sum(1 << v for v in set(c)) for c in cells]
-        self.rows = cell_rows
-        # every hyperplane of the complex once; a row and its flip are one
-        self.hyperplanes = list(
-            dict.fromkeys(min(row, row[::-1]) for rows in cell_rows for row in rows)
+    on_hull = [
+        sum(1 << j for j, x in enumerate(pts) if sum(map(operator.mul, a, x)) == b)
+        for a, b in hull_facets
+    ]
+    owners: dict[int, list[tuple[int, int]]] = {}
+    for k, (mask, cell_rows) in enumerate(zip(masks, rows)):
+        for beyond, inside in cell_rows:
+            owners.setdefault(mask & ~(beyond | inside), []).append((k, beyond))
+    for key, own in owners.items():
+        if any(key & t == key for t in on_hull):
+            if len(own) == 1:
+                continue
+        elif len(own) == 2:
+            (i, beyond_i), (j, beyond_j) = own
+            if masks[i] & beyond_j and masks[j] & beyond_i:
+                continue
+        raise GeometryError(
+            f"facet on vertices {sorted(_bits(key))} lies in cells {[k for k, _ in own]}, "
+            f"not in one on the boundary or two on opposite sides: {clash}"
         )
-
-    def meet(self, i: int, j: int) -> Optional[frozenset[int]]:
-        """Vertices spanning conv(cell i) ∩ conv(cell j), or None if uncertified.
-
-        A hyperplane H of the complex certifies the pair when the two
-        cells' vertices lie on opposite closed sides of it and one cell's
-        vertices on H are among the other's.  Each cell meets H in the hull
-        of its own vertices on H (a face, as H supports it), so the cells
-        meet in the hull of the smaller set: a face of one cell lying in a
-        face of the other.  An empty set means the cells are disjoint.  The
-        two cells' own halfspaces are tried first, then every hyperplane of
-        the complex.
-        """
-        ci, cj = self.masks[i], self.masks[j]
-        for beyond, inside in itertools.chain(self.rows[i], self.rows[j], self.hyperplanes):
-            if (beyond & ci or inside & cj) and (inside & ci or beyond & cj):
-                continue  # not on opposite sides
-            on = ~(beyond | inside)
-            if not cj & on & ~ci:
-                return _bits(cj & on)
-            if not ci & on & ~cj:
-                return _bits(ci & on)
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -304,20 +291,17 @@ class Triangulation:
     dimension.  Validity is checked by `validate`, which the public
     constructors call: every vertex on the inner side of every facet of
     conv(polytope), the cell volumes adding up exactly to the polytope's,
-    and pairwise face intersections.  `validate` takes the facets and the
-    volume from one lower-hull walk over the polytope's own points, never
-    from a stored hull.
+    and matched facets (:func:`_match_facets`): each cell facet lies on
+    a facet of conv(polytope) with one owner, or has two owners on
+    opposite sides.  `validate` takes the facets and the volume from one
+    lower-hull walk over the polytope's own points, never from a stored
+    hull.
 
     The chart coordinates of the vertices and of the polytope's points
     are read once onto one integer grid (:attr:`grid`), and one
     elimination per cell (:func:`_barycentric_table`) gives its
     determinant, hence its volume, and every vertex's barycentric
-    coordinates over it, whose signs are the cell's facet sign table.  A
-    pair of cells meets in a common face when some hyperplane of the
-    complex, one of their own facets or any other cell's, has the two on
-    opposite sides with one cell's vertices on it among the other's
-    (:class:`_Separation`); a pair no hyperplane settles goes through an
-    exact LP instead.
+    coordinates over it, whose signs are the cell's facet sign table.
     """
 
     def __init__(
@@ -381,13 +365,16 @@ class Triangulation:
         rows, scale = _integer_matrix(self.vertices)
         return Fraction(max(_spread([rows[i] for i in c]) for c in self.maximal), scale)
 
-    def _local(self, p: Point) -> list[Fraction]:
-        return self.chart.to_local(p)
-
     def cell_volume(self, face: Face) -> Fraction:
+        """|det| of the cell's rows of :attr:`grid`, over d!·scale^d."""
         if len(face) - 1 != self.dim:
             raise GeometryError("volume of a non-maximal cell requested")
-        return _simplex_volume([self._local(self.vertices[i]) for i in face])
+        grid, scale = self.grid
+        rows = [grid[i] for i in face]
+        if None in rows:
+            raise GeometryError(f"cell {face} has a vertex off the polytope's affine hull")
+        det, _ = _barycentric_table(rows, range(len(rows)))
+        return Fraction(det, math.factorial(self.dim) * scale**self.dim)
 
     # -- validation --------------------------------------------------------
 
@@ -420,35 +407,10 @@ class Triangulation:
             raise GeometryError(
                 f"simplex volumes sum to {total}, polytope volume is {target}"
             )
-        if len(self.maximal) < 2:
-            return  # no pairs
-        sep = _Separation(self.vertices, self.maximal, [_facet_rows(lam) for _, lam in tables])
-        for (i, a), (j, b) in itertools.combinations(enumerate(self.maximal), 2):
-            if sep.meet(i, j) is None and not self._intersect_in_common_face(a, b):
-                raise GeometryError(f"cells {a} and {b} do not meet in a common face")
-
-    def _intersect_in_common_face(self, a: Face, b: Face) -> bool:
-        """True iff conv(a) ∩ conv(b) = conv(shared vertices) (a face of each)."""
-        shared = sorted(set(a) & set(b))
-        va = [self.vertices[i] for i in a]
-        vb = [self.vertices[i] for i in b]
-        ambient = len(va[0])
-        n, m = len(va), len(vb)
-        # variables: lambda (n), mu (m); equalities: point match + two sums.
-        A_eq = [
-            [va[j][i] for j in range(n)] + [-vb[j][i] for j in range(m)]
-            for i in range(ambient)
-        ]
-        A_eq.append([ONE] * n + [ZERO] * m)
-        A_eq.append([ZERO] * n + [ONE] * m)
-        b_eq = [ZERO] * ambient + [ONE, ONE]
-        c = [
-            ONE if a[j] not in shared else ZERO for j in range(n)
-        ] + [ONE if b[j] not in shared else ZERO for j in range(m)]
-        res = linprog(c, A_eq=A_eq, b_eq=b_eq, maximize=True)
-        if res.status == "infeasible":
-            return not shared  # disjoint cells sharing no vertex: fine
-        return res.value == 0
+        if len(self.maximal) > 1:  # one cell of the polytope's volume is the polytope
+            masks = [sum(1 << i for i in c) for c in self.maximal]
+            rows = [_facet_rows(lam) for _, lam in tables]
+            _match_facets(masks, rows, pts, facets, "cells do not meet in a common face")
 
     # -- queries -----------------------------------------------------------
 
@@ -858,11 +820,11 @@ class PolyhedralComplex:
 
     def face_lattice(self) -> dict[FaceKey, int]:
         """All faces of all cells, mapped to their affine dimension."""
-        sep = self._separation()
+        points, masks, rows = self._separation()
         faces = {
-            frozenset(sep.points[k] for k in _bits(f))
-            for mask, rows in zip(sep.masks, sep.rows)
-            for f in _cell_faces(mask, rows)
+            frozenset(points[k] for k in _bits(f))
+            for mask, cell_rows in zip(masks, rows)
+            for f in _cell_faces(mask, cell_rows)
         }
         return {f: Chart(sorted(f)).dim for f in faces}
 
@@ -884,13 +846,11 @@ class PolyhedralComplex:
         """Check exact volume cover and that cells meet only in common faces.
 
         Each cell's dimension and volume come from one lower-hull walk over
-        its rows of :attr:`grid`, the polytope's from one over its own.
-        Each pair is first tried with the hyperplane certificate of
-        :class:`_Separation`, over every halfspace of the complex evaluated
-        once at every vertex on an integer grid; a pair it does not settle
-        is intersected by exact vertex enumeration.  Either way the
-        intersection must be a face of both cells, whose faces are read
-        from the same sign table.
+        its rows of :attr:`grid`, the polytope's volume and facets from one
+        over its own.  The cells' facets must then match
+        (:func:`_match_facets`): one owner on the polytope's boundary, else
+        two on opposite sides.  Convex cells that tile the polytope facet to
+        facet meet face to face.
         """
         points = self.all_vertices()
         index = {p: k for k, p in enumerate(points)}
@@ -904,34 +864,21 @@ class PolyhedralComplex:
             if not cells:
                 raise GeometryError("non-maximal cell listed as maximal")
             total += volume
-        target = _triangulated_hull(grid[len(points) :], scale, self.dim)[2]
+        _, facets, target = _triangulated_hull(grid[len(points) :], scale, self.dim)
         if total != target:
             raise GeometryError(
                 f"cell volumes sum to {total}, polytope volume is {target}"
             )
-        sep = self._separation()
-        faces = [_cell_faces(mask, rows) for mask, rows in zip(sep.masks, sep.rows)]
-        for i, j in itertools.combinations(range(len(self.cells)), 2):
-            meet = sep.meet(i, j)
-            if meet is None:
-                inter_dim, inter_verts = _poly_intersection(self.cells[i], self.cells[j])
-                if inter_dim is None:
-                    continue
-                # a point that is no vertex of the complex lies on no face
-                key = (
-                    sum(1 << index[v] for v in inter_verts)
-                    if all(v in index for v in inter_verts)
-                    else None
-                )
-            elif not meet:
-                continue
-            else:
-                key = sum(1 << v for v in meet)
-            if key not in faces[i] or key not in faces[j]:
-                raise GeometryError("two cells intersect outside a common face")
+        _, masks, rows = self._separation()
+        clash = "two cells intersect outside a common face"
+        _match_facets(masks, rows, grid[: len(points)], facets, clash)
 
-    def _separation(self) -> "_Separation":
-        """Certificates of the cells, over the complex's distinct vertices."""
+    def _separation(self) -> tuple[list[Point], list[int], list[list[tuple[int, int]]]]:
+        """The distinct vertices, and per cell its vertex mask and facets' sign rows.
+
+        Each halfspace is evaluated once at every vertex on an integer grid;
+        a cell's facets are its halfspaces with maximal sets of tight vertices.
+        """
         points = self.all_vertices()
         index = {p: k for k, p in enumerate(points)}
         grid, scale = _integer_matrix(points)
@@ -947,41 +894,14 @@ class PolyhedralComplex:
                 known[(tuple(-x for x in hs.a), -hs.b)] = row[::-1]
             return row
 
-        return _Separation(
-            points,
-            [tuple(index[v] for v in c.vertices) for c in self.cells],
-            [[signs(hs) for hs in c.halfspaces] for c in self.cells],
-        )
-
-
-def affine_hull_equations(points: Sequence[Point]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Equality rows (N, c) with N x = c exactly on the affine hull of `points`."""
-    chart = Chart(points)
-    ambient = chart.ambient_dim
-    if chart.dim == ambient:
-        return [], []
-    if chart.basis:
-        normals = nullspace([list(v) for v in chart.basis])
-    else:
-        normals = [[ONE if j == i else ZERO for j in range(ambient)] for i in range(ambient)]
-    A_eq = [list(n) for n in normals]
-    b_eq = [dot(n, chart.origin) for n in normals]
-    return A_eq, b_eq
-
-
-def _poly_intersection(a: PolyCell, b: PolyCell):
-    """Vertex set of a ∩ b (None, None when empty).
-
-    Both cells are maximal cells of the same complex, so they share the
-    complex's affine hull; the enumeration is constrained to it.
-    """
-    A_ub = [list(hs.a) for hs in a.halfspaces] + [list(hs.a) for hs in b.halfspaces]
-    b_ub = [hs.b for hs in a.halfspaces] + [hs.b for hs in b.halfspaces]
-    A_eq, b_eq = affine_hull_equations(a.vertices)
-    verts = vertex_enumeration(A_ub, b_ub, A_eq or None, b_eq or None)
-    if not verts:
-        return None, None
-    return Chart(verts).dim, [tuple(v) for v in verts]
+        masks = [sum(1 << index[v] for v in c.vertices) for c in self.cells]
+        rows = []
+        for mask, c in zip(masks, self.cells):
+            tight = {mask & ~(row[0] | row[1]): row for row in map(signs, c.halfspaces)}
+            proper = set(tight) - {0, mask}
+            maximal = {t for t in proper if not any(t & u == t != u for u in proper)}
+            rows.append([row for t, row in tight.items() if t in maximal])
+        return points, masks, rows
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,10 +10,6 @@ from equilib.geometry import (
     PolyhedralComplex,
     Simplex,
     Triangulation,
-    _barycentric_table,
-    _facet_rows,
-    _poly_intersection,
-    _Separation,
     affine_below_except_marked,
     el_refinement,
     extreme_points,
@@ -335,7 +330,7 @@ def _simplicial(pc, gamma):
     raise AssertionError("could not triangulate the refinement")
 
 
-# -- pair checks: separation certificates and their exact fallbacks --------
+# -- cells meeting in common faces ------------------------------------------
 
 HANGING_SQUARE = [(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(2), F(2)), (F(1), F(1))]
 # (1,1) is a vertex of the two lower-right cells and the midpoint of the
@@ -354,131 +349,47 @@ def test_hanging_node_triangulation_rejected():
         Triangulation(HANGING_SQUARE, HANGING_CELLS, HANGING_SQUARE[:4])
 
 
-def simplicial_complex(tri):
+def simplex_cells(tri):
     """The cells of a 2-D or 3-D triangulation as polyhedral cells."""
     cells = []
     for c in tri.maximal:
         pts = tuple(tri.vertices[i] for i in c)
         rows = simplex_facet_halfspaces(pts, len(pts) - 1)
         cells.append(PolyCell(pts, tuple(Halfspace(a, b) for a, b in rows)))
-    return PolyhedralComplex(cells, tri.polytope)
+    return cells
 
 
 def test_hanging_node_complex_rejected():
     tri = Triangulation(HANGING_SQUARE, HANGING_CELLS, HANGING_SQUARE[:4], validate=False)
     with pytest.raises(GeometryError, match="two cells intersect outside a common face"):
-        simplicial_complex(tri).validate()
+        PolyhedralComplex(simplex_cells(tri), tri.polytope).validate()
 
 
-def unit_tetrahedron():
-    corners = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    return Triangulation(corners, [(0, 1, 2, 3)])
+# The boundary of a tetrahedron seen from above: every edge lies in two
+# cells and the volumes add up to the hull's, which holds the fold strictly
+# inside, but the two cells on edge (0, 1), and on (1, 2) and (0, 2), lie on
+# one side of it.
+FOLD = [(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(1, 2), F(1, 2))]
+FOLD_CELLS = [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3)]
+FOLD_HULL = [(F(-1, 4), F(-1, 4)), (F(29, 12), F(-1, 4)), (F(-1, 4), F(11, 4))]
 
 
-def hanging_node(tri, rng):
-    """`tri` with the midpoint of an edge of two or more cells put in one of them only."""
-    shared = [
-        e for e in tri.faces_of_dim(1)
-        if sum(set(e) <= set(c) for c in tri.maximal) >= 2
-    ]
-    u, v = rng.choice(shared)
-    cell = rng.choice([c for c in tri.maximal if u in c and v in c])
-    w = len(tri.vertices)
-    mid = tuple((a + b) / 2 for a, b in zip(tri.vertices[u], tri.vertices[v]))
-    cells = [c for c in tri.maximal if c != cell] + [
-        tuple(w if i == u else i for i in cell),
-        tuple(w if i == v else i for i in cell),
-    ]
-    return Triangulation(list(tri.vertices) + [mid], cells, tri.polytope, validate=False)
+def test_folded_cells_rejected():
+    with pytest.raises(GeometryError, match="do not meet in a common face"):
+        Triangulation(FOLD, FOLD_CELLS, FOLD_HULL)
+    tri = Triangulation(FOLD, FOLD_CELLS, FOLD_HULL, validate=False)
+    with pytest.raises(GeometryError, match="two cells intersect outside a common face"):
+        PolyhedralComplex(simplex_cells(tri), FOLD_HULL).validate()
 
 
-def moved_vertex(tri, rng):
-    """`tri` with one vertex moved so that some pair of cells overlaps."""
-    ambient = len(tri.vertices[0])
-    while True:
-        k = rng.randrange(len(tri.vertices))
-        verts = list(tri.vertices)
-        verts[k] = tuple(x + F(rng.randint(-3, 3), 4) for x in verts[k])
-        moved = Triangulation(verts, tri.maximal, tri.polytope, validate=False)
-        try:
-            for c in moved.maximal:
-                moved.simplex(c)
-        except GeometryError:
-            continue  # a flattened cell
-        if not all(
-            moved._intersect_in_common_face(a, b)
-            for a, b in itertools.combinations(moved.maximal, 2)
-        ):
-            return moved
-
-
-def simplex_separation(tri):
-    """The pair certificates `Triangulation.validate` builds, from one elimination per cell."""
-    pts, _ = tri.chart.grid(tri.vertices)
-    rows = [_facet_rows(_barycentric_table(pts, c)[1]) for c in tri.maximal]
-    return _Separation(tri.vertices, tri.maximal, rows)
-
-
-@pytest.fixture(scope="module")
-def pair_check_inputs():
-    """Seeded valid triangulations (2-D and 3-D) and invalid variants of them."""
-    valid = [grid_triangulation(3)]
-    for seed in range(2):
-        rng = random.Random(seed)
-        pts = [(F(i), F(j)) for i in range(3) for j in range(3)]
-        valid.append(regular_triangulation(pts, [F(rng.randint(1, 1000), 997) for _ in pts]))
-        valid.append(random_refinement(seed, splits=5))
-        tet = unit_tetrahedron()
-        for _ in range(4):
-            tet = tet.split_edge(tuple(rng.choice(tet.faces_of_dim(1))))
-        valid.append(tet)
-    invalid = []
-    for seed, tri in enumerate(valid):
-        rng = random.Random(100 + seed)
-        invalid += [hanging_node(tri, rng), moved_vertex(tri, rng)]
-    return valid, invalid
-
-
-def test_certified_triangulation_pairs_pass_the_lp(pair_check_inputs):
-    valid, invalid = pair_check_inputs
-    accepted = 0
-    for tri in valid + invalid:
-        sep = simplex_separation(tri)
-        rejected = 0
-        for (i, a), (j, b) in itertools.combinations(enumerate(tri.maximal), 2):
-            meet = sep.meet(i, j)
-            exact = tri._intersect_in_common_face(a, b)
-            if meet is not None:
-                assert exact, (a, b)
-                assert meet == set(a) & set(b)
-                accepted += 1
-            rejected += not exact
-        assert (rejected > 0) == (tri in invalid)
-    assert accepted > 0
-
-
-def test_certified_complex_pairs_match_vertex_enumeration(pair_check_inputs):
-    valid, invalid = pair_check_inputs
-    base = Simplex.of([[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]])
-    inner = Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
-    # the 3-D inputs and the grid are covered by the triangulation test;
-    # their vertex enumerations would dominate this one's run time
-    complexes = [
-        simplicial_complex(t)
-        for t in valid + invalid
-        if len(t.vertices[0]) == 2 and len(t.maximal) <= 10
-    ]
-    complexes.append(hyperplane_extension_subdivision(base, [inner]))
-    complexes += [el_refinement(random_refinement(seed))[0] for seed in (1, 2)]
-    accepted = 0
-    for pc in complexes:
-        sep = pc._separation()
-        for i, j in itertools.combinations(range(len(pc.cells)), 2):
-            meet = sep.meet(i, j)
-            if meet is None:
-                continue
-            dim, verts = _poly_intersection(pc.cells[i], pc.cells[j])
-            exact = frozenset() if dim is None else frozenset(verts)
-            assert exact == frozenset(sep.points[v] for v in meet)
-            accepted += 1
-    assert accepted > 0
+def test_repeated_cell_rejected():
+    tri = grid_triangulation(2)
+    cells = simplex_cells(tri)
+    # a copy of the first cell in place of the last: the volumes still add up
+    with pytest.raises(GeometryError, match="two cells intersect outside a common face"):
+        PolyhedralComplex(cells[:-1] + cells[:1], tri.polytope).validate()
+    with pytest.raises(GeometryError, match="cell volumes sum to"):
+        PolyhedralComplex(cells + cells[-1:], tri.polytope).validate()
+    for maximal in (tri.maximal[:-1] + tri.maximal[:1], tri.maximal + tri.maximal[-1:]):
+        with pytest.raises(GeometryError, match="duplicate maximal cell"):
+            Triangulation(tri.vertices, maximal, tri.polytope)

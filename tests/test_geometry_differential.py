@@ -1,6 +1,6 @@
 """The lower-hull walk, the arrangement splits and the facet-based hull
-against the subset loops they replaced, the integer pair certificates
-against the `Fraction` facet tables they replaced, and the readings of the
+against the subset loops they replaced, subdivision validation by facet
+matching against the pairwise checks it replaced, and the readings of the
 integer chart grid against the per-point `Fraction` code they replaced.
 
 `reference_lower_hull_cells`, `reference_arrangement_cells` and
@@ -8,14 +8,19 @@ integer chart grid against the per-point `Fraction` code they replaced.
 as oracles: every (d+1)-subset of the lifted points tried as a lower cell;
 the arrangement recursed one hyperplane at a time with a brute-force vertex
 enumeration at every node; and one LP per point for the hull's vertices.
-The last section keeps `Simplex`-based cell diameters, `PLFunction.value`
-at every complex vertex, barycenter-signed gamma pieces and the
-`Chart`-plus-`volume_in_chart` complex check as oracles.
+The pair checks keep `_Separation` (hyperplane certificates for cell
+pairs), `_intersect_in_common_face` (one LP per pair of simplices) and
+`_poly_intersection` with `affine_hull_equations` (vertex enumeration per
+pair of polyhedral cells) as oracles.  The last section keeps
+`Simplex`-based cell diameters, `PLFunction.value` at every complex
+vertex, barycenter-signed gamma pieces and the `Chart`-plus-
+`volume_in_chart` complex check as oracles.
 """
 
 import collections
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -34,12 +39,10 @@ from equilib.geometry import (
     Triangulation,
     _arrangement_cells,
     _barycentric_table,
+    _bits,
     _cell_faces,
     _facet_rows,
     _lower_hull_cells,
-    _poly_intersection,
-    _Separation,
-    _simplex_volume,
     _triangulated_hull,
     el_refinement,
     extreme_points,
@@ -55,9 +58,13 @@ from equilib.linalg import (
     ZERO,
     Chart,
     _integer_matrix,
+    determinant,
     dot,
+    linprog,
     matrix_rank,
+    nullspace,
     solve_unique,
+    vec_sub,
     vertex_enumeration,
 )
 
@@ -160,6 +167,113 @@ def reference_arrangement_cells(
 
     recurse(list(base_hrep), 0)
     return cells
+
+
+def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Volume of the full-dimensional simplex with the given chart coordinates."""
+    if len(pts) == 1:
+        return ONE
+    mat = [vec_sub(p, pts[0]) for p in pts[1:]]
+    return abs(determinant(mat)) / math.factorial(len(mat))
+
+
+class _Separation:
+    """Exact certificates that two cells of a subdivision meet in a face.
+
+    `cells` are vertex-index tuples into `points`; `cell_rows[k]` lists the
+    sign rows of halfspaces that hold on cell k, each a pair of bit masks
+    over the points: (beyond, inside), bit j set when point j lies strictly
+    beyond the halfspace's hyperplane, or strictly inside.  The rows are
+    integer evaluations made by the caller: barycentric coordinates from one
+    elimination per simplex (:class:`Triangulation`), or the cells' own
+    halfspaces on an integer grid (:class:`PolyhedralComplex`).
+    """
+
+    def __init__(self, points, cells, cell_rows):
+        self.points = points
+        self.masks = [sum(1 << v for v in set(c)) for c in cells]
+        self.rows = cell_rows
+        # every hyperplane of the complex once; a row and its flip are one
+        self.hyperplanes = list(
+            dict.fromkeys(min(row, row[::-1]) for rows in cell_rows for row in rows)
+        )
+
+    def meet(self, i: int, j: int) -> Optional[frozenset[int]]:
+        """Vertices spanning conv(cell i) ∩ conv(cell j), or None if uncertified.
+
+        A hyperplane H of the complex certifies the pair when the two
+        cells' vertices lie on opposite closed sides of it and one cell's
+        vertices on H are among the other's.  Each cell meets H in the hull
+        of its own vertices on H (a face, as H supports it), so the cells
+        meet in the hull of the smaller set: a face of one cell lying in a
+        face of the other.  An empty set means the cells are disjoint.  The
+        two cells' own halfspaces are tried first, then every hyperplane of
+        the complex.
+        """
+        ci, cj = self.masks[i], self.masks[j]
+        for beyond, inside in itertools.chain(self.rows[i], self.rows[j], self.hyperplanes):
+            if (beyond & ci or inside & cj) and (inside & ci or beyond & cj):
+                continue  # not on opposite sides
+            on = ~(beyond | inside)
+            if not cj & on & ~ci:
+                return _bits(cj & on)
+            if not ci & on & ~cj:
+                return _bits(ci & on)
+        return None
+
+
+def _intersect_in_common_face(self, a: Face, b: Face) -> bool:
+    """True iff conv(a) ∩ conv(b) = conv(shared vertices) (a face of each)."""
+    shared = sorted(set(a) & set(b))
+    va = [self.vertices[i] for i in a]
+    vb = [self.vertices[i] for i in b]
+    ambient = len(va[0])
+    n, m = len(va), len(vb)
+    # variables: lambda (n), mu (m); equalities: point match + two sums.
+    A_eq = [
+        [va[j][i] for j in range(n)] + [-vb[j][i] for j in range(m)]
+        for i in range(ambient)
+    ]
+    A_eq.append([ONE] * n + [ZERO] * m)
+    A_eq.append([ZERO] * n + [ONE] * m)
+    b_eq = [ZERO] * ambient + [ONE, ONE]
+    c = [
+        ONE if a[j] not in shared else ZERO for j in range(n)
+    ] + [ONE if b[j] not in shared else ZERO for j in range(m)]
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq, maximize=True)
+    if res.status == "infeasible":
+        return not shared  # disjoint cells sharing no vertex: fine
+    return res.value == 0
+
+
+def affine_hull_equations(points: Sequence[Point]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Equality rows (N, c) with N x = c exactly on the affine hull of `points`."""
+    chart = Chart(points)
+    ambient = chart.ambient_dim
+    if chart.dim == ambient:
+        return [], []
+    if chart.basis:
+        normals = nullspace([list(v) for v in chart.basis])
+    else:
+        normals = [[ONE if j == i else ZERO for j in range(ambient)] for i in range(ambient)]
+    A_eq = [list(n) for n in normals]
+    b_eq = [dot(n, chart.origin) for n in normals]
+    return A_eq, b_eq
+
+
+def _poly_intersection(a: PolyCell, b: PolyCell):
+    """Vertex set of a ∩ b (None, None when empty).
+
+    Both cells are maximal cells of the same complex, so they share the
+    complex's affine hull; the enumeration is constrained to it.
+    """
+    A_ub = [list(hs.a) for hs in a.halfspaces] + [list(hs.a) for hs in b.halfspaces]
+    b_ub = [hs.b for hs in a.halfspaces] + [hs.b for hs in b.halfspaces]
+    A_eq, b_eq = affine_hull_equations(a.vertices)
+    verts = vertex_enumeration(A_ub, b_ub, A_eq or None, b_eq or None)
+    if not verts:
+        return None, None
+    return Chart(verts).dim, [tuple(v) for v in verts]
 
 
 # -- lower hulls ------------------------------------------------------------
@@ -427,7 +541,9 @@ def test_extreme_points_match_the_lp(label, points):
 # certificate: every cell's facet halfspaces built in `Fraction`s
 # (`reference_separation`, one `hyperplane_through` per facet) and
 # evaluated at every vertex into a sign table (`ReferenceSeparation`), each
-# pair tried against the two cells' own facets only.
+# pair tried against the two cells' own facets only, then the LP of
+# `_intersect_in_common_face`.  `validate` now matches facets instead, and
+# must reject at the same stage.
 
 
 def _sign(x: Fraction) -> int:
@@ -500,13 +616,13 @@ def reference_validate(self) -> None:
         if len(c) != self.dim + 1:
             raise GeometryError(f"cell {c} is not full-dimensional")
         self.simplex(c)  # affine independence
-    hull = [self._local(p) for p in self.polytope]
+    hull = [self.chart.to_local(p) for p in self.polytope]
     rows, scale = self.chart.grid(self.polytope)
     hull_cells, facets, _ = _triangulated_hull(rows, scale, self.dim)
     local = []
     for i, v in enumerate(self.vertices):
         try:
-            x = self._local(v)
+            x = self.chart.to_local(v)
         except ValueError:
             x = None  # off the polytope's affine hull
         if x is None or any(dot(a, x) * scale > b for a, b in facets):
@@ -524,7 +640,7 @@ def reference_validate(self) -> None:
         return  # no pairs; a lone point cell would have no facets either
     sep = reference_separation(self, local)
     for (i, a), (j, b) in itertools.combinations(enumerate(self.maximal), 2):
-        if sep.meet(i, j) is None and not self._intersect_in_common_face(a, b):
+        if sep.meet(i, j) is None and not _intersect_in_common_face(self, a, b):
             raise GeometryError(f"cells {a} and {b} do not meet in a common face")
 
 
@@ -534,6 +650,23 @@ def validation_error(check, tri) -> Optional[str]:
     except GeometryError as exc:
         return str(exc)
     return None
+
+
+# The checks the oracles and `validate` share keep their texts; the pair
+# stage's differ, as facet matching names a facet rather than a pair.
+STAGES = {
+    "lies outside the covered polytope": "vertex",
+    "volumes sum to": "volume",
+    "do not meet in a common face": "pair",
+    "two cells intersect outside a common face": "pair",
+}
+
+
+def stage(error: Optional[str]) -> Optional[str]:
+    """The check that rejected: None, "vertex", "volume", "pair", or any other error's text."""
+    if error is None:
+        return None
+    return next((name for mark, name in STAGES.items() if mark in error), error)
 
 
 def variant(tri, vertices, cells) -> Triangulation:
@@ -651,7 +784,7 @@ def reference_error(label):
 @pytest.mark.parametrize("label", CERTIFICATE_CASES)
 def test_validation_decides_as_the_facet_oracle(label):
     tri = CERTIFICATE_CASES[label]
-    assert validation_error(Triangulation.validate, tri) == reference_error(label)
+    assert stage(validation_error(Triangulation.validate, tri)) == stage(reference_error(label))
 
 
 def integer_separation(tri):
@@ -674,7 +807,7 @@ def test_certificate_cases_cover_the_outcomes():
         outcomes[(tri.dim, "valid" if error is None else re.sub(r"[\d(].*", "", error))] += 1
         if error is not None and at_pair_stage(label):
             for a, b in itertools.combinations(tri.maximal, 2):
-                if not tri._intersect_in_common_face(a, b):
+                if not _intersect_in_common_face(tri, a, b):
                     overlaps.add((tri.dim, len(set(a) & set(b))))
     for d in (2, 3):
         assert outcomes[(d, "valid")] >= 8, outcomes
@@ -699,7 +832,7 @@ def test_certified_pairs_agree_with_the_facet_oracle(label):
         if old.meet(i, j) is not None:
             assert meet == old.meet(i, j) == set(a) & set(b), (a, b)
         if meet is not None and own.meet(i, j) is None:
-            assert tri._intersect_in_common_face(a, b), (a, b)
+            assert _intersect_in_common_face(tri, a, b), (a, b)
             assert meet == set(a) & set(b), (a, b)
 
 
@@ -762,7 +895,8 @@ def test_face_lattice_reads_the_halfspace_faces():
 # is el-refine's gamma as it was, signed at each cell's barycenter, and
 # `reference_complex_validate` is `PolyhedralComplex.validate` as it was,
 # with a `Chart` per cell for its dimension and `volume_in_chart` (one
-# `to_local` per vertex) for the volumes, here over the subset-loop hull.
+# `to_local` per vertex) for the volumes, here over the subset-loop hull,
+# and the pair stage: `_Separation`, then `_poly_intersection`.
 
 
 def reference_cell_diameter(tri, cell) -> Fraction:
@@ -882,6 +1016,12 @@ def reference_volume(points, chart) -> Fraction:
     raise GeometryError("could not find a generic height for the point set")
 
 
+def complex_separation(pc) -> _Separation:
+    """The pair certificates `PolyhedralComplex.validate` built, from its sign table."""
+    points, masks, rows = pc._separation()
+    return _Separation(points, [_bits(m) for m in masks], rows)
+
+
 def reference_complex_validate(pc) -> None:
     total = ZERO
     for c in pc.cells:
@@ -891,7 +1031,7 @@ def reference_complex_validate(pc) -> None:
     target = reference_volume(pc.polytope, pc.chart)
     if total != target:
         raise GeometryError(f"cell volumes sum to {total}, polytope volume is {target}")
-    sep = pc._separation()
+    sep = complex_separation(pc)
     index = {p: k for k, p in enumerate(sep.points)}
     faces = [_cell_faces(mask, rows) for mask, rows in zip(sep.masks, sep.rows)]
     for i, j in itertools.combinations(range(len(pc.cells)), 2):
@@ -984,7 +1124,9 @@ def test_complex_cases_cover_the_outcomes():
 @pytest.mark.parametrize("label", COMPLEX_CASES)
 def test_complex_validation_decides_as_the_chart_oracle(label):
     pc = COMPLEX_CASES[label]
-    assert validation_error(PolyhedralComplex.validate, pc) == reference_complex_error(label)
+    assert stage(validation_error(PolyhedralComplex.validate, pc)) == stage(
+        reference_complex_error(label)
+    )
 
 
 def test_complex_vertex_off_the_plane_is_rejected_as_by_the_oracle():
@@ -997,3 +1139,136 @@ def test_complex_vertex_off_the_plane_is_rejected_as_by_the_oracle():
         reference_complex_validate(broken)
     with pytest.raises(GeometryError, match="off the polytope's affine hull"):
         broken.validate()
+
+
+# -- facet matching against the pair checks ---------------------------------
+
+
+def overlapping_moved_vertex(tri, rng):
+    """`tri` with one vertex moved so that some pair of cells overlaps."""
+    while True:
+        k = rng.randrange(len(tri.vertices))
+        verts = list(tri.vertices)
+        verts[k] = tuple(x + F(rng.randint(-3, 3), 4) for x in verts[k])
+        moved = variant(tri, verts, tri.maximal)
+        try:
+            for c in moved.maximal:
+                moved.simplex(c)
+        except GeometryError:
+            continue  # a flattened cell
+        if not all(
+            _intersect_in_common_face(moved, a, b)
+            for a, b in itertools.combinations(moved.maximal, 2)
+        ):
+            return moved
+
+
+UNIT_TRIANGLE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+UNIT_TETRAHEDRON = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+
+
+@pytest.fixture(scope="module")
+def pair_check_inputs():
+    """Seeded valid triangulations (2-D and 3-D) and invalid variants of them."""
+    valid = [grid_triangulation(3)]
+    for seed in range(2):
+        rng = random.Random(seed)
+        pts = [(F(i), F(j)) for i in range(3) for j in range(3)]
+        valid.append(regular_triangulation(pts, [F(rng.randint(1, 1000), 997) for _ in pts]))
+        valid.append(triangle_refinement(random.Random(seed), UNIT_TRIANGLE, 5))
+        valid.append(triangle_refinement(rng, UNIT_TETRAHEDRON, 4))
+    invalid = []
+    for seed, tri in enumerate(valid):
+        rng = random.Random(100 + seed)
+        invalid += [hanging_node(tri, rng), overlapping_moved_vertex(tri, rng)]
+    return valid, invalid
+
+
+def small_planar_complexes(tris):
+    """The 2-D triangulations of at most 10 cells as complexes: the 3-D ones
+    and the grid would make the vertex enumeration oracle dominate run time."""
+    return [
+        PolyhedralComplex([simplex_cell(t, c) for c in t.maximal], t.polytope)
+        for t in tris
+        if len(t.vertices[0]) == 2 and len(t.maximal) <= 10
+    ]
+
+
+def test_certified_triangulation_pairs_pass_the_lp(pair_check_inputs):
+    valid, invalid = pair_check_inputs
+    accepted = 0
+    for tri in valid + invalid:
+        sep = integer_separation(tri)
+        rejected = 0
+        for (i, a), (j, b) in itertools.combinations(enumerate(tri.maximal), 2):
+            meet = sep.meet(i, j)
+            exact = _intersect_in_common_face(tri, a, b)
+            if meet is not None:
+                assert exact, (a, b)
+                assert meet == set(a) & set(b)
+                accepted += 1
+            rejected += not exact
+        assert (rejected > 0) == (tri in invalid)
+    assert accepted > 0
+
+
+def test_certified_complex_pairs_match_vertex_enumeration(pair_check_inputs):
+    valid, invalid = pair_check_inputs
+    base = Simplex.of([[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]])
+    inner = Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
+    complexes = small_planar_complexes(valid + invalid)
+    complexes.append(hyperplane_extension_subdivision(base, [inner]))
+    complexes += [
+        el_refinement(triangle_refinement(random.Random(seed), UNIT_TRIANGLE, 4))[0]
+        for seed in (1, 2)
+    ]
+    accepted = 0
+    for pc in complexes:
+        sep = complex_separation(pc)
+        for i, j in itertools.combinations(range(len(pc.cells)), 2):
+            meet = sep.meet(i, j)
+            if meet is None:
+                continue
+            dim, verts = _poly_intersection(pc.cells[i], pc.cells[j])
+            exact = frozenset() if dim is None else frozenset(verts)
+            assert exact == frozenset(sep.points[v] for v in meet)
+            accepted += 1
+    assert accepted > 0
+
+
+def test_pair_check_inputs_decide_as_the_pair_stage(pair_check_inputs):
+    valid, invalid = pair_check_inputs
+    for tri in valid + invalid:
+        expected = stage(validation_error(reference_validate, tri))
+        assert (expected is None) == (tri in valid)
+        assert stage(validation_error(Triangulation.validate, tri)) == expected
+    for pc in small_planar_complexes(valid + invalid):
+        expected = stage(validation_error(reference_complex_validate, pc))
+        assert stage(validation_error(PolyhedralComplex.validate, pc)) == expected
+
+
+def split_cell(pc, k, normal):
+    """`pc` with cell k cut in two by the plane normal·x = normal·(its barycenter)."""
+    cell = pc.cells[k]
+    cut = (normal, dot(normal, cell.barycenter()))
+    rows = [(hs.a, hs.b) for hs in cell.halfspaces]
+    halves = [
+        PolyCell(tuple(map(tuple, verts)), tuple(Halfspace(a, b) for a, b in hrep))
+        for hrep, verts in _arrangement_cells(rows, cell.vertices, [cut], len(normal))
+    ]
+    return PolyhedralComplex(pc.cells[:k] + pc.cells[k + 1 :] + halves, pc.polytope)
+
+
+def test_facet_matching_decides_face_to_face_on_a_3d_extension():
+    """Matched facets with an exact volume cover meet face to face: on a 3-D
+    hyperplane extension both checks accept, and when its inner simplex is
+    cut in two, the cut facets of its neighbours are matched by no cell."""
+    inner = [(F(1, 8), F(1, 8), F(1, 8)), (F(3, 8), F(1, 8), F(1, 16))]
+    inner += [(F(1, 8), F(5, 16), F(1, 8)), (F(1, 16), F(1, 8), F(3, 8))]
+    pc = hyperplane_extension_subdivision(Simplex.of(UNIT_TETRAHEDRON), [Simplex.of(inner)])
+    assert validation_error(reference_complex_validate, pc) is None
+    k = next(k for k, c in enumerate(pc.cells) if set(c.vertices) == set(inner))
+    cut = split_cell(pc, k, (F(1), F(2), F(-3)))
+    assert len(cut.cells) == len(pc.cells) + 1
+    assert stage(validation_error(reference_complex_validate, cut)) == "pair"
+    assert stage(validation_error(PolyhedralComplex.validate, cut)) == "pair"
