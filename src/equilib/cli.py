@@ -3,7 +3,10 @@
 Every subcommand builds a :class:`Report` with an input echo, results, any
 certifications performed, and timings; ``--out`` writes the machine-readable
 rendering (which round-trips) next to the human text printed on stdout.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure (any ``GameError``, the root
+of every equilib verification error), 2 usage error.  At module level this
+file imports only what every subcommand uses (``games`` and ``rational``);
+each ``cmd_*`` imports the modules it runs, so a process loads no more.
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .equivalence import (
-    AffineSurjection,
-    build_tilde_game,
-    duplicate_strategy,
-    identity_surjection,
-    save_mapping,
-)
 from .games import (
     GameError,
     MixedStrategy,
@@ -32,29 +29,12 @@ from .games import (
     save_game,
     write_json,
 )
-from .geometry import (
-    GeometryError,
-    Triangulation,
-    el_refinement,
-    grid_triangulation,
-    regular_triangulation,
-)
-from .indices import (
-    IndexError_,
-    component_index,
-    degree_oracle,
-    game_index_report,
-    index_regular,
-)
-from .perturb import (
-    PerturbError,
-    PipelineParams,
-    TargetPoint,
-    TargetSpec,
-    run_pipeline,
-)
 from .rational import RationalParseError, format_rational, parse_rational
-from .solver import components, support_enumeration
+
+if TYPE_CHECKING:
+    from .equivalence import AffineSurjection
+    from .geometry import Triangulation
+    from .perturb import PipelineParams, TargetSpec
 
 
 class UsageError(Exception):
@@ -186,6 +166,8 @@ def _load_triangulation(path: str) -> Triangulation:
     dimension) are usage errors; a well-formed file whose cells do not
     subdivide the polytope fails validation, a verification failure.
     """
+    from .geometry import GeometryError, Triangulation
+
     with open(path) as fh:
         text = fh.read()
     try:
@@ -197,6 +179,8 @@ def _load_triangulation(path: str) -> Triangulation:
 
 
 def load_params(path: str) -> PipelineParams:
+    from .perturb import PipelineParams
+
     data = _load_json(path)
     if not isinstance(data, dict) or "eps" not in data:
         raise UsageError(f"{path}: params file must set 'eps'")
@@ -209,6 +193,8 @@ def load_params(path: str) -> PipelineParams:
 
 
 def load_target_spec(path: str) -> TargetSpec:
+    from .perturb import TargetPoint, TargetSpec
+
     data = _load_json(path)
     if not isinstance(data, list):
         raise UsageError(f"{path}: target spec must be a JSON list")
@@ -231,7 +217,7 @@ def load_target_spec(path: str) -> TargetSpec:
 
 def _params_json(params: PipelineParams) -> dict:
     out = {}
-    for f in fields(PipelineParams):
+    for f in fields(params):
         v = getattr(params, f.name)
         if v is not None:
             out[f.name] = format_rational(Fraction(v))
@@ -244,6 +230,8 @@ def _params_json(params: PipelineParams) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .solver import components, support_enumeration
+
     t0 = time.monotonic()
     game = load_game(args.game)
     es = support_enumeration(game)
@@ -271,6 +259,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_components(args) -> int:
+    from .solver import components, support_enumeration
+
     t0 = time.monotonic()
     game = load_game(args.game)
     es = support_enumeration(game)
@@ -292,6 +282,9 @@ def cmd_components(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .indices import IndexError_, component_index, game_index_report, index_regular
+    from .solver import components, support_enumeration
+
     t0 = time.monotonic()
     game = load_game(args.game)
     report = Report("index", inputs={"game": args.game})
@@ -348,6 +341,8 @@ def cmd_dominance(args) -> int:
 
 
 def cmd_duplicate(args) -> int:
+    from .equivalence import duplicate_strategy, identity_surjection, save_mapping
+
     t0 = time.monotonic()
     game = load_game(args.game)
     mixture = _parse_mixture(args.mixture)
@@ -385,6 +380,8 @@ def cmd_duplicate(args) -> int:
 
 
 def cmd_tilde(args) -> int:
+    from .equivalence import build_tilde_game
+
     t0 = time.monotonic()
     game = load_game(args.game)
     tris = []
@@ -418,6 +415,8 @@ def cmd_tilde(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
+    from .geometry import grid_triangulation, regular_triangulation
+
     t0 = time.monotonic()
     if args.kind == "grid":
         if args.n < 1:
@@ -458,6 +457,8 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_el_refine(args) -> int:
+    from .geometry import el_refinement
+
     t0 = time.monotonic()
     tri = _load_triangulation(args.triangulation)
     complex_, gamma = el_refinement(tri)
@@ -476,6 +477,8 @@ def cmd_el_refine(args) -> int:
 
 
 def cmd_degree_oracle(args) -> int:
+    from .indices import degree_oracle
+
     t0 = time.monotonic()
     data = _load_json(args.spec)
     try:
@@ -484,7 +487,7 @@ def cmd_degree_oracle(args) -> int:
         box = [
             (parse_rational(lo), parse_rational(hi)) for lo, hi in data["box"]
         ]
-        grid = int(data.get("grid", 2))
+        grid = data.get("grid", 2)
     except RationalParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: a box entry not a pair
@@ -496,6 +499,14 @@ def cmd_degree_oracle(args) -> int:
         raise UsageError(
             f"{args.spec}: a box of {n} intervals needs an {n}x{n} matrix and {n} offsets"
         )
+    if type(grid) is not int or grid < 1:
+        raise UsageError(f"{args.spec}: 'grid' must be an integer of at least 1, got {grid!r}")
+    for k, (lo, hi) in enumerate(box):
+        if not lo < hi:
+            raise UsageError(
+                f"{args.spec}: box side {k} is empty: "
+                f"lo {format_rational(lo)} is not below hi {format_rational(hi)}"
+            )
 
     def fmap(x):
         return [
@@ -516,6 +527,9 @@ def cmd_degree_oracle(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from .equivalence import save_mapping
+    from .perturb import run_pipeline
+
     t0 = time.monotonic()
     game = load_game(args.game)
     spec = load_target_spec(args.targets)
@@ -549,6 +563,8 @@ def cmd_perturb(args) -> int:
 
 def _km_duplication_phi() -> list[AffineSurjection]:
     """Column map L' -> L for the perturbed example games, identity on rows."""
+    from .equivalence import AffineSurjection, identity_surjection
+
     rows = identity_surjection(("t", "m", "b"))
     cols = AffineSurjection(
         ("L", "L'", "M", "R"),
@@ -571,6 +587,8 @@ def _by_weights(signed_profiles) -> list:
 
 def cmd_verify_example(args) -> int:
     from .examples import KM_EPS, KM_EXPECTED
+    from .indices import index_regular
+    from .solver import support_enumeration
 
     if args.name != "km":
         raise UsageError(f"unknown example {args.name!r} (try 'km')")
@@ -718,7 +736,7 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError, RationalParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GameError, GeometryError, IndexError_, PerturbError) as exc:
+    except GameError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

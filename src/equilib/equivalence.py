@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .games import (
     FiniteGame,
@@ -25,9 +25,11 @@ from .games import (
     payoff_all,
     write_json,
 )
-from .geometry import Triangulation
 from .linalg import ONE, ZERO
 from .rational import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from .geometry import Triangulation
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ Label = str
 
 
 class GameError(ValueError):
-    """Structured error for malformed games/profiles (message names the culprit)."""
+    """Structured error for malformed games/profiles (message names the culprit).
+
+    The root of every equilib verification error; the CLI exits 1 on it.
+    """
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .games import GameError
 from .linalg import (
     ONE,
     ZERO,
@@ -51,7 +52,7 @@ Point = tuple[Fraction, ...]
 Face = tuple[int, ...]  # sorted vertex indices
 
 
-class GeometryError(ValueError):
+class GeometryError(GameError):
     pass
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .games import (
     FiniteGame,
@@ -23,7 +23,6 @@ from .games import (
     payoff,
     payoff_against,
 )
-from .geometry import Simplex, in_convex_hull
 from .linalg import (
     ONE,
     ZERO,
@@ -39,9 +38,13 @@ from .linalg import (
 from .solver import (
     EquilibriumSet,
     NashSubset,
+    _factor_constraints,
     components,
     support_enumeration,
 )
+
+if TYPE_CHECKING:
+    from .geometry import Simplex
 
 
 class IndexError_(GameError):
@@ -298,6 +301,8 @@ def degree_oracle(
     signs.  Boundary simplices whose displacement values surround the origin
     trigger an error asking for a finer grid.
     """
+    from .geometry import in_convex_hull
+
     d = len(region)
     if d == 0:
         return 1
@@ -547,8 +552,6 @@ def _profile_distance_to_subset(
 
     None when a factor polytope of the subset is empty.
     """
-    from .solver import _factor_constraints
-
     dist = ZERO
     for n in range(2):
         labels = list(game.strategies[n])

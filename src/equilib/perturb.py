@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .equivalence import (
     AffineSurjection,
@@ -34,10 +34,12 @@ from .games import (
     is_equilibrium,
     payoff_against,
 )
-from .geometry import PLFunction, Simplex, _simplices_intersect
 from .indices import IndexError_, component_index, index_regular
 from .linalg import ONE, ZERO, frac_vec, vec_add, vec_scale
 from .solver import components, support_enumeration
+
+if TYPE_CHECKING:
+    from .geometry import PLFunction, Simplex
 
 
 class PerturbError(GameError):
@@ -218,6 +220,8 @@ def envelope_r(
     the region's vertices; within the margin shell it blends toward the
     pointwise value; outside it equals the pointwise best-reply value.
     """
+    from .geometry import _simplices_intersect
+
     if len(regions) != len(margins):
         raise PerturbError("envelope", "one margin per region required")
     for k, l in itertools.combinations(range(len(regions)), 2):

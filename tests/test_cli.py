@@ -36,15 +36,53 @@ def write_json(path, data):
 # -- exit codes ------------------------------------------------------------
 
 
-def test_cli_does_not_import_sympy():
+# In a fresh interpreter: import equilib.cli, run main(argv) if argv is given,
+# and print the exit code, the equilib modules loaded and whether sympy is.
+LOAD_PROBE = """
+import contextlib, io, json, sys
+import equilib.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = equilib.cli.main(argv)
+loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("equilib."))
+print(json.dumps([code, loaded, "sympy" in sys.modules]))
+"""
+
+# subcommand -> the equilib modules besides cli, games, linalg and rational
+# that running it loads
+SUBCOMMAND_MODULES = {
+    "import": [],
+    "solve": ["solver"],
+    "components": ["solver"],
+    "dominance": [],
+    "index": ["indices", "solver"],
+    "triangulate-grid": ["geometry"],
+    "el-refine": ["geometry"],
+    "degree-oracle": ["geometry", "indices", "solver"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_the_modules_it_runs(command, km_file, tmp_path):
     import equilib
 
+    if command == "import":
+        argv = []
+    elif command in ("triangulate-grid", "el-refine", "degree-oracle"):
+        argv = geometry_argv(command, tmp_path)
+    else:
+        argv = [command, km_file]
     src = os.path.dirname(os.path.dirname(equilib.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, equilib.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argv)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    code, loaded, sympy_loaded = json.loads(out.stdout)
+    assert code == (0 if argv else None)
+    assert loaded == sorted(["cli", "games", "linalg", "rational"] + SUBCOMMAND_MODULES[command])
+    assert not sympy_loaded
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -142,7 +180,7 @@ def test_index_full_report_sums_to_one(km_file, tmp_path, capsys):
 
 def test_index_full_report_bad_total_exits_1(km_file, tmp_path, monkeypatch, capsys):
     report = IndexReport([IndexEntry("a", 1, "determinant"), IndexEntry("b", 1, "determinant")])
-    monkeypatch.setattr("equilib.cli.game_index_report", lambda game: report)
+    monkeypatch.setattr("equilib.indices.game_index_report", lambda game: report)
     out = tmp_path / "r.json"
     assert main(["index", km_file, "--out", str(out)]) == 1
     assert "sum to 2, not +1" in capsys.readouterr().err
@@ -259,6 +297,22 @@ def test_perturb_requires_eps_in_params(km_file, tmp_path, capsys):
     params = write_json(tmp_path / "params.json", {"alpha": "1/100"})
     assert main(["perturb", km_file, targets, "--params", params]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ({"component": 7, "sign": 1}, "unknown component id 7"),
+        ({"component": 0, "sign": -1}, "component 0: signs sum to -1, but its index is 1"),
+    ],
+)
+def test_perturb_unreachable_target_exits_1(target, message, km_file, tmp_path, capsys):
+    targets = write_json(
+        tmp_path / "targets.json", [{**target, "point": [{"t": "1"}, {"L": "1"}]}]
+    )
+    params = write_json(tmp_path / "params.json", {"eps": "1/10"})
+    assert main(["perturb", km_file, targets, "--params", params]) == 1
+    assert f"verification failure: [target] {message}" in capsys.readouterr().err
 
 
 # -- verify-example --------------------------------------------------------
@@ -538,6 +592,19 @@ MALFORMED_GEOMETRY_INPUTS = {
     "spec-offset-too-short": (
         ["degree-oracle"],
         {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0"], "box": [["-1", "1"], ["-1", "1"]]},
+    ),
+    "spec-grid-fractional": (
+        ["degree-oracle"], {"matrix": [["1/2"]], "offset": ["0"], "box": [["-1", "1"]], "grid": 1.7}
+    ),
+    "spec-grid-bool": (
+        ["degree-oracle"], {"matrix": [["1/2"]], "offset": ["0"], "box": [["-1", "1"]], "grid": True}
+    ),
+    "spec-grid-0": (
+        ["degree-oracle"], {"matrix": [["1/2"]], "offset": ["0"], "box": [["-1", "1"]], "grid": 0}
+    ),
+    "spec-box-side-empty": (
+        ["degree-oracle"],
+        {"matrix": [["1/2", "0"], ["0", "1/2"]], "offset": ["0", "0"], "box": [["-1", "1"], ["1", "1"]]},
     ),
 }
 
