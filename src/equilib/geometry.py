@@ -138,19 +138,6 @@ class Simplex:
         ]
 
 
-def in_convex_hull(points: Sequence[Point], x: Sequence) -> bool:
-    """Exact LP membership test: x in conv(points)."""
-    x = as_point(x)
-    if not points:
-        return False
-    n = len(points)
-    A_eq = [[p[i] for p in points] for i in range(len(x))]
-    A_eq.append([ONE] * n)
-    b_eq = list(x) + [ONE]
-    res = linprog([ZERO] * n, A_eq=A_eq, b_eq=b_eq)
-    return res.status == "optimal"
-
-
 def extreme_points(points: Sequence[Point]) -> list[Point]:
     """The vertices of conv(points), in input order (a repeated point once).
 

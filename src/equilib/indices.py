@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .games import (
     FiniteGame,
@@ -29,6 +29,7 @@ from .linalg import (
     Chart,
     Matrix,
     Vector,
+    _eliminate,
     determinant,
     frac_vec,
     linprog,
@@ -173,8 +174,6 @@ def index_regular(game: FiniteGame, eq: Profile) -> int:
 
 Box = Sequence[tuple[Fraction, Fraction]]
 
-_RAY_SCHEDULE = [Fraction(1, p) for p in (10, 13, 17, 23, 31, 43, 59, 71)]
-
 
 def _kuhn_simplices(dim: int):
     """Kuhn triangulation of the unit cube: vertex chains with permutation sign."""
@@ -241,32 +240,39 @@ def _boundary_simplices(box: Box, grid: int):
 _ORACLE_CALIBRATION: dict[int, int] = {}
 
 
-def _raw_degree(values: list[tuple[Vector, Vector]], d: int, ray: Vector) -> Optional[int]:
-    """Signed ray-crossing count; None when the ray is non-generic."""
+def _raw_degree(values: Iterable[tuple[Sequence[Sequence[Fraction]], int]]) -> int:
+    """Signed crossings of the ray t·(1, ε, …, ε^(d-1)), for every small ε > 0.
+
+    ``values`` holds each boundary simplex's d displacement values with its
+    orientation.  With W the matrix whose columns are the values, the ray
+    meets the simplex's image exactly when μ = W⁻¹·ray(ε) > 0, and μ_i is
+    Σ_k ε^k (W⁻¹)_ik, so it has the sign of the first nonzero entry of row
+    i of W⁻¹ (Edelsbrunner & Mücke, *Simulation of Simplicity*, ACM TOG 9,
+    1990).  One fraction-free elimination of [W | I] leaves det·W⁻¹ in the
+    right block.  A crossing counts orient·sign(det W); the calibration
+    absorbs the sign (-1)^(d-1) that relates this to the orientation of
+    the crossing.
+
+    No such ray meets the image of a singular W, which spans a proper
+    subspace; there one LP tests whether the values surround the origin.
+    """
     total = 0
-    for verts_w, orient in values:
-        w = verts_w
-        n = len(w)  # == d
-        rows = [[w[i][r] for i in range(n)] + [-ray[r]] for r in range(d)]
-        rows.append([ONE] * n + [ZERO])
-        rhs = [ZERO] * d + [ONE]
-        sol = solve_unique(rows, rhs)
-        if sol is None:
-            # singular system: degenerate only if the ray actually meets the image
-            sys_ub = [[-ONE if j == i else ZERO for j in range(n + 1)] for i in range(n + 1)]
-            res = linprog([ZERO] * (n + 1), sys_ub, [ZERO] * (n + 1), rows, rhs)
-            if res.status == "optimal":
-                return None  # non-transversal crossing: retry with another ray
+    for w, orient in values:
+        d = len(w)
+        W = [list(row) for row in zip(*w)]
+        T, pivots, det, scale = _eliminate(
+            row + [ONE if k == r else ZERO for k in range(d)] for r, row in enumerate(W)
+        )
+        if pivots[-1] != d - 1:  # W is singular
+            surround = linprog([ZERO] * d, A_eq=W + [[ONE] * d], b_eq=[ZERO] * d + [ONE])
+            if surround.status == "optimal":
+                raise IndexError_(
+                    "displacement values surround the origin on a boundary simplex; "
+                    "refine the grid"
+                )
             continue
-        lam, t = sol[:n], sol[n]
-        if min(lam) >= 0 and t >= 0 and (t == 0 or any(l == 0 for l in lam)):
-            return None  # crossing on a face: retry with another ray
-        if all(l > 0 for l in lam) and t > 0:
-            mat = [vec_sub(w[i], w[0]) for i in range(1, n)] + [list(ray)]
-            det = determinant([list(col) for col in zip(*mat)])
-            if det == 0:
-                return None
-            total += orient * (1 if det > 0 else -1)
+        if all(next(a for a in row[d:] if a) * det > 0 for row in T):
+            total += orient if det * scale > 0 else -orient
     return total
 
 
@@ -274,17 +280,7 @@ def _oracle_calibration(d: int) -> int:
     """Global sign fixed so that the identity displacement has degree +1."""
     if d not in _ORACLE_CALIBRATION:
         box = [(Fraction(-1), Fraction(1))] * d
-        center = [ZERO] * d
-        raw = None
-        for eps in _RAY_SCHEDULE:
-            ray = [eps**i for i in range(d)]
-            vals = [
-                ([vec_sub(v, center) for v in verts], orient)
-                for verts, orient in _boundary_simplices(box, 1)
-            ]
-            raw = _raw_degree(vals, d, ray)
-            if raw is not None:
-                break
+        raw = _raw_degree(_boundary_simplices(box, 1))  # the values are the vertices
         if raw not in (1, -1):
             raise IndexError_(f"oracle calibration failed in dimension {d}")
         _ORACLE_CALIBRATION[d] = raw
@@ -297,12 +293,10 @@ def degree_oracle(
     """Topological degree of (Id - fmap) over the box `region`.
 
     The displacement is evaluated exactly at the boundary grid vertices and
-    interpolated simplex-wise; crossings of a generic ray are counted with
-    signs.  Boundary simplices whose displacement values surround the origin
-    trigger an error asking for a finer grid.
+    interpolated simplex-wise; crossings of a symbolically perturbed ray
+    are counted with signs.  Boundary simplices whose displacement values
+    surround the origin trigger an error asking for a finer grid.
     """
-    from .geometry import in_convex_hull
-
     d = len(region)
     if d == 0:
         return 1
@@ -333,21 +327,11 @@ def degree_oracle(
             cache[v] = w
         return cache[v]
 
-    values = []
-    for verts, orient in _boundary_simplices(region, grid):
-        w = [disp_cached(v) for v in verts]
-        if in_convex_hull(w, [ZERO] * d):
-            raise IndexError_(
-                "displacement values surround the origin on a boundary simplex; "
-                "refine the grid"
-            )
-        values.append((w, orient))
-    for eps in _RAY_SCHEDULE:
-        ray = [eps**i for i in range(d)]
-        raw = _raw_degree(values, d, ray)
-        if raw is not None:
-            return raw * _oracle_calibration(d)
-    raise IndexError_("no generic ray direction found; refine the grid")
+    raw = _raw_degree(
+        ([disp_cached(v) for v in verts], orient)
+        for verts, orient in _boundary_simplices(region, grid)
+    )
+    return raw * _oracle_calibration(d)
 
 
 # --------------------------------------------------------------------------
@@ -622,24 +606,23 @@ def perturb_payoffs(game: FiniteGame, trial: int, magnitude: Fraction) -> Finite
     return FiniteGame.of(game.players, game.strategies, pay)
 
 
-def component_index(
-    es: EquilibriumSet,
-    component: Sequence[NashSubset],
-    trials: int = 3,
-    magnitude: Fraction = Fraction(1, 1000),
-) -> int:
+_PERTURBATION_TRIALS = 3
+_PERTURBATION_MAGNITUDE = Fraction(1, 1000)
+
+
+def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
     """Sum of perturbed-equilibrium indices near a component of ``es.game``.
 
     ``es`` is the game's full equilibrium set, as ``support_enumeration``
     returns it; the component is isolated from the rest of it.  Runs
-    `trials` deterministic payoff perturbations of the given magnitude; each
-    must yield only regular equilibria near the component, none in the
-    boundary shell, and all trials must agree.
+    ``_PERTURBATION_TRIALS`` deterministic payoff perturbations of magnitude
+    ``_PERTURBATION_MAGNITUDE``; each must yield only regular equilibria
+    near the component, none in the boundary shell, and all trials must
+    agree.
     """
     game = es.game
     if game.num_players != 2:
         raise IndexError_("component_index handles exactly 2 players")
-    magnitude = Fraction(magnitude)
     # isolating radius: half the distance to the rest of the equilibrium set
     others = [
         s
@@ -655,8 +638,8 @@ def component_index(
     if delta <= 0:
         raise IndexError_("component is not isolated from the rest of the equilibria")
     results = []
-    for trial in range(trials):
-        perturbed = perturb_payoffs(game, trial, magnitude)
+    for trial in range(_PERTURBATION_TRIALS):
+        perturbed = perturb_payoffs(game, trial, _PERTURBATION_MAGNITUDE)
         pes = support_enumeration(perturbed)
         if pes.subsets:
             raise IndexError_(

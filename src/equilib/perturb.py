@@ -61,15 +61,11 @@ class PipelineParams:
     eps0: Optional[Fraction] = None
     alpha: Optional[Fraction] = None
     alpha_star: Optional[Fraction] = None
-    zeta: Optional[Fraction] = None
-    xi: Optional[Fraction] = None
-    tilde_diameter: Optional[Fraction] = None
-    hat_diameter: Optional[Fraction] = None
 
     def __post_init__(self):
         if Fraction(self.eps) <= 0:
             raise PerturbError("params", "eps must be positive")
-        for name in ("eps0", "alpha", "alpha_star", "zeta", "xi"):
+        for name in ("eps0", "alpha", "alpha_star"):
             v = getattr(self, name)
             if v is not None and Fraction(v) <= 0:
                 raise PerturbError("params", f"{name} must be positive")

@@ -60,7 +60,7 @@ SUBCOMMAND_MODULES = {
     "index": ["indices", "solver"],
     "triangulate-grid": ["geometry"],
     "el-refine": ["geometry"],
-    "degree-oracle": ["geometry", "indices", "solver"],
+    "degree-oracle": ["indices", "solver"],
 }
 
 

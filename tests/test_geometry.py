@@ -16,7 +16,6 @@ from equilib.geometry import (
     generalized_barycentric_subdivision,
     grid_triangulation,
     hyperplane_extension_subdivision,
-    in_convex_hull,
     refine_modulo,
     regular_triangulation,
     simplex_facet_halfspaces,
@@ -72,12 +71,6 @@ def test_simplex_barycentric_identity():
 def test_degenerate_simplex_rejected():
     with pytest.raises(GeometryError):
         Simplex.of([[F(0), F(0)], [F(1), F(1)], [F(2), F(2)]])
-
-
-def test_in_convex_hull():
-    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    assert in_convex_hull(square, [F(1, 2), F(1, 2)])
-    assert not in_convex_hull(square, [F(2), F(0)])
 
 
 # -- triangulations --------------------------------------------------------

@@ -49,7 +49,6 @@ from equilib.geometry import (
     grid_triangulation,
     hyperplane_extension_subdivision,
     hyperplane_through,
-    in_convex_hull,
     regular_triangulation,
     simplex_facet_halfspaces,
 )
@@ -72,6 +71,16 @@ F = Fraction
 
 
 # -- the oracles, as they were ----------------------------------------------
+
+
+def in_convex_hull(points: Sequence[Point], x: Sequence) -> bool:
+    """Exact LP membership test: x in conv(points)."""
+    if not points:
+        return False
+    A_eq = [[p[i] for p in points] for i in range(len(x))]
+    A_eq.append([ONE] * len(points))
+    res = linprog([ZERO] * len(points), A_eq=A_eq, b_eq=list(x) + [ONE])
+    return res.status == "optimal"
 
 
 def reference_extreme_points(points: Sequence[Point]) -> list[Point]:

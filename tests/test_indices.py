@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -7,6 +8,7 @@ from equilib.games import FiniteGame, MixedStrategy, profile_of
 from equilib.geometry import Simplex
 from equilib.indices import (
     IndexError_,
+    _boundary_simplices,
     check_sum_plus_one,
     component_index,
     degree_oracle,
@@ -17,6 +19,7 @@ from equilib.indices import (
     make_affine_fixer,
     product_index,
 )
+from equilib.linalg import ONE, ZERO, determinant, linprog, solve_unique, vec_sub
 from equilib.solver import components, support_enumeration
 
 F = Fraction
@@ -123,6 +126,167 @@ def test_index_via_degree_agrees(matching_pennies, coordination):
     )
     assert index_via_degree(coordination, mixed_co) == -1
     assert index_via_degree(coordination, profile_of("A", "C")) == 1
+
+
+def test_degree_raises_when_values_surround_the_origin():
+    # the displacement (x0, x0) takes opposite values at the two ends of the
+    # edge x1 = -1, whose matrix of values is singular
+    box = [(F(-1), F(1))] * 2
+    with pytest.raises(IndexError_, match="surround the origin"):
+        degree_oracle(lambda x: [F(0), x[1] - x[0]], box, 1)
+
+
+def test_degree_through_a_singular_simplex_away_from_the_origin(monkeypatch):
+    import equilib.indices as indices
+
+    # the displacement is x except at (1, 0), where it is (1, 1): the edge
+    # from (1, 0) to (1, 1) has equal values, away from the origin
+    def fmap(x):
+        return [F(0), F(-1) if x == [1, 0] else F(0)]
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(indices, "linprog", counted)
+    box = [(F(-1), F(1))] * 2
+    assert degree_oracle(fmap, box, 2) == 1 == reference_degree_oracle(fmap, box, 2)
+    assert len(calls) == 1
+
+
+# -- the degree oracle against the concrete-ray oracle it replaced ---------
+#
+# `reference_degree_oracle` is the previous implementation, kept as the
+# oracle: one LP per boundary simplex for the surround check, then up to
+# eight concrete rays (1, e, ..., e^(d-1)), each counted by one solve per
+# simplex, until one meets no simplex image on a face.
+
+_RAY_SCHEDULE = [F(1, p) for p in (10, 13, 17, 23, 31, 43, 59, 71)]
+NO_RAY = "no generic ray direction found; refine the grid"
+
+
+def reference_raw_degree(values, d, ray) -> Optional[int]:
+    """Signed ray-crossing count; None when the ray is non-generic."""
+    total = 0
+    for w, orient in values:
+        n = len(w)  # == d
+        rows = [[w[i][r] for i in range(n)] + [-ray[r]] for r in range(d)]
+        rows.append([ONE] * n + [ZERO])
+        rhs = [ZERO] * d + [ONE]
+        sol = solve_unique(rows, rhs)
+        if sol is None:
+            # singular system: degenerate only if the ray actually meets the image
+            sys_ub = [[-ONE if j == i else ZERO for j in range(n + 1)] for i in range(n + 1)]
+            res = linprog([ZERO] * (n + 1), sys_ub, [ZERO] * (n + 1), rows, rhs)
+            if res.status == "optimal":
+                return None
+            continue
+        lam, t = sol[:n], sol[n]
+        if min(lam) >= 0 and t >= 0 and (t == 0 or any(x == 0 for x in lam)):
+            return None
+        if all(x > 0 for x in lam) and t > 0:
+            mat = [vec_sub(w[i], w[0]) for i in range(1, n)] + [list(ray)]
+            det = determinant([list(col) for col in zip(*mat)])
+            if det == 0:
+                return None
+            total += orient * (1 if det > 0 else -1)
+    return total
+
+
+def reference_values(fmap, region, grid):
+    """Each boundary simplex's displacement values, as the old oracle checked them."""
+    d = len(region)
+    values = []
+    for verts, orient in _boundary_simplices(region, grid):
+        w = [vec_sub(v, fmap(list(v))) for v in verts]
+        if any(all(c == 0 for c in x) for x in w):
+            raise IndexError_("fixed point on the boundary grid; refine the grid")
+        A_eq = [[x[r] for x in w] for r in range(d)] + [[ONE] * d]
+        if linprog([ZERO] * d, A_eq=A_eq, b_eq=[ZERO] * d + [ONE]).status == "optimal":
+            raise IndexError_(
+                "displacement values surround the origin on a boundary simplex; "
+                "refine the grid"
+            )
+        values.append((w, orient))
+    return values
+
+
+def reference_degree_oracle(fmap, region, grid) -> int:
+    d = len(region)
+    calibration = None
+    for eps in _RAY_SCHEDULE:
+        ray = [eps**i for i in range(d)]
+        calibration = reference_raw_degree(
+            reference_values(lambda x: [ZERO] * d, [(F(-1), F(1))] * d, 1), d, ray
+        )
+        if calibration is not None:
+            break
+    assert calibration in (1, -1)
+    values = reference_values(fmap, region, grid)
+    for eps in _RAY_SCHEDULE:
+        raw = reference_raw_degree(values, d, [eps**i for i in range(d)])
+        if raw is not None:
+            return raw * calibration
+    raise IndexError_(NO_RAY)
+
+
+def seeded_map(rng, d, quadratic):
+    """x -> b + M x (+ the quadratic terms q_rij x_i x_j), small rationals."""
+    b = [F(rng.randint(-2, 2), 2) for _ in range(d)]
+    M = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+    Q = [
+        {(i, j): F(rng.randint(-1, 1)) for i in range(d) for j in range(i, d)}
+        if quadratic
+        else {}
+        for _ in range(d)
+    ]
+
+    def fmap(x):
+        return [
+            b[r]
+            + sum(M[r][c] * x[c] for c in range(d))
+            + sum(q * x[i] * x[j] for (i, j), q in Q[r].items())
+            for r in range(d)
+        ]
+
+    return fmap
+
+
+def outcome(oracle, fmap, region, grid):
+    try:
+        return oracle(fmap, region, grid)
+    except IndexError_ as exc:
+        return str(exc)
+
+
+def test_degree_oracle_agrees_with_concrete_rays():
+    rng = random.Random(13)
+    decided = errors = 0
+    for d in (2, 3):
+        for quadratic in (False, True):
+            for grid in (1, 2, 3):
+                for _ in range(6 if d == 2 else 3):
+                    fmap = seeded_map(rng, d, quadratic)
+                    region = [(F(-1), F(1))] * d
+                    old = outcome(reference_degree_oracle, fmap, region, grid)
+                    if old == NO_RAY:
+                        continue
+                    assert outcome(degree_oracle, fmap, region, grid) == old
+                    decided += 1
+                    errors += isinstance(old, str)
+    assert decided >= 30 and 0 < errors < decided
+
+
+def test_degree_oracle_decides_where_the_first_concrete_ray_is_degenerate():
+    # disp(x) = A x with A (1, 1) = (10, 1), on the first old ray (1, 1/10)
+    def fmap(x):
+        return [x[0] - 5 * x[0] - 5 * x[1], x[1] - x[0]]
+
+    box = [(F(-1), F(1))] * 2
+    assert reference_raw_degree(reference_values(fmap, box, 1), 2, [ONE, F(1, 10)]) is None
+    assert degree_oracle(fmap, box, 1) == -1 == reference_degree_oracle(fmap, box, 1)
 
 
 # -- affine fixers ---------------------------------------------------------
@@ -242,6 +406,6 @@ def test_calibration_failures_raise(monkeypatch):
     with pytest.raises(IndexError_, match="not regular"):
         indices._calibration(2)
     monkeypatch.setattr(indices, "_ORACLE_CALIBRATION", {})
-    monkeypatch.setattr(indices, "_raw_degree", lambda *_: None)
+    monkeypatch.setattr(indices, "_raw_degree", lambda *_: 0)
     with pytest.raises(IndexError_, match="calibration failed"):
         indices._oracle_calibration(2)
