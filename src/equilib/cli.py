@@ -184,12 +184,11 @@ def load_params(path: str) -> PipelineParams:
     data = _load_json(path)
     if not isinstance(data, dict) or "eps" not in data:
         raise UsageError(f"{path}: params file must set 'eps'")
-    kwargs = {
-        f.name: parse_rational(data[f.name])
-        for f in fields(PipelineParams)
-        if f.name in data
-    }
-    return PipelineParams(**kwargs)
+    names = [f.name for f in fields(PipelineParams)]
+    unknown = ", ".join(repr(k) for k in data if k not in names)
+    if unknown:
+        raise UsageError(f"{path}: unknown params key(s) {unknown} (known: {', '.join(names)})")
+    return PipelineParams(**{k: parse_rational(v) for k, v in data.items()})
 
 
 def load_target_spec(path: str) -> TargetSpec:
@@ -282,7 +281,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_index(args) -> int:
-    from .indices import IndexError_, component_index, game_index_report, index_regular
+    from .indices import IndexError_, game_index_report, index_regular
     from .solver import components, support_enumeration
 
     t0 = time.monotonic()
@@ -295,18 +294,14 @@ def cmd_index(args) -> int:
         report.results = {"index": idx, "method": "determinant"}
     elif args.component is not None:
         es = support_enumeration(game)
-        cg = components(es)
-        if not 0 <= args.component < len(cg.components):
-            raise UsageError(
-                f"component {args.component} out of range "
-                f"(game has {len(cg.components)})"
-            )
-        subs = [cg.subsets[i] for i in cg.components[args.component]]
-        idx = component_index(es, subs)
+        count = len(components(es).components)
+        if not 0 <= args.component < count:
+            raise UsageError(f"component {args.component} out of range (game has {count})")
+        entry = game_index_report(es).entries[args.component]
         report.inputs["component"] = args.component
-        report.results = {"index": idx, "method": "perturbation-sum"}
+        report.results = {"index": entry.index, "method": entry.method}
     else:
-        ir = game_index_report(game)
+        ir = game_index_report(support_enumeration(game))
         if ir.total() != 1:
             raise IndexError_(f"indices over all components sum to {ir.total()}, not +1")
         report.results = ir.to_json()
@@ -580,15 +575,9 @@ def _km_duplication_phi() -> list[AffineSurjection]:
     return [rows, cols]
 
 
-def _by_weights(signed_profiles) -> list:
-    """(profile, index) pairs in a canonical order, for multiset comparison."""
-    return sorted((tuple(s.weights for s in prof), idx) for prof, idx in signed_profiles)
-
-
 def cmd_verify_example(args) -> int:
     from .examples import KM_EPS, KM_EXPECTED
-    from .indices import index_regular
-    from .solver import support_enumeration
+    from .indices import verify_realization
 
     if args.name != "km":
         raise UsageError(f"unknown example {args.name!r} (try 'km')")
@@ -602,14 +591,7 @@ def cmd_verify_example(args) -> int:
             if expect.eliminated is not None:
                 _, trace = eliminate_strictly_dominated(game)
                 ok = sorted((e.player, e.strategy) for e in trace) == expect.eliminated
-            es = support_enumeration(game)
-            ok = ok and not es.subsets and len(es.isolated) == len(expect.equilibria)
-            if ok:
-                found = [
-                    (tuple(phi.apply(s) for phi, s in zip(phis, eq)), index_regular(game, eq))
-                    for eq in es.isolated
-                ]
-                ok = _by_weights(found) == _by_weights(expect.equilibria)
+            ok = ok and not verify_realization(game, phis, expect.equilibria)[1]
             rows.append((f"{expect.name}, eps={format_rational(eps)}", ok))
     ok_all = all(ok for _, ok in rows)
 

@@ -6,6 +6,11 @@ get +1.  ``degree_oracle`` independently computes the topological degree of
 a displacement map over a box by exact sign counting on a simplicial
 decomposition of the boundary grid.  ``component_index`` sums regular
 indices of deterministically perturbed games near a component.
+
+``game_index_report`` is the one loop over a game's components: a regular
+isolated equilibrium gets ``index_regular``, any other component
+``component_index``.  ``verify_realization`` is the one check that a game's
+equilibria, projected through per-player maps, carry prescribed indices.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .linalg import (
     _eliminate,
     determinant,
     frac_vec,
+    linf_distance,
     linprog,
     solve_unique,
     vec_sub,
@@ -39,12 +45,12 @@ from .linalg import (
 from .solver import (
     EquilibriumSet,
     NashSubset,
-    _factor_constraints,
     components,
     support_enumeration,
 )
 
 if TYPE_CHECKING:
+    from .equivalence import AffineSurjection
     from .geometry import Simplex
 
 
@@ -529,58 +535,23 @@ def product_index(fixers: Sequence[AffineFixer]) -> int:
 # --------------------------------------------------------------------------
 
 
-def _profile_distance_to_subset(
-    game: FiniteGame, profile: Profile, subset: NashSubset
-) -> Optional[Fraction]:
-    """Minimal over the subset of the max per-player ell-infinity distance.
-
-    None when a factor polytope of the subset is empty.
-    """
-    dist = ZERO
-    for n in range(2):
-        labels = list(game.strategies[n])
-        sup = list(subset.supports[n])
-        A_ub, b_ub, A_eq, b_eq = _factor_constraints(
-            game, n, sup, subset.supports[1 - n]
-        )
-        x = profile[n].as_vector(labels)
-        # variables: z over sup, t; minimize t with |x_s - z_s| <= t
-        m = len(sup)
-        Aub = [row + [ZERO] for row in A_ub]
-        bub = list(b_ub)
-        Aeq = [row + [ZERO] for row in A_eq]
-        beq = list(b_eq)
-        for idx, s in enumerate(sup):
-            row = [ZERO] * (m + 1)
-            row[idx] = ONE
-            row[m] = -ONE
-            Aub.append(row)
-            bub.append(x[labels.index(s)])
-            row2 = [ZERO] * (m + 1)
-            row2[idx] = -ONE
-            row2[m] = -ONE
-            Aub.append(row2)
-            bub.append(-x[labels.index(s)])
-        off = max(
-            (x[labels.index(s)] for s in labels if s not in sup), default=ZERO
-        )
-        c = [ZERO] * m + [ONE]
-        res = linprog(c, Aub, bub, Aeq, beq)
-        if res.status != "optimal":  # t >= 0 bounds it: the factor is empty
-            return None
-        dist = max(dist, max(res.value, off))
-    return dist
-
-
 def component_distance(
     game: FiniteGame, profile: Profile, component: Sequence[NashSubset]
 ) -> Fraction:
-    """Least distance from `profile` to a subset of `component` with nonempty factors."""
-    dists = [_profile_distance_to_subset(game, profile, s) for s in component]
-    dists = [d for d in dists if d is not None]
-    if not dists:
-        raise IndexError_("every Nash subset of the component has an empty factor polytope")
-    return min(dists)
+    """Least ell-infinity distance from ``profile`` to a Nash subset of ``component``.
+
+    A Nash subset is the product of its factors' convex hulls, so its
+    distance is the largest over the players of the distance to a factor.
+    """
+    return min(
+        max(
+            linf_distance(
+                profile[n].as_vector(labels), [v.as_vector(labels) for v in s.factors[n]]
+            )
+            for n, labels in enumerate(game.strategies)
+        )
+        for s in component
+    )
 
 
 def _perturbation_bonuses(game: FiniteGame, trial: int, magnitude: Fraction):
@@ -624,13 +595,7 @@ def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
     if game.num_players != 2:
         raise IndexError_("component_index handles exactly 2 players")
     # isolating radius: half the distance to the rest of the equilibrium set
-    others = [
-        s
-        for s in es.all_subsets()
-        if not any(
-            s.supports == c.supports and s.factors == c.factors for c in component
-        )
-    ]
+    others = [s for s in es.all_subsets() if s not in component]
     delta = Fraction(1, 8)
     for s in others:
         for p in s.vertex_profiles():
@@ -643,8 +608,8 @@ def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
         pes = support_enumeration(perturbed)
         if pes.subsets:
             raise IndexError_(
-                f"perturbation trial {trial} left a degenerate equilibrium set; "
-                "choose another magnitude"
+                f"perturbation trial {trial} (magnitude {_PERTURBATION_MAGNITUDE}) "
+                "left a degenerate equilibrium set"
             )
         total = 0
         for eq in pes.isolated:
@@ -653,8 +618,9 @@ def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
                 total += index_regular(perturbed, eq)
             elif dist <= 2 * delta:
                 raise IndexError_(
-                    f"trial {trial}: equilibrium {eq} in the boundary shell "
-                    f"({dist} vs isolating radius {delta}); reduce magnitude"
+                    f"perturbation trial {trial} (magnitude {_PERTURBATION_MAGNITUDE}): "
+                    f"equilibrium {' ; '.join(map(str, eq))} lies at distance {dist} "
+                    f"from the component, beyond the isolating radius {delta} but within twice it"
                 )
         results.append(total)
     if len(set(results)) != 1:
@@ -666,7 +632,7 @@ def check_sum_plus_one(game: FiniteGame) -> bool:
     """Whether the component indices of a 2-player game sum to +1."""
     if game.num_players != 2:
         raise IndexError_("check_sum_plus_one requires exhaustive enumeration (2 players)")
-    return game_index_report(game).total() == 1
+    return game_index_report(support_enumeration(game)).total() == 1
 
 
 # --------------------------------------------------------------------------
@@ -704,20 +670,29 @@ class IndexReport:
         }
 
 
-def game_index_report(game: FiniteGame) -> IndexReport:
-    """Per-component index report for a 2-player game."""
-    es = support_enumeration(game)
+def game_index_report(es: EquilibriumSet) -> IndexReport:
+    """One index entry per component of ``components(es)``, in order.
+
+    ``es`` is a 2-player game's full equilibrium set.  A regular isolated
+    equilibrium gets its determinant index; any other component gets
+    ``component_index``.
+    """
+    game = es.game
     cg = components(es)
     report = IndexReport()
     for comp in cg.components:
         subs = [cg.subsets[i] for i in comp]
         if len(subs) == 1 and subs[0].is_singleton():
             eq = subs[0].sample()
-            if is_regular(game, eq):
+            try:
+                idx = index_regular(game, eq)
+            except IndexError_:
+                pass
+            else:
                 report.entries.append(
                     IndexEntry(
                         " ; ".join(str(s) for s in eq),
-                        index_regular(game, eq),
+                        idx,
                         "determinant",
                         {"supports": [list(s.support()) for s in eq]},
                     )
@@ -731,3 +706,35 @@ def game_index_report(game: FiniteGame) -> IndexReport:
             IndexEntry(desc, idx, "perturbation-sum", {"subsets": len(subs)})
         )
     return report
+
+
+def verify_realization(
+    game: FiniteGame,
+    phis: Sequence[AffineSurjection],
+    want: Iterable[tuple[Profile, int]],
+) -> tuple[list[tuple[Profile, Profile, int]], list[str]]:
+    """Whether ``game``'s equilibria realize the signed profiles ``want``.
+
+    Enumerates the game, requires every equilibrium to be isolated and
+    regular, projects each through the per-player maps ``phis``, and
+    compares the multiset of (projection, index) pairs with ``want``.
+    Returns (equilibrium, projection, index) for each equilibrium whose
+    index was computed, and the failure texts; none means verified.
+    """
+    es = support_enumeration(game)
+    failures = []
+    if es.subsets:
+        failures.append("perturbed game has a degenerate equilibrium set")
+    found = []
+    for eq in es.isolated:
+        try:
+            idx = index_regular(game, eq)
+        except IndexError_ as exc:
+            failures.append(f"index computation failed at {eq}: {exc}")
+            continue
+        found.append((eq, tuple(phi.apply(s) for phi, s in zip(phis, eq, strict=True)), idx))
+    got = sorted((tuple(s.weights for s in proj), idx) for _, proj, idx in found)
+    targets = sorted((tuple(s.weights for s in proj), idx) for proj, idx in want)
+    if got != targets:
+        failures.append(f"equilibria {got} do not match targets {targets}")
+    return found, failures

@@ -364,6 +364,27 @@ def linprog(
     return LPResult("optimal", x, value)
 
 
+def linf_distance(point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact ell-infinity distance from ``point`` to the convex hull of ``vertices``.
+
+    One LP over the convex weights λ and the distance t: minimize t subject
+    to |Σ λ_i v_i − x| <= t coordinatewise and Σ λ_i = 1.  A single vertex
+    needs no LP.
+    """
+    if len(vertices) == 1:
+        return max((abs(a - b) for a, b in zip(point, vertices[0], strict=True)), default=ZERO)
+    m = len(vertices)
+    A_ub, b_ub = [], []
+    for r, x in enumerate(point):
+        row = [v[r] for v in vertices]
+        A_ub += [row + [-ONE], [-a for a in row] + [-ONE]]
+        b_ub += [x, -x]
+    res = linprog([ZERO] * m + [ONE], A_ub, b_ub, [[ONE] * m + [ZERO]], [ONE])
+    if res.status != "optimal":
+        raise ValueError("linf_distance needs at least one vertex")
+    return res.value
+
+
 # --------------------------------------------------------------------------
 # Polyhedra: vertex enumeration and affine charts
 # --------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from .games import (
     is_equilibrium,
     payoff_against,
 )
-from .indices import IndexError_, component_index, index_regular
-from .linalg import ONE, ZERO, frac_vec, vec_add, vec_scale
-from .solver import components, support_enumeration
+from .indices import game_index_report, verify_realization
+from .linalg import ONE, ZERO, frac_vec, linf_distance, vec_add, vec_scale
+from .solver import support_enumeration
 
 if TYPE_CHECKING:
     from .geometry import PLFunction, Simplex
@@ -115,12 +115,8 @@ class TargetSpec:
                     f"component {cid}: signs sum to {total}, "
                     f"but its index is {component_indices[cid]}",
                 )
-            seen = set()
-            for p in pts:
-                key = tuple(s.weights for s in p.profile)
-                if key in seen:
-                    raise PerturbError("target", "target points must be distinct")
-                seen.add(key)
+            if len({p.profile for p in pts}) != len(pts):
+                raise PerturbError("target", "target points must be distinct")
             for p in pts:
                 if not is_equilibrium(game, p.profile):
                     raise PerturbError(
@@ -239,11 +235,10 @@ def envelope_r(
 
     def region_distance(region: Sequence[Simplex], profile: Profile) -> Fraction:
         """Max over players of the ell-infinity distance to the region factor."""
-        out = ZERO
-        for n, simplex in enumerate(region):
-            x = profile[n].as_vector(list(game.strategies[n]))
-            out = max(out, _point_simplex_distance(simplex, x))
-        return out
+        return max(
+            linf_distance(profile[n].as_vector(game.strategies[n]), simplex.vertices)
+            for n, simplex in enumerate(region)
+        )
 
     def make(n: int) -> Callable[[Profile], Fraction]:
         def r_n(profile: Profile) -> Fraction:
@@ -262,31 +257,6 @@ def envelope_r(
         return r_n
 
     return [make(n) for n in range(game.num_players)]
-
-
-def _point_simplex_distance(simplex: Simplex, point: Sequence[Fraction]) -> Fraction:
-    """Exact ell-infinity distance from a point to a simplex (LP)."""
-    from .linalg import linprog
-
-    verts = [frac_vec(v) for v in simplex.vertices]
-    d = len(verts[0])
-    m = len(verts)
-    x = frac_vec(point)
-    # variables: lambda_1..lambda_m, t ; minimize t
-    A_ub = []
-    b_ub = []
-    for r in range(d):
-        row = [verts[i][r] for i in range(m)] + [-ONE]
-        A_ub.append(row)
-        b_ub.append(x[r])
-        A_ub.append([-c for c in row[:-1]] + [-ONE])
-        b_ub.append(-x[r])
-    A_eq = [[ONE] * m + [ZERO]]
-    b_eq = [ONE]
-    res = linprog([ZERO] * m + [ONE], A_ub, b_ub, A_eq, b_eq)
-    if res.status != "optimal":
-        raise PerturbError("envelope", "distance LP failed")
-    return res.value
 
 
 # --------------------------------------------------------------------------
@@ -698,10 +668,6 @@ class PipelineReport:
         }
 
 
-def _strategy_key(s: MixedStrategy):
-    return tuple(sorted(s.weights))
-
-
 def _frame_for_player(
     targets: Sequence[TargetPoint], player: int
 ) -> tuple[list[MixedStrategy], Optional[MixedStrategy]]:
@@ -711,13 +677,13 @@ def _frame_for_player(
     for tp in targets:
         s = tp.profile[player]
         if tp.sign == -1 or not s.is_pure():
-            if mixed is not None and _strategy_key(mixed) != _strategy_key(s):
+            if mixed is not None and mixed != s:
                 raise PerturbError(
                     "frame", f"player {player}: more than one mixed target strategy"
                 )
             mixed = s
         else:
-            if not any(_strategy_key(p) == _strategy_key(s) for p in pures):
+            if s not in pures:
                 pures.append(s)
     return pures, mixed
 
@@ -740,13 +706,9 @@ def run_pipeline(
         raise PerturbError("scope", "pipeline handles exactly 2 players")
 
     # Stage 1: components and indices
-    es = support_enumeration(game)
-    cg = components(es)
-    comp_indices = {}
-    for cid, comp in enumerate(cg.components):
-        subs = [cg.subsets[i] for i in comp]
-        comp_indices[cid] = component_index(es, subs)
-    report.log(f"components: {len(cg.components)} with indices {comp_indices}")
+    entries = game_index_report(support_enumeration(game)).entries
+    comp_indices = {cid: e.index for cid, e in enumerate(entries)}
+    report.log(f"components: {len(entries)} with indices {comp_indices}")
     target.validate(game, comp_indices)
     cids = {tp.component for tp in target.points}
     if len(cids) != 1:
@@ -824,9 +786,7 @@ def run_pipeline(
             for n in range(2)
         )
         got = project_profile(projections, designed)
-        if tuple(map(_strategy_key, got)) != tuple(
-            _strategy_key(s) for s in tp.profile
-        ):
+        if got != tp.profile:
             raise PerturbError(
                 "frame",
                 f"designed mixed point projects to {got}, not the target "
@@ -910,35 +870,13 @@ def run_pipeline(
         return perturbed, chain, report
 
     # Stage 6: verification
-    pes = support_enumeration(perturbed)
-    ok = True
-    if pes.subsets:
-        ok = False
-        report.failures.append("perturbed game has a degenerate equilibrium set")
-    found = []
-    for eq in pes.isolated:
-        proj = project_profile(projections, eq)
-        try:
-            idx = index_regular(perturbed, eq)
-        except IndexError_ as exc:
-            ok = False
-            report.failures.append(f"index computation failed at {eq}: {exc}")
-            continue
+    found, report.failures = verify_realization(
+        perturbed, projections, [(tp.profile, tp.sign) for tp in points]
+    )
+    for eq, proj, idx in found:
         report.equilibria.append(eq)
         report.projections.append(proj)
         report.indices.append(idx)
-        found.append((proj, idx))
-    want = [(tp.profile, tp.sign) for tp in points]
-
-    def norm(pair):
-        return (tuple(_strategy_key(s) for s in pair[0]), pair[1])
-
-    if sorted(map(norm, found)) != sorted(map(norm, want)):
-        ok = False
-        report.failures.append(
-            f"equilibria {sorted(map(norm, found))} do not match targets "
-            f"{sorted(map(norm, want))}"
-        )
-    report.verified = ok
-    report.log("verification " + ("passed" if ok else "FAILED"))
+    report.verified = not report.failures
+    report.log("verification " + ("passed" if report.verified else "FAILED"))
     return perturbed, chain, report

@@ -200,6 +200,29 @@ def test_index_component_out_of_range(km_file, capsys):
     capsys.readouterr()
 
 
+def test_index_component_is_the_full_reports_entry(coordination, tmp_path, capsys):
+    path = tmp_path / "coordination.json"
+    save_game(coordination, str(path))
+    full, one = tmp_path / "full.json", tmp_path / "one.json"
+    assert main(["index", str(path), "--out", str(full)]) == 0
+    assert main(["index", str(path), "--component", "0", "--out", str(one)]) == 0
+    capsys.readouterr()
+    entry = json.loads(full.read_text())["results"]["entries"][0]
+    data = json.loads(one.read_text())
+    assert data["results"] == {"index": 1, "method": "determinant"}
+    assert data["results"] == {"index": entry["index"], "method": entry["method"]}
+
+
+def test_index_component_out_of_range_computes_no_index(km_file, monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError("an index was computed")
+
+    for name in ("game_index_report", "component_index", "index_regular"):
+        monkeypatch.setattr(f"equilib.indices.{name}", boom)
+    assert main(["index", km_file, "--component", "1"]) == 2
+    assert "component 1 out of range (game has 1)" in capsys.readouterr().err
+
+
 # -- dominance -------------------------------------------------------------
 
 
@@ -661,6 +684,14 @@ def test_flat_regular_lift_exits_1_naming_every_point(tmp_path, capsys):
         "verification failure: non-generic height: lifted points [0, 1, 2, 3] "
         "lie on a common lower hyperplane"
     ]
+
+
+def test_params_file_unknown_key_exits_2(km_file, tmp_path, capsys):
+    targets = write_json(tmp_path / "targets.json", [])
+    params = write_json(tmp_path / "params.json", {"eps": "1/10", "eps_0": "x"})
+    assert main(["perturb", km_file, targets, "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "unknown params key(s) 'eps_0'" in err
 
 
 def test_params_file_not_an_object_exits_2(km_file, tmp_path, capsys):

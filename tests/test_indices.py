@@ -4,7 +4,7 @@ from typing import Optional
 
 import pytest
 
-from equilib.games import FiniteGame, MixedStrategy, profile_of
+from equilib.games import FiniteGame, profile_of
 from equilib.geometry import Simplex
 from equilib.indices import (
     IndexError_,
@@ -18,6 +18,7 @@ from equilib.indices import (
     is_regular,
     make_affine_fixer,
     product_index,
+    verify_realization,
 )
 from equilib.linalg import ONE, ZERO, determinant, linprog, solve_unique, vec_sub
 from equilib.solver import components, support_enumeration
@@ -354,22 +355,15 @@ def test_zero_dimensional_fixer_only_plus_one():
 # -- component indices -----------------------------------------------------
 
 
-def test_component_distance_skips_empty_factors_and_raises_without_any(matching_pennies):
+def test_component_distance_to_the_mixed_equilibrium_of_matching_pennies(matching_pennies):
     from equilib.indices import component_distance
     from equilib.solver import NashSubset
 
-    # (A, C) is no equilibrium support: D is the column player's best reply to A
-    empty = NashSubset(
-        (("A",), ("C",)), ((MixedStrategy.pure("A"),), (MixedStrategy.pure("C"),))
-    )
     mixed = support_enumeration(matching_pennies).isolated[0]
     real = NashSubset(
         (("A", "B"), ("C", "D")), ((mixed[0],), (mixed[1],))
     )
-    here = profile_of("A", "C")
-    assert component_distance(matching_pennies, here, [empty, real]) == HALF
-    with pytest.raises(IndexError_, match="empty factor polytope"):
-        component_distance(matching_pennies, here, [empty])
+    assert component_distance(matching_pennies, profile_of("A", "C"), [real]) == HALF
 
 
 def test_km_component_index_plus_one(km):
@@ -387,8 +381,51 @@ def test_component_index_on_singleton_matches_determinant(matching_pennies):
     assert component_index(es, subs) == 1
 
 
+def test_component_index_degenerate_trial_states_what_happened(km, monkeypatch):
+    import equilib.indices as indices
+
+    # magnitude 0 leaves km itself, whose equilibria form Nash subsets
+    monkeypatch.setattr(indices, "_PERTURBATION_MAGNITUDE", F(0))
+    es = support_enumeration(km)
+    cg = components(es)
+    with pytest.raises(IndexError_) as err:
+        component_index(es, [cg.subsets[i] for i in cg.components[0]])
+    assert str(err.value) == (
+        "perturbation trial 0 (magnitude 0) left a degenerate equilibrium set"
+    )
+
+
+def test_component_index_shell_equilibrium_states_what_happened(monkeypatch):
+    import equilib.indices as indices
+
+    rows, cols = ["r0", "r1", "r2"], ["c0", "c1", "c2"]
+    table = [
+        [(0, 1), (1, 0), (0, 2)],
+        [(0, 0), (0, 0), (2, 0)],
+        [(1, 2), (0, 1), (1, 1)],
+    ]
+    game = FiniteGame.of(
+        ["1", "2"], [rows, cols],
+        {(r, c): table[i][j] for i, r in enumerate(rows) for j, c in enumerate(cols)},
+    )
+    # perturbed by magnitude 1/5, the game has a completely mixed equilibrium
+    # between one and two isolating radii away from the r1 x {c0, c1, c2} component
+    monkeypatch.setattr(indices, "_PERTURBATION_MAGNITUDE", F(1, 5))
+    es = support_enumeration(game)
+    cg = components(es)
+    assert [cg.subsets[i].supports for i in cg.components[1]] == [(("r1",), tuple(cols))]
+    with pytest.raises(IndexError_) as err:
+        component_index(es, [cg.subsets[i] for i in cg.components[1]])
+    assert str(err.value) == (
+        "perturbation trial 0 (magnitude 1/5): equilibrium "
+        "41/485*r0 + 419/485*r1 + 5/97*r2 ; 381/1940*c0 + 571/970*c1 + 417/1940*c2 "
+        "lies at distance 66/485 from the component, beyond the isolating radius 1/8 "
+        "but within twice it"
+    )
+
+
 def test_game_index_report(km_p2):
-    report = game_index_report(km_p2)
+    report = game_index_report(support_enumeration(km_p2))
     assert sorted(e.index for e in report.entries) == [-1, 1, 1]
     assert report.total() == 1
     data = report.to_json()
@@ -409,3 +446,65 @@ def test_calibration_failures_raise(monkeypatch):
     monkeypatch.setattr(indices, "_raw_degree", lambda *_: 0)
     with pytest.raises(IndexError_, match="calibration failed"):
         indices._oracle_calibration(2)
+
+
+# -- realization check -----------------------------------------------------
+
+
+def km_duplication_phis():
+    from equilib.cli import _km_duplication_phi
+
+    return _km_duplication_phi()
+
+
+def test_verify_realization_matches_km_perturbation_2(km_p2):
+    from equilib.examples import KM_EXPECTED
+
+    want = KM_EXPECTED[1].equilibria
+    found, failures = verify_realization(km_p2, km_duplication_phis(), want)
+    assert failures == []
+    got = [(proj, idx) for _, proj, idx in found]
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    for eq, _, idx in found:
+        assert index_regular(km_p2, eq) == idx
+
+
+def test_verify_realization_rejects_a_degenerate_equilibrium_set(km):
+    from equilib.equivalence import identity_surjection
+
+    phis = [identity_surjection(s) for s in km.strategies]
+    found, failures = verify_realization(km, phis, [])
+    assert found == []
+    assert failures == ["perturbed game has a degenerate equilibrium set"]
+
+
+def test_verify_realization_rejects_an_irregular_equilibrium():
+    from equilib.equivalence import identity_surjection
+
+    # (r0, c1) is isolated, but r1 does as well against c1: not regular
+    game = FiniteGame.of(
+        ["1", "2"],
+        [["r0", "r1"], ["c0", "c1"]],
+        {("r0", "c0"): (0, 1), ("r0", "c1"): (1, 1), ("r1", "c0"): (1, 2), ("r1", "c1"): (1, 0)},
+    )
+    phis = [identity_surjection(s) for s in game.strategies]
+    strict, irregular = profile_of("r1", "c0"), profile_of("r0", "c1")
+    assert support_enumeration(game).subsets == []
+    found, failures = verify_realization(game, phis, [(strict, 1)])
+    assert found == [(strict, strict, 1)]
+    assert failures == [
+        f"index computation failed at {irregular}: "
+        "off-support strategy r1 is not strictly inferior; use component_index"
+    ]
+
+
+def test_verify_realization_rejects_a_wrong_sign(km_p2):
+    from equilib.examples import KM_EXPECTED
+
+    want = list(KM_EXPECTED[1].equilibria)
+    (profile, sign) = want[-1]
+    want[-1] = (profile, -sign)
+    found, failures = verify_realization(km_p2, km_duplication_phis(), want)
+    assert len(found) == 3
+    assert len(failures) == 1
+    assert failures[0].startswith("equilibria [") and " do not match targets [" in failures[0]

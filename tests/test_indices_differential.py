@@ -1,0 +1,135 @@
+"""Differential tests of the component-index rule and the vertex-form distance.
+
+``game_index_report`` gives a regular isolated equilibrium its determinant
+index and every other component the perturbation sum; the oracle runs the
+perturbation sum (``component_index``) on every component.  The distance
+from a profile to a Nash subset is an LP over the convex hulls of the
+subset's factor vertices; the oracle keeps the earlier LP over each
+factor's H-representation (a distribution on the support against which the
+opponent's support strategies are best replies).
+"""
+
+import random
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+
+from equilib.games import FiniteGame, MixedStrategy, Profile
+from equilib.indices import (
+    IndexError_,
+    component_distance,
+    component_index,
+    game_index_report,
+    index_regular,
+    is_regular,
+    perturb_payoffs,
+)
+from equilib.linalg import ONE, ZERO, linprog
+from equilib.solver import NashSubset, _factor_constraints, components, support_enumeration
+
+F = Fraction
+
+
+def random_game(rng: random.Random, shape, high: int) -> FiniteGame:
+    rows = [f"r{i}" for i in range(shape[0])]
+    cols = [f"c{j}" for j in range(shape[1])]
+    payoffs = {
+        (r, c): (rng.randint(0, high), rng.randint(0, high)) for r in rows for c in cols
+    }
+    return FiniteGame.of(["1", "2"], [rows, cols], payoffs)
+
+
+def reference_distance_to_subset(
+    game: FiniteGame, profile: Profile, subset: NashSubset
+) -> Optional[Fraction]:
+    """Max over players of the ell-infinity distance to the H-represented factor.
+
+    None when a factor polytope of the subset is empty.
+    """
+    dist = ZERO
+    for n in range(2):
+        labels = list(game.strategies[n])
+        sup = list(subset.supports[n])
+        A_ub, b_ub, A_eq, b_eq = _factor_constraints(game, n, sup, subset.supports[1 - n])
+        x = profile[n].as_vector(labels)
+        # variables: z over sup, t; minimize t with |x_s - z_s| <= t
+        m = len(sup)
+        Aub = [row + [ZERO] for row in A_ub]
+        bub = list(b_ub)
+        Aeq = [row + [ZERO] for row in A_eq]
+        beq = list(b_eq)
+        for idx, s in enumerate(sup):
+            row = [ZERO] * (m + 1)
+            row[idx] = ONE
+            row[m] = -ONE
+            Aub.append(row)
+            bub.append(x[labels.index(s)])
+            row2 = [ZERO] * (m + 1)
+            row2[idx] = -ONE
+            row2[m] = -ONE
+            Aub.append(row2)
+            bub.append(-x[labels.index(s)])
+        off = max((x[labels.index(s)] for s in labels if s not in sup), default=ZERO)
+        res = linprog([ZERO] * m + [ONE], Aub, bub, Aeq, beq)
+        if res.status != "optimal":
+            return None
+        dist = max(dist, max(res.value, off))
+    return dist
+
+
+SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("high,count", [(2, 60), (3, 60), (20, 40)])
+def test_component_rule_matches_the_perturbation_sum(high, count):
+    rng = random.Random(f"component rule {high}")
+    compared = regular = 0
+    for _ in range(count):
+        game = random_game(rng, rng.choice(SHAPES), high)
+        es = support_enumeration(game)
+        cg = components(es)
+        try:
+            entries = game_index_report(es).entries
+        except IndexError_:
+            entries = None
+        for k, comp in enumerate(cg.components):
+            subs = [cg.subsets[i] for i in comp]
+            try:
+                old = component_index(es, subs)
+            except IndexError_:
+                continue
+            if entries is not None:
+                assert entries[k].index == old
+                compared += 1
+            if len(subs) == 1 and subs[0].is_singleton() and is_regular(game, subs[0].sample()):
+                assert index_regular(game, subs[0].sample()) == old
+                regular += 1
+    assert compared > count and 2 * regular > count
+
+
+def random_profile(rng: random.Random, game: FiniteGame) -> Profile:
+    out = []
+    for labels in game.strategies:
+        cuts = sorted(F(rng.randint(0, 12), 12) for _ in range(len(labels) - 1))
+        weights = [b - a for a, b in zip([ZERO] + cuts, cuts + [ONE])]
+        out.append(MixedStrategy.of(dict(zip(labels, weights))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_vertex_distance_matches_the_h_representation(seed):
+    rng = random.Random(f"subset distance {seed}")
+    cases = 0
+    for _ in range(12):
+        game = random_game(rng, rng.choice(SHAPES), 2)
+        es = support_enumeration(game)
+        subsets = es.all_subsets()
+        points = [p for s in subsets for p in s.vertex_profiles()]
+        points += support_enumeration(perturb_payoffs(game, seed, F(1, 50))).isolated
+        points += [random_profile(rng, game) for _ in range(4)]
+        for s in subsets:
+            for p in points:
+                assert component_distance(game, p, [s]) == reference_distance_to_subset(game, p, s)
+                cases += 1
+    assert cases > 100
