@@ -1,12 +1,17 @@
 """Command-line front end: file I/O, subcommand dispatch, and reports.
 
-Every subcommand builds a :class:`Report` with an input echo, results, any
-certifications performed, and timings; ``--out`` writes the machine-readable
-rendering (which round-trips) next to the human text printed on stdout.
-Exit codes: 0 success, 1 verification failure (any ``GameError``, the root
-of every equilib verification error), 2 usage error.  At module level this
-file imports only what every subcommand uses (``games`` and ``rational``);
-each ``cmd_*`` imports the modules it runs, so a process loads no more.
+Each ``cmd_*`` loads its inputs, computes, and returns a :class:`Report`
+(an input echo, results and any certifications performed) with its exit
+code.  ``main`` is the one run path: it times the subcommand into
+``timings["total"]``, prints the report's text, writes ``--out`` (the
+report as JSON, which round-trips through ``Report(**data)``) and returns
+the exit code: 0 success, 1 verification failure (any ``GameError``, the
+root of every equilib verification error, or a ``perturb`` or
+``verify-example`` check that did not pass), 2 usage error (malformed
+input, such as a mixture that is no JSON object or a profile without one
+mixture per player).  At module level this file imports only what every
+subcommand uses (``games`` and ``rational``); each ``cmd_*`` imports the
+modules it runs, so a process loads no more.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .games import (
+    FiniteGame,
     GameError,
     MixedStrategy,
     Profile,
@@ -55,27 +60,6 @@ class Report:
     certifications: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "params": self.params,
-            "results": self.results,
-            "certifications": list(self.certifications),
-            "timings": self.timings,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Report":
-        return Report(
-            command=data["command"],
-            inputs=dict(data["inputs"]),
-            params=dict(data["params"]),
-            results=dict(data["results"]),
-            certifications=list(data["certifications"]),
-            timings=dict(data["timings"]),
-        )
-
     def render_text(self) -> str:
         lines = [f"== {self.command} =="]
         for section in ("inputs", "params", "results"):
@@ -109,16 +93,18 @@ def _render_value(lines: list[str], prefix: str, value) -> None:
         lines.append(f"{prefix}: {value}")
 
 
+def _mixture_json(sigma: MixedStrategy) -> dict:
+    return {s: format_rational(w) for s, w in sigma.weights}
+
+
 def _profile_json(profile: Profile) -> list:
-    return [
-        {s: format_rational(w) for s, w in sigma.weights} for sigma in profile
-    ]
+    return [_mixture_json(sigma) for sigma in profile]
 
 
 def _emit(report: Report, out_path) -> None:
     sys.stdout.write(report.render_text())
     if out_path:
-        write_json(out_path, report.to_json())
+        write_json(out_path, asdict(report))
 
 
 # --------------------------------------------------------------------------
@@ -126,27 +112,27 @@ def _emit(report: Report, out_path) -> None:
 # --------------------------------------------------------------------------
 
 
-def _parse_mixture(text: str) -> MixedStrategy:
+def _json_argument(text: str, what: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"mixture is not valid JSON: {exc}") from exc
+        raise UsageError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _read_mixture(data, what: str) -> MixedStrategy:
+    """The mixture a JSON object of label -> rational spells out."""
     if not isinstance(data, dict):
-        raise UsageError("mixture must be a JSON object of label -> rational")
-    return MixedStrategy.of({str(k): parse_rational(v) for k, v in data.items()})
+        raise UsageError(f"{what} must be a JSON object of label -> rational")
+    return MixedStrategy.of({k: parse_rational(v) for k, v in data.items()})
 
 
-def _parse_profile(text: str) -> Profile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"profile is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise UsageError("profile must be a JSON list of per-player objects")
-    return tuple(
-        MixedStrategy.of({str(k): parse_rational(v) for k, v in entry.items()})
-        for entry in data
-    )
+def _read_profile(data, game: FiniteGame, what: str) -> Profile:
+    """The profile a JSON list of one mixture object per player of ``game`` spells out."""
+    if not isinstance(data, list) or len(data) != game.num_players:
+        raise UsageError(
+            f"{what} must be a JSON list of {game.num_players} per-player objects"
+        )
+    return tuple(_read_mixture(entry, f"{what} entry {n}") for n, entry in enumerate(data))
 
 
 def _load_json(path: str):
@@ -191,7 +177,7 @@ def load_params(path: str) -> PipelineParams:
     return PipelineParams(**{k: parse_rational(v) for k, v in data.items()})
 
 
-def load_target_spec(path: str) -> TargetSpec:
+def load_target_spec(path: str, game: FiniteGame) -> TargetSpec:
     from .perturb import TargetPoint, TargetSpec
 
     data = _load_json(path)
@@ -199,44 +185,26 @@ def load_target_spec(path: str) -> TargetSpec:
         raise UsageError(f"{path}: target spec must be a JSON list")
     points = []
     for i, entry in enumerate(data):
+        what = f"{path}: target entry {i}"
         try:
-            profile = tuple(
-                MixedStrategy.of(
-                    {str(k): parse_rational(v) for k, v in sigma.items()}
-                )
-                for sigma in entry["point"]
-            )
-            points.append(
-                TargetPoint(int(entry["component"]), profile, int(entry["sign"]))
-            )
-        except (KeyError, TypeError, RationalParseError) as exc:
-            raise UsageError(f"{path}: target entry {i} malformed: {exc}") from exc
+            profile = _read_profile(entry["point"], game, f"{what} point")
+            points.append(TargetPoint(int(entry["component"]), profile, int(entry["sign"])))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: a bad number or rational
+            raise UsageError(f"{what} malformed: {exc}") from exc
     return TargetSpec(tuple(points))
 
 
-def _params_json(params: PipelineParams) -> dict:
-    out = {}
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if v is not None:
-            out[f.name] = format_rational(Fraction(v))
-    return out
-
-
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report and exit code
 # --------------------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[Report, int]:
     from .solver import components, support_enumeration
 
-    t0 = time.monotonic()
-    game = load_game(args.game)
-    es = support_enumeration(game)
+    es = support_enumeration(load_game(args.game))
     cg = components(es)
-    report = Report("solve", inputs={"game": args.game})
-    report.results = {
+    results = {
         "isolated": [_profile_json(p) for p in es.isolated],
         "maximal_subsets": [
             {
@@ -249,23 +217,19 @@ def cmd_solve(args) -> int:
         "exhaustive": es.exhaustive,
         "notes": list(es.notes),
     }
-    report.certifications.append(
-        "every reported vertex profile verified as an equilibrium"
-    )
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report(
+        "solve",
+        inputs={"game": args.game},
+        results=results,
+        certifications=["every reported vertex profile verified as an equilibrium"],
+    ), 0
 
 
-def cmd_components(args) -> int:
+def cmd_components(args) -> tuple[Report, int]:
     from .solver import components, support_enumeration
 
-    t0 = time.monotonic()
-    game = load_game(args.game)
-    es = support_enumeration(game)
-    cg = components(es)
-    report = Report("components", inputs={"game": args.game})
-    report.results = {
+    cg = components(support_enumeration(load_game(args.game)))
+    results = {
         "subsets": [
             {"supports": [list(s) for s in ns.supports]} for ns in cg.subsets
         ],
@@ -275,29 +239,26 @@ def cmd_components(args) -> int:
             str(i): len(adj) for i, adj in sorted(cg.adjacency().items())
         },
     }
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report("components", inputs={"game": args.game}, results=results), 0
 
 
-def cmd_index(args) -> int:
-    from .indices import IndexError_, game_index_report, index_regular
+def cmd_index(args) -> tuple[Report, int]:
+    from .indices import IndexError_, component_entry, game_index_report, index_regular
     from .solver import components, support_enumeration
 
-    t0 = time.monotonic()
     game = load_game(args.game)
     report = Report("index", inputs={"game": args.game})
     if args.point is not None:
-        profile = _parse_profile(args.point)
-        idx = index_regular(game, profile)
+        profile = _read_profile(_json_argument(args.point, "--point"), game, "--point")
         report.inputs["point"] = args.point
-        report.results = {"index": idx, "method": "determinant"}
+        report.results = {"index": index_regular(game, profile), "method": "determinant"}
     elif args.component is not None:
         es = support_enumeration(game)
-        count = len(components(es).components)
+        cg = components(es)
+        count = len(cg.components)
         if not 0 <= args.component < count:
             raise UsageError(f"component {args.component} out of range (game has {count})")
-        entry = game_index_report(es).entries[args.component]
+        entry = component_entry(es, [cg.subsets[i] for i in cg.components[args.component]])
         report.inputs["component"] = args.component
         report.results = {"index": entry.index, "method": entry.method}
     else:
@@ -306,41 +267,33 @@ def cmd_index(args) -> int:
             raise IndexError_(f"indices over all components sum to {ir.total()}, not +1")
         report.results = ir.to_json()
         report.certifications.append("indices over all components sum to +1")
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_dominance(args) -> int:
-    t0 = time.monotonic()
-    game = load_game(args.game)
-    reduced, trace = eliminate_strictly_dominated(game)
-    report = Report("dominance", inputs={"game": args.game})
-    report.results = {
+def cmd_dominance(args) -> tuple[Report, int]:
+    reduced, trace = eliminate_strictly_dominated(load_game(args.game))
+    results = {
         "trace": [
-            {
-                "player": e.player,
-                "strategy": e.strategy,
-                "witness": {s: format_rational(w) for s, w in e.witness.weights},
-            }
+            {"player": e.player, "strategy": e.strategy, "witness": _mixture_json(e.witness)}
             for e in trace
         ],
         "residual_strategies": [list(s) for s in reduced.strategies],
     }
-    report.certifications.append(
-        "every elimination carries a strictly dominating mixture witness"
-    )
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report(
+        "dominance",
+        inputs={"game": args.game},
+        results=results,
+        certifications=["every elimination carries a strictly dominating mixture witness"],
+    ), 0
 
 
-def cmd_duplicate(args) -> int:
+def cmd_duplicate(args) -> tuple[Report, int]:
     from .equivalence import duplicate_strategy, identity_surjection, save_mapping
 
-    t0 = time.monotonic()
     game = load_game(args.game)
-    mixture = _parse_mixture(args.mixture)
+    if not 0 <= args.player < game.num_players:
+        raise UsageError(f"player {args.player} out of range (game has {game.num_players})")
+    mixture = _read_mixture(_json_argument(args.mixture, "mixture"), "mixture")
     new_game, phi = duplicate_strategy(
         game, args.player, mixture, new_label=args.label
     )
@@ -354,65 +307,44 @@ def cmd_duplicate(args) -> int:
             for n in range(new_game.num_players)
         ]
         save_mapping(args.mapping_out, phis)
-    report = Report(
-        "duplicate",
-        inputs={
-            "game": args.game,
-            "player": args.player,
-            "mixture": args.mixture,
-            "label": args.label,
-        },
-    )
-    report.results = {
+    inputs = {
+        "game": args.game,
+        "player": args.player,
+        "mixture": args.mixture,
+        "label": args.label,
+    }
+    results = {
         "new_strategy": phi.source_labels[-1],
         "strategies": [list(s) for s in new_game.strategies],
         "game_out": args.game_out,
         "mapping_out": args.mapping_out,
     }
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report("duplicate", inputs=inputs, results=results), 0
 
 
-def cmd_tilde(args) -> int:
+def cmd_tilde(args) -> tuple[Report, int]:
     from .equivalence import build_tilde_game
 
-    t0 = time.monotonic()
     game = load_game(args.game)
-    tris = []
-    for path in args.triangulation:
-        tris.append(_load_triangulation(path))
-    tg = build_tilde_game(game, tris)
-    report = Report(
-        "tilde",
-        inputs={"game": args.game, "triangulations": list(args.triangulation)},
-    )
-    report.results = {
+    tg = build_tilde_game(game, [_load_triangulation(path) for path in args.triangulation])
+    results = {
         "first_labels": [list(l) for l in tg.first_labels],
         "pair_strategy_counts": [
             len(tg.polytope_game.vertex_labels[n])
             for n in range(game.num_players)
         ],
         "projections": [
-            {
-                lab: {
-                    s: format_rational(w)
-                    for s, w in tg.vertex_mixtures[n][lab].weights
-                }
-                for lab in tg.first_labels[n]
-            }
+            {lab: _mixture_json(tg.vertex_mixtures[n][lab]) for lab in tg.first_labels[n]}
             for n in range(game.num_players)
         ],
     }
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    inputs = {"game": args.game, "triangulations": list(args.triangulation)}
+    return Report("tilde", inputs=inputs, results=results), 0
 
 
-def cmd_triangulate(args) -> int:
+def cmd_triangulate(args) -> tuple[Report, int]:
     from .geometry import grid_triangulation, regular_triangulation
 
-    t0 = time.monotonic()
     if args.kind == "grid":
         if args.n < 1:
             raise UsageError(f"triangulate grid needs --n of at least 1, got {args.n}")
@@ -436,8 +368,7 @@ def cmd_triangulate(args) -> int:
         tri = regular_triangulation(points, heights)
         inputs = {"kind": "regular", "points": args.points}
     text = tri.serialize()
-    report = Report("triangulate", inputs=inputs)
-    report.results = {
+    results = {
         "num_vertices": len(tri.vertices),
         "num_cells": len(tri.maximal),
         "max_diameter": format_rational(tri.max_diameter()),
@@ -446,35 +377,29 @@ def cmd_triangulate(args) -> int:
     if args.tri_out:
         with open(args.tri_out, "w") as fh:
             fh.write(text)
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report("triangulate", inputs=inputs, results=results), 0
 
 
-def cmd_el_refine(args) -> int:
+def cmd_el_refine(args) -> tuple[Report, int]:
     from .geometry import el_refinement
 
-    t0 = time.monotonic()
-    tri = _load_triangulation(args.triangulation)
-    complex_, gamma = el_refinement(tri)
+    complex_, gamma = el_refinement(_load_triangulation(args.triangulation))
     values = gamma.vertex_values().values()
-    report = Report("el-refine", inputs={"triangulation": args.triangulation})
-    report.results = {
+    results = {
         "num_cells": len(complex_.cells),
         "gamma_range": [format_rational(min(values)), format_rational(max(values))],
     }
-    report.certifications.append(
-        "gamma is linear on every cell and non-linear across interior facets"
-    )
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report(
+        "el-refine",
+        inputs={"triangulation": args.triangulation},
+        results=results,
+        certifications=["gamma is linear on every cell and non-linear across interior facets"],
+    ), 0
 
 
-def cmd_degree_oracle(args) -> int:
+def cmd_degree_oracle(args) -> tuple[Report, int]:
     from .indices import degree_oracle
 
-    t0 = time.monotonic()
     data = _load_json(args.spec)
     try:
         A = [[parse_rational(x) for x in row] for row in data["matrix"]]
@@ -509,25 +434,21 @@ def cmd_degree_oracle(args) -> int:
             for r in range(len(b))
         ]
 
-    deg = degree_oracle(fmap, box, grid)
-    report = Report("degree-oracle", inputs={"spec": args.spec})
-    report.params = {"grid": grid}
-    report.results = {"degree": deg}
-    report.certifications.append(
-        "no boundary simplex admitted a sign-ambiguous displacement"
-    )
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0
+    return Report(
+        "degree-oracle",
+        inputs={"spec": args.spec},
+        params={"grid": grid},
+        results={"degree": degree_oracle(fmap, box, grid)},
+        certifications=["no boundary simplex admitted a sign-ambiguous displacement"],
+    ), 0
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> tuple[Report, int]:
     from .equivalence import save_mapping
     from .perturb import run_pipeline
 
-    t0 = time.monotonic()
     game = load_game(args.game)
-    spec = load_target_spec(args.targets)
+    spec = load_target_spec(args.targets, game)
     params = load_params(args.params)
     perturbed, chain, pipeline_report = run_pipeline(game, spec, params)
     if args.game_out:
@@ -541,9 +462,9 @@ def cmd_perturb(args) -> int:
             "targets": args.targets,
             "params_file": args.params,
         },
-        params=_params_json(params),
+        params={"eps": format_rational(params.eps)},
+        results=pipeline_report.to_json(),
     )
-    report.results = pipeline_report.to_json()
     report.results["game_out"] = args.game_out
     report.results["witness_out"] = args.witness_out
     if pipeline_report.verified:
@@ -551,37 +472,27 @@ def cmd_perturb(args) -> int:
             "equilibria, indices, and projections verified against targets; "
             "payoff change certified below eps"
         )
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0 if pipeline_report.verified else 1
+    return report, 0 if pipeline_report.verified else 1
 
 
 def _km_duplication_phi() -> list[AffineSurjection]:
-    """Column map L' -> L for the perturbed example games, identity on rows."""
-    from .equivalence import AffineSurjection, identity_surjection
+    """Maps of the perturbed example games (km with L duplicated as L') onto km."""
+    from .equivalence import duplicate_strategy, identity_surjection
+    from .examples import km_game
 
-    rows = identity_surjection(("t", "m", "b"))
-    cols = AffineSurjection(
-        ("L", "L'", "M", "R"),
-        ("L", "M", "R"),
-        {
-            "L": MixedStrategy.pure("L"),
-            "L'": MixedStrategy.pure("L"),
-            "M": MixedStrategy.pure("M"),
-            "R": MixedStrategy.pure("R"),
-        },
-        {s: MixedStrategy.pure(s) for s in ("L", "M", "R")},
-    )
-    return [rows, cols]
+    km = km_game()
+    return [
+        identity_surjection(km.strategies[0]),
+        duplicate_strategy(km, 1, MixedStrategy.pure("L"), new_label="L'")[1],
+    ]
 
 
-def cmd_verify_example(args) -> int:
+def cmd_verify_example(args) -> tuple[Report, int]:
     from .examples import KM_EPS, KM_EXPECTED
     from .indices import verify_realization
 
     if args.name != "km":
         raise UsageError(f"unknown example {args.name!r} (try 'km')")
-    t0 = time.monotonic()
     phis = _km_duplication_phi()
     rows = []
     for eps in KM_EPS:
@@ -594,18 +505,15 @@ def cmd_verify_example(args) -> int:
             ok = ok and not verify_realization(game, phis, expect.equilibria)[1]
             rows.append((f"{expect.name}, eps={format_rational(eps)}", ok))
     ok_all = all(ok for _, ok in rows)
-
-    report = Report("verify-example", inputs={"name": args.name})
-    report.results = {
+    results = {
         "table": [
             {"check": name, "status": "pass" if ok else "FAIL"}
             for name, ok in rows
         ],
         "all_passed": ok_all,
     }
-    report.timings["total"] = f"{time.monotonic() - t0:.3f}"
-    _emit(report, args.out)
-    return 0 if ok_all else 1
+    report = Report("verify-example", inputs={"name": args.name}, results=results)
+    return report, 0 if ok_all else 1
 
 
 # --------------------------------------------------------------------------
@@ -704,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: time it, print its report, write ``--out``, return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -713,14 +622,18 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 2
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        report.timings["total"] = f"{time.monotonic() - t0:.3f}"
+        _emit(report, args.out)
     except (UsageError, FileNotFoundError, RationalParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except GameError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

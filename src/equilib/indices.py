@@ -7,16 +7,17 @@ a displacement map over a box by exact sign counting on a simplicial
 decomposition of the boundary grid.  ``component_index`` sums regular
 indices of deterministically perturbed games near a component.
 
-``game_index_report`` is the one loop over a game's components: a regular
-isolated equilibrium gets ``index_regular``, any other component
-``component_index``.  ``verify_realization`` is the one check that a game's
+``component_entry`` is the one component rule: a regular isolated
+equilibrium gets ``index_regular``, any other component
+``component_index``; ``game_index_report`` applies it to every
+component.  ``verify_realization`` is the one check that a game's
 equilibria, projected through per-player maps, carry prescribed indices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -656,56 +657,42 @@ class IndexReport:
         return sum(e.index for e in self.entries)
 
     def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "target": e.target,
-                    "index": e.index,
-                    "method": e.method,
-                    "witness": e.witness,
-                }
-                for e in self.entries
-            ],
-            "total": self.total(),
-        }
+        return {"entries": [asdict(e) for e in self.entries], "total": self.total()}
 
 
-def game_index_report(es: EquilibriumSet) -> IndexReport:
-    """One index entry per component of ``components(es)``, in order.
+def component_entry(es: EquilibriumSet, component: Sequence[NashSubset]) -> IndexEntry:
+    """The index entry of one component of ``components(es)``.
 
     ``es`` is a 2-player game's full equilibrium set.  A regular isolated
     equilibrium gets its determinant index; any other component gets
     ``component_index``.
     """
-    game = es.game
+    if len(component) == 1 and component[0].is_singleton():
+        eq = component[0].sample()
+        try:
+            idx = index_regular(es.game, eq)
+        except IndexError_:
+            pass
+        else:
+            return IndexEntry(
+                " ; ".join(str(s) for s in eq),
+                idx,
+                "determinant",
+                {"supports": [list(s.support()) for s in eq]},
+            )
+    idx = component_index(es, component)
+    desc = " | ".join(
+        " x ".join(",".join(str(v) for v in f) for f in s.factors) for s in component
+    )
+    return IndexEntry(desc, idx, "perturbation-sum", {"subsets": len(component)})
+
+
+def game_index_report(es: EquilibriumSet) -> IndexReport:
+    """One ``component_entry`` per component of ``components(es)``, in order."""
     cg = components(es)
-    report = IndexReport()
-    for comp in cg.components:
-        subs = [cg.subsets[i] for i in comp]
-        if len(subs) == 1 and subs[0].is_singleton():
-            eq = subs[0].sample()
-            try:
-                idx = index_regular(game, eq)
-            except IndexError_:
-                pass
-            else:
-                report.entries.append(
-                    IndexEntry(
-                        " ; ".join(str(s) for s in eq),
-                        idx,
-                        "determinant",
-                        {"supports": [list(s.support()) for s in eq]},
-                    )
-                )
-                continue
-        idx = component_index(es, subs)
-        desc = " | ".join(
-            " x ".join(",".join(str(v) for v in f) for f in s.factors) for s in subs
-        )
-        report.entries.append(
-            IndexEntry(desc, idx, "perturbation-sum", {"subsets": len(subs)})
-        )
-    return report
+    return IndexReport(
+        [component_entry(es, [cg.subsets[i] for i in comp]) for comp in cg.components]
+    )
 
 
 def verify_realization(

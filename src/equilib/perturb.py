@@ -58,32 +58,10 @@ class PerturbError(GameError):
 @dataclass(frozen=True)
 class PipelineParams:
     eps: Fraction
-    eps0: Optional[Fraction] = None
-    alpha: Optional[Fraction] = None
-    alpha_star: Optional[Fraction] = None
 
     def __post_init__(self):
         if Fraction(self.eps) <= 0:
             raise PerturbError("params", "eps must be positive")
-        for name in ("eps0", "alpha", "alpha_star"):
-            v = getattr(self, name)
-            if v is not None and Fraction(v) <= 0:
-                raise PerturbError("params", f"{name} must be positive")
-        a, s = self.alpha, self.alpha_star
-        if a is not None and s is not None and Fraction(s) > Fraction(a):
-            raise PerturbError("params", "alpha_star must not exceed alpha")
-
-    def schedule(self, name: str):
-        """Halving schedule from eps/4 down to the eps/2^20 floor."""
-        v = getattr(self, name)
-        if v is not None:
-            yield Fraction(v)
-            return
-        step = Fraction(self.eps) / 4
-        floor = Fraction(self.eps) / 2**20
-        while step >= floor:
-            yield step
-            step /= 2
 
 
 @dataclass(frozen=True)
@@ -564,20 +542,17 @@ def hat_perturbation(
 
     Components: the hat payoffs, first/second-factor bonuses evaluated at
     each pure profile, the support penalty scaled by alpha_star, and the
-    PL penalties gamma scaled by alpha.  Keyword overrides (zero allowed)
-    replace the parameter schedules.  Certifies the total entrywise
-    perturbation stays below eps, unless everything is switched off.
+    PL penalties gamma scaled by alpha.  Each of eps0, alpha and alpha_star
+    is eps/4 unless a keyword overrides it (zero allowed).  Certifies the
+    total entrywise perturbation stays below eps, unless everything is
+    switched off.
     """
     game = hg.finite_game
     tg = hg.tilde
     eps = Fraction(params.eps)
-    alpha = next(params.schedule("alpha")) if alpha is None else Fraction(alpha)
-    alpha_star = (
-        next(params.schedule("alpha_star"))
-        if alpha_star is None
-        else Fraction(alpha_star)
-    )
-    eps0 = next(params.schedule("eps0")) if eps0 is None else Fraction(eps0)
+    alpha = eps / 4 if alpha is None else Fraction(alpha)
+    alpha_star = eps / 4 if alpha_star is None else Fraction(alpha_star)
+    eps0 = eps / 4 if eps0 is None else Fraction(eps0)
     allowed = [
         set(itertools.chain.from_iterable(t.supports[n] for t in targets))
         for n in range(game.num_players)

@@ -5,11 +5,14 @@ import random
 import subprocess
 import sys
 import types
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
 import equilib.cli
+import equilib.indices
+import equilib.solver
 from equilib.cli import Report, main
 from equilib.equivalence import load_mapping
 from equilib.examples import km_game, km_perturbation_1
@@ -223,6 +226,42 @@ def test_index_component_out_of_range_computes_no_index(km_file, monkeypatch, ca
     assert "component 1 out of range (game has 1)" in capsys.readouterr().err
 
 
+def seeded_3x3(seed):
+    """A 3x3 game with payoffs 0..2 drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    rows, cols = ["a", "b", "c"], ["x", "y", "z"]
+    payoffs = {(r, c): (rng.randint(0, 2), rng.randint(0, 2)) for r in rows for c in cols}
+    return FiniteGame.of(["p1", "p2"], [rows, cols], payoffs)
+
+
+def test_index_component_computes_only_its_entry(tmp_path, monkeypatch, capsys):
+    path, full, one = (tmp_path / name for name in ("g.json", "full.json", "one.json"))
+    save_game(seeded_3x3(153), str(path))
+    assert main(["index", str(path), "--out", str(full)]) == 0
+    entries = json.loads(full.read_text())["results"]["entries"]
+    assert [e["method"] for e in entries] == ["determinant", "perturbation-sum", "perturbation-sum"]
+    calls = {"components": 0, "component_index": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((equilib.solver, "components"), (equilib.indices, "components"),
+                         (equilib.indices, "component_index")):
+        counted(module, name)
+    assert main(["index", str(path), "--component", "0", "--out", str(one)]) == 0
+    capsys.readouterr()
+    assert calls == {"components": 1, "component_index": 0}
+    assert json.loads(one.read_text())["results"] == {
+        "index": entries[0]["index"], "method": entries[0]["method"]
+    }
+
+
 # -- dominance -------------------------------------------------------------
 
 
@@ -359,8 +398,8 @@ def test_report_round_trip(km_file, tmp_path, capsys):
     main(["solve", km_file, "--out", str(out)])
     capsys.readouterr()
     data = json.loads(out.read_text())
-    report = Report.from_json(data)
-    assert report.to_json() == data
+    report = Report(**data)
+    assert asdict(report) == data
     assert report.render_text().startswith("== solve ==")
 
 
@@ -487,7 +526,7 @@ def test_geometry_subcommand_report_round_trip(command, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     data = json.loads(out.read_text())
-    assert Report.from_json(data).to_json() == data
+    assert asdict(Report(**data)) == data
     assert data["command"] == argv[0]
     if command == "triangulate-grid":
         tri = Triangulation.deserialize((tmp_path / "grid.tri").read_text())
@@ -528,8 +567,9 @@ SUBCOMMANDS = ["solve", "components", "index", "dominance", "duplicate", "pertur
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_out_is_the_indented_json_of_the_report(command, km_file, tmp_path, monkeypatch, capsys):
-    """--out holds exactly json.dumps(report.to_json(), indent=2) and a newline,
-    and the run leaves no cyclic garbage from any module."""
+    """main prints the report's text, times it in the one entry ``total``, and
+    writes to --out exactly json.dumps(asdict(report), indent=2) and a newline;
+    the run leaves no cyclic garbage from any module."""
     argv = subcommand_argv(command, km_file, tmp_path)
     reports = []
     emit = equilib.cli._emit
@@ -542,7 +582,9 @@ def test_out_is_the_indented_json_of_the_report(command, km_file, tmp_path, monk
     out = tmp_path / "r.json"
     assert main(argv + ["--out", str(out)]) == 0
     (report,) = reports
-    assert out.read_bytes() == (json.dumps(report.to_json(), indent=2) + "\n").encode()
+    assert capsys.readouterr().out == report.render_text()
+    assert list(report.timings) == ["total"]
+    assert out.read_bytes() == (json.dumps(asdict(report), indent=2) + "\n").encode()
     assert cyclic_garbage(argv + ["--out", str(out)]) == []
     capsys.readouterr()
 
@@ -648,6 +690,36 @@ def test_malformed_geometry_input_exits_2(case, tmp_path, capsys):
     assert any(line.startswith("usage error: ") for line in err.splitlines()), err
 
 
+# argv after the subcommand's game file; a perturb case gives the one entry
+# of its target spec instead
+MALFORMED_PROFILE_INPUTS = {
+    "index-point-not-objects": (["index", "--point", "[1, 2]"], None),
+    "index-point-for-one-player": (["index", "--point", '[{"A": "1"}]'], None),
+    "target-point-not-objects": (["perturb"], {"component": 0, "point": [1, 2], "sign": 1}),
+    "target-point-for-one-player": (
+        ["perturb"], {"component": 0, "point": [{"A": "1"}], "sign": 1}
+    ),
+    "target-component-not-a-number": (
+        ["perturb"], {"component": "x", "point": [{"A": "1"}, {"C": "1"}], "sign": 1}
+    ),
+    "duplicate-player-past-the-last": (["duplicate", "5", '{"A": "1"}'], None),
+    "duplicate-negative-player": (["duplicate", "-1", '{"C": "1"}'], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROFILE_INPUTS))
+def test_malformed_profile_input_exits_2(case, matching_pennies, tmp_path, capsys):
+    (command, *rest), target = MALFORMED_PROFILE_INPUTS[case]
+    save_game(matching_pennies, str(tmp_path / "g.json"))
+    argv = [command, str(tmp_path / "g.json")] + rest
+    if target is not None:
+        argv += [write_json(tmp_path / "targets.json", [target]),
+                 "--params", write_json(tmp_path / "params.json", {"eps": "1/10"})]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: "), err
+
+
 MALFORMED_TRIANGULATIONS = {
     "index-past-the-last-vertex": ("c 0 1 3", "names vertex 3"),
     "negative-index": ("c 0 1 -1", "names vertex -1"),
@@ -688,10 +760,12 @@ def test_flat_regular_lift_exits_1_naming_every_point(tmp_path, capsys):
 
 def test_params_file_unknown_key_exits_2(km_file, tmp_path, capsys):
     targets = write_json(tmp_path / "targets.json", [])
-    params = write_json(tmp_path / "params.json", {"eps": "1/10", "eps_0": "x"})
-    assert main(["perturb", km_file, targets, "--params", params]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and "unknown params key(s) 'eps_0'" in err
+    # a misspelt key, and a key that PipelineParams no longer has
+    for key, value in (("eps_0", "x"), ("alpha", "1/100")):
+        params = write_json(tmp_path / "params.json", {"eps": "1/10", key: value})
+        assert main(["perturb", km_file, targets, "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"unknown params key(s) '{key}' (known: eps)" in err
 
 
 def test_params_file_not_an_object_exits_2(km_file, tmp_path, capsys):

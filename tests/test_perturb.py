@@ -37,27 +37,6 @@ HALF = F(1, 2)
 def test_params_require_positive_eps():
     with pytest.raises(PerturbError):
         PipelineParams(eps=F(0))
-    with pytest.raises(PerturbError):
-        PipelineParams(eps=F(1, 10), eps0=F(-1, 100))
-
-
-def test_params_alpha_star_bounded_by_alpha():
-    with pytest.raises(PerturbError):
-        PipelineParams(eps=F(1, 2), alpha=F(1, 100), alpha_star=F(1, 10))
-    PipelineParams(eps=F(1, 2), alpha=F(1, 10), alpha_star=F(1, 100))
-
-
-def test_schedule_fixed_value_short_circuits():
-    p = PipelineParams(eps=F(1, 2), eps0=F(1, 64))
-    assert list(p.schedule("eps0")) == [F(1, 64)]
-
-
-def test_schedule_halves_down_to_floor():
-    p = PipelineParams(eps=F(1))
-    steps = list(p.schedule("alpha"))
-    assert steps[0] == F(1, 4)
-    assert all(b == a / 2 for a, b in zip(steps, steps[1:]))
-    assert steps[-1] >= F(1) / 2**20 > steps[-1] / 2
 
 
 def test_target_point_sign_validation():
