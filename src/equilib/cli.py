@@ -188,9 +188,14 @@ def load_target_spec(path: str, game: FiniteGame) -> TargetSpec:
         what = f"{path}: target entry {i}"
         try:
             profile = _read_profile(entry["point"], game, f"{what} point")
-            points.append(TargetPoint(int(entry["component"]), profile, int(entry["sign"])))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: a bad number or rational
+            component, sign = entry["component"], entry["sign"]
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: a bad rational
             raise UsageError(f"{what} malformed: {exc}") from exc
+        # int() would truncate 0.9 to 0 and take true for 1
+        for key, value in (("component", component), ("sign", sign)):
+            if type(value) is not int:
+                raise UsageError(f"{what} malformed: {key} must be a JSON integer, not {value!r}")
+        points.append(TargetPoint(component, profile, sign))
     return TargetSpec(tuple(points))
 
 

@@ -629,13 +629,6 @@ def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
     return results[0]
 
 
-def check_sum_plus_one(game: FiniteGame) -> bool:
-    """Whether the component indices of a 2-player game sum to +1."""
-    if game.num_players != 2:
-        raise IndexError_("check_sum_plus_one requires exhaustive enumeration (2 players)")
-    return game_index_report(support_enumeration(game)).total() == 1
-
-
 # --------------------------------------------------------------------------
 # Reports
 # --------------------------------------------------------------------------

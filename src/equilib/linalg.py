@@ -400,6 +400,10 @@ def vertex_enumeration(
 
     Brute force over active-constraint subsets; intended for the small
     systems this package works with (dimension <= ~6, few dozen rows).
+    Each subset's unique solution x is tested against the inequality rows,
+    scaled to integers once per polytope, in integer arithmetic: with
+    ``x = num / den`` on its least common denominator, a row (a, beta)
+    holds when ``a·num <= beta * den``.
     """
     A_ub = frac_mat(A_ub)
     b_ub = frac_vec(b_ub)
@@ -412,20 +416,36 @@ def vertex_enumeration(
     need = dim - base_rank
     if need < 0:
         return []
+    rows = _integer_rows(A_ub, b_ub)
     vertices: list[Vector] = []
-    seen: set[tuple] = set()
+    seen: set[tuple[int, ...]] = set()
     for combo in itertools.combinations(range(len(A_ub)), need):
         A = A_eq + [A_ub[i] for i in combo]
         b = b_eq + [b_ub[i] for i in combo]
         x = solve_unique(A, b)
         if x is None:
             continue
-        if all(dot(row, x) <= beta for row, beta in zip(A_ub, b_ub)):
-            key = tuple(x)
+        num, den = _integer_row(x)
+        if all(sum(map(operator.mul, a, num)) <= beta * den for a, beta in rows):
+            key = (den, *num)
             if key not in seen:
                 seen.add(key)
                 vertices.append(x)
     return vertices
+
+
+def _integer_rows(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> list[tuple[list[int], int]]:
+    """Each row (a, beta) of the system a·x <= beta (or =) scaled to integers.
+
+    Row k is scaled by the lcm of its own denominators.  For a point
+    ``x = num / den`` (``_integer_row(x)``), ``a·x - beta`` then has the
+    sign of ``a·num - beta * den``, so x is tested against the rows in
+    integers.
+    """
+    rows = [_integer_row([*row, beta])[0] for row, beta in zip(A, b, strict=True)]
+    return [(row[:-1], row[-1]) for row in rows]
 
 
 class Chart:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +30,7 @@ from .games import (
     Profile,
     is_equilibrium,
 )
-from .linalg import ONE, ZERO, dot, vertex_enumeration
+from .linalg import ONE, ZERO, _integer_row, _integer_rows, dot, vertex_enumeration
 
 
 def _factor_constraints(
@@ -154,14 +155,21 @@ def _labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrateg
     b_ub = [ZERO] * len(own) + [ONE] * len(other)
     # Constraint k is label k for player 0 and label (k + m) mod (m + n) for player 1.
     shift, size = player * len(game.strategies[0]), len(A_ub)
+    rows = _integer_rows(A_ub, b_ub)
     out = []
     for v in vertex_enumeration(A_ub, b_ub):
-        total = sum(v)
+        num, den = _integer_row(v)
+        total = sum(num)
         if total == 0:
             continue
-        tight = [dot(row, v) == beta for row, beta in zip(A_ub, b_ub)]
-        labels = sum(1 << (k + shift) % size for k, t in enumerate(tight) if t)
-        out.append((MixedStrategy.of({s: w / total for s, w in zip(own, v) if w}), labels))
+        # the tight rows, on integers: a·v = beta exactly when a·num = beta·den
+        labels = sum(
+            1 << (k + shift) % size
+            for k, (a, beta) in enumerate(rows)
+            if sum(map(operator.mul, a, num)) == beta * den
+        )
+        weights = {s: Fraction(w, total) for s, w in zip(own, num) if w}
+        out.append((MixedStrategy.of(weights), labels))
     return out
 
 

@@ -377,6 +377,24 @@ def test_perturb_unreachable_target_exits_1(target, message, km_file, tmp_path, 
     assert f"verification failure: [target] {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "component, sign",
+    [(0.9, 1.5), (0, 1.0), (False, 1), (0, True), ("0", 1), (0, "1")],
+)
+def test_perturb_target_component_and_sign_must_be_json_integers(
+    component, sign, km_file, tmp_path, capsys
+):
+    # int() would truncate 0.9 and 1.5 to component 0 and sign +1, and the run would pass
+    targets = write_json(
+        tmp_path / "targets.json",
+        [{"component": component, "point": [{"t": "1"}, {"L": "1"}], "sign": sign}],
+    )
+    params = write_json(tmp_path / "params.json", {"eps": "1/10"})
+    assert main(["perturb", km_file, targets, "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be a JSON integer" in err, err
+
+
 # -- verify-example --------------------------------------------------------
 
 

@@ -1,0 +1,198 @@
+"""Differential test: the integer candidate test against the `Fraction` loop.
+
+`linalg.vertex_enumeration` tests each subset's solution against the
+inequality rows scaled to integers once per polytope, and
+`solver._labelled_vertices` reads each vertex's tight rows the same way.
+The references below are the earlier code, kept unchanged as test oracles:
+one `Fraction` dot product per row per candidate, and per label.  The
+library must return the same vertices in the same order, and the same
+label bitmasks, on seeded generic and degenerate games, on games with
+fractional payoffs, and on systems with equality rows.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from equilib.examples import km_game, km_perturbation_1, km_perturbation_2
+from equilib.games import FiniteGame, Label, MixedStrategy
+from equilib.indices import perturb_payoffs
+from equilib.linalg import (
+    ONE,
+    ZERO,
+    Vector,
+    dot,
+    frac_mat,
+    frac_vec,
+    matrix_rank,
+    solve_unique,
+    vertex_enumeration,
+)
+from equilib.solver import _factor_constraints, _labelled_vertices
+
+F = Fraction
+
+
+# --------------------------------------------------------------------------
+# Reference: the Fraction loop
+# --------------------------------------------------------------------------
+
+
+def reference_vertex_enumeration(A_ub, b_ub, A_eq=None, b_eq=None) -> list[Vector]:
+    """Every active-constraint subset, each candidate tested in `Fraction`s."""
+    A_ub = frac_mat(A_ub)
+    b_ub = frac_vec(b_ub)
+    A_eq = frac_mat(A_eq or [])
+    b_eq = frac_vec(b_eq or [])
+    if not A_ub and not A_eq:
+        return []
+    dim = len(A_ub[0]) if A_ub else len(A_eq[0])
+    need = dim - (matrix_rank(A_eq) if A_eq else 0)
+    if need < 0:
+        return []
+    vertices: list[Vector] = []
+    seen: set[tuple] = set()
+    for combo in itertools.combinations(range(len(A_ub)), need):
+        A = A_eq + [A_ub[i] for i in combo]
+        b = b_eq + [b_ub[i] for i in combo]
+        x = solve_unique(A, b)
+        if x is None:
+            continue
+        if all(dot(row, x) <= beta for row, beta in zip(A_ub, b_ub)):
+            key = tuple(x)
+            if key not in seen:
+                seen.add(key)
+                vertices.append(x)
+    return vertices
+
+
+def reference_labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrategy, int]]:
+    """The best-response polytope's labelled vertices, labels by `Fraction` dots."""
+    opp = 1 - player
+    own, other = game.strategies[player], game.strategies[opp]
+
+    def u_opp(s: Label, t: Label) -> Fraction:
+        return game.payoffs[(s, t) if player == 0 else (t, s)][opp]
+
+    low = min(u_opp(s, t) for s in own for t in other)
+    A_ub = [[-ONE if k == i else ZERO for k in range(len(own))] for i in range(len(own))]
+    A_ub += [[u_opp(s, t) - low + 1 for s in own] for t in other]
+    b_ub = [ZERO] * len(own) + [ONE] * len(other)
+    shift, size = player * len(game.strategies[0]), len(A_ub)
+    out = []
+    for v in reference_vertex_enumeration(A_ub, b_ub):
+        total = sum(v)
+        if total == 0:
+            continue
+        tight = [dot(row, v) == beta for row, beta in zip(A_ub, b_ub)]
+        labels = sum(1 << (k + shift) % size for k, t in enumerate(tight) if t)
+        out.append((MixedStrategy.of({s: w / total for s, w in zip(own, v) if w}), labels))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Seeded inputs
+# --------------------------------------------------------------------------
+
+
+def random_game(rows: int, cols: int, top: int, seed: int) -> FiniteGame:
+    rng = random.Random(f"enumerator/{rows}x{cols}/{top}/{seed}")
+    R = [f"r{i}" for i in range(rows)]
+    C = [f"c{j}" for j in range(cols)]
+    pay = {(a, b): (rng.randint(0, top), rng.randint(0, top)) for a in R for b in C}
+    return FiniteGame.of(["1", "2"], [R, C], pay)
+
+
+GAMES = {
+    **{f"4x4-0..20-{s}": (lambda s=s: random_game(4, 4, 20, s)) for s in range(10)},
+    **{f"5x5-0..20-{s}": (lambda s=s: random_game(5, 5, 20, s)) for s in range(3)},
+    **{f"3x3-0..2-{s}": (lambda s=s: random_game(3, 3, 2, s)) for s in range(25)},
+    **{f"4x4-0..2-{s}": (lambda s=s: random_game(4, 4, 2, s)) for s in range(6)},
+    **{f"3x4-0..1-{s}": (lambda s=s: random_game(3, 4, 1, s)) for s in range(6)},
+    "km": km_game,
+    "km-perturbation-1": lambda: km_perturbation_1(F(1, 10)),
+    "km-perturbation-2": lambda: km_perturbation_2(F(1, 10)),
+    # fractional payoffs: the index path's perturbed games
+    **{
+        f"km-perturbed-{t}": (lambda t=t: perturb_payoffs(km_game(), t, F(1, 1000)))
+        for t in range(3)
+    },
+    **{
+        f"3x3-0..2-{s}-perturbed-{t}": (
+            lambda s=s, t=t: perturb_payoffs(random_game(3, 3, 2, s), t, F(1, 1000))
+        )
+        for s in range(4)
+        for t in range(2)
+    },
+}
+
+
+def factor_systems(game: FiniteGame):
+    """`_factor_constraints` of every support pair: inequality and equality rows."""
+    rows, cols = game.strategies
+    for player, (own, opp) in enumerate(((rows, cols), (cols, rows))):
+        for k1 in range(1, len(own) + 1):
+            for I in itertools.combinations(own, k1):
+                for k2 in range(1, len(opp) + 1):
+                    for J in itertools.combinations(opp, k2):
+                        yield _factor_constraints(game, player, I, J)
+
+
+def random_system(seed: int):
+    """Seeded rational system in 2..4 variables with 0..2 equality rows."""
+    rng = random.Random(f"enumerator/system/{seed}")
+    dim = rng.randint(2, 4)
+
+    def entry() -> Fraction:
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+
+    # a box keeps most systems bounded; random rows cut it, ties included
+    A_ub = [[ONE if k == i else ZERO for k in range(dim)] for i in range(dim)]
+    A_ub += [[-ONE if k == i else ZERO for k in range(dim)] for i in range(dim)]
+    b_ub = [F(rng.randint(1, 3))] * dim + [ZERO] * dim
+    for _ in range(rng.randint(0, 3)):
+        A_ub.append([entry() for _ in range(dim)])
+        b_ub.append(entry() + 1)
+    A_eq = [[entry() for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+    b_eq = [entry() for _ in A_eq]
+    return A_ub, b_ub, A_eq or None, b_eq or None
+
+
+# --------------------------------------------------------------------------
+# Tests
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_labelled_vertices_match_the_fraction_loop(name):
+    game = GAMES[name]()
+    for player in range(2):
+        got = _labelled_vertices(game, player)
+        assert got == reference_labelled_vertices(game, player), (name, player)
+
+
+@pytest.mark.parametrize("name", ["km", "3x3-0..2-0", "3x3-0..2-1", "3x3-0..2-2", "km-perturbed-0"])
+def test_vertex_enumeration_matches_on_factor_systems(name):
+    game = GAMES[name]()
+    systems = 0
+    for A_ub, b_ub, A_eq, b_eq in factor_systems(game):
+        assert vertex_enumeration(A_ub, b_ub, A_eq, b_eq) == reference_vertex_enumeration(
+            A_ub, b_ub, A_eq, b_eq
+        ), (name, A_ub, b_ub, A_eq, b_eq)
+        systems += 1
+    assert systems == 2 * 7 * 7
+
+
+def test_vertex_enumeration_matches_on_random_systems():
+    nonempty = with_equalities = 0
+    for seed in range(150):
+        A_ub, b_ub, A_eq, b_eq = random_system(seed)
+        got = vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
+        assert got == reference_vertex_enumeration(A_ub, b_ub, A_eq, b_eq), seed
+        assert all(type(a) is Fraction for v in got for a in v)
+        nonempty += bool(got)
+        with_equalities += bool(got) and A_eq is not None
+    # the sample exercises both outcomes, and equality rows with vertices
+    assert 0 < nonempty < 150 and with_equalities > 10

@@ -9,7 +9,6 @@ from equilib.geometry import Simplex
 from equilib.indices import (
     IndexError_,
     _boundary_simplices,
-    check_sum_plus_one,
     component_index,
     degree_oracle,
     game_index_report,
@@ -48,7 +47,7 @@ def test_matching_pennies_index_one(matching_pennies):
 def test_indices_sum_to_one(coordination):
     es = support_enumeration(coordination)
     assert sum(index_regular(coordination, eq) for eq in es.isolated) == 1
-    assert check_sum_plus_one(coordination)
+    assert game_index_report(es).total() == 1
 
 
 def test_irregular_equilibrium_rejected(km):
