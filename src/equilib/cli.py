@@ -30,7 +30,7 @@ from .games import (
     MixedStrategy,
     Profile,
     eliminate_strictly_dominated,
-    load_game,
+    game_from_json,
     save_game,
     write_json,
 )
@@ -145,6 +145,14 @@ def _load_json(path: str):
             ) from exc
 
 
+def _load_game(path: str) -> FiniteGame:
+    """The game in the file ``path``; a file that is not a game is a usage error."""
+    try:
+        return game_from_json(_load_json(path))
+    except GameError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _load_triangulation(path: str) -> Triangulation:
     """Read and validate a `.tri` file.
 
@@ -207,7 +215,7 @@ def load_target_spec(path: str, game: FiniteGame) -> TargetSpec:
 def cmd_solve(args) -> tuple[Report, int]:
     from .solver import components, support_enumeration
 
-    es = support_enumeration(load_game(args.game))
+    es = support_enumeration(_load_game(args.game))
     cg = components(es)
     results = {
         "isolated": [_profile_json(p) for p in es.isolated],
@@ -233,7 +241,7 @@ def cmd_solve(args) -> tuple[Report, int]:
 def cmd_components(args) -> tuple[Report, int]:
     from .solver import components, support_enumeration
 
-    cg = components(support_enumeration(load_game(args.game)))
+    cg = components(support_enumeration(_load_game(args.game)))
     results = {
         "subsets": [
             {"supports": [list(s) for s in ns.supports]} for ns in cg.subsets
@@ -251,7 +259,7 @@ def cmd_index(args) -> tuple[Report, int]:
     from .indices import IndexError_, component_entry, game_index_report, index_regular
     from .solver import components, support_enumeration
 
-    game = load_game(args.game)
+    game = _load_game(args.game)
     report = Report("index", inputs={"game": args.game})
     if args.point is not None:
         profile = _read_profile(_json_argument(args.point, "--point"), game, "--point")
@@ -276,7 +284,7 @@ def cmd_index(args) -> tuple[Report, int]:
 
 
 def cmd_dominance(args) -> tuple[Report, int]:
-    reduced, trace = eliminate_strictly_dominated(load_game(args.game))
+    reduced, trace = eliminate_strictly_dominated(_load_game(args.game))
     results = {
         "trace": [
             {"player": e.player, "strategy": e.strategy, "witness": _mixture_json(e.witness)}
@@ -295,7 +303,7 @@ def cmd_dominance(args) -> tuple[Report, int]:
 def cmd_duplicate(args) -> tuple[Report, int]:
     from .equivalence import duplicate_strategy, identity_surjection, save_mapping
 
-    game = load_game(args.game)
+    game = _load_game(args.game)
     if not 0 <= args.player < game.num_players:
         raise UsageError(f"player {args.player} out of range (game has {game.num_players})")
     mixture = _read_mixture(_json_argument(args.mixture, "mixture"), "mixture")
@@ -330,7 +338,7 @@ def cmd_duplicate(args) -> tuple[Report, int]:
 def cmd_tilde(args) -> tuple[Report, int]:
     from .equivalence import build_tilde_game
 
-    game = load_game(args.game)
+    game = _load_game(args.game)
     tg = build_tilde_game(game, [_load_triangulation(path) for path in args.triangulation])
     results = {
         "first_labels": [list(l) for l in tg.first_labels],
@@ -452,7 +460,7 @@ def cmd_perturb(args) -> tuple[Report, int]:
     from .equivalence import save_mapping
     from .perturb import run_pipeline
 
-    game = load_game(args.game)
+    game = _load_game(args.game)
     spec = load_target_spec(args.targets, game)
     params = load_params(args.params)
     perturbed, chain, pipeline_report = run_pipeline(game, spec, params)

@@ -10,7 +10,6 @@ payoff-irrelevant second coordinates.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
@@ -26,7 +25,7 @@ from .games import (
     write_json,
 )
 from .linalg import ONE, ZERO
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 if TYPE_CHECKING:
     from .geometry import Triangulation
@@ -184,20 +183,6 @@ class TildeGame:
     def second_labels(self, player: int) -> tuple[Label, ...]:
         return self.first_labels[(player + 1) % len(self.first_labels)]
 
-    def pair_labels(self, player: int) -> list[Label]:
-        return [
-            _pair_label(a, b)
-            for a in self.first_labels[player]
-            for b in self.second_labels(player)
-        ]
-
-    def split_pair(self, player: int, label: Label) -> tuple[Label, Label]:
-        for a in self.first_labels[player]:
-            for b in self.second_labels(player):
-                if _pair_label(a, b) == label:
-                    return a, b
-        raise GameError(f"unknown pair label {label!r}")
-
 
 def build_tilde_game(
     game: FiniteGame, triangulations: Sequence[Triangulation]
@@ -310,11 +295,6 @@ class HatGame:
     def second_labels(self, player: int) -> tuple[Label, ...]:
         return self.first_labels[(player + 1) % len(self.first_labels)]
 
-    def base_mixture(self, player: int, hat_label: Label) -> MixedStrategy:
-        """Projection of a first-coordinate hat strategy all the way to the base game."""
-        mid = self.hat_mixtures[player][hat_label]
-        return self.tilde.phi0[player].apply(mid)
-
 
 def build_hat_game(
     tg: TildeGame, refinements: Sequence[Triangulation]
@@ -413,43 +393,5 @@ def mapping_to_json(phis: Sequence[AffineSurjection]) -> dict:
     }
 
 
-def mapping_from_json(data: dict) -> list[AffineSurjection]:
-    try:
-        out = []
-        for entry in data["players"]:
-            columns = {
-                s: MixedStrategy.of(
-                    {t: parse_rational(w) for t, w in cols.items()}
-                )
-                for s, cols in entry["columns"].items()
-            }
-            preimages = {
-                t: MixedStrategy.of(
-                    {s: parse_rational(w) for s, w in pres.items()}
-                )
-                for t, pres in entry["preimages"].items()
-            }
-            out.append(
-                AffineSurjection(
-                    tuple(entry["source"]),
-                    tuple(entry["target"]),
-                    columns,
-                    preimages,
-                )
-            )
-        return out
-    except (KeyError, TypeError) as exc:
-        raise GameError(f"malformed mapping file: {exc}") from exc
-
-
 def save_mapping(path, phis: Sequence[AffineSurjection]) -> None:
     write_json(path, mapping_to_json(phis))
-
-
-def load_mapping(path) -> list[AffineSurjection]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameError(f"mapping file is not valid JSON: {exc}") from exc
-    return mapping_from_json(data)

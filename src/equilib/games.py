@@ -191,45 +191,12 @@ def best_replies(game: FiniteGame, profile: Profile, player: int) -> set[Label]:
     return {s for s, v in values.items() if v == best}
 
 
-def eps_best_replies(
-    game: FiniteGame, profile: Profile, player: int, eps: Fraction
-) -> set[Label]:
-    """Pure strategies within (strictly less than) eps of the best payoff."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise GameError(f"eps must be positive, got {eps}")
-    values = {
-        s: payoff_against(game, profile, player, s) for s in game.strategies[player]
-    }
-    best = max(values.values())
-    return {s for s, v in values.items() if v > best - eps}
-
-
 def is_equilibrium(game: FiniteGame, profile: Profile) -> bool:
     """True iff every player's support consists of best replies."""
     game.check_profile(profile)
     for n in range(game.num_players):
         br = best_replies(game, profile, n)
         if not set(profile[n].support()) <= br:
-            return False
-    return True
-
-
-def in_graph_br_eps(
-    game: FiniteGame, sigma: Profile, tau: Profile, eps: Fraction
-) -> bool:
-    """True iff each tau_n is an eps-best reply (strict shortfall) against sigma."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise GameError(f"eps must be positive, got {eps}")
-    game.check_profile(sigma)
-    game.check_profile(tau)
-    for n in range(game.num_players):
-        value = payoff_against(game, sigma, n, tau[n])
-        best = max(
-            payoff_against(game, sigma, n, s) for s in game.strategies[n]
-        )
-        if not value > best - eps:
             return False
     return True
 

@@ -127,16 +127,6 @@ class Simplex:
         w = self.barycentric(point)
         return w is not None and all(x > 0 for x in w)
 
-    def diameter(self) -> Fraction:
-        """Max pairwise vertex distance in the sup norm."""
-        return _diameter(self.vertices)
-
-    def facets(self) -> list["Simplex"]:
-        return [
-            Simplex(tuple(v for j, v in enumerate(self.vertices) if j != i))
-            for i in range(len(self.vertices))
-        ]
-
 
 def extreme_points(points: Sequence[Point]) -> list[Point]:
     """The vertices of conv(points), in input order (a repeated point once).
@@ -748,16 +738,6 @@ class PolyCell:
     def dim(self) -> int:
         return Chart(self.vertices).dim
 
-    def barycenter(self) -> Point:
-        n = len(self.vertices)
-        return tuple(
-            sum((v[i] for v in self.vertices), ZERO) / n
-            for i in range(len(self.vertices[0]))
-        )
-
-    def diameter(self) -> Fraction:
-        return _diameter(self.vertices)
-
 
 FaceKey = frozenset  # frozenset of Point
 
@@ -815,17 +795,6 @@ class PolyhedralComplex:
             for f in _cell_faces(mask, cell_rows)
         }
         return {f: Chart(sorted(f)).dim for f in faces}
-
-    def find_cell(self, point: Sequence) -> Optional[PolyCell]:
-        p = as_point(point)
-        try:
-            self.chart.to_local(p)
-        except ValueError:
-            return None
-        for c in self.cells:
-            if c.contains(p):
-                return c
-        return None
 
     def is_simplicial(self) -> bool:
         return all(len(c.vertices) == c.dim() + 1 for c in self.cells)

@@ -1,8 +1,8 @@
 """Fixed-point index computations.
 
-``index_regular`` evaluates the sign of the support-restricted indifference
-Jacobian, normalized per support-size signature so strict pure equilibria
-get +1.  ``degree_oracle`` independently computes the topological degree of
+``index_regular`` evaluates the sign of the determinant of the
+support-restricted indifference Jacobian; in its variable order that sign
+is the index itself (+1 at strict pure equilibria).  ``degree_oracle`` independently computes the topological degree of
 a displacement map over a box by exact sign counting on a simplicial
 decomposition of the boundary grid.  ``component_index`` sums regular
 indices of deterministically perturbed games near a component.
@@ -40,7 +40,6 @@ from .linalg import (
     frac_vec,
     linf_distance,
     linprog,
-    solve_unique,
     vec_sub,
 )
 from .solver import (
@@ -92,52 +91,6 @@ def _indifference_jacobian(game: FiniteGame, eq: Profile) -> Matrix:
     return M
 
 
-_CALIBRATION: dict[int, int] = {}
-
-
-def _reference_game(k: int) -> tuple[FiniteGame, Profile]:
-    """A k x k game whose unique equilibrium is uniform and has index +1.
-
-    Player 1 wants to match, player 2 to mismatch; for k = 1 the unique
-    (strict) pure equilibrium stands in.
-    """
-    rows = [f"r{i}" for i in range(k)]
-    cols = [f"c{j}" for j in range(k)]
-    pay = {
-        (rows[i], cols[j]): (
-            Fraction(1 if i == j else 0),
-            Fraction(0 if i == j else 1) if k > 1 else Fraction(1),
-        )
-        for i in range(k)
-        for j in range(k)
-    }
-    g = FiniteGame.of(["1", "2"], [rows, cols], pay)
-    u = Fraction(1, k)
-    prof = (
-        MixedStrategy.of({r: u for r in rows}),
-        MixedStrategy.of({c: u for c in cols}),
-    )
-    return g, prof
-
-
-def _calibration(k: int) -> int:
-    if k not in _CALIBRATION:
-        g, prof = _reference_game(k)
-        d = determinant(_indifference_jacobian(g, prof))
-        if d == 0:
-            raise IndexError_(f"calibration game of size {k} is not regular")
-        _CALIBRATION[k] = 1 if d > 0 else -1
-    return _CALIBRATION[k]
-
-
-def is_regular(game: FiniteGame, eq: Profile) -> bool:
-    try:
-        _check_regular(game, eq)
-        return True
-    except IndexError_:
-        return False
-
-
 def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
     """The nonzero determinant of eq's indifference Jacobian.
 
@@ -170,9 +123,7 @@ def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
 
 def index_regular(game: FiniteGame, eq: Profile) -> int:
     """Index of a regular equilibrium of a 2-player game: +1 or -1."""
-    d = _check_regular(game, eq)
-    k = len(eq[0].support())
-    return (1 if d > 0 else -1) * _calibration(k)
+    return 1 if _check_regular(game, eq) > 0 else -1
 
 
 # --------------------------------------------------------------------------
@@ -244,9 +195,6 @@ def _boundary_simplices(box: Box, grid: int):
                     yield verts, sign * facet_or
 
 
-_ORACLE_CALIBRATION: dict[int, int] = {}
-
-
 def _raw_degree(values: Iterable[tuple[Sequence[Sequence[Fraction]], int]]) -> int:
     """Signed crossings of the ray t·(1, ε, …, ε^(d-1)), for every small ε > 0.
 
@@ -256,9 +204,9 @@ def _raw_degree(values: Iterable[tuple[Sequence[Sequence[Fraction]], int]]) -> i
     Σ_k ε^k (W⁻¹)_ik, so it has the sign of the first nonzero entry of row
     i of W⁻¹ (Edelsbrunner & Mücke, *Simulation of Simplicity*, ACM TOG 9,
     1990).  One fraction-free elimination of [W | I] leaves det·W⁻¹ in the
-    right block.  A crossing counts orient·sign(det W); the calibration
-    absorbs the sign (-1)^(d-1) that relates this to the orientation of
-    the crossing.
+    right block.  A crossing counts orient·sign(det W), which is (-1)^(d-1)
+    times the orientation of the crossing; ``degree_oracle`` applies that
+    sign.
 
     No such ray meets the image of a singular W, which spans a proper
     subspace; there one LP tests whether the values surround the origin.
@@ -281,17 +229,6 @@ def _raw_degree(values: Iterable[tuple[Sequence[Sequence[Fraction]], int]]) -> i
         if all(next(a for a in row[d:] if a) * det > 0 for row in T):
             total += orient if det * scale > 0 else -orient
     return total
-
-
-def _oracle_calibration(d: int) -> int:
-    """Global sign fixed so that the identity displacement has degree +1."""
-    if d not in _ORACLE_CALIBRATION:
-        box = [(Fraction(-1), Fraction(1))] * d
-        raw = _raw_degree(_boundary_simplices(box, 1))  # the values are the vertices
-        if raw not in (1, -1):
-            raise IndexError_(f"oracle calibration failed in dimension {d}")
-        _ORACLE_CALIBRATION[d] = raw
-    return _ORACLE_CALIBRATION[d]
 
 
 def degree_oracle(
@@ -338,7 +275,8 @@ def degree_oracle(
         ([disp_cached(v) for v in verts], orient)
         for verts, orient in _boundary_simplices(region, grid)
     )
-    return raw * _oracle_calibration(d)
+    # a crossing's orientation is (-1)^(d-1) times the sign _raw_degree counts
+    return raw if d % 2 else -raw
 
 
 # --------------------------------------------------------------------------
@@ -451,32 +389,16 @@ class AffineFixer:
 def _linear_part_for_matching(
     chart: Chart, xs: list[Vector], ys: list[Vector]
 ) -> Optional[Matrix]:
-    """A with A(local(x_i)) = local(y_i) for all i, or None."""
+    """A with A(local(x_i)) = local(y_i) for all i, or None.
+
+    The rows (local(x_i) | local(y_i)) reduce to (I | Aᵀ) over zero rows
+    exactly when such an A exists and is unique.
+    """
     d = chart.dim
-    U = [chart.to_local(x) for x in xs]
-    V = [chart.to_local(y) for y in ys]
-    cols = list(range(len(U)))
-    # A = Vm Um^{-1} for the first d independent columns Um of U, Vm the same
-    # columns of V: row r of A solves Um^T A_r^T = (row r of Vm)^T, and the
-    # rows of Um^T are the picked U[i]
-    for pick in itertools.combinations(cols, d):
-        UmT = [U[i] for i in pick]
-        A: Matrix = []
-        for r in range(d):
-            row = solve_unique(UmT, [V[i][r] for i in pick])
-            if row is None:  # Um is singular
-                break
-            A.append(row)
-        else:
-            # verify all vertices map correctly
-            for i in cols:
-                img = [
-                    sum(A[r][c] * U[i][c] for c in range(d)) for r in range(d)
-                ]
-                if img != V[i]:
-                    return None
-            return A
-    return None
+    T, pivots, det, _ = _eliminate(chart.to_local(x) + chart.to_local(y) for x, y in zip(xs, ys))
+    if pivots != list(range(d)):
+        return None
+    return [[Fraction(T[c][d + r], det) for c in range(d)] for r in range(d)]
 
 
 def make_affine_fixer(X: Simplex, Y: Simplex, sigma: Sequence, r: int) -> AffineFixer:
@@ -520,15 +442,6 @@ def make_affine_fixer(X: Simplex, Y: Simplex, sigma: Sequence, r: int) -> Affine
                 tuple(tuple(row) for row in A), tuple(sig), X, Y, sign, chart
             )
     raise IndexError_(f"no vertex matching achieves index {r:+d}")
-
-
-def product_index(fixers: Sequence[AffineFixer]) -> int:
-    if not fixers:
-        raise IndexError_("product_index requires at least one fixer")
-    out = 1
-    for f in fixers:
-        out *= f.index
-    return out
 
 
 # --------------------------------------------------------------------------

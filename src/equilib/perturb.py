@@ -129,13 +129,6 @@ class BonusVector:
                 out = max(out, abs(v))
         return out
 
-    def scaled(self, c: Fraction) -> "BonusVector":
-        c = Fraction(c)
-        return BonusVector(
-            self.factor,
-            tuple({s: c * v for s, v in m.items()} for m in self.values),
-        )
-
 
 def zero_bonus(num_players: int, factor: int) -> BonusVector:
     return BonusVector(factor, tuple({} for _ in range(num_players)))

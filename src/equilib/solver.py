@@ -8,9 +8,9 @@ maximal Nash subsets are the maximal bicliques of the graph of such pairs
 subsets are products of faces of the polytopes, so two of them meet
 exactly when they share a vertex profile; that relation gives components.
 
-Three-player games get an honest partial treatment (supports of size <= 2
-per player via exact linear/quadratic solving, everything else via the grid
-oracle) and are flagged non-exhaustive where appropriate.
+Three-player games get a partial treatment: supports of size <= 2 per
+player are solved exactly (linear or quadratic equations), larger supports
+are noted as not searched, and such results are flagged non-exhaustive.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .games import (
     FiniteGame,
@@ -30,56 +29,7 @@ from .games import (
     Profile,
     is_equilibrium,
 )
-from .linalg import ONE, ZERO, _integer_row, _integer_rows, dot, vertex_enumeration
-
-
-def _factor_constraints(
-    game: FiniteGame, player: int, own_support: Sequence[Label], opp_support: Sequence[Label]
-):
-    """H-rep over the weights of `player`'s strategies in own_support.
-
-    Encodes: weights form a distribution, and every strategy in
-    `opp_support` is a best reply of the opponent against them.
-    """
-    opp = 1 - player
-    own_all = game.strategies[player]
-    opp_all = game.strategies[opp]
-
-    def u_opp(own_s: Label, opp_s: Label) -> Fraction:
-        key = (own_s, opp_s) if player == 0 else (opp_s, own_s)
-        return game.payoffs[key][opp]
-
-    n = len(own_support)
-    A_ub = [[-ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    b_ub = [ZERO] * n
-    A_eq = [[ONE] * n]
-    b_eq = [ONE]
-    ref = opp_support[0]
-    for j in opp_all:
-        row = [u_opp(s, j) - u_opp(s, ref) for s in own_support]
-        if j in opp_support and j != ref:
-            A_eq.append(row)
-            b_eq.append(ZERO)
-        elif j not in opp_support:
-            A_ub.append(row)
-            b_ub.append(ZERO)
-    return A_ub, b_ub, A_eq, b_eq
-
-
-def _satisfies_factor(
-    game: FiniteGame,
-    player: int,
-    strategy: MixedStrategy,
-    own_support: Sequence[Label],
-    opp_support: Sequence[Label],
-) -> bool:
-    if not set(strategy.support()) <= set(own_support):
-        return False
-    A_ub, b_ub, A_eq, b_eq = _factor_constraints(game, player, own_support, opp_support)
-    x = strategy.as_vector(list(own_support))
-    return all(dot(r, x) <= b for r, b in zip(A_ub, b_ub)) and all(
-        dot(r, x) == b for r, b in zip(A_eq, b_eq)
-    )
+from .linalg import ONE, ZERO, _integer_row, _integer_rows, vertex_enumeration
 
 
 @dataclass(frozen=True)
@@ -97,12 +47,6 @@ class NashSubset:
 
     def vertex_profiles(self) -> list[Profile]:
         return [tuple(p) for p in itertools.product(*self.factors)]
-
-    def contains(self, game: FiniteGame, profile: Profile) -> bool:
-        return all(
-            _satisfies_factor(game, n, profile[n], self.supports[n], self.supports[1 - n])
-            for n in range(2)
-        )
 
 
 @dataclass
@@ -224,39 +168,6 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
         if not is_equilibrium(game, p):
             raise GameError(f"solver produced a non-equilibrium {p}")
     return es
-
-
-def brute_force_equilibria(game: FiniteGame, grid_denominator: int) -> list[Profile]:
-    """All equilibria on the grid of weights with the given denominator.
-
-    Completeness oracle for cross-validation; small games only.
-    """
-    if game.num_players > 3 or any(len(s) > 5 for s in game.strategies):
-        raise GameError("brute_force_equilibria is limited to <=3 players, <=5 strategies")
-    q = int(grid_denominator)
-    if q < 1:
-        raise GameError("grid denominator must be >= 1")
-
-    def grids(labels: Sequence[Label]):
-        for comp in _compositions(q, len(labels)):
-            yield MixedStrategy.of(
-                {s: Fraction(c, q) for s, c in zip(labels, comp) if c}
-            )
-
-    out = []
-    for profile in itertools.product(*(list(grids(s)) for s in game.strategies)):
-        if is_equilibrium(game, profile):
-            out.append(profile)
-    return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,150 @@
+"""Test oracles: reference computations that the program itself never runs.
+
+Several test files cross-check the program against these: the grid brute
+force for completeness, the H-representation of a Nash subset's factors
+for membership, the regularity test, and the reader of the mapping files
+that ``duplicate`` and ``perturb`` write.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from fractions import Fraction
+from typing import Sequence
+
+from equilib.equivalence import AffineSurjection
+from equilib.games import FiniteGame, GameError, Label, MixedStrategy, Profile, is_equilibrium
+from equilib.indices import IndexError_, _check_regular
+from equilib.linalg import ONE, ZERO, dot
+from equilib.rational import parse_rational
+from equilib.solver import NashSubset
+
+
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def brute_force_equilibria(game: FiniteGame, grid_denominator: int) -> list[Profile]:
+    """All equilibria on the grid of weights with the given denominator.
+
+    Completeness oracle for cross-validation; small games only.
+    """
+    if game.num_players > 3 or any(len(s) > 5 for s in game.strategies):
+        raise GameError("brute_force_equilibria is limited to <=3 players, <=5 strategies")
+    q = int(grid_denominator)
+    if q < 1:
+        raise GameError("grid denominator must be >= 1")
+
+    def grids(labels: Sequence[Label]):
+        for comp in compositions(q, len(labels)):
+            yield MixedStrategy.of({s: Fraction(c, q) for s, c in zip(labels, comp) if c})
+
+    return [
+        profile
+        for profile in itertools.product(*(list(grids(s)) for s in game.strategies))
+        if is_equilibrium(game, profile)
+    ]
+
+
+def factor_constraints(
+    game: FiniteGame, player: int, own_support: Sequence[Label], opp_support: Sequence[Label]
+):
+    """H-rep over the weights of `player`'s strategies in own_support.
+
+    Encodes: weights form a distribution, and every strategy in
+    `opp_support` is a best reply of the opponent against them.
+    """
+    opp = 1 - player
+
+    def u_opp(own_s: Label, opp_s: Label) -> Fraction:
+        key = (own_s, opp_s) if player == 0 else (opp_s, own_s)
+        return game.payoffs[key][opp]
+
+    n = len(own_support)
+    A_ub = [[-ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    b_ub = [ZERO] * n
+    A_eq = [[ONE] * n]
+    b_eq = [ONE]
+    ref = opp_support[0]
+    for j in game.strategies[opp]:
+        row = [u_opp(s, j) - u_opp(s, ref) for s in own_support]
+        if j in opp_support and j != ref:
+            A_eq.append(row)
+            b_eq.append(ZERO)
+        elif j not in opp_support:
+            A_ub.append(row)
+            b_ub.append(ZERO)
+    return A_ub, b_ub, A_eq, b_eq
+
+
+def satisfies_factor(
+    game: FiniteGame,
+    player: int,
+    strategy: MixedStrategy,
+    own_support: Sequence[Label],
+    opp_support: Sequence[Label],
+) -> bool:
+    """Whether ``strategy`` lies in the factor polytope ``factor_constraints`` describes."""
+    if not set(strategy.support()) <= set(own_support):
+        return False
+    A_ub, b_ub, A_eq, b_eq = factor_constraints(game, player, own_support, opp_support)
+    x = strategy.as_vector(list(own_support))
+    return all(dot(r, x) <= b for r, b in zip(A_ub, b_ub)) and all(
+        dot(r, x) == b for r, b in zip(A_eq, b_eq)
+    )
+
+
+def subset_contains(game: FiniteGame, subset: NashSubset, profile: Profile) -> bool:
+    """Whether the 2-player ``profile`` lies in the Nash subset ``subset``."""
+    return all(
+        satisfies_factor(game, n, profile[n], subset.supports[n], subset.supports[1 - n])
+        for n in range(2)
+    )
+
+
+def is_regular(game: FiniteGame, eq: Profile) -> bool:
+    """Whether ``eq`` is a regular equilibrium, so ``index_regular`` applies."""
+    try:
+        _check_regular(game, eq)
+        return True
+    except IndexError_:
+        return False
+
+
+def mapping_from_json(data: dict) -> list[AffineSurjection]:
+    """The per-player maps of a mapping file's JSON, as ``mapping_to_json`` writes it."""
+    try:
+        return [
+            AffineSurjection(
+                tuple(entry["source"]),
+                tuple(entry["target"]),
+                {
+                    s: MixedStrategy.of({t: parse_rational(w) for t, w in cols.items()})
+                    for s, cols in entry["columns"].items()
+                },
+                {
+                    t: MixedStrategy.of({s: parse_rational(w) for s, w in pres.items()})
+                    for t, pres in entry["preimages"].items()
+                },
+            )
+            for entry in data["players"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise GameError(f"malformed mapping file: {exc}") from exc
+
+
+def load_mapping(path) -> list[AffineSurjection]:
+    with open(path, encoding="utf-8") as fh:
+        return mapping_from_json(json.load(fh))
+
+
+def barycenter(points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """The average of ``points``."""
+    return tuple(sum(coords, ZERO) / len(points) for coords in zip(*points))

@@ -14,12 +14,12 @@ import equilib.cli
 import equilib.indices
 import equilib.solver
 from equilib.cli import Report, main
-from equilib.equivalence import load_mapping
 from equilib.examples import km_game, km_perturbation_1
 from equilib.games import FiniteGame, MixedStrategy, load_game, save_game
 from equilib.games import write_json as write_report
 from equilib.geometry import Triangulation
 from equilib.indices import IndexEntry, IndexReport
+from oracles import load_mapping
 
 F = Fraction
 
@@ -103,18 +103,46 @@ def test_unknown_example_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_bad_rational_in_game_file_exits_1(tmp_path, capsys):
-    path = write_json(
-        tmp_path / "bad.json",
-        {
-            "players": ["p1", "p2"],
-            "strategies": [["a"], ["x", "y"]],
-            "payoffs": [[["1", "0"], ["1/0", "2"]]],
-        },
-    )
-    assert main(["solve", path]) == 1
+# the subcommands that read a game file, with the rest of their arguments
+GAME_COMMANDS = {
+    "solve": [],
+    "components": [],
+    "index": [],
+    "dominance": [],
+    "duplicate": ["0", '{"a": "1"}'],
+    "tilde": ["a.tri", "x.tri"],
+    "perturb": ["targets.json", "--params", "params.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps(
+                {
+                    "players": ["p1", "p2"],
+                    "strategies": [["a"], ["x", "y"]],
+                    "payoffs": [[["1", "0"], ["1/0", "2"]]],
+                }
+            ),
+            "payoffs[a][y]",
+        ),
+        ('{"players": ["p1", "p2"],', "invalid JSON at line 1"),
+        (json.dumps({"players": ["p1", "p2"], "strategies": [["a"], ["x"]]}), "missing/invalid section"),
+        ("[]", "missing/invalid section"),
+    ],
+    ids=["bad-rational", "invalid-json", "missing-payoffs", "not-an-object"],
+)
+@pytest.mark.parametrize("command", GAME_COMMANDS)
+def test_malformed_game_file_exits_2(command, text, message, tmp_path, capsys):
+    """Every subcommand that reads a game file reads it first, and a file
+    that is not a game is a usage error like any other input that fails to parse."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path), *GAME_COMMANDS[command]]) == 2
     err = capsys.readouterr().err
-    assert "payoffs[a][y]" in err
+    assert err.startswith("usage error: ") and message in err
 
 
 # -- solve / components / index -------------------------------------------

@@ -30,7 +30,8 @@ from equilib.linalg import (
     solve_unique,
     vertex_enumeration,
 )
-from equilib.solver import _factor_constraints, _labelled_vertices
+from equilib.solver import _labelled_vertices
+from oracles import factor_constraints
 
 F = Fraction
 
@@ -130,14 +131,14 @@ GAMES = {
 
 
 def factor_systems(game: FiniteGame):
-    """`_factor_constraints` of every support pair: inequality and equality rows."""
+    """`oracles.factor_constraints` of every support pair: inequality and equality rows."""
     rows, cols = game.strategies
     for player, (own, opp) in enumerate(((rows, cols), (cols, rows))):
         for k1 in range(1, len(own) + 1):
             for I in itertools.combinations(own, k1):
                 for k2 in range(1, len(opp) + 1):
                     for J in itertools.combinations(opp, k2):
-                        yield _factor_constraints(game, player, I, J)
+                        yield factor_constraints(game, player, I, J)
 
 
 def random_system(seed: int):

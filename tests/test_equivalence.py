@@ -10,8 +10,6 @@ from equilib.equivalence import (
     duplicate_strategy,
     hat_marginal,
     identity_surjection,
-    load_mapping,
-    mapping_from_json,
     mapping_to_json,
     project_profile,
     save_mapping,
@@ -27,6 +25,7 @@ from equilib.games import (
 from equilib.geometry import Triangulation
 from equilib.indices import index_regular
 from equilib.solver import support_enumeration
+from oracles import load_mapping, mapping_from_json
 
 F = Fraction
 HALF = F(1, 2)

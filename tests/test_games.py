@@ -11,10 +11,8 @@ from equilib.games import (
     MixedStrategy,
     best_replies,
     eliminate_strictly_dominated,
-    eps_best_replies,
     game_from_json,
     game_to_json,
-    in_graph_br_eps,
     is_equilibrium,
     payoff,
     payoff_against,
@@ -86,6 +84,26 @@ def test_payoff_multilinear_in_own_strategy(seed, ws1, ws2, t):
     lhs = payoff(game, (blend, s2), 0)
     rhs = (1 - t) * payoff(game, (s1, s2), 0) + t * payoff(game, (s1_alt, s2), 0)
     assert lhs == rhs
+
+
+# The eps-best replies and the eps-best-reply graph are test oracles: the
+# program itself only needs exact best replies.
+
+
+def eps_best_replies(game, profile, player, eps):
+    """Pure strategies within (strictly less than) eps of the best payoff."""
+    values = {s: payoff_against(game, profile, player, s) for s in game.strategies[player]}
+    best = max(values.values())
+    return {s for s, v in values.items() if v > best - eps}
+
+
+def in_graph_br_eps(game, sigma, tau, eps):
+    """True iff each tau_n is an eps-best reply (strict shortfall) against sigma."""
+    return all(
+        payoff_against(game, sigma, n, tau[n])
+        > max(payoff_against(game, sigma, n, s) for s in game.strategies[n]) - eps
+        for n in range(game.num_players)
+    )
 
 
 @given(st.integers(0, 10**6), weight_lists)

@@ -23,6 +23,7 @@ from equilib.geometry import (
     volume_in_chart,
 )
 from equilib.linalg import Chart
+from oracles import barycenter
 
 F = Fraction
 
@@ -205,12 +206,12 @@ def test_hyperplane_extension_subdivision_covers_domain():
     rng = random.Random(0)
     for _ in range(20):
         p = random_point(rng, tri)
-        assert pc.find_cell(p) is not None
+        assert any(c.contains(p) for c in pc.cells)
     # the embedded simplex is a union of cells
     covered = [c for c in pc.cells if all(inner.contains(v) for v in c.vertices)]
-    assert sum(c.barycenter() is not None for c in covered) >= 1
+    assert covered
     for c in covered:
-        assert inner.contains(c.barycenter())
+        assert inner.contains(barycenter(c.vertices))
 
 
 def test_refine_modulo_protects_and_bounds():

@@ -66,6 +66,7 @@ from equilib.linalg import (
     vec_sub,
     vertex_enumeration,
 )
+from oracles import barycenter
 
 F = Fraction
 
@@ -936,7 +937,6 @@ def test_max_diameter_matches_the_simplex_pairs():
             continue  # an affinely dependent cell: the oracle refuses it
         assert tri.max_diameter() == max(expected), label
         assert [tri.cell_diameter(c) for c in tri.maximal] == expected, label
-        assert [tri.simplex(c).diameter() for c in tri.maximal] == expected, label
         compared[len(tri.vertices[0])] += 1
     assert compared[1] >= 5 and compared[2] >= 60 and compared[3] >= 30, compared
 
@@ -976,7 +976,7 @@ def reference_gamma_pieces(tri, pc):
     alpha = ONE / peak if peak > 0 else ONE
     pieces = []
     for cell in pc.cells:
-        center = chart.to_local(cell.barycenter())
+        center = chart.to_local(barycenter(cell.vertices))
         grad, off = [ZERO] * d, ZERO
         for a, b in hyperplanes:
             s = ONE if dot(a, center) - b > 0 else -ONE
@@ -1259,7 +1259,7 @@ def test_pair_check_inputs_decide_as_the_pair_stage(pair_check_inputs):
 def split_cell(pc, k, normal):
     """`pc` with cell k cut in two by the plane normal·x = normal·(its barycenter)."""
     cell = pc.cells[k]
-    cut = (normal, dot(normal, cell.barycenter()))
+    cut = (normal, dot(normal, barycenter(cell.vertices)))
     rows = [(hs.a, hs.b) for hs in cell.halfspaces]
     halves = [
         PolyCell(tuple(map(tuple, verts)), tuple(Halfspace(a, b) for a, b in hrep))

@@ -4,23 +4,24 @@ from typing import Optional
 
 import pytest
 
-from equilib.games import FiniteGame, profile_of
+from equilib.games import FiniteGame, MixedStrategy, profile_of
 from equilib.geometry import Simplex
 from equilib.indices import (
     IndexError_,
     _boundary_simplices,
+    _indifference_jacobian,
+    _raw_degree,
     component_index,
     degree_oracle,
     game_index_report,
     index_regular,
     index_via_degree,
-    is_regular,
     make_affine_fixer,
-    product_index,
     verify_realization,
 )
 from equilib.linalg import ONE, ZERO, determinant, linprog, solve_unique, vec_sub
 from equilib.solver import components, support_enumeration
+from oracles import is_regular
 
 F = Fraction
 HALF = F(1, 2)
@@ -333,16 +334,6 @@ def test_fixer_unique_fixed_point():
         assert fx.apply(list(v)) != list(v)
 
 
-def test_product_index_multiplies():
-    X1, Y1, s1 = nested_simplices(1, 1)
-    X2, Y2, s2 = nested_simplices(2, 2)
-    a = make_affine_fixer(X1, Y1, s1, -1)
-    b = make_affine_fixer(X2, Y2, s2, -1)
-    assert product_index([a, b]) == 1
-    c = make_affine_fixer(X2, Y2, s2, 1)
-    assert product_index([a, c]) == -1
-
-
 def test_zero_dimensional_fixer_only_plus_one():
     point = Simplex.of([[F(1)]])
     fx = make_affine_fixer(point, point, [F(1)], 1)
@@ -431,20 +422,44 @@ def test_game_index_report(km_p2):
     assert data["total"] == 1 and len(data["entries"]) == 3
 
 
-# -- calibration checks raise real errors (they must survive python -O) ----
+# -- sign conventions --------------------------------------------------------
+#
+# `index_regular` is the sign of the indifference Jacobian's determinant, and
+# `degree_oracle` is (-1)^(d-1) times `_raw_degree`.  Two reference maps of
+# index +1 pin both signs: the k x k game in which player 1 wants to match
+# and player 2 to mismatch (its unique equilibrium is uniform; for k = 1 a
+# strict pure one), and the identity on a box.  The Jacobian there splits
+# into two bordered blocks with determinants k and (-1)^(k-1)·k, and the
+# block permutation contributes (-1)^(k-1), so its determinant is k².
 
 
-def test_calibration_failures_raise(monkeypatch):
-    import equilib.indices as indices
+def reference_game(k):
+    rows = [f"r{i}" for i in range(k)]
+    cols = [f"c{j}" for j in range(k)]
+    pay = {
+        (rows[i], cols[j]): (F(i == j), F(i != j) if k > 1 else ONE)
+        for i in range(k)
+        for j in range(k)
+    }
+    uniform = F(1, k)
+    return FiniteGame.of(["1", "2"], [rows, cols], pay), (
+        MixedStrategy.of(dict.fromkeys(rows, uniform)),
+        MixedStrategy.of(dict.fromkeys(cols, uniform)),
+    )
 
-    monkeypatch.setattr(indices, "_CALIBRATION", {})
-    monkeypatch.setattr(indices, "determinant", lambda _: F(0))
-    with pytest.raises(IndexError_, match="not regular"):
-        indices._calibration(2)
-    monkeypatch.setattr(indices, "_ORACLE_CALIBRATION", {})
-    monkeypatch.setattr(indices, "_raw_degree", lambda *_: 0)
-    with pytest.raises(IndexError_, match="calibration failed"):
-        indices._oracle_calibration(2)
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_reference_game_has_determinant_k_squared(k):
+    game, eq = reference_game(k)
+    assert determinant(_indifference_jacobian(game, eq)) == k * k
+    assert index_regular(game, eq) == 1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_identity_raw_degree_is_minus_one_to_the_d_minus_one(d):
+    box = [(-ONE, ONE)] * d
+    assert _raw_degree(_boundary_simplices(box, 1)) == (-1) ** (d - 1)
+    assert degree_oracle(lambda x: [ZERO] * d, box, 1) == 1
 
 
 # -- realization check -----------------------------------------------------

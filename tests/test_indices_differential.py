@@ -6,9 +6,13 @@ perturbation sum (``component_index``) on every component.  The distance
 from a profile to a Nash subset is an LP over the convex hulls of the
 subset's factor vertices; the oracle keeps the earlier LP over each
 factor's H-representation (a distribution on the support against which the
-opponent's support strategies are best replies).
+opponent's support strategies are best replies).  The linear part of an
+affine vertex matching is one elimination of the stacked local coordinates;
+the oracle keeps the earlier loop over d-subsets of the vertices, one
+``solve_unique`` per row of the matrix.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Optional
@@ -18,15 +22,16 @@ import pytest
 from equilib.games import FiniteGame, MixedStrategy, Profile
 from equilib.indices import (
     IndexError_,
+    _linear_part_for_matching,
     component_distance,
     component_index,
     game_index_report,
     index_regular,
-    is_regular,
     perturb_payoffs,
 )
-from equilib.linalg import ONE, ZERO, linprog
-from equilib.solver import NashSubset, _factor_constraints, components, support_enumeration
+from equilib.linalg import ONE, ZERO, Chart, Matrix, Vector, linprog, solve_unique
+from equilib.solver import NashSubset, components, support_enumeration
+from oracles import factor_constraints, is_regular
 
 F = Fraction
 
@@ -51,7 +56,7 @@ def reference_distance_to_subset(
     for n in range(2):
         labels = list(game.strategies[n])
         sup = list(subset.supports[n])
-        A_ub, b_ub, A_eq, b_eq = _factor_constraints(game, n, sup, subset.supports[1 - n])
+        A_ub, b_ub, A_eq, b_eq = factor_constraints(game, n, sup, subset.supports[1 - n])
         x = profile[n].as_vector(labels)
         # variables: z over sup, t; minimize t with |x_s - z_s| <= t
         m = len(sup)
@@ -133,3 +138,48 @@ def test_vertex_distance_matches_the_h_representation(seed):
                 assert component_distance(game, p, [s]) == reference_distance_to_subset(game, p, s)
                 cases += 1
     assert cases > 100
+
+
+def reference_linear_part(chart: Chart, xs: list[Vector], ys: list[Vector]) -> Optional[Matrix]:
+    """A with A(local(x_i)) = local(y_i) for all i, or None, by d-subsets."""
+    d = chart.dim
+    U = [chart.to_local(x) for x in xs]
+    V = [chart.to_local(y) for y in ys]
+    for pick in itertools.combinations(range(len(U)), d):
+        A = [solve_unique([U[i] for i in pick], [V[i][r] for i in pick]) for r in range(d)]
+        if None in A:  # these d local coordinates are dependent
+            continue
+        images = [[sum(A[r][c] * u[c] for c in range(d)) for r in range(d)] for u in U]
+        return A if images == V else None
+    return None
+
+
+def embedded(point: list[Fraction]) -> list[Fraction]:
+    """``point`` on the plane where the coordinates sum to one, one dimension up."""
+    return point + [ONE - sum(point, ZERO)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_matching_elimination_matches_the_subset_loop(dim):
+    rng = random.Random(f"affine matching {dim}")
+    outcomes = {True: 0, False: 0}
+    for _ in range(6):
+        xs = [[F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim + 1)]
+        sigma = [sum(c, ZERO) / (dim + 1) for c in zip(*xs)]
+        chart = Chart([embedded(sigma)] + [embedded(x) for x in xs])
+        if chart.dim != dim:
+            continue  # affinely dependent vertices
+        # a linear image of X about sigma keeps sigma as barycenter; a shifted one does not
+        M = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)] for _ in range(dim)]
+        shift = [F(rng.randint(1, 4), 5) for _ in range(dim)]
+        centred = [
+            [s + sum(M[r][c] * (x[c] - sigma[c]) for c in range(dim)) for r, s in enumerate(sigma)]
+            for x in xs
+        ]
+        for ys in (centred, [[a + b for a, b in zip(y, shift)] for y in centred]):
+            for perm in itertools.permutations(ys):
+                args = chart, [embedded(x) for x in xs], [embedded(y) for y in perm]
+                got = _linear_part_for_matching(*args)
+                assert got == reference_linear_part(*args)
+                outcomes[got is not None] += 1
+    assert outcomes[True] >= 4 * (dim + 1) and outcomes[False] >= 4 * (dim + 1), outcomes

@@ -28,9 +28,9 @@ from equilib.games import (  # noqa: E402
 from equilib.linalg import ZERO  # noqa: E402
 from equilib.solver import (  # noqa: E402
     EquilibriumSet,
-    brute_force_equilibria,
     three_player_support_enumeration,
 )
+from oracles import brute_force_equilibria  # noqa: E402
 
 F = Fraction
 

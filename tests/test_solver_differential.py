@@ -27,12 +27,10 @@ from equilib.solver import (
     ComponentGraph,
     EquilibriumSet,
     NashSubset,
-    _factor_constraints,
-    _satisfies_factor,
-    brute_force_equilibria,
     components,
     support_enumeration,
 )
+from oracles import brute_force_equilibria, factor_constraints, satisfies_factor, subset_contains
 
 F = Fraction
 
@@ -45,7 +43,7 @@ F = Fraction
 def _factor_vertices(
     game: FiniteGame, player: int, own_support: Sequence[Label], opp_support: Sequence[Label]
 ) -> list[MixedStrategy]:
-    A_ub, b_ub, A_eq, b_eq = _factor_constraints(game, player, own_support, opp_support)
+    A_ub, b_ub, A_eq, b_eq = factor_constraints(game, player, own_support, opp_support)
     verts = vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
     out = []
     for v in verts:
@@ -80,7 +78,7 @@ def reference_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     # Keep only maximal candidates (vertex sets contained in another's polytope).
     def contained_in(a: NashSubset, b: NashSubset) -> bool:
         return all(
-            _satisfies_factor(game, n, v, b.supports[n], b.supports[1 - n])
+            satisfies_factor(game, n, v, b.supports[n], b.supports[1 - n])
             for n in range(2)
             for v in a.factors[n]
         )
@@ -118,7 +116,7 @@ def _factors_intersect(
     labels = list(game.strategies[player])
     Aub, bub, Aeq, beq = [], [], [], []
     for ns in (a, b):
-        A_ub, b_ub, A_eq, b_eq = _factor_constraints(
+        A_ub, b_ub, A_eq, b_eq = factor_constraints(
             game, player, ns.supports[player], ns.supports[1 - player]
         )
         sup = list(ns.supports[player])
@@ -201,7 +199,7 @@ def assert_same(game, grid=True):
     if grid:
         subs = es.all_subsets()
         for prof in brute_force_equilibria(game, 4):
-            assert any(ns.contains(game, prof) for ns in subs), prof
+            assert any(subset_contains(game, ns, prof) for ns in subs), prof
 
 
 @pytest.mark.parametrize("rows, cols, top, seed", SEEDED)
