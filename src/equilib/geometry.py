@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .games import GameError
 from .linalg import (
@@ -140,7 +140,7 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
         return []
     chart = Chart(points)
     rows, scale = chart.grid(points)
-    return _hull_vertices(points, rows, _triangulated_hull(rows, scale, chart.dim)[1])
+    return _hull_vertices(points, rows, _triangulated_hull(rows, scale, chart.dim)[0])
 
 
 # --------------------------------------------------------------------------
@@ -158,26 +158,45 @@ def _bits(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _barycentric_table(pts: Sequence[Sequence[int]], cell: Face) -> tuple[int, list[list[int]]]:
-    """|det| of a simplex and every point's barycentric coordinates over it, scaled.
+def _barycentric_table(
+    pts: Sequence[Sequence[int]], cell: Sequence[int]
+) -> tuple[int, list[list[int]], list[list[int]]]:
+    """|det| of a simplex, its facet forms, and every point's barycentric coordinates.
 
     `pts` are integer coordinates in a chart of the simplex's dimension d
     and `cell` indexes d + 1 of them.  One elimination of
-    [cell points, 1 | all points, 1] reduces the left block to det times
-    the identity, leaving det·λ_r(p) in row r at every point p.  Returns
-    (|det|, lam) with lam[r][j] = |det|·λ_r(p_j), the determinant being
-    that of the cell's points with a row of ones (0, and no table, when
-    they are affinely dependent).
+    [cell points, 1 | I | all points, 1] leaves det·λ_r in row r, as an
+    affine form over I and at every point over the rest.  Returns (|det|,
+    forms, lam) scaled by |det|: forms[r] holds λ_r's coefficients on
+    (x, 1), lam[r][j] is λ_r(p_j), and |det| is 0, with no tables, when the
+    cell's points are affinely dependent.
     """
     d = len(cell) - 1
-    rows = [[pts[i][k] for i in cell] + [p[k] for p in pts] for k in range(d)]
-    rows.append([1] * (d + 1 + len(pts)))
+    rows = [
+        [pts[i][k] for i in cell] + [int(r == k) for r in range(d + 1)] + [p[k] for p in pts]
+        for k in range(d)
+    ]
+    rows.append([1] * (d + 1) + [int(r == d) for r in range(d + 1)] + [1] * len(pts))
     pivots, det, _ = _reduce(rows)
     if pivots != list(range(d + 1)):
-        return 0, []
+        return 0, [], []
     if det < 0:
-        return -det, [[-x for x in row[d + 1 :]] for row in rows]
-    return det, [row[d + 1 :] for row in rows]
+        det, rows = -det, [[-x for x in row] for row in rows]
+    return det, [row[d + 1 : 2 * d + 2] for row in rows], [row[2 * d + 2 :] for row in rows]
+
+
+def _facet_halfspace(form: Sequence[int], scale: int = 1) -> tuple[tuple[int, ...], int]:
+    """λ >= 0 for the facet form λ(y) = form·(y, 1) as a·x <= b at x = y / scale, primitive."""
+    a = [-x * scale for x in form[:-1]]
+    g = math.gcd(*a, form[-1])
+    return tuple(x // g for x in a), form[-1] // g
+
+
+def _hyperplane(form: Sequence[int], scale: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """λ = 0 as :func:`_facet_halfspace`'s a·x = b, the first nonzero a_k positive."""
+    a, b = _facet_halfspace(form, scale)
+    s = 1 if next(x for x in a if x) > 0 else -1
+    return tuple(Fraction(s * x) for x in a), Fraction(s * b)
 
 
 def _sign_masks(values: Iterable[int]) -> tuple[int, int]:
@@ -351,7 +370,7 @@ class Triangulation:
         rows = [grid[i] for i in face]
         if None in rows:
             raise GeometryError(f"cell {face} has a vertex off the polytope's affine hull")
-        det, _ = _barycentric_table(rows, range(len(rows)))
+        det = _barycentric_table(rows, range(len(rows)))[0]
         return Fraction(det, math.factorial(self.dim) * scale**self.dim)
 
     # -- validation --------------------------------------------------------
@@ -372,11 +391,11 @@ class Triangulation:
             if off_hull:
                 self.simplex(c)  # affine independence; the vertex is reported below
                 continue
-            det, lam = _barycentric_table(pts, c)
+            det, _, lam = _barycentric_table(pts, c)
             if not det:
                 raise GeometryError("simplex vertices are affinely dependent")
             tables.append((det, lam))
-        _, facets, target = _triangulated_hull(hull, scale, d)
+        facets, target = _triangulated_hull(hull, scale, d)
         for i, x in enumerate(pts):
             if x is None or any(sum(map(operator.mul, a, x)) > b for a, b in facets):
                 raise GeometryError(f"vertex {i} lies outside the covered polytope")
@@ -501,139 +520,156 @@ def _non_generic(tight: Iterable[int]) -> GeometryError:
     )
 
 
-def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Face:
-    """One lower cell: a horizontal plane through the lowest lifted point, tilted.
+def _sign(const: int, terms: Iterable[tuple[int, int]] = ()) -> int:
+    """The sign of const + Σ c·ε^(i+1) over the (i, c) in `terms`, for every small ε > 0.
 
-    Each tilt turns the plane about the lifted points it touches until it
-    meets another, so the touched set gains an affine dimension per tilt;
-    after at most d tilts it spans R^d and is a lower cell.
+    A nonzero constant decides.  Otherwise the lowest index whose
+    coefficients have a nonzero sum does (Edelsbrunner & Mücke, *Simulation
+    of Simplicity*, ACM TOG 9, 1990); 0 when every sum vanishes.
+    """
+    total = {-1: const}  # ε^0, below every ε^(i+1)
+    for i, c in terms:
+        total[i] = total.get(i, 0) + c
+    return next(((c > 0) - (c < 0) for _, c in sorted(total.items()) if c), 0)
+
+
+def _least_ratio(
+    slack: Sequence[int], rates: Sequence[int], eps: Callable[[int], list[tuple[int, int]]]
+) -> int:
+    """The j with rates[j] < 0 whose slack_j / -rates[j] is least; -1 when there is none.
+
+    slack_j stands for slack[j] plus the ε terms eps(j) (see :func:`_sign`),
+    and two ratios are compared cross-multiplied for every small ε > 0:
+    only an exact tie of their constant parts reads the ε terms.
+    """
+    best = -1
+    for k, m in enumerate(rates):
+        if m >= 0:
+            continue
+        # v < 0 when k's ratio is less than best's
+        v = slack[best] * m - slack[k] * rates[best] if best >= 0 else -1
+        if not v:
+            b = rates[best]
+            v = _sign(0, [(i, m * c) for i, c in eps(best)] + [(i, -b * c) for i, c in eps(k)])
+        if v < 0:
+            best = k
+    return best
+
+
+def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Face:
+    """One lower cell of the points lifted to hs[j] + ε^(j+1), for every small ε > 0.
+
+    A horizontal plane through the lowest lifted point (the last of the
+    lowest heights), tilted: each tilt turns the plane about the lifted
+    points it touches until it meets one more, the first by
+    :func:`_least_ratio`, so after d tilts it touches d + 1 and is a lower
+    cell.  Slack j carries its ε terms through the tilts: own·ε^(j+1) and
+    coef[j][s]·ε^(tight[s]+1).
     """
     low = min(hs)
+    tight = [max(j for j, h in enumerate(hs) if h == low)]
     slack = [h - low for h in hs]  # above the plane at height `low`, up to a positive factor
-    while True:
-        tight = [j for j, s in enumerate(slack) if s == 0]
-        base = pts[tight[0]]
-        if len(tight) == 1:
-            normals = [[ONE] + [ZERO] * (d - 1)]
-        else:
-            normals = nullspace([vec_sub(pts[j], base) for j in tight[1:]])
-        if not normals:
-            break
+    own, coef = 1, [[-1] for _ in hs]
+    while len(tight) <= d:
         # tilt about the touched points: slack_j changes by t·mu_j, mu affine
         # and zero on them, and t stops where the first falling slack hits 0
+        base = pts[tight[0]]
+        normals = nullspace([vec_sub(pts[j], base) for j in tight[1:]] or [[ZERO] * d])
         normal, _ = _integer_row(normals[0])
         c = sum(map(operator.mul, normal, base))
         mu = [sum(map(operator.mul, normal, p)) - c for p in pts]
         if all(m >= 0 for m in mu):
             mu = [-m for m in mu]
-        k = -1  # t = slack_k / -mu_k, least over the falling slacks
-        for j, (s, m) in enumerate(zip(slack, mu)):
-            if m < 0 and (k < 0 or s * -mu[k] < slack[k] * -m):
-                k = j
-        # slack + t·mu, scaled by -mu_k > 0 to stay integral
-        slack = [s * -mu[k] + slack[k] * m for s, m in zip(slack, mu)]
-    if len(tight) > d + 1:
-        raise _non_generic(tight)
-    return tuple(tight)
+        k = _least_ratio(slack, mu, lambda j: [(j, own), *zip(tight, coef[j])])
+        # slack + t·mu, scaled by -mu_k > 0 to stay integral, ε terms alike
+        f, ck = -mu[k], coef[k]
+        slack = [s * f + slack[k] * m for s, m in zip(slack, mu)]
+        coef = [[x * f + y * m for x, y in zip(row, ck)] + [own * m] for row, m in zip(coef, mu)]
+        own *= f
+        tight.append(k)
+    return tuple(sorted(tight))
 
 
 def _lower_hull_cells(
-    pts: Sequence[Sequence[int]], heights: Sequence[Fraction], d: int
-) -> tuple[list[Face], list[tuple[tuple[int, ...], int]], int]:
-    """Lower cells of the lifted points, and the facets and volume of conv(points).
+    pts: Sequence[Sequence[int]], hs: Sequence[int], d: int
+) -> tuple[list[Face], list[tuple[tuple[int, ...], int]], int, Optional[list[int]]]:
+    """Lower cells of the lifted points, the facets and volume of conv(points).
 
     Gift wrapping (Chand & Kapur 1970) on the points' integer chart
-    coordinates (a :meth:`Chart.grid`).  From one lower cell
-    (:func:`_first_lower_cell`), each cell is certified by one
-    elimination (:func:`linalg._eliminate`) that gives
-    every point's barycentric coordinates over the cell and its slack
-    above the cell's plane, all of which must be positive off the cell;
-    each ridge is then crossed by one ratio test, the least slack per unit
-    of barycentric coordinate lost beyond it.  A ridge with no point
-    beyond it spans a facet of conv(points).
+    coordinates (a :meth:`Chart.grid`), lifted to the integer heights
+    hs[j] + ε^(j+1) for every small ε > 0, so that the cells are those of
+    one regular triangulation and no tie is left (Edelsbrunner & Mücke,
+    *Simulation of Simplicity*, 1990).  From one lower cell
+    (:func:`_first_lower_cell`), each cell is certified by one elimination
+    (:func:`_barycentric_table`) that gives every point's barycentric
+    coordinates over the cell and its slack above the cell's plane, all of
+    which must be positive off the cell; each ridge is then crossed by one
+    ratio test (:func:`_least_ratio`), the least slack per unit of
+    barycentric coordinate lost beyond it.  A ridge with no point beyond
+    it spans a facet of conv(points).  The ε part of slack_j is
+    |det|·ε^(j+1) − Σ_r lam[r][j]·ε^(cell[r]+1); only ties read it.
 
     Returns the cells as sorted index tuples in lexicographic order; the
     facets as integer-primitive halfspaces (a, b), a·x <= b on every
     point, one per facet hyperplane, in the points' own integer
-    coordinates; and the sum of the cells' |det| (d! times their volume
-    in those coordinates).  Raises GeometryError("non-generic ...") with
-    every lifted point on the plane when more than d + 1 lifted points lie
-    on a common lower hyperplane.
+    coordinates; the sum of the cells' |det| (d! times their volume in
+    those coordinates); and the lifted points on the first cell's plane,
+    in walk order, that holds more than d + 1 of them at ε = 0 (None when
+    no plane does, that is when the heights hs are generic).
     """
-    n = len(pts)
-    hs, _ = _integer_row([Fraction(h) for h in heights])
-    units = [[int(r == k) for r in range(d + 1)] for k in range(d + 1)]
     first = _first_lower_cell(pts, hs, d)
     todo, seen = [first], {first}
     facets: dict[tuple[tuple[int, ...], int], None] = {}
     volume = 0
+    flat = None
     while todo:
         cell = todo.pop()
-        # [M | I | Q], M's columns the cell's points and Q's all points, each
-        # with a trailing 1: reduced, row r holds det times λ_r as an affine
-        # function (over I) and at every point (over Q)
-        rows = [[pts[i][k] for i in cell] + units[k] + [p[k] for p in pts] for k in range(d)]
-        rows.append([1] * (d + 1) + units[d] + [1] * n)
-        _, det, _ = _reduce(rows)
-        volume += abs(det)
-        sign = 1 if det > 0 else -1
-        forms = [[sign * x for x in row[d + 1 : 2 * d + 2]] for row in rows]
-        lam = [[sign * x for x in row[2 * d + 2 :]] for row in rows]
+        det, forms, lam = _barycentric_table(pts, cell)
+        volume += det
+
+        def eps(j: int) -> list[tuple[int, int]]:
+            return [(j, det), *((i, -row[j]) for i, row in zip(cell, lam))]
+
         slack = [
-            h * abs(det) - sum(hs[i] * lam[r][j] for r, i in enumerate(cell))
+            h * det - sum(hs[i] * lam[r][j] for r, i in enumerate(cell))
             for j, h in enumerate(hs)
         ]
         tight = [j for j, s in enumerate(slack) if s == 0]
+        below = min(slack) < 0
         if len(tight) > d + 1:
-            raise _non_generic(tight)
-        if min(slack) < 0:
+            flat = flat or tight
+            below = below or any(_sign(0, eps(j)) < 0 for j in tight)
+        if below:
             raise GeometryError(f"lower hull walk reached cell {cell} below a lifted point")
         for r in range(d + 1):
-            beyond = [j for j in range(n) if lam[r][j] < 0]
-            if not beyond:
-                a = [-x for x in forms[r][:d]]
-                g = math.gcd(*a, forms[r][d])
-                facets[(tuple(x // g for x in a), forms[r][d] // g)] = None
+            j = _least_ratio(slack, lam[r], eps)
+            if j < 0:
+                facets[_facet_halfspace(forms[r])] = None
                 continue
-            j = beyond[0]
-            for k in beyond[1:]:
-                # slack_k / -lam_k below slack_j / -lam_j, cross-multiplied
-                if slack[k] * lam[r][j] > slack[j] * lam[r][k]:
-                    j = k
             nxt = tuple(sorted([i for q, i in enumerate(cell) if q != r] + [j]))
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    return sorted(seen), list(facets), volume
-
-
-_GENERIC_SCHEDULE = [Fraction(1, 10**k) for k in range(1, 9)]
+    return sorted(seen), list(facets), volume, flat
 
 
 def _triangulated_hull(
     pts: Sequence[Sequence[int]], scale: int, d: int
-) -> tuple[list[Face], list[tuple[tuple[int, ...], int]], Fraction]:
-    """A triangulation of conv(pts) on its own points, its facet halfspaces, its volume.
+) -> tuple[list[tuple[tuple[int, ...], int]], Fraction]:
+    """The facet halfspaces and the volume of conv(pts), from one lower-hull walk.
 
     `pts` and `scale` are a :meth:`Chart.grid` of a d-dimensional chart:
     the facets hold in those integer coordinates, the volume is in chart
-    units.  The cells are the lower hull of the paraboloid lift, perturbed
-    until generic; both lists are empty, and the volume 0, when the points
-    do not span the chart.
+    units.  The walk lifts the points to the paraboloid, heights |p|²
+    with ties broken symbolically (:func:`_lower_hull_cells`); no facets,
+    and the volume 0, when the points do not span the chart.
     """
     if d == 0:
-        return [(0,)], [], ONE
+        return [], ONE
     if len(_reduce([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])[0]) < d:
-        return [], [], ZERO
-    base = [Fraction(sum(x * x for x in p), scale * scale) for p in pts]
-    for eps in _GENERIC_SCHEDULE:
-        heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
-        try:
-            cells, facets, volume = _lower_hull_cells(pts, heights, d)
-        except GeometryError:
-            continue
-        return cells, facets, Fraction(volume, math.factorial(d) * scale**d)
-    raise GeometryError("could not find a generic height for the point set")
+        return [], ZERO
+    _, facets, volume, _ = _lower_hull_cells(pts, [sum(x * x for x in p) for p in pts], d)
+    return facets, Fraction(volume, math.factorial(d) * scale**d)
 
 
 def _hull_vertices(
@@ -661,14 +697,15 @@ def _hull_vertices(
 def volume_in_chart(points: Sequence[Point], chart: Chart) -> Fraction:
     """Exact volume of conv(points), measured in the given chart's coordinates.
 
-    Returns 0 when the points do not span the chart's full dimension.  Using
-    a shared chart keeps volumes of different cells of one complex on the
+    Returns 0 when the points do not span the chart's full dimension, and
+    raises GeometryError when one is off the chart's affine hull.  Using a
+    shared chart keeps volumes of different cells of one complex on the
     same scale.
     """
     rows, scale = chart.grid([as_point(p) for p in points])
     if None in rows:
-        raise ValueError("point not in affine hull")
-    return _triangulated_hull(rows, scale, chart.dim)[2]
+        raise GeometryError("point not in affine hull")
+    return _triangulated_hull(rows, scale, chart.dim)[1]
 
 
 # --------------------------------------------------------------------------
@@ -684,10 +721,11 @@ def regular_triangulation(
     """Lower-envelope triangulation of the lifted points.
 
     Every cell's lifted vertices span a hyperplane with all other lifted
-    points strictly above (certified during construction); a lifted point on
-    a foreign lower hyperplane means the height is non-generic and is
-    reported with the flat witness.  The polytope's vertices are read from
-    the hull facets the same walk finds.
+    points strictly above (certified during construction).  Heights that
+    put more than d + 1 lifted points on one lower hyperplane are
+    non-generic: the error names the points on the first such plane the
+    walk meets.  The polytope's vertices are read from the hull facets the
+    same walk finds.
     """
     pts = [as_point(p) for p in points]
     if isinstance(h, Mapping):
@@ -701,7 +739,9 @@ def regular_triangulation(
     if d == 0:
         return Triangulation([pts[0]], [(0,)], [pts[0]])
     rows, _ = chart.grid(pts)
-    cells, facets, _ = _lower_hull_cells(rows, heights, d)
+    cells, facets, _, flat = _lower_hull_cells(rows, _integer_row(heights)[0], d)
+    if flat:
+        raise _non_generic(flat)
     used = sorted({i for c in cells for i in c})
     remap = {i: j for j, i in enumerate(used)}
     return Triangulation(
@@ -802,12 +842,12 @@ class PolyhedralComplex:
     def validate(self) -> None:
         """Check exact volume cover and that cells meet only in common faces.
 
-        Each cell's dimension and volume come from one lower-hull walk over
-        its rows of :attr:`grid`, the polytope's volume and facets from one
-        over its own.  The cells' facets must then match
-        (:func:`_match_facets`): one owner on the polytope's boundary, else
-        two on opposite sides.  Convex cells that tile the polytope facet to
-        facet meet face to face.
+        Each cell's volume comes from one lower-hull walk over its rows of
+        :attr:`grid` (0 for a cell that is not full-dimensional), the
+        polytope's volume and facets from one over its own.  The cells'
+        facets must then match (:func:`_match_facets`): one owner on the
+        polytope's boundary, else two on opposite sides.  Convex cells that
+        tile the polytope facet to facet meet face to face.
         """
         points = self.all_vertices()
         index = {p: k for k, p in enumerate(points)}
@@ -817,11 +857,11 @@ class PolyhedralComplex:
             rows = [grid[index[v]] for v in c.vertices]
             if None in rows:
                 raise GeometryError("cell vertex lies off the polytope's affine hull")
-            cells, _, volume = _triangulated_hull(rows, scale, self.dim)
-            if not cells:
+            _, volume = _triangulated_hull(rows, scale, self.dim)
+            if not volume:
                 raise GeometryError("non-maximal cell listed as maximal")
             total += volume
-        _, facets, target = _triangulated_hull(grid[len(points) :], scale, self.dim)
+        facets, target = _triangulated_hull(grid[len(points) :], scale, self.dim)
         if total != target:
             raise GeometryError(
                 f"cell volumes sum to {total}, polytope volume is {target}"
@@ -864,55 +904,6 @@ class PolyhedralComplex:
 # --------------------------------------------------------------------------
 # Hyperplane arrangements within a base polytope
 # --------------------------------------------------------------------------
-
-
-def _primitive(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Canonical integer-primitive form of the hyperplane a·x = b (sign-fixed)."""
-    coefs = [Fraction(x) for x in a] + [Fraction(b)]
-    denom = 1
-    for c in coefs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coefs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints[:-1] if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
-
-
-def hyperplane_through(chart_points: Sequence[Sequence[Fraction]], dim: int):
-    """Hyperplane (a, b) in chart coordinates through the given local points.
-
-    The points must affinely span a (dim-1)-flat.
-    """
-    p0 = frac_vec(chart_points[0])
-    diffs = [vec_sub(frac_vec(p), p0) for p in chart_points[1:]]
-    normals = nullspace(diffs) if diffs else [
-        [ONE if j == i else ZERO for j in range(dim)] for i in range(dim)
-    ]
-    # rank = width - nullity; the kernel is then a line within the chart
-    if len(p0) - len(normals) != dim - 1:
-        raise GeometryError("points do not span a hyperplane")
-    a = normals[0]
-    return _primitive(a, dot(a, p0))
-
-
-def simplex_facet_halfspaces(
-    chart_verts: Sequence[Sequence[Fraction]], dim: int
-) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """H-representation (chart coordinates) of a full-dimensional simplex."""
-    out = []
-    for i in range(len(chart_verts)):
-        rest = [v for j, v in enumerate(chart_verts) if j != i]
-        a, b = hyperplane_through(rest, dim)
-        if dot(a, frac_vec(chart_verts[i])) > b:
-            a, b = tuple(-x for x in a), -b
-        out.append((a, b))
-    return out
 
 
 def _arrangement_cells(
@@ -1029,7 +1020,6 @@ def hyperplane_extension_subdivision(
     d = chart.dim
     if d < 1:
         raise GeometryError("base simplex must have dimension >= 1")
-    local_base = [chart.to_local(v) for v in base.vertices]
     for s in embedded:
         if s.dim != d:
             raise GeometryError("embedded simplices must be full-dimensional")
@@ -1039,14 +1029,13 @@ def hyperplane_extension_subdivision(
     for s1, s2 in itertools.combinations(embedded, 2):
         if _simplices_intersect(s1, s2):
             raise GeometryError("embedded simplices are not pairwise disjoint")
-    hyperplanes: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for s in embedded:
-        local = [chart.to_local(v) for v in s.vertices]
-        for i in range(len(local)):
-            rest = [v for j, v in enumerate(local) if j != i]
-            hp = hyperplane_through(rest, d)
-            if hp not in hyperplanes:
-                hyperplanes.append(hp)
+    # the facet forms of the base and of each embedded simplex, on one grid
+    grid, scale = chart.grid([v for s in (base, *embedded) for v in s.vertices])
+    tables = [
+        _barycentric_table(grid[k : k + d + 1], range(d + 1))[1]
+        for k in range(0, len(grid), d + 1)
+    ]
+    hyperplanes = list(dict.fromkeys(_hyperplane(f, scale) for t in tables[1:] for f in t))
     if marked_points is not None:
         for p in marked_points:
             lp = chart.to_local(as_point(p))
@@ -1056,7 +1045,8 @@ def hyperplane_extension_subdivision(
                         f"degenerate arrangement: marked point {tuple(p)} lies on "
                         f"extended hyperplane {a}·x = {b}"
                     )
-    base_hrep = simplex_facet_halfspaces(local_base, d)
+    base_hrep = [_facet_halfspace(f, scale) for f in tables[0]]
+    local_base = [[Fraction(x, scale) for x in row] for row in grid[: d + 1]]
     raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
     pc = _cells_to_complex(chart, raw, base.vertices)
     pc.validate()
@@ -1399,14 +1389,19 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
     grid, scale = tri.grid
     if None in grid:
         raise GeometryError("a vertex lies off the triangulated simplex's affine hull")
-    hyperplanes: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for f in tri.faces_of_dim(d - 1):
-        a, b = hyperplane_through([grid[i] for i in f], d)  # a·(scale x) = b
-        hp = _primitive(a, b / scale)
-        if hp not in hyperplanes:
-            hyperplanes.append(hp)
-    local_base = [[Fraction(x, scale) for x in row] for row in grid[len(tri.vertices) :]]
-    base_hrep = simplex_facet_halfspaces(local_base, d)
+    # each (d-1)-face's hyperplane from the facet form of a cell holding it
+    forms: dict[Face, list[int]] = {}
+    for c in tri.maximal:
+        det, table, _ = _barycentric_table([grid[i] for i in c], range(d + 1))
+        if not det:
+            raise GeometryError("simplex vertices are affinely dependent")
+        forms.update((c[:r] + c[r + 1 :], form) for r, form in enumerate(table))
+    hyperplanes = list(
+        dict.fromkeys(_hyperplane(forms[f], scale) for f in tri.faces_of_dim(d - 1))
+    )
+    base = grid[len(tri.vertices) :]
+    base_hrep = [_facet_halfspace(f, scale) for f in _barycentric_table(base, range(d + 1))[1]]
+    local_base = [[Fraction(x, scale) for x in row] for row in base]
     raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
     pc = _cells_to_complex(tri.chart, raw, tri.polytope)
     pc.validate()

@@ -2,21 +2,24 @@
 
 Several test files cross-check the program against these: the grid brute
 force for completeness, the H-representation of a Nash subset's factors
-for membership, the regularity test, and the reader of the mapping files
-that ``duplicate`` and ``perturb`` write.
+for membership, the regularity test, the reader of the mapping files
+that ``duplicate`` and ``perturb`` write, and the facet hyperplanes of a
+simplex from one ``nullspace`` per facet.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from equilib.equivalence import AffineSurjection
 from equilib.games import FiniteGame, GameError, Label, MixedStrategy, Profile, is_equilibrium
+from equilib.geometry import GeometryError
 from equilib.indices import IndexError_, _check_regular
-from equilib.linalg import ONE, ZERO, dot
+from equilib.linalg import ONE, ZERO, dot, frac_vec, nullspace, vec_sub
 from equilib.rational import parse_rational
 from equilib.solver import NashSubset
 
@@ -148,3 +151,52 @@ def load_mapping(path) -> list[AffineSurjection]:
 def barycenter(points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """The average of ``points``."""
     return tuple(sum(coords, ZERO) / len(points) for coords in zip(*points))
+
+
+def _primitive(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Canonical integer-primitive form of the hyperplane a·x = b (sign-fixed)."""
+    coefs = [Fraction(x) for x in a] + [Fraction(b)]
+    denom = 1
+    for c in coefs:
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in coefs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v))
+    if g:
+        ints = [v // g for v in ints]
+    lead = next((v for v in ints[:-1] if v != 0), 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+
+
+def hyperplane_through(chart_points: Sequence[Sequence[Fraction]], dim: int):
+    """Hyperplane (a, b) in chart coordinates through the given local points.
+
+    The points must affinely span a (dim-1)-flat.
+    """
+    p0 = frac_vec(chart_points[0])
+    diffs = [vec_sub(frac_vec(p), p0) for p in chart_points[1:]]
+    normals = nullspace(diffs) if diffs else [
+        [ONE if j == i else ZERO for j in range(dim)] for i in range(dim)
+    ]
+    # rank = width - nullity; the kernel is then a line within the chart
+    if len(p0) - len(normals) != dim - 1:
+        raise GeometryError("points do not span a hyperplane")
+    a = normals[0]
+    return _primitive(a, dot(a, p0))
+
+
+def simplex_facet_halfspaces(
+    chart_verts: Sequence[Sequence[Fraction]], dim: int
+) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """H-representation (chart coordinates) of a full-dimensional simplex."""
+    out = []
+    for i in range(len(chart_verts)):
+        rest = [v for j, v in enumerate(chart_verts) if j != i]
+        a, b = hyperplane_through(rest, dim)
+        if dot(a, frac_vec(chart_verts[i])) > b:
+            a, b = tuple(-x for x in a), -b
+        out.append((a, b))
+    return out

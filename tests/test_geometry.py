@@ -10,6 +10,7 @@ from equilib.geometry import (
     PolyhedralComplex,
     Simplex,
     Triangulation,
+    _sign,
     affine_below_except_marked,
     el_refinement,
     extreme_points,
@@ -18,12 +19,11 @@ from equilib.geometry import (
     hyperplane_extension_subdivision,
     refine_modulo,
     regular_triangulation,
-    simplex_facet_halfspaces,
     triangulate_without_new_vertices,
     volume_in_chart,
 )
 from equilib.linalg import Chart
-from oracles import barycenter
+from oracles import barycenter, simplex_facet_halfspaces
 
 F = Fraction
 
@@ -167,6 +167,25 @@ def test_cospherical_hulls(points):
     # so the paraboloid lift is flat on whole squares until it is perturbed
     assert extreme_points(points) == [p for p in points if set(p) <= {F(0), F(2)}]
     assert volume_in_chart(points, Chart(UNIT_SQUARE[:3])) == 4
+
+
+def test_volume_in_chart_rejects_a_point_off_the_chart():
+    chart = Chart([(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))])
+    assert volume_in_chart([(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))], chart) == F(1, 2)
+    with pytest.raises(GeometryError, match="point not in affine hull"):
+        volume_in_chart([(F(1), F(0), F(0)), (F(0), F(0), F(0))], chart)
+
+
+def test_sign_rule_reads_the_constant_then_the_lowest_index():
+    # a nonzero constant wins over any ε terms
+    assert _sign(3, [(0, -5)]) == 1
+    assert _sign(-1, [(0, 7)]) == -1
+    # otherwise the lowest index with a nonzero coefficient, in any order
+    assert _sign(0, [(4, -1), (2, 3), (9, -8)]) == 1
+    assert _sign(0, [(5, 2), (1, -1)]) == -1
+    # coefficients of one index are summed first
+    assert _sign(0, [(2, 3), (4, -1), (2, -3)]) == -1
+    assert _sign(0, [(1, 2), (1, -2)]) == _sign(0) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """The lower-hull walk, the arrangement splits and the facet-based hull
-against the subset loops they replaced, subdivision validation by facet
+against the subset loops they replaced, the hull's symbolic tie-breaking
+against the ε schedule it replaced, subdivision validation by facet
 matching against the pairwise checks it replaced, and the readings of the
 integer chart grid against the per-point `Fraction` code they replaced.
 
@@ -42,21 +43,23 @@ from equilib.geometry import (
     _bits,
     _cell_faces,
     _facet_rows,
+    _hull_vertices,
     _lower_hull_cells,
+    _non_generic,
     _triangulated_hull,
     el_refinement,
     extreme_points,
     grid_triangulation,
     hyperplane_extension_subdivision,
-    hyperplane_through,
     regular_triangulation,
-    simplex_facet_halfspaces,
 )
 from equilib.linalg import (
     ONE,
     ZERO,
     Chart,
     _integer_matrix,
+    _integer_row,
+    _reduce,
     determinant,
     dot,
     linprog,
@@ -66,7 +69,7 @@ from equilib.linalg import (
     vec_sub,
     vertex_enumeration,
 )
-from oracles import barycenter
+from oracles import barycenter, hyperplane_through, simplex_facet_halfspaces
 
 F = Fraction
 
@@ -185,6 +188,24 @@ def _simplex_volume(pts: Sequence[Sequence[Fraction]]) -> Fraction:
         return ONE
     mat = [vec_sub(p, pts[0]) for p in pts[1:]]
     return abs(determinant(mat)) / math.factorial(len(mat))
+
+
+def reference_volume(points, chart) -> Fraction:
+    """`volume_in_chart` over the subset-loop lower hull of the paraboloid lift."""
+    local = [chart.to_local(p) for p in points]
+    d = chart.dim
+    if d == 0:
+        return ONE
+    if matrix_rank([[x - y for x, y in zip(p, local[0])] for p in local[1:]]) < d:
+        return ZERO
+    for k in range(1, 9):
+        heights = [dot(p, p) + F(1, 10**k) ** (i + 1) for i, p in enumerate(local)]
+        try:
+            cells = reference_lower_hull_cells(local, heights, d)
+        except GeometryError:
+            continue
+        return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
+    raise GeometryError("could not find a generic height for the point set")
 
 
 class _Separation:
@@ -366,18 +387,19 @@ def degenerate_planes(label):
 def test_lower_hull_walk_matches_subset_loop(label):
     local, heights, d = LIFTS[label]
     rows, _ = _integer_matrix(local)
+    cells, facets, _, flat = _lower_hull_cells(rows, _integer_row(heights)[0], d)
     try:
         expected = reference_lower_hull_cells(local, heights, d)
     except GeometryError as exc:
-        with pytest.raises(GeometryError) as raised:
-            _lower_hull_cells(rows, heights, d)
-        witness = re.search(r"\[([\d, ]*)\]", str(raised.value)).group(1)
-        assert frozenset(int(i) for i in witness.split(", ")) in degenerate_planes(label)
+        # the walk names one flat lower plane, and its ties broken, the cells
+        # still triangulate conv(points)
+        assert frozenset(flat) in degenerate_planes(label)
         if len(degenerate_planes(label)) == 1:
-            assert str(raised.value) == str(exc)
-        return
-    cells, facets, _ = _lower_hull_cells(rows, heights, d)
-    assert cells == expected
+            assert str(_non_generic(flat)) == str(exc)
+        Triangulation([tuple(p) for p in local], cells)
+    else:
+        assert flat is None
+        assert cells == expected
     # every facet halfspace holds on all points and is tight on d of them
     for a, b in facets:
         values = [dot(a, p) - b for p in rows]
@@ -392,6 +414,105 @@ def test_lifts_reach_the_non_generic_path():
     assert len(raised) >= 15
     # several with one flat lower facet, where the witnesses must agree
     assert sum(len(degenerate_planes(label)) == 1 for label in raised) >= 5
+
+
+# -- hulls: symbolic ties against the ε schedule ------------------------------
+#
+# `schedule_hull` is `_triangulated_hull` as it was: the paraboloid heights
+# perturbed by ε^(i+1) for ε = 1/10, ..., 1/10^8 in turn, the next ε tried
+# after a tie.  Each try walks concrete heights and only reads whether the
+# walk met a flat plane, so the sign rule decides nothing in the oracle.
+
+_GENERIC_SCHEDULE = [Fraction(1, 10**k) for k in range(1, 9)]
+
+
+def schedule_hull(pts, scale, d):
+    if d == 0:
+        return [(0,)], [], ONE
+    if len(_reduce([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])[0]) < d:
+        return [], [], ZERO
+    base = [Fraction(sum(x * x for x in p), scale * scale) for p in pts]
+    for eps in _GENERIC_SCHEDULE:
+        heights = [h + eps ** (i + 1) for i, h in enumerate(base)]
+        cells, facets, volume, flat = _lower_hull_cells(pts, _integer_row(heights)[0], d)
+        if flat:
+            continue
+        return cells, facets, Fraction(volume, math.factorial(d) * scale**d)
+    raise GeometryError("could not find a generic height for the point set")
+
+
+CIRCLE = [(5, 0), (0, 5), (-5, 0), (0, -5)] + [
+    (sx * a, sy * b) for a, b in ((3, 4), (4, 3)) for sx in (1, -1) for sy in (1, -1)
+]
+SPHERE = sorted(
+    set(itertools.permutations((3, 0, 0)))
+    | set(itertools.permutations((-3, 0, 0)))
+    | {p for q in itertools.permutations((1, 2, 2)) for p in itertools.product(*((x, -x) for x in q))}
+)
+
+
+def hull_sets():
+    """Seeded lattice, cocircular and cospherical sets in 1-3 D, with repeated points.
+
+    The paraboloid lift ties on all of these.  Some are shuffled, some
+    placed on a plane in R^3, and some get a few repeated points.
+    """
+    rng = random.Random(29)
+    out = []
+
+    def add(label, pts):
+        pts = [tuple(F(x) for x in p) for p in pts]
+        if rng.random() < 0.5:
+            pts += rng.sample(pts, rng.randint(1, 3))  # repeated points
+        rng.shuffle(pts)
+        out.append((label, pts))
+
+    for sizes in ((2,), (4,), (2, 2), (3, 3), (4, 4), (2, 5), (3, 4), (2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3)):
+        add(f"lattice{sizes}", lattice(*sizes))
+    for k in range(12):
+        scale, shift = F(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(-3, 3)
+        pts = [(scale * x + shift, scale * y) for x, y in rng.sample(CIRCLE, rng.randint(3, 12))]
+        add(f"circle{k}", pts)
+    for k in range(8):
+        add(f"sphere{k}", rng.sample(SPHERE, rng.randint(4, 14)))
+    for k in range(6):  # on the plane x + y + z = 1, and a cocircular set on z = 2x - y
+        if k % 2:
+            pts = [(x, y, 2 * x - y) for x, y in rng.sample(CIRCLE, rng.randint(4, 10))]
+        else:
+            pts = [(F(x, 3), F(y, 3), 1 - F(x + y, 3)) for x, y in lattice(3, 3) if x + y <= 3]
+        add(f"planar{k}", pts)
+    for k in range(4):  # collinear, in R^2
+        add(f"segment{k}", [(t, 2 * t + 1) for t in rng.sample(range(-4, 5), rng.randint(2, 6))])
+    return out
+
+
+HULL_SETS = hull_sets()
+
+
+@pytest.mark.parametrize("label,points", HULL_SETS, ids=[c[0] for c in HULL_SETS])
+def test_sign_rule_hull_matches_the_schedule(label, points):
+    chart = Chart(points)
+    rows, scale = chart.grid(points)
+    _, expected_facets, expected_volume = schedule_hull(rows, scale, chart.dim)
+    facets, volume = _triangulated_hull(rows, scale, chart.dim)
+    assert sorted(facets) == sorted(expected_facets)
+    assert volume == expected_volume
+    assert extreme_points(points) == _hull_vertices(points, rows, expected_facets)
+
+
+def test_hull_sets_tie_on_the_paraboloid():
+    """Most sets lift to more than d + 1 points on one lower plane, so the
+    sign rule decides, in every dimension, repeated points included."""
+    tied = collections.Counter()
+    for label, points in HULL_SETS:
+        chart = Chart(points)
+        rows, _ = chart.grid(points)
+        heights = [sum(x * x for x in p) for p in rows]
+        if chart.dim and _lower_hull_cells(rows, heights, chart.dim)[3]:
+            tied[chart.dim] += 1
+            tied["repeated"] += len(set(points)) < len(points)
+    assert tied[1] >= 3 and tied[2] >= 15 and tied[3] >= 8, tied
+    assert tied["repeated"] >= 10, tied
 
 
 # -- arrangements -----------------------------------------------------------
@@ -626,9 +747,8 @@ def reference_validate(self) -> None:
         if len(c) != self.dim + 1:
             raise GeometryError(f"cell {c} is not full-dimensional")
         self.simplex(c)  # affine independence
-    hull = [self.chart.to_local(p) for p in self.polytope]
     rows, scale = self.chart.grid(self.polytope)
-    hull_cells, facets, _ = _triangulated_hull(rows, scale, self.dim)
+    facets, _ = _triangulated_hull(rows, scale, self.dim)
     local = []
     for i, v in enumerate(self.vertices):
         try:
@@ -641,7 +761,7 @@ def reference_validate(self) -> None:
     total = sum(
         (_simplex_volume([local[i] for i in c]) for c in self.maximal), ZERO
     )
-    target = sum((_simplex_volume([hull[i] for i in c]) for c in hull_cells), ZERO)
+    target = reference_volume(self.polytope, self.chart)
     if total != target:
         raise GeometryError(
             f"simplex volumes sum to {total}, polytope volume is {target}"
@@ -800,7 +920,7 @@ def test_validation_decides_as_the_facet_oracle(label):
 def integer_separation(tri):
     """The certificate `Triangulation.validate` builds, from one elimination per cell."""
     pts, _ = tri.chart.grid(tri.vertices)
-    rows = [_facet_rows(_barycentric_table(pts, c)[1]) for c in tri.maximal]
+    rows = [_facet_rows(_barycentric_table(pts, c)[2]) for c in tri.maximal]
     return _Separation(tri.vertices, tri.maximal, rows)
 
 
@@ -1005,24 +1125,6 @@ def test_el_gamma_reads_as_the_value_oracle(label, tri):
         min(expected.values()),
         max(expected.values()),
     )
-
-
-def reference_volume(points, chart) -> Fraction:
-    """`volume_in_chart` over the subset-loop lower hull of the paraboloid lift."""
-    local = [chart.to_local(p) for p in points]
-    d = chart.dim
-    if d == 0:
-        return ONE
-    if matrix_rank([[x - y for x, y in zip(p, local[0])] for p in local[1:]]) < d:
-        return ZERO
-    for k in range(1, 9):
-        heights = [dot(p, p) + F(1, 10**k) ** (i + 1) for i, p in enumerate(local)]
-        try:
-            cells = reference_lower_hull_cells(local, heights, d)
-        except GeometryError:
-            continue
-        return sum((_simplex_volume([local[i] for i in c]) for c in cells), ZERO)
-    raise GeometryError("could not find a generic height for the point set")
 
 
 def complex_separation(pc) -> _Separation:
