@@ -82,6 +82,11 @@ class MixedStrategy:
 Profile = tuple[MixedStrategy, ...]
 
 
+def format_profile(profile: Profile) -> str:
+    """Render a profile as its strategies' texts joined by ``" ; "``."""
+    return " ; ".join(map(str, profile))
+
+
 def profile_of(*strategies: MixedStrategy | Mapping | Label) -> Profile:
     out = []
     for s in strategies:

@@ -47,6 +47,7 @@ from .linalg import (
     solve_linear,
     vec_sub,
 )
+from .rational import format_point, format_rational
 
 Point = tuple[Fraction, ...]
 Face = tuple[int, ...]  # sorted vertex indices
@@ -424,10 +425,12 @@ class Triangulation:
         p = as_point(point)
         c = self.find_cell(p)
         if c is None:
-            raise GeometryError(f"point {p} lies outside the covered polytope")
+            raise GeometryError(f"point {format_point(p)} lies outside the covered polytope")
         w = barycentric_in([self.vertices[i] for i in c], p)
         if w is None:
-            raise GeometryError(f"cell {c} containing {p} has no barycentric coordinates")
+            raise GeometryError(
+                f"cell {c} containing {format_point(p)} has no barycentric coordinates"
+            )
         return tuple(i for i, x in zip(c, w) if x > 0)
 
     def barycentric_coords(self, point: Sequence) -> dict[int, Fraction]:
@@ -436,7 +439,9 @@ class Triangulation:
         car = self.carrier(p)
         w = barycentric_in([self.vertices[i] for i in car], p)
         if w is None:
-            raise GeometryError(f"carrier {car} of {p} has no barycentric coordinates")
+            raise GeometryError(
+                f"carrier {car} of {format_point(p)} has no barycentric coordinates"
+            )
         return {i: x for i, x in zip(car, w)}
 
     def closed_star(self, vertex: int) -> Subcomplex:
@@ -473,8 +478,6 @@ class Triangulation:
         return Triangulation(verts, cells, self.polytope, validate=False)
 
     def serialize(self) -> str:
-        from .rational import format_rational
-
         lines = ["# vertices"]
         for p in self.vertices:
             lines.append("v " + " ".join(format_rational(x) for x in p))
@@ -1042,8 +1045,8 @@ def hyperplane_extension_subdivision(
             for a, b in hyperplanes:
                 if dot(a, lp) == b:
                     raise GeometryError(
-                        f"degenerate arrangement: marked point {tuple(p)} lies on "
-                        f"extended hyperplane {a}·x = {b}"
+                        f"degenerate arrangement: marked point {format_point(p)} lies on "
+                        f"extended hyperplane {format_point(a)}·x = {format_rational(b)}"
                     )
     base_hrep = [_facet_halfspace(f, scale) for f in tables[0]]
     local_base = [[Fraction(x, scale) for x in row] for row in grid[: d + 1]]
@@ -1177,7 +1180,7 @@ def generalized_barycentric_subdivision(
             choice = as_point(choice)
             if not _in_relative_interior(pts, choice):
                 raise GeometryError(
-                    f"chosen point {choice} is not interior to its face"
+                    f"chosen point {format_point(choice)} is not interior to its face"
                 )
         points[f] = choice
 
@@ -1290,7 +1293,7 @@ class PLFunction:
     def value(self, point: Sequence) -> Fraction:
         cells = self._containing_cells(point)
         if not cells:
-            raise GeometryError(f"point {tuple(point)} outside the domain")
+            raise GeometryError(f"point {format_point(as_point(point))} outside the domain")
         return self.piece_value(cells[0], point)
 
     # -- structural checks ---------------------------------------------------

@@ -4,8 +4,10 @@
 support-restricted indifference Jacobian; in its variable order that sign
 is the index itself (+1 at strict pure equilibria).  ``degree_oracle`` independently computes the topological degree of
 a displacement map over a box by exact sign counting on a simplicial
-decomposition of the boundary grid.  ``component_index`` sums regular
-indices of deterministically perturbed games near a component.
+decomposition of the boundary grid.  ``component_index`` sums, over the
+equilibria of the lexicographically perturbed game that
+``support_enumeration`` records, the Jacobian signs of those whose limit
+lies in the component: no second enumeration, no LP and no ε to choose.
 
 ``component_entry`` is the one component rule: a regular isolated
 equilibrium gets ``index_regular``, any other component
@@ -24,8 +26,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 from .games import (
     FiniteGame,
     GameError,
+    Label,
     MixedStrategy,
     Profile,
+    format_profile,
     payoff,
     payoff_against,
 )
@@ -38,7 +42,6 @@ from .linalg import (
     _eliminate,
     determinant,
     frac_vec,
-    linf_distance,
     linprog,
     vec_sub,
 )
@@ -63,16 +66,14 @@ class IndexError_(GameError):
 # --------------------------------------------------------------------------
 
 
-def _indifference_jacobian(game: FiniteGame, eq: Profile) -> Matrix:
-    """Jacobian of the support-restricted indifference system.
+def _indifference_jacobian(game: FiniteGame, supports: Sequence[Sequence[Label]]) -> Matrix:
+    """Jacobian of the indifference system on the supports (I, J).
 
-    Variables: weights of player 1 on its support I, weights of player 2 on
-    its support J, and the two equilibrium payoffs v1, v2.  Equations: each
-    supported strategy earns the owner's payoff, and each weight vector sums
-    to one.
+    Variables: weights of player 1 on I, weights of player 2 on J, and the
+    two equilibrium payoffs v1, v2.  Equations: each supported strategy
+    earns the owner's payoff, and each weight vector sums to one.
     """
-    I = list(eq[0].support())
-    J = list(eq[1].support())
+    I, J = supports
     k1, k2 = len(I), len(J)
     size = k1 + k2 + 2
     M: Matrix = [[ZERO] * size for _ in range(size)]
@@ -115,7 +116,7 @@ def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
                     f"off-support strategy {s} is not strictly inferior; "
                     "use component_index"
                 )
-    d = determinant(_indifference_jacobian(game, eq))
+    d = determinant(_indifference_jacobian(game, (I, J)))
     if d == 0:
         raise IndexError_("singular indifference Jacobian; use component_index")
     return d
@@ -445,101 +446,31 @@ def make_affine_fixer(X: Simplex, Y: Simplex, sigma: Sequence, r: int) -> Affine
 
 
 # --------------------------------------------------------------------------
-# Component index by perturbation sums
+# Component index by the lexicographic perturbation
 # --------------------------------------------------------------------------
 
 
-def component_distance(
-    game: FiniteGame, profile: Profile, component: Sequence[NashSubset]
-) -> Fraction:
-    """Least ell-infinity distance from ``profile`` to a Nash subset of ``component``.
-
-    A Nash subset is the product of its factors' convex hulls, so its
-    distance is the largest over the players of the distance to a factor.
-    """
-    return min(
-        max(
-            linf_distance(
-                profile[n].as_vector(labels), [v.as_vector(labels) for v in s.factors[n]]
-            )
-            for n, labels in enumerate(game.strategies)
-        )
-        for s in component
-    )
-
-
-def _perturbation_bonuses(game: FiniteGame, trial: int, magnitude: Fraction):
-    """Deterministic per-own-strategy rational bonuses for one trial."""
-    bonuses = {}
-    state = 2 * trial + 1
-    for n in range(game.num_players):
-        for s in game.strategies[n]:
-            state = (state * 1103515245 + 12345) % 2147483648
-            bonuses[(n, s)] = magnitude * Fraction((state % 97) + 1, 97)
-    return bonuses
-
-
-def perturb_payoffs(game: FiniteGame, trial: int, magnitude: Fraction) -> FiniteGame:
-    bonuses = _perturbation_bonuses(game, trial, magnitude)
-    pay = {
-        prof: tuple(
-            game.payoffs[prof][n] + bonuses[(n, prof[n])]
-            for n in range(game.num_players)
-        )
-        for prof in game.pure_profiles()
-    }
-    return FiniteGame.of(game.players, game.strategies, pay)
-
-
-_PERTURBATION_TRIALS = 3
-_PERTURBATION_MAGNITUDE = Fraction(1, 1000)
-
-
 def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
-    """Sum of perturbed-equilibrium indices near a component of ``es.game``.
+    """Sum of the perturbed equilibria's indices near a component of ``es.game``.
 
     ``es`` is the game's full equilibrium set, as ``support_enumeration``
-    returns it; the component is isolated from the rest of it.  Runs
-    ``_PERTURBATION_TRIALS`` deterministic payoff perturbations of magnitude
-    ``_PERTURBATION_MAGNITUDE``; each must yield only regular equilibria
-    near the component, none in the boundary shell, and all trials must
-    agree.
+    returns it.  Its ``perturbed`` equilibria, those of the
+    lexicographically perturbed game, are regular for every small ε > 0;
+    the ones whose limit is a vertex profile of the component are the ones
+    near it.  Each counts the sign of the indifference Jacobian of
+    ``es.game`` on its supports (I, J): that determinant is
+    ±det Ã_IJ·(1ᵀÃ_IJ⁻¹1)·det B̃_IJ·(1ᵀB̃_IJ⁻ᵀ1) for the shifted payoffs Ã, B̃,
+    nonzero because the bases are, so it has the perturbed Jacobian's sign.
     """
     game = es.game
     if game.num_players != 2:
         raise IndexError_("component_index handles exactly 2 players")
-    # isolating radius: half the distance to the rest of the equilibrium set
-    others = [s for s in es.all_subsets() if s not in component]
-    delta = Fraction(1, 8)
-    for s in others:
-        for p in s.vertex_profiles():
-            delta = min(delta, component_distance(game, p, component) / 4)
-    if delta <= 0:
-        raise IndexError_("component is not isolated from the rest of the equilibria")
-    results = []
-    for trial in range(_PERTURBATION_TRIALS):
-        perturbed = perturb_payoffs(game, trial, _PERTURBATION_MAGNITUDE)
-        pes = support_enumeration(perturbed)
-        if pes.subsets:
-            raise IndexError_(
-                f"perturbation trial {trial} (magnitude {_PERTURBATION_MAGNITUDE}) "
-                "left a degenerate equilibrium set"
-            )
-        total = 0
-        for eq in pes.isolated:
-            dist = component_distance(game, eq, component)
-            if dist <= delta:
-                total += index_regular(perturbed, eq)
-            elif dist <= 2 * delta:
-                raise IndexError_(
-                    f"perturbation trial {trial} (magnitude {_PERTURBATION_MAGNITUDE}): "
-                    f"equilibrium {' ; '.join(map(str, eq))} lies at distance {dist} "
-                    f"from the component, beyond the isolating radius {delta} but within twice it"
-                )
-        results.append(total)
-    if len(set(results)) != 1:
-        raise IndexError_(f"perturbation trials disagree: {results}")
-    return results[0]
+    profiles = {p for s in component for p in s.vertex_profiles()}
+    return sum(
+        1 if determinant(_indifference_jacobian(game, supports)) > 0 else -1
+        for supports, limit in es.perturbed
+        if limit in profiles
+    )
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +512,7 @@ def component_entry(es: EquilibriumSet, component: Sequence[NashSubset]) -> Inde
             pass
         else:
             return IndexEntry(
-                " ; ".join(str(s) for s in eq),
+                format_profile(eq),
                 idx,
                 "determinant",
                 {"supports": [list(s.support()) for s in eq]},
@@ -623,11 +554,17 @@ def verify_realization(
         try:
             idx = index_regular(game, eq)
         except IndexError_ as exc:
-            failures.append(f"index computation failed at {eq}: {exc}")
+            failures.append(f"index computation failed at {format_profile(eq)}: {exc}")
             continue
         found.append((eq, tuple(phi.apply(s) for phi, s in zip(phis, eq, strict=True)), idx))
-    got = sorted((tuple(s.weights for s in proj), idx) for _, proj, idx in found)
-    targets = sorted((tuple(s.weights for s in proj), idx) for proj, idx in want)
+    got, targets = (
+        sorted((tuple(s.weights for s in proj), idx, format_profile(proj)) for proj, idx in pairs)
+        for pairs in (((proj, idx) for _, proj, idx in found), want)
+    )
     if got != targets:
-        failures.append(f"equilibria {got} do not match targets {targets}")
+        got_text, target_text = (
+            "[" + ", ".join(f"{text} ({idx:+d})" for _, idx, text in signed) + "]"
+            for signed in (got, targets)
+        )
+        failures.append(f"equilibria {got_text} do not match targets {target_text}")
     return found, failures

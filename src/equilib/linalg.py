@@ -391,47 +391,67 @@ def linf_distance(point: Sequence[Fraction], vertices: Sequence[Sequence[Fractio
 
 
 def vertex_enumeration(
-    A_ub: Sequence[Sequence],
-    b_ub: Sequence,
-    A_eq: Optional[Sequence[Sequence]] = None,
-    b_eq: Optional[Sequence] = None,
-) -> list[Vector]:
-    """All vertices of {x : A_ub x <= b_ub, A_eq x = b_eq}, exact and deduplicated.
+    A_ub: Sequence[Sequence], b_ub: Sequence
+) -> list[tuple[Vector, list[tuple[int, ...]]]]:
+    """All vertices of {x : A_ub x <= b_ub}, exact, each with its lexicographic bases.
 
-    Brute force over active-constraint subsets; intended for the small
-    systems this package works with (dimension <= ~6, few dozen rows).
-    Each subset's unique solution x is tested against the inequality rows,
-    scaled to integers once per polytope, in integer arithmetic: with
+    Brute force over the d-subsets of the rows, d the dimension; intended
+    for the small systems this package works with (dimension <= ~6, few
+    dozen rows).  Each subset's unique solution x is tested against the
+    rows, scaled to integers once per polytope, in integer arithmetic: with
     ``x = num / den`` on its least common denominator, a row (a, beta)
-    holds when ``a·num <= beta * den``.
+    holds when ``a·num <= beta * den``.  Vertices come in the order of the
+    first subset that finds them.
+
+    A vertex's bases are its subsets S (sorted row tuples, in subset order)
+    that stay feasible when row k's right-hand side becomes beta_k + ε^(k+1)
+    for every small ε > 0 (Charnes, Econometrica 20, 1952): the vertices of
+    that simple perturbed polyhedron.  A row k outside S tight at x has
+    slack ε^(k+1) − Σ_{r∈S} λ_r ε^(r+1) there, a_k being Σ_{r∈S} λ_r a_r,
+    so S is kept when the first r ∈ S below k with λ_r ≠ 0, if any, has λ_r < 0.
     """
     A_ub = frac_mat(A_ub)
     b_ub = frac_vec(b_ub)
-    A_eq = frac_mat(A_eq or [])
-    b_eq = frac_vec(b_eq or [])
-    if not A_ub and not A_eq:
-        return []
-    dim = len(A_ub[0]) if A_ub else len(A_eq[0])
-    base_rank = matrix_rank(A_eq) if A_eq else 0
-    need = dim - base_rank
-    if need < 0:
+    if not A_ub:
         return []
     rows = _integer_rows(A_ub, b_ub)
-    vertices: list[Vector] = []
-    seen: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(range(len(A_ub)), need):
-        A = A_eq + [A_ub[i] for i in combo]
-        b = b_eq + [b_ub[i] for i in combo]
-        x = solve_unique(A, b)
+    found: dict[tuple[int, ...], tuple[Vector, list[tuple[int, ...]]]] = {}
+    for combo in itertools.combinations(range(len(A_ub)), len(A_ub[0])):
+        x = solve_unique([A_ub[i] for i in combo], [b_ub[i] for i in combo])
         if x is None:
             continue
         num, den = _integer_row(x)
         if all(sum(map(operator.mul, a, num)) <= beta * den for a, beta in rows):
-            key = (den, *num)
-            if key not in seen:
-                seen.add(key)
-                vertices.append(x)
-    return vertices
+            bases = found.setdefault((den, *num), (x, []))[1]
+            tight = [
+                k
+                for k, (a, beta) in enumerate(rows)
+                if k not in combo and sum(map(operator.mul, a, num)) == beta * den
+            ]
+            if _lex_feasible(rows, combo, tight):
+                bases.append(combo)
+    return list(found.values())
+
+
+def _lex_feasible(
+    rows: list[tuple[list[int], int]], basis: tuple[int, ...], tight: list[int]
+) -> bool:
+    """Whether ``basis`` stays feasible under the perturbation beta_k + ε^(k+1).
+
+    ``tight`` lists the rows outside the basis that are tight at its vertex.
+    One elimination of [A_Sᵀ | a_kᵀ for k in tight] leaves det·λ for each
+    tight row k in its column, row i of λ belonging to basis row basis[i].
+    """
+    if not tight:
+        return True
+    d = len(basis)
+    T = [[rows[r][0][j] for r in (*basis, *tight)] for j in range(d)]
+    _, det, _ = _reduce(T)
+    for c, k in enumerate(tight, d):
+        first = next((T[i][c] for i, r in enumerate(basis) if r < k and T[i][c]), 0)
+        if first * det > 0:
+            return False
+    return True
 
 
 def _integer_rows(

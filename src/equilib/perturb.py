@@ -31,6 +31,7 @@ from .games import (
     PolytopeGame,
     Profile,
     eliminate_strictly_dominated,
+    format_profile,
     is_equilibrium,
     payoff_against,
 )
@@ -98,7 +99,8 @@ class TargetSpec:
             for p in pts:
                 if not is_equilibrium(game, p.profile):
                     raise PerturbError(
-                        "target", f"target point {p.profile} is not an equilibrium"
+                        "target",
+                        f"target point {format_profile(p.profile)} is not an equilibrium",
                     )
 
 
@@ -757,8 +759,8 @@ def run_pipeline(
         if got != tp.profile:
             raise PerturbError(
                 "frame",
-                f"designed mixed point projects to {got}, not the target "
-                f"{tp.profile}; targets exceed desk-scale scope",
+                f"designed mixed point projects to {format_profile(got)}, not the target "
+                f"{format_profile(tp.profile)}; targets exceed desk-scale scope",
             )
 
     # check the frame block is contained in the component (all best replies)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -46,3 +47,8 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_point(point: Iterable[Fraction]) -> str:
+    """Render a point as ``"(p, p/q, ...)"``, each coordinate by :func:`format_rational`."""
+    return "(" + ", ".join(map(format_rational, point)) + ")"

@@ -27,6 +27,7 @@ from .games import (
     Label,
     MixedStrategy,
     Profile,
+    format_profile,
     is_equilibrium,
 )
 from .linalg import ONE, ZERO, _integer_row, _integer_rows, vertex_enumeration
@@ -56,6 +57,9 @@ class EquilibriumSet:
     subsets: list[NashSubset]
     exhaustive: bool = True
     notes: list[str] = field(default_factory=list)
+    # 2 players: each equilibrium of the lexicographically perturbed game
+    # (support_enumeration), as its supports and its limit vertex profile
+    perturbed: list[tuple[tuple[tuple[Label, ...], ...], Profile]] = field(default_factory=list)
 
     def all_subsets(self) -> list[NashSubset]:
         """Isolated equilibria as singleton subsets plus the listed subsets."""
@@ -77,7 +81,9 @@ class EquilibriumSet:
         return out
 
 
-def _labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrategy, int]]:
+def _labelled_vertices(
+    game: FiniteGame, player: int
+) -> list[tuple[MixedStrategy, int, list[int]]]:
     """Nonzero vertices of `player`'s best-response polytope, with label bitmasks.
 
     For player 0 this is P = {x >= 0 : B^T x <= 1}, for player 1 it is
@@ -85,7 +91,8 @@ def _labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrateg
     positive.  Bit i < m stands for row i, bit m + j for column j; a vertex
     has a pure strategy's label when its own strategy is unplayed or the
     opponent's strategy is a best reply.  Vertices come back normalised to
-    mixed strategies.
+    mixed strategies, each with its labels and the label bitmask of each of
+    its lexicographic bases (:func:`vertex_enumeration`).
     """
     opp = 1 - player
     own, other = game.strategies[player], game.strategies[opp]
@@ -101,7 +108,7 @@ def _labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrateg
     shift, size = player * len(game.strategies[0]), len(A_ub)
     rows = _integer_rows(A_ub, b_ub)
     out = []
-    for v in vertex_enumeration(A_ub, b_ub):
+    for v, bases in vertex_enumeration(A_ub, b_ub):
         num, den = _integer_row(v)
         total = sum(num)
         if total == 0:
@@ -113,7 +120,8 @@ def _labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrateg
             if sum(map(operator.mul, a, num)) == beta * den
         )
         weights = {s: Fraction(w, total) for s, w in zip(own, num) if w}
-        out.append((MixedStrategy.of(weights), labels))
+        bases = [sum(1 << (k + shift) % size for k in basis) for basis in bases]
+        out.append((MixedStrategy.of(weights), labels, bases))
     return out
 
 
@@ -127,15 +135,22 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
     such pairs; a singleton biclique is an isolated equilibrium.  Subsets
     come in order of their supports (size, then strategy order, row player
     first).  Every vertex profile is checked to be an equilibrium.
+
+    The pairs of lexicographic bases whose labels cover every strategy go
+    to ``perturbed``.  They are the regular equilibria of a game whose
+    payoffs tend to the game's: shifting x by (ε^(i+1))_i turns the
+    perturbed P into the best-response polytope of B with each column t
+    divided by 1 + c_t(ε), c_t(ε) → 0, and likewise for Q and A.
     """
     if game.num_players != 2:
         raise GameError("support_enumeration handles exactly 2 players")
-    full = (1 << sum(len(s) for s in game.strategies)) - 1
+    rows, cols = game.strategies
+    full = (1 << (len(rows) + len(cols))) - 1
     xs = _labelled_vertices(game, 0)
     ys = _labelled_vertices(game, 1)
     # neighbourhoods[i]: bitmask of the y-vertices complementary to x-vertex i
     neighbourhoods = [
-        sum(1 << k for k, (_, ly) in enumerate(ys) if lx | ly == full) for _, lx in xs
+        sum(1 << k for k, (_, ly, _) in enumerate(ys) if lx | ly == full) for _, lx, _ in xs
     ]
     # Maximal bicliques are the nonempty intersections of neighbourhoods.
     closed: set[int] = set()
@@ -144,8 +159,8 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
             closed |= {nb & c for c in closed if nb & c} | {nb}
     maximal = []
     for c in closed:
-        X = [x for (x, _), nb in zip(xs, neighbourhoods) if nb & c == c]
-        Y = [y for k, (y, _) in enumerate(ys) if c >> k & 1]
+        X = [x for (x, _, _), nb in zip(xs, neighbourhoods) if nb & c == c]
+        Y = [y for k, (y, _, _) in enumerate(ys) if c >> k & 1]
         maximal.append(
             NashSubset(
                 tuple(
@@ -163,10 +178,17 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
     )
     isolated = [ns.sample() for ns in maximal if ns.is_singleton()]
     subsets = [ns for ns in maximal if not ns.is_singleton()]
-    es = EquilibriumSet(game, isolated, subsets)
+    # a basis has one label per row of its polytope, so its partner is unique
+    partner = {b: y for y, _, bases in ys for b in bases}
+    perturbed = [
+        ((tuple(s for i, s in enumerate(rows) if not b >> i & 1),
+          tuple(t for j, t in enumerate(cols, len(rows)) if b >> j & 1)), (x, partner[full ^ b]))
+        for x, _, bases in xs for b in bases if full ^ b in partner
+    ]
+    es = EquilibriumSet(game, isolated, subsets, perturbed=perturbed)
     for p in es.all_vertex_profiles():
         if not is_equilibrium(game, p):
-            raise GameError(f"solver produced a non-equilibrium {p}")
+            raise GameError(f"solver produced a non-equilibrium {format_profile(p)}")
     return es
 
 

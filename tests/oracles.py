@@ -3,8 +3,9 @@
 Several test files cross-check the program against these: the grid brute
 force for completeness, the H-representation of a Nash subset's factors
 for membership, the regularity test, the reader of the mapping files
-that ``duplicate`` and ``perturb`` write, and the facet hyperplanes of a
-simplex from one ``nullspace`` per facet.
+that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
+simplex from one ``nullspace`` per facet, the vertex subset loop with
+equality rows, and the component index by concrete payoff perturbations.
 """
 
 from __future__ import annotations
@@ -12,16 +13,31 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from equilib.equivalence import AffineSurjection
 from equilib.games import FiniteGame, GameError, Label, MixedStrategy, Profile, is_equilibrium
 from equilib.geometry import GeometryError
-from equilib.indices import IndexError_, _check_regular
-from equilib.linalg import ONE, ZERO, dot, frac_vec, nullspace, vec_sub
+from equilib.indices import IndexError_, _check_regular, index_regular
+from equilib.linalg import (
+    ONE,
+    ZERO,
+    Vector,
+    _integer_row,
+    _integer_rows,
+    dot,
+    frac_mat,
+    frac_vec,
+    linf_distance,
+    matrix_rank,
+    nullspace,
+    solve_unique,
+    vec_sub,
+)
 from equilib.rational import parse_rational
-from equilib.solver import NashSubset
+from equilib.solver import EquilibriumSet, NashSubset, support_enumeration
 
 
 def compositions(total: int, parts: int):
@@ -200,3 +216,140 @@ def simplex_facet_halfspaces(
             a, b = tuple(-x for x in a), -b
         out.append((a, b))
     return out
+
+
+def subset_vertex_enumeration(
+    A_ub: Sequence[Sequence],
+    b_ub: Sequence,
+    A_eq: Optional[Sequence[Sequence]] = None,
+    b_eq: Optional[Sequence] = None,
+) -> list[Vector]:
+    """All vertices of {x : A_ub x <= b_ub, A_eq x = b_eq}, exact and deduplicated.
+
+    Brute force over active-constraint subsets; intended for the small
+    systems this package works with (dimension <= ~6, few dozen rows).
+    Each subset's unique solution x is tested against the inequality rows,
+    scaled to integers once per polytope, in integer arithmetic: with
+    ``x = num / den`` on its least common denominator, a row (a, beta)
+    holds when ``a·num <= beta * den``.
+    """
+    A_ub = frac_mat(A_ub)
+    b_ub = frac_vec(b_ub)
+    A_eq = frac_mat(A_eq or [])
+    b_eq = frac_vec(b_eq or [])
+    if not A_ub and not A_eq:
+        return []
+    dim = len(A_ub[0]) if A_ub else len(A_eq[0])
+    base_rank = matrix_rank(A_eq) if A_eq else 0
+    need = dim - base_rank
+    if need < 0:
+        return []
+    rows = _integer_rows(A_ub, b_ub)
+    vertices: list[Vector] = []
+    seen: set[tuple[int, ...]] = set()
+    for combo in itertools.combinations(range(len(A_ub)), need):
+        A = A_eq + [A_ub[i] for i in combo]
+        b = b_eq + [b_ub[i] for i in combo]
+        x = solve_unique(A, b)
+        if x is None:
+            continue
+        num, den = _integer_row(x)
+        if all(sum(map(operator.mul, a, num)) <= beta * den for a, beta in rows):
+            key = (den, *num)
+            if key not in seen:
+                seen.add(key)
+                vertices.append(x)
+    return vertices
+
+
+def component_distance(
+    game: FiniteGame, profile: Profile, component: Sequence[NashSubset]
+) -> Fraction:
+    """Least ell-infinity distance from ``profile`` to a Nash subset of ``component``.
+
+    A Nash subset is the product of its factors' convex hulls, so its
+    distance is the largest over the players of the distance to a factor.
+    """
+    return min(
+        max(
+            linf_distance(
+                profile[n].as_vector(labels), [v.as_vector(labels) for v in s.factors[n]]
+            )
+            for n, labels in enumerate(game.strategies)
+        )
+        for s in component
+    )
+
+
+def _perturbation_bonuses(game: FiniteGame, trial: int, magnitude: Fraction):
+    """Deterministic per-own-strategy rational bonuses for one trial."""
+    bonuses = {}
+    state = 2 * trial + 1
+    for n in range(game.num_players):
+        for s in game.strategies[n]:
+            state = (state * 1103515245 + 12345) % 2147483648
+            bonuses[(n, s)] = magnitude * Fraction((state % 97) + 1, 97)
+    return bonuses
+
+
+def perturb_payoffs(game: FiniteGame, trial: int, magnitude: Fraction) -> FiniteGame:
+    bonuses = _perturbation_bonuses(game, trial, magnitude)
+    pay = {
+        prof: tuple(
+            game.payoffs[prof][n] + bonuses[(n, prof[n])]
+            for n in range(game.num_players)
+        )
+        for prof in game.pure_profiles()
+    }
+    return FiniteGame.of(game.players, game.strategies, pay)
+
+
+_PERTURBATION_TRIALS = 3
+_PERTURBATION_MAGNITUDE = Fraction(1, 1000)
+
+
+def trial_component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
+    """Sum of perturbed-equilibrium indices near a component of ``es.game``.
+
+    ``es`` is the game's full equilibrium set, as ``support_enumeration``
+    returns it; the component is isolated from the rest of it.  Runs
+    ``_PERTURBATION_TRIALS`` deterministic payoff perturbations of magnitude
+    ``_PERTURBATION_MAGNITUDE``; each must yield only regular equilibria
+    near the component, none in the boundary shell, and all trials must
+    agree.
+    """
+    game = es.game
+    if game.num_players != 2:
+        raise IndexError_("component_index handles exactly 2 players")
+    # isolating radius: half the distance to the rest of the equilibrium set
+    others = [s for s in es.all_subsets() if s not in component]
+    delta = Fraction(1, 8)
+    for s in others:
+        for p in s.vertex_profiles():
+            delta = min(delta, component_distance(game, p, component) / 4)
+    if delta <= 0:
+        raise IndexError_("component is not isolated from the rest of the equilibria")
+    results = []
+    for trial in range(_PERTURBATION_TRIALS):
+        perturbed = perturb_payoffs(game, trial, _PERTURBATION_MAGNITUDE)
+        pes = support_enumeration(perturbed)
+        if pes.subsets:
+            raise IndexError_(
+                f"perturbation trial {trial} (magnitude {_PERTURBATION_MAGNITUDE}) "
+                "left a degenerate equilibrium set"
+            )
+        total = 0
+        for eq in pes.isolated:
+            dist = component_distance(game, eq, component)
+            if dist <= delta:
+                total += index_regular(perturbed, eq)
+            elif dist <= 2 * delta:
+                raise IndexError_(
+                    f"perturbation trial {trial} (magnitude {_PERTURBATION_MAGNITUDE}): "
+                    f"equilibrium {' ; '.join(map(str, eq))} lies at distance {dist} "
+                    f"from the component, beyond the isolating radius {delta} but within twice it"
+                )
+        results.append(total)
+    if len(set(results)) != 1:
+        raise IndexError_(f"perturbation trials disagree: {results}")
+    return results[0]

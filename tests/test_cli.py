@@ -254,6 +254,29 @@ def test_index_component_out_of_range_computes_no_index(km_file, monkeypatch, ca
     assert "component 1 out of range (game has 1)" in capsys.readouterr().err
 
 
+def test_index_where_concrete_perturbations_stay_degenerate(tmp_path, capsys):
+    # one component, so index +1; some payoff perturbations of size 1/1000
+    # leave this game with a degenerate equilibrium set
+    rows, cols = ["r0", "r1", "r2", "r3"], ["c0", "c1", "c2"]
+    table = [
+        [(1, 2), (1, 2), (1, 2)],
+        [(1, 2), (1, 1), (1, 1)],
+        [(1, 0), (0, 2), (2, 0)],
+        [(1, 2), (2, 0), (1, 0)],
+    ]
+    game = FiniteGame.of(
+        ["1", "2"], [rows, cols],
+        {(r, c): table[i][j] for i, r in enumerate(rows) for j, c in enumerate(cols)},
+    )
+    path, out = tmp_path / "g.json", tmp_path / "r.json"
+    save_game(game, str(path))
+    assert main(["index", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = json.loads(out.read_text())["results"]
+    assert [(e["index"], e["method"]) for e in results["entries"]] == [(1, "perturbation-sum")]
+    assert results["total"] == 1
+
+
 def seeded_3x3(seed):
     """A 3x3 game with payoffs 0..2 drawn from ``random.Random(seed)``."""
     rng = random.Random(seed)
@@ -394,11 +417,15 @@ def test_perturb_requires_eps_in_params(km_file, tmp_path, capsys):
     [
         ({"component": 7, "sign": 1}, "unknown component id 7"),
         ({"component": 0, "sign": -1}, "component 0: signs sum to -1, but its index is 1"),
+        (
+            {"component": 0, "sign": 1, "point": [{"m": "1/3", "t": "2/3"}, {"L": "1"}]},
+            "target point 1/3*m + 2/3*t ; 1*L is not an equilibrium",
+        ),
     ],
 )
 def test_perturb_unreachable_target_exits_1(target, message, km_file, tmp_path, capsys):
     targets = write_json(
-        tmp_path / "targets.json", [{**target, "point": [{"t": "1"}, {"L": "1"}]}]
+        tmp_path / "targets.json", [{"point": [{"t": "1"}, {"L": "1"}], **target}]
     )
     params = write_json(tmp_path / "params.json", {"eps": "1/10"})
     assert main(["perturb", km_file, targets, "--params", params]) == 1

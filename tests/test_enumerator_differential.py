@@ -6,8 +6,14 @@ inequality rows scaled to integers once per polytope, and
 The references below are the earlier code, kept unchanged as test oracles:
 one `Fraction` dot product per row per candidate, and per label.  The
 library must return the same vertices in the same order, and the same
-label bitmasks, on seeded generic and degenerate games, on games with
-fractional payoffs, and on systems with equality rows.
+label bitmasks, on seeded generic and degenerate games and on games with
+fractional payoffs; `oracles.subset_vertex_enumeration`, the subset loop
+with equality rows, must do the same on systems with equality rows.
+
+The lexicographic bases that `vertex_enumeration` returns with each vertex
+are checked against one concrete perturbation: on the right-hand sides
+beta_k + δ^(k+1), δ = 1/2^20, the subset loop must find exactly one vertex
+per basis, and each basis must solve to one of them.
 """
 
 import itertools
@@ -18,7 +24,6 @@ import pytest
 
 from equilib.examples import km_game, km_perturbation_1, km_perturbation_2
 from equilib.games import FiniteGame, Label, MixedStrategy
-from equilib.indices import perturb_payoffs
 from equilib.linalg import (
     ONE,
     ZERO,
@@ -31,7 +36,7 @@ from equilib.linalg import (
     vertex_enumeration,
 )
 from equilib.solver import _labelled_vertices
-from oracles import factor_constraints
+from oracles import factor_constraints, perturb_payoffs, subset_vertex_enumeration
 
 F = Fraction
 
@@ -69,8 +74,8 @@ def reference_vertex_enumeration(A_ub, b_ub, A_eq=None, b_eq=None) -> list[Vecto
     return vertices
 
 
-def reference_labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrategy, int]]:
-    """The best-response polytope's labelled vertices, labels by `Fraction` dots."""
+def best_response_system(game: FiniteGame, player: int) -> tuple[list[Vector], Vector]:
+    """The rows (A_ub, b_ub) of `player`'s best-response polytope."""
     opp = 1 - player
     own, other = game.strategies[player], game.strategies[opp]
 
@@ -80,7 +85,13 @@ def reference_labelled_vertices(game: FiniteGame, player: int) -> list[tuple[Mix
     low = min(u_opp(s, t) for s in own for t in other)
     A_ub = [[-ONE if k == i else ZERO for k in range(len(own))] for i in range(len(own))]
     A_ub += [[u_opp(s, t) - low + 1 for s in own] for t in other]
-    b_ub = [ZERO] * len(own) + [ONE] * len(other)
+    return A_ub, [ZERO] * len(own) + [ONE] * len(other)
+
+
+def reference_labelled_vertices(game: FiniteGame, player: int) -> list[tuple[MixedStrategy, int]]:
+    """The best-response polytope's labelled vertices, labels by `Fraction` dots."""
+    own = game.strategies[player]
+    A_ub, b_ub = best_response_system(game, player)
     shift, size = player * len(game.strategies[0]), len(A_ub)
     out = []
     for v in reference_vertex_enumeration(A_ub, b_ub):
@@ -170,7 +181,7 @@ def random_system(seed: int):
 def test_labelled_vertices_match_the_fraction_loop(name):
     game = GAMES[name]()
     for player in range(2):
-        got = _labelled_vertices(game, player)
+        got = [(v, labels) for v, labels, _ in _labelled_vertices(game, player)]
         assert got == reference_labelled_vertices(game, player), (name, player)
 
 
@@ -179,7 +190,7 @@ def test_vertex_enumeration_matches_on_factor_systems(name):
     game = GAMES[name]()
     systems = 0
     for A_ub, b_ub, A_eq, b_eq in factor_systems(game):
-        assert vertex_enumeration(A_ub, b_ub, A_eq, b_eq) == reference_vertex_enumeration(
+        assert subset_vertex_enumeration(A_ub, b_ub, A_eq, b_eq) == reference_vertex_enumeration(
             A_ub, b_ub, A_eq, b_eq
         ), (name, A_ub, b_ub, A_eq, b_eq)
         systems += 1
@@ -190,10 +201,68 @@ def test_vertex_enumeration_matches_on_random_systems():
     nonempty = with_equalities = 0
     for seed in range(150):
         A_ub, b_ub, A_eq, b_eq = random_system(seed)
-        got = vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
+        got = subset_vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
         assert got == reference_vertex_enumeration(A_ub, b_ub, A_eq, b_eq), seed
+        if A_eq is None:
+            assert [v for v, _ in vertex_enumeration(A_ub, b_ub)] == got, seed
         assert all(type(a) is Fraction for v in got for a in v)
         nonempty += bool(got)
         with_equalities += bool(got) and A_eq is not None
     # the sample exercises both outcomes, and equality rows with vertices
     assert 0 < nonempty < 150 and with_equalities > 10
+
+
+DELTA = F(1, 2**20)
+
+
+def lex_systems():
+    """Best-response polytopes of the degenerate games, and seeded boxes cut by ties."""
+    for name in sorted(GAMES):
+        if "0..20" not in name:
+            for player in range(2):
+                yield f"{name}-player{player}", *best_response_system(GAMES[name](), player)
+    for seed in range(40):
+        rng = random.Random(f"enumerator/lex/{seed}")
+        dim = rng.randint(2, 3)
+        # cuts through box corners and each other's vertices make ties
+        A_ub = [[ONE if k == i else ZERO for k in range(dim)] for i in range(dim)]
+        A_ub += [[-ONE if k == i else ZERO for k in range(dim)] for i in range(dim)]
+        b_ub = [F(2)] * dim + [ZERO] * dim
+        for _ in range(rng.randint(1, 4)):
+            A_ub.append([F(rng.randint(-1, 2)) for _ in range(dim)])
+            b_ub.append(F(rng.randint(0, 4)))
+        order = list(range(len(A_ub)))
+        rng.shuffle(order)
+        yield f"box-{seed}", [A_ub[k] for k in order], [b_ub[k] for k in order]
+
+
+@pytest.mark.parametrize(
+    "name, A_ub, b_ub", [pytest.param(*system, id=system[0]) for system in lex_systems()]
+)
+def test_lex_bases_match_a_concrete_perturbation(name, A_ub, b_ub):
+    perturbed = [beta + DELTA ** (k + 1) for k, beta in enumerate(b_ub)]
+    vertices = set(map(tuple, subset_vertex_enumeration(A_ub, perturbed)))
+    bases = [basis for _, found in vertex_enumeration(A_ub, b_ub) for basis in found]
+    assert len(bases) == len(vertices), name
+    solved = {
+        tuple(solve_unique([A_ub[k] for k in basis], [perturbed[k] for k in basis]))
+        for basis in bases
+    }
+    assert solved == vertices, name
+
+
+def test_lex_systems_are_degenerate():
+    # the systems above have vertices with several bases, and ones where a
+    # subset at a feasible vertex is not a lexicographic basis
+    several = rejected = 0
+    for _, A_ub, b_ub in lex_systems():
+        dim = len(A_ub[0])
+        for v, bases in vertex_enumeration(A_ub, b_ub):
+            several += len(bases) > 1
+            tight = [k for k, (a, beta) in enumerate(zip(A_ub, b_ub)) if dot(a, v) == beta]
+            subsets = [
+                S for S in itertools.combinations(tight, dim)
+                if solve_unique([A_ub[k] for k in S], [b_ub[k] for k in S]) is not None
+            ]
+            rejected += len(subsets) - len(bases)
+    assert several > 50 and rejected > 50, (several, rejected)

@@ -294,6 +294,23 @@ def test_el_gamma_linear_on_cells(el):
         assert gamma.value(p) == interp
 
 
+def test_point_errors_print_rationals(el):
+    _, (_, gamma) = el
+    tri = unit_triangle()
+    outside = [F(2), F(1, 3)]
+    for query in (tri.carrier, tri.barycentric_coords):
+        with pytest.raises(GeometryError, match=r"^point \(2, 1/3\) lies outside the covered polytope$"):
+            query(outside)
+    with pytest.raises(GeometryError, match=r"^point \(2, 1/3\) outside the domain$"):
+        gamma.value(outside)
+    inner = Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
+    with pytest.raises(GeometryError) as err:
+        hyperplane_extension_subdivision(tri.simplex((0, 1, 2)), [inner], [[F(1, 8), F(1, 4)]])
+    assert str(err.value) == (
+        "degenerate arrangement: marked point (1/8, 1/4) lies on extended hyperplane (0, 4)·x = 1"
+    )
+
+
 def test_triangulate_without_new_vertices(el):
     tri, (pc, gamma) = el
     rng = random.Random(11)

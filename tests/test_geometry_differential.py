@@ -67,9 +67,13 @@ from equilib.linalg import (
     nullspace,
     solve_unique,
     vec_sub,
-    vertex_enumeration,
 )
-from oracles import barycenter, hyperplane_through, simplex_facet_halfspaces
+from oracles import (
+    barycenter,
+    hyperplane_through,
+    simplex_facet_halfspaces,
+    subset_vertex_enumeration,
+)
 
 F = Fraction
 
@@ -154,7 +158,7 @@ def reference_arrangement_cells(
     def feasible_full_dim(rows):
         A = [list(a) for a, _ in rows]
         b = [beta for _, beta in rows]
-        verts = vertex_enumeration(A, b)
+        verts = subset_vertex_enumeration(A, b)
         if not verts:
             return None
         if Chart(verts).dim != dim:
@@ -301,7 +305,7 @@ def _poly_intersection(a: PolyCell, b: PolyCell):
     A_ub = [list(hs.a) for hs in a.halfspaces] + [list(hs.a) for hs in b.halfspaces]
     b_ub = [hs.b for hs in a.halfspaces] + [hs.b for hs in b.halfspaces]
     A_eq, b_eq = affine_hull_equations(a.vertices)
-    verts = vertex_enumeration(A_ub, b_ub, A_eq or None, b_eq or None)
+    verts = subset_vertex_enumeration(A_ub, b_ub, A_eq or None, b_eq or None)
     if not verts:
         return None, None
     return Chart(verts).dim, [tuple(v) for v in verts]

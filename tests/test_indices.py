@@ -346,8 +346,8 @@ def test_zero_dimensional_fixer_only_plus_one():
 
 
 def test_component_distance_to_the_mixed_equilibrium_of_matching_pennies(matching_pennies):
-    from equilib.indices import component_distance
     from equilib.solver import NashSubset
+    from oracles import component_distance
 
     mixed = support_enumeration(matching_pennies).isolated[0]
     real = NashSubset(
@@ -371,47 +371,25 @@ def test_component_index_on_singleton_matches_determinant(matching_pennies):
     assert component_index(es, subs) == 1
 
 
-def test_component_index_degenerate_trial_states_what_happened(km, monkeypatch):
-    import equilib.indices as indices
-
-    # magnitude 0 leaves km itself, whose equilibria form Nash subsets
-    monkeypatch.setattr(indices, "_PERTURBATION_MAGNITUDE", F(0))
-    es = support_enumeration(km)
-    cg = components(es)
-    with pytest.raises(IndexError_) as err:
-        component_index(es, [cg.subsets[i] for i in cg.components[0]])
-    assert str(err.value) == (
-        "perturbation trial 0 (magnitude 0) left a degenerate equilibrium set"
-    )
-
-
-def test_component_index_shell_equilibrium_states_what_happened(monkeypatch):
-    import equilib.indices as indices
-
-    rows, cols = ["r0", "r1", "r2"], ["c0", "c1", "c2"]
+def test_component_index_where_concrete_trials_left_a_degenerate_set():
+    # one component, so its index is +1; some concrete payoff perturbations
+    # of size 1/1000 leave this game with a degenerate equilibrium set
+    rows, cols = ["r0", "r1", "r2", "r3"], ["c0", "c1", "c2"]
     table = [
-        [(0, 1), (1, 0), (0, 2)],
-        [(0, 0), (0, 0), (2, 0)],
-        [(1, 2), (0, 1), (1, 1)],
+        [(1, 2), (1, 2), (1, 2)],
+        [(1, 2), (1, 1), (1, 1)],
+        [(1, 0), (0, 2), (2, 0)],
+        [(1, 2), (2, 0), (1, 0)],
     ]
     game = FiniteGame.of(
         ["1", "2"], [rows, cols],
         {(r, c): table[i][j] for i, r in enumerate(rows) for j, c in enumerate(cols)},
     )
-    # perturbed by magnitude 1/5, the game has a completely mixed equilibrium
-    # between one and two isolating radii away from the r1 x {c0, c1, c2} component
-    monkeypatch.setattr(indices, "_PERTURBATION_MAGNITUDE", F(1, 5))
     es = support_enumeration(game)
     cg = components(es)
-    assert [cg.subsets[i].supports for i in cg.components[1]] == [(("r1",), tuple(cols))]
-    with pytest.raises(IndexError_) as err:
-        component_index(es, [cg.subsets[i] for i in cg.components[1]])
-    assert str(err.value) == (
-        "perturbation trial 0 (magnitude 1/5): equilibrium "
-        "41/485*r0 + 419/485*r1 + 5/97*r2 ; 381/1940*c0 + 571/970*c1 + 417/1940*c2 "
-        "lies at distance 66/485 from the component, beyond the isolating radius 1/8 "
-        "but within twice it"
-    )
+    assert len(cg.components) == 1
+    assert component_index(es, [cg.subsets[i] for i in cg.components[0]]) == 1
+    assert [e.index for e in game_index_report(es).entries] == [1]
 
 
 def test_game_index_report(km_p2):
@@ -451,7 +429,7 @@ def reference_game(k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_reference_game_has_determinant_k_squared(k):
     game, eq = reference_game(k)
-    assert determinant(_indifference_jacobian(game, eq)) == k * k
+    assert determinant(_indifference_jacobian(game, [s.support() for s in eq])) == k * k
     assert index_regular(game, eq) == 1
 
 
@@ -507,7 +485,7 @@ def test_verify_realization_rejects_an_irregular_equilibrium():
     found, failures = verify_realization(game, phis, [(strict, 1)])
     assert found == [(strict, strict, 1)]
     assert failures == [
-        f"index computation failed at {irregular}: "
+        "index computation failed at 1*r0 ; 1*c1: "
         "off-support strategy r1 is not strictly inferior; use component_index"
     ]
 
@@ -520,5 +498,7 @@ def test_verify_realization_rejects_a_wrong_sign(km_p2):
     want[-1] = (profile, -sign)
     found, failures = verify_realization(km_p2, km_duplication_phis(), want)
     assert len(found) == 3
-    assert len(failures) == 1
-    assert failures[0].startswith("equilibria [") and " do not match targets [" in failures[0]
+    assert failures == [
+        "equilibria [1/2*b + 1/2*t ; 1*L (-1), 1*b ; 1*L (+1), 1*t ; 1*L (+1)] "
+        "do not match targets [1/2*b + 1/2*t ; 1*L (+1), 1*b ; 1*L (+1), 1*t ; 1*L (+1)]"
+    ]

@@ -1,8 +1,12 @@
-"""Differential tests of the component-index rule and the vertex-form distance.
+"""Differential tests of the component index and the vertex-form distance.
 
-``game_index_report`` gives a regular isolated equilibrium its determinant
-index and every other component the perturbation sum; the oracle runs the
-perturbation sum (``component_index``) on every component.  The distance
+``component_index`` sums the Jacobian signs of the lexicographically
+perturbed game's equilibria near a component; the oracle
+(``oracles.trial_component_index``) enumerates three concrete payoff
+perturbations of size 1/1000 and places their equilibria by distance.
+Wherever the oracle returns an index the two must agree, every game's
+indices must sum to +1, and ``game_index_report``, which gives a regular
+isolated equilibrium its determinant index, must agree too.  The distance
 from a profile to a Nash subset is an LP over the convex hulls of the
 subset's factor vertices; the oracle keeps the earlier LP over each
 factor's H-representation (a distribution on the support against which the
@@ -19,19 +23,24 @@ from typing import Optional
 
 import pytest
 
+from equilib.examples import km_game
 from equilib.games import FiniteGame, MixedStrategy, Profile
 from equilib.indices import (
     IndexError_,
     _linear_part_for_matching,
-    component_distance,
     component_index,
     game_index_report,
     index_regular,
-    perturb_payoffs,
 )
 from equilib.linalg import ONE, ZERO, Chart, Matrix, Vector, linprog, solve_unique
 from equilib.solver import NashSubset, components, support_enumeration
-from oracles import factor_constraints, is_regular
+from oracles import (
+    component_distance,
+    factor_constraints,
+    is_regular,
+    perturb_payoffs,
+    trial_component_index,
+)
 
 F = Fraction
 
@@ -86,31 +95,57 @@ def reference_distance_to_subset(
 SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
+def compare_with_the_trials(game: FiniteGame) -> tuple[int, int]:
+    """Check every component of ``game``; the counts compared with the oracle and regular."""
+    es = support_enumeration(game)
+    cg = components(es)
+    entries = game_index_report(es).entries
+    compared = regular = 0
+    for entry, comp in zip(entries, cg.components, strict=True):
+        subs = [cg.subsets[i] for i in comp]
+        new = component_index(es, subs)
+        assert entry.index == new
+        if len(subs) == 1 and subs[0].is_singleton() and is_regular(game, subs[0].sample()):
+            assert index_regular(game, subs[0].sample()) == new
+            regular += 1
+        try:
+            old = trial_component_index(es, subs)
+        except IndexError_:
+            continue
+        assert old == new, (game.payoffs, subs)
+        compared += 1
+    assert sum(e.index for e in entries) == 1, game.payoffs
+    return compared, regular
+
+
 @pytest.mark.parametrize("high,count", [(2, 60), (3, 60), (20, 40)])
 def test_component_rule_matches_the_perturbation_sum(high, count):
     rng = random.Random(f"component rule {high}")
     compared = regular = 0
     for _ in range(count):
-        game = random_game(rng, rng.choice(SHAPES), high)
-        es = support_enumeration(game)
-        cg = components(es)
-        try:
-            entries = game_index_report(es).entries
-        except IndexError_:
-            entries = None
-        for k, comp in enumerate(cg.components):
-            subs = [cg.subsets[i] for i in comp]
-            try:
-                old = component_index(es, subs)
-            except IndexError_:
-                continue
-            if entries is not None:
-                assert entries[k].index == old
-                compared += 1
-            if len(subs) == 1 and subs[0].is_singleton() and is_regular(game, subs[0].sample()):
-                assert index_regular(game, subs[0].sample()) == old
-                regular += 1
+        c, r = compare_with_the_trials(random_game(rng, rng.choice(SHAPES), high))
+        compared += c
+        regular += r
     assert compared > count and 2 * regular > count
+
+
+@pytest.mark.parametrize(
+    "shape,count",
+    [((3, 3), 400), ((3, 4), 100), ((4, 3), 100), ((4, 4), 100)],
+    ids=["3x3-400", "3x4-100", "4x3-100", "4x4-100"],
+)
+def test_component_index_matches_the_trials_on_degenerate_games(shape, count):
+    rng = random.Random(f"component index {shape}")
+    compared = regular = 0
+    for _ in range(count):
+        c, r = compare_with_the_trials(random_game(rng, shape, 2))
+        compared += c
+        regular += r
+    assert compared > count and 5 * regular > count, (compared, regular)
+
+
+def test_component_index_matches_the_trials_on_km():
+    assert compare_with_the_trials(km_game()) == (1, 0)
 
 
 def random_profile(rng: random.Random, game: FiniteGame) -> Profile:

@@ -125,12 +125,14 @@ def test_vertex_enumeration_square():
         [[F(1), F(0)], [F(-1), F(0)], [F(0), F(1)], [F(0), F(-1)]],
         [F(1), F(0), F(1), F(0)],
     )
-    assert sorted(tuple(v) for v in verts) == [
+    assert sorted(tuple(v) for v, _ in verts) == [
         (0, 0),
         (0, 1),
         (1, 0),
         (1, 1),
     ]
+    # the square is simple: each vertex has one basis, its two tight rows
+    assert sorted(bases for _, bases in verts) == [[(0, 2)], [(0, 3)], [(1, 2)], [(1, 3)]]
 
 
 def test_chart_round_trip():

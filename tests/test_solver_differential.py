@@ -22,7 +22,7 @@ from equilib.games import (
     MixedStrategy,
     is_equilibrium,
 )
-from equilib.linalg import ONE, ZERO, linprog, vertex_enumeration
+from equilib.linalg import ONE, ZERO, linprog
 from equilib.solver import (
     ComponentGraph,
     EquilibriumSet,
@@ -30,7 +30,13 @@ from equilib.solver import (
     components,
     support_enumeration,
 )
-from oracles import brute_force_equilibria, factor_constraints, satisfies_factor, subset_contains
+from oracles import (
+    brute_force_equilibria,
+    factor_constraints,
+    satisfies_factor,
+    subset_contains,
+    subset_vertex_enumeration,
+)
 
 F = Fraction
 
@@ -44,7 +50,7 @@ def _factor_vertices(
     game: FiniteGame, player: int, own_support: Sequence[Label], opp_support: Sequence[Label]
 ) -> list[MixedStrategy]:
     A_ub, b_ub, A_eq, b_eq = factor_constraints(game, player, own_support, opp_support)
-    verts = vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
+    verts = subset_vertex_enumeration(A_ub, b_ub, A_eq, b_eq)
     out = []
     for v in verts:
         ms = MixedStrategy.of({s: w for s, w in zip(own_support, v) if w > 0})
