@@ -8,10 +8,12 @@ report as JSON, which round-trips through ``Report(**data)``) and returns
 the exit code: 0 success, 1 verification failure (any ``GameError``, the
 root of every equilib verification error, or a ``perturb`` or
 ``verify-example`` check that did not pass), 2 usage error (malformed
-input, such as a mixture that is no JSON object or a profile without one
-mixture per player).  At module level this file imports only what every
-subcommand uses (``games`` and ``rational``); each ``cmd_*`` imports the
-modules it runs, so a process loads no more.
+input, such as a mixture that is no JSON object, has weights that are
+negative or do not sum to 1, or names a strategy its player does not
+have, or a profile without one mixture per player).  At module level
+this file imports only what every subcommand uses (``games`` and
+``rational``); each ``cmd_*`` imports the modules it runs, so a process
+loads no more.
 """
 
 from __future__ import annotations
@@ -119,11 +121,16 @@ def _json_argument(text: str, what: str):
         raise UsageError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _read_mixture(data, what: str) -> MixedStrategy:
-    """The mixture a JSON object of label -> rational spells out."""
+def _read_mixture(data, what: str, labels: tuple[str, ...]) -> MixedStrategy:
+    """The mixture over ``labels`` that a JSON object of label -> rational spells out."""
     if not isinstance(data, dict):
         raise UsageError(f"{what} must be a JSON object of label -> rational")
-    return MixedStrategy.of({k: parse_rational(v) for k, v in data.items()})
+    try:
+        mixture = MixedStrategy.of({k: parse_rational(v) for k, v in data.items()})
+        mixture.as_vector(labels)  # raises on a strategy outside `labels`
+    except GameError as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+    return mixture
 
 
 def _read_profile(data, game: FiniteGame, what: str) -> Profile:
@@ -132,7 +139,10 @@ def _read_profile(data, game: FiniteGame, what: str) -> Profile:
         raise UsageError(
             f"{what} must be a JSON list of {game.num_players} per-player objects"
         )
-    return tuple(_read_mixture(entry, f"{what} entry {n}") for n, entry in enumerate(data))
+    return tuple(
+        _read_mixture(entry, f"{what} entry {n}", game.strategies[n])
+        for n, entry in enumerate(data)
+    )
 
 
 def _load_json(path: str):
@@ -306,7 +316,10 @@ def cmd_duplicate(args) -> tuple[Report, int]:
     game = _load_game(args.game)
     if not 0 <= args.player < game.num_players:
         raise UsageError(f"player {args.player} out of range (game has {game.num_players})")
-    mixture = _read_mixture(_json_argument(args.mixture, "mixture"), "mixture")
+    labels = game.strategies[args.player]
+    mixture = _read_mixture(_json_argument(args.mixture, "mixture"), "mixture", labels)
+    if args.label in labels:
+        raise UsageError(f"label {args.label!r} already in use")
     new_game, phi = duplicate_strategy(
         game, args.player, mixture, new_label=args.label
     )

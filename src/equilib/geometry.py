@@ -412,37 +412,30 @@ class Triangulation:
 
     # -- queries -----------------------------------------------------------
 
+    def contains(self, k: int, point: Sequence) -> bool:
+        """Whether maximal cell k holds the point: its barycentric weights are >= 0."""
+        w = barycentric_in([self.vertices[i] for i in self.maximal[k]], as_point(point))
+        return w is not None and all(x >= 0 for x in w)
+
     def find_cell(self, point: Sequence) -> Optional[Face]:
-        p = as_point(point)
-        for c in self.maximal:
-            w = barycentric_in([self.vertices[i] for i in c], p)
-            if w is not None and all(x >= 0 for x in w):
-                return c
-        return None
+        return next((c for k, c in enumerate(self.maximal) if self.contains(k, point)), None)
 
     def carrier(self, point: Sequence) -> Face:
         """The unique face containing the point in its relative interior."""
+        return tuple(self.barycentric_coords(point))
+
+    def barycentric_coords(self, point: Sequence) -> dict[int, Fraction]:
+        """Convex weights over the carrier's vertices reproducing the point.
+
+        Barycentric weights are unique, so the carrier is the containing
+        cell's positive-weight vertices and its coordinates are those weights.
+        """
         p = as_point(point)
         c = self.find_cell(p)
         if c is None:
             raise GeometryError(f"point {format_point(p)} lies outside the covered polytope")
         w = barycentric_in([self.vertices[i] for i in c], p)
-        if w is None:
-            raise GeometryError(
-                f"cell {c} containing {format_point(p)} has no barycentric coordinates"
-            )
-        return tuple(i for i, x in zip(c, w) if x > 0)
-
-    def barycentric_coords(self, point: Sequence) -> dict[int, Fraction]:
-        """Convex weights over the carrier's vertices reproducing the point."""
-        p = as_point(point)
-        car = self.carrier(p)
-        w = barycentric_in([self.vertices[i] for i in car], p)
-        if w is None:
-            raise GeometryError(
-                f"carrier {car} of {format_point(p)} has no barycentric coordinates"
-            )
-        return {i: x for i, x in zip(car, w)}
+        return {i: x for i, x in zip(c, w) if x > 0}
 
     def closed_star(self, vertex: int) -> Subcomplex:
         if not 0 <= vertex < len(self.vertices):
@@ -760,23 +753,10 @@ def regular_triangulation(
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """a · x <= b in ambient coordinates."""
-
-    a: Point
-    b: Fraction
-
-    def value(self, x: Sequence[Fraction]) -> Fraction:
-        return dot(self.a, frac_vec(x)) - self.b
-
-
-@dataclass(frozen=True)
 class PolyCell:
-    vertices: tuple[Point, ...]
-    halfspaces: tuple[Halfspace, ...]
+    """The convex hull of `vertices`."""
 
-    def contains(self, x: Sequence) -> bool:
-        return all(hs.value(x) <= 0 for hs in self.halfspaces)
+    vertices: tuple[Point, ...]
 
     def dim(self) -> int:
         return Chart(self.vertices).dim
@@ -786,7 +766,7 @@ FaceKey = frozenset  # frozenset of Point
 
 
 def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
-    """A cell's faces as vertex bit masks, read from its halfspaces' sign rows.
+    """A cell's faces as vertex bit masks, read from its facets' sign rows.
 
     `mask` holds the cell's vertices, and a row's tight set is those of
     them on its hyperplane; the faces are the cell and every nonempty
@@ -802,10 +782,12 @@ def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
 
 
 class PolyhedralComplex:
-    """Maximal polyhedral cells (V- and H-representations) with a face lattice.
+    """Maximal polyhedral cells, each given by its vertices, with a face lattice.
 
     The cells are fixed once built: :attr:`grid` reads their vertices'
-    chart coordinates once.
+    chart coordinates once, and one lower-hull walk per cell
+    (:meth:`_walk`) gives its volume and its facets on that grid, which
+    `validate`, `face_lattice` and `contains` all read.
     """
 
     def __init__(self, cells: Sequence[PolyCell], polytope: Sequence[Point]):
@@ -815,10 +797,16 @@ class PolyhedralComplex:
         self.polytope = tuple(as_point(p) for p in polytope)
         self.chart = Chart(self.polytope)
         self.dim = self.chart.dim
+        self._walks: dict[int, tuple[list[tuple[tuple[int, ...], int]], Fraction]] = {}
 
     def all_vertices(self) -> list[Point]:
         """The cells' distinct vertices, in order of first appearance."""
         return list(dict.fromkeys(v for c in self.cells for v in c.vertices))
+
+    @functools.cached_property
+    def _index(self) -> dict[Point, int]:
+        """Each vertex's position in `all_vertices()`."""
+        return {p: k for k, p in enumerate(self.all_vertices())}
 
     @functools.cached_property
     def grid(self) -> tuple[list[Optional[list[int]]], int]:
@@ -829,12 +817,47 @@ class PolyhedralComplex:
         """
         return self.chart.grid(self.all_vertices() + list(self.polytope))
 
+    def _walk(self, k: int) -> tuple[list[tuple[tuple[int, ...], int]], Fraction]:
+        """Cell k's facets and volume, from one lower-hull walk over its rows of :attr:`grid`.
+
+        :func:`_triangulated_hull`'s (facets, volume), cached: the facets
+        a·x <= b hold in the grid's integer coordinates, and a cell that is
+        not full-dimensional has no facets and the volume 0.
+        """
+        if k not in self._walks:
+            grid, scale = self.grid
+            rows = [grid[self._index[v]] for v in self.cells[k].vertices]
+            if None in rows:
+                raise GeometryError("cell vertex lies off the polytope's affine hull")
+            self._walks[k] = _triangulated_hull(rows, scale, self.dim)
+        return self._walks[k]
+
+    @functools.cached_property
+    def _facet_signs(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """Per cell, its vertex mask and its facets' sign rows over every vertex."""
+        facets = [self._walk(k)[0] for k in range(len(self.cells))]
+        pts = self.grid[0][: len(self._index)]
+        masks = [sum(1 << self._index[v] for v in c.vertices) for c in self.cells]
+        rows = [
+            [_sign_masks(sum(map(operator.mul, a, x)) - b for x in pts) for a, b in cell]
+            for cell in facets
+        ]
+        return masks, rows
+
+    def contains(self, k: int, point: Sequence) -> bool:
+        """Whether cell k holds the point, tested in integers against its facets."""
+        (row,), s = self.chart.grid([as_point(point)])
+        scale = self.grid[1]
+        return row is not None and all(
+            scale * sum(map(operator.mul, a, row)) <= b * s for a, b in self._walk(k)[0]
+        )
+
     def face_lattice(self) -> dict[FaceKey, int]:
         """All faces of all cells, mapped to their affine dimension."""
-        points, masks, rows = self._separation()
+        points = self.all_vertices()
         faces = {
             frozenset(points[k] for k in _bits(f))
-            for mask, cell_rows in zip(masks, rows)
+            for mask, cell_rows in zip(*self._facet_signs)
             for f in _cell_faces(mask, cell_rows)
         }
         return {f: Chart(sorted(f)).dim for f in faces}
@@ -845,63 +868,29 @@ class PolyhedralComplex:
     def validate(self) -> None:
         """Check exact volume cover and that cells meet only in common faces.
 
-        Each cell's volume comes from one lower-hull walk over its rows of
-        :attr:`grid` (0 for a cell that is not full-dimensional), the
-        polytope's volume and facets from one over its own.  The cells'
-        facets must then match (:func:`_match_facets`): one owner on the
-        polytope's boundary, else two on opposite sides.  Convex cells that
-        tile the polytope facet to facet meet face to face.
+        Each cell's volume and facets come from its lower-hull walk
+        (:meth:`_walk`), the polytope's volume and facets from one over its
+        own points.  The cells' facets must then match
+        (:func:`_match_facets`): one owner on the polytope's boundary, else
+        two on opposite sides.  Convex cells that tile the polytope facet
+        to facet meet face to face.
         """
-        points = self.all_vertices()
-        index = {p: k for k, p in enumerate(points)}
-        grid, scale = self.grid
         total = ZERO
-        for c in self.cells:
-            rows = [grid[index[v]] for v in c.vertices]
-            if None in rows:
-                raise GeometryError("cell vertex lies off the polytope's affine hull")
-            _, volume = _triangulated_hull(rows, scale, self.dim)
+        for k in range(len(self.cells)):
+            volume = self._walk(k)[1]
             if not volume:
                 raise GeometryError("non-maximal cell listed as maximal")
             total += volume
-        facets, target = _triangulated_hull(grid[len(points) :], scale, self.dim)
+        grid, scale = self.grid
+        n = len(self._index)
+        facets, target = _triangulated_hull(grid[n:], scale, self.dim)
         if total != target:
             raise GeometryError(
                 f"cell volumes sum to {total}, polytope volume is {target}"
             )
-        _, masks, rows = self._separation()
+        masks, rows = self._facet_signs
         clash = "two cells intersect outside a common face"
-        _match_facets(masks, rows, grid[: len(points)], facets, clash)
-
-    def _separation(self) -> tuple[list[Point], list[int], list[list[tuple[int, int]]]]:
-        """The distinct vertices, and per cell its vertex mask and facets' sign rows.
-
-        Each halfspace is evaluated once at every vertex on an integer grid;
-        a cell's facets are its halfspaces with maximal sets of tight vertices.
-        """
-        points = self.all_vertices()
-        index = {p: k for k, p in enumerate(points)}
-        grid, scale = _integer_matrix(points)
-        known: dict = {}
-
-        def signs(hs: Halfspace) -> tuple[int, int]:
-            row = known.get((hs.a, hs.b))
-            if row is None:
-                *a, b = _integer_row([*hs.a, hs.b])[0]
-                b *= scale
-                row = _sign_masks([sum(map(operator.mul, a, x)) - b for x in grid])
-                known[(hs.a, hs.b)] = row
-                known[(tuple(-x for x in hs.a), -hs.b)] = row[::-1]
-            return row
-
-        masks = [sum(1 << index[v] for v in c.vertices) for c in self.cells]
-        rows = []
-        for mask, c in zip(masks, self.cells):
-            tight = {mask & ~(row[0] | row[1]): row for row in map(signs, c.halfspaces)}
-            proper = set(tight) - {0, mask}
-            maximal = {t for t in proper if not any(t & u == t != u for u in proper)}
-            rows.append([row for t, row in tight.items() if t in maximal])
-        return points, masks, rows
+        _match_facets(masks, rows, grid[:n], facets, clash)
 
 
 # --------------------------------------------------------------------------
@@ -987,22 +976,15 @@ def _cells_to_complex(
     raw_cells,
     polytope: Sequence[Point],
 ) -> PolyhedralComplex:
-    """The chart-coordinate cells in ambient coordinates; rows and vertices
-    that several cells share are lifted once."""
-    halfspaces: dict[tuple, Halfspace] = {}
+    """The chart-coordinate cells' vertices in ambient coordinates; a vertex
+    that several cells share is lifted once."""
     points: dict[tuple, Point] = {}
     cells = []
-    for rows, verts in raw_cells:
-        for row in rows:
-            if row not in halfspaces:
-                a, b = chart.lift_functional(*row)
-                halfspaces[row] = Halfspace(tuple(a), b)
+    for _, verts in raw_cells:
         for v in map(tuple, verts):
             if v not in points:
                 points[v] = tuple(chart.to_ambient(v))
-        cells.append(
-            PolyCell(tuple(points[tuple(v)] for v in verts), tuple(halfspaces[r] for r in rows))
-        )
+        cells.append(PolyCell(tuple(points[tuple(v)] for v in verts)))
     return PolyhedralComplex(cells, polytope)
 
 
@@ -1276,25 +1258,12 @@ class PLFunction:
         g, off = self.pieces[i]
         return dot(g, self.chart.to_local(as_point(point))) + off
 
-    def _containing_cells(self, point: Sequence) -> list[int]:
-        out = []
-        p = as_point(point)
-        if isinstance(self.domain, Triangulation):
-            for i, c in enumerate(self.domain.maximal):
-                w = barycentric_in([self.domain.vertices[j] for j in c], p)
-                if w is not None and all(x >= 0 for x in w):
-                    out.append(i)
-        else:
-            for i, c in enumerate(self.domain.cells):
-                if c.contains(p):
-                    out.append(i)
-        return out
-
     def value(self, point: Sequence) -> Fraction:
-        cells = self._containing_cells(point)
-        if not cells:
+        """The piece of the first cell that holds the point, at the point."""
+        k = next((k for k in range(self._ncells()) if self.domain.contains(k, point)), None)
+        if k is None:
             raise GeometryError(f"point {format_point(as_point(point))} outside the domain")
-        return self.piece_value(cells[0], point)
+        return self.piece_value(k, point)
 
     # -- structural checks ---------------------------------------------------
 
@@ -1304,9 +1273,8 @@ class PLFunction:
         rows, scale = domain.grid
         if isinstance(domain, Triangulation):
             return list(domain.vertices), list(domain.maximal), rows, scale
-        points = domain.all_vertices()
-        index = {p: k for k, p in enumerate(points)}
-        return points, [tuple(index[v] for v in c.vertices) for c in domain.cells], rows, scale
+        index = domain._index
+        return list(index), [tuple(index[v] for v in c.vertices) for c in domain.cells], rows, scale
 
     def vertex_values(self) -> dict[Point, Fraction]:
         """The value at every vertex, through the first cell that lists it.
@@ -1467,10 +1435,9 @@ def triangulate_without_new_vertices(
         raise GeometryError(
             "non-generic height: some vertex is not on the lower envelope"
         )
-    index_of = {v: i for i, v in enumerate(tri.vertices)}
     for c in tri.maximal:
         pts = [tri.vertices[i] for i in c]
-        if not any(all(cell.contains(p) for p in pts) for cell in pc.cells):
+        if not any(all(pc.contains(k, p) for p in pts) for k in range(len(pc.cells))):
             raise GeometryError(
                 "height perturbation too large: triangulation does not refine the complex"
             )

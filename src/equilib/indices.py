@@ -327,7 +327,11 @@ def _local_coords(eq: Profile, game: FiniteGame) -> Vector:
     return out
 
 
-def index_via_degree(game: FiniteGame, eq: Profile, grid: int = 2) -> int:
+# boundary grid divisions per box edge for the degree oracle in index_via_degree
+_DEGREE_GRID = 2
+
+
+def index_via_degree(game: FiniteGame, eq: Profile) -> int:
     """Index of a regular equilibrium via the degree oracle on the Nash map.
 
     The game is restricted to the equilibrium's supports (valid for regular
@@ -359,7 +363,7 @@ def index_via_degree(game: FiniteGame, eq: Profile, grid: int = 2) -> int:
     for _ in range(6):
         region = [(c - radius, c + radius) for c in x0]
         try:
-            return degree_oracle(fmap, region, grid)
+            return degree_oracle(fmap, region, _DEGREE_GRID)
         except IndexError_:
             radius /= 2
     raise IndexError_("degree oracle failed to isolate the equilibrium")

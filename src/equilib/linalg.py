@@ -547,16 +547,6 @@ class Chart:
             self._left_inv = rows
         return self._left_inv
 
-    def lift_functional(self, a_local: Sequence[Fraction], b_local: Fraction):
-        """Ambient (a, b) with a·x − b = a_local·to_local(x) − b_local on the hull."""
-        L = self.left_inverse()
-        a_amb = [ZERO] * self.ambient_dim
-        for coef, row in zip(a_local, L, strict=True):
-            for j in range(self.ambient_dim):
-                a_amb[j] += Fraction(coef) * row[j]
-        b_amb = Fraction(b_local) + dot(a_amb, self.origin)
-        return a_amb, b_amb
-
     def to_ambient(self, local: Sequence[Fraction]) -> Vector:
         p = self.origin[:]
         for coef, vec in zip(local, self.basis, strict=True):

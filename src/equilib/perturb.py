@@ -265,28 +265,24 @@ class MarkedRegion:
         )
 
 
+# outside every marked region the reply field moves this share of the way
+# from the player's projection to its lexicographically first best reply
+_BLEND = Fraction(9, 10)
+
+
 class ReplyField:
     """Evaluable stand-in for a globally constructed reply map.
 
     Inside a marked region the value is the product of the region's affine
     fixers; outside, it blends the player's projection toward the
-    lexicographically first best reply.  Every evaluation is certified as an
-    eps-best reply; failures raise.
+    lexicographically first best reply (:data:`_BLEND`).  Every evaluation
+    is certified as an eps-best reply; failures raise.
     """
 
-    def __init__(
-        self,
-        tg: TildeGame,
-        eps: Fraction,
-        marked: Sequence[MarkedRegion] = (),
-        blend: Fraction = Fraction(9, 10),
-    ):
+    def __init__(self, tg: TildeGame, eps: Fraction, marked: Sequence[MarkedRegion] = ()):
         self.tg = tg
         self.eps = Fraction(eps)
         self.marked = tuple(marked)
-        self.blend = Fraction(blend)
-        if not 0 < self.blend < 1:
-            raise PerturbError("replyfield", "blend weight must be in (0,1)")
 
     def _beta(self, player: int, point: Sequence[Fraction]) -> MixedStrategy:
         """Barycentric coordinates of a strategy-space point, as S0 labels."""
@@ -317,11 +313,7 @@ class ReplyField:
                 e = frac_vec(
                     MixedStrategy.pure(br).as_vector(list(base.strategies[n]))
                 )
-                points.append(
-                    vec_add(
-                        vec_scale(ONE - self.blend, x), vec_scale(self.blend, e)
-                    )
-                )
+                points.append(vec_add(vec_scale(ONE - _BLEND, x), vec_scale(_BLEND, e)))
         self._certify(sigma, points)
         out = []
         for n in range(base.num_players):

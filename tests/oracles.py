@@ -4,7 +4,8 @@ Several test files cross-check the program against these: the grid brute
 force for completeness, the H-representation of a Nash subset's factors
 for membership, the regularity test, the reader of the mapping files
 that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
-simplex from one ``nullspace`` per facet, the vertex subset loop with
+simplex from one ``nullspace`` per facet, a polyhedral cell's facets by a
+subset loop, hull membership by one LP, the vertex subset loop with
 equality rows, and the component index by concrete payoff perturbations.
 """
 
@@ -24,6 +25,7 @@ from equilib.indices import IndexError_, _check_regular, index_regular
 from equilib.linalg import (
     ONE,
     ZERO,
+    Chart,
     Vector,
     _integer_row,
     _integer_rows,
@@ -31,6 +33,7 @@ from equilib.linalg import (
     frac_mat,
     frac_vec,
     linf_distance,
+    linprog,
     matrix_rank,
     nullspace,
     solve_unique,
@@ -216,6 +219,54 @@ def simplex_facet_halfspaces(
             a, b = tuple(-x for x in a), -b
         out.append((a, b))
     return out
+
+
+def cell_halfspaces(
+    vertices: Sequence[Sequence[Fraction]], chart: Chart
+) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The facets of conv(vertices) as halfspaces a·x <= b in ``chart`` coordinates.
+
+    Brute force over the d-subsets of the vertices' chart coordinates: a
+    subset that spans a hyperplane (:func:`hyperplane_through`) with every
+    vertex on one closed side gives a facet, kept once.  Raises ValueError
+    for a vertex off the chart's affine hull.
+    """
+    local = [chart.to_local(v) for v in vertices]
+    out = []
+    for subset in itertools.combinations(local, chart.dim):
+        try:
+            a, b = hyperplane_through(subset, chart.dim)
+        except GeometryError:
+            continue
+        values = [dot(a, x) - b for x in local]
+        if all(v >= 0 for v in values):
+            a, b = tuple(-x for x in a), -b
+        elif any(v > 0 for v in values):
+            continue
+        if (a, b) not in out:
+            out.append((a, b))
+    return out
+
+
+def lift_functional(chart: Chart, a_local: Sequence[Fraction], b_local: Fraction):
+    """Ambient (a, b) with a·x − b = a_local·to_local(x) − b_local on the chart's hull."""
+    L = chart.left_inverse()
+    a_amb = [ZERO] * chart.ambient_dim
+    for coef, row in zip(a_local, L, strict=True):
+        for j in range(chart.ambient_dim):
+            a_amb[j] += Fraction(coef) * row[j]
+    b_amb = Fraction(b_local) + dot(a_amb, chart.origin)
+    return a_amb, b_amb
+
+
+def in_convex_hull(points: Sequence[Sequence[Fraction]], x: Sequence) -> bool:
+    """Exact LP membership test: x in conv(points)."""
+    if not points:
+        return False
+    A_eq = [[p[i] for p in points] for i in range(len(x))]
+    A_eq.append([ONE] * len(points))
+    res = linprog([ZERO] * len(points), A_eq=A_eq, b_eq=list(x) + [ONE])
+    return res.status == "optimal"
 
 
 def subset_vertex_enumeration(

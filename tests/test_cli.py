@@ -777,6 +777,25 @@ MALFORMED_PROFILE_INPUTS = {
     ),
     "duplicate-player-past-the-last": (["duplicate", "5", '{"A": "1"}'], None),
     "duplicate-negative-player": (["duplicate", "-1", '{"C": "1"}'], None),
+    # weights that are no mixture, and strategies the player does not have
+    "index-point-weights-not-summing-to-one": (
+        ["index", "--point", '[{"A": "1/2", "B": "1/3"}, {"C": "1"}]'], None
+    ),
+    "target-point-weights-not-summing-to-one": (
+        ["perturb"], {"component": 0, "point": [{"A": "1/2", "B": "1/3"}, {"C": "1"}], "sign": 1}
+    ),
+    "duplicate-weights-not-summing-to-one": (
+        ["duplicate", "0", '{"A": "1/2", "B": "1/3"}'], None
+    ),
+    "index-point-negative-weight": (
+        ["index", "--point", '[{"A": "-1", "B": "2"}, {"C": "1"}]'], None
+    ),
+    "index-point-unknown-label": (["index", "--point", '[{"A": "1"}, {"z": "1"}]'], None),
+    "target-point-unknown-label": (
+        ["perturb"], {"component": 0, "point": [{"z": "1"}, {"C": "1"}], "sign": 1}
+    ),
+    "duplicate-unknown-label": (["duplicate", "0", '{"z": "1"}'], None),
+    "duplicate-used-label": (["duplicate", "0", '{"A": "1"}', "--label", "B"], None),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 
 from equilib.geometry import (
     GeometryError,
-    Halfspace,
     PolyCell,
     PolyhedralComplex,
     Simplex,
@@ -23,7 +23,7 @@ from equilib.geometry import (
     volume_in_chart,
 )
 from equilib.linalg import Chart
-from oracles import barycenter, simplex_facet_halfspaces
+from oracles import barycenter, in_convex_hull
 
 F = Fraction
 
@@ -225,7 +225,7 @@ def test_hyperplane_extension_subdivision_covers_domain():
     rng = random.Random(0)
     for _ in range(20):
         p = random_point(rng, tri)
-        assert any(c.contains(p) for c in pc.cells)
+        assert any(pc.contains(k, p) for k in range(len(pc.cells)))
     # the embedded simplex is a union of cells
     covered = [c for c in pc.cells if all(inner.contains(v) for v in c.vertices)]
     assert covered
@@ -381,12 +381,7 @@ def test_hanging_node_triangulation_rejected():
 
 def simplex_cells(tri):
     """The cells of a 2-D or 3-D triangulation as polyhedral cells."""
-    cells = []
-    for c in tri.maximal:
-        pts = tuple(tri.vertices[i] for i in c)
-        rows = simplex_facet_halfspaces(pts, len(pts) - 1)
-        cells.append(PolyCell(pts, tuple(Halfspace(a, b) for a, b in rows)))
-    return cells
+    return [PolyCell(tuple(tri.vertices[i] for i in c)) for c in tri.maximal]
 
 
 def test_hanging_node_complex_rejected():
@@ -423,3 +418,59 @@ def test_repeated_cell_rejected():
     for maximal in (tri.maximal[:-1] + tri.maximal[:1], tri.maximal + tri.maximal[-1:]):
         with pytest.raises(GeometryError, match="duplicate maximal cell"):
             Triangulation(tri.vertices, maximal, tri.polytope)
+
+
+# -- cell membership ----------------------------------------------------------
+
+
+def membership_complexes():
+    """EL refinements in 2-D, in 3-D and of a triangle in R^3, hyperplane
+    extensions in 2-D and 3-D, and the square split along its diagonal."""
+    tetrahedron = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    plane = Triangulation(tetrahedron[1:], [(0, 1, 2)])
+    inner = [(F(1, 8), F(1, 8), F(1, 8)), (F(3, 8), F(1, 8), F(1, 16))]
+    inner += [(F(1, 8), F(5, 16), F(1, 8)), (F(1, 16), F(1, 8), F(3, 8))]
+    solid = Triangulation(tetrahedron, [(0, 1, 2, 3)])
+    square = grid_triangulation(1)
+    return [
+        el_refinement(unit_triangle().split_edge((0, 1)).split_edge((0, 2)))[0],
+        el_refinement(solid.split_edge((0, 1)).split_edge((2, 4)))[0],
+        el_refinement(plane.split_edge((0, 1)).split_edge((2, 3)))[0],
+        hyperplane_extension_subdivision(
+            Simplex.of(unit_triangle().vertices),
+            [Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])],
+        ),
+        hyperplane_extension_subdivision(Simplex.of(tetrahedron), [Simplex.of(inner)]),
+        PolyhedralComplex(simplex_cells(square), square.polytope),
+    ]
+
+
+def test_complex_contains_matches_hull_membership():
+    """Each cell's vertices, the midpoints of its vertex pairs (its edges' on
+    its boundary), its barycenter, points beyond its vertices, and points
+    off the polytope's plane: `contains` answers as the LP does."""
+    seen = {"vertex": 0, "midpoint": 0, "inside": 0, "outside": 0, "off-plane": 0}
+    for pc in membership_complexes():
+        pc.validate()
+        ambient = len(pc.polytope[0])
+        for k, cell in enumerate(pc.cells):
+            vs = cell.vertices
+            center = barycenter(vs)
+            probes = [(v, "vertex") for v in vs]
+            probes += [(barycenter(pair), "midpoint") for pair in itertools.combinations(vs, 2)]
+            probes += [(center, "inside")]
+            probes += [(tuple(2 * x - c for x, c in zip(v, center)), "outside") for v in vs]
+            if pc.dim < ambient:
+                probes += [
+                    (tuple(x + F(1, 7) for x in p), "off-plane") for p in (center, *vs)
+                ]
+            for p, kind in probes:
+                expected = in_convex_hull(vs, p)
+                assert pc.contains(k, p) == expected, (k, p, kind)
+                assert expected == (kind in ("vertex", "midpoint", "inside")), (k, p, kind)
+                seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+    # the square's lower triangle holds (1, 0) and (9/10, 1/10); no cell holds (3/2, 1/4)
+    square = membership_complexes()[-1]
+    assert square.contains(0, (F(1), F(0))) and square.contains(0, (F(9, 10), F(1, 10)))
+    assert not any(square.contains(k, (F(3, 2), F(1, 4))) for k in range(2))

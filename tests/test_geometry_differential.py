@@ -12,7 +12,9 @@ enumeration at every node; and one LP per point for the hull's vertices.
 The pair checks keep `_Separation` (hyperplane certificates for cell
 pairs), `_intersect_in_common_face` (one LP per pair of simplices) and
 `_poly_intersection` with `affine_hull_equations` (vertex enumeration per
-pair of polyhedral cells) as oracles.  The last section keeps
+pair of polyhedral cells) as oracles; a polyhedral cell's facets come
+from the subset loop `cell_halfspaces`, never from the program's walk.
+The last section keeps
 `Simplex`-based cell diameters, `PLFunction.value` at every complex
 vertex, barycenter-signed gamma pieces and the `Chart`-plus-
 `volume_in_chart` complex check as oracles.
@@ -22,6 +24,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -32,7 +35,6 @@ import pytest
 from equilib.geometry import (
     Face,
     GeometryError,
-    Halfspace,
     Point,
     PolyCell,
     PolyhedralComplex,
@@ -46,6 +48,7 @@ from equilib.geometry import (
     _hull_vertices,
     _lower_hull_cells,
     _non_generic,
+    _sign_masks,
     _triangulated_hull,
     el_refinement,
     extreme_points,
@@ -70,7 +73,10 @@ from equilib.linalg import (
 )
 from oracles import (
     barycenter,
+    cell_halfspaces,
     hyperplane_through,
+    in_convex_hull,
+    lift_functional,
     simplex_facet_halfspaces,
     subset_vertex_enumeration,
 )
@@ -79,16 +85,6 @@ F = Fraction
 
 
 # -- the oracles, as they were ----------------------------------------------
-
-
-def in_convex_hull(points: Sequence[Point], x: Sequence) -> bool:
-    """Exact LP membership test: x in conv(points)."""
-    if not points:
-        return False
-    A_eq = [[p[i] for p in points] for i in range(len(x))]
-    A_eq.append([ONE] * len(points))
-    res = linprog([ZERO] * len(points), A_eq=A_eq, b_eq=list(x) + [ONE])
-    return res.status == "optimal"
 
 
 def reference_extreme_points(points: Sequence[Point]) -> list[Point]:
@@ -220,8 +216,9 @@ class _Separation:
     over the points: (beyond, inside), bit j set when point j lies strictly
     beyond the halfspace's hyperplane, or strictly inside.  The rows are
     integer evaluations made by the caller: barycentric coordinates from one
-    elimination per simplex (:class:`Triangulation`), or the cells' own
-    halfspaces on an integer grid (:class:`PolyhedralComplex`).
+    elimination per simplex (:class:`Triangulation`), or each polyhedral
+    cell's facets from a subset loop on an integer grid
+    (:func:`complex_sign_table`).
     """
 
     def __init__(self, points, cells, cell_rows):
@@ -296,14 +293,24 @@ def affine_hull_equations(points: Sequence[Point]) -> tuple[list[list[Fraction]]
     return A_eq, b_eq
 
 
-def _poly_intersection(a: PolyCell, b: PolyCell):
+def ambient_halfspaces(cell: PolyCell, chart: Chart) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The oracle's facets of `cell` (:func:`cell_halfspaces`) as ambient a·x <= b."""
+    out = []
+    for row in cell_halfspaces(cell.vertices, chart):
+        a, b = lift_functional(chart, *row)
+        out.append((tuple(a), b))
+    return out
+
+
+def _poly_intersection(chart: Chart, a: PolyCell, b: PolyCell):
     """Vertex set of a ∩ b (None, None when empty).
 
     Both cells are maximal cells of the same complex, so they share the
     complex's affine hull; the enumeration is constrained to it.
     """
-    A_ub = [list(hs.a) for hs in a.halfspaces] + [list(hs.a) for hs in b.halfspaces]
-    b_ub = [hs.b for hs in a.halfspaces] + [hs.b for hs in b.halfspaces]
+    rows = ambient_halfspaces(a, chart) + ambient_halfspaces(b, chart)
+    A_ub = [list(x) for x, _ in rows]
+    b_ub = [y for _, y in rows]
     A_eq, b_eq = affine_hull_equations(a.vertices)
     verts = subset_vertex_enumeration(A_ub, b_ub, A_eq or None, b_eq or None)
     if not verts:
@@ -984,10 +991,10 @@ def test_foreign_hyperplanes_certify_pairs_in_2d_and_3d():
 
 
 def reference_cell_faces(self, cell: PolyCell) -> set[frozenset]:
-    """All faces of `cell` as frozensets of vertex points."""
+    """All faces of `cell` as frozensets of vertex points, from the oracle's facets."""
     tights: list[frozenset] = []
-    for hs in cell.halfspaces:
-        t = frozenset(v for v in cell.vertices if hs.value(v) == 0)
+    for a, b in ambient_halfspaces(cell, self.chart):
+        t = frozenset(v for v in cell.vertices if dot(a, v) == b)
         if t and t != frozenset(cell.vertices):
             tights.append(t)
     faces: set[frozenset] = {frozenset(cell.vertices)}
@@ -1005,9 +1012,13 @@ def reference_cell_faces(self, cell: PolyCell) -> set[frozenset]:
 
 
 def test_face_lattice_reads_the_halfspace_faces():
+    """The faces read from each cell's walk are those the subset-loop facets give."""
     rng = random.Random(43)
     unit = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     triangle = [[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]]
+    inner = [[F(1, 8), F(1, 8), F(1, 8)], [F(3, 8), F(1, 8), F(1, 16)]]
+    inner += [[F(1, 8), F(5, 16), F(1, 8)], [F(1, 16), F(1, 8), F(3, 8)]]
+    grid = grid_triangulation(2)
     complexes = [
         el_refinement(triangle_refinement(rng, triangle, 4))[0],
         el_refinement(triangle_refinement(rng, unit, 3))[0],
@@ -1016,6 +1027,8 @@ def test_face_lattice_reads_the_halfspace_faces():
             Simplex.of(triangle),
             [Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])],
         ),
+        hyperplane_extension_subdivision(Simplex.of(unit + [[F(0)] * 3]), [Simplex.of(inner)]),
+        PolyhedralComplex([simplex_cell(grid, c) for c in grid.maximal], grid.polytope),
     ]
     for pc in complexes:
         expected = set().union(*(reference_cell_faces(pc, c) for c in pc.cells))
@@ -1030,7 +1043,9 @@ def test_face_lattice_reads_the_halfspace_faces():
 # `reference_complex_validate` is `PolyhedralComplex.validate` as it was,
 # with a `Chart` per cell for its dimension and `volume_in_chart` (one
 # `to_local` per vertex) for the volumes, here over the subset-loop hull,
-# and the pair stage: `_Separation`, then `_poly_intersection`.
+# and the pair stage: `_Separation` over the sign table
+# `PolyhedralComplex._separation` built (`complex_sign_table`), then
+# `_poly_intersection`.
 
 
 def reference_cell_diameter(tri, cell) -> Fraction:
@@ -1131,9 +1146,43 @@ def test_el_gamma_reads_as_the_value_oracle(label, tri):
     )
 
 
+def complex_sign_table(pc) -> tuple[list[Point], list[int], list[list[tuple[int, int]]]]:
+    """The distinct vertices, and per cell its vertex mask and facets' sign rows.
+
+    `PolyhedralComplex._separation` as it was, fed by the oracle's facets
+    (:func:`ambient_halfspaces`) instead of stored halfspaces.  Each
+    halfspace is evaluated once at every vertex on an integer grid; a
+    cell's facets are its halfspaces with maximal sets of tight vertices.
+    """
+    points = pc.all_vertices()
+    index = {p: k for k, p in enumerate(points)}
+    grid, scale = _integer_matrix(points)
+    known: dict = {}
+
+    def signs(hs: tuple[tuple[Fraction, ...], Fraction]) -> tuple[int, int]:
+        row = known.get(hs)
+        if row is None:
+            *a, b = _integer_row([*hs[0], hs[1]])[0]
+            b *= scale
+            row = _sign_masks([sum(map(operator.mul, a, x)) - b for x in grid])
+            known[hs] = row
+            known[(tuple(-x for x in hs[0]), -hs[1])] = row[::-1]
+        return row
+
+    masks = [sum(1 << index[v] for v in c.vertices) for c in pc.cells]
+    rows = []
+    for mask, c in zip(masks, pc.cells):
+        halfspaces = ambient_halfspaces(c, pc.chart)
+        tight = {mask & ~(row[0] | row[1]): row for row in map(signs, halfspaces)}
+        proper = set(tight) - {0, mask}
+        maximal = {t for t in proper if not any(t & u == t != u for u in proper)}
+        rows.append([row for t, row in tight.items() if t in maximal])
+    return points, masks, rows
+
+
 def complex_separation(pc) -> _Separation:
-    """The pair certificates `PolyhedralComplex.validate` built, from its sign table."""
-    points, masks, rows = pc._separation()
+    """The pair certificates `PolyhedralComplex.validate` built, from the oracle's sign table."""
+    points, masks, rows = complex_sign_table(pc)
     return _Separation(points, [_bits(m) for m in masks], rows)
 
 
@@ -1152,7 +1201,7 @@ def reference_complex_validate(pc) -> None:
     for i, j in itertools.combinations(range(len(pc.cells)), 2):
         meet = sep.meet(i, j)
         if meet is None:
-            inter_dim, inter_verts = _poly_intersection(pc.cells[i], pc.cells[j])
+            inter_dim, inter_verts = _poly_intersection(pc.chart, pc.cells[i], pc.cells[j])
             if inter_dim is None:
                 continue
             key = (
@@ -1169,11 +1218,8 @@ def reference_complex_validate(pc) -> None:
 
 
 def simplex_cell(tri, cell) -> PolyCell:
-    """A simplex of `tri` as a polyhedral cell, its facets lifted from the chart."""
-    pts = tuple(tri.vertices[i] for i in cell)
-    local = [tri.chart.to_local(p) for p in pts]
-    rows = [tri.chart.lift_functional(a, b) for a, b in simplex_facet_halfspaces(local, tri.dim)]
-    return PolyCell(pts, tuple(Halfspace(tuple(a), b) for a, b in rows))
+    """A simplex of `tri` as a polyhedral cell."""
+    return PolyCell(tuple(tri.vertices[i] for i in cell))
 
 
 def complex_cases():
@@ -1201,18 +1247,18 @@ def complex_cases():
         cells = list(pc.cells)
         k = rng.randrange(len(cells))
         facet = max(
-            (tuple(v for v in cells[k].vertices if hs.value(v) == 0) for hs in cells[k].halfspaces),
+            (
+                tuple(v for v in cells[k].vertices if dot(a, v) == b)
+                for a, b in ambient_halfspaces(cells[k], pc.chart)
+            ),
             key=len,
         )
-        cells[k] = PolyCell(facet, cells[k].halfspaces)
+        cells[k] = PolyCell(facet)
         cases.append((f"facet-{label}", PolyhedralComplex(cells, pc.polytope)))
     for label, tri in CERTIFICATE_CASES.items():
         if not at_pair_stage(label) or len(tri.maximal) > 12:
             continue
-        try:
-            cells = [simplex_cell(tri, c) for c in tri.maximal]
-        except (GeometryError, ValueError):
-            continue  # a flat cell, or a vertex off the plane
+        cells = [simplex_cell(tri, c) for c in tri.maximal]
         cases.append((f"simplicial-{label}", PolyhedralComplex(cells, tri.polytope)))
     return cases
 
@@ -1248,7 +1294,7 @@ def test_complex_vertex_off_the_plane_is_rejected_as_by_the_oracle():
     pc, _ = EL_REFINEMENTS["el-plane-0"]
     cells = list(pc.cells)
     moved = tuple(x + F(1, 3) for x in cells[0].vertices[0])
-    cells[0] = PolyCell((moved,) + cells[0].vertices[1:], cells[0].halfspaces)
+    cells[0] = PolyCell((moved,) + cells[0].vertices[1:])
     broken = PolyhedralComplex(cells, pc.polytope)
     with pytest.raises(ValueError):
         reference_complex_validate(broken)
@@ -1344,7 +1390,7 @@ def test_certified_complex_pairs_match_vertex_enumeration(pair_check_inputs):
             meet = sep.meet(i, j)
             if meet is None:
                 continue
-            dim, verts = _poly_intersection(pc.cells[i], pc.cells[j])
+            dim, verts = _poly_intersection(pc.chart, pc.cells[i], pc.cells[j])
             exact = frozenset() if dim is None else frozenset(verts)
             assert exact == frozenset(sep.points[v] for v in meet)
             accepted += 1
@@ -1365,11 +1411,12 @@ def test_pair_check_inputs_decide_as_the_pair_stage(pair_check_inputs):
 def split_cell(pc, k, normal):
     """`pc` with cell k cut in two by the plane normal·x = normal·(its barycenter)."""
     cell = pc.cells[k]
-    cut = (normal, dot(normal, barycenter(cell.vertices)))
-    rows = [(hs.a, hs.b) for hs in cell.halfspaces]
+    local = [pc.chart.to_local(v) for v in cell.vertices]
+    cut = (normal, dot(normal, barycenter(local)))
+    rows = cell_halfspaces(cell.vertices, pc.chart)
     halves = [
-        PolyCell(tuple(map(tuple, verts)), tuple(Halfspace(a, b) for a, b in hrep))
-        for hrep, verts in _arrangement_cells(rows, cell.vertices, [cut], len(normal))
+        PolyCell(tuple(tuple(pc.chart.to_ambient(v)) for v in verts))
+        for _, verts in _arrangement_cells(rows, local, [cut], len(normal))
     ]
     return PolyhedralComplex(pc.cells[:k] + pc.cells[k + 1 :] + halves, pc.polytope)
 
