@@ -100,14 +100,10 @@ def duplicate_strategy(
         if prof[player] != new_label:
             pay[prof] = game.payoffs[prof]
         else:
-            entry = [ZERO] * game.num_players
-            for s, w in mixture.weights:
-                base_prof = tuple(
-                    s if k == player else prof[k] for k in range(game.num_players)
-                )
-                for n in range(game.num_players):
-                    entry[n] += w * game.payoffs[base_prof][n]
-            pay[prof] = tuple(entry)
+            others = (MixedStrategy.pure(s) for s in prof)
+            pay[prof] = payoff_all(
+                game, tuple(mixture if k == player else t for k, t in enumerate(others))
+            )
     new_game = FiniteGame.of(game.players, new_strategies, pay)
     columns = {s: MixedStrategy.pure(s) for s in labels}
     columns[new_label] = mixture

@@ -4,14 +4,23 @@ The central objects are :class:`FiniteGame` (normal form, payoff tensor over
 pure profiles) and :class:`PolytopeGame` (strategy sets given as vertex lists,
 payoffs extended multiaffinely).  All evaluation is exact; best replies and
 dominance are decided by rational comparison and exact linear programming.
+
+Payoffs, deviations, best replies and equilibrium checks all read one
+kernel, :func:`payoff_vector`'s: each pure strategy's payoff against the
+others' mixtures, in one pass over their support product, on the game's
+integer payoff tables (:attr:`FiniteGame.integer_payoffs`) with integer
+weight numerators, so best replies are compared as integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import ZERO, ONE, linprog
@@ -60,7 +69,13 @@ class MixedStrategy:
         return dict(self.weights)
 
     def weight(self, label: Label) -> Fraction:
-        return dict(self.weights).get(label, ZERO)
+        return next((w for s, w in self.weights if s == label), ZERO)
+
+    @cached_property
+    def integer_weights(self) -> tuple[tuple[tuple[Label, int], ...], int]:
+        """The nonzero weights as integer numerators over their least common denominator."""
+        den = math.lcm(*(w.denominator for _, w in self.weights))
+        return tuple((s, w.numerator * (den // w.denominator)) for s, w in self.weights if w), den
 
     def support(self) -> tuple[Label, ...]:
         return tuple(label for label, w in self.weights if w > 0)
@@ -135,13 +150,41 @@ class FiniteGame:
     def pure_profiles(self) -> Iterable[tuple[Label, ...]]:
         return itertools.product(*self.strategies)
 
+    @cached_property
+    def offsets(self) -> tuple[dict[Label, int], ...]:
+        """Per player, each strategy's offset in the flat :attr:`integer_payoffs` tables.
+
+        Pure profile ``pure`` sits at ``sum(offsets[n][s] for n, s in
+        enumerate(pure))``, its position in ``pure_profiles()``.
+        """
+        stride, out = 1, []
+        for labels in reversed(self.strategies):
+            out.append({s: i * stride for i, s in enumerate(labels)})
+            stride *= len(labels)
+        return tuple(reversed(out))
+
+    @cached_property
+    def integer_payoffs(self) -> tuple[tuple[list[int], int], ...]:
+        """Per player, (table, scale): the payoffs as integers over one positive scale.
+
+        The table lists the player's payoff at each pure profile, in
+        ``pure_profiles()`` order, times the scale, the lcm of that
+        player's payoff denominators.
+        """
+        entries = [self.payoffs[p] for p in self.pure_profiles()]
+        out = []
+        for n in range(self.num_players):
+            scale = math.lcm(*(e[n].denominator for e in entries))
+            out.append(([e[n].numerator * (scale // e[n].denominator) for e in entries], scale))
+        return tuple(out)
+
     def check_profile(self, profile: Profile) -> None:
         if len(profile) != self.num_players:
             raise GameError(
                 f"profile has {len(profile)} strategies for {self.num_players} players"
             )
         for n, sigma in enumerate(profile):
-            extra = set(sigma.support()) - set(self.strategies[n])
+            extra = [s for s in sigma.support() if s not in self.offsets[n]]
             if extra:
                 raise GameError(
                     f"player {self.players[n]!r}: unknown strategies {sorted(extra)}"
@@ -159,16 +202,44 @@ class FiniteGame:
         return FiniteGame(self.players, kept, tensor)
 
 
+def _payoff_sums(
+    game: FiniteGame, profile: Profile, player: int, own: Iterable[int]
+) -> tuple[list[int], int]:
+    """Integer payoffs of `player`'s strategies at offsets `own`, and their denominator.
+
+    The strategy at ``own[i]`` earns ``sums[i] / den`` against the others'
+    mixtures in `profile`, summed in one pass over their support product;
+    ``den > 0`` is shared, so the sums compare as the payoffs do.
+    """
+    table, den = game.integer_payoffs[player]
+    terms = [(0, 1)]  # (offset, integer weight) per pure profile of the others
+    for m, sigma in enumerate(profile):
+        if m != player:
+            nums, d = sigma.integer_weights
+            pos = game.offsets[m]
+            terms = [(o + pos[s], w * k) for o, w in terms for s, k in nums]
+            den *= d
+    return [sum(w * table[o + i] for o, w in terms) for i in own], den
+
+
+def payoff_vector(game: FiniteGame, profile: Profile, player: int) -> tuple[Fraction, ...]:
+    """Payoff of each of `player`'s pure strategies, in game order, against `profile`.
+
+    The other players play their mixtures in `profile`; `player`'s own
+    entry is checked but not read.
+    """
+    game.check_profile(profile)
+    sums, den = _payoff_sums(game, profile, player, game.offsets[player].values())
+    return tuple(Fraction(v, den) for v in sums)
+
+
 def payoff(game: FiniteGame, profile: Profile, player: int) -> Fraction:
     """Multilinear expected payoff of `player` under a mixed profile."""
     game.check_profile(profile)
-    total = ZERO
-    for pure in itertools.product(*(sigma.support() for sigma in profile)):
-        prob = ONE
-        for sigma, s in zip(profile, pure):
-            prob *= sigma.weight(s)
-        total += prob * game.payoffs[pure][player]
-    return total
+    nums, d = profile[player].integer_weights
+    pos = game.offsets[player]
+    sums, den = _payoff_sums(game, profile, player, [pos[s] for s, _ in nums])
+    return Fraction(sum(map(operator.mul, (k for _, k in nums), sums)), den * d)
 
 
 def payoff_all(game: FiniteGame, profile: Profile) -> tuple[Fraction, ...]:
@@ -187,23 +258,25 @@ def payoff_against(
     return payoff(game, deviated, player)
 
 
+def _best_replies(game: FiniteGame, profile: Profile, player: int) -> set[Label]:
+    sums, _ = _payoff_sums(game, profile, player, game.offsets[player].values())
+    best = max(sums)
+    return {s for s, v in zip(game.strategies[player], sums) if v == best}
+
+
 def best_replies(game: FiniteGame, profile: Profile, player: int) -> set[Label]:
     """Pure strategies attaining the exact maximum payoff against `profile`."""
-    values = {
-        s: payoff_against(game, profile, player, s) for s in game.strategies[player]
-    }
-    best = max(values.values())
-    return {s for s, v in values.items() if v == best}
+    game.check_profile(profile)
+    return _best_replies(game, profile, player)
 
 
 def is_equilibrium(game: FiniteGame, profile: Profile) -> bool:
     """True iff every player's support consists of best replies."""
     game.check_profile(profile)
-    for n in range(game.num_players):
-        br = best_replies(game, profile, n)
-        if not set(profile[n].support()) <= br:
-            return False
-    return True
+    return all(
+        set(sigma.support()) <= _best_replies(game, profile, n)
+        for n, sigma in enumerate(profile)
+    )
 
 
 @dataclass(frozen=True)

@@ -412,13 +412,19 @@ class Triangulation:
 
     # -- queries -----------------------------------------------------------
 
+    def _weights(self, cell: Face, point: Point) -> Optional[list[Fraction]]:
+        """The point's barycentric weights over the cell, or None when the cell misses it."""
+        w = barycentric_in([self.vertices[i] for i in cell], point)
+        return w if w is not None and all(x >= 0 for x in w) else None
+
     def contains(self, k: int, point: Sequence) -> bool:
         """Whether maximal cell k holds the point: its barycentric weights are >= 0."""
-        w = barycentric_in([self.vertices[i] for i in self.maximal[k]], as_point(point))
-        return w is not None and all(x >= 0 for x in w)
+        return self._weights(self.maximal[k], as_point(point)) is not None
 
-    def find_cell(self, point: Sequence) -> Optional[Face]:
-        return next((c for k, c in enumerate(self.maximal) if self.contains(k, point)), None)
+    def find_cell(self, point: Sequence) -> Optional[tuple[Face, list[Fraction]]]:
+        """The first maximal cell holding the point, with the point's weights over it."""
+        p = as_point(point)
+        return next(((c, w) for c in self.maximal if (w := self._weights(c, p)) is not None), None)
 
     def carrier(self, point: Sequence) -> Face:
         """The unique face containing the point in its relative interior."""
@@ -431,11 +437,10 @@ class Triangulation:
         cell's positive-weight vertices and its coordinates are those weights.
         """
         p = as_point(point)
-        c = self.find_cell(p)
-        if c is None:
+        found = self.find_cell(p)
+        if found is None:
             raise GeometryError(f"point {format_point(p)} lies outside the covered polytope")
-        w = barycentric_in([self.vertices[i] for i in c], p)
-        return {i: x for i, x in zip(c, w) if x > 0}
+        return {i: x for i, x in zip(*found) if x > 0}
 
     def closed_star(self, vertex: int) -> Subcomplex:
         if not 0 <= vertex < len(self.vertices):
@@ -845,11 +850,16 @@ class PolyhedralComplex:
         return masks, rows
 
     def contains(self, k: int, point: Sequence) -> bool:
-        """Whether cell k holds the point, tested in integers against its facets."""
+        """Whether cell k holds the point, tested in integers against its facets.
+
+        A cell that is not full-dimensional (volume 0) holds no point: it
+        has no facets to test against.
+        """
         (row,), s = self.chart.grid([as_point(point)])
         scale = self.grid[1]
-        return row is not None and all(
-            scale * sum(map(operator.mul, a, row)) <= b * s for a, b in self._walk(k)[0]
+        facets, volume = self._walk(k)
+        return volume > 0 and row is not None and all(
+            scale * sum(map(operator.mul, a, row)) <= b * s for a, b in facets
         )
 
     def face_lattice(self) -> dict[FaceKey, int]:

@@ -19,6 +19,7 @@ equilibria, projected through per-player maps, carry prescribed indices.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -30,8 +31,7 @@ from .games import (
     MixedStrategy,
     Profile,
     format_profile,
-    payoff,
-    payoff_against,
+    payoff_vector,
 )
 from .linalg import (
     ONE,
@@ -105,9 +105,9 @@ def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
             "unequal support sizes: equilibrium is not regular; use component_index"
         )
     for n, sup in ((0, I), (1, J)):
-        v = payoff(game, eq, n)
-        for s in game.strategies[n]:
-            dev = payoff_against(game, eq, n, s)
+        values = dict(zip(game.strategies[n], payoff_vector(game, eq, n)))
+        v = sum((w * values[s] for s, w in eq[n].weights), ZERO)
+        for s, dev in values.items():
             if s in sup:
                 if dev != v:
                     raise IndexError_(f"profile is not an equilibrium at {s}")
@@ -305,13 +305,11 @@ def _nash_map(game: FiniteGame):
         prof = to_profile(x)
         out: list[Fraction] = []
         for n in range(2):
-            base = payoff(game, prof, n)
-            gains = [
-                max(ZERO, payoff_against(game, prof, n, s) - base)
-                for s in labels[n]
-            ]
-            denom = ONE + sum(gains, ZERO)
+            values = payoff_vector(game, prof, n)
             w = prof[n].as_vector(labels[n])
+            base = sum(map(operator.mul, w, values), ZERO)
+            gains = [max(ZERO, v - base) for v in values]
+            denom = ONE + sum(gains, ZERO)
             new = [(w[i] + gains[i]) / denom for i in range(len(labels[n]))]
             out.extend(new[:-1])
         return out

@@ -30,10 +30,11 @@ from .games import (
     MixedStrategy,
     PolytopeGame,
     Profile,
+    best_replies,
     eliminate_strictly_dominated,
     format_profile,
     is_equilibrium,
-    payoff_against,
+    payoff_vector,
 )
 from .indices import game_index_report, verify_realization
 from .linalg import ONE, ZERO, frac_vec, linf_distance, vec_add, vec_scale
@@ -168,9 +169,7 @@ def _profile_from_vectors(game: FiniteGame, vectors: Sequence[Sequence[Fraction]
 
 
 def best_reply_value(game: FiniteGame, profile: Profile, player: int) -> Fraction:
-    return max(
-        payoff_against(game, profile, player, s) for s in game.strategies[player]
-    )
+    return max(payoff_vector(game, profile, player))
 
 
 def envelope_r(
@@ -341,8 +340,9 @@ class ReplyField:
             reply = MixedStrategy.of(
                 {s: w for s, w in zip(base.strategies[n], points[n]) if w != 0}
             )
-            got = payoff_against(base, prof, n, reply)
-            best = best_reply_value(base, prof, n)
+            pays = dict(zip(base.strategies[n], payoff_vector(base, prof, n)))
+            got = sum((w * pays[s] for s, w in reply.weights), ZERO)
+            best = max(pays.values())
             if got <= best - self.eps:
                 raise PerturbError(
                     "replyfield",
@@ -352,13 +352,8 @@ class ReplyField:
 
 
 def _lex_first_best_reply(game: FiniteGame, profile: Profile, player: int) -> Label:
-    best = None
-    val = None
-    for s in game.strategies[player]:
-        v = payoff_against(game, profile, player, s)
-        if val is None or v > val:
-            best, val = s, v
-    return best
+    replies = best_replies(game, profile, player)
+    return next(s for s in game.strategies[player] if s in replies)
 
 
 # --------------------------------------------------------------------------
@@ -414,12 +409,12 @@ def bonus_g0(
             list(base.strategies[n])
         )
         r_val = r_fns[n](tuple(sigma))
+        pays = dict(zip(base.strategies[n], payoff_vector(base, tuple(sigma), n)))
         out: dict[Label, Fraction] = {}
         for i, lab in enumerate(tg.first_labels[n]):
             bump = tri.star_bump(i, reply_point)
             mixture = tg.vertex_mixtures[n][lab]
-            pay_s = payoff_against(base, tuple(sigma), n, mixture)
-            gap = r_val - pay_s
+            gap = r_val - sum((w * pays[s] for s, w in mixture.weights), ZERO)
             if gap < 0:
                 raise PerturbError(
                     "bonus", f"envelope below payoff at {lab!r} (gap {gap})"
@@ -467,13 +462,12 @@ def oplus_best_replies(
     """
     base = tg.base
     sigma = [tg.phi0[n].apply(profile[n][0]) for n in range(base.num_players)]
-    prof = tuple(sigma)
-    first_vals = {}
-    for lab in tg.first_labels[player]:
-        mixture = tg.vertex_mixtures[player][lab]
-        first_vals[lab] = payoff_against(base, prof, player, mixture) + g0.values[
-            player
-        ].get(lab, ZERO)
+    pays = dict(zip(base.strategies[player], payoff_vector(base, tuple(sigma), player)))
+    first_vals = {
+        lab: sum((w * pays[s] for s, w in tg.vertex_mixtures[player][lab].weights), ZERO)
+        + g0.values[player].get(lab, ZERO)
+        for lab in tg.first_labels[player]
+    }
     second_vals = {
         lab: g1.values[player].get(lab, ZERO)
         for lab in tg.second_labels(player)

@@ -197,26 +197,32 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
 # --------------------------------------------------------------------------
 
 
-def _indifference(game: FiniteGame, player: int, supports) -> tuple[Fraction, ...]:
-    """(a, b, c, d) with U(first) - U(second) = a + b p_u + c p_v + d p_u p_v.
+def _indifference(game: FiniteGame, player: int, supports) -> tuple[int, ...]:
+    """Integers (a, b, c, d) with s (U(first) - U(second)) = a + b p_u + c p_v + d p_u p_v.
 
     U is `player`'s payoff from its two supported strategies, u < v are the
-    other players and p_u the weight of u's first supported strategy.  By
+    other players, p_u the weight of u's first supported strategy and s > 0
+    the scale of `player`'s integer payoff table, which moves no root.  By
     inclusion-exclusion from the payoff differences at the 0/1 corners.
     """
     u, v = (m for m in range(3) if m != player)
+    table = game.integer_payoffs[player][0]
+    first, second = (game.offsets[player][s] for s in supports[player])
 
-    def pay(k: int, wu: int, wv: int) -> Fraction:
-        labels = {player: supports[player][k], u: supports[u][wu - 1], v: supports[v][wv - 1]}
-        return game.payoffs[tuple(labels[m] for m in range(3))][player]
+    def diff(wu: int, wv: int) -> int:
+        o = game.offsets[u][supports[u][wu - 1]] + game.offsets[v][supports[v][wv - 1]]
+        return table[o + first] - table[o + second]
 
-    f00, f10, f01, f11 = (pay(0, *w) - pay(1, *w) for w in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    f00, f10, f01, f11 = (diff(*w) for w in ((0, 0), (1, 0), (0, 1), (1, 1)))
     return f00, f10 - f00, f01 - f00, f11 - f10 - f01 + f00
 
 
-def _lin(p: Fraction, q: Fraction) -> list:
-    """Solutions of p t + q = 0: [root], [None] when every t solves it, or []."""
-    return [-q / p] if p else [] if q else [None]
+def _lin(p, q) -> list:
+    """Solutions of p t + q = 0: [root], [None] when every t solves it, or [].
+
+    p and q are integers or Fractions; the root is always a Fraction.
+    """
+    return [Fraction(-q) / p] if p else [] if q else [None]
 
 
 def _fibre(ly, lz, e) -> list:
@@ -285,6 +291,11 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
 
     Solves each indifference system exactly (a constant, two decoupled linear
     equations, or `_bilinear_system`), keeping rational roots in (0, 1).
+    The systems' coefficients are read from the game's integer payoff
+    tables (:attr:`FiniteGame.integer_payoffs`), whose positive per-player
+    scales leave every root unchanged; weights are always ``Fraction`` s.
+    Each candidate is certified by :func:`is_equilibrium`, which reads
+    the same tables through :func:`games.payoff_vector`'s kernel.
     Continua, discarded roots and supports of size >= 3 are reported in
     ``notes`` and flagged via ``exhaustive=False``.
     """

@@ -1,7 +1,8 @@
 """Test oracles: reference computations that the program itself never runs.
 
-Several test files cross-check the program against these: the grid brute
-force for completeness, the H-representation of a Nash subset's factors
+Several test files cross-check the program against these: the payoff
+summed over pure profiles in ``Fraction`` s, the grid brute force for
+completeness, the H-representation of a Nash subset's factors
 for membership, the regularity test, the reader of the mapping files
 that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
 simplex from one ``nullspace`` per facet, a polyhedral cell's facets by a
@@ -41,6 +42,22 @@ from equilib.linalg import (
 )
 from equilib.rational import parse_rational
 from equilib.solver import EquilibriumSet, NashSubset, support_enumeration
+
+
+def pure_profile_payoff(game: FiniteGame, profile: Profile, player: int) -> Fraction:
+    """Multilinear expected payoff of ``player``, one ``Fraction`` term per pure profile.
+
+    Reference for the integer kernel behind ``games.payoff_vector``: it
+    walks the whole support product of ``profile``, own player included.
+    """
+    game.check_profile(profile)
+    total = ZERO
+    for pure in itertools.product(*(sigma.support() for sigma in profile)):
+        prob = ONE
+        for sigma, s in zip(profile, pure):
+            prob *= sigma.weight(s)
+        total += prob * game.payoffs[pure][player]
+    return total
 
 
 def compositions(total: int, parts: int):

@@ -474,3 +474,35 @@ def test_complex_contains_matches_hull_membership():
     square = membership_complexes()[-1]
     assert square.contains(0, (F(1), F(0))) and square.contains(0, (F(9, 10), F(1, 10)))
     assert not any(square.contains(k, (F(3, 2), F(1, 4))) for k in range(2))
+
+
+def test_complex_cell_without_facets_holds_no_point():
+    """A cell that is not full-dimensional has no facets to test against, so
+    it holds no point, not every point of the polytope's affine hull."""
+    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    pc = PolyhedralComplex(
+        [
+            PolyCell(((F(0), F(0)), (F(1), F(0)))),
+            PolyCell(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)))),
+            PolyCell(((F(0), F(0)), (F(0), F(1)), (F(1), F(1)))),
+        ],
+        square,
+    )
+    assert not pc.contains(0, (F(5), F(5)))
+    assert not pc.contains(0, (F(1, 2), F(0)))
+    assert pc.contains(1, (F(1), F(0))) and not pc.contains(1, (F(5), F(5)))
+
+
+def test_barycentric_coords_solves_the_containing_cell_once(monkeypatch):
+    """The weights that locate the point's cell are its coordinates: a point
+    of the second cell costs one solve per cell tried, not a third."""
+    import equilib.geometry as geometry
+
+    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    tri = Triangulation(square, [(0, 1, 3), (0, 2, 3)])
+    calls = []
+    solve = geometry.solve_linear
+    monkeypatch.setattr(geometry, "solve_linear", lambda A, b: calls.append(1) or solve(A, b))
+    coords = tri.barycentric_coords((F(1, 4), F(1, 2)))
+    assert coords == {0: F(1, 2), 2: F(1, 4), 3: F(1, 4)}
+    assert len(calls) == 2
