@@ -10,7 +10,9 @@ root of every equilib verification error, or a ``perturb`` or
 ``verify-example`` check that did not pass), 2 usage error (malformed
 input, such as a mixture that is no JSON object, has weights that are
 negative or do not sum to 1, or names a strategy its player does not
-have, or a profile without one mixture per player).  At module level
+have, or a profile without one mixture per player, and a game of other
+than two players for ``solve``, ``components`` or ``index``, whose
+enumeration is two-player only).  At module level
 this file imports only what every subcommand uses (``games`` and
 ``rational``); each ``cmd_*`` imports the modules it runs, so a process
 loads no more.
@@ -163,6 +165,17 @@ def _load_game(path: str) -> FiniteGame:
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _load_two_player_game(path: str) -> FiniteGame:
+    """The game in ``path``; solve, components and index enumerate two-player games only."""
+    game = _load_game(path)
+    if game.num_players != 2:
+        raise UsageError(
+            f"{path}: solve, components and index handle two-player games only, "
+            f"and this game has {game.num_players} players"
+        )
+    return game
+
+
 def _load_triangulation(path: str) -> Triangulation:
     """Read and validate a `.tri` file.
 
@@ -225,7 +238,7 @@ def load_target_spec(path: str, game: FiniteGame) -> TargetSpec:
 def cmd_solve(args) -> tuple[Report, int]:
     from .solver import components, support_enumeration
 
-    es = support_enumeration(_load_game(args.game))
+    es = support_enumeration(_load_two_player_game(args.game))
     cg = components(es)
     results = {
         "isolated": [_profile_json(p) for p in es.isolated],
@@ -251,7 +264,7 @@ def cmd_solve(args) -> tuple[Report, int]:
 def cmd_components(args) -> tuple[Report, int]:
     from .solver import components, support_enumeration
 
-    cg = components(support_enumeration(_load_game(args.game)))
+    cg = components(support_enumeration(_load_two_player_game(args.game)))
     results = {
         "subsets": [
             {"supports": [list(s) for s in ns.supports]} for ns in cg.subsets
@@ -269,7 +282,7 @@ def cmd_index(args) -> tuple[Report, int]:
     from .indices import IndexError_, component_entry, game_index_report, index_regular
     from .solver import components, support_enumeration
 
-    game = _load_game(args.game)
+    game = _load_two_player_game(args.game)
     report = Report("index", inputs={"game": args.game})
     if args.point is not None:
         profile = _read_profile(_json_argument(args.point, "--point"), game, "--point")

@@ -11,7 +11,7 @@ complex into a triangulation without new vertices.
 All ambient coordinates are rational; simplices may live in a proper affine
 subspace (e.g. probability simplices), in which case computations run in an
 exact affine chart.  Lower hulls (regular triangulations, volumes, hull
-facets and vertices) are walked cell to cell by gift wrapping, and
+facets and vertices) are walked cell to cell by `linalg.lex_walk`, and
 arrangements are built by splitting cells one hyperplane at a time, so
 both cost in proportion to the cells they produce; neither tries subsets
 of points or of hyperplanes.  Subdivisions are validated by facet matching
@@ -28,19 +28,21 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .games import GameError
 from .linalg import (
     ONE,
     ZERO,
     Chart,
-    _eliminate,
+    _basis_table,
     _integer_matrix,
     _integer_row,
+    _least_ratio,
     _reduce,
     dot,
     frac_vec,
+    lex_walk,
     linprog,
     matrix_rank,
     nullspace,
@@ -165,25 +167,11 @@ def _barycentric_table(
     """|det| of a simplex, its facet forms, and every point's barycentric coordinates.
 
     `pts` are integer coordinates in a chart of the simplex's dimension d
-    and `cell` indexes d + 1 of them.  One elimination of
-    [cell points, 1 | I | all points, 1] leaves det·λ_r in row r, as an
-    affine form over I and at every point over the rest.  Returns (|det|,
-    forms, lam) scaled by |det|: forms[r] holds λ_r's coefficients on
-    (x, 1), lam[r][j] is λ_r(p_j), and |det| is 0, with no tables, when the
-    cell's points are affinely dependent.
+    and `cell` indexes d + 1 of them: :func:`linalg._basis_table` of the
+    rows (p, 1), so forms[r] holds λ_r's coefficients on (x, 1) and
+    lam[r][j] is λ_r(p_j), scaled by |det|, which is 0 on a degenerate cell.
     """
-    d = len(cell) - 1
-    rows = [
-        [pts[i][k] for i in cell] + [int(r == k) for r in range(d + 1)] + [p[k] for p in pts]
-        for k in range(d)
-    ]
-    rows.append([1] * (d + 1) + [int(r == d) for r in range(d + 1)] + [1] * len(pts))
-    pivots, det, _ = _reduce(rows)
-    if pivots != list(range(d + 1)):
-        return 0, [], []
-    if det < 0:
-        det, rows = -det, [[-x for x in row] for row in rows]
-    return det, [row[d + 1 : 2 * d + 2] for row in rows], [row[2 * d + 2 :] for row in rows]
+    return _basis_table([*map(list, zip(*pts)), [1] * len(pts)], cell)
 
 
 def _facet_halfspace(form: Sequence[int], scale: int = 1) -> tuple[tuple[int, ...], int]:
@@ -193,11 +181,11 @@ def _facet_halfspace(form: Sequence[int], scale: int = 1) -> tuple[tuple[int, ..
     return tuple(x // g for x in a), form[-1] // g
 
 
-def _hyperplane(form: Sequence[int], scale: int) -> tuple[tuple[Fraction, ...], Fraction]:
+def _hyperplane(form: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
     """λ = 0 as :func:`_facet_halfspace`'s a·x = b, the first nonzero a_k positive."""
     a, b = _facet_halfspace(form, scale)
     s = 1 if next(x for x in a if x) > 0 else -1
-    return tuple(Fraction(s * x) for x in a), Fraction(s * b)
+    return tuple(s * x for x in a), s * b
 
 
 def _sign_masks(values: Iterable[int]) -> tuple[int, int]:
@@ -521,42 +509,6 @@ def _non_generic(tight: Iterable[int]) -> GeometryError:
     )
 
 
-def _sign(const: int, terms: Iterable[tuple[int, int]] = ()) -> int:
-    """The sign of const + Σ c·ε^(i+1) over the (i, c) in `terms`, for every small ε > 0.
-
-    A nonzero constant decides.  Otherwise the lowest index whose
-    coefficients have a nonzero sum does (Edelsbrunner & Mücke, *Simulation
-    of Simplicity*, ACM TOG 9, 1990); 0 when every sum vanishes.
-    """
-    total = {-1: const}  # ε^0, below every ε^(i+1)
-    for i, c in terms:
-        total[i] = total.get(i, 0) + c
-    return next(((c > 0) - (c < 0) for _, c in sorted(total.items()) if c), 0)
-
-
-def _least_ratio(
-    slack: Sequence[int], rates: Sequence[int], eps: Callable[[int], list[tuple[int, int]]]
-) -> int:
-    """The j with rates[j] < 0 whose slack_j / -rates[j] is least; -1 when there is none.
-
-    slack_j stands for slack[j] plus the ε terms eps(j) (see :func:`_sign`),
-    and two ratios are compared cross-multiplied for every small ε > 0:
-    only an exact tie of their constant parts reads the ε terms.
-    """
-    best = -1
-    for k, m in enumerate(rates):
-        if m >= 0:
-            continue
-        # v < 0 when k's ratio is less than best's
-        v = slack[best] * m - slack[k] * rates[best] if best >= 0 else -1
-        if not v:
-            b = rates[best]
-            v = _sign(0, [(i, m * c) for i, c in eps(best)] + [(i, -b * c) for i, c in eps(k)])
-        if v < 0:
-            best = k
-    return best
-
-
 def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Face:
     """One lower cell of the points lifted to hs[j] + ε^(j+1), for every small ε > 0.
 
@@ -597,18 +549,13 @@ def _lower_hull_cells(
     """Lower cells of the lifted points, the facets and volume of conv(points).
 
     Gift wrapping (Chand & Kapur 1970) on the points' integer chart
-    coordinates (a :meth:`Chart.grid`), lifted to the integer heights
-    hs[j] + ε^(j+1) for every small ε > 0, so that the cells are those of
-    one regular triangulation and no tie is left (Edelsbrunner & Mücke,
-    *Simulation of Simplicity*, 1990).  From one lower cell
-    (:func:`_first_lower_cell`), each cell is certified by one elimination
-    (:func:`_barycentric_table`) that gives every point's barycentric
-    coordinates over the cell and its slack above the cell's plane, all of
-    which must be positive off the cell; each ridge is then crossed by one
-    ratio test (:func:`_least_ratio`), the least slack per unit of
-    barycentric coordinate lost beyond it.  A ridge with no point beyond
-    it spans a facet of conv(points).  The ε part of slack_j is
-    |det|·ε^(j+1) − Σ_r lam[r][j]·ε^(cell[r]+1); only ties read it.
+    coordinates (a :meth:`Chart.grid`) lifted to the heights hs[j] +
+    ε^(j+1), so the cells are those of one regular triangulation.  A lower
+    cell is a plane z = a·x + c with a·p_j + c <= hs[j] + ε^(j+1) on every
+    point, equality on the cell: a basis of the rows (p_j, 1 | hs[j]),
+    which :func:`linalg.lex_walk` visits from :func:`_first_lower_cell`.
+    Its tables are the cells' barycentric coordinates, and an unbounded
+    edge is a ridge with no point beyond it, on a facet of conv(points).
 
     Returns the cells as sorted index tuples in lexicographic order; the
     facets as integer-primitive halfspaces (a, b), a·x <= b on every
@@ -618,40 +565,10 @@ def _lower_hull_cells(
     in walk order, that holds more than d + 1 of them at ε = 0 (None when
     no plane does, that is when the heights hs are generic).
     """
-    first = _first_lower_cell(pts, hs, d)
-    todo, seen = [first], {first}
-    facets: dict[tuple[tuple[int, ...], int], None] = {}
-    volume = 0
-    flat = None
-    while todo:
-        cell = todo.pop()
-        det, forms, lam = _barycentric_table(pts, cell)
-        volume += det
-
-        def eps(j: int) -> list[tuple[int, int]]:
-            return [(j, det), *((i, -row[j]) for i, row in zip(cell, lam))]
-
-        slack = [
-            h * det - sum(hs[i] * lam[r][j] for r, i in enumerate(cell))
-            for j, h in enumerate(hs)
-        ]
-        tight = [j for j, s in enumerate(slack) if s == 0]
-        below = min(slack) < 0
-        if len(tight) > d + 1:
-            flat = flat or tight
-            below = below or any(_sign(0, eps(j)) < 0 for j in tight)
-        if below:
-            raise GeometryError(f"lower hull walk reached cell {cell} below a lifted point")
-        for r in range(d + 1):
-            j = _least_ratio(slack, lam[r], eps)
-            if j < 0:
-                facets[_facet_halfspace(forms[r])] = None
-                continue
-            nxt = tuple(sorted([i for q, i in enumerate(cell) if q != r] + [j]))
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return sorted(seen), list(facets), volume, flat
+    cells, unbounded = lex_walk([[*p, 1] for p in pts], hs, _first_lower_cell(pts, hs, d))
+    flat = next((tight for _, _, tight in cells if len(tight) > d + 1), None)
+    facets = dict.fromkeys(_facet_halfspace(form) for _, _, form in unbounded)
+    return sorted(c for c, _, _ in cells), list(facets), sum(det for _, det, _ in cells), flat
 
 
 def _triangulated_hull(
@@ -909,11 +826,12 @@ class PolyhedralComplex:
 
 
 def _arrangement_cells(
-    base_hrep: list[tuple[tuple[Fraction, ...], Fraction]],
-    base_vertices: Sequence[Sequence[Fraction]],
-    hyperplanes: list[tuple[tuple[Fraction, ...], Fraction]],
+    base_hrep: list[tuple[tuple[int, ...], int]],
+    base_vertices: Sequence[Sequence[int]],
+    scale: int,
+    hyperplanes: list[tuple[tuple[int, ...], int]],
     dim: int,
-) -> list[tuple[list[tuple[tuple[Fraction, ...], Fraction]], list[list[Fraction]]]]:
+) -> list[tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, ...]]]]:
     """Full-dimensional cells of the arrangement inside the base polytope.
 
     Double-description splits (Motzkin et al. 1953; Fukuda & Prodon 1996):
@@ -923,26 +841,33 @@ def _arrangement_cells(
     on every edge that crosses it.  Two vertices span an edge when no third
     vertex is tight on every row tight at both (and at least dim - 1 are).
 
-    Returns (H-rep rows, vertex list) pairs in chart coordinates.  A cell's
-    rows are the base's followed by one side of every hyperplane, (a, b)
-    or its negation, the cells ordered by those sides with (a, b) first;
-    its vertices are in `vertex_enumeration`'s order, that of the greedy
-    (lexicographically first) independent set of their tight rows.
+    All in integers, in chart coordinates: the rows a·x <= b and the
+    hyperplanes are integer, the base's vertices are the grid rows
+    `base_vertices` over `scale` (a :meth:`Chart.grid`), and a vertex is
+    (*num, den) in lowest terms, the point num / den with den > 0, at
+    which a·x − b has the sign of (a, −b)·(num, den).
+
+    Returns (H-rep rows, vertex list) pairs.  A cell's rows are the base's
+    followed by one side of every hyperplane, (a, b) or its negation, the
+    cells ordered by those sides with (a, b) first; its vertices are in
+    `vertex_enumeration`'s order, that of the greedy (lexicographically
+    first) independent set of their tight rows.
     """
-    # a cell is (rows, [(vertex, bit mask of the rows tight there)])
+    def value(row: tuple[tuple[int, ...], int], v: tuple[int, ...]) -> int:
+        return sum(map(operator.mul, row[0], v)) - row[1] * v[-1]
+
+    # a cell is (rows, [((*num, den), bit mask of the rows tight there)])
+    base = [(*v, scale) for v in base_vertices]
     cells = [(
         list(base_hrep),
-        [
-            (list(v), sum(1 << k for k, (a, b) in enumerate(base_hrep) if dot(a, v) == b))
-            for v in base_vertices
-        ],
+        [(v, sum(1 << k for k, row in enumerate(base_hrep) if not value(row, v))) for v in base],
     )]
     for k, (a, b) in enumerate(hyperplanes, start=len(base_hrep)):
         bit = 1 << k
         neg = (tuple(-x for x in a), -b)
         split = []
         for rows, verts in cells:
-            values = [dot(a, v) - b for v, _ in verts]
+            values = [value((a, b), v) for v, _ in verts]
             below = [i for i, x in enumerate(values) if x < 0]
             above = [i for i, x in enumerate(values) if x > 0]
             # the vertices both sides keep: those on the hyperplane, and one
@@ -957,9 +882,12 @@ def _arrangement_cells(
                         if z != i and z != j
                     ):
                         continue  # not an edge
-                    t = values[i] / (values[i] - values[j])
-                    u, w = verts[i][0], verts[j][0]
-                    shared.append(([p + t * (q - p) for p, q in zip(u, w)], common | bit))
+                    # the zero of a·x − b on the edge, s_w·u − s_u·w with the
+                    # values s_u < 0 < s_w of u and w, so its den is positive
+                    su, sw = values[i], values[j]
+                    v = [sw * p - su * q for p, q in zip(verts[i][0], verts[j][0])]
+                    g = math.gcd(*v)
+                    shared.append((tuple(x // g for x in v), common | bit))
             if below:
                 split.append((rows + [(a, b)], [verts[i] for i in below] + shared))
             if above:
@@ -969,13 +897,13 @@ def _arrangement_cells(
     normals = [a for a, _ in base_hrep] + [a for a, _ in hyperplanes]
     keys: dict[tuple, tuple[int, ...]] = {}
 
-    def greedy_basis(vertex: tuple[list[Fraction], int]) -> tuple[int, ...]:
+    def greedy_basis(vertex: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
         v, mask = vertex
-        key = keys.get(tuple(v))
+        key = keys.get(v)
         if key is None:
             tight = [r for r in range(mask.bit_length()) if mask >> r & 1]
-            pivots = _eliminate(zip(*[normals[r] for r in tight]))[1]
-            key = keys[tuple(v)] = tuple(tight[j] for j in pivots)
+            pivots = _reduce([list(col) for col in zip(*[normals[r] for r in tight])])[0]
+            key = keys[v] = tuple(tight[j] for j in pivots)
         return key
 
     return [(rows, [v for v, _ in sorted(verts, key=greedy_basis)]) for rows, verts in cells]
@@ -986,15 +914,15 @@ def _cells_to_complex(
     raw_cells,
     polytope: Sequence[Point],
 ) -> PolyhedralComplex:
-    """The chart-coordinate cells' vertices in ambient coordinates; a vertex
-    that several cells share is lifted once."""
+    """:func:`_arrangement_cells`' vertices (*num, den) in ambient coordinates;
+    a vertex that several cells share is lifted once."""
     points: dict[tuple, Point] = {}
     cells = []
     for _, verts in raw_cells:
-        for v in map(tuple, verts):
+        for v in verts:
             if v not in points:
-                points[v] = tuple(chart.to_ambient(v))
-        cells.append(PolyCell(tuple(points[tuple(v)] for v in verts)))
+                points[v] = tuple(chart.to_ambient([Fraction(x, v[-1]) for x in v[:-1]]))
+        cells.append(PolyCell(tuple(points[v] for v in verts)))
     return PolyhedralComplex(cells, polytope)
 
 
@@ -1041,8 +969,7 @@ def hyperplane_extension_subdivision(
                         f"extended hyperplane {format_point(a)}·x = {format_rational(b)}"
                     )
     base_hrep = [_facet_halfspace(f, scale) for f in tables[0]]
-    local_base = [[Fraction(x, scale) for x in row] for row in grid[: d + 1]]
-    raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
+    raw = _arrangement_cells(base_hrep, grid[: d + 1], scale, hyperplanes, d)
     pc = _cells_to_complex(chart, raw, base.vertices)
     pc.validate()
     return pc
@@ -1382,24 +1309,21 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
     )
     base = grid[len(tri.vertices) :]
     base_hrep = [_facet_halfspace(f, scale) for f in _barycentric_table(base, range(d + 1))[1]]
-    local_base = [[Fraction(x, scale) for x in row] for row in base]
-    raw = _arrangement_cells(base_hrep, local_base, hyperplanes, d)
+    raw = _arrangement_cells(base_hrep, base, scale, hyperplanes, d)
     pc = _cells_to_complex(tri.chart, raw, tri.polytope)
     pc.validate()
-
-    def raw_gamma(lp: Sequence[Fraction]) -> Fraction:
-        return sum((abs(dot(a, lp) - b) for a, b in hyperplanes), ZERO)
-
-    peak = max(raw_gamma(p) for p in local_base)
-    alpha = ONE / peak if peak > 0 else ONE
+    # scale times the largest Σ_H |a_H·x − b_H|, which a base vertex x = row / scale takes
+    peak = max(
+        sum(abs(sum(map(operator.mul, a, row)) - b * scale) for a, b in hyperplanes)
+        for row in base
+    )
+    alpha = Fraction(scale, peak) if peak else ONE
     pieces = []
     for rows, _ in raw:
-        grad = [ZERO] * d
-        off = ZERO
+        grad, off = [0] * d, 0
         for (a, b), side in zip(hyperplanes, rows[len(base_hrep) :]):
-            s = -ONE if side == (a, b) else ONE  # the cell lies in a·x <= b, or beyond
-            for k in range(d):
-                grad[k] += s * a[k]
+            s = -1 if side == (a, b) else 1  # the cell lies in a·x <= b, or beyond
+            grad = [g + s * x for g, x in zip(grad, a)]
             off -= s * b
         pieces.append(([alpha * g for g in grad], alpha * off))
     gamma = PLFunction(pc, pieces)

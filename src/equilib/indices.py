@@ -40,6 +40,7 @@ from .linalg import (
     Matrix,
     Vector,
     _eliminate,
+    _sign,
     determinant,
     frac_vec,
     linprog,
@@ -203,9 +204,9 @@ def _raw_degree(values: Iterable[tuple[Sequence[Sequence[Fraction]], int]]) -> i
     orientation.  With W the matrix whose columns are the values, the ray
     meets the simplex's image exactly when μ = W⁻¹·ray(ε) > 0, and μ_i is
     Σ_k ε^k (W⁻¹)_ik, so it has the sign of the first nonzero entry of row
-    i of W⁻¹ (Edelsbrunner & Mücke, *Simulation of Simplicity*, ACM TOG 9,
-    1990).  One fraction-free elimination of [W | I] leaves det·W⁻¹ in the
-    right block.  A crossing counts orient·sign(det W), which is (-1)^(d-1)
+    i of W⁻¹, which the lexicographic rule :func:`linalg._sign` reads.  One
+    fraction-free elimination of [W | I] leaves det·W⁻¹ in the right
+    block.  A crossing counts orient·sign(det W), which is (-1)^(d-1)
     times the orientation of the crossing; ``degree_oracle`` applies that
     sign.
 
@@ -227,7 +228,7 @@ def _raw_degree(values: Iterable[tuple[Sequence[Sequence[Fraction]], int]]) -> i
                     "refine the grid"
                 )
             continue
-        if all(next(a for a in row[d:] if a) * det > 0 for row in T):
+        if all(_sign(0, enumerate(row[d:])) * det > 0 for row in T):
             total += orient if det * scale > 0 else -orient
     return total
 

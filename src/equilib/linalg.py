@@ -9,6 +9,12 @@ solves and the nullspace, and the LP solver pivots its own tableau with the
 same step.  The LP solver is a small two-phase simplex with Bland's
 rule, which is all the package needs (feasibility tests, dominance
 witnesses, polytope distances) at desk scale.
+
+One lexicographic rule, right-hand sides beta_j + ε^(j+1) read by the
+constant and then the lowest ε power (:func:`_sign`), picks the bases
+`vertex_enumeration` keeps and drives :func:`lex_walk`, the pivoting walk
+over the bases of such a system, one elimination per basis, that gives
+geometry its lower hulls.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -408,13 +414,14 @@ def vertex_enumeration(
     for every small ε > 0 (Charnes, Econometrica 20, 1952): the vertices of
     that simple perturbed polyhedron.  A row k outside S tight at x has
     slack ε^(k+1) − Σ_{r∈S} λ_r ε^(r+1) there, a_k being Σ_{r∈S} λ_r a_r,
-    so S is kept when the first r ∈ S below k with λ_r ≠ 0, if any, has λ_r < 0.
+    whose sign :func:`_lex_feasible` reads.
     """
     A_ub = frac_mat(A_ub)
     b_ub = frac_vec(b_ub)
     if not A_ub:
         return []
     rows = _integer_rows(A_ub, b_ub)
+    cols = [list(c) for c in zip(*(a for a, _ in rows))]
     found: dict[tuple[int, ...], tuple[Vector, list[tuple[int, ...]]]] = {}
     for combo in itertools.combinations(range(len(A_ub)), len(A_ub[0])):
         x = solve_unique([A_ub[i] for i in combo], [b_ub[i] for i in combo])
@@ -428,30 +435,158 @@ def vertex_enumeration(
                 for k, (a, beta) in enumerate(rows)
                 if k not in combo and sum(map(operator.mul, a, num)) == beta * den
             ]
-            if _lex_feasible(rows, combo, tight):
+            if not tight or _lex_feasible(cols, combo, tight):
                 bases.append(combo)
     return list(found.values())
 
 
-def _lex_feasible(
-    rows: list[tuple[list[int], int]], basis: tuple[int, ...], tight: list[int]
-) -> bool:
+# --------------------------------------------------------------------------
+# The lexicographic rule: right-hand sides beta_j + ε^(j+1)
+# --------------------------------------------------------------------------
+
+Basis = tuple[int, ...]  # sorted row indices
+
+
+def _sign(const: int, terms: Iterable[tuple[int, int]] = ()) -> int:
+    """The sign of const + Σ c·ε^(i+1) over the (i, c) in `terms`, for every small ε > 0.
+
+    A nonzero constant decides.  Otherwise the lowest index whose
+    coefficients have a nonzero sum does (Charnes, Econometrica 20, 1952;
+    Edelsbrunner & Mücke, *Simulation of Simplicity*, ACM TOG 9, 1990); 0
+    when every sum vanishes.
+    """
+    total = {-1: const}  # ε^0, below every ε^(i+1)
+    for i, c in terms:
+        total[i] = total.get(i, 0) + c
+    for i in sorted(total):
+        if c := total[i]:
+            return (c > 0) - (c < 0)
+    return 0
+
+
+def _least_ratio(
+    slack: Sequence[int], rates: Sequence[int], eps: Callable[[int], list[tuple[int, int]]]
+) -> int:
+    """The j with rates[j] < 0 whose slack_j / -rates[j] is least; -1 when there is none.
+
+    slack_j stands for slack[j] plus the ε terms eps(j) (see :func:`_sign`),
+    and two ratios are compared cross-multiplied for every small ε > 0:
+    only an exact tie of their constant parts reads the ε terms.
+    """
+    best = -1
+    for k, m in enumerate(rates):
+        if m >= 0:
+            continue
+        # v < 0 when k's ratio is less than best's
+        v = slack[best] * m - slack[k] * rates[best] if best >= 0 else -1
+        if not v:
+            b = rates[best]
+            v = _sign(0, [(i, m * c) for i, c in eps(best)] + [(i, -b * c) for i, c in eps(k)])
+        if v < 0:
+            best = k
+    return best
+
+
+def _basis_table(
+    cols: Sequence[list[int]], basis: Sequence[int]
+) -> tuple[int, list[list[int]], list[list[int]]]:
+    """|det| of the basis rows, their coordinate forms, and every row's coordinates over them.
+
+    ``cols[k]`` holds coordinate k of every integer row a_j.  One elimination
+    of [A_Bᵀ | I | Aᵀ] leaves det·λ_r in row r, λ_r(a) being a's coordinate
+    over row basis[r]: as a linear form over I, and at every a_j over the
+    rest.  Returns (|det|, forms, lam) scaled by |det|: forms[r] holds λ_r's
+    coefficients and lam[r][j] is λ_r(a_j); |det| is 0, with no tables,
+    when the basis rows are dependent.
+    """
+    n = len(basis)
+    T = [
+        [col[i] for i in basis] + [int(r == k) for r in range(n)] + col
+        for k, col in enumerate(cols)
+    ]
+    pivots, det, _ = _reduce(T)
+    if pivots != list(range(n)):
+        return 0, [], []
+    if det < 0:
+        det, T = -det, [[-x for x in row] for row in T]
+    return det, [row[n : 2 * n] for row in T], [row[2 * n :] for row in T]
+
+
+def _lex_feasible(cols: Sequence[list[int]], basis: Sequence[int], tight: list[int]) -> bool:
     """Whether ``basis`` stays feasible under the perturbation beta_k + ε^(k+1).
 
-    ``tight`` lists the rows outside the basis that are tight at its vertex.
-    One elimination of [A_Sᵀ | a_kᵀ for k in tight] leaves det·λ for each
-    tight row k in its column, row i of λ belonging to basis row basis[i].
+    ``cols[j]`` holds coordinate j of every row, and ``tight`` lists the
+    rows outside the basis that are tight at its vertex.  One elimination
+    of [A_Sᵀ | a_kᵀ for k in tight] leaves det·λ for each tight row k in its
+    column, row i of λ belonging to basis row basis[i], so det times k's
+    slack is det·ε^(k+1) − Σ_i det·λ_i·ε^(basis[i]+1).
     """
-    if not tight:
-        return True
-    d = len(basis)
-    T = [[rows[r][0][j] for r in (*basis, *tight)] for j in range(d)]
+    T = [[col[r] for r in (*basis, *tight)] for col in cols]
     _, det, _ = _reduce(T)
-    for c, k in enumerate(tight, d):
-        first = next((T[i][c] for i, r in enumerate(basis) if r < k and T[i][c]), 0)
-        if first * det > 0:
-            return False
-    return True
+    return all(
+        _sign(0, [(k, det), *((r, -T[i][c]) for i, r in enumerate(basis))]) * det > 0
+        for c, k in enumerate(tight, len(basis))
+    )
+
+
+def lex_walk(
+    A: Sequence[Sequence[int]], beta: Sequence[int], start: Sequence[int]
+) -> tuple[list[tuple[Basis, int, list[int]]], list[tuple[Basis, int, list[int]]]]:
+    """Every basis of {y : a_j·y <= beta_j + ε^(j+1)} that pivots reach from ``start``.
+
+    A basis is a sorted tuple of n integer rows, n the length of a_j, and
+    is kept only when lexicographically feasible, as in
+    :func:`vertex_enumeration`: the vertices of that simple perturbed
+    polyhedron.  Each costs one :func:`_basis_table`: row j's slack is
+    beta_j·|det| − Σ_r lam[r][j]·beta_(basis[r]) plus the ε part
+    |det|·ε^(j+1) − Σ_r lam[r][j]·ε^(basis[r]+1), which only ties read; it
+    changes at the rate lam[r][j] as basis row r leaves, and
+    :func:`_least_ratio` picks the row that enters.  Bases are taken depth
+    first from a stack, leaving rows in basis order.
+
+    Returns (bases, unbounded): each basis with its |det| and its rows of
+    constant slack 0, in walk order, and each (basis, leaving row, its
+    form) whose ratio test finds no entering row.  Raises ValueError on a
+    singular start and on a row below a basis's vertex, the start's too.
+    """
+    cols = [list(c) for c in zip(*A)]
+    todo = [tuple(sorted(start))]
+    seen = set(todo)
+    bases, unbounded = [], []
+    while todo:
+        basis = todo.pop()
+        det, forms, lam = _basis_table(cols, basis)
+        if not det:
+            raise ValueError(f"start basis {basis} is singular")
+
+        def eps(j: int) -> list[tuple[int, int]]:
+            return [(j, det), *((i, -row[j]) for i, row in zip(basis, lam))]
+
+        slack = [
+            b * det - sum(beta[i] * lam[r][j] for r, i in enumerate(basis))
+            for j, b in enumerate(beta)
+        ]
+        below = [
+            j
+            for j, s in enumerate(slack)
+            if s < 0 or not s and j not in basis and _sign(0, eps(j)) < 0
+        ]
+        if below:
+            raise ValueError(
+                f"basis {basis} is not lexicographically feasible: "
+                f"row {below[0]} lies below its vertex"
+            )
+        bases.append((basis, det, [j for j, s in enumerate(slack) if not s]))
+        for r, i in enumerate(basis):
+            j = _least_ratio(slack, lam[r], eps)
+            if j < 0:
+                unbounded.append((basis, i, forms[r]))
+                continue
+            nxt = tuple(sorted(basis[:r] + basis[r + 1 :] + (j,)))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return bases, unbounded
 
 
 def _integer_rows(

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import random
@@ -146,6 +147,38 @@ def test_malformed_game_file_exits_2(command, text, message, tmp_path, capsys):
 
 
 # -- solve / components / index -------------------------------------------
+
+
+# each form of solve, components and index, with the rest of its arguments
+THREE_PLAYER_FORMS = {
+    "solve": ["solve"],
+    "components": ["components"],
+    "index": ["index"],
+    "index-component": ["index", "--component", "0"],
+    "index-point": ["index", "--point", '[{"a": "1"}, {"x": "1/2", "y": "1/2"}, {"u": "1"}]'],
+}
+
+
+@pytest.mark.parametrize("form", sorted(THREE_PLAYER_FORMS))
+def test_three_player_game_is_outside_the_two_player_scope(form, tmp_path, capsys):
+    """The enumeration behind solve, components and index is two-player
+    only, so a 2x2x2 game is a usage error that names that scope, never a
+    failed verification."""
+    strategies = [["a", "b"], ["x", "y"], ["u", "v"]]
+    payoffs = {
+        p: tuple(F((3 * k + sum(map(ord, "".join(p)))) % 4) for k in range(3))
+        for p in itertools.product(*strategies)
+    }
+    path = str(tmp_path / "3p.json")
+    save_game(FiniteGame.of(["p1", "p2", "p3"], strategies, payoffs), path)
+    command, *rest = THREE_PLAYER_FORMS[form]
+    assert main([command, path, *rest]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"usage error: {path}: solve, components and index handle two-player games only, "
+        "and this game has 3 players\n"
+    )
 
 
 def test_solve_trivial_game(tmp_path, capsys):

@@ -10,7 +10,6 @@ from equilib.geometry import (
     PolyhedralComplex,
     Simplex,
     Triangulation,
-    _sign,
     affine_below_except_marked,
     el_refinement,
     extreme_points,
@@ -22,7 +21,7 @@ from equilib.geometry import (
     triangulate_without_new_vertices,
     volume_in_chart,
 )
-from equilib.linalg import Chart
+from equilib.linalg import Chart, _sign
 from oracles import barycenter, in_convex_hull
 
 F = Fraction

@@ -618,13 +618,26 @@ def test_arrangement_inputs_cover_the_cases():
     assert sum(label.startswith(in_space) for label, *_ in ARRANGEMENTS) >= 20
 
 
+def arrangement_cells(base_hrep, base, hyperplanes, d):
+    """`_arrangement_cells` on `Fraction` rows and vertices: the rows scaled to
+    integers, the vertices put on one grid, and the cells' vertices read back
+    as `Fraction` lists."""
+
+    def integer(rows):
+        return [(tuple(r[:-1]), r[-1]) for r in (_integer_row([*a, b])[0] for a, b in rows)]
+
+    grid, scale = _integer_matrix(base)
+    cells = _arrangement_cells(integer(base_hrep), grid, scale, integer(hyperplanes), d)
+    return [(rows, [[F(x, v[-1]) for x in v[:-1]] for v in verts]) for rows, verts in cells]
+
+
 @pytest.mark.parametrize(
     "label,base,hyperplanes,d", ARRANGEMENTS, ids=[c[0] for c in ARRANGEMENTS]
 )
 def test_arrangement_splits_match_recursion(label, base, hyperplanes, d):
     base_hrep = simplex_facet_halfspaces(base, d)
     expected = reference_arrangement_cells(base_hrep, hyperplanes, d)
-    assert _arrangement_cells(base_hrep, base, hyperplanes, d) == expected
+    assert arrangement_cells(base_hrep, base, hyperplanes, d) == expected
 
 
 # -- hull vertices ----------------------------------------------------------
@@ -1416,7 +1429,7 @@ def split_cell(pc, k, normal):
     rows = cell_halfspaces(cell.vertices, pc.chart)
     halves = [
         PolyCell(tuple(tuple(pc.chart.to_ambient(v)) for v in verts))
-        for _, verts in _arrangement_cells(rows, local, [cut], len(normal))
+        for _, verts in arrangement_cells(rows, local, [cut], len(normal))
     ]
     return PolyhedralComplex(pc.cells[:k] + pc.cells[k + 1 :] + halves, pc.polytope)
 

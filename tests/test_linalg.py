@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equilib.linalg as linalg
 from equilib.linalg import (
     Chart,
+    _least_ratio,
     determinant,
     frac_mat,
+    lex_walk,
     linprog,
     matrix_rank,
     nullspace,
@@ -157,3 +163,96 @@ def test_internal_checks_raise(monkeypatch):
     monkeypatch.setattr(linalg, "solve_linear", lambda *_: None)
     with pytest.raises(ValueError, match="full row rank"):
         Chart([[F(0), F(0)], [F(1), F(0)]]).left_inverse()
+
+
+# -- the lexicographic rule ------------------------------------------------
+
+
+def test_least_ratio_breaks_an_exact_tie_by_the_lowest_eps_term():
+    # slacks 2 and 4 falling at rates 1 and 2 both reach 0 at 2
+    slack, rates = [2, 4], [-1, -2]
+    # slack_j + ε^(j+1): 2 + ε against 2 + ε²/2, so row 1 is first
+    assert _least_ratio(slack, rates, lambda j: [(j, 1)]) == 1
+    # slack_j + ε^(2-j): 2 + ε² against 2 + ε/2, so row 0 is
+    assert _least_ratio(slack, rates, lambda j: [(1 - j, 1)]) == 0
+    # without a tie the constants decide, against the ε terms
+    assert _least_ratio([2, 3], rates, lambda j: [(1 - j, 1)]) == 1
+    assert _least_ratio([1, 4], rates, lambda j: [(j, 1)]) == 0
+
+
+def test_least_ratio_reads_only_falling_rates():
+    assert _least_ratio([1, 0, 5], [0, 3, 1], lambda j: [(j, 1)]) == -1
+    assert _least_ratio([], [], lambda j: []) == -1
+    assert _least_ratio([0, 7, 5], [0, -1, 2], lambda j: [(j, 1)]) == 1
+
+
+# The points 0..3 of a line lifted to the parabola, as the rows (p, 1 | p²):
+# the lower cells are (0, 1), (1, 2) and (2, 3).
+PARABOLA = ([[0, 1], [1, 1], [2, 1], [3, 1]], [0, 1, 4, 9])
+
+
+def test_lex_walk_visits_the_lower_cells_and_the_unbounded_edges():
+    bases, unbounded = lex_walk(*PARABOLA, (1, 0))
+    assert bases == [((0, 1), 1, [0, 1]), ((1, 2), 1, [1, 2]), ((2, 3), 1, [2, 3])]
+    # leaving row 1 of (0, 1) or row 2 of (2, 3) meets no row: the facets x >= 0
+    # and x <= 3, as forms of the barycentric coordinate over the leaving row
+    assert unbounded == [((0, 1), 1, [1, 0]), ((2, 3), 2, [-1, 3])]
+
+
+def test_lex_walk_breaks_a_tie_of_the_heights_by_the_eps_terms():
+    # three collinear lifted points at height 0: the middle one, at ε², lies
+    # below the segment of the other two, at (ε + ε³)/2
+    rows, heights = [[0, 1], [1, 1], [2, 1]], [0, 0, 0]
+    bases, _ = lex_walk(rows, heights, (0, 1))
+    assert [b for b, _, _ in bases] == [(0, 1), (1, 2)]
+    assert [tight for _, _, tight in bases] == [[0, 1, 2], [0, 1, 2]]
+    with pytest.raises(ValueError, match=r"basis \(0, 2\) is not .*: row 1 lies below its vertex"):
+        lex_walk(rows, heights, (0, 2))
+
+
+@pytest.mark.parametrize("start,row", [((0, 2), 1), ((0, 3), 1), ((1, 3), 2)])
+def test_lex_walk_rejects_a_start_that_is_not_lexicographically_feasible(start, row):
+    with pytest.raises(
+        ValueError,
+        match=rf"basis \({start[0]}, {start[1]}\) is not lexicographically feasible: "
+        rf"row {row} lies below its vertex",
+    ):
+        lex_walk(*PARABOLA, start)
+    with pytest.raises(ValueError, match=r"start basis \(0, 0\) is singular"):
+        lex_walk(*PARABOLA, (0, 0))
+
+
+def test_lex_walk_certifies_its_start_under_python_O():
+    """The certificate is an exception, not an assert, so -O keeps it."""
+    import equilib
+
+    probe = (
+        "from equilib.linalg import lex_walk\n"
+        "try:\n"
+        "    lex_walk([[0, 1], [1, 1], [2, 1], [3, 1]], [0, 1, 4, 9], (0, 2))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(equilib.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout == (
+        "basis (0, 2) is not lexicographically feasible: row 1 lies below its vertex\n"
+    )
+
+
+def test_lex_walk_rejects_a_pivot_that_leaves_the_polyhedron(monkeypatch):
+    """A ratio test that takes the last falling row instead of the least ratio
+    steps from the lower cell (0, 1) to (1, 3), whose line passes above the
+    lifted point 2; the walk certifies every basis it reaches."""
+    monkeypatch.setattr(
+        linalg,
+        "_least_ratio",
+        lambda slack, rates, eps: max((j for j, m in enumerate(rates) if m < 0), default=-1),
+    )
+    with pytest.raises(
+        ValueError, match=r"basis \(1, 3\) is not lexicographically feasible: row 2 lies below"
+    ):
+        lex_walk(*PARABOLA, (0, 1))
