@@ -539,6 +539,7 @@ def cmd_verify_example(args) -> tuple[Report, int]:
             game = expect.game(eps)
             ok = True
             if expect.eliminated is not None:
+                # the same reduction that verify_realization certifies below
                 _, trace = eliminate_strictly_dominated(game)
                 ok = sorted((e.player, e.strategy) for e in trace) == expect.eliminated
             ok = ok and not verify_realization(game, phis, expect.equilibria)[1]

@@ -3,7 +3,8 @@
 The central objects are :class:`FiniteGame` (normal form, payoff tensor over
 pure profiles) and :class:`PolytopeGame` (strategy sets given as vertex lists,
 payoffs extended multiaffinely).  All evaluation is exact; best replies and
-dominance are decided by rational comparison and exact linear programming.
+dominance witnesses are decided by integer comparison, and a mixture that
+strictly dominates a strategy is found by exact linear programming.
 
 Payoffs, deviations, best replies and equilibrium checks all read one
 kernel, :func:`payoff_vector`'s: each pure strategy's payoff against the
@@ -190,6 +191,11 @@ class FiniteGame:
                     f"player {self.players[n]!r}: unknown strategies {sorted(extra)}"
                 )
 
+    @cached_property
+    def _reduction(self) -> tuple["FiniteGame", tuple["Elimination", ...]]:
+        """:func:`eliminate_strictly_dominated`'s answer, computed once per game."""
+        return _iterated_elimination(self)
+
     def restrict(self, keep: Sequence[Sequence[Label]]) -> "FiniteGame":
         """Subgame on the given strategy subsets (order taken from the game)."""
         kept = tuple(
@@ -286,6 +292,47 @@ class Elimination:
     witness: MixedStrategy  # mixture over remaining strategies that strictly dominates
 
 
+def _opponent_offsets(game: FiniteGame, player: int) -> list[int]:
+    """Offset of each pure profile of the others in `player`'s flat payoff table.
+
+    `player`'s own strategy is left out: its payoff there sits at the
+    offset plus ``game.offsets[player][s]``.
+    """
+    others = (pos.values() for m, pos in enumerate(game.offsets) if m != player)
+    return [sum(o) for o in itertools.product(*others)]
+
+
+def _pure_best_replies(game: FiniteGame, player: int) -> set[Label]:
+    """`player`'s strategies that are a best reply to some pure profile of the others."""
+    table = game.integer_payoffs[player][0]
+    own = game.offsets[player]
+    out: set[Label] = set()
+    for base in _opponent_offsets(game, player):
+        sums = {s: table[base + o] for s, o in own.items()}
+        best = max(sums.values())
+        out.update(s for s, v in sums.items() if v == best)
+    return out
+
+
+def strictly_dominates(
+    game: FiniteGame, player: int, witness: MixedStrategy, strategy: Label
+) -> bool:
+    """Whether `witness` earns strictly more than `strategy` against every pure profile of the others.
+
+    Exact, on the integer payoff tables of :func:`payoff_vector`'s kernel;
+    False when either names a strategy `player` does not have in `game`.
+    """
+    own = game.offsets[player]
+    if strategy not in own or not all(s in own for s in witness.support()):
+        return False
+    table = game.integer_payoffs[player][0]
+    nums, den = witness.integer_weights
+    return all(
+        sum(k * table[base + own[s]] for s, k in nums) > den * table[base + own[strategy]]
+        for base in _opponent_offsets(game, player)
+    )
+
+
 def _dominating_mixture(
     game: FiniteGame, player: int, strategy: Label
 ) -> Optional[MixedStrategy]:
@@ -308,7 +355,6 @@ def _dominating_mixture(
 
     # Variables: y_r (r in others), delta.  Maximize delta subject to
     # sum_r y_r u(r, p) - delta >= u(strategy, p) for all opponent profiles p.
-    nvars = len(others) + 1
     c = [ZERO] * len(others) + [ONE]
     A_ub = []
     b_ub = []
@@ -329,24 +375,17 @@ def _dominating_mixture(
     return MixedStrategy.of({r: w for r, w in zip(others, y) if w > 0})
 
 
-def eliminate_strictly_dominated(
-    game: FiniteGame,
-) -> tuple[FiniteGame, list[Elimination]]:
-    """Iterated elimination of strictly dominated strategies (mixed dominators).
-
-    Returns the reduced game and the trace of removals, each carrying the
-    dominating mixture as a witness.
-    """
+def _iterated_elimination(game: FiniteGame) -> tuple[FiniteGame, tuple[Elimination, ...]]:
     current = game
     trace: list[Elimination] = []
     changed = True
     while changed:
         changed = False
         for player in range(current.num_players):
-            if len(current.strategies[player]) <= 1:
-                continue
+            # a best reply to a pure profile of the others is never strictly dominated
+            replies = _pure_best_replies(current, player)
             for s in current.strategies[player]:
-                witness = _dominating_mixture(current, player, s)
+                witness = None if s in replies else _dominating_mixture(current, player, s)
                 if witness is not None:
                     trace.append(Elimination(player, s, witness))
                     keep = [list(strats) for strats in current.strategies]
@@ -356,7 +395,24 @@ def eliminate_strictly_dominated(
                     break
             if changed:
                 break
-    return current, trace
+    return current, tuple(trace)
+
+
+def eliminate_strictly_dominated(
+    game: FiniteGame,
+) -> tuple[FiniteGame, list[Elimination]]:
+    """Iterated elimination of strictly dominated strategies (mixed dominators).
+
+    Returns the reduced game and the trace of removals, each carrying the
+    dominating mixture as a witness.  Each round scans the players in
+    order and their strategies in game order, and removes the first one a
+    mixture strictly dominates.  A strategy that is a best reply to some
+    pure profile of the others (read on the integer payoff tables) cannot
+    be, so only the others cost an exact LP.  The reduction is computed
+    once per game object; later calls return the same reduced game.
+    """
+    reduced, trace = game._reduction
+    return reduced, list(trace)
 
 
 # --------------------------------------------------------------------------

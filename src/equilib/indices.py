@@ -14,6 +14,9 @@ equilibrium gets ``index_regular``, any other component
 ``component_index``; ``game_index_report`` applies it to every
 component.  ``verify_realization`` is the one check that a game's
 equilibria, projected through per-player maps, carry prescribed indices.
+It certifies on the dominance-reduced game: it checks every witness of
+the elimination trace exactly, then enumerates only the reduced game,
+whose equilibria are the whole game's.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from .games import (
     Label,
     MixedStrategy,
     Profile,
+    eliminate_strictly_dominated,
     format_profile,
     payoff_vector,
+    strictly_dominates,
 )
 from .linalg import (
     ONE,
@@ -542,14 +547,34 @@ def verify_realization(
 ) -> tuple[list[tuple[Profile, Profile, int]], list[str]]:
     """Whether ``game``'s equilibria realize the signed profiles ``want``.
 
-    Enumerates the game, requires every equilibrium to be isolated and
-    regular, projects each through the per-player maps ``phis``, and
-    compares the multiset of (projection, index) pairs with ``want``.
-    Returns (equilibrium, projection, index) for each equilibrium whose
-    index was computed, and the failure texts; none means verified.
+    Certifies on the dominance-reduced game.  It replays the trace of
+    ``eliminate_strictly_dominated(game)`` and checks that each witness
+    strictly beats its strategy against every remaining pure profile of
+    the others; iterated strict dominance by mixtures keeps the Nash set,
+    in any order (Gilboa, Kalai & Zemel, Oper. Res. Lett. 9, 1990), so
+    the reduced game's equilibria, with zero weight on the eliminated
+    strategies, are all of ``game``'s.  A witness that fails is reported
+    and the replay stops there.  It then enumerates the reduced game,
+    requires every equilibrium to be isolated and regular (``index_regular``
+    on ``game``, which checks it is an equilibrium there too), projects
+    each through the per-player maps ``phis``, and compares the multiset
+    of (projection, index) pairs with ``want``.  Returns (equilibrium,
+    projection, index) for each equilibrium whose index was computed, and
+    the failure texts; none means verified.
     """
-    es = support_enumeration(game)
     failures = []
+    reduced = game
+    for e in eliminate_strictly_dominated(game)[1]:
+        if not strictly_dominates(reduced, e.player, e.witness, e.strategy):
+            failures.append(
+                f"elimination of {e.strategy!r} (player {e.player}) is not certified: "
+                f"{e.witness} does not strictly dominate it"
+            )
+            break
+        keep = [list(s) for s in reduced.strategies]
+        keep[e.player].remove(e.strategy)
+        reduced = reduced.restrict(keep)
+    es = support_enumeration(reduced)
     if es.subsets:
         failures.append("perturbed game has a degenerate equilibrium set")
     found = []

@@ -668,17 +668,23 @@ class Chart:
         """Rows l_1..l_dim with l_i · basis_j = δ_ij.
 
         Gives an affine form of `to_local` valid on the hull:
-        to_local(x)_i = l_i · (x − origin).
+        to_local(x)_i = l_i · (x − origin).  Row l_i solves B·l_i = e_i
+        (B with the basis as rows) with every non-pivot entry 0, so one
+        elimination of [B | I] gives them all: row r of the right block,
+        over the last pivot, is entry ``pivots[r]`` of every l_i.
         """
         if not hasattr(self, "_left_inv"):
-            B = [list(v) for v in self.basis]
-            rows = []
-            for i in range(self.dim):
-                e = [ONE if j == i else ZERO for j in range(self.dim)]
-                sol = solve_linear(B, e)
-                if sol is None:
-                    raise ValueError("chart basis does not have full row rank")
-                rows.append(sol)
+            d, n = self.dim, self.ambient_dim
+            T, pivots, det, _ = _eliminate(
+                list(b) + [ONE if j == i else ZERO for j in range(d)]
+                for i, b in enumerate(self.basis)
+            )
+            if any(c >= n for c in pivots):  # a pivot in I: B has a dependent row
+                raise ValueError("chart basis does not have full row rank")
+            rows = [[ZERO] * n for _ in range(d)]
+            for r, c in enumerate(pivots):
+                for i in range(d):
+                    rows[i][c] = Fraction(T[r][n + i], det)
             self._left_inv = rows
         return self._left_inv
 

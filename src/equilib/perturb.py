@@ -653,7 +653,8 @@ def run_pipeline(
     per player the target strategies must lie on a segment between two pure
     strategies (duplicating a pure strategy when only one is used); sign
     patterns (+1) or a permutation of (+1, +1, -1).  The output is verified
-    end-to-end: equilibria are enumerated, indices computed, projections
+    end-to-end: the dominance witnesses are checked, the reduced game's
+    equilibria enumerated, indices computed on the whole game, projections
     matched exactly, and the payoff change certified below eps.
     """
     report = PipelineReport()
@@ -799,6 +800,7 @@ def run_pipeline(
             entry[1] += overlay[prof][1]
         pay[prof] = tuple(entry)
     perturbed = FiniteGame.of(current.players, current.strategies, pay)
+    # computed once for `perturbed`: Stage 6 certifies this same reduction
     reduced, trace = eliminate_strictly_dominated(perturbed)
     if sorted(reduced.strategies[0]) != sorted(frame_sets[0]) or sorted(
         reduced.strategies[1]
@@ -825,7 +827,7 @@ def run_pipeline(
         report.verified = False
         return perturbed, chain, report
 
-    # Stage 6: verification
+    # Stage 6: verification on the reduced game, its witnesses checked exactly
     found, report.failures = verify_realization(
         perturbed, projections, [(tp.profile, tp.sign) for tp in points]
     )

@@ -7,7 +7,9 @@ for membership, the regularity test, the reader of the mapping files
 that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
 simplex from one ``nullspace`` per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
-equality rows, and the component index by concrete payoff perturbations.
+equality rows, the component index by concrete payoff perturbations,
+iterated strict dominance by one LP per strategy, and the realization
+check by enumerating the whole game.
 """
 
 from __future__ import annotations
@@ -20,7 +22,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from equilib.equivalence import AffineSurjection
-from equilib.games import FiniteGame, GameError, Label, MixedStrategy, Profile, is_equilibrium
+from equilib.games import (
+    Elimination,
+    FiniteGame,
+    GameError,
+    Label,
+    MixedStrategy,
+    Profile,
+    _dominating_mixture,
+    format_profile,
+    is_equilibrium,
+)
 from equilib.geometry import GeometryError
 from equilib.indices import IndexError_, _check_regular, index_regular
 from equilib.linalg import (
@@ -421,3 +433,60 @@ def trial_component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -
     if len(set(results)) != 1:
         raise IndexError_(f"perturbation trials disagree: {results}")
     return results[0]
+
+
+def reference_eliminate_strictly_dominated(game: FiniteGame):
+    """Iterated strict dominance as it was: one exact LP per strategy per round.
+
+    Each round scans the players in order and their strategies in game
+    order, asks ``games._dominating_mixture`` about every strategy of a
+    player with two or more, and removes the first one it dominates.
+    Returns the reduced game and the trace.
+    """
+    current = game
+    trace: list[Elimination] = []
+    changed = True
+    while changed:
+        changed = False
+        for player in range(current.num_players):
+            if len(current.strategies[player]) <= 1:
+                continue
+            for s in current.strategies[player]:
+                witness = _dominating_mixture(current, player, s)
+                if witness is not None:
+                    trace.append(Elimination(player, s, witness))
+                    keep = [list(strats) for strats in current.strategies]
+                    keep[player] = [t for t in keep[player] if t != s]
+                    current = current.restrict(keep)
+                    changed = True
+                    break
+            if changed:
+                break
+    return current, trace
+
+
+def reference_verify_realization(game: FiniteGame, phis, want):
+    """``indices.verify_realization`` as it was: enumerate the whole game."""
+    es = support_enumeration(game)
+    failures = []
+    if es.subsets:
+        failures.append("perturbed game has a degenerate equilibrium set")
+    found = []
+    for eq in es.isolated:
+        try:
+            idx = index_regular(game, eq)
+        except IndexError_ as exc:
+            failures.append(f"index computation failed at {format_profile(eq)}: {exc}")
+            continue
+        found.append((eq, tuple(phi.apply(s) for phi, s in zip(phis, eq, strict=True)), idx))
+    got, targets = (
+        sorted((tuple(s.weights for s in proj), idx, format_profile(proj)) for proj, idx in pairs)
+        for pairs in (((proj, idx) for _, proj, idx in found), want)
+    )
+    if got != targets:
+        got_text, target_text = (
+            "[" + ", ".join(f"{text} ({idx:+d})" for _, idx, text in signed) + "]"
+            for signed in (got, targets)
+        )
+        failures.append(f"equilibria {got_text} do not match targets {target_text}")
+    return found, failures

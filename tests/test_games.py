@@ -167,6 +167,23 @@ def test_elimination_preserves_equilibria(km_p1):
         assert e.witness.support()
 
 
+def test_elimination_runs_one_lp_per_eliminated_strategy(monkeypatch):
+    import equilib.games as games
+    from equilib.examples import km_perturbation_1
+
+    calls = []
+    linprog = games.linprog
+    monkeypatch.setattr(games, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    game = km_perturbation_1(F(1, 10))
+    # t, b, L and L' each answer some pure profile best, so only m, M, R need an LP
+    reduced, trace = eliminate_strictly_dominated(game)
+    assert [(e.player, e.strategy) for e in trace] == [(0, "m"), (1, "M"), (1, "R")]
+    assert len(calls) == len(trace)
+    # the reduction is computed once per game object
+    again, trace_again = eliminate_strictly_dominated(game)
+    assert again is reduced and trace_again == trace and len(calls) == len(trace)
+
+
 def test_payoff_against_matches_pure_insertion(km):
     prof = profile_of({"t": F(1, 2), "b": F(1, 2)}, "L")
     direct = payoff_against(km, prof, 1, "M")

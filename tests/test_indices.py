@@ -490,6 +490,42 @@ def test_verify_realization_rejects_an_irregular_equilibrium():
     ]
 
 
+def test_verify_realization_checks_every_dominance_witness(monkeypatch):
+    import equilib.games as games
+    from equilib.examples import KM_EXPECTED, km_perturbation_1
+
+    # 10/11*t + 1/11*b earns -1 against R, as m does, and more than m elsewhere:
+    # it dominates m, but only weakly
+    weak = MixedStrategy.of({"t": F(10, 11), "b": F(1, 11)})
+
+    def weak_witness(game, player, strategy):
+        witness = dominating_mixture(game, player, strategy)
+        return weak if strategy == "m" and witness else witness
+
+    dominating_mixture = games._dominating_mixture
+    monkeypatch.setattr(games, "_dominating_mixture", weak_witness)
+    game = km_perturbation_1(F(1, 10))
+    assert games.eliminate_strictly_dominated(game)[1][0].witness == weak
+    found, failures = verify_realization(game, km_duplication_phis(), KM_EXPECTED[0].equilibria)
+    assert failures == [
+        "elimination of 'm' (player 0) is not certified: "
+        "1/11*b + 10/11*t does not strictly dominate it"
+    ]
+    # the replay stops there and certifies on the whole game, which still realizes the target
+    assert [(proj, idx) for _, proj, idx in found] == KM_EXPECTED[0].equilibria
+
+
+def test_verify_realization_runs_no_lp_after_the_reduction(km_p1, monkeypatch):
+    import equilib.games as games
+    import equilib.indices as indices
+    from equilib.examples import KM_EXPECTED
+
+    games.eliminate_strictly_dominated(km_p1)
+    for module in (games, indices):
+        monkeypatch.setattr(module, "linprog", lambda *a, **k: pytest.fail("LP solved"))
+    assert verify_realization(km_p1, km_duplication_phis(), KM_EXPECTED[0].equilibria)[1] == []
+
+
 def test_verify_realization_rejects_a_wrong_sign(km_p2):
     from equilib.examples import KM_EXPECTED
 

@@ -160,9 +160,11 @@ def test_internal_checks_raise(monkeypatch):
     monkeypatch.setattr(linalg, "_simplex_min", lambda *_: linalg.LPResult("optimal", None, F(0)))
     with pytest.raises(ValueError, match="without a point"):
         linprog([F(1)], A_ub=[[F(1)]], b_ub=[F(1)])
-    monkeypatch.setattr(linalg, "solve_linear", lambda *_: None)
+    chart = Chart([[F(0), F(0)], [F(1), F(0)]])
+    # an elimination of [B | I] that finds no pivot in B
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows: ([[0, 0, 1]], [2], 1, 1))
     with pytest.raises(ValueError, match="full row rank"):
-        Chart([[F(0), F(0)], [F(1), F(0)]]).left_inverse()
+        chart.left_inverse()
 
 
 # -- the lexicographic rule ------------------------------------------------
