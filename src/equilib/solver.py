@@ -15,6 +15,7 @@ are noted as not searched, and such results are flagged non-exhaustive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -27,6 +28,7 @@ from .games import (
     Label,
     MixedStrategy,
     Profile,
+    _opponent_offsets,
     format_profile,
     is_equilibrium,
 )
@@ -197,48 +199,55 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
 # --------------------------------------------------------------------------
 
 
-def _indifference(game: FiniteGame, player: int, supports) -> tuple[int, ...]:
+def _pure_equilibria(game: FiniteGame) -> set[int]:
+    """Offsets of the pure profiles where no player has a strictly better pure strategy."""
+    passing = set(range(len(game.integer_payoffs[0][0])))
+    for n, (table, _) in enumerate(game.integer_payoffs):
+        for base in _opponent_offsets(game, n):
+            best = max(table[base + o] for o in game.offsets[n].values())
+            passing -= {base + o for o in game.offsets[n].values() if table[base + o] < best}
+    return passing
+
+
+def _indifference(diff: list[int], player: int, offs) -> tuple[int, ...]:
     """Integers (a, b, c, d) with s (U(first) - U(second)) = a + b p_u + c p_v + d p_u p_v.
 
     U is `player`'s payoff from its two supported strategies, u < v are the
     other players, p_u the weight of u's first supported strategy and s > 0
     the scale of `player`'s integer payoff table, which moves no root.  By
-    inclusion-exclusion from the payoff differences at the 0/1 corners.
+    inclusion-exclusion from the corner payoff differences ``diff[base]``,
+    base the others' offset; ``offs`` holds each player's supported offsets.
     """
-    u, v = (m for m in range(3) if m != player)
-    table = game.integer_payoffs[player][0]
-    first, second = (game.offsets[player][s] for s in supports[player])
-
-    def diff(wu: int, wv: int) -> int:
-        o = game.offsets[u][supports[u][wu - 1]] + game.offsets[v][supports[v][wv - 1]]
-        return table[o + first] - table[o + second]
-
-    f00, f10, f01, f11 = (diff(*w) for w in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    ou, ov = (offs[m] for m in range(3) if m != player)
+    f00, f10, f01, f11 = (diff[ou[i] + ov[j]] for i, j in ((-1, -1), (0, -1), (-1, 0), (0, 0)))
     return f00, f10 - f00, f01 - f00, f11 - f10 - f01 + f00
 
 
-def _lin(p, q) -> list:
+def _lin(p: int, q: int) -> list:
     """Solutions of p t + q = 0: [root], [None] when every t solves it, or [].
 
-    p and q are integers or Fractions; the root is always a Fraction.
+    p and q are integers; the root is the pair (num, den) in lowest terms
+    with den > 0, so equal roots are equal pairs.
     """
-    return [Fraction(-q) / p] if p else [] if q else [None]
+    g = math.gcd(p, q) if p > 0 else -math.gcd(p, q)
+    return [(-q // g, p // g)] if p else [] if q else [None]
 
 
 def _fibre(ly, lz, e) -> list:
     """Solutions (y, z) of ly[0] y + ly[1] = 0, lz[0] z + lz[1] = 0 and e(y, z) = 0.
 
-    e = (a, b, c, d) stands for a + b y + c z + d y z; None marks a free coordinate.
+    e = (a, b, c, d) stands for a + b y + c z + d y z; all are integers, roots
+    are :func:`_lin` pairs and None marks a free coordinate.
     """
     a, b, c, d = e
     out = []
     for y, z in itertools.product(_lin(*ly), _lin(*lz)):
-        if y is not None and z is not None:
-            out += [(y, z)] if a + b * y + c * z + d * y * z == 0 else []
-        elif y is not None:
-            out += [(y, t) for t in _lin(c + d * y, a + b * y)]
-        elif z is not None:
-            out += [(t, z) for t in _lin(b + d * z, a + c * z)]
+        if y and z:
+            out += [(y, z)] if (a * y[1] + b * y[0]) * z[1] + (c * y[1] + d * y[0]) * z[0] == 0 else []
+        elif y:
+            out += [(y, t) for t in _lin(c * y[1] + d * y[0], a * y[1] + b * y[0])]
+        elif z:
+            out += [(t, z) for t in _lin(b * z[1] + d * z[0], a * z[1] + c * z[0])]
         elif b or c or d or not a:
             out.append((None, None))
     return out
@@ -253,7 +262,8 @@ def _bilinear_system(e0, e1, e2) -> tuple[list, int]:
     R = P1 P2 e0(-Q2/P2, -Q1/P1).  All fibres over x off the roots of R and
     of the linear polynomials below look alike, so one such sample tells a
     curve (returned with x free, None) from finitely many solutions.  Returns
-    the rational solutions and the number of irrational or complex ones.
+    the rational solutions, in increasing x, and the number of irrational or
+    complex ones.  All is on integers, roots being :func:`_lin` pairs.
     """
     a0, b0, c0, d0 = e0
     a1, b1, c1, d1 = e1
@@ -268,36 +278,36 @@ def _bilinear_system(e0, e1, e2) -> tuple[list, int]:
     r2 = d1 * A[1] - b1 * C[1]
     xs = {t for q, s in (P1, Q1, P2, Q2, A, C, A1, B1) for t in _lin(s, q)}
     disc = r1 * r1 - 4 * r0 * r2
-    root = Fraction(math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator))
+    root = math.isqrt(abs(disc))
     irrational = 0
     if not r2:
         xs.update(_lin(r1, r0))
-    elif disc >= 0 and root * root == disc:  # exact: disc is in lowest terms
-        xs |= {(s * root - r1) / (2 * r2) for s in (1, -1)}
+    elif disc >= 0 and root * root == disc:
+        xs.update(t for s in (1, -1) for t in _lin(2 * r2, r1 - s * root))
     else:
         irrational = 2
     xs.discard(None)
 
-    def fibre(x: Fraction) -> list:
-        return _fibre((c2 + d2 * x, a2 + b2 * x), (c1 + d1 * x, a1 + b1 * x), e0)
+    def fibre(n: int, d: int) -> list:  # over x = n / d
+        return _fibre((c2 * d + d2 * n, a2 * d + b2 * n), (c1 * d + d1 * n, a1 * d + b1 * n), e0)
 
-    if fibre(max(xs, default=ZERO) + 1):
-        return [(None, y, z) for y, z in fibre(Fraction(1, 2))] or [(None, None, None)], 0
-    return [(x, y, z) for x in sorted(xs) for y, z in fibre(x)], irrational
+    if fibre(max((n // d for n, d in xs), default=0) + 1, 1):  # an integer above every root
+        return [(None, y, z) for y, z in fibre(1, 2)] or [(None, None, None)], 0
+    by_value = functools.cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
+    return [(x, y, z) for x in sorted(xs, key=by_value) for y, z in fibre(*x)], irrational
 
 
 def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     """Partial enumeration for 3-player games: supports of size <= 2.
 
-    Solves each indifference system exactly (a constant, two decoupled linear
-    equations, or `_bilinear_system`), keeping rational roots in (0, 1).
-    The systems' coefficients are read from the game's integer payoff
-    tables (:attr:`FiniteGame.integer_payoffs`), whose positive per-player
-    scales leave every root unchanged; weights are always ``Fraction`` s.
-    Each candidate is certified by :func:`is_equilibrium`, which reads
-    the same tables through :func:`games.payoff_vector`'s kernel.
-    Continua, discarded roots and supports of size >= 3 are reported in
-    ``notes`` and flagged via ``exhaustive=False``.
+    All exact work is on the integer payoff tables (:attr:`FiniteGame.integer_payoffs`).
+    Pure profiles are screened once per game (:func:`_pure_equilibria`).  Each
+    indifference system is read from per-player tables of corner payoff
+    differences, built once per game, and solved on integers (a constant, two
+    decoupled linear equations, or `_bilinear_system`); only a root in (0, 1)
+    becomes a ``Fraction`` weight.  :func:`is_equilibrium` certifies every
+    profile returned.  Continua, discarded roots and supports of size >= 3
+    are reported in ``notes`` and flagged via ``exhaustive=False``.
     """
     if game.num_players != 3:
         raise GameError("three_player_support_enumeration handles exactly 3 players")
@@ -315,13 +325,22 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
         if is_equilibrium(game, profile) and profile not in found:
             found.append(profile)
 
-    supports_per_player = [
-        [c for k in (1, 2) for c in itertools.combinations(s, k) if k <= len(s)]
-        for s in game.strategies
+    pure = _pure_equilibria(game)
+    # corners[n][(o, p)][base]: n's payoff from offset o minus from p, others at base
+    corners = [
+        {(o, p): [x - y for x, y in zip(table[o:], table[p:])]
+         for o, p in itertools.combinations(pos.values(), 2)}
+        for (table, _), pos in zip(game.integer_payoffs, game.offsets)
     ]
-    for supports in itertools.product(*supports_per_player):
+    supports_per_player = [
+        [(c, tuple(pos[s] for s in c)) for k in (1, 2) for c in itertools.combinations(s, k)]
+        for s, pos in zip(game.strategies, game.offsets)
+    ]
+    for supports, offs in (zip(*c) for c in itertools.product(*supports_per_player)):
         var_players = [n for n in range(3) if len(supports[n]) == 2]
-        polys = [_indifference(game, n, supports) for n in var_players]
+        if not var_players and sum(o for (o,) in offs) not in pure:
+            continue  # some player has a strictly better pure strategy
+        polys = [_indifference(corners[n][offs[n]], n, offs) for n in var_players]
         if not any(c for e in polys for c in e):
             if var_players:
                 notes.append(f"degenerate continuum at supports {supports}")
@@ -330,7 +349,7 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
         sols, irrational = [], 0
         if len(polys) == 2:  # e_n is linear in p_m alone and e_m in p_n alone
             lm, ln = ((e[1] + e[2], e[0]) for e in polys)
-            sols = _fibre(ln, lm, (ZERO,) * 4)
+            sols = _fibre(ln, lm, (0,) * 4)
         elif len(polys) == 3:
             sols, irrational = _bilinear_system(*polys)
         discarded = f"irrational solutions at supports {supports} were discarded"
@@ -339,14 +358,14 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
             values, free = {}, False
             for n, w in zip(var_players, sol):  # stops at the first weight outside (0, 1)
                 free |= w is None
-                values[n] = Fraction(1, 2) if w is None else w
-                if not 0 < values[n] < 1:
+                if w and not 0 < w[0] < w[1]:
                     break
+                values[n] = Fraction(*w) if w else Fraction(1, 2)
             else:
                 emit(values, supports)
             if free:
                 notes.append(f"positive-dimensional solutions at supports {supports}")
-            elif not 0 < values[n] < 1:
+            elif len(values) < len(sol):
                 notes.append(discarded)
     return EquilibriumSet(game, found, [], exhaustive=not notes, notes=notes)
 

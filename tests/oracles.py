@@ -8,8 +8,9 @@ that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
 simplex from one ``nullspace`` per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
 equality rows, the component index by concrete payoff perturbations,
-iterated strict dominance by one LP per strategy, and the realization
-check by enumerating the whole game.
+iterated strict dominance by one LP per strategy, the realization
+check by enumerating the whole game, and the three-player enumerator that
+solves every indifference system in ``Fraction`` s.
 """
 
 from __future__ import annotations
@@ -490,3 +491,159 @@ def reference_verify_realization(game: FiniteGame, phis, want):
         )
         failures.append(f"equilibria {got_text} do not match targets {target_text}")
     return found, failures
+
+
+def _reference_indifference(game: FiniteGame, player: int, supports) -> tuple[int, ...]:
+    """Integers (a, b, c, d) with s (U(first) - U(second)) = a + b p_u + c p_v + d p_u p_v.
+
+    U is `player`'s payoff from its two supported strategies, u < v are the
+    other players, p_u the weight of u's first supported strategy and s > 0
+    the scale of `player`'s integer payoff table, which moves no root.  By
+    inclusion-exclusion from the payoff differences at the 0/1 corners.
+    """
+    u, v = (m for m in range(3) if m != player)
+    table = game.integer_payoffs[player][0]
+    first, second = (game.offsets[player][s] for s in supports[player])
+
+    def diff(wu: int, wv: int) -> int:
+        o = game.offsets[u][supports[u][wu - 1]] + game.offsets[v][supports[v][wv - 1]]
+        return table[o + first] - table[o + second]
+
+    f00, f10, f01, f11 = (diff(*w) for w in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    return f00, f10 - f00, f01 - f00, f11 - f10 - f01 + f00
+
+
+def _reference_lin(p, q) -> list:
+    """Solutions of p t + q = 0: [root], [None] when every t solves it, or [].
+
+    p and q are integers or Fractions; the root is always a Fraction.
+    """
+    return [Fraction(-q) / p] if p else [] if q else [None]
+
+
+def _reference_fibre(ly, lz, e) -> list:
+    """Solutions (y, z) of ly[0] y + ly[1] = 0, lz[0] z + lz[1] = 0 and e(y, z) = 0.
+
+    e = (a, b, c, d) stands for a + b y + c z + d y z; None marks a free coordinate.
+    """
+    a, b, c, d = e
+    out = []
+    for y, z in itertools.product(_reference_lin(*ly), _reference_lin(*lz)):
+        if y is not None and z is not None:
+            out += [(y, z)] if a + b * y + c * z + d * y * z == 0 else []
+        elif y is not None:
+            out += [(y, t) for t in _reference_lin(c + d * y, a + b * y)]
+        elif z is not None:
+            out += [(t, z) for t in _reference_lin(b + d * z, a + c * z)]
+        elif b or c or d or not a:
+            out.append((None, None))
+    return out
+
+
+def _reference_bilinear_system(e0, e1, e2) -> tuple[list, int]:
+    """Complex solutions (x, y, z) of e0(y, z) = e1(x, z) = e2(x, y) = 0.
+
+    e = (a, b, c, d) stands for a + b u + c v + d u v over its two variables.
+    For fixed x, e1 is P1 z + Q1 = 0 and e2 is P2 y + Q2 = 0 with P, Q linear
+    in x; where P1 P2 != 0, solutions lie over the roots of the quadratic
+    R = P1 P2 e0(-Q2/P2, -Q1/P1).  All fibres over x off the roots of R and
+    of the linear polynomials below look alike, so one such sample tells a
+    curve (returned with x free, None) from finitely many solutions.  Returns
+    the rational solutions and the number of irrational or complex ones.
+    """
+    a0, b0, c0, d0 = e0
+    a1, b1, c1, d1 = e1
+    a2, b2, c2, d2 = e2
+    P1, Q1, P2, Q2 = (c1, d1), (a1, b1), (c2, d2), (a2, b2)  # (constant, slope)
+    A = (a0 * c2 - b0 * a2, a0 * d2 - b0 * b2)  # P2 (a0 + b0 y)
+    C = (c0 * c2 - d0 * a2, c0 * d2 - d0 * b2)  # P2 (c0 + d0 y)
+    A1 = (a0 * c1 - c0 * a1, a0 * d1 - c0 * b1)  # P1 (a0 + c0 z)
+    B1 = (b0 * c1 - d0 * a1, b0 * d1 - d0 * b1)  # P1 (b0 + d0 z)
+    r0 = c1 * A[0] - a1 * C[0]  # R = P1 A - Q1 C
+    r1 = c1 * A[1] + d1 * A[0] - a1 * C[1] - b1 * C[0]
+    r2 = d1 * A[1] - b1 * C[1]
+    xs = {t for q, s in (P1, Q1, P2, Q2, A, C, A1, B1) for t in _reference_lin(s, q)}
+    disc = r1 * r1 - 4 * r0 * r2
+    root = Fraction(math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator))
+    irrational = 0
+    if not r2:
+        xs.update(_reference_lin(r1, r0))
+    elif disc >= 0 and root * root == disc:  # exact: disc is in lowest terms
+        xs |= {(s * root - r1) / (2 * r2) for s in (1, -1)}
+    else:
+        irrational = 2
+    xs.discard(None)
+
+    def fibre(x: Fraction) -> list:
+        return _reference_fibre((c2 + d2 * x, a2 + b2 * x), (c1 + d1 * x, a1 + b1 * x), e0)
+
+    if fibre(max(xs, default=ZERO) + 1):
+        return [(None, y, z) for y, z in fibre(Fraction(1, 2))] or [(None, None, None)], 0
+    return [(x, y, z) for x in sorted(xs) for y, z in fibre(x)], irrational
+
+
+def reference_three_player_enumeration(game: FiniteGame) -> EquilibriumSet:
+    """``solver.three_player_support_enumeration`` as it was: every root a ``Fraction``.
+
+    Partial enumeration for 3-player games: supports of size <= 2.
+
+    Solves each indifference system exactly (a constant, two decoupled linear
+    equations, or `_bilinear_system`), keeping rational roots in (0, 1).
+    The systems' coefficients are read from the game's integer payoff
+    tables (:attr:`FiniteGame.integer_payoffs`), whose positive per-player
+    scales leave every root unchanged; weights are always ``Fraction`` s.
+    Each candidate is certified by :func:`is_equilibrium`, which reads
+    the same tables through :func:`games.payoff_vector`'s kernel.
+    Continua, discarded roots and supports of size >= 3 are reported in
+    ``notes`` and flagged via ``exhaustive=False``.
+    """
+    if game.num_players != 3:
+        raise GameError("three_player_support_enumeration handles exactly 3 players")
+    notes: list[str] = []
+    if not all(len(s) <= 2 for s in game.strategies):
+        notes.append("supports of size >= 3 were not searched")
+    found: list[Profile] = []
+
+    def emit(weights: dict[int, Fraction], supports) -> None:
+        profile = tuple(
+            MixedStrategy.of({sup[0]: weights[n], sup[1]: 1 - weights[n]})
+            if len(sup) == 2 else MixedStrategy.pure(sup[0])
+            for n, sup in enumerate(supports)
+        )
+        if is_equilibrium(game, profile) and profile not in found:
+            found.append(profile)
+
+    supports_per_player = [
+        [c for k in (1, 2) for c in itertools.combinations(s, k) if k <= len(s)]
+        for s in game.strategies
+    ]
+    for supports in itertools.product(*supports_per_player):
+        var_players = [n for n in range(3) if len(supports[n]) == 2]
+        polys = [_reference_indifference(game, n, supports) for n in var_players]
+        if not any(c for e in polys for c in e):
+            if var_players:
+                notes.append(f"degenerate continuum at supports {supports}")
+            emit(dict.fromkeys(var_players, Fraction(1, 2)), supports)
+            continue
+        sols, irrational = [], 0
+        if len(polys) == 2:  # e_n is linear in p_m alone and e_m in p_n alone
+            lm, ln = ((e[1] + e[2], e[0]) for e in polys)
+            sols = _reference_fibre(ln, lm, (ZERO,) * 4)
+        elif len(polys) == 3:
+            sols, irrational = _reference_bilinear_system(*polys)
+        discarded = f"irrational solutions at supports {supports} were discarded"
+        notes += [discarded] * irrational
+        for sol in sols:
+            values, free = {}, False
+            for n, w in zip(var_players, sol):  # stops at the first weight outside (0, 1)
+                free |= w is None
+                values[n] = Fraction(1, 2) if w is None else w
+                if not 0 < values[n] < 1:
+                    break
+            else:
+                emit(values, supports)
+            if free:
+                notes.append(f"positive-dimensional solutions at supports {supports}")
+            elif not 0 < values[n] < 1:
+                notes.append(discarded)
+    return EquilibriumSet(game, found, [], exhaustive=not notes, notes=notes)

@@ -15,6 +15,15 @@ of conv(points) that the subset loop `cell_halfspaces` finds.
 The point sets are seeded, in 1-3 D with coordinates 0..2, drawn with
 replacement so that most repeat a point; half are lifted to the paraboloid
 |p|² and half get heights 0..2, and the 3×3 lattice is among them.
+
+The walk also runs on each best-response polytope {x >= 0 : B^T x <= 1}
+of a two-player game, on the rows `solver._labelled_vertices` builds.  It
+starts from the nonnegativity basis, the origin, which is lexicographically
+feasible because every other row has slack 1 there.  It must visit exactly
+the lexicographic bases of each vertex that `vertex_enumeration`'s subset
+loop keeps, find no unbounded edge, and read at each basis the vertex's
+tight rows.  The games are seeded 4×4 and 5×5 games with payoffs 0..20,
+degenerate 3×3 games with payoffs 0..2, and km.
 """
 
 import random
@@ -22,9 +31,21 @@ from fractions import Fraction
 
 import pytest
 
+from equilib.examples import km_game
+from equilib.games import FiniteGame
 from equilib.geometry import _facet_halfspace, _first_lower_cell
-from equilib.linalg import Chart, determinant, frac_mat, lex_walk, matrix_rank, vertex_enumeration
+from equilib.linalg import (
+    Chart,
+    _integer_rows,
+    determinant,
+    frac_mat,
+    frac_vec,
+    lex_walk,
+    matrix_rank,
+    vertex_enumeration,
+)
 from oracles import cell_halfspaces, simplex_facet_halfspaces
+from test_enumerator_differential import random_game
 
 F = Fraction
 
@@ -98,3 +119,52 @@ def test_unbounded_edges_are_the_hull_facets(label, pts, heights):
         facets.add(facet)
     identity = Chart([[0] * d] + [[int(i == k) for k in range(d)] for i in range(d)])
     assert facets == set(cell_halfspaces(pts, identity))
+
+
+def best_response_rows(game: FiniteGame, player: int):
+    """`player`'s best-response polytope, as `solver._labelled_vertices` builds its rows."""
+    opp = 1 - player
+    own, other = game.strategies[player], game.strategies[opp]
+
+    def u_opp(s, t):
+        return game.payoffs[(s, t) if player == 0 else (t, s)][opp]
+
+    low = min(u_opp(s, t) for s in own for t in other)
+    A_ub = [[-F(k == i) for k in range(len(own))] for i in range(len(own))]
+    A_ub += [[u_opp(s, t) - low + 1 for s in own] for t in other]
+    return frac_mat(A_ub), frac_vec([0] * len(own) + [1] * len(other))
+
+
+BR_GAMES = {
+    "km": km_game(),
+    **{f"4x4-0..20-{s}": random_game(4, 4, 20, s) for s in range(12)},
+    **{f"5x5-0..20-{s}": random_game(5, 5, 20, s) for s in range(4)},
+    **{f"3x3-0..2-{s}": random_game(3, 3, 2, s) for s in range(40)},
+}
+POLYTOPES = [(f"{label}-p{n}", game, n) for label, game in BR_GAMES.items() for n in (0, 1)]
+
+
+@pytest.mark.parametrize("label,game,player", POLYTOPES, ids=[c[0] for c in POLYTOPES])
+def test_walk_on_best_response_polytope_is_the_subset_loop(label, game, player):
+    A_ub, b_ub = best_response_rows(game, player)
+    rows = _integer_rows(A_ub, b_ub)
+    bases, unbounded = lex_walk([a for a, _ in rows], [b for _, b in rows], range(len(A_ub[0])))
+    assert unbounded == []
+    vertices = vertex_enumeration(A_ub, b_ub)
+    assert all(bs for _, bs in vertices)
+    assert sorted(b for b, _, _ in bases) == sorted(b for _, bs in vertices for b in bs)
+    at = {b: x for x, bs in vertices for b in bs}
+    for b, _, tight in bases:
+        x = at[b]
+        assert tight == [j for j, r in enumerate(A_ub) if sum(map(F.__mul__, x, r)) == b_ub[j]]
+
+
+def test_best_response_polytopes_are_degenerate():
+    # a vertex with more tight rows than the dimension has several lexicographic bases
+    degenerate = [
+        label
+        for label, game, player in POLYTOPES
+        if any(len(bs) > 1 for _, bs in vertex_enumeration(*best_response_rows(game, player)))
+    ]
+    assert "km-p0" in degenerate and "km-p1" in degenerate
+    assert sum(label.startswith("3x3") for label in degenerate) >= 60
