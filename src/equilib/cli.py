@@ -205,7 +205,10 @@ def load_params(path: str) -> PipelineParams:
     unknown = ", ".join(repr(k) for k in data if k not in names)
     if unknown:
         raise UsageError(f"{path}: unknown params key(s) {unknown} (known: {', '.join(names)})")
-    return PipelineParams(**{k: parse_rational(v) for k, v in data.items()})
+    try:
+        return PipelineParams(**{k: parse_rational(v) for k, v in data.items()})
+    except GameError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def load_target_spec(path: str, game: FiniteGame) -> TargetSpec:
@@ -331,11 +334,10 @@ def cmd_duplicate(args) -> tuple[Report, int]:
         raise UsageError(f"player {args.player} out of range (game has {game.num_players})")
     labels = game.strategies[args.player]
     mixture = _read_mixture(_json_argument(args.mixture, "mixture"), "mixture", labels)
-    if args.label in labels:
-        raise UsageError(f"label {args.label!r} already in use")
-    new_game, phi = duplicate_strategy(
-        game, args.player, mixture, new_label=args.label
-    )
+    try:
+        new_game, phi = duplicate_strategy(game, args.player, mixture, new_label=args.label)
+    except GameError as exc:  # the new label, given or default, is already in use
+        raise UsageError(str(exc)) from exc
     if args.game_out:
         save_game(new_game, args.game_out)
     if args.mapping_out:

@@ -44,10 +44,6 @@ from .linalg import (
     frac_vec,
     lex_walk,
     linprog,
-    matrix_rank,
-    nullspace,
-    solve_linear,
-    vec_sub,
 )
 from .rational import format_point, format_rational
 
@@ -61,21 +57,6 @@ class GeometryError(GameError):
 
 def as_point(p: Sequence) -> Point:
     return tuple(Fraction(x) for x in p)
-
-
-def barycentric_in(vertices: Sequence[Point], point: Point) -> Optional[list[Fraction]]:
-    """Affine weights of `point` over affinely independent `vertices`.
-
-    Returns None when the point is outside the affine hull.  Weights may be
-    negative; convexity is the caller's test.
-    """
-    if not vertices:
-        return None
-    ambient = len(vertices[0])
-    A = [[vertices[j][i] for j in range(len(vertices))] for i in range(ambient)]
-    A.append([ONE] * len(vertices))
-    b = list(point) + [ONE]
-    return solve_linear(A, b)
 
 
 def _spread(rows: Sequence[Sequence[int]]) -> int:
@@ -96,12 +77,15 @@ class Simplex:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = self.vertices
-        if not pts:
+        if not self.vertices:
             raise GeometryError("empty simplex")
-        diffs = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-        if matrix_rank(diffs) != len(pts) - 1:
+        if self.chart.dim != len(self.vertices) - 1:
             raise GeometryError("simplex vertices are affinely dependent")
+
+    @functools.cached_property
+    def chart(self) -> Chart:
+        """The affine chart of the vertices, in which the simplex is full-dimensional."""
+        return Chart(self.vertices)
 
     @staticmethod
     def of(points: Iterable[Sequence]) -> "Simplex":
@@ -119,7 +103,11 @@ class Simplex:
         )
 
     def barycentric(self, point: Sequence) -> Optional[list[Fraction]]:
-        return barycentric_in(self.vertices, as_point(point))
+        """Affine weights of the point over the vertices, None off their affine hull.
+
+        Weights may be negative; convexity is the caller's test.
+        """
+        return _chart_weights(self.chart, self.vertices, as_point(point))
 
     def contains(self, point: Sequence) -> bool:
         w = self.barycentric(point)
@@ -172,6 +160,26 @@ def _barycentric_table(
     lam[r][j] is λ_r(p_j), scaled by |det|, which is 0 on a degenerate cell.
     """
     return _basis_table([*map(list, zip(*pts)), [1] * len(pts)], cell)
+
+
+def _chart_weights(
+    chart: Chart, vertices: Sequence[Point], point: Point
+) -> Optional[list[Fraction]]:
+    """The point's barycentric weights over a simplex of the chart's dimension.
+
+    Read from one :func:`_barycentric_table` on :meth:`Chart.grid` of the
+    vertices and the point; None when the point is off the chart's hull.
+    Raises on vertices that are not a full-dimensional simplex on that hull.
+    """
+    rows, _ = chart.grid([*vertices, point])
+    if rows[-1] is None:
+        return None
+    if None in rows or len(vertices) != chart.dim + 1:
+        raise GeometryError("cell is not a full-dimensional simplex of the polytope")
+    det, _, lam = _barycentric_table(rows, range(len(vertices)))
+    if not det:
+        raise GeometryError("simplex vertices are affinely dependent")
+    return [Fraction(row[-1], det) for row in lam]
 
 
 def _facet_halfspace(form: Sequence[int], scale: int = 1) -> tuple[tuple[int, ...], int]:
@@ -402,7 +410,7 @@ class Triangulation:
 
     def _weights(self, cell: Face, point: Point) -> Optional[list[Fraction]]:
         """The point's barycentric weights over the cell, or None when the cell misses it."""
-        w = barycentric_in([self.vertices[i] for i in cell], point)
+        w = _chart_weights(self.chart, [self.vertices[i] for i in cell], point)
         return w if w is not None and all(x >= 0 for x in w) else None
 
     def contains(self, k: int, point: Sequence) -> bool:
@@ -526,9 +534,15 @@ def _first_lower_cell(pts: Sequence[list[int]], hs: Sequence[int], d: int) -> Fa
     while len(tight) <= d:
         # tilt about the touched points: slack_j changes by t·mu_j, mu affine
         # and zero on them, and t stops where the first falling slack hits 0
+        # normal: the differences' kernel vector that is |det| on their first free column
         base = pts[tight[0]]
-        normals = nullspace([vec_sub(pts[j], base) for j in tight[1:]] or [[ZERO] * d])
-        normal, _ = _integer_row(normals[0])
+        T = [[x - y for x, y in zip(pts[j], base)] for j in tight[1:]] or [[0] * d]
+        pivots, det, _ = _reduce(T)
+        free = next(k for k in range(d) if k not in pivots)
+        normal = [0] * d
+        normal[free] = abs(det)
+        for row, k in zip(T, pivots):
+            normal[k] = -row[free] if det > 0 else row[free]
         c = sum(map(operator.mul, normal, base))
         mu = [sum(map(operator.mul, normal, p)) - c for p in pts]
         if all(m >= 0 for m in mu):
@@ -939,7 +953,7 @@ def hyperplane_extension_subdivision(
     subcomplex).  `marked_points`, if given, must avoid every extended
     hyperplane; a hit is reported as a degenerate arrangement.
     """
-    chart = Chart(base.vertices)
+    chart = base.chart
     d = chart.dim
     if d < 1:
         raise GeometryError("base simplex must have dimension >= 1")
@@ -1263,15 +1277,16 @@ def interpolate_heights(
     tri: Triangulation, heights: Mapping[int, Fraction]
 ) -> PLFunction:
     """PL function linear on each maximal simplex with given vertex values."""
+    grid, scale = tri.grid
     pieces = []
     for c in tri.maximal:
-        local = [tri.chart.to_local(tri.vertices[i]) for i in c]
-        A = [list(p) + [ONE] for p in local]
-        b = [Fraction(heights[i]) for i in c]
-        coeffs = solve_linear(A, b)
-        if coeffs is None:
+        # Σ_r h_r·λ_r, the forms λ_r(q) = form·(q, 1) / det on the grid rows q = scale·x
+        det, forms, _ = _barycentric_table([grid[i] for i in c], range(len(c)))
+        if not det:
             raise GeometryError("degenerate cell in height interpolation")
-        pieces.append((coeffs[:-1], coeffs[-1]))
+        h = [Fraction(heights[i]) for i in c]
+        *grad, off = (sum(map(operator.mul, h, col), ZERO) / det for col in zip(*forms))
+        pieces.append(([g * scale for g in grad], off))
     return PLFunction(tri, pieces)
 
 

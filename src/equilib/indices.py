@@ -257,22 +257,11 @@ def degree_oracle(
         if not lo < hi:
             raise IndexError_("region must have positive side lengths")
 
-    def disp(x: Vector) -> Vector:
-        return vec_sub(x, fmap(list(x)))
-
-    if d == 1:
-        (lo, hi) = region[0]
-        vals = [disp([lo])[0], disp([hi])[0]]
-        if any(v == 0 for v in vals):
-            raise IndexError_("fixed point on the region boundary")
-        sl, sh = (1 if vals[0] > 0 else -1), (1 if vals[1] > 0 else -1)
-        return (sh - sl) // 2
-
     cache: dict[tuple, Vector] = {}
 
     def disp_cached(v: tuple) -> Vector:
         if v not in cache:
-            w = disp(list(v))
+            w = vec_sub(v, fmap(list(v)))
             if all(c == 0 for c in w):
                 raise IndexError_("fixed point on the boundary grid; refine the grid")
             cache[v] = w

@@ -4,9 +4,12 @@ Vectors and matrices are lists of :class:`fractions.Fraction` at the API;
 nothing here ever touches floating point.  Rows are scaled to integers and
 pivoted fraction-free (:func:`_pivot`, Bareiss division by the previous
 pivot), converting back to ``Fraction`` only for the result: one Gauss–Jordan
-elimination (:func:`_eliminate`) serves the determinant, the rank, both
-solves and the nullspace, and the LP solver pivots its own tableau with the
-same step.  The LP solver is a small two-phase simplex with Bland's
+elimination (:func:`_reduce`, on rational rows :func:`_eliminate`) serves
+the determinant, the unique solve, the chart's basis and left inverse and
+every barycentric table (:func:`_basis_table`), and the LP solver pivots
+its own tableau with the same step.  There is no general rational solve,
+rank or nullspace: geometry reads weights, ranks and normals from those
+integer tables.  The LP solver is a small two-phase simplex with Bland's
 rule, which is all the package needs (feasibility tests, dominance
 witnesses, polytope distances) at desk scale.
 
@@ -148,37 +151,6 @@ def determinant(A: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(det, scale) if len(pivots) == n else ZERO
 
 
-def matrix_rank(A: Sequence[Sequence[Fraction]]) -> int:
-    if not A:
-        return 0
-    return len(_eliminate(A)[1])
-
-
-def solve_linear(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[Vector]:
-    """Solve A x = b exactly.
-
-    Returns one solution (the one with free variables set to 0), or None if
-    the system is inconsistent.
-    """
-    rows = len(A)
-    if rows == 0:
-        return []
-    cols = len(A[0])
-    T, pivots, det, _ = _eliminate([list(A[i]) + [b[i]] for i in range(rows)])
-    if pivots and pivots[-1] == cols:  # pivot in the RHS column: inconsistent
-        return None
-    x = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        x[c] = Fraction(T[r][cols], det)
-    # Verify (cheap, and guards against pivot bookkeeping bugs).
-    for i in range(rows):
-        if dot(A[i], x) != b[i]:
-            return None
-    return x
-
-
 def solve_unique(
     A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> Optional[Vector]:
@@ -196,24 +168,6 @@ def solve_unique(
     x = [Fraction(T[r][cols], det) for r in range(cols)]
     # Verify (cheap, and guards against pivot bookkeeping bugs).
     return x if all(dot(row, x) == beta for row, beta in zip(A, b)) else None
-
-
-def nullspace(A: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Basis of the kernel of A (columns without pivots parametrize it)."""
-    rows = len(A)
-    if rows == 0:
-        return []
-    cols = len(A[0])
-    T, pivots, det, _ = _eliminate(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-T[r][fc], det)
-        basis.append(v)
-    return basis
 
 
 # --------------------------------------------------------------------------

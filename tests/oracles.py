@@ -1,11 +1,12 @@
 """Test oracles: reference computations that the program itself never runs.
 
-Several test files cross-check the program against these: the payoff
+Several test files cross-check the program against these: the rank, solve
+and nullspace by Gauss–Jordan elimination in ``Fraction`` s, the payoff
 summed over pure profiles in ``Fraction`` s, the grid brute force for
 completeness, the H-representation of a Nash subset's factors
 for membership, the regularity test, the reader of the mapping files
 that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
-simplex from one ``nullspace`` per facet, a polyhedral cell's facets by a
+simplex from one nullspace per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
 equality rows, the component index by concrete payoff perturbations,
 iterated strict dominance by one LP per strategy, the realization
@@ -40,6 +41,7 @@ from equilib.linalg import (
     ONE,
     ZERO,
     Chart,
+    Matrix,
     Vector,
     _integer_row,
     _integer_rows,
@@ -48,13 +50,100 @@ from equilib.linalg import (
     frac_vec,
     linf_distance,
     linprog,
-    matrix_rank,
-    nullspace,
     solve_unique,
     vec_sub,
 )
 from equilib.rational import parse_rational
 from equilib.solver import EquilibriumSet, NashSubset, support_enumeration
+
+
+# -- Fraction Gauss–Jordan elimination --------------------------------------
+#
+# The rank, solve and nullspace the program ran on Fraction rows before it
+# read them from integer tables.  The reduced row echelon form is unique, so
+# each answer (free variables 0, nullspace vectors by free column) is a
+# fixed reference.
+
+
+def reference_rref(M: Matrix) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot column indices."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = ONE / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def reference_matrix_rank(A: Sequence[Sequence[Fraction]]) -> int:
+    if not A:
+        return 0
+    M = [list(map(Fraction, row)) for row in A]
+    return len(reference_rref(M))
+
+
+def reference_solve_linear(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> Optional[Vector]:
+    """Solve A x = b exactly.
+
+    Returns one solution (the one with free variables set to 0), or None if
+    the system is inconsistent.
+    """
+    rows = len(A)
+    if rows == 0:
+        return []
+    cols = len(A[0])
+    M = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(rows)]
+    pivots = reference_rref(M)
+    for i in range(rows):
+        if all(M[i][c] == 0 for c in range(cols)) and M[i][cols] != 0:
+            return None
+    x = [ZERO] * cols
+    for r, c in enumerate(pivots):
+        if c == cols:  # pivot in the RHS column: inconsistent (caught above)
+            return None
+        x[c] = M[r][cols] - sum(
+            (M[r][j] * x[j] for j in range(c + 1, cols) if j not in pivots), ZERO
+        )
+    # Verify (cheap, and guards against pivot bookkeeping bugs).
+    for i in range(rows):
+        if dot(A[i], x) != b[i]:
+            return None
+    return x
+
+
+def reference_nullspace(A: Sequence[Sequence[Fraction]]) -> list[Vector]:
+    """Basis of the kernel of A (columns without pivots parametrize it)."""
+    rows = len(A)
+    if rows == 0:
+        return []
+    cols = len(A[0])
+    M = [list(map(Fraction, row)) for row in A]
+    pivots = reference_rref(M)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -M[r][fc]
+        basis.append(v)
+    return basis
 
 
 def pure_profile_payoff(game: FiniteGame, profile: Profile, player: int) -> Fraction:
@@ -227,7 +316,7 @@ def hyperplane_through(chart_points: Sequence[Sequence[Fraction]], dim: int):
     """
     p0 = frac_vec(chart_points[0])
     diffs = [vec_sub(frac_vec(p), p0) for p in chart_points[1:]]
-    normals = nullspace(diffs) if diffs else [
+    normals = reference_nullspace(diffs) if diffs else [
         [ONE if j == i else ZERO for j in range(dim)] for i in range(dim)
     ]
     # rank = width - nullity; the kernel is then a line within the chart
@@ -321,7 +410,7 @@ def subset_vertex_enumeration(
     if not A_ub and not A_eq:
         return []
     dim = len(A_ub[0]) if A_ub else len(A_eq[0])
-    base_rank = matrix_rank(A_eq) if A_eq else 0
+    base_rank = reference_matrix_rank(A_eq) if A_eq else 0
     need = dim - base_rank
     if need < 0:
         return []

@@ -395,6 +395,17 @@ def test_duplicate_writes_game_and_mapping(km_file, tmp_path, capsys):
     assert mapping["players"][1]["columns"]["L'"] == {"L": "1"}
 
 
+def test_duplicate_label_in_use_exits_2(km_file, tmp_path, capsys):
+    """Duplicating a mixture again in the game it produced reuses the default
+    label: a usage error, as when the same label is given with --label."""
+    game_out = tmp_path / "dup.json"
+    assert main(["duplicate", km_file, "0", '{"t": "1"}', "--game-out", str(game_out)]) == 0
+    capsys.readouterr()
+    for label in ([], ["--label", "1*t#dup"]):
+        assert main(["duplicate", str(game_out), "0", '{"t": "1"}', *label]) == 2
+        assert capsys.readouterr().err == "usage error: label '1*t#dup' already in use\n"
+
+
 # -- perturb ---------------------------------------------------------------
 
 
@@ -891,6 +902,15 @@ def test_params_file_unknown_key_exits_2(km_file, tmp_path, capsys):
         assert main(["perturb", km_file, targets, "--params", params]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and f"unknown params key(s) '{key}' (known: eps)" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1/10"])
+def test_params_file_non_positive_eps_exits_2(eps, km_file, tmp_path, capsys):
+    targets = write_json(tmp_path / "targets.json", [])
+    params = write_json(tmp_path / "params.json", {"eps": eps})
+    assert main(["perturb", km_file, targets, "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.endswith("[params] eps must be positive\n"), err
 
 
 def test_params_file_not_an_object_exits_2(km_file, tmp_path, capsys):

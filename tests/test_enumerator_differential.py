@@ -31,12 +31,16 @@ from equilib.linalg import (
     dot,
     frac_mat,
     frac_vec,
-    matrix_rank,
     solve_unique,
     vertex_enumeration,
 )
 from equilib.solver import _labelled_vertices
-from oracles import factor_constraints, perturb_payoffs, subset_vertex_enumeration
+from oracles import (
+    factor_constraints,
+    perturb_payoffs,
+    reference_matrix_rank,
+    subset_vertex_enumeration,
+)
 
 F = Fraction
 
@@ -55,7 +59,7 @@ def reference_vertex_enumeration(A_ub, b_ub, A_eq=None, b_eq=None) -> list[Vecto
     if not A_ub and not A_eq:
         return []
     dim = len(A_ub[0]) if A_ub else len(A_eq[0])
-    need = dim - (matrix_rank(A_eq) if A_eq else 0)
+    need = dim - (reference_matrix_rank(A_eq) if A_eq else 0)
     if need < 0:
         return []
     vertices: list[Vector] = []

@@ -500,8 +500,22 @@ def test_barycentric_coords_solves_the_containing_cell_once(monkeypatch):
     square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
     tri = Triangulation(square, [(0, 1, 3), (0, 2, 3)])
     calls = []
-    solve = geometry.solve_linear
-    monkeypatch.setattr(geometry, "solve_linear", lambda A, b: calls.append(1) or solve(A, b))
+    table = geometry._barycentric_table
+    monkeypatch.setattr(
+        geometry, "_barycentric_table", lambda pts, cell: calls.append(1) or table(pts, cell)
+    )
     coords = tri.barycentric_coords((F(1, 4), F(1, 2)))
     assert coords == {0: F(1, 2), 2: F(1, 4), 3: F(1, 4)}
     assert len(calls) == 2
+
+
+def test_queries_reject_a_cell_that_is_no_simplex_of_the_polytope():
+    """An unvalidated triangulation's degenerate or lower-dimensional cell
+    raises, rather than answering from a table it does not have."""
+    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    flat = Triangulation([*square, (F(1, 2), F(1, 2))], [(0, 3, 4)], square, validate=False)
+    with pytest.raises(GeometryError, match="^simplex vertices are affinely dependent$"):
+        flat.find_cell((F(1, 4), F(1, 4)))
+    edge = Triangulation(square, [(0, 1)], square, validate=False)
+    with pytest.raises(GeometryError, match="not a full-dimensional simplex"):
+        edge.barycentric_coords((F(1, 2), F(0)))

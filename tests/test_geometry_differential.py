@@ -17,7 +17,10 @@ from the subset loop `cell_halfspaces`, never from the program's walk.
 The last section keeps
 `Simplex`-based cell diameters, `PLFunction.value` at every complex
 vertex, barycenter-signed gamma pieces and the `Chart`-plus-
-`volume_in_chart` complex check as oracles.
+`volume_in_chart` complex check as oracles.  Barycentric weights, the
+queries built on them and interpolated heights, which read integer
+tables on the chart grid, are checked against one `Fraction` solve per
+cell in ambient or chart coordinates (`reference_solve_linear`).
 """
 
 import collections
@@ -54,6 +57,7 @@ from equilib.geometry import (
     extreme_points,
     grid_triangulation,
     hyperplane_extension_subdivision,
+    interpolate_heights,
     regular_triangulation,
 )
 from equilib.linalg import (
@@ -66,8 +70,6 @@ from equilib.linalg import (
     determinant,
     dot,
     linprog,
-    matrix_rank,
-    nullspace,
     solve_unique,
     vec_sub,
 )
@@ -77,6 +79,9 @@ from oracles import (
     hyperplane_through,
     in_convex_hull,
     lift_functional,
+    reference_matrix_rank,
+    reference_nullspace,
+    reference_solve_linear,
     simplex_facet_halfspaces,
     subset_vertex_enumeration,
 )
@@ -196,7 +201,7 @@ def reference_volume(points, chart) -> Fraction:
     d = chart.dim
     if d == 0:
         return ONE
-    if matrix_rank([[x - y for x, y in zip(p, local[0])] for p in local[1:]]) < d:
+    if reference_matrix_rank([[x - y for x, y in zip(p, local[0])] for p in local[1:]]) < d:
         return ZERO
     for k in range(1, 9):
         heights = [dot(p, p) + F(1, 10**k) ** (i + 1) for i, p in enumerate(local)]
@@ -285,7 +290,7 @@ def affine_hull_equations(points: Sequence[Point]) -> tuple[list[list[Fraction]]
     if chart.dim == ambient:
         return [], []
     if chart.basis:
-        normals = nullspace([list(v) for v in chart.basis])
+        normals = reference_nullspace([list(v) for v in chart.basis])
     else:
         normals = [[ONE if j == i else ZERO for j in range(ambient)] for i in range(ambient)]
     A_eq = [list(n) for n in normals]
@@ -1447,3 +1452,132 @@ def test_facet_matching_decides_face_to_face_on_a_3d_extension():
     assert len(cut.cells) == len(pc.cells) + 1
     assert stage(validation_error(reference_complex_validate, cut)) == "pair"
     assert stage(validation_error(PolyhedralComplex.validate, cut)) == "pair"
+
+
+# -- barycentric queries against one Fraction solve per cell ----------------
+
+
+def reference_barycentric(vertices, point) -> Optional[list[Fraction]]:
+    """`barycentric_in` as it was: Σ w_i v_i = point, Σ w_i = 1, solved in Fractions."""
+    A = [[v[i] for v in vertices] for i in range(len(point))] + [[ONE] * len(vertices)]
+    return reference_solve_linear(A, [*point, ONE])
+
+
+def reference_find_cell(tri, point):
+    """The first maximal cell whose ambient weights are all >= 0, with them."""
+    for c in tri.maximal:
+        w = reference_barycentric([tri.vertices[i] for i in c], point)
+        if w is not None and min(w) >= 0:
+            return c, w
+    return None
+
+
+def probability_simplex(n):
+    return [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+def query_cases():
+    """Seeded (label, triangulation, points): probability simplices in R^3 and
+    R^4 refined by edge splits, grid and regular triangulations, each with its
+    vertices, points on edges, inside cells, beyond an edge's end (inside or
+    outside the polytope) and, for the embedded ones, off the affine hull."""
+    rng = random.Random(83)
+    cases = []
+    for k in range(8):
+        n = 3 + k % 2
+        cases.append((f"probability{n}-{k}", triangle_refinement(rng, probability_simplex(n), k % 4)))
+    for n in (1, 2, 3):
+        cases.append((f"grid{n}", grid_triangulation(n)))
+    for label in ("lattice4-0", "plane3", "plane7", "space1", "space4", "line2"):
+        local, heights, _ = LIFTS[label]
+        cases.append((f"regular-{label}", regular_triangulation(local, heights)))
+    out = []
+    for label, tri in cases:
+        verts = tri.vertices
+        points = list(verts)
+        for _ in range(12):
+            cell = rng.choice(tri.maximal)
+            u, v = (verts[i] for i in rng.sample(cell, 2))
+            for t in (F(rng.randint(1, 5), 6), F(rng.randint(7, 18), 6)):
+                points.append(tuple(a + t * (b - a) for a, b in zip(u, v)))
+            ws = [F(rng.randint(1, 5)) for _ in cell]
+            points.append(tuple(sum(w * verts[i][r] for w, i in zip(ws, cell)) / sum(ws)
+                                for r in range(len(u))))
+        if tri.dim < len(verts[0]):
+            points += [(p[0] + F(1, 7), *p[1:]) for p in points[::5]]
+        out.append((label, tri, points))
+    return out
+
+
+QUERY_CASES = query_cases()
+
+
+@pytest.mark.parametrize("label,tri,points", QUERY_CASES, ids=[c[0] for c in QUERY_CASES])
+def test_simplex_weights_match_one_fraction_solve(label, tri, points):
+    for cell in tri.maximal:
+        simplex = tri.simplex(cell)
+        for p in points:
+            want = reference_barycentric(simplex.vertices, p)
+            assert simplex.barycentric(p) == want, (cell, p)
+            assert simplex.contains(p) == (want is not None and min(want) >= 0), (cell, p)
+            assert simplex.strictly_contains(p) == (want is not None and min(want) > 0), (cell, p)
+
+
+@pytest.mark.parametrize("label,tri,points", QUERY_CASES, ids=[c[0] for c in QUERY_CASES])
+def test_triangulation_queries_match_one_fraction_solve_per_cell(label, tri, points):
+    rng = random.Random(label)
+    for p in points:
+        found = reference_find_cell(tri, p)
+        assert tri.find_cell(p) == found, p
+        assert [tri.contains(k, p) for k in range(len(tri.maximal))] == [
+            (w := reference_barycentric([tri.vertices[i] for i in c], p)) is not None
+            and min(w) >= 0
+            for c in tri.maximal
+        ], p
+        if found is None:
+            for query in (tri.barycentric_coords, tri.carrier):
+                with pytest.raises(GeometryError, match="lies outside the covered polytope"):
+                    query(p)
+            continue
+        coords = {i: w for i, w in zip(*found) if w > 0}
+        assert tri.barycentric_coords(p) == coords, p
+        assert tri.carrier(p) == tuple(coords), p
+        v = rng.randrange(len(tri.vertices))
+        star = {i for c in tri.maximal if v in c for i in c}
+        assert tri.star_bump(v, p) == sum((w for i, w in coords.items() if i in star), ZERO)
+
+
+def test_query_cases_cover_every_kind_of_point():
+    """Points on vertices, on edges, inside cells, outside the polytope and
+    off its affine hull, in charts of one to three dimensions."""
+    kinds = collections.Counter()
+    for label, tri, points in QUERY_CASES:
+        for p in points:
+            found = reference_find_cell(tri, p)
+            if found is None:
+                on_flat = reference_barycentric(tri.simplex(tri.maximal[0]).vertices, p)
+                kinds["outside" if on_flat is not None else "off the hull"] += 1
+            else:
+                zeros = sum(w == 0 for w in found[1])
+                kinds[{0: "interior", tri.dim: "vertex"}.get(zeros, "boundary")] += 1
+        kinds[f"dim {tri.dim} in R^{len(tri.vertices[0])}"] += 1
+    assert min(kinds[k] for k in ("interior", "vertex", "boundary", "outside", "off the hull")) >= 20
+    charts = ("dim 1 in R^1", "dim 2 in R^2", "dim 2 in R^3", "dim 3 in R^3", "dim 3 in R^4")
+    assert all(kinds[k] for k in charts), kinds
+
+
+def test_interpolated_pieces_match_one_fraction_solve_per_cell():
+    """Each cell's gradient and offset, read from its table's forms on the
+    grid, solve (to_local(v), 1)·(g, c) = h_v at its vertices in Fractions."""
+    rng = random.Random(89)
+    scaled = 0
+    for label, tri, _ in QUERY_CASES:
+        heights = {i: F(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(len(tri.vertices))}
+        want = []
+        for c in tri.maximal:
+            A = [[*tri.chart.to_local(tri.vertices[i]), ONE] for i in c]
+            *grad, off = reference_solve_linear(A, [heights[i] for i in c])
+            want.append((grad, off))
+        assert interpolate_heights(tri, heights).pieces == want, label
+        scaled += tri.grid[1] > 1
+    assert scaled >= 5

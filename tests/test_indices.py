@@ -290,6 +290,33 @@ def test_degree_oracle_decides_where_the_first_concrete_ray_is_degenerate():
     assert degree_oracle(fmap, box, 1) == -1 == reference_degree_oracle(fmap, box, 1)
 
 
+def endpoint_sign_degree(fmap, region, grid):
+    """The 1-D degree from the ends alone: (sh − sl)/2, s the sign of x − f(x)."""
+    ((lo, hi),) = region
+    values = [lo - fmap([lo])[0], hi - fmap([hi])[0]]
+    if 0 in values:
+        raise IndexError_("fixed point on the boundary grid; refine the grid")
+    sl, sh = (1 if v > 0 else -1 for v in values)
+    return (sh - sl) // 2
+
+
+def test_one_dimensional_degree_is_the_endpoint_sign_rule():
+    """In one dimension the boundary is the two ends, so the general path
+    must give the end sign rule's degree, and its error on a zero at an end."""
+    rng = random.Random(17)
+    outcomes = []
+    for _ in range(300):
+        fmap = seeded_map(rng, 1, quadratic=False)
+        lo = F(rng.randint(-4, 1), 2)
+        region = [(lo, lo + F(rng.randint(1, 4), 2))]
+        want = outcome(endpoint_sign_degree, fmap, region, 1)
+        for grid in (1, 2, 3):
+            assert outcome(degree_oracle, fmap, region, grid) == want, region
+        outcomes.append(want)
+    assert {-1, 0, 1} <= set(outcomes)
+    assert 20 < sum(isinstance(w, str) for w in outcomes) < 150
+
+
 # -- affine fixers ---------------------------------------------------------
 
 

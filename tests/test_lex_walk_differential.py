@@ -41,10 +41,9 @@ from equilib.linalg import (
     frac_mat,
     frac_vec,
     lex_walk,
-    matrix_rank,
     vertex_enumeration,
 )
-from oracles import cell_halfspaces, simplex_facet_halfspaces
+from oracles import cell_halfspaces, reference_matrix_rank, simplex_facet_halfspaces
 from test_enumerator_differential import random_game
 
 F = Fraction
@@ -60,7 +59,7 @@ def point_sets():
     while len(out) < 400:
         d = 1 + len(out) % 3
         pts = [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 6))]
-        if matrix_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) < d:
+        if reference_matrix_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) < d:
             continue  # the cells of points that do not span R^d are not vertices
         if rng.random() < 0.5:
             kind, heights = "paraboloid", [sum(x * x for x in p) for p in pts]

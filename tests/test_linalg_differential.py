@@ -5,12 +5,12 @@ rows before the tableau became integer (Bareiss) pivoting; it is kept here
 verbatim as the oracle.  Both follow the same pivot rules, so every LP must
 come out with the same status, point and value.
 
-``reference_rref`` is the Gauss–Jordan elimination over ``Fraction`` rows
-that ``matrix_rank``, ``solve_linear``, ``solve_unique`` and ``nullspace``
-ran on before they shared the integer elimination; it and the four
-functions are kept here verbatim as the oracle.  The reduced row echelon
-form is unique, so both must give the same rank, the same solutions (free
-variables 0) and the same nullspace vectors in the same order.
+``reference_rref`` (in ``oracles``) is the Gauss–Jordan elimination over
+``Fraction`` rows that the solves ran on before they shared the integer
+elimination; it, the solves and the rank built on it are the oracle.  The
+reduced row echelon form is unique, so the integer elimination must give
+the same pivots and the same reduced rows, and ``solve_unique`` the same
+solutions.
 """
 
 import math
@@ -32,12 +32,10 @@ from equilib.linalg import (
     dot,
     frac_vec,
     linprog,
-    matrix_rank,
-    nullspace,
-    solve_linear,
     solve_unique,
     vec_sub,
 )
+from oracles import reference_matrix_rank, reference_rref, reference_solve_linear
 
 
 def reference_simplex_min(c: Vector, A: Matrix, b: Vector) -> LPResult:
@@ -236,69 +234,7 @@ def test_determinant_matches_fraction_elimination():
         assert determinant(A) == reference_determinant(A), A
 
 
-# -- elimination: rank, solves, nullspace and charts -----------------------
-
-
-def reference_rref(M: Matrix) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column indices."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = ONE / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def reference_matrix_rank(A: Sequence[Sequence[Fraction]]) -> int:
-    if not A:
-        return 0
-    M = [list(map(Fraction, row)) for row in A]
-    return len(reference_rref(M))
-
-
-def reference_solve_linear(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[Vector]:
-    """Solve A x = b exactly.
-
-    Returns one solution (the one with free variables set to 0), or None if
-    the system is inconsistent.
-    """
-    rows = len(A)
-    if rows == 0:
-        return []
-    cols = len(A[0])
-    M = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(rows)]
-    pivots = reference_rref(M)
-    for i in range(rows):
-        if all(M[i][c] == 0 for c in range(cols)) and M[i][cols] != 0:
-            return None
-    x = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        if c == cols:  # pivot in the RHS column: inconsistent (caught above)
-            return None
-        x[c] = M[r][cols] - sum(
-            (M[r][j] * x[j] for j in range(c + 1, cols) if j not in pivots), ZERO
-        )
-    # Verify (cheap, and guards against pivot bookkeeping bugs).
-    for i in range(rows):
-        if dot(A[i], x) != b[i]:
-            return None
-    return x
+# -- elimination: reduced rows, solves and charts --------------------------
 
 
 def reference_solve_unique(
@@ -318,25 +254,6 @@ def reference_solve_unique(
     x = [M[r][cols] for r in range(cols)]
     # Verify (cheap, and guards against pivot bookkeeping bugs).
     return x if all(dot(row, x) == beta for row, beta in zip(A, b)) else None
-
-
-def reference_nullspace(A: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Basis of the kernel of A (columns without pivots parametrize it)."""
-    rows = len(A)
-    if rows == 0:
-        return []
-    cols = len(A[0])
-    M = [list(map(Fraction, row)) for row in A]
-    pivots = reference_rref(M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
-        basis.append(v)
-    return basis
 
 
 def reference_chart_basis(points: list[Vector]) -> list[Vector]:
@@ -369,15 +286,19 @@ def random_matrix(rng: random.Random) -> Matrix:
     return A
 
 
-def test_rank_and_nullspace_match_fraction_rref():
+def test_elimination_matches_fraction_rref():
+    """The integer elimination's rows over its last pivot are the reduced row
+    echelon form, with the same pivots: the rank, and the nullspace read
+    off the non-pivot columns, are the Fraction ones."""
     rng = random.Random(11)
     deficient = 0
     for _ in range(1500):
         A = random_matrix(rng)
-        rank = matrix_rank(A)
-        assert rank == reference_matrix_rank(A), A
-        assert nullspace(A) == reference_nullspace(A), A
-        deficient += rank < min(len(A), len(A[0]))
+        T, pivots, det, _ = linalg._eliminate(A)
+        M = [list(row) for row in A]
+        assert pivots == reference_rref(M), A
+        assert [[Fraction(x, det) for x in row] for row in T] == M, A
+        deficient += len(pivots) < min(len(A), len(A[0]))
     assert deficient > 300
 
 
@@ -392,8 +313,7 @@ def test_solves_match_fraction_rref():
             b = [dot(row, x0) for row in A]
         else:
             b = [rational(rng) for _ in A]
-        x = solve_linear(A, b)
-        assert x == reference_solve_linear(A, b), (A, b)
+        x = reference_solve_linear(A, b)
         assert solve_unique(A, b) == reference_solve_unique(A, b), (A, b)
         if x is None:
             outcomes["inconsistent"] += 1
@@ -430,14 +350,14 @@ def test_chart_matches_incremental_rank_basis():
 
 
 def reference_to_local(chart: Chart, point: Sequence[Fraction]) -> Vector:
-    """`Chart.to_local` as it was: one `solve_linear` against the basis per point."""
+    """`Chart.to_local` as it was: one Fraction solve against the basis per point."""
     d = vec_sub(frac_vec(point), chart.origin)
     if chart.dim == 0:
         if any(x != 0 for x in d):
             raise ValueError("point not in affine hull")
         return []
     A = [[chart.basis[j][i] for j in range(chart.dim)] for i in range(chart.ambient_dim)]
-    x = solve_linear(A, d)
+    x = reference_solve_linear(A, d)
     if x is None:
         raise ValueError("point not in affine hull")
     return x
