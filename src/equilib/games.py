@@ -52,7 +52,7 @@ class MixedStrategy:
         items = []
         total = ZERO
         for label, w in weights.items():
-            w = parse_rational(w) if isinstance(w, str) else Fraction(w)
+            w = parse_rational(w)
             if w < 0:
                 raise GameError(f"negative weight {w} on strategy {label!r}")
             if w > 0:
@@ -75,11 +75,11 @@ class MixedStrategy:
     @cached_property
     def integer_weights(self) -> tuple[tuple[tuple[Label, int], ...], int]:
         """The nonzero weights as integer numerators over their least common denominator."""
-        den = math.lcm(*(w.denominator for _, w in self.weights))
-        return tuple((s, w.numerator * (den // w.denominator)) for s, w in self.weights if w), den
+        den = math.lcm(*[w.denominator for _, w in self.weights])
+        return tuple([(s, w.numerator * (den // w.denominator)) for s, w in self.weights if w]), den
 
     def support(self) -> tuple[Label, ...]:
-        return tuple(label for label, w in self.weights if w > 0)
+        return tuple(label for label, w in self.weights if w)
 
     def as_vector(self, labels: Sequence[Label]) -> list[Fraction]:
         d = self.as_dict()
@@ -126,6 +126,11 @@ class FiniteGame:
     def __post_init__(self):
         if len(self.players) != len(self.strategies):
             raise GameError("player count does not match strategy lists")
+        for player, labels in zip(self.players, self.strategies):
+            if not labels:
+                raise GameError(f"player {player!r} has no strategies")
+            if len(set(labels)) < len(labels):
+                raise GameError(f"player {player!r} repeats a strategy label in {list(labels)}")
         for profile in itertools.product(*self.strategies):
             entry = self.payoffs.get(profile)
             if entry is None:
@@ -139,9 +144,8 @@ class FiniteGame:
         strategies: Sequence[Sequence[Label]],
         payoffs: Mapping[tuple, Sequence],
     ) -> "FiniteGame":
-        tensor = {
-            tuple(k): tuple(Fraction(x) for x in v) for k, v in payoffs.items()
-        }
+        """The game with payoffs read by :func:`parse_rational`: floats and bools are refused."""
+        tensor = {tuple(k): tuple(map(parse_rational, v)) for k, v in payoffs.items()}
         return FiniteGame(tuple(players), tuple(map(tuple, strategies)), tensor)
 
     @property
@@ -172,11 +176,11 @@ class FiniteGame:
         ``pure_profiles()`` order, times the scale, the lcm of that
         player's payoff denominators.
         """
-        entries = [self.payoffs[p] for p in self.pure_profiles()]
         out = []
-        for n in range(self.num_players):
-            scale = math.lcm(*(e[n].denominator for e in entries))
-            out.append(([e[n].numerator * (scale // e[n].denominator) for e in entries], scale))
+        for column in zip(*map(self.payoffs.__getitem__, self.pure_profiles())):
+            dens = [x.denominator for x in column]
+            scale = math.lcm(*dens)
+            out.append(([x.numerator * (scale // d) for x, d in zip(column, dens)], scale))
         return tuple(out)
 
     def check_profile(self, profile: Profile) -> None:
@@ -184,8 +188,8 @@ class FiniteGame:
             raise GameError(
                 f"profile has {len(profile)} strategies for {self.num_players} players"
             )
-        for n, sigma in enumerate(profile):
-            extra = [s for s in sigma.support() if s not in self.offsets[n]]
+        for n, (sigma, pos) in enumerate(zip(profile, self.offsets)):
+            extra = [s for s, w in sigma.weights if s not in pos and w]
             if extra:
                 raise GameError(
                     f"player {self.players[n]!r}: unknown strategies {sorted(extra)}"
@@ -453,23 +457,37 @@ def game_to_json(game: FiniteGame) -> dict:
     }
 
 
-def _read_payoff_tree(node, strategies, num_players, payoffs, prefix, path) -> None:
-    """Fill ``payoffs`` from the nested payoff arrays under ``node``."""
-    depth = len(prefix)
-    if depth == len(strategies):
+class _Literals(dict):
+    """The payoff strings of one file, each parsed once."""
+
+    def __missing__(self, text: str) -> Fraction:
+        self[text] = value = parse_rational(text)
+        return value
+
+
+def _where(prefix: tuple[Label, ...]) -> str:
+    return "payoffs" + "".join(f"[{s}]" for s in prefix)
+
+
+def _read_payoff_tree(raw, strategies, num_players) -> dict:
+    """The payoff entries of the nested payoff arrays ``raw``, by pure profile."""
+    level = [((), raw)]
+    for labels in strategies:
+        for prefix, node in level:
+            if not isinstance(node, list) or len(node) != len(labels):
+                raise GameError(f"payoff array at {_where(prefix)} must have {len(labels)} entries")
+        level = [(prefix + (s,), child) for prefix, node in level for s, child in zip(labels, node)]
+    payoffs, literals = {}, _Literals()
+    for prefix, node in level:
         if not isinstance(node, list) or len(node) != num_players:
-            raise GameError(f"payoff entry at {path} must list one rational per player")
+            raise GameError(f"payoff entry at {_where(prefix)} must list one rational per player")
         try:
-            payoffs[prefix] = tuple(parse_rational(v) for v in node)
+            payoffs[prefix] = tuple(
+                [literals[v] if isinstance(v, str) else parse_rational(v) for v in node]
+            )
         except RationalParseError as exc:
-            raise GameError(f"payoff entry at {path}: {exc}") from exc
-        return
-    if not isinstance(node, list) or len(node) != len(strategies[depth]):
-        raise GameError(
-            f"payoff array at {path} must have {len(strategies[depth])} entries"
-        )
-    for s, child in zip(strategies[depth], node):
-        _read_payoff_tree(child, strategies, num_players, payoffs, prefix + (s,), f"{path}[{s}]")
+            raise GameError(f"payoff entry at {_where(prefix)}: {exc}") from exc
+    return payoffs
 
 
 def game_from_json(data: dict) -> FiniteGame:
@@ -479,17 +497,17 @@ def game_from_json(data: dict) -> FiniteGame:
         raw = data["payoffs"]
     except (KeyError, TypeError) as exc:
         raise GameError(f"malformed game file: missing/invalid section ({exc})") from exc
-    payoffs: dict[tuple[Label, ...], tuple[Fraction, ...]] = {}
-    _read_payoff_tree(raw, strategies, len(players), payoffs, (), "payoffs")
-    return FiniteGame.of(players, strategies, payoffs)
+    payoffs = _read_payoff_tree(raw, strategies, len(players))
+    return FiniteGame(tuple(players), tuple(map(tuple, strategies)), payoffs)
 
 
 def load_game(path: str) -> FiniteGame:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from exc
+    with open(path, "rb") as fh:  # json.loads decodes bytes faster than a text file reads
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GameError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from exc
     return game_from_json(data)
 
 

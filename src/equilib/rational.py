@@ -13,32 +13,33 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
 class RationalParseError(ValueError):
     """Raised for malformed rational literals (bad syntax or zero denominator)."""
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse ``"p/q"`` or an integer literal into a Fraction.
+def parse_rational(text: Fraction | str | int) -> Fraction:
+    """Read an exact rational: a Fraction as it is, an int, or a ``"p"``/``"p/q"`` literal.
 
-    Floats and anything else are rejected: exactness end-to-end.
+    Floats, bools and anything else are rejected: exactness end-to-end.
     """
-    if isinstance(text, bool):
-        raise RationalParseError(f"not a rational literal: {text!r}")
-    if isinstance(text, int):
+    if isinstance(text, str):
+        m = _RATIONAL_RE.fullmatch(text.strip())
+        if m is None:
+            raise RationalParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
+        num, den = m.groups()
+        if den is None:
+            return Fraction(int(num))
+        if int(den) == 0:
+            raise RationalParseError(f"zero denominator in rational {text!r}")
+        return Fraction(int(num), int(den))
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str):
-        raise RationalParseError(f"not a rational literal: {text!r}")
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
-        raise RationalParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
-        raise RationalParseError(f"zero denominator in rational {text!r}")
-    return Fraction(num, den)
+    raise RationalParseError(f"not a rational literal: {text!r}")
 
 
 def format_rational(q: Fraction) -> str:

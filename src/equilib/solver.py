@@ -203,9 +203,13 @@ def _pure_equilibria(game: FiniteGame) -> set[int]:
     """Offsets of the pure profiles where no player has a strictly better pure strategy."""
     passing = set(range(len(game.integer_payoffs[0][0])))
     for n, (table, _) in enumerate(game.integer_payoffs):
-        for base in _opponent_offsets(game, n):
-            best = max(table[base + o] for o in game.offsets[n].values())
-            passing -= {base + o for o in game.offsets[n].values() if table[base + o] < best}
+        bases = _opponent_offsets(game, n)
+        for o, p in itertools.combinations(game.offsets[n].values(), 2):
+            # of two strategies that earn differently against the others at b, the worse fails
+            passing.difference_update(
+                [b + o if table[b + o] < table[b + p] else b + p
+                 for b in bases if table[b + o] != table[b + p]]
+            )
     return passing
 
 
@@ -297,17 +301,27 @@ def _bilinear_system(e0, e1, e2) -> tuple[list, int]:
     return [(x, y, z) for x in sorted(xs, key=by_value) for y, z in fibre(*x)], irrational
 
 
+def _mixture(support: tuple[Label, Label], num: int, den: int) -> MixedStrategy:
+    """``MixedStrategy.of({support[0]: num/den, support[1]: 1 - num/den})``, for 0 < num < den."""
+    (a, b), p, q = support, Fraction(num, den), Fraction(den - num, den)
+    return MixedStrategy(((a, p), (b, q)) if a < b else ((b, q), (a, p)))
+
+
+_DISCARDED = "irrational solutions at supports {} were discarded"
+
+
 def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     """Partial enumeration for 3-player games: supports of size <= 2.
 
-    All exact work is on the integer payoff tables (:attr:`FiniteGame.integer_payoffs`).
-    Pure profiles are screened once per game (:func:`_pure_equilibria`).  Each
-    indifference system is read from per-player tables of corner payoff
-    differences, built once per game, and solved on integers (a constant, two
-    decoupled linear equations, or `_bilinear_system`); only a root in (0, 1)
-    becomes a ``Fraction`` weight.  :func:`is_equilibrium` certifies every
-    profile returned.  Continua, discarded roots and supports of size >= 3
-    are reported in ``notes`` and flagged via ``exhaustive=False``.
+    All exact work is on the integer payoff tables (:attr:`FiniteGame.integer_payoffs`),
+    by how many players mix.  Pure profiles are screened once per game
+    (:func:`_pure_equilibria`).  Where one player mixes, one entry of its table of
+    corner payoff differences decides; where two or three do, their system is read
+    from those tables and solved on integers (two decoupled linear equations, or
+    `_bilinear_system`).  Only a root in (0, 1) becomes a ``Fraction`` weight.
+    :func:`is_equilibrium` certifies every profile returned.  Continua, discarded
+    roots and supports of size >= 3 are reported in ``notes`` and flagged via
+    ``exhaustive=False``.
     """
     if game.num_players != 3:
         raise GameError("three_player_support_enumeration handles exactly 3 players")
@@ -315,11 +329,11 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     if not all(len(s) <= 2 for s in game.strategies):
         notes.append("supports of size >= 3 were not searched")
     found: list[Profile] = []
+    pures = [{s: MixedStrategy.pure(s) for s in labels} for labels in game.strategies]
 
-    def emit(weights: dict[int, Fraction], supports) -> None:
+    def emit(weights: dict[int, tuple[int, int]], supports) -> None:
         profile = tuple(
-            MixedStrategy.of({sup[0]: weights[n], sup[1]: 1 - weights[n]})
-            if len(sup) == 2 else MixedStrategy.pure(sup[0])
+            _mixture(sup, *weights[n]) if len(sup) == 2 else pures[n][sup[0]]
             for n, sup in enumerate(supports)
         )
         if is_equilibrium(game, profile) and profile not in found:
@@ -332,41 +346,55 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
          for o, p in itertools.combinations(pos.values(), 2)}
         for (table, _), pos in zip(game.integer_payoffs, game.offsets)
     ]
-    supports_per_player = [
-        [(c, tuple(pos[s] for s in c)) for k in (1, 2) for c in itertools.combinations(s, k)]
-        for s, pos in zip(game.strategies, game.offsets)
+    supports_per_player = [  # (labels, their offsets, the player if it mixes)
+        [(c, tuple(pos[s] for s in c), (n,) * (k - 1))
+         for k in (1, 2) for c in itertools.combinations(s, k)]
+        for n, (s, pos) in enumerate(zip(game.strategies, game.offsets))
     ]
-    for supports, offs in (zip(*c) for c in itertools.product(*supports_per_player)):
-        var_players = [n for n in range(3) if len(supports[n]) == 2]
-        if not var_players and sum(o for (o,) in offs) not in pure:
-            continue  # some player has a strictly better pure strategy
-        polys = [_indifference(corners[n][offs[n]], n, offs) for n in var_players]
-        if not any(c for e in polys for c in e):
-            if var_players:
-                notes.append(f"degenerate continuum at supports {supports}")
-            emit(dict.fromkeys(var_players, Fraction(1, 2)), supports)
+    for (s0, o0, m0), (s1, o1, m1), (s2, o2, m2) in itertools.product(*supports_per_player):
+        supports, offs, var_players = (s0, s1, s2), (o0, o1, o2), m0 + m1 + m2
+        base = o0[0] + o1[0] + o2[0]  # the pure profile at every player's first strategy
+        if not var_players:
+            if base in pure:
+                emit({}, supports)
             continue
-        sols, irrational = [], 0
-        if len(polys) == 2:  # e_n is linear in p_m alone and e_m in p_n alone
-            lm, ln = ((e[1] + e[2], e[0]) for e in polys)
-            sols = _fibre(ln, lm, (0,) * 4)
-        elif len(polys) == 3:
+        if len(var_players) == 1:  # its corner difference: zero is a continuum, else no root
+            (n,) = var_players
+            if not corners[n][offs[n]][base - offs[n][0]]:
+                notes.append(f"degenerate continuum at supports {supports}")
+                emit({n: (1, 2)}, supports)
+            continue
+        if len(var_players) == 2:  # (slope, constant) of e_m in p_n, then of e_n in p_m
+            n, m = var_players
+            (a, b), (c, d) = offs[n], offs[m]
+            rest, dn, dm = base - a - c, corners[n][a, b], corners[m][c, d]
+            polys = [(dm[rest + a] - dm[rest + b], dm[rest + b]),
+                     (dn[rest + c] - dn[rest + d], dn[rest + d])]
+        else:
+            polys = [_indifference(corners[n][offs[n]], n, offs) for n in var_players]
+        if not any(c for e in polys for c in e):
+            notes.append(f"degenerate continuum at supports {supports}")
+            emit(dict.fromkeys(var_players, (1, 2)), supports)
+            continue
+        if len(polys) == 2:
+            sols, irrational = _fibre(*polys, (0,) * 4), 0
+        else:
             sols, irrational = _bilinear_system(*polys)
-        discarded = f"irrational solutions at supports {supports} were discarded"
-        notes += [discarded] * irrational
+        if irrational:
+            notes += [_DISCARDED.format(supports)] * irrational
         for sol in sols:
             values, free = {}, False
             for n, w in zip(var_players, sol):  # stops at the first weight outside (0, 1)
                 free |= w is None
                 if w and not 0 < w[0] < w[1]:
                     break
-                values[n] = Fraction(*w) if w else Fraction(1, 2)
+                values[n] = w or (1, 2)
             else:
                 emit(values, supports)
             if free:
                 notes.append(f"positive-dimensional solutions at supports {supports}")
             elif len(values) < len(sol):
-                notes.append(discarded)
+                notes.append(_DISCARDED.format(supports))
     return EquilibriumSet(game, found, [], exhaustive=not notes, notes=notes)
 
 

@@ -1,0 +1,38 @@
+"""Game families whose equilibria and indices are known in closed form.
+
+They check the two-player enumerator, the component graph and the index
+against answers that need no second enumerator, so they reach sizes that
+the enumerator oracles cannot.
+"""
+
+import itertools
+from fractions import Fraction
+
+from equilib.games import FiniteGame, MixedStrategy, Profile
+
+
+def identity_game(n: int) -> FiniteGame:
+    """The n×n coordination game: both players get 1 when row i meets column i, else 0."""
+    rows, cols = [f"r{i}" for i in range(n)], [f"c{i}" for i in range(n)]
+    payoffs = {
+        (r, c): (int(i == j),) * 2 for i, r in enumerate(rows) for j, c in enumerate(cols)
+    }
+    return FiniteGame.of(["p1", "p2"], [rows, cols], payoffs)
+
+
+def identity_equilibria(n: int) -> dict[Profile, int]:
+    """Every equilibrium of :func:`identity_game` with its index.
+
+    There is one per nonempty common support S, rows and columns i in S
+    each played with weight 1/|S|: 2^n - 1 in all.  Each is regular, and
+    the one on k strategies per player has index (-1)^(k+1).
+    """
+    out = {}
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            profile = tuple(
+                MixedStrategy.of({f"{side}{i}": Fraction(1, k) for i in support})
+                for side in "rc"
+            )
+            out[profile] = (-1) ** (k + 1)
+    return out

@@ -129,11 +129,26 @@ GAME_COMMANDS = {
             ),
             "payoffs[a][y]",
         ),
+        (
+            json.dumps({"players": ["p1", "p2"], "strategies": [[], ["x"]], "payoffs": []}),
+            "player 'p1' has no strategies",
+        ),
+        (
+            json.dumps(
+                {
+                    "players": ["p1", "p2"],
+                    "strategies": [["a", "a"], ["x", "y"]],
+                    "payoffs": [[["1", "0"], ["2", "0"]], [["3", "0"], ["4", "0"]]],
+                }
+            ),
+            "player 'p1' repeats a strategy label",
+        ),
         ('{"players": ["p1", "p2"],', "invalid JSON at line 1"),
         (json.dumps({"players": ["p1", "p2"], "strategies": [["a"], ["x"]]}), "missing/invalid section"),
         ("[]", "missing/invalid section"),
     ],
-    ids=["bad-rational", "invalid-json", "missing-payoffs", "not-an-object"],
+    ids=["bad-rational", "no-strategies", "repeated-label", "invalid-json", "missing-payoffs",
+         "not-an-object"],
 )
 @pytest.mark.parametrize("command", GAME_COMMANDS)
 def test_malformed_game_file_exits_2(command, text, message, tmp_path, capsys):

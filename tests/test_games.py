@@ -18,6 +18,7 @@ from equilib.games import (
     payoff_against,
     profile_of,
 )
+from equilib.rational import RationalParseError
 
 F = Fraction
 
@@ -33,6 +34,12 @@ def test_mixture_normalization_required():
 def test_negative_weight_rejected():
     with pytest.raises(GameError):
         MixedStrategy.of({"a": F(3, 2), "b": F(-1, 2)})
+
+
+@pytest.mark.parametrize("weight", [1.0, True, "1e0", "1.0"])
+def test_mixture_refuses_inexact_weights(weight):
+    with pytest.raises(RationalParseError):
+        MixedStrategy.of({"a": weight})
 
 
 def test_pure_and_support():
@@ -219,3 +226,30 @@ def test_bad_rational_entry_reported_with_location():
 def test_missing_entry_rejected():
     with pytest.raises(GameError):
         FiniteGame.of(["p1", "p2"], [["a", "b"], ["x"]], {("a", "x"): (0, 0)})
+
+
+# -- validation ------------------------------------------------------------
+
+
+def test_player_without_strategies_rejected():
+    with pytest.raises(GameError, match="player 'p1' has no strategies"):
+        FiniteGame.of(["p1", "p2"], [[], ["x"]], {})
+
+
+def test_repeated_strategy_label_rejected():
+    payoffs = {(a, b): (0, 0) for a in "ab" for b in "xy"}
+    with pytest.raises(GameError, match="player 'p2' repeats a strategy label"):
+        FiniteGame.of(["p1", "p2"], [["a", "b"], ["x", "x"]], payoffs)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "0.1", "1e3"])
+def test_game_refuses_inexact_payoffs(value):
+    with pytest.raises(RationalParseError):
+        FiniteGame.of(["p1", "p2"], [["a"], ["x"]], {("a", "x"): (value, 0)})
+
+
+def test_game_reads_exact_payoffs():
+    q = F(2, 3)
+    game = FiniteGame.of(["p1", "p2"], [["a"], ["x"]], {("a", "x"): (q, "-1/2")})
+    assert game.payoffs[("a", "x")] == (q, F(-1, 2))
+    assert game.payoffs[("a", "x")][0] is q

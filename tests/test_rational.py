@@ -28,6 +28,12 @@ def test_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", ["３/４", "٣", "1/٣"])
+def test_rejects_non_ascii_digits(bad):
+    with pytest.raises(RationalParseError):
+        parse_rational(bad)
+
+
 @given(st.fractions())
 def test_round_trip(q):
     assert parse_rational(format_rational(q)) == q

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -192,6 +193,30 @@ def test_three_player_flags_degenerate_continuum():
     es = three_player_support_enumeration(game)
     assert not es.exhaustive
     assert es.notes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_player_profiles_are_in_normal_form(seed):
+    """The enumerator builds its mixtures directly; each must be the very value
+    ``MixedStrategy.of`` gives, equal and hash-equal, with Fraction weights.
+    Labels run against sort order for some players, and payoffs 0..2 give
+    ties, so continua (midpoint candidates) are among the profiles."""
+    rng = random.Random(seed)
+    labels = [["r2", "r1"], ["x", "y"], ["w", "v"]]
+    profiles = []
+    for _ in range(50):
+        payoffs = {
+            p: tuple(F(rng.randint(0, 2)) for _ in range(3))
+            for p in itertools.product(*labels)
+        }
+        es = three_player_support_enumeration(FiniteGame.of(["p1", "p2", "p3"], labels, payoffs))
+        profiles += es.isolated
+    assert any(not s.is_pure() for p in profiles for s in p)
+    for profile in profiles:
+        for s in profile:
+            normal = MixedStrategy.of(s.as_dict())
+            assert s == normal and hash(s) == hash(normal)
+            assert all(type(w) is Fraction for _, w in s.weights)
 
 
 @pytest.mark.xfail(
