@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,8 +40,11 @@ class GameError(ValueError):
 class MixedStrategy:
     """Probability distribution over pure-strategy labels.
 
-    Weights are Fractions, nonnegative, summing to exactly 1; zero weights
-    may be omitted or present (they compare equal either way).
+    Weights are Fractions, nonnegative, summing to exactly 1.  The value is
+    the weight tuple: equality and hashing compare it as it stands.
+    :meth:`of` and :meth:`from_integers` build the normal form, labels
+    sorted and no zero weights, so two mixtures they build are equal
+    exactly when they are the same distribution.
     """
 
     weights: tuple[tuple[Label, Fraction], ...]
@@ -63,8 +65,20 @@ class MixedStrategy:
         return MixedStrategy(tuple(sorted(items)))
 
     @staticmethod
+    def from_integers(nums: Iterable[tuple[Label, int]], den: int) -> "MixedStrategy":
+        """Weight ``k/den`` on each ``(label, k)``, kept as :attr:`integer_weights`, not recomputed.
+
+        For callers that hold the integer form: the ``k`` must be positive, sum
+        to ``den`` and have no common factor (this is not checked).
+        """
+        nums = tuple(sorted(nums))
+        sigma = MixedStrategy(tuple([(s, Fraction(k, den)) for s, k in nums]))
+        sigma.__dict__["integer_weights"] = nums, den
+        return sigma
+
+    @staticmethod
     def pure(label: Label) -> "MixedStrategy":
-        return MixedStrategy(((label, ONE),))
+        return MixedStrategy.from_integers(((label, 1),), 1)
 
     def as_dict(self) -> dict[Label, Fraction]:
         return dict(self.weights)
@@ -212,24 +226,38 @@ class FiniteGame:
         return FiniteGame(self.players, kept, tensor)
 
 
-def _payoff_sums(
-    game: FiniteGame, profile: Profile, player: int, own: Iterable[int]
-) -> tuple[list[int], int]:
-    """Integer payoffs of `player`'s strategies at offsets `own`, and their denominator.
+def _weights(game: FiniteGame, profile: Profile, skip: Optional[int] = None) -> list:
+    """Per player, its nonzero weights as (offset, integer numerator) pairs and their denominator.
 
-    The strategy at ``own[i]`` earns ``sums[i] / den`` against the others'
-    mixtures in `profile`, summed in one pass over their support product;
+    Read from :attr:`MixedStrategy.integer_weights`; player `skip` gets None.
+    """
+    return [
+        None if m == skip
+        else ([(pos[s], k) for s, k in sigma.integer_weights[0]], sigma.integer_weights[1])
+        for m, (sigma, pos) in enumerate(zip(profile, game.offsets))
+    ]
+
+
+def _payoff_sums(
+    game: FiniteGame, weights: list, player: int, own: Iterable[int]
+) -> tuple[dict[int, int], int]:
+    """Integer payoffs of `player`'s strategies at offsets `own`, by offset, and their denominator.
+
+    The strategy at offset ``i`` earns ``sums[i] / den`` against the others'
+    :func:`_weights`, summed in one pass over their support product;
     ``den > 0`` is shared, so the sums compare as the payoffs do.
     """
     table, den = game.integer_payoffs[player]
     terms = [(0, 1)]  # (offset, integer weight) per pure profile of the others
-    for m, sigma in enumerate(profile):
+    for m, entry in enumerate(weights):
         if m != player:
-            nums, d = sigma.integer_weights
-            pos = game.offsets[m]
-            terms = [(o + pos[s], w * k) for o, w in terms for s, k in nums]
+            nums, d = entry
+            terms = [(o + p, w * k) for o, w in terms for p, k in nums]
             den *= d
-    return [sum(w * table[o + i] for o, w in terms) for i in own], den
+    sums = {}
+    for i in own:
+        sums[i] = sum([w * table[o + i] for o, w in terms])
+    return sums, den
 
 
 def payoff_vector(game: FiniteGame, profile: Profile, player: int) -> tuple[Fraction, ...]:
@@ -239,17 +267,18 @@ def payoff_vector(game: FiniteGame, profile: Profile, player: int) -> tuple[Frac
     entry is checked but not read.
     """
     game.check_profile(profile)
-    sums, den = _payoff_sums(game, profile, player, game.offsets[player].values())
-    return tuple(Fraction(v, den) for v in sums)
+    weights = _weights(game, profile, player)
+    sums, den = _payoff_sums(game, weights, player, game.offsets[player].values())
+    return tuple(Fraction(v, den) for v in sums.values())
 
 
 def payoff(game: FiniteGame, profile: Profile, player: int) -> Fraction:
     """Multilinear expected payoff of `player` under a mixed profile."""
     game.check_profile(profile)
-    nums, d = profile[player].integer_weights
-    pos = game.offsets[player]
-    sums, den = _payoff_sums(game, profile, player, [pos[s] for s, _ in nums])
-    return Fraction(sum(map(operator.mul, (k for _, k in nums), sums)), den * d)
+    weights = _weights(game, profile)
+    nums, d = weights[player]
+    sums, den = _payoff_sums(game, weights, player, [o for o, _ in nums])
+    return Fraction(sum(k * sums[o] for o, k in nums), den * d)
 
 
 def payoff_all(game: FiniteGame, profile: Profile) -> tuple[Fraction, ...]:
@@ -268,25 +297,31 @@ def payoff_against(
     return payoff(game, deviated, player)
 
 
-def _best_replies(game: FiniteGame, profile: Profile, player: int) -> set[Label]:
-    sums, _ = _payoff_sums(game, profile, player, game.offsets[player].values())
-    best = max(sums)
-    return {s for s, v in zip(game.strategies[player], sums) if v == best}
-
-
 def best_replies(game: FiniteGame, profile: Profile, player: int) -> set[Label]:
     """Pure strategies attaining the exact maximum payoff against `profile`."""
     game.check_profile(profile)
-    return _best_replies(game, profile, player)
+    pos = game.offsets[player]
+    sums, _ = _payoff_sums(game, _weights(game, profile, player), player, pos.values())
+    best = max(sums.values())
+    return {s for s, o in pos.items() if sums[o] == best}
 
 
 def is_equilibrium(game: FiniteGame, profile: Profile) -> bool:
-    """True iff every player's support consists of best replies."""
+    """True iff every player's support consists of best replies.
+
+    Every player's weights are read once (:func:`_weights`).  Per player, one
+    pass of :func:`_payoff_sums` gives every pure strategy's payoff, and the
+    supported ones must reach the maximum.
+    """
     game.check_profile(profile)
-    return all(
-        set(sigma.support()) <= _best_replies(game, profile, n)
-        for n, sigma in enumerate(profile)
-    )
+    weights = _weights(game, profile)
+    for n, (nums, _) in enumerate(weights):
+        sums, _ = _payoff_sums(game, weights, n, game.offsets[n].values())
+        best = max(sums.values())
+        for o, _ in nums:
+            if sums[o] != best:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -199,16 +199,20 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
 # --------------------------------------------------------------------------
 
 
-def _pure_equilibria(game: FiniteGame) -> set[int]:
-    """Offsets of the pure profiles where no player has a strictly better pure strategy."""
+def _pure_equilibria(game: FiniteGame, bases: list[list[int]] | None = None) -> set[int]:
+    """Offsets of the pure profiles where no player has a strictly better pure strategy.
+
+    ``bases[n]`` lists the offsets of the others' pure profiles in player n's
+    table, by default :func:`_opponent_offsets`.
+    """
     passing = set(range(len(game.integer_payoffs[0][0])))
     for n, (table, _) in enumerate(game.integer_payoffs):
-        bases = _opponent_offsets(game, n)
+        others = bases[n] if bases else _opponent_offsets(game, n)
         for o, p in itertools.combinations(game.offsets[n].values(), 2):
             # of two strategies that earn differently against the others at b, the worse fails
             passing.difference_update(
                 [b + o if table[b + o] < table[b + p] else b + p
-                 for b in bases if table[b + o] != table[b + p]]
+                 for b in others if table[b + o] != table[b + p]]
             )
     return passing
 
@@ -297,14 +301,20 @@ def _bilinear_system(e0, e1, e2) -> tuple[list, int]:
 
     if fibre(max((n // d for n, d in xs), default=0) + 1, 1):  # an integer above every root
         return [(None, y, z) for y, z in fibre(1, 2)] or [(None, None, None)], 0
+    # only a root of R has a solution over it: where P1 P2 != 0, y and z are unique and
+    # e0(y, z) = R / (P1 P2); where P1 = 0 (P2 = 0) a solution needs Q1 = 0 (Q2 = 0),
+    # and then R = P1 A - Q1 C vanishes, A and C being combinations of P2 and Q2
+    xs = [(n, d) for n, d in xs if not (r0 * d + r1 * n) * d + r2 * n * n]
     by_value = functools.cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
     return [(x, y, z) for x in sorted(xs, key=by_value) for y, z in fibre(*x)], irrational
 
 
 def _mixture(support: tuple[Label, Label], num: int, den: int) -> MixedStrategy:
-    """``MixedStrategy.of({support[0]: num/den, support[1]: 1 - num/den})``, for 0 < num < den."""
-    (a, b), p, q = support, Fraction(num, den), Fraction(den - num, den)
-    return MixedStrategy(((a, p), (b, q)) if a < b else ((b, q), (a, p)))
+    """``MixedStrategy.of({support[0]: num/den, support[1]: 1 - num/den})``.
+
+    For coprime 0 < num < den, so (num, den - num) over den is the integer form.
+    """
+    return MixedStrategy.from_integers(((support[0], num), (support[1], den - num)), den)
 
 
 _DISCARDED = "irrational solutions at supports {} were discarded"
@@ -314,14 +324,15 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     """Partial enumeration for 3-player games: supports of size <= 2.
 
     All exact work is on the integer payoff tables (:attr:`FiniteGame.integer_payoffs`),
-    by how many players mix.  Pure profiles are screened once per game
-    (:func:`_pure_equilibria`).  Where one player mixes, one entry of its table of
-    corner payoff differences decides; where two or three do, their system is read
-    from those tables and solved on integers (two decoupled linear equations, or
-    `_bilinear_system`).  Only a root in (0, 1) becomes a ``Fraction`` weight.
-    :func:`is_equilibrium` certifies every profile returned.  Continua, discarded
-    roots and supports of size >= 3 are reported in ``notes`` and flagged via
-    ``exhaustive=False``.
+    by how many players mix.  The supports are laid out once per call as one flat
+    plan, and pure profiles are screened once per game (:func:`_pure_equilibria`).
+    Where one player mixes, one entry of its table of corner payoff differences
+    decides; where two or three do, their system is read from those tables and
+    solved on integers (two decoupled linear equations, or `_bilinear_system`).
+    Only a root in (0, 1) becomes a candidate, built with its integer weights
+    (:meth:`MixedStrategy.from_integers`), and :func:`is_equilibrium` certifies
+    every profile returned.  Continua, discarded roots and supports of size >= 3
+    are reported in ``notes`` and flagged via ``exhaustive=False``.
     """
     if game.num_players != 3:
         raise GameError("three_player_support_enumeration handles exactly 3 players")
@@ -329,31 +340,37 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     if not all(len(s) <= 2 for s in game.strategies):
         notes.append("supports of size >= 3 were not searched")
     found: list[Profile] = []
-    pures = [{s: MixedStrategy.pure(s) for s in labels} for labels in game.strategies]
 
     def emit(weights: dict[int, tuple[int, int]], supports) -> None:
-        profile = tuple(
-            _mixture(sup, *weights[n]) if len(sup) == 2 else pures[n][sup[0]]
+        profile = tuple([
+            _mixture(sup, *weights[n]) if len(sup) == 2 else MixedStrategy.pure(sup[0])
             for n, sup in enumerate(supports)
-        )
+        ])
         if is_equilibrium(game, profile) and profile not in found:
             found.append(profile)
 
-    pure = _pure_equilibria(game)
+    # the plan, in support order: (labels, offsets, base offset, mixing players),
+    # base being the pure profile at every player's first supported strategy
+    own = [list(pos.values()) for pos in game.offsets]
+    per_player = [
+        [(c, o, (n,) * (k - 1)) for k in (1, 2)
+         for c, o in zip(itertools.combinations(s, k), itertools.combinations(own[n], k))]
+        for n, s in enumerate(game.strategies)
+    ]
+    plan = [
+        ((s0, s1, s2), (o0, o1, o2), o0[0] + o1[0] + o2[0], m0 + m1 + m2)
+        for (s0, o0, m0), (s1, o1, m1), (s2, o2, m2) in itertools.product(*per_player)
+    ]
+    # each player's offsets of the others' pure profiles, from the same tables
+    opponents = [[a + b for a in own[m] for b in own[k]] for m, k in ((1, 2), (0, 2), (0, 1))]
+    pure = _pure_equilibria(game, opponents)
     # corners[n][(o, p)][base]: n's payoff from offset o minus from p, others at base
     corners = [
         {(o, p): [x - y for x, y in zip(table[o:], table[p:])]
          for o, p in itertools.combinations(pos.values(), 2)}
         for (table, _), pos in zip(game.integer_payoffs, game.offsets)
     ]
-    supports_per_player = [  # (labels, their offsets, the player if it mixes)
-        [(c, tuple(pos[s] for s in c), (n,) * (k - 1))
-         for k in (1, 2) for c in itertools.combinations(s, k)]
-        for n, (s, pos) in enumerate(zip(game.strategies, game.offsets))
-    ]
-    for (s0, o0, m0), (s1, o1, m1), (s2, o2, m2) in itertools.product(*supports_per_player):
-        supports, offs, var_players = (s0, s1, s2), (o0, o1, o2), m0 + m1 + m2
-        base = o0[0] + o1[0] + o2[0]  # the pure profile at every player's first strategy
+    for supports, offs, base, var_players in plan:
         if not var_players:
             if base in pure:
                 emit({}, supports)
@@ -372,12 +389,12 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
                      (dn[rest + c] - dn[rest + d], dn[rest + d])]
         else:
             polys = [_indifference(corners[n][offs[n]], n, offs) for n in var_players]
-        if not any(c for e in polys for c in e):
+        if not any(map(any, polys)):
             notes.append(f"degenerate continuum at supports {supports}")
             emit(dict.fromkeys(var_players, (1, 2)), supports)
             continue
-        if len(polys) == 2:
-            sols, irrational = _fibre(*polys, (0,) * 4), 0
+        if len(polys) == 2:  # two decoupled lines: _fibre with e = 0
+            sols, irrational = itertools.product(_lin(*polys[0]), _lin(*polys[1])), 0
         else:
             sols, irrational = _bilinear_system(*polys)
         if irrational:

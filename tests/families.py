@@ -2,7 +2,8 @@
 
 They check the two-player enumerator, the component graph and the index
 against answers that need no second enumerator, so they reach sizes that
-the enumerator oracles cannot.
+the enumerator oracles cannot; Jordan's game does the same for the
+three-player enumerator.
 """
 
 import itertools
@@ -36,3 +37,21 @@ def identity_equilibria(n: int) -> dict[Profile, int]:
             )
             out[profile] = (-1) ** (k + 1)
     return out
+
+
+def jordan_game() -> FiniteGame:
+    """Jordan's three-player matching pennies (J. Econ. Theory 59, 1993).
+
+    Each player shows H or T.  Players 1 and 2 each win by matching the next
+    player, player 3 by mismatching player 1; a win pays 1, a loss 0.  Each
+    payoff depends on the next player alone, so a player mixes only if the
+    next one plays 1/2, and a pure player makes the one before it pure too.
+    The pure profiles chase each other round the cycle, so the only
+    equilibrium has every player at 1/2.
+    """
+    sides = ("H", "T")
+    payoffs = {
+        (a, b, c): (int(a == b), int(b == c), int(c != a))
+        for a, b, c in itertools.product(sides, repeat=3)
+    }
+    return FiniteGame.of(["p1", "p2", "p3"], [sides] * 3, payoffs)

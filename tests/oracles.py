@@ -10,8 +10,9 @@ simplex from one nullspace per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
 equality rows, the component index by concrete payoff perturbations,
 iterated strict dominance by one LP per strategy, the realization
-check by enumerating the whole game, and the three-player enumerator that
-solves every indifference system in ``Fraction`` s.
+check by enumerating the whole game, the three-player enumerator that
+solves every indifference system in ``Fraction`` s, and the equilibrium
+certificate that compares label sets of best replies.
 """
 
 from __future__ import annotations
@@ -671,6 +672,36 @@ def _reference_bilinear_system(e0, e1, e2) -> tuple[list, int]:
     return [(x, y, z) for x in sorted(xs) for y, z in fibre(x)], irrational
 
 
+def _reference_integer_weights(sigma: MixedStrategy) -> tuple[list[tuple[Label, int]], int]:
+    """The nonzero weights as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*[w.denominator for _, w in sigma.weights])
+    return [(s, w.numerator * (den // w.denominator)) for s, w in sigma.weights if w], den
+
+
+def reference_is_equilibrium(game: FiniteGame, profile: Profile) -> bool:
+    """``games.is_equilibrium`` as it was: each support a subset of the best-reply set.
+
+    Per player, every pure strategy's payoff is summed on the integer payoff
+    tables over the others' support product, the maximal ones form a label
+    set, and the support must lie in it.  The integer weights are recomputed
+    from the ``Fraction`` s, not read from :attr:`MixedStrategy.integer_weights`.
+    """
+    game.check_profile(profile)
+    for n, sigma in enumerate(profile):
+        table, _ = game.integer_payoffs[n]
+        terms = [(0, 1)]
+        for m, other in enumerate(profile):
+            if m != n:
+                pos = game.offsets[m]
+                nums, _ = _reference_integer_weights(other)
+                terms = [(o + pos[s], w * k) for o, w in terms for s, k in nums]
+        sums = [sum(w * table[o + i] for o, w in terms) for i in game.offsets[n].values()]
+        replies = {s for s, v in zip(game.strategies[n], sums) if v == max(sums)}
+        if not set(sigma.support()) <= replies:
+            return False
+    return True
+
+
 def reference_three_player_enumeration(game: FiniteGame) -> EquilibriumSet:
     """``solver.three_player_support_enumeration`` as it was: every root a ``Fraction``.
 
@@ -681,8 +712,8 @@ def reference_three_player_enumeration(game: FiniteGame) -> EquilibriumSet:
     The systems' coefficients are read from the game's integer payoff
     tables (:attr:`FiniteGame.integer_payoffs`), whose positive per-player
     scales leave every root unchanged; weights are always ``Fraction`` s.
-    Each candidate is certified by :func:`is_equilibrium`, which reads
-    the same tables through :func:`games.payoff_vector`'s kernel.
+    Each candidate is certified by :func:`reference_is_equilibrium`, which
+    reads the same tables.
     Continua, discarded roots and supports of size >= 3 are reported in
     ``notes`` and flagged via ``exhaustive=False``.
     """
@@ -699,7 +730,7 @@ def reference_three_player_enumeration(game: FiniteGame) -> EquilibriumSet:
             if len(sup) == 2 else MixedStrategy.pure(sup[0])
             for n, sup in enumerate(supports)
         )
-        if is_equilibrium(game, profile) and profile not in found:
+        if reference_is_equilibrium(game, profile) and profile not in found:
             found.append(profile)
 
     supports_per_player = [

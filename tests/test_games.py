@@ -50,6 +50,31 @@ def test_pure_and_support():
     assert s.weight("y") == 0
 
 
+@pytest.mark.parametrize(
+    "nums, den",
+    [([("a", 1)], 1), ([("b", 2), ("a", 3)], 5), ([("y", 1), ("x", 4), ("w", 1)], 6)],
+)
+def test_constructors_give_one_normal_form(nums, den):
+    """``of`` and ``from_integers`` build the same value, labels sorted and no
+    zero weights, so it is equal and hash-equal; ``from_integers`` keeps the
+    integer form that the lcm of the denominators gives."""
+    built = MixedStrategy.from_integers(nums, den)
+    listed = {s: F(k, den) for s, k in nums}
+    for other in (MixedStrategy.of(listed), MixedStrategy.of({**listed, "zz": 0, "0": F(0)})):
+        assert built == other and hash(built) == hash(other)
+        assert built.weights == other.weights == tuple(sorted(listed.items()))
+        assert built.integer_weights == other.integer_weights  # the latter by lcm
+    if len(nums) == 1:
+        assert built == MixedStrategy.pure(nums[0][0])
+
+
+def test_raw_constructor_compares_its_weights_as_given():
+    """The value is the weight tuple: a listed zero weight makes another value."""
+    listed = MixedStrategy((("a", F(1)), ("b", F(0))))
+    assert listed != MixedStrategy.of({"a": 1, "b": 0}) == MixedStrategy.pure("a")
+    assert listed.support() == ("a",) and listed.integer_weights == ((("a", 1),), 1)
+
+
 # -- payoffs ---------------------------------------------------------------
 
 

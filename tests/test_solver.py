@@ -219,6 +219,28 @@ def test_three_player_profiles_are_in_normal_form(seed):
             assert all(type(w) is Fraction for _, w in s.weights)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_two_player_vertex_profiles_are_in_normal_form(seed):
+    """Every vertex profile ``support_enumeration`` returns, in isolated
+    equilibria, Nash subsets and perturbed limits, equals and hash-equals its
+    ``MixedStrategy.of`` form.  Payoffs 0..2 give ties, hence subsets."""
+    rng = random.Random(seed)
+    labels = [["r2", "r1", "r0"], ["c1", "c0", "c2"]]
+    profiles = []
+    for _ in range(20):
+        payoffs = {
+            p: (F(rng.randint(0, 2)), F(rng.randint(0, 2))) for p in itertools.product(*labels)
+        }
+        es = support_enumeration(FiniteGame.of(["p1", "p2"], labels, payoffs))
+        profiles += es.all_vertex_profiles() + [p for _, p in es.perturbed]
+    assert any(not s.is_pure() for p in profiles for s in p)
+    for profile in profiles:
+        for s in profile:
+            normal = MixedStrategy.of(s.as_dict())
+            assert s == normal and hash(s) == hash(normal)
+            assert all(type(w) is Fraction for _, w in s.weights)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a rational root outside (0, 1) is reported as a discarded irrational "
