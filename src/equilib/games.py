@@ -40,11 +40,9 @@ class GameError(ValueError):
 class MixedStrategy:
     """Probability distribution over pure-strategy labels.
 
-    Weights are Fractions, nonnegative, summing to exactly 1.  The value is
-    the weight tuple: equality and hashing compare it as it stands.
-    :meth:`of` and :meth:`from_integers` build the normal form, labels
-    sorted and no zero weights, so two mixtures they build are equal
-    exactly when they are the same distribution.
+    Weights are Fractions, nonnegative, summing to exactly 1.  The value is the
+    weight tuple as it stands (equality, hashing); :meth:`of` and :meth:`_from_integers`
+    build the normal form, labels sorted and no zero weights.
     """
 
     weights: tuple[tuple[Label, Fraction], ...]
@@ -65,11 +63,11 @@ class MixedStrategy:
         return MixedStrategy(tuple(sorted(items)))
 
     @staticmethod
-    def from_integers(nums: Iterable[tuple[Label, int]], den: int) -> "MixedStrategy":
+    def _from_integers(nums: Iterable[tuple[Label, int]], den: int) -> "MixedStrategy":
         """Weight ``k/den`` on each ``(label, k)``, kept as :attr:`integer_weights`, not recomputed.
 
-        For callers that hold the integer form: the ``k`` must be positive, sum
-        to ``den`` and have no common factor (this is not checked).
+        Internal, for callers that hold the integer form: the ``k`` must be
+        positive, sum to ``den`` and have no common factor (this is not checked).
         """
         nums = tuple(sorted(nums))
         sigma = MixedStrategy(tuple([(s, Fraction(k, den)) for s, k in nums]))
@@ -78,7 +76,7 @@ class MixedStrategy:
 
     @staticmethod
     def pure(label: Label) -> "MixedStrategy":
-        return MixedStrategy.from_integers(((label, 1),), 1)
+        return MixedStrategy._from_integers(((label, 1),), 1)
 
     def as_dict(self) -> dict[Label, Fraction]:
         return dict(self.weights)
@@ -227,10 +225,7 @@ class FiniteGame:
 
 
 def _weights(game: FiniteGame, profile: Profile, skip: Optional[int] = None) -> list:
-    """Per player, its nonzero weights as (offset, integer numerator) pairs and their denominator.
-
-    Read from :attr:`MixedStrategy.integer_weights`; player `skip` gets None.
-    """
+    """Per player, its :attr:`MixedStrategy.integer_weights` by offset; player `skip` gets None."""
     return [
         None if m == skip
         else ([(pos[s], k) for s, k in sigma.integer_weights[0]], sigma.integer_weights[1])
@@ -309,9 +304,8 @@ def best_replies(game: FiniteGame, profile: Profile, player: int) -> set[Label]:
 def is_equilibrium(game: FiniteGame, profile: Profile) -> bool:
     """True iff every player's support consists of best replies.
 
-    Every player's weights are read once (:func:`_weights`).  Per player, one
-    pass of :func:`_payoff_sums` gives every pure strategy's payoff, and the
-    supported ones must reach the maximum.
+    The weights are read once; per player, one pass of :func:`_payoff_sums`
+    gives every pure strategy's payoff, and the supported ones must reach the maximum.
     """
     game.check_profile(profile)
     weights = _weights(game, profile)

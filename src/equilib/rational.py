@@ -26,8 +26,6 @@ def parse_rational(text: Fraction | str | int) -> Fraction:
     Floats, bools and anything else are rejected: exactness end-to-end.
     """
     if isinstance(text, str):
-        if text.isdigit() and text.isascii():  # a plain "p" ≥ 0, the common payoff
-            return Fraction(int(text))
         m = _RATIONAL_RE.fullmatch(text.strip())
         if m is None:
             raise RationalParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")

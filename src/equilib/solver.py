@@ -199,20 +199,16 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
 # --------------------------------------------------------------------------
 
 
-def _pure_equilibria(game: FiniteGame, bases: list[list[int]] | None = None) -> set[int]:
-    """Offsets of the pure profiles where no player has a strictly better pure strategy.
-
-    ``bases[n]`` lists the offsets of the others' pure profiles in player n's
-    table, by default :func:`_opponent_offsets`.
-    """
+def _pure_equilibria(game: FiniteGame) -> set[int]:
+    """Offsets of the pure profiles where no player has a strictly better pure strategy."""
     passing = set(range(len(game.integer_payoffs[0][0])))
     for n, (table, _) in enumerate(game.integer_payoffs):
-        others = bases[n] if bases else _opponent_offsets(game, n)
+        bases = _opponent_offsets(game, n)
         for o, p in itertools.combinations(game.offsets[n].values(), 2):
             # of two strategies that earn differently against the others at b, the worse fails
             passing.difference_update(
                 [b + o if table[b + o] < table[b + p] else b + p
-                 for b in others if table[b + o] != table[b + p]]
+                 for b in bases if table[b + o] != table[b + p]]
             )
     return passing
 
@@ -314,7 +310,7 @@ def _mixture(support: tuple[Label, Label], num: int, den: int) -> MixedStrategy:
 
     For coprime 0 < num < den, so (num, den - num) over den is the integer form.
     """
-    return MixedStrategy.from_integers(((support[0], num), (support[1], den - num)), den)
+    return MixedStrategy._from_integers(((support[0], num), (support[1], den - num)), den)
 
 
 _DISCARDED = "irrational solutions at supports {} were discarded"
@@ -324,15 +320,14 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
     """Partial enumeration for 3-player games: supports of size <= 2.
 
     All exact work is on the integer payoff tables (:attr:`FiniteGame.integer_payoffs`),
-    by how many players mix.  The supports are laid out once per call as one flat
-    plan, and pure profiles are screened once per game (:func:`_pure_equilibria`).
-    Where one player mixes, one entry of its table of corner payoff differences
-    decides; where two or three do, their system is read from those tables and
-    solved on integers (two decoupled linear equations, or `_bilinear_system`).
-    Only a root in (0, 1) becomes a candidate, built with its integer weights
-    (:meth:`MixedStrategy.from_integers`), and :func:`is_equilibrium` certifies
-    every profile returned.  Continua, discarded roots and supports of size >= 3
-    are reported in ``notes`` and flagged via ``exhaustive=False``.
+    by how many players mix.  Pure profiles are screened once per game
+    (:func:`_pure_equilibria`).  Where one player mixes, one entry of its table of
+    corner payoff differences decides; where two or three do, their system is read
+    from those tables and solved on integers (two decoupled linear equations, or
+    `_bilinear_system`).  Only a root in (0, 1) becomes a candidate, built with its
+    integer weights (:func:`_mixture`).  :func:`is_equilibrium` certifies every
+    profile returned.  Continua, discarded roots and supports of size >= 3 are
+    reported in ``notes`` and flagged via ``exhaustive=False``.
     """
     if game.num_players != 3:
         raise GameError("three_player_support_enumeration handles exactly 3 players")
@@ -349,28 +344,21 @@ def three_player_support_enumeration(game: FiniteGame) -> EquilibriumSet:
         if is_equilibrium(game, profile) and profile not in found:
             found.append(profile)
 
-    # the plan, in support order: (labels, offsets, base offset, mixing players),
-    # base being the pure profile at every player's first supported strategy
-    own = [list(pos.values()) for pos in game.offsets]
-    per_player = [
-        [(c, o, (n,) * (k - 1)) for k in (1, 2)
-         for c, o in zip(itertools.combinations(s, k), itertools.combinations(own[n], k))]
-        for n, s in enumerate(game.strategies)
-    ]
-    plan = [
-        ((s0, s1, s2), (o0, o1, o2), o0[0] + o1[0] + o2[0], m0 + m1 + m2)
-        for (s0, o0, m0), (s1, o1, m1), (s2, o2, m2) in itertools.product(*per_player)
-    ]
-    # each player's offsets of the others' pure profiles, from the same tables
-    opponents = [[a + b for a in own[m] for b in own[k]] for m, k in ((1, 2), (0, 2), (0, 1))]
-    pure = _pure_equilibria(game, opponents)
+    pure = _pure_equilibria(game)
     # corners[n][(o, p)][base]: n's payoff from offset o minus from p, others at base
     corners = [
         {(o, p): [x - y for x, y in zip(table[o:], table[p:])]
          for o, p in itertools.combinations(pos.values(), 2)}
         for (table, _), pos in zip(game.integer_payoffs, game.offsets)
     ]
-    for supports, offs, base, var_players in plan:
+    supports_per_player = [  # (labels, their offsets, the player if it mixes)
+        [(c, o, (n,) * (k - 1)) for k in (1, 2)
+         for c, o in zip(itertools.combinations(s, k), itertools.combinations(pos.values(), k))]
+        for n, (s, pos) in enumerate(zip(game.strategies, game.offsets))
+    ]
+    for (s0, o0, m0), (s1, o1, m1), (s2, o2, m2) in itertools.product(*supports_per_player):
+        supports, offs, var_players = (s0, s1, s2), (o0, o1, o2), m0 + m1 + m2
+        base = o0[0] + o1[0] + o2[0]  # the pure profile at every player's first strategy
         if not var_players:
             if base in pure:
                 emit({}, supports)

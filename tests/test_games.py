@@ -55,10 +55,10 @@ def test_pure_and_support():
     [([("a", 1)], 1), ([("b", 2), ("a", 3)], 5), ([("y", 1), ("x", 4), ("w", 1)], 6)],
 )
 def test_constructors_give_one_normal_form(nums, den):
-    """``of`` and ``from_integers`` build the same value, labels sorted and no
-    zero weights, so it is equal and hash-equal; ``from_integers`` keeps the
+    """``of`` and ``_from_integers`` build the same value, labels sorted and no
+    zero weights, so it is equal and hash-equal; ``_from_integers`` keeps the
     integer form that the lcm of the denominators gives."""
-    built = MixedStrategy.from_integers(nums, den)
+    built = MixedStrategy._from_integers(nums, den)
     listed = {s: F(k, den) for s, k in nums}
     for other in (MixedStrategy.of(listed), MixedStrategy.of({**listed, "zz": 0, "0": F(0)})):
         assert built == other and hash(built) == hash(other)
