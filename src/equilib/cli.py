@@ -12,10 +12,11 @@ input, such as a mixture that is no JSON object, has weights that are
 negative or do not sum to 1, or names a strategy its player does not
 have, or a profile without one mixture per player, and a game of other
 than two players for ``solve``, ``components`` or ``index``, whose
-enumeration is two-player only).  At module level
-this file imports only what every subcommand uses (``games`` and
-``rational``); each ``cmd_*`` imports the modules it runs, so a process
-loads no more.
+enumeration is two-player only, and ``.tri`` inputs of the wrong shape:
+``tilde`` needs one triangulation of each player's strategy simplex,
+``el-refine`` a triangulated simplex).  At module level this file imports
+only what every subcommand uses (``games`` and ``rational``); each
+``cmd_*`` imports the modules it runs, so a process loads no more.
 """
 
 from __future__ import annotations
@@ -367,7 +368,11 @@ def cmd_tilde(args) -> tuple[Report, int]:
     from .equivalence import build_tilde_game
 
     game = _load_game(args.game)
-    tg = build_tilde_game(game, [_load_triangulation(path) for path in args.triangulation])
+    tris = [_load_triangulation(path) for path in args.triangulation]
+    try:
+        tg = build_tilde_game(game, tris)
+    except GameError as exc:  # a triangulation count or a simplex that does not fit the game
+        raise UsageError(f"{args.game}: {exc}") from exc
     results = {
         "first_labels": [list(l) for l in tg.first_labels],
         "pair_strategy_counts": [
@@ -424,10 +429,16 @@ def cmd_triangulate(args) -> tuple[Report, int]:
 def cmd_el_refine(args) -> tuple[Report, int]:
     from .geometry import el_refinement
 
-    complex_, gamma = el_refinement(_load_triangulation(args.triangulation))
+    tri = _load_triangulation(args.triangulation)
+    if len(tri.polytope) != tri.dim + 1:
+        raise UsageError(
+            f"{args.triangulation}: el-refine needs a triangulated simplex, but the cells "
+            f"cover a polytope of {len(tri.polytope)} vertices in dimension {tri.dim}"
+        )
+    complex_, gamma = el_refinement(tri)
     values = gamma.vertex_values().values()
     results = {
-        "num_cells": len(complex_.cells),
+        "num_cells": len(complex_.maximal),
         "gamma_range": [format_rational(min(values)), format_rational(max(values))],
     }
     return Report(

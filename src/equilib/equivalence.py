@@ -191,7 +191,9 @@ def build_tilde_game(
     """
     N = game.num_players
     if len(triangulations) != N:
-        raise GameError("one triangulation per player required")
+        raise GameError(
+            f"one triangulation per player required: {N} players, {len(triangulations)} given"
+        )
     first_labels: list[tuple[Label, ...]] = []
     vertex_mixtures: list[dict[Label, MixedStrategy]] = []
     for n, tri in enumerate(triangulations):
@@ -202,7 +204,7 @@ def build_tilde_game(
         tri_vertices = [tuple(Fraction(c) for c in v) for v in tri.vertices]
         if sorted(tuple(Fraction(c) for c in p) for p in tri.polytope) != sorted(corners):
             raise GameError(
-                f"triangulation for player {n} does not cover the strategy simplex"
+                f"triangulation for player {n} does not cover the simplex of its {k} strategies"
             )
         labels = tuple(f"T{n}v{i}" for i in range(len(tri_vertices)))
         mixtures = {

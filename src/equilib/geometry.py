@@ -45,7 +45,7 @@ from .linalg import (
     lex_walk,
     linprog,
 )
-from .rational import format_point, format_rational
+from .rational import format_point, format_rational, parse_rational
 
 Point = tuple[Fraction, ...]
 Face = tuple[int, ...]  # sorted vertex indices
@@ -343,6 +343,10 @@ class Triangulation:
     def faces_of_dim(self, k: int) -> list[Face]:
         return sorted(f for f in self.faces().faces if len(f) == k + 1)
 
+    def face_lattice(self) -> dict[Face, int]:
+        """All faces, as sorted vertex-index tuples, mapped to their dimension."""
+        return {f: len(f) - 1 for f in self.faces().faces}
+
     @functools.cached_property
     def grid(self) -> tuple[list[Optional[list[int]]], int]:
         """Chart coordinates of the vertices, then the polytope's points, on one grid.
@@ -482,8 +486,6 @@ class Triangulation:
 
     @staticmethod
     def deserialize(text: str, *, validate: bool = True) -> "Triangulation":
-        from .rational import parse_rational
-
         verts: list[Point] = []
         cells: list[Face] = []
         for line in text.splitlines():
@@ -688,19 +690,6 @@ def regular_triangulation(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyCell:
-    """The convex hull of `vertices`."""
-
-    vertices: tuple[Point, ...]
-
-    def dim(self) -> int:
-        return Chart(self.vertices).dim
-
-
-FaceKey = frozenset  # frozenset of Point
-
-
 def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
     """A cell's faces as vertex bit masks, read from its facets' sign rows.
 
@@ -718,40 +707,40 @@ def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
 
 
 class PolyhedralComplex:
-    """Maximal polyhedral cells, each given by its vertices, with a face lattice.
+    """Maximal polyhedral cells over one vertex list, with a face lattice.
 
-    The cells are fixed once built: :attr:`grid` reads their vertices'
-    chart coordinates once, and one lower-hull walk per cell
+    `vertices`: the cells' distinct rational points; `maximal`: each
+    cell's vertex indices, in the order given (a :class:`PLFunction`'s
+    pieces follow that order); `polytope`: the covered polytope's vertex
+    list.  The cells are fixed once built: :attr:`grid` reads the
+    vertices' chart coordinates once, and one lower-hull walk per cell
     (:meth:`_walk`) gives its volume and its facets on that grid, which
     `validate`, `face_lattice` and `contains` all read.
     """
 
-    def __init__(self, cells: Sequence[PolyCell], polytope: Sequence[Point]):
-        if not cells:
+    def __init__(
+        self,
+        vertices: Sequence[Sequence],
+        maximal: Sequence[Sequence[int]],
+        polytope: Sequence[Sequence],
+    ):
+        if not maximal:
             raise GeometryError("empty complex")
-        self.cells = list(cells)
+        self.vertices: tuple[Point, ...] = tuple(as_point(p) for p in vertices)
+        self.maximal: tuple[Face, ...] = tuple(tuple(c) for c in maximal)
         self.polytope = tuple(as_point(p) for p in polytope)
         self.chart = Chart(self.polytope)
         self.dim = self.chart.dim
         self._walks: dict[int, tuple[list[tuple[tuple[int, ...], int]], Fraction]] = {}
 
-    def all_vertices(self) -> list[Point]:
-        """The cells' distinct vertices, in order of first appearance."""
-        return list(dict.fromkeys(v for c in self.cells for v in c.vertices))
-
-    @functools.cached_property
-    def _index(self) -> dict[Point, int]:
-        """Each vertex's position in `all_vertices()`."""
-        return {p: k for k, p in enumerate(self.all_vertices())}
-
     @functools.cached_property
     def grid(self) -> tuple[list[Optional[list[int]]], int]:
-        """Chart coordinates of `all_vertices()`, then the polytope's points, on one grid.
+        """Chart coordinates of the vertices, then the polytope's points, on one grid.
 
         :meth:`Chart.grid`'s (rows, scale); a vertex off the polytope's
         affine hull has the row None.
         """
-        return self.chart.grid(self.all_vertices() + list(self.polytope))
+        return self.chart.grid(self.vertices + self.polytope)
 
     def _walk(self, k: int) -> tuple[list[tuple[tuple[int, ...], int]], Fraction]:
         """Cell k's facets and volume, from one lower-hull walk over its rows of :attr:`grid`.
@@ -762,7 +751,7 @@ class PolyhedralComplex:
         """
         if k not in self._walks:
             grid, scale = self.grid
-            rows = [grid[self._index[v]] for v in self.cells[k].vertices]
+            rows = [grid[i] for i in self.maximal[k]]
             if None in rows:
                 raise GeometryError("cell vertex lies off the polytope's affine hull")
             self._walks[k] = _triangulated_hull(rows, scale, self.dim)
@@ -771,9 +760,11 @@ class PolyhedralComplex:
     @functools.cached_property
     def _facet_signs(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
         """Per cell, its vertex mask and its facets' sign rows over every vertex."""
-        facets = [self._walk(k)[0] for k in range(len(self.cells))]
-        pts = self.grid[0][: len(self._index)]
-        masks = [sum(1 << self._index[v] for v in c.vertices) for c in self.cells]
+        facets = [self._walk(k)[0] for k in range(len(self.maximal))]
+        pts = self.grid[0][: len(self.vertices)]
+        if None in pts:
+            raise GeometryError("a vertex lies off the polytope's affine hull")
+        masks = [sum(1 << i for i in c) for c in self.maximal]
         rows = [
             [_sign_masks(sum(map(operator.mul, a, x)) - b for x in pts) for a, b in cell]
             for cell in facets
@@ -793,18 +784,14 @@ class PolyhedralComplex:
             scale * sum(map(operator.mul, a, row)) <= b * s for a, b in facets
         )
 
-    def face_lattice(self) -> dict[FaceKey, int]:
-        """All faces of all cells, mapped to their affine dimension."""
-        points = self.all_vertices()
+    def face_lattice(self) -> dict[Face, int]:
+        """All faces of all cells, as sorted vertex-index tuples, mapped to their affine dimension."""
         faces = {
-            frozenset(points[k] for k in _bits(f))
+            tuple(sorted(_bits(f)))
             for mask, cell_rows in zip(*self._facet_signs)
             for f in _cell_faces(mask, cell_rows)
         }
-        return {f: Chart(sorted(f)).dim for f in faces}
-
-    def is_simplicial(self) -> bool:
-        return all(len(c.vertices) == c.dim() + 1 for c in self.cells)
+        return {f: Chart([self.vertices[i] for i in f]).dim for f in faces}
 
     def validate(self) -> None:
         """Check exact volume cover and that cells meet only in common faces.
@@ -817,13 +804,13 @@ class PolyhedralComplex:
         to facet meet face to face.
         """
         total = ZERO
-        for k in range(len(self.cells)):
+        for k in range(len(self.maximal)):
             volume = self._walk(k)[1]
             if not volume:
                 raise GeometryError("non-maximal cell listed as maximal")
             total += volume
         grid, scale = self.grid
-        n = len(self._index)
+        n = len(self.vertices)
         facets, target = _triangulated_hull(grid[n:], scale, self.dim)
         if total != target:
             raise GeometryError(
@@ -923,21 +910,31 @@ def _arrangement_cells(
     return [(rows, [v for v, _ in sorted(verts, key=greedy_basis)]) for rows, verts in cells]
 
 
-def _cells_to_complex(
+def _arrangement_complex(
     chart: Chart,
-    raw_cells,
+    base: Sequence[Sequence[int]],
+    scale: int,
+    hyperplanes: list[tuple[tuple[int, ...], int]],
     polytope: Sequence[Point],
-) -> PolyhedralComplex:
-    """:func:`_arrangement_cells`' vertices (*num, den) in ambient coordinates;
-    a vertex that several cells share is lifted once."""
-    points: dict[tuple, Point] = {}
-    cells = []
-    for _, verts in raw_cells:
+) -> tuple[PolyhedralComplex, list]:
+    """The validated complex of the arrangement inside a simplex, and its raw cells.
+
+    `base` and `scale` are the simplex's :meth:`Chart.grid` rows in
+    `chart`; the raw cells are :func:`_arrangement_cells`'.  Each distinct
+    vertex (*num, den) is one vertex of the complex, lifted to ambient
+    coordinates in order of first appearance.
+    """
+    d = chart.dim
+    base_hrep = [_facet_halfspace(f, scale) for f in _barycentric_table(base, range(d + 1))[1]]
+    raw = _arrangement_cells(base_hrep, base, scale, hyperplanes, d)
+    index: dict[tuple[int, ...], int] = {}
+    for _, verts in raw:
         for v in verts:
-            if v not in points:
-                points[v] = tuple(chart.to_ambient([Fraction(x, v[-1]) for x in v[:-1]]))
-        cells.append(PolyCell(tuple(points[v] for v in verts)))
-    return PolyhedralComplex(cells, polytope)
+            index.setdefault(v, len(index))
+    vertices = [chart.to_ambient([Fraction(x, v[-1]) for x in v[:-1]]) for v in index]
+    pc = PolyhedralComplex(vertices, [[index[v] for v in verts] for _, verts in raw], polytope)
+    pc.validate()
+    return pc, raw
 
 
 def hyperplane_extension_subdivision(
@@ -966,13 +963,13 @@ def hyperplane_extension_subdivision(
     for s1, s2 in itertools.combinations(embedded, 2):
         if _simplices_intersect(s1, s2):
             raise GeometryError("embedded simplices are not pairwise disjoint")
-    # the facet forms of the base and of each embedded simplex, on one grid
+    # the facet forms of each embedded simplex, on one grid with the base
     grid, scale = chart.grid([v for s in (base, *embedded) for v in s.vertices])
     tables = [
         _barycentric_table(grid[k : k + d + 1], range(d + 1))[1]
-        for k in range(0, len(grid), d + 1)
+        for k in range(d + 1, len(grid), d + 1)
     ]
-    hyperplanes = list(dict.fromkeys(_hyperplane(f, scale) for t in tables[1:] for f in t))
+    hyperplanes = list(dict.fromkeys(_hyperplane(f, scale) for t in tables for f in t))
     if marked_points is not None:
         for p in marked_points:
             lp = chart.to_local(as_point(p))
@@ -982,11 +979,7 @@ def hyperplane_extension_subdivision(
                         f"degenerate arrangement: marked point {format_point(p)} lies on "
                         f"extended hyperplane {format_point(a)}·x = {format_rational(b)}"
                     )
-    base_hrep = [_facet_halfspace(f, scale) for f in tables[0]]
-    raw = _arrangement_cells(base_hrep, grid[: d + 1], scale, hyperplanes, d)
-    pc = _cells_to_complex(chart, raw, base.vertices)
-    pc.validate()
-    return pc
+    return _arrangement_complex(chart, grid[: d + 1], scale, hyperplanes, base.vertices)[0]
 
 
 def _simplices_intersect(s1: Simplex, s2: Simplex) -> bool:
@@ -1065,47 +1058,24 @@ def refine_modulo(
 
 def generalized_barycentric_subdivision(
     domain: "Triangulation | PolyhedralComplex",
-    choices: Optional[Mapping] = None,
+    choices: Optional[Mapping[Face, Sequence]] = None,
 ) -> Triangulation:
     """Derived triangulation from chains of per-face interior points.
 
-    `choices` maps faces (vertex-index tuples for a triangulation, frozensets
-    of vertex points for a complex) to chosen interior points; unspecified
-    faces use the true barycenter.  Maximal simplices correspond to maximal
+    `choices` maps faces, as the sorted vertex-index tuples of the
+    domain's `face_lattice`, to chosen interior points; unspecified faces
+    use the true barycenter.  Maximal simplices correspond to maximal
     chains of faces ordered by inclusion.
     """
-    choices = dict(choices or {})
-    if isinstance(domain, Triangulation):
-        lattice = {f: len(f) - 1 for f in domain.faces().faces}
-
-        def face_points(f):
-            return [domain.vertices[i] for i in f]
-
-        def contains_face(f, g):
-            return set(f) < set(g)
-
-        def canon(f):
-            return tuple(sorted(f))
-
-    else:
-        lattice = domain.face_lattice()
-
-        def face_points(f):
-            return sorted(f)
-
-        def contains_face(f, g):
-            return f < g
-
-        def canon(f):
-            return frozenset(f)
-
+    choices = choices or {}
+    lattice = domain.face_lattice()
     points: dict = {}
     for f, d in lattice.items():
-        pts = face_points(f)
+        pts = [domain.vertices[i] for i in f]
         if d == 0:
             points[f] = pts[0]
             continue
-        choice = choices.get(canon(f))
+        choice = choices.get(f)
         if choice is None:
             n = len(pts)
             choice = tuple(sum((p[i] for p in pts), ZERO) / n for i in range(len(pts[0])))
@@ -1137,7 +1107,7 @@ def generalized_barycentric_subdivision(
             cells.append(tuple(sorted(vertex_index[as_point(points[g])] for g in chain)))
             return
         for g in by_dim.get(d + 1, []):
-            if contains_face(f, g):
+            if set(f) < set(g):
                 extend(chain + [g], g, d + 1)
 
     for f in by_dim.get(0, []):
@@ -1188,8 +1158,7 @@ class PLFunction:
     ):
         self.domain = domain
         self.chart = domain.chart
-        ncells = len(domain.maximal) if isinstance(domain, Triangulation) else len(domain.cells)
-        if len(pieces) != ncells:
+        if len(pieces) != len(domain.maximal):
             raise GeometryError("one affine piece per maximal cell required")
         self.pieces = [
             (frac_vec(g), Fraction(off)) for g, off in pieces
@@ -1198,9 +1167,7 @@ class PLFunction:
     # -- cell access -------------------------------------------------------
 
     def _cell_vertices(self, i: int) -> list[Point]:
-        if isinstance(self.domain, Triangulation):
-            return [self.domain.vertices[j] for j in self.domain.maximal[i]]
-        return list(self.domain.cells[i].vertices)
+        return [self.domain.vertices[j] for j in self.domain.maximal[i]]
 
     def _ncells(self) -> int:
         return len(self.pieces)
@@ -1218,23 +1185,14 @@ class PLFunction:
 
     # -- structural checks ---------------------------------------------------
 
-    def _vertex_rows(self) -> tuple[list[Point], list[Face], list, int]:
-        """The domain's vertices, its cells as index tuples into them, and its grid."""
-        domain = self.domain
-        rows, scale = domain.grid
-        if isinstance(domain, Triangulation):
-            return list(domain.vertices), list(domain.maximal), rows, scale
-        index = domain._index
-        return list(index), [tuple(index[v] for v in c.vertices) for c in domain.cells], rows, scale
-
     def vertex_values(self) -> dict[Point, Fraction]:
         """The value at every vertex, through the first cell that lists it.
 
         Read off the domain's integer chart grid, one piece per vertex.
         """
-        points, cells, rows, scale = self._vertex_rows()
+        points, (rows, scale) = self.domain.vertices, self.domain.grid
         out: dict[Point, Fraction] = {}
-        for (g, off), cell in zip(self.pieces, cells):
+        for (g, off), cell in zip(self.pieces, self.domain.maximal):
             for k in cell:
                 if points[k] not in out:
                     out[points[k]] = _affine_at(g, off, rows[k], scale)
@@ -1242,9 +1200,9 @@ class PLFunction:
 
     def is_convex(self) -> bool:
         """Exact global convexity: every piece underestimates every vertex value."""
-        points, cells, rows, scale = self._vertex_rows()
+        points, (rows, scale) = self.domain.vertices, self.domain.grid
         vv = self.vertex_values()
-        used = set().union(*cells)
+        used = set().union(*self.domain.maximal)
         return all(
             _affine_at(g, off, rows[k], scale) <= vv[points[k]]
             for g, off in self.pieces
@@ -1323,10 +1281,7 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
         dict.fromkeys(_hyperplane(forms[f], scale) for f in tri.faces_of_dim(d - 1))
     )
     base = grid[len(tri.vertices) :]
-    base_hrep = [_facet_halfspace(f, scale) for f in _barycentric_table(base, range(d + 1))[1]]
-    raw = _arrangement_cells(base_hrep, base, scale, hyperplanes, d)
-    pc = _cells_to_complex(tri.chart, raw, tri.polytope)
-    pc.validate()
+    pc, raw = _arrangement_complex(tri.chart, base, scale, hyperplanes, tri.polytope)
     # scale times the largest Σ_H |a_H·x − b_H|, which a base vertex x = row / scale takes
     peak = max(
         sum(abs(sum(map(operator.mul, a, row)) - b * scale) for a, b in hyperplanes)
@@ -1336,7 +1291,8 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
     pieces = []
     for rows, _ in raw:
         grad, off = [0] * d, 0
-        for (a, b), side in zip(hyperplanes, rows[len(base_hrep) :]):
+        # a cell's rows are the base simplex's d + 1 facets, then its side of every H
+        for (a, b), side in zip(hyperplanes, rows[d + 1 :]):
             s = -1 if side == (a, b) else 1  # the cell lies in a·x <= b, or beyond
             grad = [g + s * x for g, x in zip(grad, a)]
             off -= s * b
@@ -1355,14 +1311,14 @@ def triangulate_without_new_vertices(
 ) -> tuple[Triangulation, PLFunction]:
     """Refine `pc` into a triangulation on the same vertex set via heights.
 
-    `h` assigns a height to each vertex of the complex (indexed in
-    `pc.all_vertices()` order) and must be a small generic perturbation of a
+    `h` assigns a height to each vertex of the complex (indexed as
+    `pc.vertices`) and must be a small generic perturbation of a
     height inducing `pc`: the regular triangulation of the lifted vertices
     must use every vertex and refine the complex, else an error is raised.
     The PL witness interpolates `h`; it is convex and linear exactly on the
     simplices.
     """
-    verts = pc.all_vertices()
+    verts = pc.vertices
     if isinstance(h, Mapping):
         heights = {i: Fraction(h[i]) for i in range(len(verts))}
     else:
@@ -1370,10 +1326,8 @@ def triangulate_without_new_vertices(
     if len(heights) != len(verts):
         raise GeometryError("height function must cover every vertex of the complex")
 
-    if pc.is_simplicial():
-        index = {v: i for i, v in enumerate(verts)}
-        cells = [tuple(sorted(index[v] for v in c.vertices)) for c in pc.cells]
-        tri = Triangulation(verts, cells, pc.polytope)
+    if all(len(c) == pc.dim + 1 for c in pc.maximal):  # every cell a simplex
+        tri = Triangulation(verts, pc.maximal, pc.polytope)
         witness = interpolate_heights(tri, heights)
         if not witness.is_convex():
             raise GeometryError("height is not a perturbation of a convex inducer")
@@ -1386,7 +1340,7 @@ def triangulate_without_new_vertices(
         )
     for c in tri.maximal:
         pts = [tri.vertices[i] for i in c]
-        if not any(all(pc.contains(k, p) for p in pts) for k in range(len(pc.cells))):
+        if not any(all(pc.contains(k, p) for p in pts) for k in range(len(pc.maximal))):
             raise GeometryError(
                 "height perturbation too large: triangulation does not refine the complex"
             )

@@ -179,14 +179,10 @@ def _boundary_simplices(box: Box, grid: int):
     for axis in range(d):
         for side in (0, 1):
             fixed = box[axis][side]
-            normal_sign = 1 if side == 1 else -1
             free = [a for a in range(d) if a != axis]
-            # orientation of (e_free..., outward normal) as a frame of R^d
-            frame = [[ONE if r == a else ZERO for r in range(d)] for a in free]
-            frame.append(
-                [Fraction(normal_sign) if r == axis else ZERO for r in range(d)]
-            )
-            facet_or = 1 if determinant([list(col) for col in zip(*frame)]) > 0 else -1
+            # orientation of (e_free..., outward normal ±e_axis) as a frame of
+            # R^d: moving the normal from last to place `axis` takes d−1−axis swaps
+            facet_or = (1 if side == 1 else -1) * (-1) ** (d - 1 - axis)
             for corner in itertools.product(range(grid), repeat=d - 1):
                 base = [ZERO] * d
                 base[axis] = fixed

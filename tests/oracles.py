@@ -12,7 +12,9 @@ equality rows, the component index by concrete payoff perturbations,
 iterated strict dominance by one LP per strategy, the realization
 check by enumerating the whole game, the three-player enumerator that
 solves every indifference system in ``Fraction`` s, and the equilibrium
-certificate that compares label sets of best replies.
+certificate that compares label sets of best replies.  ``cell_points``
+reads a subdivision's cells as point tuples, the form the geometry
+oracles take.
 """
 
 from __future__ import annotations
@@ -285,6 +287,11 @@ def mapping_from_json(data: dict) -> list[AffineSurjection]:
 def load_mapping(path) -> list[AffineSurjection]:
     with open(path, encoding="utf-8") as fh:
         return mapping_from_json(json.load(fh))
+
+
+def cell_points(pc) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Each maximal cell of a triangulation or complex as the tuple of its vertex points."""
+    return [tuple(pc.vertices[i] for i in c) for c in pc.maximal]
 
 
 def barycenter(points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:

@@ -299,7 +299,7 @@ def test_criterion_6_geometry():
         [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [(0, 1, 2)]
     ).split_edge((0, 1)).split_edge((0, 2))
     pc, gamma = el_refinement(base)
-    vals = [gamma.value(v) for v in pc.all_vertices()]
+    vals = [gamma.value(v) for v in pc.vertices]
     assert all(0 <= v <= 1 for v in vals) and max(vals) == 1
     assert gamma.is_convex()
     assert gamma.nonlinear_across_every_interior_facet()

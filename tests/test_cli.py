@@ -899,6 +899,36 @@ def test_invalid_triangulation_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("verification failure: ")
 
 
+def wrong_shape_argv(case, tmp_path):
+    """argv and the expected message of a `.tri` input of the wrong shape."""
+    argv = geometry_argv("tilde", tmp_path)
+    game, seg = argv[1], argv[2]
+    if case == "tilde-one-triangulation-for-two-players":
+        return argv[:-1], f"{game}: one triangulation per player required: 2 players, 1 given"
+    if case == "tilde-triangle-for-two-strategies":
+        triangle = tmp_path / "triangle.tri"
+        triangle.write_text(Triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [(0, 1, 2)]).serialize())
+        return ["tilde", game, str(triangle), seg], (
+            f"{game}: triangulation for player 0 does not cover the simplex of its 2 strategies"
+        )
+    square = tmp_path / "square.tri"
+    square.write_text("v 0 0\nv 1 0\nv 0 1\nv 1 1\nc 0 1 3\nc 0 2 3\n")
+    return ["el-refine", str(square)], (
+        f"{square}: el-refine needs a triangulated simplex, "
+        "but the cells cover a polytope of 4 vertices in dimension 2"
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["tilde-one-triangulation-for-two-players", "tilde-triangle-for-two-strategies", "el-refine-square"],
+)
+def test_wrong_shape_triangulation_input_exits_2(case, tmp_path, capsys):
+    argv, message = wrong_shape_argv(case, tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_flat_regular_lift_exits_1_naming_every_point(tmp_path, capsys):
     square = [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
     path = write_json(tmp_path / "points.json", {"points": square, "heights": ["0", "1", "1", "2"]})

@@ -6,7 +6,7 @@ import pytest
 
 from equilib.geometry import (
     GeometryError,
-    PolyCell,
+    PLFunction,
     PolyhedralComplex,
     Simplex,
     Triangulation,
@@ -16,13 +16,14 @@ from equilib.geometry import (
     generalized_barycentric_subdivision,
     grid_triangulation,
     hyperplane_extension_subdivision,
+    interpolate_heights,
     refine_modulo,
     regular_triangulation,
     triangulate_without_new_vertices,
     volume_in_chart,
 )
 from equilib.linalg import Chart, _sign
-from oracles import barycenter, in_convex_hull
+from oracles import barycenter, cell_points, in_convex_hull
 
 F = Fraction
 
@@ -224,12 +225,12 @@ def test_hyperplane_extension_subdivision_covers_domain():
     rng = random.Random(0)
     for _ in range(20):
         p = random_point(rng, tri)
-        assert any(pc.contains(k, p) for k in range(len(pc.cells)))
+        assert any(pc.contains(k, p) for k in range(len(pc.maximal)))
     # the embedded simplex is a union of cells
-    covered = [c for c in pc.cells if all(inner.contains(v) for v in c.vertices)]
+    covered = [c for c in cell_points(pc) if all(inner.contains(v) for v in c)]
     assert covered
     for c in covered:
-        assert inner.contains(barycenter(c.vertices))
+        assert inner.contains(barycenter(c))
 
 
 def test_refine_modulo_protects_and_bounds():
@@ -259,6 +260,62 @@ def test_generalized_barycentric_subdivision_volume():
     assert sum(sub.cell_volume(c) for c in sub.maximal) == F(1, 2)
 
 
+# -- one data model: a triangulation read as a complex ----------------------
+
+
+def data_model_triangulations():
+    """A refined triangle, a grid square, and a split tetrahedron."""
+    tetrahedron = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    return [
+        random_refinement(3, splits=3),
+        grid_triangulation(2),
+        Triangulation(tetrahedron, [(0, 1, 2, 3)]).split_edge((0, 1)).split_edge((2, 4)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_triangulation_as_complex_has_its_lattice_and_subdivision(k):
+    tri = data_model_triangulations()[k]
+    pc = PolyhedralComplex(tri.vertices, tri.maximal, tri.polytope)
+    pc.validate()
+    assert pc.face_lattice() == tri.face_lattice()
+    sub_tri = generalized_barycentric_subdivision(tri)
+    sub_pc = generalized_barycentric_subdivision(pc)
+    assert {frozenset(c) for c in cell_points(sub_pc)} == {frozenset(c) for c in cell_points(sub_tri)}
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_pl_function_reads_a_triangulation_and_its_complex_alike(k):
+    tri = data_model_triangulations()[k]
+    pc = PolyhedralComplex(tri.vertices, tri.maximal, tri.polytope)
+    rng = random.Random(k)
+    # |x|² at the vertices is convex; seeded heights mostly are not
+    for heights in (
+        {i: sum(x * x for x in v) for i, v in enumerate(tri.vertices)},
+        {i: F(rng.randint(-9, 9), 7) for i in range(len(tri.vertices))},
+    ):
+        on_tri = interpolate_heights(tri, heights)
+        on_pc = PLFunction(pc, on_tri.pieces)
+        assert on_pc.vertex_values() == on_tri.vertex_values()
+        assert on_pc.is_convex() == on_tri.is_convex()
+        assert on_pc.adjacent_cell_pairs() == on_tri.adjacent_cell_pairs()
+
+
+def test_barycentric_subdivision_of_a_complex_takes_index_keyed_choices(el):
+    _, (pc, _) = el
+    sub = generalized_barycentric_subdivision(pc)
+    sub.validate()
+    edge = next(f for f, d in pc.face_lattice().items() if d == 1)
+    u, v = (pc.vertices[i] for i in edge)
+    middle = tuple((a + b) / 2 for a, b in zip(u, v))
+    third = tuple((2 * a + b) / 3 for a, b in zip(u, v))
+    assert middle in sub.vertices and third not in sub.vertices
+    moved = generalized_barycentric_subdivision(pc, {edge: third})
+    moved.validate()
+    assert third in moved.vertices and middle not in moved.vertices
+    assert len(moved.maximal) == len(sub.maximal)
+
+
 # -- EL refinement and its convex witness ---------------------------------
 
 
@@ -270,7 +327,7 @@ def el(request):
 
 def test_el_gamma_properties(el):
     tri, (pc, gamma) = el
-    verts = pc.all_vertices()
+    verts = pc.vertices
     vals = [gamma.value(v) for v in verts]
     assert all(0 <= v <= 1 for v in vals)
     assert max(vals) == 1
@@ -281,8 +338,7 @@ def test_el_gamma_properties(el):
 def test_el_gamma_linear_on_cells(el):
     tri, (pc, gamma) = el
     rng = random.Random(5)
-    for cell in pc.cells:
-        vs = list(cell.vertices)
+    for vs in cell_points(pc):
         ws = [rng.randint(1, 5) for _ in vs]
         tot = sum(ws)
         p = [
@@ -313,7 +369,7 @@ def test_point_errors_print_rationals(el):
 def test_triangulate_without_new_vertices(el):
     tri, (pc, gamma) = el
     rng = random.Random(11)
-    verts = pc.all_vertices()
+    verts = pc.vertices
     for attempt in range(20):
         heights = [
             gamma.value(v) + F(rng.randint(-1, 1), 10**6) for v in verts
@@ -347,7 +403,7 @@ def test_affine_below_except_marked():
 
 
 def _simplicial(pc, gamma):
-    verts = pc.all_vertices()
+    verts = pc.vertices
     heights = [gamma.value(v) for v in verts]
     rng = random.Random(23)
     for _ in range(50):
@@ -378,15 +434,10 @@ def test_hanging_node_triangulation_rejected():
         Triangulation(HANGING_SQUARE, HANGING_CELLS, HANGING_SQUARE[:4])
 
 
-def simplex_cells(tri):
-    """The cells of a 2-D or 3-D triangulation as polyhedral cells."""
-    return [PolyCell(tuple(tri.vertices[i] for i in c)) for c in tri.maximal]
-
-
 def test_hanging_node_complex_rejected():
     tri = Triangulation(HANGING_SQUARE, HANGING_CELLS, HANGING_SQUARE[:4], validate=False)
     with pytest.raises(GeometryError, match="two cells intersect outside a common face"):
-        PolyhedralComplex(simplex_cells(tri), tri.polytope).validate()
+        PolyhedralComplex(tri.vertices, tri.maximal, tri.polytope).validate()
 
 
 # The boundary of a tetrahedron seen from above: every edge lies in two
@@ -403,17 +454,17 @@ def test_folded_cells_rejected():
         Triangulation(FOLD, FOLD_CELLS, FOLD_HULL)
     tri = Triangulation(FOLD, FOLD_CELLS, FOLD_HULL, validate=False)
     with pytest.raises(GeometryError, match="two cells intersect outside a common face"):
-        PolyhedralComplex(simplex_cells(tri), FOLD_HULL).validate()
+        PolyhedralComplex(tri.vertices, tri.maximal, FOLD_HULL).validate()
 
 
 def test_repeated_cell_rejected():
     tri = grid_triangulation(2)
-    cells = simplex_cells(tri)
+    cells = tri.maximal
     # a copy of the first cell in place of the last: the volumes still add up
     with pytest.raises(GeometryError, match="two cells intersect outside a common face"):
-        PolyhedralComplex(cells[:-1] + cells[:1], tri.polytope).validate()
+        PolyhedralComplex(tri.vertices, cells[:-1] + cells[:1], tri.polytope).validate()
     with pytest.raises(GeometryError, match="cell volumes sum to"):
-        PolyhedralComplex(cells + cells[-1:], tri.polytope).validate()
+        PolyhedralComplex(tri.vertices, cells + cells[-1:], tri.polytope).validate()
     for maximal in (tri.maximal[:-1] + tri.maximal[:1], tri.maximal + tri.maximal[-1:]):
         with pytest.raises(GeometryError, match="duplicate maximal cell"):
             Triangulation(tri.vertices, maximal, tri.polytope)
@@ -440,7 +491,7 @@ def membership_complexes():
             [Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])],
         ),
         hyperplane_extension_subdivision(Simplex.of(tetrahedron), [Simplex.of(inner)]),
-        PolyhedralComplex(simplex_cells(square), square.polytope),
+        PolyhedralComplex(square.vertices, square.maximal, square.polytope),
     ]
 
 
@@ -452,8 +503,7 @@ def test_complex_contains_matches_hull_membership():
     for pc in membership_complexes():
         pc.validate()
         ambient = len(pc.polytope[0])
-        for k, cell in enumerate(pc.cells):
-            vs = cell.vertices
+        for k, vs in enumerate(cell_points(pc)):
             center = barycenter(vs)
             probes = [(v, "vertex") for v in vs]
             probes += [(barycenter(pair), "midpoint") for pair in itertools.combinations(vs, 2)]
@@ -479,17 +529,18 @@ def test_complex_cell_without_facets_holds_no_point():
     """A cell that is not full-dimensional has no facets to test against, so
     it holds no point, not every point of the polytope's affine hull."""
     square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    pc = PolyhedralComplex(
-        [
-            PolyCell(((F(0), F(0)), (F(1), F(0)))),
-            PolyCell(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)))),
-            PolyCell(((F(0), F(0)), (F(0), F(1)), (F(1), F(1)))),
-        ],
-        square,
-    )
+    pc = PolyhedralComplex(square, [(0, 1), (0, 1, 3), (0, 2, 3)], square)
     assert not pc.contains(0, (F(5), F(5)))
     assert not pc.contains(0, (F(1, 2), F(0)))
     assert pc.contains(1, (F(1), F(0))) and not pc.contains(1, (F(5), F(5)))
+
+
+def test_complex_vertex_in_no_cell_off_the_plane_rejected():
+    """A vertex that no cell lists is still checked against the polytope's affine hull."""
+    plane = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    pc = PolyhedralComplex(plane + [(F(1), F(1), F(1))], [(0, 1, 2)], plane)
+    with pytest.raises(GeometryError, match="^a vertex lies off the polytope's affine hull$"):
+        pc.validate()
 
 
 def test_barycentric_coords_solves_the_containing_cell_once(monkeypatch):

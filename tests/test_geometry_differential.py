@@ -39,7 +39,6 @@ from equilib.geometry import (
     Face,
     GeometryError,
     Point,
-    PolyCell,
     PolyhedralComplex,
     Simplex,
     Triangulation,
@@ -76,6 +75,7 @@ from equilib.linalg import (
 from oracles import (
     barycenter,
     cell_halfspaces,
+    cell_points,
     hyperplane_through,
     in_convex_hull,
     lift_functional,
@@ -298,16 +298,17 @@ def affine_hull_equations(points: Sequence[Point]) -> tuple[list[list[Fraction]]
     return A_eq, b_eq
 
 
-def ambient_halfspaces(cell: PolyCell, chart: Chart) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """The oracle's facets of `cell` (:func:`cell_halfspaces`) as ambient a·x <= b."""
+def ambient_halfspaces(cell: Sequence[Point], chart: Chart) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The oracle's facets (:func:`cell_halfspaces`) of the cell with vertex
+    points `cell`, as ambient a·x <= b."""
     out = []
-    for row in cell_halfspaces(cell.vertices, chart):
+    for row in cell_halfspaces(cell, chart):
         a, b = lift_functional(chart, *row)
         out.append((tuple(a), b))
     return out
 
 
-def _poly_intersection(chart: Chart, a: PolyCell, b: PolyCell):
+def _poly_intersection(chart: Chart, a: Sequence[Point], b: Sequence[Point]):
     """Vertex set of a ∩ b (None, None when empty).
 
     Both cells are maximal cells of the same complex, so they share the
@@ -316,7 +317,7 @@ def _poly_intersection(chart: Chart, a: PolyCell, b: PolyCell):
     rows = ambient_halfspaces(a, chart) + ambient_halfspaces(b, chart)
     A_ub = [list(x) for x, _ in rows]
     b_ub = [y for _, y in rows]
-    A_eq, b_eq = affine_hull_equations(a.vertices)
+    A_eq, b_eq = affine_hull_equations(a)
     verts = subset_vertex_enumeration(A_ub, b_ub, A_eq or None, b_eq or None)
     if not verts:
         return None, None
@@ -1008,14 +1009,15 @@ def test_foreign_hyperplanes_certify_pairs_in_2d_and_3d():
     assert found[2] >= 20 and found[3] >= 3, found
 
 
-def reference_cell_faces(self, cell: PolyCell) -> set[frozenset]:
-    """All faces of `cell` as frozensets of vertex points, from the oracle's facets."""
+def reference_cell_faces(self, cell: Sequence[Point]) -> set[frozenset]:
+    """All faces of the cell with vertex points `cell`, as frozensets of
+    points, from the oracle's facets."""
     tights: list[frozenset] = []
     for a, b in ambient_halfspaces(cell, self.chart):
-        t = frozenset(v for v in cell.vertices if dot(a, v) == b)
-        if t and t != frozenset(cell.vertices):
+        t = frozenset(v for v in cell if dot(a, v) == b)
+        if t and t != frozenset(cell):
             tights.append(t)
-    faces: set[frozenset] = {frozenset(cell.vertices)}
+    faces: set[frozenset] = {frozenset(cell)}
     frontier = set(tights)
     while frontier:
         faces |= frontier
@@ -1046,11 +1048,12 @@ def test_face_lattice_reads_the_halfspace_faces():
             [Simplex.of([[F(1, 4), F(1, 4)], [F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])],
         ),
         hyperplane_extension_subdivision(Simplex.of(unit + [[F(0)] * 3]), [Simplex.of(inner)]),
-        PolyhedralComplex([simplex_cell(grid, c) for c in grid.maximal], grid.polytope),
+        PolyhedralComplex(grid.vertices, grid.maximal, grid.polytope),
     ]
     for pc in complexes:
-        expected = set().union(*(reference_cell_faces(pc, c) for c in pc.cells))
-        assert pc.face_lattice() == {f: Chart(sorted(f)).dim for f in expected}
+        expected = set().union(*(reference_cell_faces(pc, c) for c in cell_points(pc)))
+        lattice = {frozenset(pc.vertices[i] for i in f): d for f, d in pc.face_lattice().items()}
+        assert lattice == {f: Chart(sorted(f)).dim for f in expected}
 
 
 # -- readings of the integer chart grid ---------------------------------------
@@ -1132,8 +1135,8 @@ def reference_gamma_pieces(tri, pc):
     peak = max(sum((abs(dot(a, p) - b) for a, b in hyperplanes), ZERO) for p in local_base)
     alpha = ONE / peak if peak > 0 else ONE
     pieces = []
-    for cell in pc.cells:
-        center = chart.to_local(barycenter(cell.vertices))
+    for cell in cell_points(pc):
+        center = chart.to_local(barycenter(cell))
         grad, off = [ZERO] * d, ZERO
         for a, b in hyperplanes:
             s = ONE if dot(a, center) - b > 0 else -ONE
@@ -1154,7 +1157,7 @@ def test_el_cases_cover_the_charts():
 def test_el_gamma_reads_as_the_value_oracle(label, tri):
     pc, gamma = EL_REFINEMENTS[label]
     assert gamma.pieces == reference_gamma_pieces(tri, pc)
-    expected = {v: gamma.value(v) for v in pc.all_vertices()}
+    expected = {v: gamma.value(v) for v in pc.vertices}
     values = gamma.vertex_values()
     assert values == expected
     # el-refine's gamma_range
@@ -1172,7 +1175,7 @@ def complex_sign_table(pc) -> tuple[list[Point], list[int], list[list[tuple[int,
     halfspace is evaluated once at every vertex on an integer grid; a
     cell's facets are its halfspaces with maximal sets of tight vertices.
     """
-    points = pc.all_vertices()
+    points = list(pc.vertices)
     index = {p: k for k, p in enumerate(points)}
     grid, scale = _integer_matrix(points)
     known: dict = {}
@@ -1187,9 +1190,9 @@ def complex_sign_table(pc) -> tuple[list[Point], list[int], list[list[tuple[int,
             known[(tuple(-x for x in hs[0]), -hs[1])] = row[::-1]
         return row
 
-    masks = [sum(1 << index[v] for v in c.vertices) for c in pc.cells]
+    masks = [sum(1 << index[v] for v in c) for c in cell_points(pc)]
     rows = []
-    for mask, c in zip(masks, pc.cells):
+    for mask, c in zip(masks, cell_points(pc)):
         halfspaces = ambient_halfspaces(c, pc.chart)
         tight = {mask & ~(row[0] | row[1]): row for row in map(signs, halfspaces)}
         proper = set(tight) - {0, mask}
@@ -1206,20 +1209,21 @@ def complex_separation(pc) -> _Separation:
 
 def reference_complex_validate(pc) -> None:
     total = ZERO
-    for c in pc.cells:
-        if Chart(c.vertices).dim != pc.dim:
+    cells = cell_points(pc)
+    for c in cells:
+        if Chart(c).dim != pc.dim:
             raise GeometryError("non-maximal cell listed as maximal")
-        total += reference_volume(c.vertices, pc.chart)
+        total += reference_volume(c, pc.chart)
     target = reference_volume(pc.polytope, pc.chart)
     if total != target:
         raise GeometryError(f"cell volumes sum to {total}, polytope volume is {target}")
     sep = complex_separation(pc)
     index = {p: k for k, p in enumerate(sep.points)}
     faces = [_cell_faces(mask, rows) for mask, rows in zip(sep.masks, sep.rows)]
-    for i, j in itertools.combinations(range(len(pc.cells)), 2):
+    for i, j in itertools.combinations(range(len(cells)), 2):
         meet = sep.meet(i, j)
         if meet is None:
-            inter_dim, inter_verts = _poly_intersection(pc.chart, pc.cells[i], pc.cells[j])
+            inter_dim, inter_verts = _poly_intersection(pc.chart, cells[i], cells[j])
             if inter_dim is None:
                 continue
             key = (
@@ -1235,9 +1239,10 @@ def reference_complex_validate(pc) -> None:
             raise GeometryError("two cells intersect outside a common face")
 
 
-def simplex_cell(tri, cell) -> PolyCell:
-    """A simplex of `tri` as a polyhedral cell."""
-    return PolyCell(tuple(tri.vertices[i] for i in cell))
+def complex_of(cells: Sequence[Sequence[Point]], polytope) -> PolyhedralComplex:
+    """The complex of cells given by their vertex points, each distinct point one vertex."""
+    vertices = list(dict.fromkeys(p for c in cells for p in c))
+    return PolyhedralComplex(vertices, [[vertices.index(p) for p in c] for c in cells], polytope)
 
 
 def complex_cases():
@@ -1258,26 +1263,25 @@ def complex_cases():
             valid.append((f"extension{k}", pc))
     cases = list(valid)
     for label, pc in valid:
-        if len(pc.cells) > 1:
-            k = rng.randrange(len(pc.cells))
-            gap = PolyhedralComplex(pc.cells[:k] + pc.cells[k + 1 :], pc.polytope)
+        cells = cell_points(pc)
+        if len(cells) > 1:
+            k = rng.randrange(len(cells))
+            gap = complex_of(cells[:k] + cells[k + 1 :], pc.polytope)
             cases.append((f"gap-{label}", gap))
-        cells = list(pc.cells)
         k = rng.randrange(len(cells))
         facet = max(
             (
-                tuple(v for v in cells[k].vertices if dot(a, v) == b)
+                tuple(v for v in cells[k] if dot(a, v) == b)
                 for a, b in ambient_halfspaces(cells[k], pc.chart)
             ),
             key=len,
         )
-        cells[k] = PolyCell(facet)
-        cases.append((f"facet-{label}", PolyhedralComplex(cells, pc.polytope)))
+        cells[k] = facet
+        cases.append((f"facet-{label}", complex_of(cells, pc.polytope)))
     for label, tri in CERTIFICATE_CASES.items():
         if not at_pair_stage(label) or len(tri.maximal) > 12:
             continue
-        cells = [simplex_cell(tri, c) for c in tri.maximal]
-        cases.append((f"simplicial-{label}", PolyhedralComplex(cells, tri.polytope)))
+        cases.append((f"simplicial-{label}", PolyhedralComplex(tri.vertices, tri.maximal, tri.polytope)))
     return cases
 
 
@@ -1310,10 +1314,10 @@ def test_complex_validation_decides_as_the_chart_oracle(label):
 
 def test_complex_vertex_off_the_plane_is_rejected_as_by_the_oracle():
     pc, _ = EL_REFINEMENTS["el-plane-0"]
-    cells = list(pc.cells)
-    moved = tuple(x + F(1, 3) for x in cells[0].vertices[0])
-    cells[0] = PolyCell((moved,) + cells[0].vertices[1:])
-    broken = PolyhedralComplex(cells, pc.polytope)
+    cells = cell_points(pc)
+    moved = tuple(x + F(1, 3) for x in cells[0][0])
+    cells[0] = (moved,) + cells[0][1:]
+    broken = complex_of(cells, pc.polytope)
     with pytest.raises(ValueError):
         reference_complex_validate(broken)
     with pytest.raises(GeometryError, match="off the polytope's affine hull"):
@@ -1367,7 +1371,7 @@ def small_planar_complexes(tris):
     """The 2-D triangulations of at most 10 cells as complexes: the 3-D ones
     and the grid would make the vertex enumeration oracle dominate run time."""
     return [
-        PolyhedralComplex([simplex_cell(t, c) for c in t.maximal], t.polytope)
+        PolyhedralComplex(t.vertices, t.maximal, t.polytope)
         for t in tris
         if len(t.vertices[0]) == 2 and len(t.maximal) <= 10
     ]
@@ -1404,11 +1408,12 @@ def test_certified_complex_pairs_match_vertex_enumeration(pair_check_inputs):
     accepted = 0
     for pc in complexes:
         sep = complex_separation(pc)
-        for i, j in itertools.combinations(range(len(pc.cells)), 2):
+        cells = cell_points(pc)
+        for i, j in itertools.combinations(range(len(cells)), 2):
             meet = sep.meet(i, j)
             if meet is None:
                 continue
-            dim, verts = _poly_intersection(pc.chart, pc.cells[i], pc.cells[j])
+            dim, verts = _poly_intersection(pc.chart, cells[i], cells[j])
             exact = frozenset() if dim is None else frozenset(verts)
             assert exact == frozenset(sep.points[v] for v in meet)
             accepted += 1
@@ -1428,15 +1433,16 @@ def test_pair_check_inputs_decide_as_the_pair_stage(pair_check_inputs):
 
 def split_cell(pc, k, normal):
     """`pc` with cell k cut in two by the plane normal·x = normal·(its barycenter)."""
-    cell = pc.cells[k]
-    local = [pc.chart.to_local(v) for v in cell.vertices]
+    cells = cell_points(pc)
+    cell = cells[k]
+    local = [pc.chart.to_local(v) for v in cell]
     cut = (normal, dot(normal, barycenter(local)))
-    rows = cell_halfspaces(cell.vertices, pc.chart)
+    rows = cell_halfspaces(cell, pc.chart)
     halves = [
-        PolyCell(tuple(tuple(pc.chart.to_ambient(v)) for v in verts))
+        tuple(tuple(pc.chart.to_ambient(v)) for v in verts)
         for _, verts in arrangement_cells(rows, local, [cut], len(normal))
     ]
-    return PolyhedralComplex(pc.cells[:k] + pc.cells[k + 1 :] + halves, pc.polytope)
+    return complex_of(cells[:k] + cells[k + 1 :] + halves, pc.polytope)
 
 
 def test_facet_matching_decides_face_to_face_on_a_3d_extension():
@@ -1447,9 +1453,9 @@ def test_facet_matching_decides_face_to_face_on_a_3d_extension():
     inner += [(F(1, 8), F(5, 16), F(1, 8)), (F(1, 16), F(1, 8), F(3, 8))]
     pc = hyperplane_extension_subdivision(Simplex.of(UNIT_TETRAHEDRON), [Simplex.of(inner)])
     assert validation_error(reference_complex_validate, pc) is None
-    k = next(k for k, c in enumerate(pc.cells) if set(c.vertices) == set(inner))
+    k = next(k for k, c in enumerate(cell_points(pc)) if set(c) == set(inner))
     cut = split_cell(pc, k, (F(1), F(2), F(-3)))
-    assert len(cut.cells) == len(pc.cells) + 1
+    assert len(cut.maximal) == len(pc.maximal) + 1
     assert stage(validation_error(reference_complex_validate, cut)) == "pair"
     assert stage(validation_error(PolyhedralComplex.validate, cut)) == "pair"
 

@@ -7,6 +7,9 @@ no-``assert`` and dead-code rules.
   appears as a name anywhere in the module, annotations included.
 - No module has an ``assert`` statement: the program's checks must still
   run under ``python -O``.
+- No function imports ``from .m`` when its module already imports from
+  ``.m`` at top level; an import under ``if TYPE_CHECKING:`` is not top
+  level, so a lazy import of a module named there stays legal.
 - Every top-level function and class, and every method, is reached from a
   root.  The roots are ``cli.main`` (the console script), the module-level
   statements of every module (they run at import), and every name that
@@ -83,6 +86,41 @@ def test_module_has_no_assert(path):
 def test_scan_finds_an_assert():
     source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
     assert assert_statements(source) == [3]
+
+
+def local_reimports(source: str) -> list[str]:
+    """Imports ``from .m`` inside a function whose module imports from ``.m`` at top level."""
+    tree = ast.parse(source)
+    top = {
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+    found = {
+        node
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in top
+    }
+    return [f"line {node.lineno}: from .{node.module}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_imports_no_module_imported_at_top_level(path):
+    assert local_reimports(path.read_text()) == []
+
+
+def test_scan_finds_a_local_reimport():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from .a import x\n"
+        "if TYPE_CHECKING:\n    from .b import y\n\n\n"
+        "def f():\n    from .b import w\n    from .c import v\n    return x, y, w, v\n\n\n"
+        "class K:\n    def g(self):\n        def h():\n            from .a import z\n"
+        "            return z\n        return h\n"
+    )
+    assert local_reimports(source) == ["line 16: from .a"]
 
 
 def names_used(node: ast.AST) -> tuple[set[str], set[str]]:

@@ -10,6 +10,7 @@ from equilib.indices import (
     IndexError_,
     _boundary_simplices,
     _indifference_jacobian,
+    _kuhn_simplices,
     _raw_degree,
     component_index,
     degree_oracle,
@@ -458,6 +459,28 @@ def test_reference_game_has_determinant_k_squared(k):
     game, eq = reference_game(k)
     assert determinant(_indifference_jacobian(game, [s.support() for s in eq])) == k * k
     assert index_regular(game, eq) == 1
+
+
+def reference_facet_orientation(d: int, axis: int, side: int) -> int:
+    """The sign of det(e_free..., outward normal) of the box facet x_axis = side."""
+    free = [a for a in range(d) if a != axis]
+    frame = [[ONE if r == a else ZERO for r in range(d)] for a in free]
+    frame.append([F(1 if side == 1 else -1) if r == axis else ZERO for r in range(d)])
+    return 1 if determinant([list(col) for col in zip(*frame)]) > 0 else -1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_boundary_orientation_is_the_frame_determinant(d):
+    """Each boundary simplex's orientation is its Kuhn sign times its facet's
+    frame determinant, on both sides of every axis."""
+    expected = [
+        sign * reference_facet_orientation(d, axis, side)
+        for axis in range(d)
+        for side in (0, 1)
+        for _, sign in _kuhn_simplices(d - 1)
+    ]
+    assert [orient for _, orient in _boundary_simplices([(-ONE, ONE)] * d, 1)] == expected
+    assert {reference_facet_orientation(d, a, s) for a in range(d) for s in (0, 1)} == {1, -1}
 
 
 @pytest.mark.parametrize("d", range(1, 7))
