@@ -17,7 +17,8 @@ One lexicographic rule, right-hand sides beta_j + ε^(j+1) read by the
 constant and then the lowest ε power (:func:`_sign`), picks the bases
 `vertex_enumeration` keeps and drives :func:`lex_walk`, the pivoting walk
 over the bases of such a system, one elimination per basis, that gives
-geometry its lower hulls.
+geometry its lower hulls.  `vertex_enumeration` solves a degenerate vertex
+once: a later subset inside its tight rows gets only the lexicographic test.
 """
 
 from __future__ import annotations
@@ -369,6 +370,11 @@ def vertex_enumeration(
     that simple perturbed polyhedron.  A row k outside S tight at x has
     slack ε^(k+1) − Σ_{r∈S} λ_r ε^(r+1) there, a_k being Σ_{r∈S} λ_r a_r,
     whose sign :func:`_lex_feasible` reads.
+
+    A vertex with more than d tight rows keeps their bitmask; a later
+    subset inside a known mask is that vertex's basis or singular, so it
+    gets only the lexicographic test (no solve, feasibility test or scan),
+    which rejects dependent rows.  The output is that of solving every subset.
     """
     A_ub = frac_mat(A_ub)
     b_ub = frac_vec(b_ub)
@@ -376,21 +382,34 @@ def vertex_enumeration(
         return []
     rows = _integer_rows(A_ub, b_ub)
     cols = [list(c) for c in zip(*(a for a, _ in rows))]
+    d = len(A_ub[0])
     found: dict[tuple[int, ...], tuple[Vector, list[tuple[int, ...]]]] = {}
-    for combo in itertools.combinations(range(len(A_ub)), len(A_ub[0])):
-        x = solve_unique([A_ub[i] for i in combo], [b_ub[i] for i in combo])
-        if x is None:
-            continue
-        num, den = _integer_row(x)
-        if all(sum(map(operator.mul, a, num)) <= beta * den for a, beta in rows):
-            bases = found.setdefault((den, *num), (x, []))[1]
-            tight = [
-                k
-                for k, (a, beta) in enumerate(rows)
-                if k not in combo and sum(map(operator.mul, a, num)) == beta * den
-            ]
-            if not tight or _lex_feasible(cols, combo, tight):
-                bases.append(combo)
+    # (tight-row bitmask, tight rows, bases) of each vertex with more than d tight rows
+    degenerate: list[tuple[int, list[int], list[tuple[int, ...]]]] = []
+    masks = map(sum, itertools.combinations([1 << k for k in range(len(A_ub))], d))
+    for combo, mask in zip(itertools.combinations(range(len(A_ub)), d), masks):
+        for held, tight, bases in degenerate:
+            if mask & held == mask:  # that vertex's basis, or singular
+                if _lex_feasible(cols, combo, [k for k in tight if k not in combo]):
+                    bases.append(combo)
+                break
+        else:
+            x = solve_unique([A_ub[i] for i in combo], [b_ub[i] for i in combo])
+            if x is None:
+                continue
+            num, den = _integer_row(x)
+            if all(sum(map(operator.mul, a, num)) <= beta * den for a, beta in rows):
+                bases = found.setdefault((den, *num), (x, []))[1]
+                tight = [
+                    k
+                    for k, (a, beta) in enumerate(rows)
+                    if k not in combo and sum(map(operator.mul, a, num)) == beta * den
+                ]
+                if not tight or _lex_feasible(cols, combo, tight):
+                    bases.append(combo)
+                if tight:
+                    held = mask | sum(1 << k for k in tight)
+                    degenerate.append((held, sorted((*combo, *tight)), bases))
     return list(found.values())
 
 
@@ -473,11 +492,12 @@ def _lex_feasible(cols: Sequence[list[int]], basis: Sequence[int], tight: list[i
     rows outside the basis that are tight at its vertex.  One elimination
     of [A_Sᵀ | a_kᵀ for k in tight] leaves det·λ for each tight row k in its
     column, row i of λ belonging to basis row basis[i], so det times k's
-    slack is det·ε^(k+1) − Σ_i det·λ_i·ε^(basis[i]+1).
+    slack is det·ε^(k+1) − Σ_i det·λ_i·ε^(basis[i]+1).  False when the
+    basis rows are dependent: they have no vertex.
     """
     T = [[col[r] for r in (*basis, *tight)] for col in cols]
-    _, det, _ = _reduce(T)
-    return all(
+    pivots, det, _ = _reduce(T)
+    return pivots[: len(basis)] == list(range(len(basis))) and all(
         _sign(0, [(k, det), *((r, -T[i][c]) for i, r in enumerate(basis))]) * det > 0
         for c, k in enumerate(tight, len(basis))
     )

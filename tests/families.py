@@ -1,14 +1,16 @@
 """Game families whose equilibria and indices are known in closed form.
 
 They check the two-player enumerator, the component graph and the index
-against answers that need no second enumerator, so they reach sizes that
-the enumerator oracles cannot; Jordan's game does the same for the
+against answers that need no second enumerator (the duplicated identity
+game through its projection onto the identity game), so they reach sizes
+that the enumerator oracles cannot; Jordan's game does the same for the
 three-player enumerator.
 """
 
 import itertools
 from fractions import Fraction
 
+from equilib.equivalence import AffineSurjection, duplicate_strategy
 from equilib.games import FiniteGame, MixedStrategy, Profile
 
 
@@ -37,6 +39,18 @@ def identity_equilibria(n: int) -> dict[Profile, int]:
             )
             out[profile] = (-1) ** (k + 1)
     return out
+
+
+def duplicated_identity_game(n: int) -> tuple[FiniteGame, AffineSurjection]:
+    """:func:`identity_game` with the row r0/2 + r1/2 added, and the row projection.
+
+    The new row ties r0 and r1 wherever both are played, so each equilibrium
+    of the identity game that plays both becomes a segment: a degenerate
+    game whose components still map one to one onto those equilibria, with
+    the same indices.
+    """
+    mixture = MixedStrategy.of({"r0": "1/2", "r1": "1/2"})
+    return duplicate_strategy(identity_game(n), 0, mixture)
 
 
 def jordan_game() -> FiniteGame:

@@ -8,7 +8,8 @@ for membership, the regularity test, the reader of the mapping files
 that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
 simplex from one nullspace per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
-equality rows, the component index by concrete payoff perturbations,
+equality rows, the lexicographic bases by a subset loop that solves every
+subset in ``Fraction`` s, the component index by concrete payoff perturbations,
 iterated strict dominance by one LP per strategy, the realization
 check by enumerating the whole game, the three-player enumerator that
 solves every indifference system in ``Fraction`` s, and the equilibrium
@@ -438,6 +439,51 @@ def subset_vertex_enumeration(
                 seen.add(key)
                 vertices.append(x)
     return vertices
+
+
+def _lex_positive(A_S: Matrix, basis: Sequence[int], k: int, a_k: Vector) -> bool:
+    """Whether row k, outside the nonsingular ``basis`` with rows ``A_S``, keeps a
+    positive slack under the right-hand sides beta_j + ε^(j+1) at the basis's
+    vertex, where it is tight: with a_k = Σ_r λ_r a_r that slack is
+    ε^(k+1) − Σ_r λ_r ε^(r+1), and its lowest nonzero power decides."""
+    lam = reference_solve_linear([list(col) for col in zip(*A_S)], a_k)
+    return min([(k, ONE), *((r, -c) for r, c in zip(basis, lam) if c)])[1] > 0
+
+
+def subset_lex_bases(
+    A_ub: Sequence[Sequence], b_ub: Sequence
+) -> tuple[list[tuple[Vector, list[tuple[int, ...]]]], int]:
+    """Every vertex of {x : A_ub x <= b_ub} with its lexicographic bases, and a count.
+
+    The subset loop that solves every d-subset S of the rows, d the
+    dimension, in ``Fraction`` s: a nonsingular S whose solution x meets
+    every row is a basis of x when every row outside S that is tight at x
+    passes :func:`_lex_positive`.  Vertices come in the order of the first
+    subset that finds them, bases in subset order.  The count is of the
+    subsets that lie inside no earlier vertex's tight rows: those a loop
+    that skips the subsets of known vertices' tight rows has to solve.
+    """
+    A_ub = frac_mat(A_ub)
+    b_ub = frac_vec(b_ub)
+    dim = len(A_ub[0])
+    found: dict[tuple[Fraction, ...], tuple[Vector, list[tuple[int, ...]]]] = {}
+    known: list[set[int]] = []
+    fresh = 0
+    for combo in itertools.combinations(range(len(A_ub)), dim):
+        fresh += not any(set(combo) <= tight for tight in known)
+        A_S = [A_ub[k] for k in combo]
+        if reference_matrix_rank(A_S) < dim:
+            continue
+        x = reference_solve_linear(A_S, [b_ub[k] for k in combo])
+        if any(dot(a, x) > beta for a, beta in zip(A_ub, b_ub)):
+            continue
+        tight = [k for k, (a, beta) in enumerate(zip(A_ub, b_ub)) if dot(a, x) == beta]
+        if tuple(x) not in found:
+            found[tuple(x)] = (x, [])
+            known.append(set(tight))
+        if all(_lex_positive(A_S, combo, k, A_ub[k]) for k in tight if k not in combo):
+            found[tuple(x)][1].append(combo)
+    return list(found.values()), fresh
 
 
 def component_distance(

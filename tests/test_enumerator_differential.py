@@ -13,15 +13,21 @@ with equality rows, must do the same on systems with equality rows.
 The lexicographic bases that `vertex_enumeration` returns with each vertex
 are checked against one concrete perturbation: on the right-hand sides
 beta_k + δ^(k+1), δ = 1/2^20, the subset loop must find exactly one vertex
-per basis, and each basis must solve to one of them.
+per basis, and each basis must solve to one of them.  On a degenerate deck
+they must equal, in order, those of `oracles.subset_lex_bases`, which
+solves every subset, although `vertex_enumeration` solves only the subsets
+that lie inside no earlier vertex's tight rows.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import equilib.linalg as linalg
+from equilib.equivalence import duplicate_strategy
 from equilib.examples import km_game, km_perturbation_1, km_perturbation_2
 from equilib.games import FiniteGame, Label, MixedStrategy
 from equilib.linalg import (
@@ -35,10 +41,12 @@ from equilib.linalg import (
     vertex_enumeration,
 )
 from equilib.solver import _labelled_vertices
+from families import duplicated_identity_game
 from oracles import (
     factor_constraints,
     perturb_payoffs,
     reference_matrix_rank,
+    subset_lex_bases,
     subset_vertex_enumeration,
 )
 
@@ -270,3 +278,54 @@ def test_lex_systems_are_degenerate():
             ]
             rejected += len(subsets) - len(bases)
     assert several > 50 and rejected > 50, (several, rejected)
+
+
+def km_duplicated() -> FiniteGame:
+    """km with one mixed strategy per player added."""
+    game = km_game()
+    for player in range(2):
+        first, second = game.strategies[player][:2]
+        mixture = MixedStrategy.of({first: F(1, 3), second: F(2, 3)})
+        game, _ = duplicate_strategy(game, player, mixture)
+    return game
+
+
+DEGENERATE_GAMES = {
+    "km": km_game,
+    "km-duplicated": km_duplicated,
+    **{f"identity-{n}-duplicated": (lambda n=n: duplicated_identity_game(n)[0]) for n in (2, 3, 4)},
+    **{f"3x3-0..2-{s}": (lambda s=s: random_game(3, 3, 2, s)) for s in range(60)},
+    **{f"4x4-0..2-{s}": (lambda s=s: random_game(4, 4, 2, s)) for s in range(50)},
+}
+
+
+def test_degenerate_deck_matches_the_subset_loop_that_solves_every_subset():
+    # same vertices, and the same bases in the same order, although the
+    # library skips each subset inside a known vertex's tight rows
+    subsets = solved = 0
+    for name, build in DEGENERATE_GAMES.items():
+        game = build()
+        for player in range(2):
+            A_ub, b_ub = best_response_system(game, player)
+            want, fresh = subset_lex_bases(A_ub, b_ub)
+            assert vertex_enumeration(A_ub, b_ub) == want, (name, player)
+            subsets += math.comb(len(A_ub), len(A_ub[0]))
+            solved += fresh
+    # the deck is degenerate: many subsets lie inside a known vertex's tight rows
+    assert solved < 0.75 * subsets, (solved, subsets)
+
+
+def test_km_solves_only_subsets_outside_every_known_vertex(monkeypatch):
+    calls = []
+
+    def counting(A, b):
+        calls.append(1)
+        return solve_unique(A, b)
+
+    monkeypatch.setattr(linalg, "solve_unique", counting)
+    for player in range(2):
+        A_ub, b_ub = best_response_system(km_game(), player)
+        calls.clear()
+        vertex_enumeration(A_ub, b_ub)
+        _, fresh = subset_lex_bases(A_ub, b_ub)
+        assert len(calls) == fresh < math.comb(len(A_ub), len(A_ub[0])), player

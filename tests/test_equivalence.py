@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from equilib.equivalence import (
 )
 from equilib.examples import km_perturbation_1
 from equilib.games import (
+    FiniteGame,
     GameError,
     MixedStrategy,
     is_equilibrium,
@@ -23,9 +25,9 @@ from equilib.games import (
     profile_of,
 )
 from equilib.geometry import Triangulation
-from equilib.indices import index_regular
-from equilib.solver import support_enumeration
-from oracles import load_mapping, mapping_from_json
+from equilib.indices import game_index_report, index_regular
+from equilib.solver import components, support_enumeration
+from oracles import load_mapping, mapping_from_json, subset_contains
 
 F = Fraction
 HALF = F(1, 2)
@@ -78,6 +80,57 @@ def test_index_invariant_across_duplication():
     es = support_enumeration(g1)
     eq = es.isolated[0]
     assert index_regular(g1, eq) == 1  # matches the base-game count
+
+
+def random_duplication(seed: int):
+    """A seeded game (2×2 to 3×3, payoffs 0..2), the game with one random mixture of
+    one player's strategies added as a pure strategy, and its projection."""
+    rng = random.Random(f"invariance/{seed}")
+    labels = [[f"{side}{i}" for i in range(rng.randint(2, 3))] for side in "rc"]
+    payoffs = {(a, b): (rng.randint(0, 2), rng.randint(0, 2)) for a in labels[0] for b in labels[1]}
+    game = FiniteGame.of(["1", "2"], labels, payoffs)
+    player = rng.randrange(2)
+    support = rng.sample(labels[player], rng.randint(1, len(labels[player])))
+    weights = [rng.randint(1, 3) for _ in support]
+    mixture = MixedStrategy.of({s: F(w, sum(weights)) for s, w in zip(support, weights)})
+    bar, phi = duplicate_strategy(game, player, mixture, new_label="dup")
+    phis = [identity_surjection(labels[n]) for n in range(2)]
+    phis[player] = phi
+    return game, bar, phis
+
+
+def test_components_and_indices_are_invariant_under_duplication():
+    """The components of a game with a duplicate strategy project one to one onto
+    those of the game, with equal indices; each component's vertex profiles all
+    project into one component."""
+    irregular = 0
+    for seed in range(200):
+        game, bar, phis = random_duplication(seed)
+        es, es_bar = support_enumeration(game), support_enumeration(bar)
+        graph, graph_bar = components(es), components(es_bar)
+        report, report_bar = game_index_report(es), game_index_report(es_bar)
+        images = []
+        for component in graph_bar.components:
+            points = {
+                project_profile(phis, p)
+                for i in component
+                for p in graph_bar.subsets[i].vertex_profiles()
+            }
+            # components are disjoint, so each point has at most one owner
+            owners = [
+                k
+                for q in points
+                for k, target in enumerate(graph.components)
+                if any(subset_contains(game, graph.subsets[i], q) for i in target)
+            ]
+            assert len(owners) == len(points) and len(set(owners)) == 1, seed
+            images.append(owners[0])
+        assert sorted(images) == list(range(len(graph.components))), seed
+        assert [e.index for e in report_bar.entries] == [report.entries[k].index for k in images]
+        irregular += any(e.method != "determinant" for e in report_bar.entries)
+    # most cases reach the perturbation path: a component that is no regular
+    # isolated equilibrium
+    assert irregular > 100, irregular
 
 
 def test_surjection_validates_witnesses():

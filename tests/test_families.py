@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from equilib.equivalence import duplicate_strategy, identity_surjection, project_profile
+from equilib.equivalence import identity_surjection, project_profile
 from equilib.games import FiniteGame, MixedStrategy, format_profile
 from equilib.indices import game_index_report
 from equilib.solver import components, support_enumeration, three_player_support_enumeration
-from families import identity_equilibria, identity_game, jordan_game
+from families import duplicated_identity_game, identity_equilibria, identity_game, jordan_game
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -34,8 +34,7 @@ def test_duplicated_identity_game_keeps_components_and_indices():
     equilibrium that plays both becomes a segment.  Components still map one to
     one onto the equilibria of the identity game, with the same indices."""
     n = 5
-    mixture = MixedStrategy.of({"r0": "1/2", "r1": "1/2"})
-    game, phi = duplicate_strategy(identity_game(n), 0, mixture)
+    game, phi = duplicated_identity_game(n)
     es = support_enumeration(game)
     assert es.subsets  # degenerate: some maximal Nash subsets are not points
     graph = components(es)

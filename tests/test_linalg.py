@@ -11,6 +11,7 @@ import equilib.linalg as linalg
 from equilib.linalg import (
     Chart,
     _least_ratio,
+    _lex_feasible,
     determinant,
     frac_mat,
     lex_walk,
@@ -185,6 +186,21 @@ def test_least_ratio_reads_only_falling_rates():
     assert _least_ratio([1, 0, 5], [0, 3, 1], lambda j: [(j, 1)]) == -1
     assert _least_ratio([], [], lambda j: []) == -1
     assert _least_ratio([0, 7, 5], [0, -1, 2], lambda j: [(j, 1)]) == 1
+
+
+def test_lex_feasible_rejects_dependent_basis_rows():
+    # y >= 0, x >= 0 and 2x >= 0 are all tight at the origin; cols[k] holds
+    # coordinate k of each row
+    cols = [[0, -1, -2], [-1, 0, 0]]
+    # rows 1 and 2 are parallel, so (1, 2) is no basis, although row 0's
+    # lowest ε term alone would read as a positive slack
+    assert not _lex_feasible(cols, (1, 2), [0])
+    # over (0, 2) row 1 is row 2 / 2, with slack ε² − ε³/2 > 0; over (0, 1)
+    # row 2 is 2 row 1, with slack ε³ − 2ε² < 0
+    assert _lex_feasible(cols, (0, 2), [1])
+    assert not _lex_feasible(cols, (0, 1), [2])
+    # the enumeration finds the origin by (0, 1) and reads (1, 2) without a solve
+    assert vertex_enumeration([[0, -1], [-1, 0], [-2, 0]], [0, 0, 0]) == [([0, 0], [(0, 2)])]
 
 
 # The points 0..3 of a line lifted to the parabola, as the rows (p, 1 | p²):
