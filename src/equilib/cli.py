@@ -284,7 +284,8 @@ def cmd_components(args) -> tuple[Report, int]:
 
 def cmd_index(args) -> tuple[Report, int]:
     from .indices import IndexError_, component_entry, game_index_report, index_regular
-    from .solver import components, support_enumeration
+    from .indices import reduced_equilibria
+    from .solver import components
 
     game = _load_two_player_game(args.game)
     report = Report("index", inputs={"game": args.game})
@@ -293,7 +294,7 @@ def cmd_index(args) -> tuple[Report, int]:
         report.inputs["point"] = args.point
         report.results = {"index": index_regular(game, profile), "method": "determinant"}
     elif args.component is not None:
-        es = support_enumeration(game)
+        es = reduced_equilibria(game)
         cg = components(es)
         count = len(cg.components)
         if not 0 <= args.component < count:
@@ -302,7 +303,7 @@ def cmd_index(args) -> tuple[Report, int]:
         report.inputs["component"] = args.component
         report.results = {"index": entry.index, "method": entry.method}
     else:
-        ir = game_index_report(support_enumeration(game))
+        ir = game_index_report(reduced_equilibria(game))
         if ir.total() != 1:
             raise IndexError_(f"indices over all components sum to {ir.total()}, not +1")
         report.results = ir.to_json()

@@ -4,7 +4,7 @@ The central objects are :class:`FiniteGame` (normal form, payoff tensor over
 pure profiles) and :class:`PolytopeGame` (strategy sets given as vertex lists,
 payoffs extended multiaffinely).  All evaluation is exact; best replies and
 dominance witnesses are decided by integer comparison, and a mixture that
-strictly dominates a strategy is found by exact linear programming.
+strictly dominates a strategy no pure one does is found by exact LP.
 
 Payoffs, deviations, best replies and equilibrium checks all read one
 kernel, :func:`payoff_vector`'s: each pure strategy's payoff against the
@@ -208,9 +208,10 @@ class FiniteGame:
                 )
 
     @cached_property
-    def _reduction(self) -> tuple["FiniteGame", tuple["Elimination", ...]]:
-        """:func:`eliminate_strictly_dominated`'s answer, computed once per game."""
-        return _iterated_elimination(self)
+    def _reduction(self) -> tuple[Optional["FiniteGame"], tuple["Elimination", ...]]:
+        """:func:`eliminate_strictly_dominated`'s answer, once per game (None: not reduced)."""
+        reduced, trace = _iterated_elimination(self)
+        return reduced if trace else None, trace
 
     def restrict(self, keep: Sequence[Sequence[Label]]) -> "FiniteGame":
         """Subgame on the given strategy subsets (order taken from the game)."""
@@ -371,10 +372,14 @@ def _dominating_mixture(
 ) -> Optional[MixedStrategy]:
     """Mixture over the player's other strategies strictly dominating `strategy`.
 
-    Exact LP: maximize the worst-case margin; a strictly positive optimum
-    yields a witness mixture.
+    The first other pure strategy that :func:`strictly_dominates` it is the
+    witness; only when none does, an exact LP maximizes the worst-case
+    margin, and a strictly positive optimum yields a witness mixture.
     """
     others = [s for s in game.strategies[player] if s != strategy]
+    for r in others:
+        if strictly_dominates(game, player, pure := MixedStrategy.pure(r), strategy):
+            return pure
     if not others:
         return None
     opp_profiles = list(
@@ -441,11 +446,12 @@ def eliminate_strictly_dominated(
     order and their strategies in game order, and removes the first one a
     mixture strictly dominates.  A strategy that is a best reply to some
     pure profile of the others (read on the integer payoff tables) cannot
-    be, so only the others cost an exact LP.  The reduction is computed
-    once per game object; later calls return the same reduced game.
+    be, and a pure dominator found there is the witness if there is one,
+    so only the rest cost an exact LP.  The reduction is computed once per
+    game object; later calls return the same reduced game.
     """
     reduced, trace = game._reduction
-    return reduced, list(trace)
+    return reduced or game, list(trace)
 
 
 # --------------------------------------------------------------------------

@@ -12,11 +12,10 @@ lies in the component: no second enumeration, no LP and no ε to choose.
 ``component_entry`` is the one component rule: a regular isolated
 equilibrium gets ``index_regular``, any other component
 ``component_index``; ``game_index_report`` applies it to every
-component.  ``verify_realization`` is the one check that a game's
-equilibria, projected through per-player maps, carry prescribed indices.
-It certifies on the dominance-reduced game: it checks every witness of
-the elimination trace exactly, then enumerates only the reduced game,
-whose equilibria are the whole game's.
+component, on the equilibrium set ``reduced_equilibria`` enumerates on the
+certified dominance-reduced game.  ``index``, ``run_pipeline``'s first
+stage and ``verify_realization`` (a game's equilibria, projected through
+per-player maps, carry prescribed indices) all read that one set.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .games import (
     Profile,
     eliminate_strictly_dominated,
     format_profile,
+    is_equilibrium,
     payoff_vector,
     strictly_dominates,
 )
@@ -525,6 +525,42 @@ def game_index_report(es: EquilibriumSet) -> IndexReport:
     )
 
 
+def reduced_equilibria(game: FiniteGame, failures: Optional[list[str]] = None) -> EquilibriumSet:
+    """``game``'s equilibrium set, enumerated once on its dominance-reduced game.
+
+    Replays the trace of ``eliminate_strictly_dominated(game)``, checking
+    exactly that each witness strictly beats its strategy against every
+    remaining pure profile of the others.  Iterated strict dominance keeps
+    the Nash set in any order (Gilboa, Kalai & Zemel, Oper. Res. Lett. 9,
+    1990), and deleting never-best replies keeps every component's index
+    (Demichelis & Ritzberger, J. Econ. Theory 113, 2003): so the set is
+    ``game``'s, its vertex profiles certified on ``game`` and its indices
+    read there.  A failing witness raises ``IndexError_``; given a
+    ``failures`` list, its text goes there instead, and the set is that of
+    the game reduced that far.
+    """
+    reduced = game
+    for e in eliminate_strictly_dominated(game)[1]:
+        if not strictly_dominates(reduced, e.player, e.witness, e.strategy):
+            failure = (
+                f"elimination of {e.strategy!r} (player {e.player}) is not certified: "
+                f"{e.witness} does not strictly dominate it"
+            )
+            if failures is None:
+                raise IndexError_(failure)
+            failures.append(failure)
+            break
+        keep = [list(s) for s in reduced.strategies]
+        keep[e.player].remove(e.strategy)
+        reduced = reduced.restrict(keep)
+    es = support_enumeration(reduced)
+    for p in es.all_vertex_profiles() if reduced is not game else ():
+        if not is_equilibrium(game, p):
+            raise IndexError_(f"reduced game has a non-equilibrium {format_profile(p)}")
+    es.game = game
+    return es
+
+
 def verify_realization(
     game: FiniteGame,
     phis: Sequence[AffineSurjection],
@@ -532,14 +568,8 @@ def verify_realization(
 ) -> tuple[list[tuple[Profile, Profile, int]], list[str]]:
     """Whether ``game``'s equilibria realize the signed profiles ``want``.
 
-    Certifies on the dominance-reduced game.  It replays the trace of
-    ``eliminate_strictly_dominated(game)`` and checks that each witness
-    strictly beats its strategy against every remaining pure profile of
-    the others; iterated strict dominance by mixtures keeps the Nash set,
-    in any order (Gilboa, Kalai & Zemel, Oper. Res. Lett. 9, 1990), so
-    the reduced game's equilibria, with zero weight on the eliminated
-    strategies, are all of ``game``'s.  A witness that fails is reported
-    and the replay stops there.  It then enumerates the reduced game,
+    Certifies on the dominance-reduced game (``reduced_equilibria``; a
+    witness that fails is reported and the replay stops there).  It
     requires every equilibrium to be isolated and regular (``index_regular``
     on ``game``, which checks it is an equilibrium there too), projects
     each through the per-player maps ``phis``, and compares the multiset
@@ -547,19 +577,8 @@ def verify_realization(
     projection, index) for each equilibrium whose index was computed, and
     the failure texts; none means verified.
     """
-    failures = []
-    reduced = game
-    for e in eliminate_strictly_dominated(game)[1]:
-        if not strictly_dominates(reduced, e.player, e.witness, e.strategy):
-            failures.append(
-                f"elimination of {e.strategy!r} (player {e.player}) is not certified: "
-                f"{e.witness} does not strictly dominate it"
-            )
-            break
-        keep = [list(s) for s in reduced.strategies]
-        keep[e.player].remove(e.strategy)
-        reduced = reduced.restrict(keep)
-    es = support_enumeration(reduced)
+    failures: list[str] = []
+    es = reduced_equilibria(game, failures)
     if es.subsets:
         failures.append("perturbed game has a degenerate equilibrium set")
     found = []

@@ -36,9 +36,8 @@ from .games import (
     is_equilibrium,
     payoff_vector,
 )
-from .indices import game_index_report, verify_realization
+from .indices import game_index_report, reduced_equilibria, verify_realization
 from .linalg import ONE, ZERO, frac_vec, linf_distance, vec_add, vec_scale
-from .solver import support_enumeration
 
 if TYPE_CHECKING:
     from .geometry import PLFunction, Simplex
@@ -662,8 +661,8 @@ def run_pipeline(
     if game.num_players != 2:
         raise PerturbError("scope", "pipeline handles exactly 2 players")
 
-    # Stage 1: components and indices
-    entries = game_index_report(support_enumeration(game)).entries
+    # Stage 1: components and indices, on the certified dominance-reduced game
+    entries = game_index_report(reduced_equilibria(game)).entries
     comp_indices = {cid: e.index for cid, e in enumerate(entries)}
     report.log(f"components: {len(entries)} with indices {comp_indices}")
     target.validate(game, comp_indices)

@@ -10,8 +10,9 @@ simplex from one nullspace per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
 equality rows, the lexicographic bases by a subset loop that solves every
 subset in ``Fraction`` s, the component index by concrete payoff perturbations,
-iterated strict dominance by one LP per strategy, the realization
-check by enumerating the whole game, the three-player enumerator that
+iterated strict dominance by one LP per strategy with no pure dominator
+tried first, the index report and the realization check by enumerating
+the whole game, the three-player enumerator that
 solves every indifference system in ``Fraction`` s, and the equilibrium
 certificate that compares label sets of best replies.  ``cell_points``
 reads a subdivision's cells as point tuples, the form the geometry
@@ -35,12 +36,17 @@ from equilib.games import (
     Label,
     MixedStrategy,
     Profile,
-    _dominating_mixture,
     format_profile,
     is_equilibrium,
 )
 from equilib.geometry import GeometryError
-from equilib.indices import IndexError_, _check_regular, index_regular
+from equilib.indices import (
+    IndexError_,
+    IndexReport,
+    _check_regular,
+    game_index_report,
+    index_regular,
+)
 from equilib.linalg import (
     ONE,
     ZERO,
@@ -579,13 +585,53 @@ def trial_component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -
     return results[0]
 
 
+def reference_dominating_mixture(
+    game: FiniteGame, player: int, strategy: Label
+) -> Optional[MixedStrategy]:
+    """``games._dominating_mixture`` as it was: the LP alone, no pure dominator tried first.
+
+    Mixture over the player's other strategies strictly dominating
+    `strategy`.  Exact LP: maximize the worst-case margin; a strictly
+    positive optimum yields a witness mixture.
+    """
+    others = [s for s in game.strategies[player] if s != strategy]
+    if not others:
+        return None
+    opp_profiles = list(
+        itertools.product(*(self_s for n, self_s in enumerate(game.strategies) if n != player))
+    )
+
+    def u(own: Label, opp: tuple[Label, ...]) -> Fraction:
+        pure = list(opp)
+        pure.insert(player, own)
+        return game.payoffs[tuple(pure)][player]
+
+    # Variables: y_r (r in others), delta.  Maximize delta subject to
+    # sum_r y_r u(r, p) - delta >= u(strategy, p) for all opponent profiles p.
+    c = [ZERO] * len(others) + [ONE]
+    A_ub = [[-u(r, p) for r in others] + [ONE] for p in opp_profiles]
+    b_ub = [-u(strategy, p) for p in opp_profiles]
+    A_eq = [[ONE] * len(others) + [ZERO]]
+    b_eq = [ONE]
+    # Bound delta so the LP stays bounded.
+    spread = max(abs(v) for vs in game.payoffs.values() for v in vs) * 2 + 1
+    A_ub.append([ZERO] * len(others) + [ONE])
+    b_ub.append(spread)
+    res = linprog(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
+    if res.status != "optimal" or res.value is None or res.value <= 0:
+        return None
+    y = res.x[: len(others)]
+    return MixedStrategy.of({r: w for r, w in zip(others, y) if w > 0})
+
+
 def reference_eliminate_strictly_dominated(game: FiniteGame):
-    """Iterated strict dominance as it was: one exact LP per strategy per round.
+    """Iterated strict dominance as it was, one exact LP for every strategy it asks about.
 
     Each round scans the players in order and their strategies in game
-    order, asks ``games._dominating_mixture`` about every strategy of a
-    player with two or more, and removes the first one it dominates.
-    Returns the reduced game and the trace.
+    order, asks :func:`reference_dominating_mixture` (no pure screen, no
+    best-reply screen) about every strategy of a player with two or more,
+    and removes the first one it dominates.  Returns the reduced game and
+    the trace, whose witnesses are the LP's mixtures.
     """
     current = game
     trace: list[Elimination] = []
@@ -596,7 +642,7 @@ def reference_eliminate_strictly_dominated(game: FiniteGame):
             if len(current.strategies[player]) <= 1:
                 continue
             for s in current.strategies[player]:
-                witness = _dominating_mixture(current, player, s)
+                witness = reference_dominating_mixture(current, player, s)
                 if witness is not None:
                     trace.append(Elimination(player, s, witness))
                     keep = [list(strats) for strats in current.strategies]
@@ -607,6 +653,11 @@ def reference_eliminate_strictly_dominated(game: FiniteGame):
             if changed:
                 break
     return current, trace
+
+
+def reference_index_report(game: FiniteGame) -> IndexReport:
+    """The index report as ``index`` made it: on the whole game's enumeration."""
+    return game_index_report(support_enumeration(game))
 
 
 def reference_verify_realization(game: FiniteGame, phis, want):

@@ -302,6 +302,29 @@ def test_index_component_out_of_range_computes_no_index(km_file, monkeypatch, ca
     assert "component 1 out of range (game has 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--component", "0"]])
+def test_index_exits_1_when_a_dominance_witness_fails(extra, tmp_path, monkeypatch, capsys):
+    import equilib.games as games
+
+    # 10/11*t + 1/11*b dominates m only weakly: it earns -1 against R, as m does
+    weak = MixedStrategy.of({"t": F(10, 11), "b": F(1, 11)})
+    dominating_mixture = games._dominating_mixture
+
+    def weak_witness(game, player, strategy):
+        witness = dominating_mixture(game, player, strategy)
+        return weak if strategy == "m" and witness else witness
+
+    monkeypatch.setattr(games, "_dominating_mixture", weak_witness)
+    path, out = tmp_path / "g1.json", tmp_path / "r.json"
+    save_game(km_perturbation_1(F(1, 10)), str(path))
+    assert main(["index", str(path), "--out", str(out)] + extra) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: elimination of 'm' (player 0) is not certified: "
+        "1/11*b + 10/11*t does not strictly dominate it\n"
+    )
+    assert not out.exists()
+
+
 def test_index_where_concrete_perturbations_stay_degenerate(tmp_path, capsys):
     # one component, so index +1; some payoff perturbations of size 1/1000
     # leave this game with a degenerate equilibrium set
@@ -718,6 +741,8 @@ def test_out_is_the_indented_json_of_the_report(command, km_file, tmp_path, monk
     assert list(report.timings) == ["total"]
     assert out.read_bytes() == (json.dumps(asdict(report), indent=2) + "\n").encode()
     assert cyclic_garbage(argv + ["--out", str(out)]) == []
+    if command == "dominance":  # km loses no strategy, where the game above loses three
+        assert cyclic_garbage(["dominance", km_file, "--out", str(out)]) == []
     capsys.readouterr()
 
 

@@ -207,13 +207,35 @@ def test_elimination_runs_one_lp_per_eliminated_strategy(monkeypatch):
     linprog = games.linprog
     monkeypatch.setattr(games, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
     game = km_perturbation_1(F(1, 10))
-    # t, b, L and L' each answer some pure profile best, so only m, M, R need an LP
+    # t, b, L and L' each answer some pure profile best, so only m, M, R could need
+    # an LP, and a pure strategy strictly dominates each of them: none is solved
     reduced, trace = eliminate_strictly_dominated(game)
     assert [(e.player, e.strategy) for e in trace] == [(0, "m"), (1, "M"), (1, "R")]
-    assert len(calls) == len(trace)
+    assert all(e.witness.is_pure() for e in trace)
+    assert calls == []
     # the reduction is computed once per game object
     again, trace_again = eliminate_strictly_dominated(game)
-    assert again is reduced and trace_again == trace and len(calls) == len(trace)
+    assert again is reduced and trace_again == trace and calls == []
+
+
+def test_elimination_runs_one_lp_where_only_a_mixture_dominates(monkeypatch):
+    import equilib.games as games
+
+    calls = []
+    linprog = games.linprog
+    monkeypatch.setattr(games, "linprog", lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    # 1/2 t + 1/2 b earns 3/2 > 1 against L and R, but neither t nor b beats m against both
+    game = FiniteGame.of(
+        ["1", "2"],
+        [["t", "m", "b"], ["L", "R"]],
+        {("t", "L"): (3, 1), ("t", "R"): (0, 0), ("m", "L"): (1, 0), ("m", "R"): (1, 1),
+         ("b", "L"): (0, 0), ("b", "R"): (3, 1)},
+    )
+    reduced, trace = eliminate_strictly_dominated(game)
+    assert [(e.player, e.strategy) for e in trace] == [(0, "m")]
+    assert trace[0].witness == MixedStrategy.of({"t": F(1, 2), "b": F(1, 2)})
+    assert reduced.strategies == (("t", "b"), ("L", "R"))
+    assert len(calls) == 1
 
 
 def test_payoff_against_matches_pure_insertion(km):
