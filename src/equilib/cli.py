@@ -26,7 +26,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .games import (
@@ -109,7 +109,7 @@ def _profile_json(profile: Profile) -> list:
 def _emit(report: Report, out_path) -> None:
     sys.stdout.write(report.render_text())
     if out_path:
-        write_json(out_path, asdict(report))
+        write_json(out_path, vars(report))  # the fields, uncopied
 
 
 # --------------------------------------------------------------------------
@@ -240,9 +240,10 @@ def load_target_spec(path: str, game: FiniteGame) -> TargetSpec:
 
 
 def cmd_solve(args) -> tuple[Report, int]:
-    from .solver import components, support_enumeration
+    from .solver import certify, components, support_enumeration
 
-    es = support_enumeration(_load_two_player_game(args.game))
+    game = _load_two_player_game(args.game)
+    es = certify(game, support_enumeration(game))
     cg = components(es)
     results = {
         "isolated": [_profile_json(p) for p in es.isolated],
@@ -266,9 +267,10 @@ def cmd_solve(args) -> tuple[Report, int]:
 
 
 def cmd_components(args) -> tuple[Report, int]:
-    from .solver import components, support_enumeration
+    from .solver import certify, components, support_enumeration
 
-    cg = components(support_enumeration(_load_two_player_game(args.game)))
+    game = _load_two_player_game(args.game)
+    cg = components(certify(game, support_enumeration(game)))
     results = {
         "subsets": [
             {"supports": [list(s) for s in ns.supports]} for ns in cg.subsets

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import ZERO, ONE, linprog
+from .linalg import ZERO, linprog
 from .rational import RationalParseError, format_rational, parse_rational
 
 Label = str
@@ -210,8 +210,7 @@ class FiniteGame:
     @cached_property
     def _reduction(self) -> tuple[Optional["FiniteGame"], tuple["Elimination", ...]]:
         """:func:`eliminate_strictly_dominated`'s answer, once per game (None: not reduced)."""
-        reduced, trace = _iterated_elimination(self)
-        return reduced if trace else None, trace
+        return _iterated_elimination(self)
 
     def restrict(self, keep: Sequence[Sequence[Label]]) -> "FiniteGame":
         """Subgame on the given strategy subsets (order taken from the game)."""
@@ -326,22 +325,22 @@ class Elimination:
     witness: MixedStrategy  # mixture over remaining strategies that strictly dominates
 
 
-def _opponent_offsets(game: FiniteGame, player: int) -> list[int]:
+def _opponent_offsets(live: Sequence[Mapping[Label, int]], player: int) -> list[int]:
     """Offset of each pure profile of the others in `player`'s flat payoff table.
 
-    `player`'s own strategy is left out: its payoff there sits at the
-    offset plus ``game.offsets[player][s]``.
+    ``live`` holds each player's strategies in play by offset (``game.offsets``
+    for all); `player`'s own strategy s is left out and adds ``live[player][s]``.
     """
-    others = (pos.values() for m, pos in enumerate(game.offsets) if m != player)
+    others = (pos.values() for m, pos in enumerate(live) if m != player)
     return [sum(o) for o in itertools.product(*others)]
 
 
-def _pure_best_replies(game: FiniteGame, player: int) -> set[Label]:
-    """`player`'s strategies that are a best reply to some pure profile of the others."""
+def _pure_best_replies(game: FiniteGame, live: list[dict[Label, int]], player: int) -> set[Label]:
+    """`player`'s strategies in play that best reply to some pure profile of the others in play."""
     table = game.integer_payoffs[player][0]
-    own = game.offsets[player]
+    own = live[player]
     out: set[Label] = set()
-    for base in _opponent_offsets(game, player):
+    for base in _opponent_offsets(live, player):
         sums = {s: table[base + o] for s, o in own.items()}
         best = max(sums.values())
         out.update(s for s, v in sums.items() if v == best)
@@ -349,91 +348,82 @@ def _pure_best_replies(game: FiniteGame, player: int) -> set[Label]:
 
 
 def strictly_dominates(
-    game: FiniteGame, player: int, witness: MixedStrategy, strategy: Label
+    game: FiniteGame, player: int, witness: MixedStrategy, strategy: Label,
+    live: Optional[Sequence[Mapping[Label, int]]] = None,
 ) -> bool:
     """Whether `witness` earns strictly more than `strategy` against every pure profile of the others.
 
-    Exact, on the integer payoff tables of :func:`payoff_vector`'s kernel;
-    False when either names a strategy `player` does not have in `game`.
+    Exact, on the integer payoff tables of :func:`payoff_vector`'s kernel, among the
+    strategies in ``live`` (:func:`_opponent_offsets`; default all); False when either
+    names a strategy `player` does not have in play.
     """
-    own = game.offsets[player]
-    if strategy not in own or not all(s in own for s in witness.support()):
+    live = live or game.offsets
+    own = live[player]
+    nums, den = witness.integer_weights
+    if strategy not in own or not all(s in own for s, _ in nums):
         return False
     table = game.integer_payoffs[player][0]
-    nums, den = witness.integer_weights
     return all(
         sum(k * table[base + own[s]] for s, k in nums) > den * table[base + own[strategy]]
-        for base in _opponent_offsets(game, player)
+        for base in _opponent_offsets(live, player)
     )
 
 
 def _dominating_mixture(
-    game: FiniteGame, player: int, strategy: Label
+    game: FiniteGame, live: list[dict[Label, int]], player: int, strategy: Label
 ) -> Optional[MixedStrategy]:
-    """Mixture over the player's other strategies strictly dominating `strategy`.
+    """Mixture over the player's other strategies in play strictly dominating `strategy`.
 
-    The first other pure strategy that :func:`strictly_dominates` it is the
-    witness; only when none does, an exact LP maximizes the worst-case
-    margin, and a strictly positive optimum yields a witness mixture.
+    The first other pure strategy that dominates it is the witness; only
+    when none does, an exact LP maximizes the worst-case margin, and a
+    strictly positive optimum yields a witness mixture.
     """
-    others = [s for s in game.strategies[player] if s != strategy]
+    own = live[player]
+    others = [s for s in own if s != strategy]
     for r in others:
-        if strictly_dominates(game, player, pure := MixedStrategy.pure(r), strategy):
+        if strictly_dominates(game, player, pure := MixedStrategy.pure(r), strategy, live):
             return pure
     if not others:
         return None
-    opp_profiles = list(
-        itertools.product(*(self_s for n, self_s in enumerate(game.strategies) if n != player))
-    )
-
-    def u(own: Label, opp: tuple[Label, ...]) -> Fraction:
-        pure = list(opp)
-        pure.insert(player, own)
-        return game.payoffs[tuple(pure)][player]
-
-    # Variables: y_r (r in others), delta.  Maximize delta subject to
-    # sum_r y_r u(r, p) - delta >= u(strategy, p) for all opponent profiles p.
-    c = [ZERO] * len(others) + [ONE]
-    A_ub = []
-    b_ub = []
-    for p in opp_profiles:
-        row = [-u(r, p) for r in others] + [ONE]
-        A_ub.append(row)
-        b_ub.append(-u(strategy, p))
-    A_eq = [[ONE] * len(others) + [ZERO]]
-    b_eq = [ONE]
-    # Bound delta so the LP stays bounded.
-    spread = max(abs(v) for vs in game.payoffs.values() for v in vs) * 2 + 1
-    A_ub.append([ZERO] * len(others) + [ONE])
-    b_ub.append(spread)
-    res = linprog(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
+    table, scale = game.integer_payoffs[player]
+    bases = _opponent_offsets(live, player)
+    # Variables: y_r (r in others), delta.  Maximize delta subject to sum_r y_r = 1 and
+    # sum_r y_r u(r, p) - delta >= u(strategy, p) for all opponent profiles p, each row
+    # times the player's scale (the integer table's rows), which leaves the simplex's
+    # pivots and solution as on the payoffs.  Bound delta so the LP stays bounded:
+    # twice the largest payoff in play, plus one.
+    profiles = [sum(o) for o in itertools.product(*(pos.values() for pos in live))]
+    top = max(Fraction(max(abs(t[o]) for o in profiles), s) for t, s in game.integer_payoffs)
+    zeros = [0] * len(others)
+    A_ub = [[-table[b + own[r]] for r in others] + [scale] for b in bases] + [zeros + [scale]]
+    b_ub = [-table[b + own[strategy]] for b in bases] + [(top * 2 + 1) * scale]
+    res = linprog(zeros + [1], A_ub, b_ub, [[scale] * len(others) + [0]], [scale], maximize=True)
     if res.status != "optimal" or res.value is None or res.value <= 0:
         return None
     y = res.x[: len(others)]
     return MixedStrategy.of({r: w for r, w in zip(others, y) if w > 0})
 
 
-def _iterated_elimination(game: FiniteGame) -> tuple[FiniteGame, tuple[Elimination, ...]]:
-    current = game
+def _iterated_elimination(game: FiniteGame) -> tuple[Optional[FiniteGame], tuple[Elimination, ...]]:
+    """The reduced game (None if nothing goes) and the trace; restricts the game once, at the end."""
+    live = [dict(pos) for pos in game.offsets]
     trace: list[Elimination] = []
     changed = True
     while changed:
         changed = False
-        for player in range(current.num_players):
+        for player in range(game.num_players):
             # a best reply to a pure profile of the others is never strictly dominated
-            replies = _pure_best_replies(current, player)
-            for s in current.strategies[player]:
-                witness = None if s in replies else _dominating_mixture(current, player, s)
+            replies = _pure_best_replies(game, live, player)
+            for s in live[player]:
+                witness = None if s in replies else _dominating_mixture(game, live, player, s)
                 if witness is not None:
                     trace.append(Elimination(player, s, witness))
-                    keep = [list(strats) for strats in current.strategies]
-                    keep[player] = [t for t in keep[player] if t != s]
-                    current = current.restrict(keep)
+                    del live[player][s]
                     changed = True
                     break
             if changed:
                 break
-    return current, tuple(trace)
+    return game.restrict(live) if trace else None, tuple(trace)
 
 
 def eliminate_strictly_dominated(
@@ -447,8 +437,9 @@ def eliminate_strictly_dominated(
     mixture strictly dominates.  A strategy that is a best reply to some
     pure profile of the others (read on the integer payoff tables) cannot
     be, and a pure dominator found there is the witness if there is one,
-    so only the rest cost an exact LP.  The reduction is computed once per
-    game object; later calls return the same reduced game.
+    so only the rest cost an exact LP.  Every test reads the game's own
+    integer tables.  The reduction is computed once per game object; later
+    calls return the same reduced game.
     """
     reduced, trace = game._reduction
     return reduced or game, list(trace)

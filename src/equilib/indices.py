@@ -2,7 +2,10 @@
 
 ``index_regular`` evaluates the sign of the determinant of the
 support-restricted indifference Jacobian; in its variable order that sign
-is the index itself (+1 at strict pure equilibria).  ``degree_oracle`` independently computes the topological degree of
+is the index itself (+1 at strict pure equilibria).  It reads the game's
+integer payoff tables: payoff sums for the equilibrium and regularity
+tests, and the Jacobian's blocks for fraction-free eliminations.
+``degree_oracle`` independently computes the topological degree of
 a displacement map over a box by exact sign counting on a simplicial
 decomposition of the boundary grid.  ``component_index`` sums, over the
 equilibria of the lexicographically perturbed game that
@@ -13,16 +16,17 @@ lies in the component: no second enumeration, no LP and no ε to choose.
 equilibrium gets ``index_regular``, any other component
 ``component_index``; ``game_index_report`` applies it to every
 component, on the equilibrium set ``reduced_equilibria`` enumerates on the
-certified dominance-reduced game.  ``index``, ``run_pipeline``'s first
-stage and ``verify_realization`` (a game's equilibria, projected through
-per-player maps, carry prescribed indices) all read that one set.
+dominance-reduced game and ``solver.certify`` checks on the whole game.
+``index``, ``run_pipeline``'s first stage and ``verify_realization`` (a
+game's equilibria, projected through per-player maps, carry prescribed
+indices) all read that one set.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -32,9 +36,10 @@ from .games import (
     Label,
     MixedStrategy,
     Profile,
+    _payoff_sums,
+    _weights,
     eliminate_strictly_dominated,
     format_profile,
-    is_equilibrium,
     payoff_vector,
     strictly_dominates,
 )
@@ -45,6 +50,7 @@ from .linalg import (
     Matrix,
     Vector,
     _eliminate,
+    _reduce,
     _sign,
     determinant,
     frac_vec,
@@ -54,6 +60,7 @@ from .linalg import (
 from .solver import (
     EquilibriumSet,
     NashSubset,
+    certify,
     components,
     support_enumeration,
 )
@@ -72,36 +79,35 @@ class IndexError_(GameError):
 # --------------------------------------------------------------------------
 
 
-def _indifference_jacobian(game: FiniteGame, supports: Sequence[Sequence[Label]]) -> Matrix:
-    """Jacobian of the indifference system on the supports (I, J).
+def _jacobian_sign(game: FiniteGame, supports: Sequence[Sequence[Label]]) -> int:
+    """Sign of the determinant of the indifference Jacobian on the supports (I, J); 0 if singular.
 
-    Variables: weights of player 1 on I, weights of player 2 on J, and the
-    two equilibrium payoffs v1, v2.  Equations: each supported strategy
-    earns the owner's payoff, and each weight vector sums to one.
+    Variables: the weights on I and on J, and the payoffs v1, v2; equations:
+    each supported strategy earns its owner's payoff, each weight vector sums
+    to one.  A permutation of sign (-1)^(k+1), k = |I| = |J|, makes it block
+    diagonal, one block [U | -1; 1ᵀ | 0] per player with U its payoffs on its
+    support against the other's (a block has more rows than columns when
+    |I| ≠ |J|).  Read off the integer tables, a block is scaled by the
+    player's positive scale, which keeps the sign :func:`linalg._reduce` reads.
     """
-    I, J = supports
-    k1, k2 = len(I), len(J)
-    size = k1 + k2 + 2
-    M: Matrix = [[ZERO] * size for _ in range(size)]
-    for a, i in enumerate(I):  # player 1 indifference over i in I
-        for b, j in enumerate(J):
-            M[a][k1 + b] = game.payoffs[(i, j)][0]
-        M[a][k1 + k2] = -ONE
-    for b, j in enumerate(J):  # player 2 indifference over j in J
-        for a, i in enumerate(I):
-            M[k1 + b][a] = game.payoffs[(i, j)][1]
-        M[k1 + b][k1 + k2 + 1] = -ONE
-    for a in range(k1):
-        M[k1 + k2][a] = ONE
-    for b in range(k2):
-        M[k1 + k2 + 1][k1 + b] = ONE
-    return M
+    sign = 1 if len(supports[0]) % 2 else -1
+    for (table, scale), own, other, pos, opp in zip(
+        game.integer_payoffs, supports, supports[::-1], game.offsets, game.offsets[::-1]
+    ):
+        rows = [[table[pos[s] + opp[t]] for t in other] + [-scale] for s in own]
+        pivots, det, swaps = _reduce(rows + [[1] * len(other) + [0]])
+        if len(pivots) <= len(own):
+            return 0
+        sign *= swaps if det > 0 else -swaps
+    return sign
 
 
-def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
-    """The nonzero determinant of eq's indifference Jacobian.
+def index_regular(game: FiniteGame, eq: Profile) -> int:
+    """Index of a regular equilibrium of a 2-player game: its Jacobian sign, +1 or -1.
 
-    Raises IndexError_ unless eq is a regular equilibrium of a 2-player game.
+    Raises IndexError_ unless eq is a regular equilibrium of a 2-player
+    game.  Each player's payoffs are compared as integers, from one pass
+    of :func:`games._payoff_sums` over the profile's integer weights.
     """
     if game.num_players != 2:
         raise IndexError_("index_regular handles exactly 2 players")
@@ -110,10 +116,14 @@ def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
         raise IndexError_(
             "unequal support sizes: equilibrium is not regular; use component_index"
         )
-    for n, sup in ((0, I), (1, J)):
-        values = dict(zip(game.strategies[n], payoff_vector(game, eq, n)))
-        v = sum((w * values[s] for s, w in eq[n].weights), ZERO)
-        for s, dev in values.items():
+    game.check_profile(eq)
+    weights = _weights(game, eq)
+    for n, (sup, pos) in enumerate(zip((I, J), game.offsets)):
+        sums, _ = _payoff_sums(game, weights, n, pos.values())
+        nums, d = weights[n]  # on one positive scale, s earns d * sums[o] and eq[n] earns v
+        v = sum(k * sums[o] for o, k in nums)
+        for s, o in pos.items():
+            dev = d * sums[o]
             if s in sup:
                 if dev != v:
                     raise IndexError_(f"profile is not an equilibrium at {s}")
@@ -122,15 +132,10 @@ def _check_regular(game: FiniteGame, eq: Profile) -> Fraction:
                     f"off-support strategy {s} is not strictly inferior; "
                     "use component_index"
                 )
-    d = determinant(_indifference_jacobian(game, (I, J)))
-    if d == 0:
+    sign = _jacobian_sign(game, (I, J))
+    if not sign:
         raise IndexError_("singular indifference Jacobian; use component_index")
-    return d
-
-
-def index_regular(game: FiniteGame, eq: Profile) -> int:
-    """Index of a regular equilibrium of a 2-player game: +1 or -1."""
-    return 1 if _check_regular(game, eq) > 0 else -1
+    return sign
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +333,7 @@ def index_via_degree(game: FiniteGame, eq: Profile) -> int:
     degree of the displacement is computed over a small box around the
     equilibrium in local coordinates.
     """
-    _check_regular(game, eq)
+    index_regular(game, eq)
     restricted = game.restrict([list(eq[n].support()) for n in range(2)])
     fmap, dim, _ = _nash_map(restricted)
     if dim == 0:
@@ -343,7 +348,7 @@ def index_via_degree(game: FiniteGame, eq: Profile) -> int:
             if b > a
         ),
     )
-    for p in support_enumeration(restricted).all_vertex_profiles():
+    for p in certify(restricted, support_enumeration(restricted)).all_vertex_profiles():
         o = _local_coords(p, restricted)
         gap = max(abs(a - b) for a, b in zip(x0, o))
         if gap > 0:
@@ -451,18 +456,17 @@ def component_index(es: EquilibriumSet, component: Sequence[NashSubset]) -> int:
     lexicographically perturbed game, are regular for every small ε > 0;
     the ones whose limit is a vertex profile of the component are the ones
     near it.  Each counts the sign of the indifference Jacobian of
-    ``es.game`` on its supports (I, J): that determinant is
-    ±det Ã_IJ·(1ᵀÃ_IJ⁻¹1)·det B̃_IJ·(1ᵀB̃_IJ⁻ᵀ1) for the shifted payoffs Ã, B̃,
-    nonzero because the bases are, so it has the perturbed Jacobian's sign.
+    ``es.game`` on its supports (I, J) (:func:`_jacobian_sign`): that
+    determinant is ±det Ã_IJ·(1ᵀÃ_IJ⁻¹1)·det B̃_IJ·(1ᵀB̃_IJ⁻ᵀ1) for the
+    shifted payoffs Ã, B̃, nonzero because the bases are, so it has the
+    perturbed Jacobian's sign.
     """
     game = es.game
     if game.num_players != 2:
         raise IndexError_("component_index handles exactly 2 players")
     profiles = {p for s in component for p in s.vertex_profiles()}
     return sum(
-        1 if determinant(_indifference_jacobian(game, supports)) > 0 else -1
-        for supports, limit in es.perturbed
-        if limit in profiles
+        _jacobian_sign(game, supports) for supports, limit in es.perturbed if limit in profiles
     )
 
 
@@ -487,7 +491,7 @@ class IndexReport:
         return sum(e.index for e in self.entries)
 
     def to_json(self) -> dict:
-        return {"entries": [asdict(e) for e in self.entries], "total": self.total()}
+        return {"entries": [dict(vars(e)) for e in self.entries], "total": self.total()}
 
 
 def component_entry(es: EquilibriumSet, component: Sequence[NashSubset]) -> IndexEntry:
@@ -528,20 +532,21 @@ def game_index_report(es: EquilibriumSet) -> IndexReport:
 def reduced_equilibria(game: FiniteGame, failures: Optional[list[str]] = None) -> EquilibriumSet:
     """``game``'s equilibrium set, enumerated once on its dominance-reduced game.
 
-    Replays the trace of ``eliminate_strictly_dominated(game)``, checking
-    exactly that each witness strictly beats its strategy against every
-    remaining pure profile of the others.  Iterated strict dominance keeps
-    the Nash set in any order (Gilboa, Kalai & Zemel, Oper. Res. Lett. 9,
-    1990), and deleting never-best replies keeps every component's index
-    (Demichelis & Ritzberger, J. Econ. Theory 113, 2003): so the set is
-    ``game``'s, its vertex profiles certified on ``game`` and its indices
-    read there.  A failing witness raises ``IndexError_``; given a
+    Replays the trace of ``eliminate_strictly_dominated(game)`` on
+    ``game``'s tables, checking exactly that each witness strictly beats its
+    strategy against every pure profile of the others still in play.
+    Iterated strict dominance keeps the Nash set in any order (Gilboa, Kalai
+    & Zemel, Oper. Res. Lett. 9, 1990), and deleting never-best replies keeps
+    every component's index (Demichelis & Ritzberger, J. Econ. Theory 113,
+    2003): so the set is built as ``game``'s, certified on ``game`` and its
+    indices read there.  A failing witness raises ``IndexError_``; given a
     ``failures`` list, its text goes there instead, and the set is that of
     the game reduced that far.
     """
-    reduced = game
-    for e in eliminate_strictly_dominated(game)[1]:
-        if not strictly_dominates(reduced, e.player, e.witness, e.strategy):
+    reduced, trace = eliminate_strictly_dominated(game)
+    live = [dict(pos) for pos in game.offsets]
+    for e in trace:
+        if not strictly_dominates(game, e.player, e.witness, e.strategy, live):
             failure = (
                 f"elimination of {e.strategy!r} (player {e.player}) is not certified: "
                 f"{e.witness} does not strictly dominate it"
@@ -549,16 +554,10 @@ def reduced_equilibria(game: FiniteGame, failures: Optional[list[str]] = None) -
             if failures is None:
                 raise IndexError_(failure)
             failures.append(failure)
+            reduced = game.restrict(live)
             break
-        keep = [list(s) for s in reduced.strategies]
-        keep[e.player].remove(e.strategy)
-        reduced = reduced.restrict(keep)
-    es = support_enumeration(reduced)
-    for p in es.all_vertex_profiles() if reduced is not game else ():
-        if not is_equilibrium(game, p):
-            raise IndexError_(f"reduced game has a non-equilibrium {format_profile(p)}")
-    es.game = game
-    return es
+        del live[e.player][e.strategy]
+    return certify(game, replace(support_enumeration(reduced), game=game))
 
 
 def verify_realization(

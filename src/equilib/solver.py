@@ -136,7 +136,7 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
     equilibria, by vertex list) are the maximal bicliques of the graph of
     such pairs; a singleton biclique is an isolated equilibrium.  Subsets
     come in order of their supports (size, then strategy order, row player
-    first).  Every vertex profile is checked to be an equilibrium.
+    first).  Its readers pass it to :func:`certify`; nothing is checked here.
 
     The pairs of lexicographic bases whose labels cover every strategy go
     to ``perturbed``.  They are the regular equilibria of a game whose
@@ -187,7 +187,15 @@ def support_enumeration(game: FiniteGame) -> EquilibriumSet:
           tuple(t for j, t in enumerate(cols, len(rows)) if b >> j & 1)), (x, partner[full ^ b]))
         for x, _, bases in xs for b in bases if full ^ b in partner
     ]
-    es = EquilibriumSet(game, isolated, subsets, perturbed=perturbed)
+    return EquilibriumSet(game, isolated, subsets, perturbed=perturbed)
+
+
+def certify(game: FiniteGame, es: EquilibriumSet) -> EquilibriumSet:
+    """``es``, once :func:`is_equilibrium` on ``game`` has passed each of its vertex profiles.
+
+    ``game`` is the game the answer is about, which may have strategies the
+    enumerated game lacks.  Raises ``GameError``, so it also runs under ``python -O``.
+    """
     for p in es.all_vertex_profiles():
         if not is_equilibrium(game, p):
             raise GameError(f"solver produced a non-equilibrium {format_profile(p)}")
@@ -203,7 +211,7 @@ def _pure_equilibria(game: FiniteGame) -> set[int]:
     """Offsets of the pure profiles where no player has a strictly better pure strategy."""
     passing = set(range(len(game.integer_payoffs[0][0])))
     for n, (table, _) in enumerate(game.integer_payoffs):
-        bases = _opponent_offsets(game, n)
+        bases = _opponent_offsets(game.offsets, n)
         for o, p in itertools.combinations(game.offsets[n].values(), 2):
             # of two strategies that earn differently against the others at b, the worse fails
             passing.difference_update(

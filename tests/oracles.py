@@ -4,14 +4,16 @@ Several test files cross-check the program against these: the rank, solve
 and nullspace by Gauss–Jordan elimination in ``Fraction`` s, the payoff
 summed over pure profiles in ``Fraction`` s, the grid brute force for
 completeness, the H-representation of a Nash subset's factors
-for membership, the regularity test, the reader of the mapping files
+for membership, the regularity test, the indifference Jacobian and the
+regular index in ``Fraction`` s, the reader of the mapping files
 that ``duplicate`` and ``perturb`` write, the facet hyperplanes of a
 simplex from one nullspace per facet, a polyhedral cell's facets by a
 subset loop, hull membership by one LP, the vertex subset loop with
 equality rows, the lexicographic bases by a subset loop that solves every
 subset in ``Fraction`` s, the component index by concrete payoff perturbations,
-iterated strict dominance by one LP per strategy with no pure dominator
-tried first, the index report and the realization check by enumerating
+the dominating mixture by the LP alone, iterated strict dominance on
+``Fraction`` payoffs with the game restricted after each removal, the
+index report and the realization check by enumerating
 the whole game, the three-player enumerator that
 solves every indifference system in ``Fraction`` s, and the equilibrium
 certificate that compares label sets of best replies.  ``cell_points``
@@ -38,12 +40,12 @@ from equilib.games import (
     Profile,
     format_profile,
     is_equilibrium,
+    payoff_vector,
 )
 from equilib.geometry import GeometryError
 from equilib.indices import (
     IndexError_,
     IndexReport,
-    _check_regular,
     game_index_report,
     index_regular,
 )
@@ -55,6 +57,7 @@ from equilib.linalg import (
     Vector,
     _integer_row,
     _integer_rows,
+    determinant,
     dot,
     frac_mat,
     frac_vec,
@@ -260,10 +263,68 @@ def subset_contains(game: FiniteGame, subset: NashSubset, profile: Profile) -> b
     )
 
 
+def reference_indifference_jacobian(game: FiniteGame, supports: Sequence[Sequence[Label]]):
+    """The indifference Jacobian on the supports (I, J), in ``Fraction`` s.
+
+    Variables: weights of player 1 on I, weights of player 2 on J, and the
+    two equilibrium payoffs v1, v2.  Equations: each supported strategy
+    earns the owner's payoff, and each weight vector sums to one.  Its
+    determinant's sign is the index that ``index_regular`` and
+    ``component_index`` read from the integer payoff tables.
+    """
+    I, J = supports
+    k1, k2 = len(I), len(J)
+    size = k1 + k2 + 2
+    M: Matrix = [[ZERO] * size for _ in range(size)]
+    for a, i in enumerate(I):  # player 1 indifference over i in I
+        for b, j in enumerate(J):
+            M[a][k1 + b] = game.payoffs[(i, j)][0]
+        M[a][k1 + k2] = -ONE
+    for b, j in enumerate(J):  # player 2 indifference over j in J
+        for a, i in enumerate(I):
+            M[k1 + b][a] = game.payoffs[(i, j)][1]
+        M[k1 + b][k1 + k2 + 1] = -ONE
+    for a in range(k1):
+        M[k1 + k2][a] = ONE
+    for b in range(k2):
+        M[k1 + k2 + 1][k1 + b] = ONE
+    return M
+
+
+def reference_index_regular(game: FiniteGame, eq: Profile) -> int:
+    """``index_regular`` as it was: ``Fraction`` payoffs and the Jacobian's determinant.
+
+    Raises ``IndexError_`` with the program's texts unless ``eq`` is a
+    regular equilibrium of the 2-player ``game``.
+    """
+    if game.num_players != 2:
+        raise IndexError_("index_regular handles exactly 2 players")
+    I, J = eq[0].support(), eq[1].support()
+    if len(I) != len(J):
+        raise IndexError_(
+            "unequal support sizes: equilibrium is not regular; use component_index"
+        )
+    for n, sup in ((0, I), (1, J)):
+        values = dict(zip(game.strategies[n], payoff_vector(game, eq, n)))
+        v = sum((w * values[s] for s, w in eq[n].weights), ZERO)
+        for s, dev in values.items():
+            if s in sup:
+                if dev != v:
+                    raise IndexError_(f"profile is not an equilibrium at {s}")
+            elif dev >= v:
+                raise IndexError_(
+                    f"off-support strategy {s} is not strictly inferior; use component_index"
+                )
+    d = determinant(reference_indifference_jacobian(game, (I, J)))
+    if d == 0:
+        raise IndexError_("singular indifference Jacobian; use component_index")
+    return 1 if d > 0 else -1
+
+
 def is_regular(game: FiniteGame, eq: Profile) -> bool:
     """Whether ``eq`` is a regular equilibrium, so ``index_regular`` applies."""
     try:
-        _check_regular(game, eq)
+        index_regular(game, eq)
         return True
     except IndexError_:
         return False
@@ -624,14 +685,33 @@ def reference_dominating_mixture(
     return MixedStrategy.of({r: w for r, w in zip(others, y) if w > 0})
 
 
+def _reference_pure_dominator(game: FiniteGame, player: int, strategy: Label) -> Optional[MixedStrategy]:
+    """The first other pure strategy that beats `strategy` against every pure profile of the others."""
+    def u(own: Label, opp: tuple[Label, ...]) -> Fraction:
+        pure = list(opp)
+        pure.insert(player, own)
+        return game.payoffs[tuple(pure)][player]
+
+    opp_profiles = list(
+        itertools.product(*(s for n, s in enumerate(game.strategies) if n != player))
+    )
+    for r in game.strategies[player]:
+        if r != strategy and all(u(r, p) > u(strategy, p) for p in opp_profiles):
+            return MixedStrategy.pure(r)
+    return None
+
+
 def reference_eliminate_strictly_dominated(game: FiniteGame):
-    """Iterated strict dominance as it was, one exact LP for every strategy it asks about.
+    """Iterated strict dominance on ``Fraction`` payoffs, the game restricted after each removal.
 
     Each round scans the players in order and their strategies in game
-    order, asks :func:`reference_dominating_mixture` (no pure screen, no
-    best-reply screen) about every strategy of a player with two or more,
-    and removes the first one it dominates.  Returns the reduced game and
-    the trace, whose witnesses are the LP's mixtures.
+    order, asks about every strategy of a player with two or more (no
+    best-reply screen): the first other pure strategy that beats it
+    against every pure profile of the others (compared in ``Fraction`` s)
+    is its witness, and only when there is none
+    :func:`reference_dominating_mixture`'s LP on the ``Fraction`` payoffs
+    of the restricted game.  The first strategy with a witness is removed
+    and the game restricted.  Returns the reduced game and the trace.
     """
     current = game
     trace: list[Elimination] = []
@@ -642,7 +722,9 @@ def reference_eliminate_strictly_dominated(game: FiniteGame):
             if len(current.strategies[player]) <= 1:
                 continue
             for s in current.strategies[player]:
-                witness = reference_dominating_mixture(current, player, s)
+                witness = _reference_pure_dominator(current, player, s)
+                if witness is None:
+                    witness = reference_dominating_mixture(current, player, s)
                 if witness is not None:
                     trace.append(Elimination(player, s, witness))
                     keep = [list(strats) for strats in current.strategies]

@@ -248,6 +248,39 @@ def test_index_at_point(tmp_path, capsys):
     assert data["results"] == {"index": 1, "method": "determinant"}
 
 
+INDEX_POINT_FAILURES = {
+    # against C/2 + D/2, A earns 1 and B earns 3/2
+    "non-equilibrium": (
+        [{"A": "1/2", "B": "1/2"}, {"C": "1/2", "D": "1/2"}],
+        "profile is not an equilibrium at A",
+    ),
+    # B earns 2 against C, as A does
+    "irregular": (
+        [{"A": "1"}, {"C": "1"}],
+        "off-support strategy B is not strictly inferior; use component_index",
+    ),
+    "unequal supports": (
+        [{"A": "1/2", "B": "1/2"}, {"C": "1"}],
+        "unequal support sizes: equilibrium is not regular; use component_index",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INDEX_POINT_FAILURES)
+def test_index_at_point_rejects_what_is_no_regular_equilibrium(case, tmp_path, capsys):
+    game = FiniteGame.of(
+        ["p1", "p2"],
+        [["A", "B"], ["C", "D"]],
+        {("A", "C"): (2, 2), ("A", "D"): (0, 0), ("B", "C"): (2, 0), ("B", "D"): (1, 1)},
+    )
+    path, out = tmp_path / "g.json", tmp_path / "r.json"
+    save_game(game, str(path))
+    point, message = INDEX_POINT_FAILURES[case]
+    assert main(["index", str(path), "--point", json.dumps(point), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
+    assert not out.exists()
+
+
 def test_index_full_report_sums_to_one(km_file, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["index", km_file, "--out", str(out)]) == 0
@@ -310,8 +343,8 @@ def test_index_exits_1_when_a_dominance_witness_fails(extra, tmp_path, monkeypat
     weak = MixedStrategy.of({"t": F(10, 11), "b": F(1, 11)})
     dominating_mixture = games._dominating_mixture
 
-    def weak_witness(game, player, strategy):
-        witness = dominating_mixture(game, player, strategy)
+    def weak_witness(game, live, player, strategy):
+        witness = dominating_mixture(game, live, player, strategy)
         return weak if strategy == "m" and witness else witness
 
     monkeypatch.setattr(games, "_dominating_mixture", weak_witness)

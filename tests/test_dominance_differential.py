@@ -1,13 +1,17 @@
 """Differential tests of iterated strict dominance, the realization check and indices.
 
-``eliminate_strictly_dominated`` runs its LP only for a strategy that is a
-best reply to no pure profile of the others and that no other pure
-strategy strictly dominates; the oracle
-(``oracles.reference_eliminate_strictly_dominated``) runs one LP per
-strategy per round.  Both must eliminate the same strategies in the same
-order and leave the same reduced game on seeded 2- and 3-player games,
+``eliminate_strictly_dominated`` works on the game's integer payoff
+tables, over per-player lists of the strategies still in play, and runs
+its LP only for a strategy that is a best reply to no pure profile of the
+others and that no other pure strategy strictly dominates; the oracle
+(``oracles.reference_eliminate_strictly_dominated``) restricts the game
+after each removal and asks every strategy in ``Fraction`` s, a pure
+dominator first and the LP on the ``Fraction`` payoffs.  Both must give
+the same trace (players, strategies, order and witnesses, mixtures
+included) and the same reduced game on 560 seeded 2- and 3-player games,
 with payoffs 0..2 and 0..20 and planted strategies that a mixture of two
-others strictly dominates; every witness must strictly dominate its
+others strictly dominates (their payoffs have denominator 2, so the
+integer tables are scaled); every witness must strictly dominate its
 strategy where it is removed.  On the same games ``_dominating_mixture``
 must find no witness exactly where the LP-only oracle
 (``oracles.reference_dominating_mixture``) finds none.
@@ -107,20 +111,22 @@ def assert_witnesses_dominate(game, trace):
 @pytest.mark.parametrize("high", [2, 20])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_elimination_trace_matches_one_lp_per_strategy(shape, high):
-    eliminated = pure = 0
+    eliminated = pure = mixed = 0
     for seed in range(SEEDS_PER_CASE):
         game = seeded_game(seed, shape, high, planted=seed % 3)
         want_reduced, want_trace = reference_eliminate_strictly_dominated(game)
         reduced, trace = eliminate_strictly_dominated(game)
-        assert trace_key(trace) == trace_key(want_trace), (shape, high, seed)
+        # players, strategies, order and witnesses, mixtures included
+        assert trace == want_trace, (shape, high, seed)
         assert reduced == want_reduced, (shape, high, seed)
         assert_witnesses_dominate(game, trace)
         eliminated += len(trace)
         pure += sum(e.witness.is_pure() for e in trace)
-    # the planted strategies and the random ones give the loop work to do,
-    # and some of it is found by the pure screen
+        mixed += sum(not e.witness.is_pure() for e in trace)
+    # the planted strategies and the random ones give the loop work to do;
+    # the pure screen finds some of it, the LP the rest
     assert eliminated >= SEEDS_PER_CASE // 2
-    assert pure > 0
+    assert pure > 0 and mixed > 0
 
 
 @pytest.mark.parametrize("high", [2, 20])
@@ -131,7 +137,7 @@ def test_pure_screen_finds_a_witness_exactly_where_the_lp_does(shape, high):
         game = seeded_game(seed, shape, high, planted=seed % 3)
         for player, labels in enumerate(game.strategies):
             for s in labels:
-                witness = _dominating_mixture(game, player, s)
+                witness = _dominating_mixture(game, [dict(pos) for pos in game.offsets], player, s)
                 want = reference_dominating_mixture(game, player, s)
                 assert (witness is None) == (want is None), (shape, high, seed, player, s)
                 if witness is not None:

@@ -9,7 +9,6 @@ from equilib.geometry import Simplex
 from equilib.indices import (
     IndexError_,
     _boundary_simplices,
-    _indifference_jacobian,
     _kuhn_simplices,
     _raw_degree,
     component_index,
@@ -22,7 +21,7 @@ from equilib.indices import (
 )
 from equilib.linalg import ONE, ZERO, determinant, linprog, solve_unique, vec_sub
 from equilib.solver import components, support_enumeration
-from oracles import is_regular
+from oracles import is_regular, reference_indifference_jacobian
 
 F = Fraction
 HALF = F(1, 2)
@@ -457,7 +456,7 @@ def reference_game(k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_reference_game_has_determinant_k_squared(k):
     game, eq = reference_game(k)
-    assert determinant(_indifference_jacobian(game, [s.support() for s in eq])) == k * k
+    assert determinant(reference_indifference_jacobian(game, [s.support() for s in eq])) == k * k
     assert index_regular(game, eq) == 1
 
 
@@ -548,8 +547,8 @@ def test_verify_realization_checks_every_dominance_witness(monkeypatch):
     # it dominates m, but only weakly
     weak = MixedStrategy.of({"t": F(10, 11), "b": F(1, 11)})
 
-    def weak_witness(game, player, strategy):
-        witness = dominating_mixture(game, player, strategy)
+    def weak_witness(game, live, player, strategy):
+        witness = dominating_mixture(game, live, player, strategy)
         return weak if strategy == "m" and witness else witness
 
     dominating_mixture = games._dominating_mixture

@@ -14,6 +14,7 @@ from equilib.games import (
     save_game,
 )
 from equilib.solver import (
+    certify,
     components,
     support_enumeration,
     three_player_support_enumeration,
@@ -90,8 +91,9 @@ def test_self_check_raises_without_asserts(km, tmp_path, monkeypatch, capsys):
     path = tmp_path / "km.json"
     save_game(km, str(path))
     monkeypatch.setattr("equilib.solver.is_equilibrium", lambda game, profile: False)
+    es = support_enumeration(km)  # the enumerator returns its candidates unchecked
     with pytest.raises(GameError, match="non-equilibrium"):
-        support_enumeration(km)
+        certify(km, es)
     assert main(["solve", str(path)]) == 1
     assert "non-equilibrium" in capsys.readouterr().err
 
