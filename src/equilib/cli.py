@@ -14,7 +14,8 @@ have, or a profile without one mixture per player, and a game of other
 than two players for ``solve``, ``components`` or ``index``, whose
 enumeration is two-player only, and ``.tri`` inputs of the wrong shape:
 ``tilde`` needs one triangulation of each player's strategy simplex,
-``el-refine`` a triangulated simplex).  At module level this file imports
+``el-refine`` a triangulated simplex, and a file that cannot be read or
+written: missing, a directory or not UTF-8).  At module level this file imports
 only what every subcommand uses (``games`` and ``rational``); each
 ``cmd_*`` imports the modules it runs, so a process loads no more.
 """
@@ -683,7 +684,9 @@ def main(argv=None) -> int:
         report, code = args.func(args)
         report.timings["total"] = f"{time.monotonic() - t0:.3f}"
         _emit(report, args.out)
-    except (UsageError, FileNotFoundError, RationalParseError) as exc:
+    # an input that cannot be read (missing, a directory, not UTF-8) or an
+    # --out that cannot be written is a usage error, not a failed check
+    except (UsageError, OSError, UnicodeDecodeError, RationalParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except GameError as exc:

@@ -1,17 +1,17 @@
 """Exact rational linear algebra: elimination, determinants, LP, vertex enumeration.
 
-Vectors and matrices are lists of :class:`fractions.Fraction` at the API;
-nothing here ever touches floating point.  Rows are scaled to integers and
-pivoted fraction-free (:func:`_pivot`, Bareiss division by the previous
-pivot), converting back to ``Fraction`` only for the result: one Gauss–Jordan
-elimination (:func:`_reduce`, on rational rows :func:`_eliminate`) serves
-the determinant, the unique solve, the chart's basis and left inverse and
-every barycentric table (:func:`_basis_table`), and the LP solver pivots
-its own tableau with the same step.  There is no general rational solve,
-rank or nullspace: geometry reads weights, ranks and normals from those
-integer tables.  The LP solver is a small two-phase simplex with Bland's
-rule, which is all the package needs (feasibility tests, dominance
-witnesses, polytope distances) at desk scale.
+Entries at the API are ints or :class:`fractions.Fraction` s, and results
+are ``Fraction`` s; nothing here ever touches floating point.  Rows are
+scaled to integers and pivoted fraction-free (:func:`_pivot`, Bareiss
+division by the previous pivot), converting back to ``Fraction`` only for
+the result: one Gauss–Jordan elimination (:func:`_reduce`, on rational rows
+:func:`_eliminate`) serves the determinant, the unique solve, the chart's
+basis and left inverse and every barycentric table (:func:`_basis_table`),
+and the LP solver pivots its own tableau with the same step.  There is no
+general rational solve, rank or nullspace: geometry reads weights, ranks
+and normals from those integer tables.  The LP solver is a small two-phase
+simplex with Bland's rule, which is all the package needs (feasibility
+tests, dominance witnesses, polytope distances) at desk scale.
 
 One lexicographic rule, right-hand sides beta_j + ε^(j+1) read by the
 constant and then the lowest ε power (:func:`_sign`), picks the bases
@@ -19,6 +19,9 @@ constant and then the lowest ε power (:func:`_sign`), picks the bases
 over the bases of such a system, one elimination per basis, that gives
 geometry its lower hulls.  `vertex_enumeration` solves a degenerate vertex
 once: a later subset inside its tight rows gets only the lexicographic test.
+One ratio test, :func:`_least_ratio`, reads that rule for the walk,
+geometry's first lower cell and the simplex, whose Bland tie-break is the
+ε-term of each row's basic variable.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ ONE = Fraction(1)
 
 def frac_vec(xs: Iterable) -> Vector:
     return [Fraction(x) for x in xs]
-
-
-def frac_mat(rows: Iterable[Iterable]) -> Matrix:
-    return [frac_vec(r) for r in rows]
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -194,7 +193,10 @@ def _simplex_min(c: Vector, A: Matrix, b: Vector) -> LPResult:
     rational reduced costs.  Artificial ``n + i`` has coefficient 1 in the
     scaled row i, so it stands for s_i times the unscaled artificial; its
     phase-1 cost is lcm(s)/s_i, which keeps the phase-1 objective, and with
-    it every pivot, the same as on the unscaled rows.
+    it every pivot, the same as on the unscaled rows.  The leaving row is
+    :func:`_least_ratio`'s with the ε-term -ε^(v+1) on the row of basic
+    variable v: of the least ratios, the least basic variable's (Bland,
+    Math. Oper. Res. 2, 1977).  Entries of c, A and b are ints or Fractions.
     """
     m = len(A)
     n = len(c)
@@ -228,19 +230,13 @@ def _simplex_min(c: Vector, A: Matrix, b: Vector) -> LPResult:
             entering = next((j for j in range(limit) if cost[j] < 0), None)
             if entering is None:
                 return None
-            leaving = None
-            for r in range(m):
-                a = T[r][entering]
-                if a > 0:
-                    if leaving is None:
-                        leaving = r
-                        continue
-                    # ratio T[r][total]/a against the best so far, cross-multiplied
-                    lhs = T[r][total] * T[leaving][entering]
-                    rhs = T[leaving][total] * a
-                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
-                        leaving = r
-            if leaving is None:
+            # Bland: of the least ratios, the row of the least basic variable
+            leaving = _least_ratio(
+                [row[total] for row in T[:m]],
+                [-row[entering] for row in T[:m]],
+                lambda r: [(basis[r], -1)],
+            )
+            if leaving < 0:
                 return "unbounded"
             det = _pivot(T, leaving, entering, det)
             basis[leaving] = entering
@@ -282,35 +278,24 @@ def linprog(
     """Exact LP over x (x >= 0 by default; ``free=True`` for unrestricted x).
 
     Minimizes (or maximizes) ``c.x`` subject to ``A_ub x <= b_ub`` and
-    ``A_eq x = b_eq``.
+    ``A_eq x = b_eq``.  Entries are ints or Fractions, used as given: the
+    rows [A_eq | 0] and [A_ub | I] go to :func:`_simplex_min`, which scales
+    each to integers.
     """
-    c = frac_vec(c)
     n = len(c)
-    A_ub = frac_mat(A_ub or [])
-    b_ub = frac_vec(b_ub or [])
-    A_eq = frac_mat(A_eq or [])
-    b_eq = frac_vec(b_eq or [])
     if maximize:
         c = [-a for a in c]
 
-    def expand(row: Vector) -> Vector:
-        return row + [-a for a in row] if free else row
+    def expand(row: Sequence) -> list:
+        return list(row) + [-a for a in row] if free else list(row)
 
-    rows: Matrix = []
-    rhs: Vector = []
-    for row, beta in zip(A_eq, b_eq, strict=True):
-        rows.append(expand(row))
-        rhs.append(beta)
-    nslack = len(A_ub)
-    for k, (row, beta) in enumerate(zip(A_ub, b_ub, strict=True)):
-        slack = [ONE if j == k else ZERO for j in range(nslack)]
-        rows.append(expand(row) + slack)
-        rhs.append(beta)
-    # pad equality rows with zero slack coefficients
-    for i in range(len(A_eq)):
-        rows[i] = rows[i] + [ZERO] * nslack
-    cost = expand(c) + [ZERO] * nslack
-    res = _simplex_min(cost, rows, rhs)
+    A_eq, b_eq, A_ub, b_ub = A_eq or [], b_eq or [], A_ub or [], b_ub or []
+    if len(A_eq) != len(b_eq) or len(A_ub) != len(b_ub):
+        raise ValueError("linprog needs one right-hand side per row")
+    k = len(A_ub)
+    rows = [expand(row) + [0] * k for row in A_eq]
+    rows += [expand(row) + [int(i == j) for j in range(k)] for i, row in enumerate(A_ub)]
+    res = _simplex_min(expand(c) + [0] * k, rows, [*b_eq, *b_ub])
     if res.status != "optimal":
         return res
     if res.x is None:
@@ -319,7 +304,7 @@ def linprog(
         x = [res.x[i] - res.x[n + i] for i in range(n)]
     else:
         x = res.x[:n]
-    value = dot(frac_vec(c), x)
+    value = dot(c, x)
     if maximize:
         value = -value
     return LPResult("optimal", x, value)
@@ -358,11 +343,12 @@ def vertex_enumeration(
 
     Brute force over the d-subsets of the rows, d the dimension; intended
     for the small systems this package works with (dimension <= ~6, few
-    dozen rows).  Each subset's unique solution x is tested against the
-    rows, scaled to integers once per polytope, in integer arithmetic: with
+    dozen rows).  The rows are ints or Fractions, taken as given: each
+    subset's unique solution x is tested against them scaled to integers
+    once per polytope, row by row, in integer arithmetic: with
     ``x = num / den`` on its least common denominator, a row (a, beta)
-    holds when ``a·num <= beta * den``.  Vertices come in the order of the
-    first subset that finds them.
+    holds when ``a·num <= beta * den``.  Vertices, as Fractions, come in the
+    order of the first subset that finds them.
 
     A vertex's bases are its subsets S (sorted row tuples, in subset order)
     that stay feasible when row k's right-hand side becomes beta_k + ε^(k+1)
@@ -376,13 +362,12 @@ def vertex_enumeration(
     gets only the lexicographic test (no solve, feasibility test or scan),
     which rejects dependent rows.  The output is that of solving every subset.
     """
-    A_ub = frac_mat(A_ub)
-    b_ub = frac_vec(b_ub)
     if not A_ub:
         return []
-    rows = _integer_rows(A_ub, b_ub)
-    cols = [list(c) for c in zip(*(a for a, _ in rows))]
+    # each row [a | beta] scaled to integers by the lcm of its own denominators
+    rows = [_integer_row([*a, beta])[0] for a, beta in zip(A_ub, b_ub, strict=True)]
     d = len(A_ub[0])
+    cols = [list(c) for c in zip(*rows)][:d]
     found: dict[tuple[int, ...], tuple[Vector, list[tuple[int, ...]]]] = {}
     # (tight-row bitmask, tight rows, bases) of each vertex with more than d tight rows
     degenerate: list[tuple[int, list[int], list[tuple[int, ...]]]] = []
@@ -398,12 +383,13 @@ def vertex_enumeration(
             if x is None:
                 continue
             num, den = _integer_row(x)
-            if all(sum(map(operator.mul, a, num)) <= beta * den for a, beta in rows):
+            point = [*num, -den]  # [a | beta]·point = a·num − beta·den
+            if all(sum(map(operator.mul, row, point)) <= 0 for row in rows):
                 bases = found.setdefault((den, *num), (x, []))[1]
                 tight = [
                     k
-                    for k, (a, beta) in enumerate(rows)
-                    if k not in combo and sum(map(operator.mul, a, num)) == beta * den
+                    for k, row in enumerate(rows)
+                    if k not in combo and sum(map(operator.mul, row, point)) == 0
                 ]
                 if not tight or _lex_feasible(cols, combo, tight):
                     bases.append(combo)
@@ -561,20 +547,6 @@ def lex_walk(
                 seen.add(nxt)
                 todo.append(nxt)
     return bases, unbounded
-
-
-def _integer_rows(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> list[tuple[list[int], int]]:
-    """Each row (a, beta) of the system a·x <= beta (or =) scaled to integers.
-
-    Row k is scaled by the lcm of its own denominators.  For a point
-    ``x = num / den`` (``_integer_row(x)``), ``a·x - beta`` then has the
-    sign of ``a·num - beta * den``, so x is tested against the rows in
-    integers.
-    """
-    rows = [_integer_row([*row, beta])[0] for row, beta in zip(A, b, strict=True)]
-    return [(row[:-1], row[-1]) for row in rows]
 
 
 class Chart:

@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .games import (
     FiniteGame,
@@ -32,7 +31,7 @@ from .games import (
     format_profile,
     is_equilibrium,
 )
-from .linalg import ONE, ZERO, _integer_row, _integer_rows, vertex_enumeration
+from .linalg import _integer_row, vertex_enumeration
 
 
 @dataclass(frozen=True)
@@ -90,25 +89,28 @@ def _labelled_vertices(
 
     For player 0 this is P = {x >= 0 : B^T x <= 1}, for player 1 it is
     Q = {y >= 0 : A y <= 1}, where A and B are the payoffs shifted to be
-    positive.  Bit i < m stands for row i, bit m + j for column j; a vertex
-    has a pure strategy's label when its own strategy is unplayed or the
-    opponent's strategy is a best reply.  Vertices come back normalised to
-    mixed strategies, each with its labels and the label bitmask of each of
-    its lexicographic bases (:func:`vertex_enumeration`).
+    positive.  The rows are integers, read off the opponent's table in
+    :attr:`FiniteGame.integer_payoffs`: -e_i <= 0 per own strategy i, then
+    per opponent strategy t the entries ``u(s, t) - min + scale`` over own
+    s, <= ``scale``, which is the shifted row times the table's scale.
+    Scaling a row by a positive number changes neither the vertices nor
+    their lexicographic bases.  Bit i < m stands for row i, bit m + j for
+    column j; a vertex has a pure strategy's label when its own strategy is
+    unplayed or the opponent's strategy is a best reply, read on the same
+    rows.  Vertices come back as mixed strategies in lowest terms
+    (:meth:`MixedStrategy._from_integers`), each with its labels and the
+    label bitmask of each of its lexicographic bases
+    (:func:`vertex_enumeration`).
     """
     opp = 1 - player
-    own, other = game.strategies[player], game.strategies[opp]
-
-    def u_opp(s: Label, t: Label) -> Fraction:
-        return game.payoffs[(s, t) if player == 0 else (t, s)][opp]
-
-    low = min(u_opp(s, t) for s in own for t in other)
-    A_ub = [[-ONE if k == i else ZERO for k in range(len(own))] for i in range(len(own))]
-    A_ub += [[u_opp(s, t) - low + 1 for s in own] for t in other]
-    b_ub = [ZERO] * len(own) + [ONE] * len(other)
+    own, pos = game.strategies[player], game.offsets[player]
+    table, scale = game.integer_payoffs[opp]
+    lift = scale - min(table)
+    A_ub = [[-int(k == i) for k in range(len(own))] for i in range(len(own))]
+    A_ub += [[table[pos[s] + o] + lift for s in own] for o in game.offsets[opp].values()]
+    b_ub = [0] * len(own) + [scale] * len(game.strategies[opp])
     # Constraint k is label k for player 0 and label (k + m) mod (m + n) for player 1.
     shift, size = player * len(game.strategies[0]), len(A_ub)
-    rows = _integer_rows(A_ub, b_ub)
     out = []
     for v, bases in vertex_enumeration(A_ub, b_ub):
         num, den = _integer_row(v)
@@ -118,12 +120,15 @@ def _labelled_vertices(
         # the tight rows, on integers: a·v = beta exactly when a·num = beta·den
         labels = sum(
             1 << (k + shift) % size
-            for k, (a, beta) in enumerate(rows)
+            for k, (a, beta) in enumerate(zip(A_ub, b_ub))
             if sum(map(operator.mul, a, num)) == beta * den
         )
-        weights = {s: Fraction(w, total) for s, w in zip(own, num) if w}
+        g = math.gcd(*num)
+        sigma = MixedStrategy._from_integers(
+            [(s, w // g) for s, w in zip(own, num) if w], total // g
+        )
         bases = [sum(1 << (k + shift) % size for k in basis) for basis in bases]
-        out.append((MixedStrategy.of(weights), labels, bases))
+        out.append((sigma, labels, bases))
     return out
 
 

@@ -18,7 +18,9 @@ the whole game, the three-player enumerator that
 solves every indifference system in ``Fraction`` s, and the equilibrium
 certificate that compares label sets of best replies.  ``cell_points``
 reads a subdivision's cells as point tuples, the form the geometry
-oracles take.
+oracles take; ``frac_mat`` and ``_integer_rows`` build the ``Fraction``
+rows, and scale each to integers by its own lcm, as the enumerator and the
+LP did before they took their callers' integer rows as given.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from equilib.equivalence import AffineSurjection
 from equilib.games import (
@@ -56,10 +58,8 @@ from equilib.linalg import (
     Matrix,
     Vector,
     _integer_row,
-    _integer_rows,
     determinant,
     dot,
-    frac_mat,
     frac_vec,
     linf_distance,
     linprog,
@@ -68,6 +68,25 @@ from equilib.linalg import (
 )
 from equilib.rational import parse_rational
 from equilib.solver import EquilibriumSet, NashSubset, support_enumeration
+
+
+def frac_mat(rows: Iterable[Iterable]) -> Matrix:
+    """``rows`` as lists of ``Fraction`` s."""
+    return [frac_vec(r) for r in rows]
+
+
+def _integer_rows(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> list[tuple[list[int], int]]:
+    """Each row (a, beta) of the system a·x <= beta (or =) scaled to integers.
+
+    Row k is scaled by the lcm of its own denominators.  For a point
+    ``x = num / den`` (``_integer_row(x)``), ``a·x - beta`` then has the
+    sign of ``a·num - beta * den``, so x is tested against the rows in
+    integers.
+    """
+    rows = [_integer_row([*row, beta])[0] for row, beta in zip(A, b, strict=True)]
+    return [(row[:-1], row[-1]) for row in rows]
 
 
 # -- Fraction Gauss–Jordan elimination --------------------------------------

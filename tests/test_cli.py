@@ -99,6 +99,49 @@ def test_missing_file_exits_2(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def unreadable_argv(case, tmp_path, km_file):
+    """argv whose input cannot be read, or whose --out cannot be written."""
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"players": ["Zo\xeb"]}'.encode("latin-1"))
+    return {
+        "solve-directory": ["solve", str(tmp_path)],
+        "dominance-directory": ["dominance", str(tmp_path)],
+        "el-refine-directory": ["el-refine", str(tmp_path)],
+        "solve-out-directory": ["solve", km_file, "--out", str(tmp_path)],
+        "solve-not-utf8": ["solve", str(not_utf8)],
+        "degree-oracle-not-utf8": ["degree-oracle", str(not_utf8)],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "solve-directory",
+        "dominance-directory",
+        "el-refine-directory",
+        "solve-out-directory",
+        "solve-not-utf8",
+        "degree-oracle-not-utf8",
+    ],
+)
+def test_unreadable_input_or_output_exits_2(case, tmp_path, km_file, capsys):
+    """A directory or a file that is not UTF-8 is a usage error, as a missing file is:
+    exit 2 with one "usage error" line, not a traceback and the verification-failure code."""
+    assert main(unreadable_argv(case, tmp_path, km_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err, err
+
+
+def test_unreadable_input_exits_2_from_the_command_line(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "equilib.cli", "solve", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage error: ") and "Traceback" not in result.stderr
+
+
 def test_unknown_example_exits_2(capsys):
     assert main(["verify-example", "other"]) == 2
     capsys.readouterr()

@@ -35,15 +35,15 @@ from equilib.linalg import (
     ZERO,
     Vector,
     dot,
-    frac_mat,
     frac_vec,
     solve_unique,
     vertex_enumeration,
 )
 from equilib.solver import _labelled_vertices
-from families import duplicated_identity_game
+from families import duplicated_identity_game, identity_game
 from oracles import (
     factor_constraints,
+    frac_mat,
     perturb_payoffs,
     reference_matrix_rank,
     subset_lex_bases,
@@ -329,3 +329,103 @@ def test_km_solves_only_subsets_outside_every_known_vertex(monkeypatch):
         vertex_enumeration(A_ub, b_ub)
         _, fresh = subset_lex_bases(A_ub, b_ub)
         assert len(calls) == fresh < math.comb(len(A_ub), len(A_ub[0])), player
+
+
+# --------------------------------------------------------------------------
+# The integer rows of `_labelled_vertices`
+# --------------------------------------------------------------------------
+
+
+def fractional_game(rows: int, cols: int, seed: int) -> FiniteGame:
+    """Seeded payoffs k/q, k in 0..6 and q in 1..3, so rows have different denominators."""
+    rng = random.Random(f"enumerator/fractional/{rows}x{cols}/{seed}")
+    R = [f"r{i}" for i in range(rows)]
+    C = [f"c{j}" for j in range(cols)]
+
+    def entry() -> Fraction:
+        return F(rng.randint(0, 6), rng.randint(1, 3))
+
+    return FiniteGame.of(["1", "2"], [R, C], {(a, b): (entry(), entry()) for a in R for b in C})
+
+
+INTEGER_ROW_GAMES = {
+    "km": km_game,
+    "km-perturbation-1": lambda: km_perturbation_1(F(1, 10)),
+    "km-perturbed-0": lambda: perturb_payoffs(km_game(), 0, F(1, 1000)),
+    **{f"identity-{n}": (lambda n=n: identity_game(n)) for n in (2, 3)},
+    **{f"identity-{n}-duplicated": (lambda n=n: duplicated_identity_game(n)[0]) for n in (2, 3, 4)},
+    **{f"3x3-0..2-{s}": (lambda s=s: random_game(3, 3, 2, s)) for s in range(20)},
+    **{f"4x4-0..2-{s}": (lambda s=s: random_game(4, 4, 2, s)) for s in range(8)},
+    **{f"3x3-fractional-{s}": (lambda s=s: fractional_game(3, 3, s)) for s in range(15)},
+    **{f"4x4-fractional-{s}": (lambda s=s: fractional_game(4, 4, s)) for s in range(6)},
+    **{
+        f"3x3-0..2-{s}-perturbed": (
+            lambda s=s: perturb_payoffs(random_game(3, 3, 2, s), 1, F(1, 1000))
+        )
+        for s in range(4)
+    },
+}
+
+
+def fraction_row_vertices(
+    game: FiniteGame, player: int
+) -> list[tuple[MixedStrategy, int, list[int]]]:
+    """The labelled vertices and basis label masks on the `Fraction` rows, by the subset loop.
+
+    The rows are the shifted payoffs themselves, each row's scale its own,
+    and `oracles.subset_lex_bases` solves every subset in `Fraction` s.
+    """
+    own = game.strategies[player]
+    A_ub, b_ub = best_response_system(game, player)
+    shift, size = player * len(game.strategies[0]), len(A_ub)
+    out = []
+    for v, bases in subset_lex_bases(A_ub, b_ub)[0]:
+        total = sum(v)
+        if total == 0:
+            continue
+        tight = [k for k, (a, beta) in enumerate(zip(A_ub, b_ub)) if dot(a, v) == beta]
+        out.append((
+            MixedStrategy.of({s: w / total for s, w in zip(own, v) if w}),
+            sum(1 << (k + shift) % size for k in tight),
+            [sum(1 << (k + shift) % size for k in basis) for basis in bases],
+        ))
+    return out
+
+
+def test_integer_rows_give_the_fraction_rows_vertices_labels_and_bases():
+    # the library scales every row by the opponent table's scale, not each
+    # row by its own lcm; a positive row scale keeps the lexicographic bases
+    rescaled = 0
+    for name, build in INTEGER_ROW_GAMES.items():
+        game = build()
+        for player in range(2):
+            assert _labelled_vertices(game, player) == fraction_row_vertices(game, player), (
+                name, player
+            )
+            A_ub, b_ub = best_response_system(game, player)
+            scale = game.integer_payoffs[1 - player][1]
+            rescaled += any(
+                math.lcm(*[x.denominator for x in (*a, beta)]) != scale
+                for a, beta in zip(A_ub, b_ub)
+            )
+    # the deck has many polytopes whose rows' own scales are not the table's
+    assert rescaled > 30, rescaled
+
+
+def test_labelled_vertices_are_in_normal_form():
+    # `MixedStrategy._from_integers` checks nothing: each vertex must equal,
+    # and hash as, `MixedStrategy.of` of its weights, on lowest-terms integers
+    vertices = 0
+    for name, build in INTEGER_ROW_GAMES.items():
+        game = build()
+        for player in range(2):
+            for sigma, _, _ in _labelled_vertices(game, player):
+                normal = MixedStrategy.of(sigma.as_dict())
+                assert sigma == normal and hash(sigma) == hash(normal), (name, sigma)
+                assert all(type(w) is Fraction for _, w in sigma.weights), (name, sigma)
+                nums, den = sigma.integer_weights
+                assert all(k > 0 for _, k in nums) and sum(k for _, k in nums) == den
+                assert math.gcd(den, *(k for _, k in nums)) == 1, (name, sigma)
+                assert (nums, den) == normal.integer_weights, (name, sigma)
+                vertices += 1
+    assert vertices > 500, vertices

@@ -36,14 +36,18 @@ from equilib.games import FiniteGame
 from equilib.geometry import _facet_halfspace, _first_lower_cell
 from equilib.linalg import (
     Chart,
-    _integer_rows,
     determinant,
-    frac_mat,
     frac_vec,
     lex_walk,
     vertex_enumeration,
 )
-from oracles import cell_halfspaces, reference_matrix_rank, simplex_facet_halfspaces
+from oracles import (
+    _integer_rows,
+    cell_halfspaces,
+    frac_mat,
+    reference_matrix_rank,
+    simplex_facet_halfspaces,
+)
 from test_enumerator_differential import random_game
 
 F = Fraction

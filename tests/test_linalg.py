@@ -13,13 +13,12 @@ from equilib.linalg import (
     _least_ratio,
     _lex_feasible,
     determinant,
-    frac_mat,
     lex_walk,
     linprog,
     solve_unique,
     vertex_enumeration,
 )
-from oracles import reference_matrix_rank, reference_nullspace, reference_solve_linear
+from oracles import frac_mat, reference_matrix_rank, reference_nullspace, reference_solve_linear
 
 F = Fraction
 

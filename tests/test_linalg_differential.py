@@ -220,6 +220,36 @@ def test_linprog_matches_fraction_reference(monkeypatch, free, maximize):
         assert (got.status, got.x, got.value) == (want.status, want.x, want.value), args
 
 
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize("maximize", [False, True])
+def test_linprog_reads_ints_as_their_fractions(free, maximize):
+    # one LP, given as ints and as Fractions: same status, point and value,
+    # and the point and value are Fractions either way
+    rng = random.Random(11 + 2 * free + maximize)
+    statuses = {}
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        A_ub = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        b_ub = [rng.choice([0, 0, 1, 2, 4, -1]) for _ in A_ub]
+        A_eq = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        b_eq = [rng.randint(-2, 2) for _ in A_eq]
+        ints = (c, A_ub, b_ub, A_eq, b_eq)
+        fracs = tuple(
+            [list(map(Fraction, row)) for row in part] if part and isinstance(part[0], list)
+            else list(map(Fraction, part))
+            for part in ints
+        )
+        got = linprog(*ints, maximize=maximize, free=free)
+        want = linprog(*fracs, maximize=maximize, free=free)
+        assert (got.status, got.x, got.value) == (want.status, want.x, want.value), ints
+        if got.status == "optimal":
+            assert all(type(a) is Fraction for a in (*got.x, got.value)), ints
+        statuses[got.status] = statuses.get(got.status, 0) + 1
+    assert statuses.get("optimal", 0) > 30 and statuses.get("infeasible", 0) > 5, statuses
+    assert statuses.get("unbounded", 0) > 5, statuses
+
+
 def test_determinant_matches_fraction_elimination():
     rng = random.Random(5)
     for _ in range(400):
