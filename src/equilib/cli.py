@@ -149,14 +149,23 @@ def _read_profile(data, game: FiniteGame, what: str) -> Profile:
     )
 
 
+def _read_text(path: str) -> str:
+    """The text of the file ``path``, which must be UTF-8; other bytes are a usage error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}"
-            ) from exc
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}"
+        ) from exc
 
 
 def _load_game(path: str) -> FiniteGame:
@@ -181,14 +190,14 @@ def _load_two_player_game(path: str) -> FiniteGame:
 def _load_triangulation(path: str) -> Triangulation:
     """Read and validate a `.tri` file.
 
-    Malformed records (a cell index naming no vertex, vertices of mixed
-    dimension) are usage errors; a well-formed file whose cells do not
-    subdivide the polytope fails validation, a verification failure.
+    Malformed records (no cell, a cell index naming no vertex, vertices of
+    mixed dimension) and text that is not UTF-8 are usage errors; a
+    well-formed file whose cells do not subdivide the polytope fails
+    validation, a verification failure.
     """
     from .geometry import GeometryError, Triangulation
 
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         tri = Triangulation.deserialize(text, validate=False)
     except GeometryError as exc:
@@ -380,8 +389,7 @@ def cmd_tilde(args) -> tuple[Report, int]:
     results = {
         "first_labels": [list(l) for l in tg.first_labels],
         "pair_strategy_counts": [
-            len(tg.polytope_game.vertex_labels[n])
-            for n in range(game.num_players)
+            len(tg.finite_game.strategies[n]) for n in range(game.num_players)
         ],
         "projections": [
             {lab: _mixture_json(tg.vertex_mixtures[n][lab]) for lab in tg.first_labels[n]}
@@ -684,9 +692,9 @@ def main(argv=None) -> int:
         report, code = args.func(args)
         report.timings["total"] = f"{time.monotonic() - t0:.3f}"
         _emit(report, args.out)
-    # an input that cannot be read (missing, a directory, not UTF-8) or an
-    # --out that cannot be written is a usage error, not a failed check
-    except (UsageError, OSError, UnicodeDecodeError, RationalParseError) as exc:
+    # an input that cannot be read (missing, a directory) or an --out that
+    # cannot be written is a usage error, not a failed check
+    except (UsageError, OSError, RationalParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except GameError as exc:

@@ -19,7 +19,6 @@ from .games import (
     GameError,
     Label,
     MixedStrategy,
-    PolytopeGame,
     Profile,
     payoff_all,
     write_json,
@@ -173,7 +172,7 @@ class TildeGame:
     triangulations: tuple[Triangulation, ...]
     first_labels: tuple[tuple[Label, ...], ...]
     vertex_mixtures: tuple[Mapping[Label, MixedStrategy], ...]
-    polytope_game: PolytopeGame
+    finite_game: FiniteGame
     phi0: tuple[AffineSurjection, ...]
 
     def second_labels(self, player: int) -> tuple[Label, ...]:
@@ -236,21 +235,11 @@ def build_tilde_game(
                 preimages,
             )
         )
-    # polytope game over the product of simplices
-    pair_labels = []
-    pair_points = []
-    for n in range(N):
-        seconds = first_labels[(n + 1) % N]
-        labels_n = []
-        points_n = []
-        for i, a in enumerate(first_labels[n]):
-            for j, b in enumerate(seconds):
-                labels_n.append(_pair_label(a, b))
-                e0 = [ONE if t == i else ZERO for t in range(len(first_labels[n]))]
-                e1 = [ONE if t == j else ZERO for t in range(len(seconds))]
-                points_n.append(tuple(e0 + e1))
-        pair_labels.append(tuple(labels_n))
-        pair_points.append(tuple(points_n))
+    # the finite game over the pair strategies
+    pair_labels = tuple(
+        tuple(_pair_label(a, b) for a in first_labels[n] for b in first_labels[(n + 1) % N])
+        for n in range(N)
+    )
     payoffs = {}
     for prof in itertools.product(*pair_labels):
         firsts = []
@@ -258,18 +247,12 @@ def build_tilde_game(
             a = lab.split("&")[0]
             firsts.append(vertex_mixtures[n][a])
         payoffs[prof] = payoff_all(game, tuple(firsts))
-    pg = PolytopeGame(
-        tuple(game.players),
-        tuple(pair_labels),
-        tuple(pair_points),
-        payoffs,
-    )
     return TildeGame(
         game,
         tuple(triangulations),
         tuple(first_labels),
         tuple(vertex_mixtures),
-        pg,
+        FiniteGame(tuple(game.players), pair_labels, payoffs),
         tuple(phi0),
     )
 

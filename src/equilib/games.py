@@ -1,8 +1,7 @@
-"""Finite and polytope-form games with exact rational payoffs.
+"""Finite games with exact rational payoffs.
 
-The central objects are :class:`FiniteGame` (normal form, payoff tensor over
-pure profiles) and :class:`PolytopeGame` (strategy sets given as vertex lists,
-payoffs extended multiaffinely).  All evaluation is exact; best replies and
+The central object is :class:`FiniteGame` (normal form, payoff tensor over
+pure profiles).  All evaluation is exact; best replies and
 dominance witnesses are decided by integer comparison, and a mixture that
 strictly dominates a strategy no pure one does is found by exact LP.
 
@@ -443,25 +442,6 @@ def eliminate_strictly_dominated(
     """
     reduced, trace = game._reduction
     return reduced or game, list(trace)
-
-
-# --------------------------------------------------------------------------
-# Polytope-form games
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolytopeGame:
-    """Game whose strategy sets are polytopes given by labeled rational vertices.
-
-    `payoffs` maps tuples of vertex labels (one per player) to per-player
-    rationals; payoffs elsewhere extend multiaffinely.
-    """
-
-    players: tuple[Label, ...]
-    vertex_labels: tuple[tuple[Label, ...], ...]
-    vertex_points: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    payoffs: Mapping[tuple[Label, ...], tuple[Fraction, ...]] = field(hash=False)
 
 
 # --------------------------------------------------------------------------

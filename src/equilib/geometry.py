@@ -1,12 +1,16 @@
 """Simplicial and polyhedral subdivision machinery over exact rationals.
 
-Triangulations and polyhedral complexes of (subsets of) simplices, with the
-query operations the perturbation constructions rely on: carriers, closed
-stars, simplicial neighborhoods, barycentric-coordinate maps, star bumps,
-hyperplane-extension subdivisions, regular triangulations from height
-functions, generalized barycentric subdivision, the envelope-line (EL)
-refinement with its convex piecewise-linear certificate, and refinement of a
-complex into a triangulation without new vertices.
+One subdivision type: a :class:`PolyhedralComplex` is a polytope cut into
+convex cells over one vertex list, and a :class:`Triangulation` is a complex
+whose cells are simplices.  Both share one constructor check, one integer
+chart grid, one table of facets and volume per cell, one `validate`, one
+`contains` and one `face_lattice`; a triangulation adds the simplicial
+queries the perturbation constructions rely on: carriers, closed stars,
+barycentric-coordinate maps and star bumps.  Around them: hyperplane-
+extension subdivisions, regular triangulations from height functions,
+generalized barycentric subdivision, the envelope-line (EL) refinement with
+its convex piecewise-linear certificate, and refinement of a complex into a
+triangulation without new vertices.
 
 All ambient coordinates are rational; simplices may live in a proper affine
 subspace (e.g. probability simplices), in which case computations run in an
@@ -19,7 +23,6 @@ of points or of hyperplanes.  Subdivisions are validated by facet matching
 cell facet lies on the covered polytope's boundary with one owner, or has
 two owners on opposite sides, and the cell volumes sum to the polytope's.
 """
-
 from __future__ import annotations
 
 import functools
@@ -189,11 +192,19 @@ def _facet_halfspace(form: Sequence[int], scale: int = 1) -> tuple[tuple[int, ..
     return tuple(x // g for x in a), form[-1] // g
 
 
-def _hyperplane(form: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
-    """λ = 0 as :func:`_facet_halfspace`'s a·x = b, the first nonzero a_k positive."""
-    a, b = _facet_halfspace(form, scale)
-    s = 1 if next(x for x in a if x) > 0 else -1
-    return tuple(s * x for x in a), s * b
+def _hyperplane(
+    halfspace: tuple[Sequence[int], int], scale: int
+) -> tuple[tuple[int, ...], int]:
+    """The bound a·y = b of a grid halfspace as a·scale·x = b at x = y / scale.
+
+    Primitive, with the first nonzero coefficient positive.
+    """
+    a, b = halfspace
+    a = [x * scale for x in a]
+    g = math.gcd(*a, b)
+    if next(x for x in a if x) < 0:
+        g = -g
+    return tuple(x // g for x in a), b // g
 
 
 def _sign_masks(values: Iterable[int]) -> tuple[int, int]:
@@ -207,17 +218,11 @@ def _sign_masks(values: Iterable[int]) -> tuple[int, int]:
     return beyond, inside
 
 
-def _facet_rows(lam: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Sign rows of a simplex's facet halfspaces λ_r >= 0, from its barycentric table."""
-    return [_sign_masks([-x for x in row]) for row in lam]
-
-
 def _match_facets(
     masks: Sequence[int],
     rows: Sequence[Iterable[tuple[int, int]]],
     pts: Sequence[Sequence[int]],
     hull_facets: Sequence[tuple[tuple[int, ...], int]],
-    clash: str,
 ) -> None:
     """Raise unless the cells' facets match: the pseudo-manifold property.
 
@@ -247,55 +252,71 @@ def _match_facets(
                 continue
         raise GeometryError(
             f"facet on vertices {sorted(_bits(key))} lies in cells {[k for k, _ in own]}, "
-            f"not in one on the boundary or two on opposite sides: {clash}"
+            "not in one on the boundary or two on opposite sides: the cells do not meet "
+            "in a common face"
         )
 
 
 # --------------------------------------------------------------------------
-# Triangulations
+# Subdivisions: polyhedral complexes, and triangulations among them
 # --------------------------------------------------------------------------
 
 
-class Subcomplex:
-    """A set of faces (vertex-index tuples) closed under taking subfaces."""
+def _cell_table(
+    rows: Sequence[Sequence[int]], scale: int, d: int
+) -> tuple[list[tuple[tuple[int, ...], int]], Fraction]:
+    """A cell's facet halfspaces and volume, from its rows of a :meth:`Chart.grid`.
 
-    def __init__(self, faces: Iterable[Face]):
-        closed: set[Face] = set()
-        for f in faces:
-            f = tuple(sorted(f))
-            for k in range(1, len(f) + 1):
-                closed.update(itertools.combinations(f, k))
-        self.faces: frozenset[Face] = frozenset(closed)
+    The vertex count picks the source: a cell of d + 1 vertices is a
+    simplex, whose one :func:`_barycentric_table` gives its |det| and its
+    facets, the one opposite each vertex in vertex order; any other cell
+    is walked (:func:`_triangulated_hull`).  The facets a·x <= b hold in
+    the grid's integer coordinates and the volume is in chart units; a cell
+    that is not full-dimensional has no facets and the volume 0.
+    """
+    if len(rows) != d + 1:
+        return _triangulated_hull(rows, scale, d)
+    det, forms, _ = _barycentric_table(rows, range(d + 1))
+    if not det:
+        return [], ZERO
+    return [_facet_halfspace(f) for f in forms], Fraction(det, math.factorial(d) * scale**d)
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for f in self.faces for v in f)
 
-    def __contains__(self, face: Face) -> bool:
-        return tuple(sorted(face)) in self.faces
+def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
+    """A cell's faces as vertex bit masks, read from its facets' sign rows.
+
+    `mask` holds the cell's vertices, and a row's tight set is those of
+    them on its hyperplane; the faces are the cell and every nonempty
+    intersection of proper tight sets.
+    """
+    tights = {mask & ~(beyond | inside) for beyond, inside in rows} - {0, mask}
+    faces = {mask}
+    frontier = set(tights)
+    while frontier:
+        faces |= frontier
+        frontier = {f & t for f in frontier for t in tights if f & t and f & t not in faces}
+    return faces
 
 
-class Triangulation:
-    """A simplicial subdivision of a convex polytope.
+class PolyhedralComplex:
+    """Maximal convex cells over one vertex list, subdividing a polytope.
 
-    `vertices`: rational points; `maximal`: maximal simplices as sorted
-    vertex-index tuples; `polytope`: the covered polytope's vertex list
-    (by default :func:`extreme_points` of the vertices).  The constructor
-    rejects a cell index that names no vertex and vertices of mixed
-    dimension.  Validity is checked by `validate`, which the public
-    constructors call: every vertex on the inner side of every facet of
-    conv(polytope), the cell volumes adding up exactly to the polytope's,
-    and matched facets (:func:`_match_facets`): each cell facet lies on
-    a facet of conv(polytope) with one owner, or has two owners on
-    opposite sides.  `validate` takes the facets and the volume from one
-    lower-hull walk over the polytope's own points, never from a stored
-    hull.
+    `vertices`: rational points; `maximal`: each cell's vertex indices, in
+    the order given (a :class:`PLFunction`'s pieces follow that order);
+    `polytope`: the covered polytope's vertex list (by default
+    :func:`extreme_points` of the vertices).  The constructor rejects an
+    empty vertex or cell list, vertices of mixed dimension and a cell index
+    that names no vertex.
 
-    The chart coordinates of the vertices and of the polytope's points
-    are read once onto one integer grid (:attr:`grid`), and one
-    elimination per cell (:func:`_barycentric_table`) gives its
-    determinant, hence its volume, and every vertex's barycentric
-    coordinates over it, whose signs are the cell's facet sign table.
+    The chart coordinates of the vertices and of the polytope's points are
+    read once onto one integer grid (:attr:`grid`), and each cell's facets
+    and volume once from its rows (:func:`_cell_table`), which `validate`,
+    `contains` and `face_lattice` all read.  `validate` checks that the
+    cells are distinct and full-dimensional, that every vertex lies on the
+    inner side of every facet of conv(polytope), that the cell volumes add
+    up exactly to the polytope's, and that the cells' facets match
+    (:func:`_match_facets`).  The polytope's facets and volume come from
+    one lower-hull walk over its own points, never from a stored hull.
     """
 
     def __init__(
@@ -303,12 +324,12 @@ class Triangulation:
         vertices: Sequence[Sequence],
         maximal: Sequence[Sequence[int]],
         polytope: Optional[Sequence[Sequence]] = None,
-        *,
-        validate: bool = True,
     ):
         self.vertices: tuple[Point, ...] = tuple(as_point(p) for p in vertices)
         if not self.vertices:
-            raise GeometryError("a triangulation needs at least one vertex")
+            raise GeometryError("a subdivision needs at least one vertex")
+        if not maximal:
+            raise GeometryError("empty complex")
         n, ambient = len(self.vertices), len(self.vertices[0])
         for k, p in enumerate(self.vertices):
             if len(p) != ambient:
@@ -321,31 +342,12 @@ class Triangulation:
                     raise GeometryError(
                         f"cell {tuple(c)} names vertex {i!r}, but the vertices are 0..{n - 1}"
                     )
-        self.maximal: tuple[Face, ...] = tuple(
-            sorted(tuple(sorted(c)) for c in maximal)
-        )
+        self.maximal: tuple[Face, ...] = tuple(tuple(c) for c in maximal)
         if polytope is None:
             polytope = extreme_points(self.vertices)
         self.polytope: tuple[Point, ...] = tuple(as_point(p) for p in polytope)
         self.chart = Chart(self.polytope)
         self.dim = self.chart.dim
-        if validate:
-            self.validate()
-
-    # -- basic structure ---------------------------------------------------
-
-    def simplex(self, face: Face) -> Simplex:
-        return Simplex(tuple(self.vertices[i] for i in face))
-
-    def faces(self) -> Subcomplex:
-        return Subcomplex(self.maximal)
-
-    def faces_of_dim(self, k: int) -> list[Face]:
-        return sorted(f for f in self.faces().faces if len(f) == k + 1)
-
-    def face_lattice(self) -> dict[Face, int]:
-        """All faces, as sorted vertex-index tuples, mapped to their dimension."""
-        return {f: len(f) - 1 for f in self.faces().faces}
 
     @functools.cached_property
     def grid(self) -> tuple[list[Optional[list[int]]], int]:
@@ -356,6 +358,131 @@ class Triangulation:
         """
         return self.chart.grid(self.vertices + self.polytope)
 
+    @functools.cached_property
+    def _tables(self) -> list[tuple[list[tuple[tuple[int, ...], int]], Fraction]]:
+        """Per cell, :func:`_cell_table`'s (facets, volume) on its rows of :attr:`grid`."""
+        grid, scale = self.grid
+        tables = []
+        for c in self.maximal:
+            rows = [grid[i] for i in c]
+            if None in rows:
+                raise GeometryError("a vertex lies off the polytope's affine hull")
+            tables.append(_cell_table(rows, scale, self.dim))
+        return tables
+
+    @functools.cached_property
+    def _facet_signs(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """Per cell, its vertex mask and its facets' sign rows over every vertex.
+
+        A facet two cells share is one primitive halfspace and its negation,
+        so each hyperplane is evaluated once, a column of coordinates at a time.
+        """
+        pts = self.grid[0][: len(self.vertices)]
+        if None in pts:
+            raise GeometryError("a vertex lies off the polytope's affine hull")
+        cols = list(zip(*pts))
+        known: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+
+        def signs(a: tuple[int, ...], b: int) -> tuple[int, int]:
+            if (a, b) not in known:
+                values = [-b] * len(pts)
+                for x, col in zip(a, cols):
+                    values = list(map(operator.add, values, [x * y for y in col]))
+                beyond, inside = known[(a, b)] = _sign_masks(values)
+                known[(tuple(-x for x in a), -b)] = inside, beyond
+            return known[(a, b)]
+
+        masks = [sum(1 << i for i in c) for c in self.maximal]
+        return masks, [[signs(a, b) for a, b in facets] for facets, _ in self._tables]
+
+    def contains(self, k: int, point: Sequence) -> bool:
+        """Whether cell k holds the point, tested in integers against its facets.
+
+        A cell that is not full-dimensional (volume 0) holds no point: it
+        has no facets to test against.
+        """
+        (row,), s = self.chart.grid([as_point(point)])
+        facets, volume = self._tables[k]
+        scale = self.grid[1]
+        return volume > 0 and row is not None and all(
+            scale * sum(map(operator.mul, a, row)) <= b * s for a, b in facets
+        )
+
+    def face_lattice(self) -> dict[Face, int]:
+        """All faces of all cells, as sorted vertex-index tuples, mapped to their affine dimension.
+
+        A face's dimension is the rank of its vertices' differences on :attr:`grid`.
+        """
+        rows = self.grid[0]
+        faces = {
+            tuple(sorted(_bits(f)))
+            for mask, cell_rows in zip(*self._facet_signs)
+            for f in _cell_faces(mask, cell_rows)
+        }
+        return {
+            f: len(_reduce([[x - y for x, y in zip(rows[i], rows[f[0]])] for i in f[1:]])[0])
+            for f in faces
+        }
+
+    def validate(self) -> None:
+        """Raise unless the cells subdivide the polytope: the class docstring's checks, in order."""
+        d = self.dim
+        grid, scale = self.grid
+        pts = grid[: len(self.vertices)]
+        on_hull = None not in pts  # else no cell has a table, and a vertex is reported below
+        seen = set()
+        for k, c in enumerate(self.maximal):
+            key = tuple(sorted(c))
+            if key in seen:
+                raise GeometryError(f"duplicate maximal cell {c}")
+            seen.add(key)
+            flat = on_hull and not self._tables[k][1]
+            if flat or isinstance(self, Triangulation) and len(c) != d + 1:  # cells are simplices
+                raise GeometryError(f"cell {c} is not full-dimensional")
+        facets, target = _triangulated_hull(grid[len(self.vertices) :], scale, d)
+        for i, x in enumerate(pts):
+            if x is None or any(sum(map(operator.mul, a, x)) > b for a, b in facets):
+                raise GeometryError(f"vertex {i} lies outside the covered polytope")
+        total = sum((volume for _, volume in self._tables), ZERO)
+        if total != target:
+            raise GeometryError(f"cell volumes sum to {total}, polytope volume is {target}")
+        if len(self.maximal) > 1:  # one cell of the polytope's volume is the polytope
+            _match_facets(*self._facet_signs, pts, facets)
+
+
+class Triangulation(PolyhedralComplex):
+    """A polyhedral complex whose cells are simplices, each a sorted vertex-index tuple.
+
+    The constructor validates unless told not to.  A point's barycentric
+    weights over a cell come from one :func:`_barycentric_table` on the
+    chart grid of the cell's vertices and the point (:func:`_chart_weights`);
+    carriers, barycentric coordinates and star bumps read those weights.
+    """
+
+    def __init__(
+        self,
+        vertices: Sequence[Sequence],
+        maximal: Sequence[Sequence[int]],
+        polytope: Optional[Sequence[Sequence]] = None,
+        *,
+        validate: bool = True,
+    ):
+        super().__init__(vertices, maximal, polytope)
+        self.maximal = tuple(sorted(tuple(sorted(c)) for c in self.maximal))
+        if validate:
+            self.validate()
+
+    # -- basic structure ---------------------------------------------------
+
+    def faces(self) -> frozenset[Face]:
+        """Every face of every cell: a simplex's faces are its nonempty vertex subsets."""
+        return frozenset(
+            f for c in self.maximal for k in range(len(c)) for f in itertools.combinations(c, k + 1)
+        )
+
+    def faces_of_dim(self, k: int) -> list[Face]:
+        return sorted(f for f in self.faces() if len(f) == k + 1)
+
     def cell_diameter(self, face: Face) -> Fraction:
         return _diameter([self.vertices[i] for i in face])
 
@@ -364,51 +491,10 @@ class Triangulation:
         return Fraction(max(_spread([rows[i] for i in c]) for c in self.maximal), scale)
 
     def cell_volume(self, face: Face) -> Fraction:
-        """|det| of the cell's rows of :attr:`grid`, over d!·scale^d."""
-        if len(face) - 1 != self.dim:
-            raise GeometryError("volume of a non-maximal cell requested")
-        grid, scale = self.grid
-        rows = [grid[i] for i in face]
-        if None in rows:
-            raise GeometryError(f"cell {face} has a vertex off the polytope's affine hull")
-        det = _barycentric_table(rows, range(len(rows)))[0]
-        return Fraction(det, math.factorial(self.dim) * scale**self.dim)
-
-    # -- validation --------------------------------------------------------
-
-    def validate(self) -> None:
-        d = self.dim
-        grid, scale = self.grid
-        pts, hull = grid[: len(self.vertices)], grid[len(self.vertices) :]
-        off_hull = None in pts
-        seen = set()
-        tables = []
-        for c in self.maximal:
-            if c in seen:
-                raise GeometryError(f"duplicate maximal cell {c}")
-            seen.add(c)
-            if len(c) != d + 1:
-                raise GeometryError(f"cell {c} is not full-dimensional")
-            if off_hull:
-                self.simplex(c)  # affine independence; the vertex is reported below
-                continue
-            det, _, lam = _barycentric_table(pts, c)
-            if not det:
-                raise GeometryError("simplex vertices are affinely dependent")
-            tables.append((det, lam))
-        facets, target = _triangulated_hull(hull, scale, d)
-        for i, x in enumerate(pts):
-            if x is None or any(sum(map(operator.mul, a, x)) > b for a, b in facets):
-                raise GeometryError(f"vertex {i} lies outside the covered polytope")
-        total = Fraction(sum(det for det, _ in tables), math.factorial(d) * scale**d)
-        if total != target:
-            raise GeometryError(
-                f"simplex volumes sum to {total}, polytope volume is {target}"
-            )
-        if len(self.maximal) > 1:  # one cell of the polytope's volume is the polytope
-            masks = [sum(1 << i for i in c) for c in self.maximal]
-            rows = [_facet_rows(lam) for _, lam in tables]
-            _match_facets(masks, rows, pts, facets, "cells do not meet in a common face")
+        """The volume of maximal cell `face`, in chart units, read from its table."""
+        if face not in self.maximal:
+            raise GeometryError(f"volume of {face}, which is not a maximal cell, requested")
+        return self._tables[self.maximal.index(face)][1]
 
     # -- queries -----------------------------------------------------------
 
@@ -416,10 +502,6 @@ class Triangulation:
         """The point's barycentric weights over the cell, or None when the cell misses it."""
         w = _chart_weights(self.chart, [self.vertices[i] for i in cell], point)
         return w if w is not None and all(x >= 0 for x in w) else None
-
-    def contains(self, k: int, point: Sequence) -> bool:
-        """Whether maximal cell k holds the point: its barycentric weights are >= 0."""
-        return self._weights(self.maximal[k], as_point(point)) is not None
 
     def find_cell(self, point: Sequence) -> Optional[tuple[Face, list[Fraction]]]:
         """The first maximal cell holding the point, with the point's weights over it."""
@@ -442,10 +524,11 @@ class Triangulation:
             raise GeometryError(f"point {format_point(p)} lies outside the covered polytope")
         return {i: x for i, x in zip(*found) if x > 0}
 
-    def closed_star(self, vertex: int) -> Subcomplex:
+    def closed_star(self, vertex: int) -> frozenset[int]:
+        """The closed star's vertices: those of every cell holding `vertex`."""
         if not 0 <= vertex < len(self.vertices):
             raise GeometryError(f"no vertex {vertex}")
-        return Subcomplex(c for c in self.maximal if vertex in c)
+        return frozenset(i for c in self.maximal if vertex in c for i in c)
 
     def star_bump(self, vertex: int, point: Sequence) -> Fraction:
         """PL bump: 1 on the closed star of `vertex`, 0 outside its neighborhood.
@@ -453,9 +536,9 @@ class Triangulation:
         Piecewise-linear interpolation of the vertex indicator of the closed
         star's vertex set (1 on the vertex and its neighbors, 0 elsewhere).
         """
-        star_vertices = self.closed_star(vertex).vertices
+        star = self.closed_star(vertex)
         coords = self.barycentric_coords(point)
-        return sum((w for i, w in coords.items() if i in star_vertices), ZERO)
+        return sum((w for i, w in coords.items() if i in star), ZERO)
 
     # -- modification ------------------------------------------------------
 
@@ -686,142 +769,6 @@ def regular_triangulation(
 
 
 # --------------------------------------------------------------------------
-# Polyhedral complexes
-# --------------------------------------------------------------------------
-
-
-def _cell_faces(mask: int, rows: Iterable[tuple[int, int]]) -> set[int]:
-    """A cell's faces as vertex bit masks, read from its facets' sign rows.
-
-    `mask` holds the cell's vertices, and a row's tight set is those of
-    them on its hyperplane; the faces are the cell and every nonempty
-    intersection of proper tight sets.
-    """
-    tights = {mask & ~(beyond | inside) for beyond, inside in rows} - {0, mask}
-    faces = {mask}
-    frontier = set(tights)
-    while frontier:
-        faces |= frontier
-        frontier = {f & t for f in frontier for t in tights if f & t and f & t not in faces}
-    return faces
-
-
-class PolyhedralComplex:
-    """Maximal polyhedral cells over one vertex list, with a face lattice.
-
-    `vertices`: the cells' distinct rational points; `maximal`: each
-    cell's vertex indices, in the order given (a :class:`PLFunction`'s
-    pieces follow that order); `polytope`: the covered polytope's vertex
-    list.  The cells are fixed once built: :attr:`grid` reads the
-    vertices' chart coordinates once, and one lower-hull walk per cell
-    (:meth:`_walk`) gives its volume and its facets on that grid, which
-    `validate`, `face_lattice` and `contains` all read.
-    """
-
-    def __init__(
-        self,
-        vertices: Sequence[Sequence],
-        maximal: Sequence[Sequence[int]],
-        polytope: Sequence[Sequence],
-    ):
-        if not maximal:
-            raise GeometryError("empty complex")
-        self.vertices: tuple[Point, ...] = tuple(as_point(p) for p in vertices)
-        self.maximal: tuple[Face, ...] = tuple(tuple(c) for c in maximal)
-        self.polytope = tuple(as_point(p) for p in polytope)
-        self.chart = Chart(self.polytope)
-        self.dim = self.chart.dim
-        self._walks: dict[int, tuple[list[tuple[tuple[int, ...], int]], Fraction]] = {}
-
-    @functools.cached_property
-    def grid(self) -> tuple[list[Optional[list[int]]], int]:
-        """Chart coordinates of the vertices, then the polytope's points, on one grid.
-
-        :meth:`Chart.grid`'s (rows, scale); a vertex off the polytope's
-        affine hull has the row None.
-        """
-        return self.chart.grid(self.vertices + self.polytope)
-
-    def _walk(self, k: int) -> tuple[list[tuple[tuple[int, ...], int]], Fraction]:
-        """Cell k's facets and volume, from one lower-hull walk over its rows of :attr:`grid`.
-
-        :func:`_triangulated_hull`'s (facets, volume), cached: the facets
-        a·x <= b hold in the grid's integer coordinates, and a cell that is
-        not full-dimensional has no facets and the volume 0.
-        """
-        if k not in self._walks:
-            grid, scale = self.grid
-            rows = [grid[i] for i in self.maximal[k]]
-            if None in rows:
-                raise GeometryError("cell vertex lies off the polytope's affine hull")
-            self._walks[k] = _triangulated_hull(rows, scale, self.dim)
-        return self._walks[k]
-
-    @functools.cached_property
-    def _facet_signs(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
-        """Per cell, its vertex mask and its facets' sign rows over every vertex."""
-        facets = [self._walk(k)[0] for k in range(len(self.maximal))]
-        pts = self.grid[0][: len(self.vertices)]
-        if None in pts:
-            raise GeometryError("a vertex lies off the polytope's affine hull")
-        masks = [sum(1 << i for i in c) for c in self.maximal]
-        rows = [
-            [_sign_masks(sum(map(operator.mul, a, x)) - b for x in pts) for a, b in cell]
-            for cell in facets
-        ]
-        return masks, rows
-
-    def contains(self, k: int, point: Sequence) -> bool:
-        """Whether cell k holds the point, tested in integers against its facets.
-
-        A cell that is not full-dimensional (volume 0) holds no point: it
-        has no facets to test against.
-        """
-        (row,), s = self.chart.grid([as_point(point)])
-        scale = self.grid[1]
-        facets, volume = self._walk(k)
-        return volume > 0 and row is not None and all(
-            scale * sum(map(operator.mul, a, row)) <= b * s for a, b in facets
-        )
-
-    def face_lattice(self) -> dict[Face, int]:
-        """All faces of all cells, as sorted vertex-index tuples, mapped to their affine dimension."""
-        faces = {
-            tuple(sorted(_bits(f)))
-            for mask, cell_rows in zip(*self._facet_signs)
-            for f in _cell_faces(mask, cell_rows)
-        }
-        return {f: Chart([self.vertices[i] for i in f]).dim for f in faces}
-
-    def validate(self) -> None:
-        """Check exact volume cover and that cells meet only in common faces.
-
-        Each cell's volume and facets come from its lower-hull walk
-        (:meth:`_walk`), the polytope's volume and facets from one over its
-        own points.  The cells' facets must then match
-        (:func:`_match_facets`): one owner on the polytope's boundary, else
-        two on opposite sides.  Convex cells that tile the polytope facet
-        to facet meet face to face.
-        """
-        total = ZERO
-        for k in range(len(self.maximal)):
-            volume = self._walk(k)[1]
-            if not volume:
-                raise GeometryError("non-maximal cell listed as maximal")
-            total += volume
-        grid, scale = self.grid
-        n = len(self.vertices)
-        facets, target = _triangulated_hull(grid[n:], scale, self.dim)
-        if total != target:
-            raise GeometryError(
-                f"cell volumes sum to {total}, polytope volume is {target}"
-            )
-        masks, rows = self._facet_signs
-        clash = "two cells intersect outside a common face"
-        _match_facets(masks, rows, grid[:n], facets, clash)
-
-
-# --------------------------------------------------------------------------
 # Hyperplane arrangements within a base polytope
 # --------------------------------------------------------------------------
 
@@ -963,13 +910,13 @@ def hyperplane_extension_subdivision(
     for s1, s2 in itertools.combinations(embedded, 2):
         if _simplices_intersect(s1, s2):
             raise GeometryError("embedded simplices are not pairwise disjoint")
-    # the facet forms of each embedded simplex, on one grid with the base
+    # the facets of each embedded simplex, on one grid with the base
     grid, scale = chart.grid([v for s in (base, *embedded) for v in s.vertices])
-    tables = [
-        _barycentric_table(grid[k : k + d + 1], range(d + 1))[1]
+    hyperplanes = list(dict.fromkeys(
+        _hyperplane(h, scale)
         for k in range(d + 1, len(grid), d + 1)
-    ]
-    hyperplanes = list(dict.fromkeys(_hyperplane(f, scale) for t in tables for f in t))
+        for h in _cell_table(grid[k : k + d + 1], scale, d)[0]
+    ))
     if marked_points is not None:
         for p in marked_points:
             lp = chart.to_local(as_point(p))
@@ -1057,7 +1004,7 @@ def refine_modulo(
 
 
 def generalized_barycentric_subdivision(
-    domain: "Triangulation | PolyhedralComplex",
+    domain: PolyhedralComplex,
     choices: Optional[Mapping[Face, Sequence]] = None,
 ) -> Triangulation:
     """Derived triangulation from chains of per-face interior points.
@@ -1145,7 +1092,7 @@ def _affine_at(g: Sequence[Fraction], off: Fraction, row: Sequence[int], scale: 
 
 
 class PLFunction:
-    """One affine function per maximal cell of a triangulation or complex.
+    """One affine function per maximal cell of a subdivision.
 
     Pieces are (gradient, offset) in the domain chart's coordinates:
     value(x) = gradient · to_local(x) + offset on that cell.
@@ -1153,7 +1100,7 @@ class PLFunction:
 
     def __init__(
         self,
-        domain: "Triangulation | PolyhedralComplex",
+        domain: PolyhedralComplex,
         pieces: Sequence[tuple[Sequence[Fraction], Fraction]],
     ):
         self.domain = domain
@@ -1270,15 +1217,15 @@ def el_refinement(tri: Triangulation) -> tuple[PolyhedralComplex, PLFunction]:
     grid, scale = tri.grid
     if None in grid:
         raise GeometryError("a vertex lies off the triangulated simplex's affine hull")
-    # each (d-1)-face's hyperplane from the facet form of a cell holding it
-    forms: dict[Face, list[int]] = {}
-    for c in tri.maximal:
-        det, table, _ = _barycentric_table([grid[i] for i in c], range(d + 1))
-        if not det:
-            raise GeometryError("simplex vertices are affinely dependent")
-        forms.update((c[:r] + c[r + 1 :], form) for r, form in enumerate(table))
+    # each (d-1)-face's hyperplane from the table of a cell holding it, whose
+    # facet r is the one opposite vertex r
+    facets: dict[Face, tuple[tuple[int, ...], int]] = {}
+    for c, (table, volume) in zip(tri.maximal, tri._tables):
+        if len(c) != d + 1 or not volume:
+            raise GeometryError(f"cell {c} is not full-dimensional")
+        facets.update((c[:r] + c[r + 1 :], h) for r, h in enumerate(table))
     hyperplanes = list(
-        dict.fromkeys(_hyperplane(forms[f], scale) for f in tri.faces_of_dim(d - 1))
+        dict.fromkeys(_hyperplane(facets[f], scale) for f in tri.faces_of_dim(d - 1))
     )
     base = grid[len(tri.vertices) :]
     pc, raw = _arrangement_complex(tri.chart, base, scale, hyperplanes, tri.polytope)

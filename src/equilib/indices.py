@@ -330,8 +330,10 @@ def index_via_degree(game: FiniteGame, eq: Profile) -> int:
 
     The game is restricted to the equilibrium's supports (valid for regular
     equilibria: off-support strategies are strictly inferior nearby) and the
-    degree of the displacement is computed over a small box around the
-    equilibrium in local coordinates.
+    degree of the displacement is computed once, over the box around the
+    equilibrium in local coordinates whose half-width is half its distance
+    to the simplex boundary and to every other equilibrium.  A fixed point
+    on the oracle's boundary grid raises the oracle's ``IndexError_``.
     """
     index_regular(game, eq)
     restricted = game.restrict([list(eq[n].support()) for n in range(2)])
@@ -354,13 +356,7 @@ def index_via_degree(game: FiniteGame, eq: Profile) -> int:
         if gap > 0:
             limit = min(limit, gap)
     radius = limit / 2
-    for _ in range(6):
-        region = [(c - radius, c + radius) for c in x0]
-        try:
-            return degree_oracle(fmap, region, _DEGREE_GRID)
-        except IndexError_:
-            radius /= 2
-    raise IndexError_("degree oracle failed to isolate the equilibrium")
+    return degree_oracle(fmap, [(c - radius, c + radius) for c in x0], _DEGREE_GRID)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .games import (
     GameError,
     Label,
     MixedStrategy,
-    PolytopeGame,
     Profile,
     best_replies,
     eliminate_strictly_dominated,
@@ -136,7 +135,7 @@ def zero_bonus(num_players: int, factor: int) -> BonusVector:
     return BonusVector(factor, tuple({} for _ in range(num_players)))
 
 
-def oplus(game: PolytopeGame, g0: BonusVector, g1: BonusVector) -> PolytopeGame:
+def oplus(game: FiniteGame, g0: BonusVector, g1: BonusVector) -> FiniteGame:
     """Add linear first/second-factor bonuses to a pair-strategy game."""
     N = len(game.players)
     if len(g0.values) != N or len(g1.values) != N:
@@ -150,7 +149,7 @@ def oplus(game: PolytopeGame, g0: BonusVector, g1: BonusVector) -> PolytopeGame:
             a, b = prof[n].split("&", 1)
             new[n] = new[n] + g0.values[n].get(a, ZERO) + g1.values[n].get(b, ZERO)
         payoffs[prof] = tuple(new)
-    return PolytopeGame(game.players, game.vertex_labels, game.vertex_points, payoffs)
+    return FiniteGame(game.players, game.strategies, payoffs)
 
 
 # --------------------------------------------------------------------------

@@ -142,6 +142,26 @@ def test_unreadable_input_exits_2_from_the_command_line(tmp_path):
     assert result.stderr.startswith("usage error: ") and "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("case", ["el-refine-tri", "perturb-params"])
+def test_non_utf8_input_names_the_file(case, tmp_path, km_file, capsys):
+    """A Latin-1 `.tri` or params file exits 2 with a usage error that names the file."""
+    if case == "el-refine-tri":
+        path = tmp_path / "triangle.tri"
+        path.write_bytes("# the triangle, café\nv 0 0\nv 1 0\nv 0 1\nc 0 1 2\n".encode("latin-1"))
+        argv = ["el-refine", str(path)]
+    else:
+        path = tmp_path / "params.json"
+        path.write_bytes('{"eps": "1/10", "note": "café"}'.encode("latin-1"))
+        targets = write_json(
+            tmp_path / "targets.json",
+            [{"component": 0, "point": [{"t": "1"}, {"L": "1"}], "sign": 1}],
+        )
+        argv = ["perturb", km_file, targets, "--params", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {path}: not UTF-8 text: ") and err.count("\n") == 1, err
+
+
 def test_unknown_example_exits_2(capsys):
     assert main(["verify-example", "other"]) == 2
     capsys.readouterr()
@@ -977,6 +997,7 @@ MALFORMED_TRIANGULATIONS = {
     "negative-index": ("c 0 1 -1", "names vertex -1"),
     "non-integer-index": ("c 0 1 x", "cell index 'x' is not an integer"),
     "vertices-of-two-dimensions": ("v 1 1 1\nc 0 1 2", "vertex 3 has 3 coordinates"),
+    "no-cells": ("", "empty complex"),
 }
 
 

@@ -186,7 +186,7 @@ def test_tilde_vertex_mixtures(tilde):
 
 
 def test_tilde_second_coordinate_is_payoff_irrelevant(tilde, matching_pennies):
-    pg = tilde.polytope_game
+    pg = tilde.finite_game
     for a in tilde.first_labels[0]:
         rows = {
             pg.payoffs[(f"{a}&{b}", "T1v0&T0v0")][0]
@@ -203,7 +203,7 @@ def test_tilde_projection_preserves_payoffs(tilde, matching_pennies):
                 tilde.vertex_mixtures[1][c],
             )
             expected = payoff(matching_pennies, prof, 0)
-            got = tilde.polytope_game.payoffs[(f"{a}&{c}", f"{c}&{a}")][0]
+            got = tilde.finite_game.payoffs[(f"{a}&{c}", f"{c}&{a}")][0]
             assert got == expected
 
 
@@ -231,7 +231,7 @@ def test_hat_game_reproduces_tilde_payoffs(tilde):
     fg = hg.finite_game
     assert [len(s) for s in fg.strategies] == [9, 9]
     # hat vertices are the tilde vertices themselves here
-    assert fg.payoffs[("H0v0&H1v0", "H1v0&H0v0")] == tilde.polytope_game.payoffs[
+    assert fg.payoffs[("H0v0&H1v0", "H1v0&H0v0")] == tilde.finite_game.payoffs[
         ("T0v0&T1v0", "T1v0&T0v0")
     ]
 

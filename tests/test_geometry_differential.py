@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 import pytest
 
+import equilib.geometry as geometry
 from equilib.geometry import (
     Face,
     GeometryError,
@@ -46,7 +47,7 @@ from equilib.geometry import (
     _barycentric_table,
     _bits,
     _cell_faces,
-    _facet_rows,
+    _cell_table,
     _hull_vertices,
     _lower_hull_cells,
     _non_generic,
@@ -776,7 +777,7 @@ def reference_validate(self) -> None:
         seen.add(c)
         if len(c) != self.dim + 1:
             raise GeometryError(f"cell {c} is not full-dimensional")
-        self.simplex(c)  # affine independence
+        Simplex.of(self.vertices[i] for i in c)  # affine independence
     rows, scale = self.chart.grid(self.polytope)
     facets, _ = _triangulated_hull(rows, scale, self.dim)
     local = []
@@ -813,8 +814,14 @@ def validation_error(check, tri) -> Optional[str]:
 
 
 # The checks the oracles and `validate` share keep their texts; the pair
-# stage's differ, as facet matching names a facet rather than a pair.
+# stage's differ, as facet matching names a facet rather than a pair, and
+# so do the flat cell's: `validate` reads a zero volume off the cell's
+# table for either type, where the oracles tested a simplex's vertices or
+# a cell's chart.
 STAGES = {
+    "is not full-dimensional": "flat",
+    "simplex vertices are affinely dependent": "flat",
+    "non-maximal cell listed as maximal": "flat",
     "lies outside the covered polytope": "vertex",
     "volumes sum to": "volume",
     "do not meet in a common face": "pair",
@@ -823,7 +830,7 @@ STAGES = {
 
 
 def stage(error: Optional[str]) -> Optional[str]:
-    """The check that rejected: None, "vertex", "volume", "pair", or any other error's text."""
+    """The check that rejected: None, "flat", "vertex", "volume", "pair", or any other error's text."""
     if error is None:
         return None
     return next((name for mark, name in STAGES.items() if mark in error), error)
@@ -948,9 +955,12 @@ def test_validation_decides_as_the_facet_oracle(label):
 
 
 def integer_separation(tri):
-    """The certificate `Triangulation.validate` builds, from one elimination per cell."""
+    """The facet sign rows `Triangulation.validate` matches, from one elimination per cell."""
     pts, _ = tri.chart.grid(tri.vertices)
-    rows = [_facet_rows(_barycentric_table(pts, c)[2]) for c in tri.maximal]
+    rows = [
+        [_sign_masks([-x for x in row]) for row in _barycentric_table(pts, c)[2]]
+        for c in tri.maximal
+    ]
     return _Separation(tri.vertices, tri.maximal, rows)
 
 
@@ -1070,7 +1080,7 @@ def test_face_lattice_reads_the_halfspace_faces():
 
 
 def reference_cell_diameter(tri, cell) -> Fraction:
-    pairs = itertools.combinations(tri.simplex(cell).vertices, 2)
+    pairs = itertools.combinations(Simplex.of(tri.vertices[i] for i in cell).vertices, 2)
     return max((max(abs(a - b) for a, b in zip(u, v)) for u, v in pairs), default=ZERO)
 
 
@@ -1320,8 +1330,58 @@ def test_complex_vertex_off_the_plane_is_rejected_as_by_the_oracle():
     broken = complex_of(cells, pc.polytope)
     with pytest.raises(ValueError):
         reference_complex_validate(broken)
-    with pytest.raises(GeometryError, match="off the polytope's affine hull"):
+    with pytest.raises(GeometryError, match="lies outside the covered polytope"):
         broken.validate()
+
+
+# -- the cell table: a simplex's barycentric table against its walk ----------
+#
+# `_cell_table` reads a cell of d + 1 vertices from its barycentric table
+# and walks any other.  Every simplex of the triangulation decks is read both
+# ways, and a copy of each deck whose cells are all walked must reach the
+# same face lattice and validation verdict.  Validation and `el_refinement`
+# run with `linprog` refused: the traced benchmark counts LPs under
+# `Triangulation.validate` only, not under a complex's.
+
+TRIANGULATION_DECKS = {**CERTIFICATE_CASES, **dict(EL_CASES)}
+
+
+def refuse_lp(*args, **kwargs):
+    raise AssertionError("subdivision geometry solved an LP")
+
+
+def table_reading(tri) -> tuple[Optional[str], object]:
+    """An unvalidated copy of `tri`: its validation error and its face lattice (or that error)."""
+    copy = Triangulation(tri.vertices, tri.maximal, tri.polytope, validate=False)
+    verdict = validation_error(Triangulation.validate, copy)
+    try:
+        return verdict, copy.face_lattice()
+    except GeometryError as exc:
+        return verdict, str(exc)
+
+
+@pytest.mark.parametrize("label", TRIANGULATION_DECKS)
+def test_simplex_tables_read_as_the_walk(label, monkeypatch):
+    tri = TRIANGULATION_DECKS[label]
+    grid, scale = tri.grid
+    read = 0
+    for c in tri.maximal:
+        rows = [grid[i] for i in c]
+        if None in rows:
+            continue  # off the polytope's plane: no cell table
+        facets, volume = _cell_table(rows, scale, tri.dim)
+        walk_facets, walk_volume = _triangulated_hull(rows, scale, tri.dim)
+        assert volume == walk_volume and set(facets) == set(walk_facets), c
+        assert len(facets) == (tri.dim + 1 if volume else 0), c
+        read += 1
+    assert read > 0
+    monkeypatch.setattr(geometry, "linprog", refuse_lp)
+    verdict, lattice = table_reading(tri)
+    if label in EL_REFINEMENTS:
+        pc, _ = el_refinement(Triangulation(tri.vertices, tri.maximal, tri.polytope))
+        assert len(pc.maximal) == len(EL_REFINEMENTS[label][0].maximal)
+    monkeypatch.setattr(geometry, "_cell_table", _triangulated_hull)
+    assert table_reading(tri) == (verdict, lattice)
 
 
 # -- facet matching against the pair checks ---------------------------------
@@ -1336,7 +1396,7 @@ def overlapping_moved_vertex(tri, rng):
         moved = variant(tri, verts, tri.maximal)
         try:
             for c in moved.maximal:
-                moved.simplex(c)
+                Simplex.of(moved.vertices[i] for i in c)
         except GeometryError:
             continue  # a flattened cell
         if not all(
@@ -1426,8 +1486,13 @@ def test_pair_check_inputs_decide_as_the_pair_stage(pair_check_inputs):
         expected = stage(validation_error(reference_validate, tri))
         assert (expected is None) == (tri in valid)
         assert stage(validation_error(Triangulation.validate, tri)) == expected
+    # a complex also rejects a vertex outside the polytope, as a triangulation
+    # does, before the volume and pair checks the complex oracle makes
     for pc in small_planar_complexes(valid + invalid):
         expected = stage(validation_error(reference_complex_validate, pc))
+        simplicial = Triangulation(pc.vertices, pc.maximal, pc.polytope, validate=False)
+        if stage(validation_error(reference_validate, simplicial)) == "vertex":
+            expected = "vertex"
         assert stage(validation_error(PolyhedralComplex.validate, pc)) == expected
 
 
@@ -1521,7 +1586,7 @@ QUERY_CASES = query_cases()
 @pytest.mark.parametrize("label,tri,points", QUERY_CASES, ids=[c[0] for c in QUERY_CASES])
 def test_simplex_weights_match_one_fraction_solve(label, tri, points):
     for cell in tri.maximal:
-        simplex = tri.simplex(cell)
+        simplex = Simplex.of(tri.vertices[i] for i in cell)
         for p in points:
             want = reference_barycentric(simplex.vertices, p)
             assert simplex.barycentric(p) == want, (cell, p)
@@ -1561,7 +1626,8 @@ def test_query_cases_cover_every_kind_of_point():
         for p in points:
             found = reference_find_cell(tri, p)
             if found is None:
-                on_flat = reference_barycentric(tri.simplex(tri.maximal[0]).vertices, p)
+                first = Simplex.of(tri.vertices[i] for i in tri.maximal[0])
+                on_flat = reference_barycentric(first.vertices, p)
                 kinds["outside" if on_flat is not None else "off the hull"] += 1
             else:
                 zeros = sum(w == 0 for w in found[1])

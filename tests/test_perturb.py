@@ -116,8 +116,8 @@ def uniform_tilde_profile(tg):
 def test_oplus_adds_factor_bonuses(tilde):
     g0 = BonusVector(0, ({"T0v0": F(1, 8)}, {}))
     g1 = BonusVector(1, ({}, {"T0v1": F(1, 16)}))
-    bumped = oplus(tilde.polytope_game, g0, g1)
-    base = tilde.polytope_game.payoffs
+    bumped = oplus(tilde.finite_game, g0, g1)
+    base = tilde.finite_game.payoffs
     assert (
         bumped.payoffs[("T0v0&T1v0", "T1v0&T0v0")][0]
         == base[("T0v0&T1v0", "T1v0&T0v0")][0] + F(1, 8)
@@ -131,7 +131,7 @@ def test_oplus_adds_factor_bonuses(tilde):
 
 def test_oplus_rejects_wrong_factors(tilde):
     with pytest.raises(PerturbError):
-        oplus(tilde.polytope_game, zero_bonus(2, 1), zero_bonus(2, 1))
+        oplus(tilde.finite_game, zero_bonus(2, 1), zero_bonus(2, 1))
 
 
 # -- payoff envelopes ------------------------------------------------------
