@@ -36,7 +36,7 @@ from .games import (
     MixedStrategy,
     Profile,
     eliminate_strictly_dominated,
-    game_from_json,
+    load_game,
     save_game,
     write_json,
 )
@@ -169,11 +169,11 @@ def _load_json(path: str):
 
 
 def _load_game(path: str) -> FiniteGame:
-    """The game in the file ``path``; a file that is not a game is a usage error."""
+    """:func:`games.load_game` of ``path``; a file that is not a game is a usage error."""
     try:
-        return game_from_json(_load_json(path))
+        return load_game(path)
     except GameError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _load_two_player_game(path: str) -> FiniteGame:
@@ -514,11 +514,11 @@ def cmd_perturb(args) -> tuple[Report, int]:
     game = _load_game(args.game)
     spec = load_target_spec(args.targets, game)
     params = load_params(args.params)
-    perturbed, chain, pipeline_report = run_pipeline(game, spec, params)
+    perturbed, projections, pipeline_report = run_pipeline(game, spec, params)
     if args.game_out:
         save_game(perturbed, args.game_out)
     if args.witness_out:
-        save_mapping(args.witness_out, [chain[0][0], chain[1][1]])
+        save_mapping(args.witness_out, projections)
     report = Report(
         "perturb",
         inputs={

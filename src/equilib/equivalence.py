@@ -2,9 +2,10 @@
 
 Games are *equivalent* when affine surjections onto a common base game
 preserve payoffs exactly.  Adding a duplicate of a (possibly mixed)
-strategy is the canonical construction; the tilde- and hat-game builders
-stack the same idea over triangulations of the strategy simplices, with
-payoff-irrelevant second coordinates.
+strategy is the canonical construction; the tilde-game builder stacks the
+same idea over triangulations of the strategy simplices, with
+payoff-irrelevant second coordinates, and the hat game is the tilde game
+of a tilde game's vertex game over refinements of its vertex simplices.
 """
 
 from __future__ import annotations
@@ -166,12 +167,18 @@ class TildeGame:
     ``first_labels[n]`` lists player n's first-coordinate strategies (the
     vertices of that player's triangulation); the second coordinate reuses
     the next player's first-coordinate labels and never affects payoffs.
+    ``vertex_game`` is the finite game on the vertices alone: a vertex
+    profile pays what the base game pays at its mixtures, and every pair
+    profile pays what its first coordinates pay there.  A hat game is the
+    tilde game of a vertex game over refinements of the vertex simplices,
+    ``build_tilde_game(tg.vertex_game, refinements)``.
     """
 
     base: FiniteGame
     triangulations: tuple[Triangulation, ...]
     first_labels: tuple[tuple[Label, ...], ...]
     vertex_mixtures: tuple[Mapping[Label, MixedStrategy], ...]
+    vertex_game: FiniteGame
     finite_game: FiniteGame
     phi0: tuple[AffineSurjection, ...]
 
@@ -186,7 +193,7 @@ def build_tilde_game(
 
     Player n's pure strategies become pairs (vertex of own triangulation,
     vertex of the next player's triangulation); payoffs evaluate the base
-    game at the projected first coordinates only.
+    game at the projected first coordinates only, once per vertex profile.
     """
     N = game.num_players
     if len(triangulations) != N:
@@ -235,116 +242,44 @@ def build_tilde_game(
                 preimages,
             )
         )
+    vertex_game = FiniteGame(
+        tuple(game.players),
+        tuple(first_labels),
+        {
+            prof: payoff_all(game, tuple(vertex_mixtures[n][a] for n, a in enumerate(prof)))
+            for prof in itertools.product(*first_labels)
+        },
+    )
     # the finite game over the pair strategies
     pair_labels = tuple(
         tuple(_pair_label(a, b) for a in first_labels[n] for b in first_labels[(n + 1) % N])
         for n in range(N)
     )
-    payoffs = {}
-    for prof in itertools.product(*pair_labels):
-        firsts = []
-        for n, lab in enumerate(prof):
-            a = lab.split("&")[0]
-            firsts.append(vertex_mixtures[n][a])
-        payoffs[prof] = payoff_all(game, tuple(firsts))
+    payoffs = {
+        prof: vertex_game.payoffs[tuple(lab.split("&", 1)[0] for lab in prof)]
+        for prof in itertools.product(*pair_labels)
+    }
     return TildeGame(
         game,
         tuple(triangulations),
         tuple(first_labels),
         tuple(vertex_mixtures),
+        vertex_game,
         FiniteGame(tuple(game.players), pair_labels, payoffs),
         tuple(phi0),
     )
 
 
-# --------------------------------------------------------------------------
-# Hat games (refined first coordinates, finite pure-strategy form)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HatGame:
-    """Finite game over pairs of refinement vertices, equivalent to a tilde game."""
-
-    tilde: TildeGame
-    refinements: tuple[Triangulation, ...]
-    first_labels: tuple[tuple[Label, ...], ...]
-    # each first-coordinate strategy projects to a mixture over tilde S0 labels
-    hat_mixtures: tuple[Mapping[Label, MixedStrategy], ...]
-    finite_game: FiniteGame
-
-    def second_labels(self, player: int) -> tuple[Label, ...]:
-        return self.first_labels[(player + 1) % len(self.first_labels)]
-
-
-def build_hat_game(
-    tg: TildeGame, refinements: Sequence[Triangulation]
-) -> HatGame:
-    """Finite game whose pure strategies are refinement-vertex pairs.
-
-    Each player's refinement triangulates Delta(S0) for that player; payoffs
-    are the tilde payoffs of the projected first coordinates (second
-    coordinates stay payoff-irrelevant).
-    """
-    N = len(tg.first_labels)
-    if len(refinements) != N:
-        raise GameError("one refinement per player required")
-    first_labels: list[tuple[Label, ...]] = []
-    hat_mixtures: list[dict[Label, MixedStrategy]] = []
-    for n, tri in enumerate(refinements):
-        m = len(tg.first_labels[n])
-        corners = sorted(
-            tuple(ONE if i == j else ZERO for i in range(m)) for j in range(m)
-        )
-        if sorted(tuple(Fraction(c) for c in p) for p in tri.polytope) != corners:
-            raise GameError(
-                f"refinement for player {n} does not cover Delta(S0)"
-            )
-        labels = tuple(f"H{n}v{i}" for i in range(len(tri.vertices)))
-        mixtures = {
-            lab: _simplex_vertex_mixture(v, tg.first_labels[n])
-            for lab, v in zip(labels, tri.vertices)
-        }
-        first_labels.append(labels)
-        hat_mixtures.append(mixtures)
-    strategies = []
-    for n in range(N):
-        seconds = first_labels[(n + 1) % N]
-        strategies.append(
-            [_pair_label(a, b) for a in first_labels[n] for b in seconds]
-        )
-    payoffs = {}
-    for prof in itertools.product(*strategies):
-        base_profile = []
-        for n, lab in enumerate(prof):
-            a = lab.split("&")[0]
-            base_profile.append(tg.phi0[n].apply(hat_mixtures[n][a]))
-        payoffs[prof] = payoff_all(tg.base, tuple(base_profile))
-    fg = FiniteGame.of(tg.base.players, strategies, payoffs)
-    return HatGame(
-        tg, tuple(refinements), tuple(first_labels), tuple(hat_mixtures), fg
-    )
-
-
 def hat_marginal(
-    hg: HatGame, player: int, strategy: MixedStrategy, coordinate: int
+    tg: TildeGame, player: int, strategy: MixedStrategy, coordinate: int
 ) -> MixedStrategy:
-    """Marginal of a mixture over pair strategies onto one coordinate."""
+    """Marginal of a mixture over one player's pair strategies onto one coordinate."""
+    pairs = set(tg.finite_game.strategies[player])
     weights: dict[Label, Fraction] = {}
-    firsts = hg.first_labels[player]
-    seconds = hg.second_labels(player)
     for lab, w in strategy.weights:
-        found = None
-        for a in firsts:
-            for b in seconds:
-                if _pair_label(a, b) == lab:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if found is None:
+        if lab not in pairs:
             raise GameError(f"unknown pair label {lab!r}")
-        key = found[coordinate]
+        key = lab.split("&")[coordinate]
         weights[key] = weights.get(key, ZERO) + w
     return MixedStrategy.of(weights)
 

@@ -508,13 +508,23 @@ def game_from_json(data: dict) -> FiniteGame:
 
 
 def load_game(path: str) -> FiniteGame:
-    with open(path, "rb") as fh:  # json.loads decodes bytes faster than a text file reads
+    """The game in the JSON file `path`; every :class:`GameError` it raises names the path.
+
+    The bytes must be UTF-8 text holding valid JSON that
+    :func:`game_from_json` reads; a file that cannot be opened raises ``OSError``.
+    """
+    with open(path, "rb") as fh:  # one read and one decode, faster than a text file reads
         text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GameError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GameError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from exc
-    return game_from_json(data)
+    try:
+        return game_from_json(data)
+    except GameError as exc:
+        raise GameError(f"{path}: {exc}") from exc
 
 
 def _json_parts(value, parts: list[str], indent: str = "") -> None:

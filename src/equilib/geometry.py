@@ -402,6 +402,10 @@ class PolyhedralComplex:
         has no facets to test against.
         """
         (row,), s = self.chart.grid([as_point(point)])
+        return self._holds(k, row, s)
+
+    def _holds(self, k: int, row: Optional[Sequence[int]], s: int) -> bool:
+        """:meth:`contains` on the point's :meth:`Chart.grid` row (None: off the hull) and scale."""
         facets, volume = self._tables[k]
         scale = self.grid[1]
         return volume > 0 and row is not None and all(
@@ -1124,11 +1128,16 @@ class PLFunction:
         return dot(g, self.chart.to_local(as_point(point))) + off
 
     def value(self, point: Sequence) -> Fraction:
-        """The piece of the first cell that holds the point, at the point."""
-        k = next((k for k in range(self._ncells()) if self.domain.contains(k, point)), None)
+        """The piece of the first cell that holds the point, at the point.
+
+        The point is read onto the chart grid once; that row is tested
+        against each cell's facets and gives the piece's value.
+        """
+        (row,), s = self.chart.grid([as_point(point)])
+        k = next((k for k in range(self._ncells()) if self.domain._holds(k, row, s)), None)
         if k is None:
             raise GeometryError(f"point {format_point(as_point(point))} outside the domain")
-        return self.piece_value(k, point)
+        return _affine_at(*self.pieces[k], row, s)
 
     # -- structural checks ---------------------------------------------------
 

@@ -3,7 +3,11 @@
 The bonus machinery rewards, at a given profile, the vertices that a reply
 field designates: the first-coordinate bonus lifts designated vertices to
 the payoff envelope plus a margin, the second-coordinate bonus tracks the
-next player's barycentric position.  ``run_pipeline`` composes duplication,
+next player's barycentric position.  A bonused game is ``oplus`` of the
+tilde game's pair game and the two bonuses, judged like any other game by
+``games.best_replies`` and ``games.payoff_vector``.  The hat perturbation
+reads a hat game, the tilde game of the tilde game's vertex game over
+refinements.  ``run_pipeline`` composes duplication,
 a small frame overlay, and elimination bonuses to realize a prescribed set
 of projected equilibria with prescribed index signs, then verifies the
 result with the solver and the index module.
@@ -129,10 +133,6 @@ class BonusVector:
             for v in m.values():
                 out = max(out, abs(v))
         return out
-
-
-def zero_bonus(num_players: int, factor: int) -> BonusVector:
-    return BonusVector(factor, tuple({} for _ in range(num_players)))
 
 
 def oplus(game: FiniteGame, g0: BonusVector, g1: BonusVector) -> FiniteGame:
@@ -400,6 +400,7 @@ def bonus_g0(
     base = tg.base
     fvals = rf.value(profile)
     sigma = rf.projections(profile)
+    firsts = tuple(first for first, _ in profile)
     values = []
     for n in range(base.num_players):
         tri = tg.triangulations[n]
@@ -407,12 +408,11 @@ def bonus_g0(
             list(base.strategies[n])
         )
         r_val = r_fns[n](tuple(sigma))
-        pays = dict(zip(base.strategies[n], payoff_vector(base, tuple(sigma), n)))
+        pays = payoff_vector(tg.vertex_game, firsts, n)
         out: dict[Label, Fraction] = {}
         for i, lab in enumerate(tg.first_labels[n]):
             bump = tri.star_bump(i, reply_point)
-            mixture = tg.vertex_mixtures[n][lab]
-            gap = r_val - sum((w * pays[s] for s, w in mixture.weights), ZERO)
+            gap = r_val - pays[i]
             if gap < 0:
                 raise PerturbError(
                     "bonus", f"envelope below payoff at {lab!r} (gap {gap})"
@@ -440,60 +440,6 @@ def bonus_g0(
 
 
 # --------------------------------------------------------------------------
-# Best replies and equilibrium tests in an oplus game
-# --------------------------------------------------------------------------
-
-
-def oplus_best_replies(
-    tg: TildeGame,
-    g0: BonusVector,
-    g1: BonusVector,
-    profile: TildeProfile,
-    player: int,
-) -> tuple[set[Label], set[Label], Fraction]:
-    """Per-factor best replies of the bonused game, and the improvement margin.
-
-    Payoffs separate across factors: the base payoff depends only on first
-    coordinates, so the second factor is judged on its bonus alone.  Returns
-    (first-factor argmax, second-factor argmax, improvement available to the
-    player over the current pair).
-    """
-    base = tg.base
-    sigma = [tg.phi0[n].apply(profile[n][0]) for n in range(base.num_players)]
-    pays = dict(zip(base.strategies[player], payoff_vector(base, tuple(sigma), player)))
-    first_vals = {
-        lab: sum((w * pays[s] for s, w in tg.vertex_mixtures[player][lab].weights), ZERO)
-        + g0.values[player].get(lab, ZERO)
-        for lab in tg.first_labels[player]
-    }
-    second_vals = {
-        lab: g1.values[player].get(lab, ZERO)
-        for lab in tg.second_labels(player)
-    }
-    best_first = max(first_vals.values())
-    best_second = max(second_vals.values())
-    cur = sum(
-        w * first_vals[lab] for lab, w in profile[player][0].weights
-    ) + sum(w * second_vals[lab] for lab, w in profile[player][1].weights)
-    margin = (best_first + best_second) - cur
-    return (
-        {lab for lab, v in first_vals.items() if v == best_first},
-        {lab for lab, v in second_vals.items() if v == best_second},
-        margin,
-    )
-
-
-def oplus_equilibrium_margin(
-    tg: TildeGame, g0: BonusVector, g1: BonusVector, profile: TildeProfile
-) -> Fraction:
-    """Largest improvement any player can gain; zero iff profile is an equilibrium."""
-    return max(
-        oplus_best_replies(tg, g0, g1, profile, n)[2]
-        for n in range(len(tg.first_labels))
-    )
-
-
-# --------------------------------------------------------------------------
 # Five-part hat perturbation
 # --------------------------------------------------------------------------
 
@@ -507,7 +453,7 @@ class HatTarget:
 
 
 def hat_perturbation(
-    hg,
+    hg: TildeGame,
     targets: Sequence[HatTarget],
     gamma: Sequence[PLFunction],
     rf: ReplyField,
@@ -519,6 +465,9 @@ def hat_perturbation(
 ) -> FiniteGame:
     """Assemble the five-component perturbation of a hat game.
 
+    The hat game `hg` is the tilde game of the reply field's vertex game,
+    ``build_tilde_game(rf.tg.vertex_game, refinements)``; its vertex
+    mixtures project each refinement vertex onto the tilde vertices.
     Components: the hat payoffs, first/second-factor bonuses evaluated at
     each pure profile, the support penalty scaled by alpha_star, and the
     PL penalties gamma scaled by alpha.  Each of eps0, alpha and alpha_star
@@ -527,7 +476,10 @@ def hat_perturbation(
     switched off.
     """
     game = hg.finite_game
-    tg = hg.tilde
+    tg = rf.tg
+    if hg.base is not tg.vertex_game:
+        raise PerturbError("hat", "the hat game is not built on the reply field's vertex game")
+    mixtures = hg.vertex_mixtures
     eps = Fraction(params.eps)
     alpha = eps / 4 if alpha is None else Fraction(alpha)
     alpha_star = eps / 4 if alpha_star is None else Fraction(alpha_star)
@@ -543,7 +495,7 @@ def hat_perturbation(
         for n, lab in enumerate(prof):
             a, b = lab.split("&", 1)
             tilde_prof.append(
-                (hg.hat_mixtures[n][a], hg.hat_mixtures[(n + 1) % game.num_players][b])
+                (mixtures[n][a], mixtures[(n + 1) % game.num_players][b])
             )
         tilde_prof = tuple(tilde_prof)
         g1 = bonus_g1(tg, eps0, tilde_prof) if eps0 > 0 else None
@@ -557,24 +509,22 @@ def hat_perturbation(
             if eps0 > 0:
                 v += eps0 * sum(
                     w * fvals[n][0].weight(lab)
-                    for lab, w in hg.hat_mixtures[n][a].weights
+                    for lab, w in mixtures[n][a].weights
                 )
                 v += sum(
                     w * g1.values[n].get(lab, ZERO)
-                    for lab, w in hg.hat_mixtures[
-                        (n + 1) % game.num_players
-                    ][b].weights
+                    for lab, w in mixtures[(n + 1) % game.num_players][b].weights
                 )
             if alpha_star > 0 and targets and prof[n] not in allowed[n]:
                 v -= alpha_star
             if alpha > 0:
                 point_a = frac_vec(
-                    hg.hat_mixtures[n][a].as_vector(list(tg.first_labels[n]))
+                    mixtures[n][a].as_vector(list(tg.first_labels[n]))
                 )
                 v -= alpha * gamma[n].value(point_a)
                 nxt = (n + 1) % game.num_players
                 point_b = frac_vec(
-                    hg.hat_mixtures[nxt][b].as_vector(list(tg.first_labels[nxt]))
+                    mixtures[nxt][b].as_vector(list(tg.first_labels[nxt]))
                 )
                 v -= alpha * gamma[nxt].value(point_b)
             entry.append(v)
@@ -644,8 +594,11 @@ def _frame_for_player(
 
 def run_pipeline(
     game: FiniteGame, target: TargetSpec, params: PipelineParams
-) -> tuple[FiniteGame, list[list[AffineSurjection]], PipelineReport]:
+) -> tuple[FiniteGame, list[AffineSurjection], PipelineReport]:
     """Realize the target equilibria (with signs) by an equivalent perturbed game.
+
+    Returns the perturbed game, one projection per player onto `game`'s
+    strategies (the projections it verified against), and the report.
 
     Desk-scale scope: 2-player games; all targets on a single component;
     per player the target strategies must lie on a segment between two pure
@@ -679,7 +632,7 @@ def run_pipeline(
     multi = len(points) == 3
     pure_design = not multi and all(s.is_pure() for s in points[0].profile)
     current = game
-    chain: list[list[AffineSurjection]] = []
+    projections: list[AffineSurjection] = []
     frames: list[tuple[Label, Label]] = []
     lam: list[Fraction] = []
     for n in range(2):
@@ -704,19 +657,14 @@ def run_pipeline(
         if pure_design or len(anchors) == 2:
             a = anchors[0]
             b = anchors[1] if len(anchors) == 2 else anchors[0]
-            phis = [identity_surjection(current.strategies[m]) for m in range(2)]
-            chain.append(phis)
+            projections.append(identity_surjection(current.strategies[n]))
         else:
             a = anchors[0]
             b = f"{a}'"
             current, phi = duplicate_strategy(
                 current, n, MixedStrategy.pure(a), new_label=b
             )
-            phis = [
-                identity_surjection(current.strategies[m]) if m != n else phi
-                for m in range(2)
-            ]
-            chain.append(phis)
+            projections.append(phi)
             report.log(f"player {n}: duplicated {a!r} as {b!r}")
         frames.append((a, b))
         if mixed is not None and len(mixed.support()) == 2 and a in mixed.support():
@@ -724,8 +672,6 @@ def run_pipeline(
         else:
             lam.append(Fraction(1, 2))
     report.log(f"frames: {frames}, mixed weights {[str(l) for l in lam]}")
-
-    projections = [chain[0][0], chain[1][1]]
 
     # The designed mixed equilibrium must project exactly onto the mixed target.
     mixed_targets = [tp for tp in points if not all(s.is_pure() for s in tp.profile)]
@@ -823,7 +769,7 @@ def run_pipeline(
                 )
     if report.failures:
         report.verified = False
-        return perturbed, chain, report
+        return perturbed, projections, report
 
     # Stage 6: verification on the reduced game, its witnesses checked exactly
     found, report.failures = verify_realization(
@@ -835,4 +781,4 @@ def run_pipeline(
         report.indices.append(idx)
     report.verified = not report.failures
     report.log("verification " + ("passed" if report.verified else "FAILED"))
-    return perturbed, chain, report
+    return perturbed, projections, report

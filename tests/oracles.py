@@ -15,8 +15,10 @@ the dominating mixture by the LP alone, iterated strict dominance on
 ``Fraction`` payoffs with the game restricted after each removal, the
 index report and the realization check by enumerating
 the whole game, the three-player enumerator that
-solves every indifference system in ``Fraction`` s, and the equilibrium
-certificate that compares label sets of best replies.  ``cell_points``
+solves every indifference system in ``Fraction`` s, the equilibrium
+certificate that compares label sets of best replies, the hat game by its
+own builder, and a bonused tilde game's best replies and improvement
+margin summed factor by factor.  ``cell_points``
 reads a subdivision's cells as point tuples, the form the geometry
 oracles take; ``frac_mat`` and ``_integer_rows`` build the ``Fraction``
 rows, and scale each to integers by its own lcm, as the enumerator and the
@@ -29,10 +31,16 @@ import itertools
 import json
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from equilib.equivalence import AffineSurjection
+from equilib.equivalence import (
+    AffineSurjection,
+    TildeGame,
+    _pair_label,
+    _simplex_vertex_mixture,
+)
 from equilib.games import (
     Elimination,
     FiniteGame,
@@ -42,9 +50,10 @@ from equilib.games import (
     Profile,
     format_profile,
     is_equilibrium,
+    payoff_all,
     payoff_vector,
 )
-from equilib.geometry import GeometryError
+from equilib.geometry import GeometryError, Triangulation
 from equilib.indices import (
     IndexError_,
     IndexReport,
@@ -67,6 +76,7 @@ from equilib.linalg import (
     vec_sub,
 )
 from equilib.rational import parse_rational
+from equilib.perturb import BonusVector, TildeProfile
 from equilib.solver import EquilibriumSet, NashSubset, support_enumeration
 
 
@@ -972,3 +982,129 @@ def reference_three_player_enumeration(game: FiniteGame) -> EquilibriumSet:
             elif not 0 < values[n] < 1:
                 notes.append(discarded)
     return EquilibriumSet(game, found, [], exhaustive=not notes, notes=notes)
+
+
+# -- Hat games and bonused games by their own rules -------------------------
+
+# The hat game had its own builder, a copy of the tilde game's one level up,
+# and a bonused game's best replies and margin were summed factor by factor
+# on the base payoffs; the program now builds the hat game as the tilde game
+# of the vertex game and judges a bonused game by ``oplus`` and the games
+# kernel.  Hat labels here read H<n>v<i> where the program's read T<n>v<i>.
+
+
+@dataclass(frozen=True)
+class ReferenceHatGame:
+    """Finite game over pairs of refinement vertices, equivalent to a tilde game."""
+
+    tilde: TildeGame
+    refinements: tuple[Triangulation, ...]
+    first_labels: tuple[tuple[Label, ...], ...]
+    # each first-coordinate strategy projects to a mixture over tilde S0 labels
+    hat_mixtures: tuple[Mapping[Label, MixedStrategy], ...]
+    finite_game: FiniteGame
+
+    def second_labels(self, player: int) -> tuple[Label, ...]:
+        return self.first_labels[(player + 1) % len(self.first_labels)]
+
+
+def reference_build_hat_game(
+    tg: TildeGame, refinements: Sequence[Triangulation]
+) -> ReferenceHatGame:
+    """``equivalence.build_hat_game`` as it was: its own builder one level above the tilde game.
+
+    Finite game whose pure strategies are refinement-vertex pairs.
+
+    Each player's refinement triangulates Delta(S0) for that player; payoffs
+    are the tilde payoffs of the projected first coordinates (second
+    coordinates stay payoff-irrelevant).
+    """
+    N = len(tg.first_labels)
+    if len(refinements) != N:
+        raise GameError("one refinement per player required")
+    first_labels: list[tuple[Label, ...]] = []
+    hat_mixtures: list[dict[Label, MixedStrategy]] = []
+    for n, tri in enumerate(refinements):
+        m = len(tg.first_labels[n])
+        corners = sorted(
+            tuple(ONE if i == j else ZERO for i in range(m)) for j in range(m)
+        )
+        if sorted(tuple(Fraction(c) for c in p) for p in tri.polytope) != corners:
+            raise GameError(
+                f"refinement for player {n} does not cover Delta(S0)"
+            )
+        labels = tuple(f"H{n}v{i}" for i in range(len(tri.vertices)))
+        mixtures = {
+            lab: _simplex_vertex_mixture(v, tg.first_labels[n])
+            for lab, v in zip(labels, tri.vertices)
+        }
+        first_labels.append(labels)
+        hat_mixtures.append(mixtures)
+    strategies = []
+    for n in range(N):
+        seconds = first_labels[(n + 1) % N]
+        strategies.append(
+            [_pair_label(a, b) for a in first_labels[n] for b in seconds]
+        )
+    payoffs = {}
+    for prof in itertools.product(*strategies):
+        base_profile = []
+        for n, lab in enumerate(prof):
+            a = lab.split("&")[0]
+            base_profile.append(tg.phi0[n].apply(hat_mixtures[n][a]))
+        payoffs[prof] = payoff_all(tg.base, tuple(base_profile))
+    fg = FiniteGame.of(tg.base.players, strategies, payoffs)
+    return ReferenceHatGame(
+        tg, tuple(refinements), tuple(first_labels), tuple(hat_mixtures), fg
+    )
+
+
+def reference_oplus_best_replies(
+    tg: TildeGame,
+    g0: BonusVector,
+    g1: BonusVector,
+    profile: TildeProfile,
+    player: int,
+) -> tuple[set[Label], set[Label], Fraction]:
+    """``perturb.oplus_best_replies`` as it was: the bonused game judged factor by factor.
+
+    Per-factor best replies of the bonused game, and the improvement margin.
+
+    Payoffs separate across factors: the base payoff depends only on first
+    coordinates, so the second factor is judged on its bonus alone.  Returns
+    (first-factor argmax, second-factor argmax, improvement available to the
+    player over the current pair).
+    """
+    base = tg.base
+    sigma = [tg.phi0[n].apply(profile[n][0]) for n in range(base.num_players)]
+    pays = dict(zip(base.strategies[player], payoff_vector(base, tuple(sigma), player)))
+    first_vals = {
+        lab: sum((w * pays[s] for s, w in tg.vertex_mixtures[player][lab].weights), ZERO)
+        + g0.values[player].get(lab, ZERO)
+        for lab in tg.first_labels[player]
+    }
+    second_vals = {
+        lab: g1.values[player].get(lab, ZERO)
+        for lab in tg.second_labels(player)
+    }
+    best_first = max(first_vals.values())
+    best_second = max(second_vals.values())
+    cur = sum(
+        w * first_vals[lab] for lab, w in profile[player][0].weights
+    ) + sum(w * second_vals[lab] for lab, w in profile[player][1].weights)
+    margin = (best_first + best_second) - cur
+    return (
+        {lab for lab, v in first_vals.items() if v == best_first},
+        {lab for lab, v in second_vals.items() if v == best_second},
+        margin,
+    )
+
+
+def reference_oplus_equilibrium_margin(
+    tg: TildeGame, g0: BonusVector, g1: BonusVector, profile: TildeProfile
+) -> Fraction:
+    """``perturb.oplus_equilibrium_margin`` as it was: the largest improvement of any player."""
+    return max(
+        reference_oplus_best_replies(tg, g0, g1, profile, n)[2]
+        for n in range(len(tg.first_labels))
+    )

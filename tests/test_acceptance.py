@@ -14,8 +14,11 @@ from equilib.examples import km_game, km_perturbation_1, km_perturbation_2
 from equilib.games import (
     FiniteGame,
     MixedStrategy,
+    best_replies,
     eliminate_strictly_dominated,
+    payoff,
     payoff_against,
+    payoff_vector,
     profile_of,
 )
 from equilib.geometry import (
@@ -42,8 +45,7 @@ from equilib.perturb import (
     bonus_g0,
     bonus_g1,
     envelope_r,
-    oplus_best_replies,
-    oplus_equilibrium_margin,
+    oplus,
     run_pipeline,
 )
 from equilib.solver import components, support_enumeration
@@ -376,19 +378,34 @@ def test_criterion_7_reply_field_and_bonuses(matching_pennies):
             out.append((first, second))
         return tuple(out)
 
+    def pair_profile(prof):
+        """Each player's (first, second) as the product mixture over its pair strategies."""
+        return tuple(
+            MixedStrategy.of(
+                {f"{a}&{b}": wa * wb for a, wa in first.weights for b, wb in second.weights}
+            )
+            for first, second in prof
+        )
+
     min_margin = None
     for _ in range(200):
         prof = random_tilde_profile()
         fvals = rf.value(prof)
         g1 = bonus_g1(tg, eps0, prof)
         g0 = bonus_g0(tg, rf, r_fns, eps0, prof)
+        bonused, pairs = oplus(tg.finite_game, g0, g1), pair_profile(prof)
         for n in range(2):
-            bf, bs, _ = oplus_best_replies(tg, g0, g1, prof, n)
+            replies = best_replies(bonused, pairs, n)
+            bf = {lab.split("&")[0] for lab in replies}
+            bs = {lab.split("&")[1] for lab in replies}
             assert bf <= set(fvals[n][0].support())
             assert bs <= set(fvals[n][1].support())
         sigma = rf.projections(prof)
         if not region.strictly_contains_projection(matching_pennies, sigma):
-            margin = oplus_equilibrium_margin(tg, g0, g1, prof)
+            margin = max(
+                max(payoff_vector(bonused, pairs, n)) - payoff(bonused, pairs, n)
+                for n in range(2)
+            )
             # robust non-equilibrium: any bonus perturbation below xi/2
             # leaves an improvement of at least xi/2
             assert margin > xi
@@ -408,7 +425,7 @@ def test_criterion_8_pipeline():
             TargetPoint(0, profile_of({"t": HALF, "b": HALF}, "L"), -1),
         )
     )
-    perturbed, chain, report = run_pipeline(km, spec, PipelineParams(eps=eps))
+    perturbed, projections, report = run_pipeline(km, spec, PipelineParams(eps=eps))
     assert report.verified, report.failures
     found = sorted(
         (key(p), i) for p, i in zip(report.projections, report.indices)

@@ -142,10 +142,14 @@ def test_unreadable_input_exits_2_from_the_command_line(tmp_path):
     assert result.stderr.startswith("usage error: ") and "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("case", ["el-refine-tri", "perturb-params"])
+@pytest.mark.parametrize("case", ["el-refine-tri", "perturb-params", "solve-game"])
 def test_non_utf8_input_names_the_file(case, tmp_path, km_file, capsys):
-    """A Latin-1 `.tri` or params file exits 2 with a usage error that names the file."""
-    if case == "el-refine-tri":
+    """A Latin-1 `.tri`, params or game file exits 2 with a usage error that names the file."""
+    if case == "solve-game":
+        path = tmp_path / "game.json"
+        path.write_bytes('{"players": ["Zo\xeb", "Al"]}'.encode("latin-1"))
+        argv = ["solve", str(path)]
+    elif case == "el-refine-tri":
         path = tmp_path / "triangle.tri"
         path.write_bytes("# the triangle, café\nv 0 0\nv 1 0\nv 0 1\nc 0 1 2\n".encode("latin-1"))
         argv = ["el-refine", str(path)]

@@ -187,9 +187,8 @@ KM_PIPELINE_CASES = {
 def test_verification_matches_full_enumeration_on_pipeline_outputs(case):
     points, eps = KM_PIPELINE_CASES[case]
     spec, params = TargetSpec(tuple(points)), PipelineParams(eps=eps)
-    perturbed, chain, report = run_pipeline(km_game(), spec, params)
+    perturbed, projections, report = run_pipeline(km_game(), spec, params)
     assert report.verified, report.failures
-    projections = [chain[0][0], chain[1][1]]
     want = [(tp.profile, tp.sign) for tp in points]
     assert_same_verification(perturbed, projections, want)
     assert_same_verification(perturbed, projections, [])

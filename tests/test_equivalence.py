@@ -5,7 +5,6 @@ import pytest
 
 from equilib.equivalence import (
     AffineSurjection,
-    build_hat_game,
     build_tilde_game,
     check_equivalence,
     duplicate_strategy,
@@ -227,17 +226,21 @@ def trivial_refinement():
 
 
 def test_hat_game_reproduces_tilde_payoffs(tilde):
-    hg = build_hat_game(tilde, [trivial_refinement(), trivial_refinement()])
+    hg = build_tilde_game(tilde.vertex_game, [trivial_refinement(), trivial_refinement()])
     fg = hg.finite_game
     assert [len(s) for s in fg.strategies] == [9, 9]
     # hat vertices are the tilde vertices themselves here
-    assert fg.payoffs[("H0v0&H1v0", "H1v0&H0v0")] == tilde.finite_game.payoffs[
+    assert fg.payoffs[("T0v0&T1v0", "T1v0&T0v0")] == tilde.finite_game.payoffs[
         ("T0v0&T1v0", "T1v0&T0v0")
     ]
 
 
 def test_hat_marginal(tilde):
-    hg = build_hat_game(tilde, [trivial_refinement(), trivial_refinement()])
-    mix = MixedStrategy.of({"H0v0&H1v0": HALF, "H0v1&H1v2": HALF})
+    hg = build_tilde_game(tilde.vertex_game, [trivial_refinement(), trivial_refinement()])
+    mix = MixedStrategy.of({"T0v0&T1v0": HALF, "T0v1&T1v2": HALF})
     first = hat_marginal(hg, 0, mix, 0)
-    assert sorted(first.weights) == [("H0v0", HALF), ("H0v1", HALF)]
+    assert sorted(first.weights) == [("T0v0", HALF), ("T0v1", HALF)]
+    second = hat_marginal(tilde, 1, MixedStrategy.pure("T1v2&T0v1"), 1)
+    assert second == MixedStrategy.pure("T0v1")
+    with pytest.raises(GameError, match="unknown pair label"):
+        hat_marginal(hg, 1, mix, 0)

@@ -14,6 +14,7 @@ from equilib.games import (
     game_from_json,
     game_to_json,
     is_equilibrium,
+    load_game,
     payoff,
     payoff_against,
     profile_of,
@@ -258,6 +259,30 @@ def test_restrict_keeps_order(km):
 def test_json_round_trip(seed):
     game = random_bimatrix(seed, rows=2 + seed % 3, cols=2 + (seed // 3) % 3)
     assert game_from_json(game_to_json(game)) == game
+
+
+def test_load_game_names_the_path_in_every_error(tmp_path):
+    """Latin-1 bytes, invalid JSON and a malformed game each raise a GameError naming the file."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"players": ["Zo\xeb"]}'.encode("latin-1"))
+    with pytest.raises(GameError) as err:
+        load_game(str(latin1))
+    assert str(err.value) == (
+        f"{latin1}: not UTF-8 text: 'utf-8' codec can't decode byte 0xeb in position 16: "
+        "invalid continuation byte"
+    )
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"players": [\n', encoding="utf-8")
+    with pytest.raises(GameError) as err:
+        load_game(str(broken))
+    assert str(err.value) == f"{broken}: invalid JSON at line 2 col 1"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"players": ["p1"]}', encoding="utf-8")
+    with pytest.raises(GameError) as err:
+        load_game(str(malformed))
+    with pytest.raises(GameError) as bare:
+        game_from_json({"players": ["p1"]})
+    assert str(err.value) == f"{malformed}: {bare.value}"
 
 
 def test_bad_rational_entry_reported_with_location():

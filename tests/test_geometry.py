@@ -349,6 +349,25 @@ def test_el_gamma_linear_on_cells(el):
         assert gamma.value(p) == interp
 
 
+def test_pl_value_maps_the_point_once(monkeypatch):
+    """`value` reads the point onto the chart grid once, whichever cell holds it."""
+    tri = unit_triangle().split_edge((0, 1)).split_edge((0, 2)).split_edge((0, 3))
+    pc, gamma = el_refinement(tri)
+    assert len(pc.maximal) == 4
+    gamma.value(pc.vertices[0])  # the domain's own grid and tables are cached from here on
+    grid, calls = Chart.grid, []
+
+    def counted(chart, points):
+        calls.append(len(points))
+        return grid(chart, points)
+
+    monkeypatch.setattr(Chart, "grid", counted)
+    for cell in cell_points(pc):
+        calls.clear()
+        gamma.value(barycenter(cell))
+        assert calls == [1]
+
+
 def test_point_errors_print_rationals(el):
     _, (_, gamma) = el
     tri = unit_triangle()

@@ -1177,6 +1177,29 @@ def test_el_gamma_reads_as_the_value_oracle(label, tri):
     )
 
 
+def reference_pl_value(gamma, point) -> Fraction:
+    """`PLFunction.value` as it was: `contains` cell by cell, then `piece_value`."""
+    k = next(k for k in range(len(gamma.pieces)) if gamma.domain.contains(k, point))
+    return gamma.piece_value(k, point)
+
+
+@pytest.mark.parametrize("label,tri", EL_CASES, ids=[c[0] for c in EL_CASES])
+def test_pl_value_matches_the_cell_by_cell_reading(label, tri):
+    """Vertices, facet midpoints and interior samples: the one-row reading gives the same value."""
+    pc, gamma = EL_REFINEMENTS[label]
+    rng = random.Random(label)
+    faces = pc.face_lattice()
+    points = list(pc.vertices)
+    points += [
+        barycenter([pc.vertices[i] for i in f]) for f, dim in faces.items() if dim == pc.dim - 1
+    ]
+    for cell in cell_points(pc):
+        points.append(barycenter(cell))
+        ws = [rng.randint(1, 6) for _ in cell]
+        points.append(tuple(sum(F(w, sum(ws)) * x for w, x in zip(ws, xs)) for xs in zip(*cell)))
+    assert [gamma.value(p) for p in points] == [reference_pl_value(gamma, p) for p in points]
+
+
 def complex_sign_table(pc) -> tuple[list[Point], list[int], list[list[tuple[int, int]]]]:
     """The distinct vertices, and per cell its vertex mask and facets' sign rows.
 

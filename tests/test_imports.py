@@ -36,11 +36,8 @@ ROOT_FILES = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench"
 
 ALLOWLIST = {
     "perturb.hat_perturbation",
-    "equivalence.build_hat_game",
     "equivalence.hat_marginal",
     "equivalence.check_equivalence",
-    "perturb.oplus",
-    "perturb.zero_bonus",
     "geometry.hyperplane_extension_subdivision",
     "geometry.generalized_barycentric_subdivision",
     "geometry.triangulate_without_new_vertices",

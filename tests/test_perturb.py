@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from equilib.equivalence import build_hat_game, build_tilde_game
-from equilib.games import MixedStrategy, profile_of
+from equilib.equivalence import build_tilde_game
+from equilib.games import MixedStrategy, payoff, payoff_vector, profile_of
 from equilib.geometry import Simplex, Triangulation
 from equilib.indices import make_affine_fixer
 from equilib.perturb import (
@@ -21,9 +21,7 @@ from equilib.perturb import (
     envelope_r,
     hat_perturbation,
     oplus,
-    oplus_equilibrium_margin,
     run_pipeline,
-    zero_bonus,
 )
 from equilib.solver import support_enumeration
 from oracles import subset_contains
@@ -86,7 +84,7 @@ def test_bonus_vector_validation():
 def test_bonus_norm():
     b = BonusVector(0, ({"a": F(1, 4)}, {"b": F(1, 2)}))
     assert b.norm() == F(1, 2)
-    assert zero_bonus(2, 1).norm() == 0
+    assert BonusVector(1, ({}, {})).norm() == 0
 
 
 def segment_triangulation():
@@ -131,7 +129,7 @@ def test_oplus_adds_factor_bonuses(tilde):
 
 def test_oplus_rejects_wrong_factors(tilde):
     with pytest.raises(PerturbError):
-        oplus(tilde.finite_game, zero_bonus(2, 1), zero_bonus(2, 1))
+        oplus(tilde.finite_game, BonusVector(1, ({}, {})), BonusVector(1, ({}, {})))
 
 
 # -- payoff envelopes ------------------------------------------------------
@@ -235,7 +233,13 @@ def test_bonus_g0_within_size_bound(tilde, matching_pennies):
     g0 = bonus_g0(tilde, rf, r_fns, F(1, 100), prof)
     g1 = bonus_g1(tilde, F(1, 100), prof)
     assert g0.norm() + g1.norm() < F(1, 2)
-    assert oplus_equilibrium_margin(tilde, g0, g1, prof) >= 0
+    bonused = oplus(tilde.finite_game, g0, g1)
+    pairs = tuple(
+        MixedStrategy.of({f"{a}&{b}": w * v for a, w in first.weights for b, v in second.weights})
+        for first, second in prof
+    )
+    for n in range(2):
+        assert max(payoff_vector(bonused, pairs, n)) - payoff(bonused, pairs, n) >= 0
 
 
 def test_bonus_g0_size_bound_violation_names_strategy(tilde, matching_pennies):
@@ -254,23 +258,33 @@ def test_bonus_g0_size_bound_violation_names_strategy(tilde, matching_pennies):
 @pytest.fixture
 def hat(tilde):
     refinements = [segment_triangulation(), segment_triangulation()]
-    return build_hat_game(tilde, refinements)
+    return build_tilde_game(tilde.vertex_game, refinements)
 
 
-def test_hat_perturbation_zero_is_identity(hat):
+def test_hat_perturbation_zero_is_identity(hat, tilde):
     params = PipelineParams(eps=F(1, 2))
-    rf = ReplyField(hat.tilde, eps=F(1, 2))
+    rf = ReplyField(tilde, eps=F(1, 2))
     out = hat_perturbation(
         hat, [], (None, None), rf, params, alpha=0, alpha_star=0, eps0=0
     )
     assert out.payoffs == hat.finite_game.payoffs
 
 
-def test_hat_perturbation_support_penalty(hat):
+def test_hat_perturbation_requires_the_reply_fields_vertex_game(hat, matching_pennies):
+    other = build_tilde_game(matching_pennies, [segment_triangulation(), segment_triangulation()])
+    rf = ReplyField(other, eps=F(1, 2))
+    with pytest.raises(PerturbError, match="vertex game"):
+        hat_perturbation(
+            hat, [], (None, None), rf, PipelineParams(eps=F(1, 2)),
+            alpha=0, alpha_star=0, eps0=0,
+        )
+
+
+def test_hat_perturbation_support_penalty(hat, tilde):
     params = PipelineParams(eps=F(1, 2))
-    rf = ReplyField(hat.tilde, eps=F(1, 2))
-    allowed0 = ("H0v0&H1v0",)
-    allowed1 = ("H1v0&H0v0",)
+    rf = ReplyField(tilde, eps=F(1, 2))
+    allowed0 = ("T0v0&T1v0",)
+    allowed1 = ("T1v0&T0v0",)
     target = HatTarget(
         (allowed0, allowed1),
         (MixedStrategy.pure(allowed0[0]), MixedStrategy.pure(allowed1[0])),
@@ -287,7 +301,7 @@ def test_hat_perturbation_support_penalty(hat):
             assert entry[n] == expected
 
 
-def test_hat_perturbation_stays_below_eps(hat):
+def test_hat_perturbation_stays_below_eps(hat, tilde):
     from equilib.geometry import el_refinement
 
     tri = Triangulation(
@@ -295,7 +309,7 @@ def test_hat_perturbation_stays_below_eps(hat):
     )
     _, gamma = el_refinement(tri.split_edge((0, 1)))
     params = PipelineParams(eps=F(1, 2))
-    rf = ReplyField(hat.tilde, eps=F(1, 2))
+    rf = ReplyField(tilde, eps=F(1, 2))
     out = hat_perturbation(
         hat, [], (gamma, gamma), rf, params,
         alpha=F(1, 100), alpha_star=0, eps0=F(1, 100),
@@ -306,12 +320,12 @@ def test_hat_perturbation_stays_below_eps(hat):
             assert abs(entry[n] - base[prof][n]) < F(1, 2)
 
 
-def test_hat_perturbation_certifies_size(hat):
+def test_hat_perturbation_certifies_size(hat, tilde):
     params = PipelineParams(eps=F(1, 200))
-    rf = ReplyField(hat.tilde, eps=F(1, 200))
+    rf = ReplyField(tilde, eps=F(1, 200))
     target = HatTarget(
-        (("H0v0&H1v0",), ("H1v0&H0v0",)),
-        (MixedStrategy.pure("H0v0&H1v0"), MixedStrategy.pure("H1v0&H0v0")),
+        (("T0v0&T1v0",), ("T1v0&T0v0",)),
+        (MixedStrategy.pure("T0v0&T1v0"), MixedStrategy.pure("T1v0&T0v0")),
     )
     with pytest.raises(PerturbError, match="eps"):
         hat_perturbation(
@@ -335,7 +349,7 @@ def km_targets():
 
 def test_pipeline_three_targets(km):
     params = PipelineParams(eps=F(1, 10))
-    perturbed, chain, report = run_pipeline(km, km_targets(), params)
+    perturbed, projections, report = run_pipeline(km, km_targets(), params)
     assert report.verified, report.failures
     assert sorted(report.indices) == [-1, 1, 1]
     # every payoff entry moved by less than eps (after duplication)
@@ -346,7 +360,7 @@ def test_pipeline_three_targets(km):
 def test_pipeline_single_pure_target(km):
     params = PipelineParams(eps=F(1, 10))
     spec = TargetSpec((TargetPoint(0, profile_of("t", "L"), 1),))
-    perturbed, chain, report = run_pipeline(km, spec, params)
+    perturbed, projections, report = run_pipeline(km, spec, params)
     assert report.verified, report.failures
     assert report.indices == [1]
     es = support_enumeration(perturbed)
@@ -358,7 +372,7 @@ def test_pipeline_single_mixed_target(km):
     spec = TargetSpec(
         (TargetPoint(0, profile_of({"t": HALF, "b": HALF}, "L"), 1),)
     )
-    perturbed, chain, report = run_pipeline(km, spec, params)
+    perturbed, projections, report = run_pipeline(km, spec, params)
     assert report.verified, report.failures
     assert report.indices == [1]
 
